@@ -258,20 +258,16 @@ impl CircuitReport {
             }
         };
 
-        let mut level_ops = OpCounts::default();
-        for matrix in &model.levels {
-            level_ops = level_ops.plus(&ours::matmul_counts(matrix.cols(), shape.form));
-            match shape.form {
-                ModelForm::Encrypted => level_ops.add += 1,
-                ModelForm::Plain => level_ops.constant_add += 1,
-            }
-        }
+        // The level matrices share one shape (the compiler builds them
+        // over the same branch vector) and the runtime multiplies them
+        // as one rotation-sharing group.
+        let d = model.levels.len() as u32;
+        let level_cols = model.levels.first().map_or(0, |matrix| matrix.cols());
         let levels = StagePrediction {
-            ops: level_ops,
-            depth_cost: u32::from(!model.levels.is_empty()),
+            ops: ours::levels_counts(d, level_cols, shape.form),
+            depth_cost: u32::from(d > 0),
         };
 
-        let d = model.levels.len() as u32;
         let mut accumulate = StagePrediction {
             ops: ours::accumulate_counts(d),
             depth_cost: match shape.accumulation {

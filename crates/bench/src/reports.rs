@@ -665,7 +665,7 @@ pub fn measure_kernels(reps: usize, threads: usize) -> KernelMedians {
     use copse_core::parallel::Parallelism;
     use copse_fhe::bgv::ring::RnsContext;
     use copse_fhe::bgv::scheme::{BgvParams, BgvScheme};
-    use copse_fhe::{transform_snapshot, BgvBackend, BitVec, FheBackend};
+    use copse_fhe::{BgvBackend, BitVec, FheBackend, OpMeter};
     use copse_trace::Stopwatch;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -718,12 +718,10 @@ pub fn measure_kernels(reps: usize, threads: usize) -> KernelMedians {
     let bits = BitVec::from_fn(nslots, |i| i % 3 != 0);
     let ct = eval.encrypt_poly(&eval.slots().encode(&bits));
 
-    let before = transform_snapshot();
-    let _ = std::hint::black_box(eval.rotate_slots(&ct, 1));
-    let rotate_eval_transforms = transform_snapshot().since(&before).total();
-    let before = transform_snapshot();
-    let _ = std::hint::black_box(coeff.rotate_slots(&ct, 1));
-    let rotate_coeff_transforms = transform_snapshot().since(&before).total();
+    let (_, meter) = OpMeter::measure(|| eval.rotate_slots(&ct, 1));
+    let rotate_eval_transforms = meter.transforms().total();
+    let (_, meter) = OpMeter::measure(|| coeff.rotate_slots(&ct, 1));
+    let rotate_coeff_transforms = meter.transforms().total();
 
     let rotate_eval_ms = median_ms(Box::new(|| {
         let _ = std::hint::black_box(eval.rotate_slots(&ct, 1));

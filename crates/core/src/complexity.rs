@@ -9,9 +9,11 @@
 //! * [`paper`] — the closed forms printed in the paper's Table 1/2
 //!   (which describe the authors' HElib kernels). Small constants
 //!   differ from ours — e.g. our accumulation uses `d-1` multiplies
-//!   against the paper's `2d-2`, and our Hillis–Steele prefix scan
-//!   is shallower than their SecComp — and EXPERIMENTS.md reports both
-//!   side by side.
+//!   against the paper's `2d-2`, our Hillis–Steele prefix scan is
+//!   shallower than their SecComp, and our levels stage shares its
+//!   `b-1` rotations across all `d` level matrices where Table 1b
+//!   pays `b` per level — and EXPERIMENTS.md reports both side by
+//!   side.
 //!
 //! All counts are parameterised on the paper's model shape quantities:
 //! precision `p`, branches `b`, quantized branching `q`, level count
@@ -170,11 +172,22 @@ pub mod ours {
         c
     }
 
-    /// All `d` level stages: one MatMul each plus the mask XOR.
+    /// All `d` level stages: every level matrix multiplies the same
+    /// branch vector, so `mat_vec_many` rotates it once for all of
+    /// them — `cols - 1` rotations in total where the paper's Table 1b
+    /// pays them per level — while multiplies, adds and the mask XOR
+    /// stay per level.
     pub fn levels_counts(d: u32, cols: usize, form: ModelForm) -> OpCounts {
-        let mut c = OpCounts::default();
+        let per_level = matmul_counts(cols, form);
+        let mut c = OpCounts {
+            rotate: if d > 0 { per_level.rotate } else { 0 },
+            ..OpCounts::default()
+        };
         for _ in 0..d {
-            c = c.plus(&matmul_counts(cols, form));
+            c = c.plus(&OpCounts {
+                rotate: 0,
+                ..per_level
+            });
             match form {
                 ModelForm::Encrypted => c.add += 1,
                 ModelForm::Plain => c.constant_add += 1,

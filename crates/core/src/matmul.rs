@@ -13,10 +13,42 @@
 //! one (possibly plaintext) multiplication, so the whole product has
 //! **constant multiplicative depth 1** regardless of matrix size — the
 //! property that keeps COPSE's circuit shallow.
+//!
+//! The rotations depend only on `v`, and they are where the time goes
+//! (each is key switches; a plaintext multiply is a handful of
+//! transforms). [`mat_vec_many`] therefore walks the diagonals
+//! **rotation-major**: it builds `adjust(rot(v, i))` once and
+//! multiply-accumulates it into every matrix of a same-shaped group —
+//! COPSE's `d` level matrices all multiply the same branch vector.
+//! A rotation is deterministic, so sharing it leaves every output bit
+//! for bit what a product of its own would have been; [`mat_vec`] is
+//! the one-matrix case of the same loop, and the packed-batch layout
+//! ([`EncodedMatrix::pack`]) is the same loop over block rotations.
 
 use crate::artifacts::BoolMatrix;
 use crate::parallel::{map_chunks, Parallelism};
 use copse_fhe::{FheBackend, MaybeEncrypted};
+use std::cmp::Ordering;
+
+/// Where a matrix's diagonals sit in the slot vector.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Layout {
+    /// One query per ciphertext: operands span slots `0..width`.
+    Whole,
+    /// The packed-batch layout: `count` queries per ciphertext, query
+    /// `j` in the block of slots starting at `j * stride`.
+    Blocks { stride: usize, count: usize },
+}
+
+impl Layout {
+    /// Slots a ciphertext holding `width`-slot operands spans.
+    fn span(self, width: usize) -> usize {
+        match self {
+            Layout::Whole => width,
+            Layout::Blocks { stride, count } => stride * count,
+        }
+    }
+}
 
 /// A matrix deployed for packed evaluation: generalised diagonals,
 /// each either plaintext or encrypted.
@@ -29,6 +61,7 @@ pub struct EncodedMatrix<B: FheBackend> {
     zero_diagonals: Vec<bool>,
     rows: usize,
     cols: usize,
+    layout: Layout,
 }
 
 impl<B: FheBackend> Clone for EncodedMatrix<B> {
@@ -38,6 +71,7 @@ impl<B: FheBackend> Clone for EncodedMatrix<B> {
             zero_diagonals: self.zero_diagonals.clone(),
             rows: self.rows,
             cols: self.cols,
+            layout: self.layout,
         }
     }
 }
@@ -58,6 +92,7 @@ impl<B: FheBackend> EncodedMatrix<B> {
             zero_diagonals,
             rows: matrix.rows(),
             cols: matrix.cols(),
+            layout: Layout::Whole,
         };
         encoded.precompute(backend);
         encoded
@@ -102,10 +137,32 @@ impl<B: FheBackend> EncodedMatrix<B> {
             zero_diagonals: vec![false; matrix.cols()],
             rows: matrix.rows(),
             cols: matrix.cols(),
+            layout: Layout::Whole,
         }
     }
 
-    /// Number of rows.
+    /// Tiles the matrix for the packed-batch layout: every diagonal
+    /// repeats at block offsets `0, stride, 2*stride, …`, so one
+    /// multiply applies the model to all `count` packed queries at
+    /// once. Built once per deployed model (lazily, on the first
+    /// packed batch); plaintext diagonals re-encode and pre-warm their
+    /// tiled form, encrypted diagonals pay the pack-of-clones
+    /// rotations once here instead of once per chunk.
+    pub fn pack(&self, backend: &B, stride: usize, count: usize) -> Self {
+        Self {
+            diagonals: self
+                .diagonals
+                .iter()
+                .map(|d| tile_operand(backend, d, stride, count))
+                .collect(),
+            zero_diagonals: self.zero_diagonals.clone(),
+            rows: self.rows,
+            cols: self.cols,
+            layout: Layout::Blocks { stride, count },
+        }
+    }
+
+    /// Number of rows (per block, when packed).
     pub fn rows(&self) -> usize {
         self.rows
     }
@@ -118,144 +175,6 @@ impl<B: FheBackend> EncodedMatrix<B> {
     /// `true` if any diagonal is encrypted.
     pub fn is_encrypted(&self) -> bool {
         self.diagonals.iter().any(MaybeEncrypted::is_encrypted)
-    }
-}
-
-/// Options for the MatMul kernel.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MatMulOptions {
-    /// Skip plaintext diagonals that are all-zero. Sound only for
-    /// plaintext models (the hint is never populated for encrypted
-    /// ones); off by default to match the paper's operation counts.
-    pub skip_zero_diagonals: bool,
-    /// Pre-split seed for the all-skipped fallback's fresh zero
-    /// encryption ([`FheBackend::encrypt_zeros_seeded`]). Callers that
-    /// run `mat_vec` concurrently (the batched runtime) give every
-    /// call site a distinct tag, which makes the fallback ciphertext
-    /// a pure function of the tag — bitwise identical no matter how
-    /// the calls interleave.
-    pub zero_tag: u64,
-}
-
-/// Multiplies an encoded matrix by a packed ciphertext vector.
-///
-/// Determinism: diagonal chunks run on the shared worker pool and
-/// their partial sums combine in chunk order, so the result is bitwise
-/// identical to the sequential route. That includes the all-skipped
-/// fallback (`skip_zero_diagonals` on a fully zero plaintext matrix):
-/// its fresh zero encryption draws randomness from the caller's
-/// pre-split [`MatMulOptions::zero_tag`] rather than the backend's
-/// internal stream, so concurrent `mat_vec` calls (e.g. a parallel
-/// batch) cannot reorder the draws.
-///
-/// # Panics
-///
-/// Panics if `v`'s width differs from the matrix column count.
-pub fn mat_vec<B: FheBackend>(
-    backend: &B,
-    matrix: &EncodedMatrix<B>,
-    v: &B::Ciphertext,
-    options: MatMulOptions,
-    parallelism: Parallelism,
-) -> B::Ciphertext {
-    assert_eq!(
-        backend.width(v),
-        matrix.cols,
-        "vector width {} != matrix cols {}",
-        backend.width(v),
-        matrix.cols
-    );
-    let _span = copse_trace::span("mat_vec");
-    let (m, n) = (matrix.rows, matrix.cols);
-
-    let term = |i: usize| -> Option<B::Ciphertext> {
-        if options.skip_zero_diagonals && matrix.zero_diagonals[i] {
-            return None;
-        }
-        let rotated = if i == 0 {
-            v.clone()
-        } else {
-            backend.rotate(v, i as isize)
-        };
-        let adjusted = match m.cmp(&n) {
-            std::cmp::Ordering::Greater => backend.cyclic_extend(&rotated, m),
-            std::cmp::Ordering::Less => backend.truncate(&rotated, m),
-            std::cmp::Ordering::Equal => rotated,
-        };
-        Some(matrix.diagonals[i].mul_into(backend, &adjusted))
-    };
-
-    // Each chunk of diagonals produces a partial sum; chunks run on
-    // worker threads, partial sums combine on the caller.
-    let partials = map_chunks(parallelism, n, |range| {
-        let mut acc: Option<B::Ciphertext> = None;
-        for i in range {
-            if let Some(t) = term(i) {
-                acc = Some(match acc {
-                    None => t,
-                    Some(a) => backend.add(&a, &t),
-                });
-            }
-        }
-        acc
-    });
-    let mut acc: Option<B::Ciphertext> = None;
-    for p in partials.into_iter().flatten() {
-        acc = Some(match acc {
-            None => p,
-            Some(a) => backend.add(&a, &p),
-        });
-    }
-    // An all-zero (or fully skipped) matrix still yields a result,
-    // deterministically (see MatMulOptions::zero_tag).
-    acc.unwrap_or_else(|| backend.encrypt_zeros_seeded(m, options.zero_tag))
-}
-
-/// A matrix tiled for the packed batch layout: every diagonal repeats
-/// at block offsets `0, stride, 2*stride, …`, so one multiply applies
-/// the model to all `count` packed queries at once.
-///
-/// Built once per deployed model (lazily, on the first packed batch)
-/// by [`EncodedMatrix::pack`]; plaintext diagonals re-encode and
-/// pre-warm their tiled form, encrypted diagonals pay the pack-of-
-/// clones rotations once here instead of once per chunk.
-#[derive(Debug)]
-pub struct PackedMatrix<B: FheBackend> {
-    diagonals: Vec<MaybeEncrypted<B>>,
-    zero_diagonals: Vec<bool>,
-    rows: usize,
-    cols: usize,
-    stride: usize,
-    count: usize,
-}
-
-impl<B: FheBackend> EncodedMatrix<B> {
-    /// Tiles the matrix for `count` packed queries at block `stride`.
-    pub fn pack(&self, backend: &B, stride: usize, count: usize) -> PackedMatrix<B> {
-        PackedMatrix {
-            diagonals: self
-                .diagonals
-                .iter()
-                .map(|d| tile_operand(backend, d, stride, count))
-                .collect(),
-            zero_diagonals: self.zero_diagonals.clone(),
-            rows: self.rows,
-            cols: self.cols,
-            stride,
-            count,
-        }
-    }
-}
-
-impl<B: FheBackend> PackedMatrix<B> {
-    /// Number of rows of the underlying (per-block) matrix.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns (= number of diagonals) per block.
-    pub fn cols(&self) -> usize {
-        self.cols
     }
 }
 
@@ -281,83 +200,170 @@ pub fn tile_operand<B: FheBackend>(
     }
 }
 
-/// The packed-batch counterpart of [`mat_vec`]: multiplies a tiled
-/// matrix by a packed vector whose blocks each hold one query's
-/// width-`cols` operand, producing a packed vector of width-`rows`
-/// blocks. Exactly the op count of **one** sequential [`mat_vec`]
-/// (`n-1` rotations, `n` multiplies, `n-1` additions) regardless of
-/// how many queries are packed — that is the amortisation the layout
-/// exists for.
-///
-/// Determinism matches [`mat_vec`]: chunk-ordered partial sums and a
-/// seeded all-skipped fallback.
+/// Options for the MatMul kernel.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MatMulOptions {
+    /// Skip plaintext diagonals that are all-zero. Sound only for
+    /// plaintext models (the hint is never populated for encrypted
+    /// ones); off by default to match the paper's operation counts.
+    pub skip_zero_diagonals: bool,
+    /// Pre-split seed for the all-skipped fallback's fresh zero
+    /// encryption ([`FheBackend::encrypt_zeros_seeded`]). Callers that
+    /// run `mat_vec` concurrently (the batched runtime) give every
+    /// call site a distinct tag, which makes the fallback ciphertext
+    /// a pure function of the tag — bitwise identical no matter how
+    /// the calls interleave.
+    pub zero_tag: u64,
+}
+
+/// Multiplies an encoded matrix by a packed ciphertext vector: the
+/// one-matrix case of [`mat_vec_many`].
 ///
 /// # Panics
 ///
-/// Panics if `v`'s width differs from the packed layout's
-/// `count * stride` slots.
-pub fn mat_vec_packed<B: FheBackend>(
+/// Panics if `v`'s width differs from the matrix column count (for a
+/// packed matrix: from the layout's `count * stride` slots).
+pub fn mat_vec<B: FheBackend>(
     backend: &B,
-    matrix: &PackedMatrix<B>,
+    matrix: &EncodedMatrix<B>,
     v: &B::Ciphertext,
     options: MatMulOptions,
     parallelism: Parallelism,
 ) -> B::Ciphertext {
-    let full_width = matrix.count * matrix.stride;
+    mat_vec_many(backend, &[matrix], v, &[options], parallelism)
+        .pop()
+        .expect("one matrix in, one product out")
+}
+
+/// Multiplies every matrix of a same-shaped group by one packed
+/// ciphertext vector, sharing the rotations: `adjust(rot(v, i))` is
+/// built once per diagonal index and multiply-accumulated into one
+/// running sum per matrix, so the group costs `cols - 1` rotations in
+/// total (not per matrix) plus each matrix's own `cols` multiplies and
+/// `cols - 1` additions. `options[l]` belongs to `matrices[l]`.
+///
+/// For a packed matrix ([`EncodedMatrix::pack`]) `v` holds one
+/// width-`cols` operand per block and the result one width-`rows`
+/// product per block, at exactly the op count of the unpacked product
+/// regardless of how many queries are packed — the amortisation the
+/// layout exists for.
+///
+/// Rotations stream: a worker holds the one it is multiplying plus its
+/// accumulators, never all `cols` of them.
+///
+/// Determinism: diagonal chunks run on the shared worker pool and
+/// their partial sums combine in chunk order, per matrix, so every
+/// output is a pure function of the inputs and the pool degree — and
+/// bitwise identical to a [`mat_vec`] of that matrix alone: a rotation
+/// is a deterministic function of `v`, so which call computed it
+/// cannot show. With `skip_zero_diagonals`, rotation `i` is computed
+/// iff some matrix keeps diagonal `i`; a matrix with every diagonal
+/// skipped yields a fresh zero encryption whose randomness comes from
+/// its own pre-split [`MatMulOptions::zero_tag`] rather than the
+/// backend's internal stream, so concurrent calls (e.g. a parallel
+/// batch) cannot reorder the draws.
+///
+/// # Panics
+///
+/// Panics if the matrices differ in shape or layout, if `options` does
+/// not hold one entry per matrix, or if `v`'s width differs from the
+/// column count (packed: from the layout's `count * stride` slots).
+pub fn mat_vec_many<B: FheBackend>(
+    backend: &B,
+    matrices: &[&EncodedMatrix<B>],
+    v: &B::Ciphertext,
+    options: &[MatMulOptions],
+    parallelism: Parallelism,
+) -> Vec<B::Ciphertext> {
+    assert_eq!(
+        matrices.len(),
+        options.len(),
+        "one MatMulOptions per matrix"
+    );
+    let Some(first) = matrices.first() else {
+        return Vec::new();
+    };
+    let (m, n, layout) = (first.rows, first.cols, first.layout);
+    assert!(
+        matrices
+            .iter()
+            .all(|x| (x.rows, x.cols, x.layout) == (m, n, layout)),
+        "matrices sharing rotations must share one shape and layout"
+    );
     assert_eq!(
         backend.width(v),
-        full_width,
-        "packed vector width {} != {} blocks at stride {}",
+        layout.span(n),
+        "vector width {} != matrix cols {n} ({layout:?})",
         backend.width(v),
-        matrix.count,
-        matrix.stride
     );
-    let _span = copse_trace::span("mat_vec_packed");
-    let (m, n, s) = (matrix.rows, matrix.cols, matrix.stride);
+    let _span = copse_trace::span("mat_vec");
 
-    let term = |i: usize| -> Option<B::Ciphertext> {
-        if options.skip_zero_diagonals && matrix.zero_diagonals[i] {
-            return None;
-        }
-        let rotated = if i == 0 {
-            v.clone()
-        } else {
-            backend.rotate_blocks(v, i as isize, n, s)
+    let keeps =
+        |l: usize, i: usize| !(options[l].skip_zero_diagonals && matrices[l].zero_diagonals[i]);
+    let adjusted = |i: usize| -> B::Ciphertext {
+        let rotated = match (i, layout) {
+            (0, _) => v.clone(),
+            (_, Layout::Whole) => backend.rotate(v, i as isize),
+            (_, Layout::Blocks { stride, .. }) => backend.rotate_blocks(v, i as isize, n, stride),
         };
-        let adjusted = match m.cmp(&n) {
-            std::cmp::Ordering::Greater => backend.cyclic_extend_blocks(&rotated, n, m, s),
-            std::cmp::Ordering::Less => backend.truncate_blocks(&rotated, n, m, s),
-            std::cmp::Ordering::Equal => rotated,
-        };
-        Some(matrix.diagonals[i].mul_into(backend, &adjusted))
-    };
-
-    let partials = map_chunks(parallelism, n, |range| {
-        let mut acc: Option<B::Ciphertext> = None;
-        for i in range {
-            if let Some(t) = term(i) {
-                acc = Some(match acc {
-                    None => t,
-                    Some(a) => backend.add(&a, &t),
-                });
+        match (m.cmp(&n), layout) {
+            (Ordering::Equal, _) => rotated,
+            (Ordering::Greater, Layout::Whole) => backend.cyclic_extend(&rotated, m),
+            (Ordering::Less, Layout::Whole) => backend.truncate(&rotated, m),
+            (Ordering::Greater, Layout::Blocks { stride, .. }) => {
+                backend.cyclic_extend_blocks(&rotated, n, m, stride)
+            }
+            (Ordering::Less, Layout::Blocks { stride, .. }) => {
+                backend.truncate_blocks(&rotated, n, m, stride)
             }
         }
-        acc
-    });
-    let mut acc: Option<B::Ciphertext> = None;
-    for p in partials.into_iter().flatten() {
-        acc = Some(match acc {
-            None => p,
-            Some(a) => backend.add(&a, &p),
+    };
+    let fold = |acc: &mut Option<B::Ciphertext>, term: B::Ciphertext| {
+        *acc = Some(match acc.take() {
+            None => term,
+            Some(sum) => backend.add(&sum, &term),
         });
+    };
+
+    // Each chunk of diagonals produces one partial sum per matrix;
+    // chunks run on worker threads, partial sums combine on the caller.
+    let partials = map_chunks(parallelism, n, |range| {
+        let mut sums: Vec<Option<B::Ciphertext>> = matrices.iter().map(|_| None).collect();
+        for i in range {
+            if !(0..matrices.len()).any(|l| keeps(l, i)) {
+                continue;
+            }
+            let operand = adjusted(i);
+            for (l, sum) in sums.iter_mut().enumerate() {
+                if keeps(l, i) {
+                    fold(sum, matrices[l].diagonals[i].mul_into(backend, &operand));
+                }
+            }
+        }
+        sums
+    });
+    let mut sums: Vec<Option<B::Ciphertext>> = matrices.iter().map(|_| None).collect();
+    for chunk in partials {
+        for (sum, partial) in sums.iter_mut().zip(chunk) {
+            if let Some(partial) = partial {
+                fold(sum, partial);
+            }
+        }
     }
-    acc.unwrap_or_else(|| backend.encrypt_zeros_seeded(full_width, options.zero_tag))
+    // An all-zero (or fully skipped) matrix still yields a result,
+    // deterministically (see MatMulOptions::zero_tag).
+    sums.into_iter()
+        .zip(options)
+        .map(|(sum, o)| {
+            sum.unwrap_or_else(|| backend.encrypt_zeros_seeded(layout.span(m), o.zero_tag))
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copse_fhe::{BitVec, ClearBackend, FheBackend};
+    use copse_fhe::{BgvBackend, BitVec, ClearBackend, ClearConfig, FheBackend, OpMeter};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -572,7 +578,8 @@ mod tests {
     }
 
     /// Packs `count` width-`n` vectors at `stride`, multiplies them all
-    /// with one `mat_vec_packed`, and unpacks each block back out.
+    /// with one `mat_vec` over the tiled matrix, and unpacks each block
+    /// back out.
     fn packed_products<B: FheBackend>(
         be: &B,
         matrix: &BoolMatrix,
@@ -585,7 +592,7 @@ mod tests {
         let packed_v = be.pack_blocks(&cts, stride, count * stride);
         let plain = EncodedMatrix::encode_plain(be, matrix);
         let tiled = plain.pack(be, stride, count);
-        let out = mat_vec_packed(
+        let out = mat_vec(
             be,
             &tiled,
             &packed_v,
@@ -651,7 +658,7 @@ mod tests {
             let seq = be.meter().snapshot().since(&before);
 
             let before = be.meter().snapshot();
-            let _ = mat_vec_packed(
+            let _ = mat_vec(
                 &be,
                 &tiled,
                 &packed_v,
@@ -673,7 +680,6 @@ mod tests {
         // `zero_tag`, not the backend's shared stream — so concurrent
         // batches produce bitwise-identical ciphertexts no matter how
         // the scheduler interleaves them.
-        use copse_fhe::BgvBackend;
         let run = |threads: usize| -> Vec<Vec<u8>> {
             let be = BgvBackend::tiny();
             let m = BoolMatrix::zeros(4, 4);
@@ -701,6 +707,213 @@ mod tests {
                 "nondeterministic at {threads} threads"
             );
         }
+    }
+
+    /// A same-shaped group exercising every kind of member: a random
+    /// plaintext matrix, an all-zero plaintext one whose diagonals are
+    /// all skipped (the seeded fallback), and an encrypted one.
+    fn mixed_group<B: FheBackend>(
+        be: &B,
+        rows: usize,
+        cols: usize,
+        rng: &mut SmallRng,
+    ) -> (Vec<EncodedMatrix<B>>, Vec<MatMulOptions>) {
+        let group = vec![
+            EncodedMatrix::encode_plain(be, &random_matrix(rows, cols, 0.5, rng)),
+            EncodedMatrix::encode_plain(be, &BoolMatrix::zeros(rows, cols)),
+            EncodedMatrix::encrypt(be, &random_matrix(rows, cols, 0.5, rng)),
+        ];
+        let options = (0..3u64)
+            .map(|l| MatMulOptions {
+                skip_zero_diagonals: l == 1,
+                zero_tag: 0xC0FFEE + l,
+            })
+            .collect();
+        (group, options)
+    }
+
+    /// The bitwise contract: at every pool degree, every member of a
+    /// rotation-sharing group serialises to exactly the bytes of that
+    /// matrix multiplied alone. (Across pool degrees the BGV noise
+    /// *estimate* follows the shape of the partial-sum tree, so the
+    /// comparison is per degree, as for `mat_vec` before sharing.)
+    fn assert_group_equals_singles<B: FheBackend>(
+        be: &B,
+        group: &[EncodedMatrix<B>],
+        options: &[MatMulOptions],
+        v: &B::Ciphertext,
+        label: &str,
+    ) {
+        let refs: Vec<&EncodedMatrix<B>> = group.iter().collect();
+        for threads in [1usize, 2, 7] {
+            let par = Parallelism { threads };
+            let together = mat_vec_many(be, &refs, v, options, par);
+            assert_eq!(together.len(), group.len());
+            for (l, shared) in together.iter().enumerate() {
+                let alone = mat_vec_many(be, &[refs[l]], v, &[options[l]], par);
+                assert_eq!(
+                    be.serialize_ciphertext(shared),
+                    be.serialize_ciphertext(&alone[0]),
+                    "{label}, matrix {l} at {threads} threads"
+                );
+            }
+        }
+    }
+
+    /// Runs [`assert_group_equals_singles`] over whole-vector shapes
+    /// and over block shapes packed `count` to a ciphertext at `stride`.
+    fn check_shared_rotations_are_bitwise_neutral<B: FheBackend>(
+        be: &B,
+        whole: &[(usize, usize)],
+        blocks: &[(usize, usize)],
+        stride: usize,
+        count: usize,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(15);
+        for &(rows, cols) in whole {
+            let (group, options) = mixed_group(be, rows, cols, &mut rng);
+            let v = be.encrypt_bits(&BitVec::from_fn(cols, |_| rng.gen_bool(0.5)));
+            assert_group_equals_singles(be, &group, &options, &v, &format!("whole {rows}x{cols}"));
+        }
+        for &(rows, cols) in blocks {
+            let (group, options) = mixed_group(be, rows, cols, &mut rng);
+            let tiled: Vec<_> = group.iter().map(|g| g.pack(be, stride, count)).collect();
+            let lanes: Vec<_> = (0..count)
+                .map(|_| be.encrypt_bits(&BitVec::from_fn(cols, |_| rng.gen_bool(0.5))))
+                .collect();
+            let v = be.pack_blocks(&lanes, stride, count * stride);
+            assert_group_equals_singles(be, &tiled, &options, &v, &format!("blocks {rows}x{cols}"));
+        }
+    }
+
+    #[test]
+    fn shared_rotations_are_bitwise_neutral_on_the_clear_backend() {
+        // Tall, wide and square; 5+ diagonals so pool degrees 2 and 7
+        // really chunk (and 7 divides none of them evenly).
+        let be = ClearBackend::new(ClearConfig {
+            slot_capacity: Some(36),
+            ..ClearConfig::default()
+        });
+        let shapes = [(12, 5), (5, 12), (9, 9)];
+        check_shared_rotations_are_bitwise_neutral(&be, &shapes, &shapes, 12, 3);
+    }
+
+    #[test]
+    fn shared_rotations_are_bitwise_neutral_on_real_bgv() {
+        // 6 slots: whole-vector shapes up to 6 wide, blocks two to a
+        // ciphertext at stride 3.
+        let be = BgvBackend::tiny();
+        check_shared_rotations_are_bitwise_neutral(
+            &be,
+            &[(6, 4), (3, 6), (5, 5)],
+            &[(3, 2), (2, 3), (3, 3)],
+            3,
+            2,
+        );
+    }
+
+    #[test]
+    fn a_rotation_is_computed_iff_some_matrix_keeps_its_diagonal() {
+        // Diagonal i of an r x c matrix holds entries (r, (r + i) % c).
+        let be = ClearBackend::with_defaults();
+        let with_diagonals = |kept: &[usize]| {
+            let mut m = BoolMatrix::zeros(8, 8);
+            for &i in kept {
+                m.set(0, i, true);
+            }
+            EncodedMatrix::encode_plain(&be, &m)
+        };
+        let (a, b) = (with_diagonals(&[0, 2, 5]), with_diagonals(&[2, 3]));
+        let v = be.encrypt_bits(&BitVec::ones(8));
+        let skip = MatMulOptions {
+            skip_zero_diagonals: true,
+            ..MatMulOptions::default()
+        };
+        let (_, meter) = OpMeter::measure(|| {
+            mat_vec_many(&be, &[&a, &b], &v, &[skip, skip], Parallelism::sequential())
+        });
+        let ops = meter.snapshot();
+        // Union {0, 2, 3, 5}: index 0 is the unrotated vector.
+        assert_eq!(ops.rotate, 3);
+        assert_eq!(ops.constant_multiply, 3 + 2);
+        assert_eq!(ops.add, 2 + 1);
+        // A matrix that skips nothing forces all 7 rotations.
+        let (_, meter) = OpMeter::measure(|| {
+            mat_vec_many(
+                &be,
+                &[&a, &b],
+                &v,
+                &[skip, MatMulOptions::default()],
+                Parallelism::sequential(),
+            )
+        });
+        assert_eq!(meter.snapshot().rotate, 7);
+        assert_eq!(meter.snapshot().constant_multiply, 3 + 8);
+    }
+
+    #[test]
+    fn extra_matrices_cost_their_multiplies_and_no_key_switches() {
+        // Real BGV, scoped transform counts: a group of three pays the
+        // rotations (all the key switching) once, so over a single
+        // matrix it adds exactly the transforms of the two extra
+        // matrices' own plaintext multiplies — additions are free.
+        let be = BgvBackend::tiny();
+        let mut rng = SmallRng::seed_from_u64(16);
+        let (rows, cols) = (6, 4);
+        let group: Vec<_> = (0..3)
+            .map(|_| EncodedMatrix::encode_plain(&be, &random_matrix(rows, cols, 0.5, &mut rng)))
+            .collect();
+        let refs: Vec<&EncodedMatrix<_>> = group.iter().collect();
+        let v = be.encrypt_bits(&BitVec::from_fn(cols, |_| rng.gen_bool(0.5)));
+        let options = [MatMulOptions::default(); 3];
+        let seq = Parallelism::sequential();
+        // Warm the rotation masks so both runs see the same caches.
+        let _ = mat_vec_many(&be, &refs[..1], &v, &options[..1], seq);
+
+        let (_, one) = OpMeter::measure(|| mat_vec_many(&be, &refs[..1], &v, &options[..1], seq));
+        let (_, three) = OpMeter::measure(|| mat_vec_many(&be, &refs, &v, &options, seq));
+        assert_eq!(one.snapshot().rotate, (cols - 1) as u64);
+        assert_eq!(three.snapshot().rotate, (cols - 1) as u64);
+        assert_eq!(three.snapshot().constant_multiply, (3 * cols) as u64);
+        assert_eq!(three.snapshot().add, (3 * (cols - 1)) as u64);
+
+        let operands: Vec<_> = (0..cols)
+            .map(|i| be.cyclic_extend(&be.rotate(&v, i as isize), rows))
+            .collect();
+        let (_, multiplies) = OpMeter::measure(|| {
+            for matrix in &group[1..] {
+                for (diagonal, operand) in matrix.diagonals.iter().zip(&operands) {
+                    let _ = diagonal.mul_into(&be, operand);
+                }
+            }
+        });
+        assert!(multiplies.transforms().total() > 0);
+        assert_eq!(
+            three.transforms().total() - one.transforms().total(),
+            multiplies.transforms().total()
+        );
+        assert!(
+            one.transforms().total() > 4 * multiplies.transforms().total(),
+            "key switching dominates: {} vs {}",
+            one.transforms(),
+            multiplies.transforms()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "share one shape")]
+    fn mismatched_group_shapes_panic() {
+        let be = ClearBackend::with_defaults();
+        let a = EncodedMatrix::encode_plain(&be, &BoolMatrix::zeros(4, 4));
+        let b = EncodedMatrix::encode_plain(&be, &BoolMatrix::zeros(5, 4));
+        let ct = be.encrypt_bits(&BitVec::zeros(4));
+        let _ = mat_vec_many(
+            &be,
+            &[&a, &b],
+            &ct,
+            &[MatMulOptions::default(); 2],
+            Parallelism::sequential(),
+        );
     }
 
     #[test]

@@ -19,9 +19,7 @@
 use crate::artifacts::{CompiledModel, ModelMeta};
 use crate::compiler::{self, Accumulation, CompileOptions};
 use crate::complexity::{ours, CostInputs};
-use crate::matmul::{
-    mat_vec, mat_vec_packed, tile_operand, EncodedMatrix, MatMulOptions, PackedMatrix,
-};
+use crate::matmul::{mat_vec, mat_vec_many, tile_operand, EncodedMatrix, MatMulOptions};
 use crate::parallel::{map_indices, Parallelism};
 use crate::seccomp::{secure_less_than, SecCompVariant};
 use copse_fhe::{BitSliced, BitVec, FheBackend, MaybeEncrypted, OpCounts, OpMeter};
@@ -519,10 +517,10 @@ struct ResultShuffle<B: FheBackend> {
 #[derive(Debug)]
 struct PackedModel<B: FheBackend> {
     thresholds: Vec<MaybeEncrypted<B>>,
-    reshuffle: Option<PackedMatrix<B>>,
-    levels: Vec<PackedMatrix<B>>,
+    reshuffle: Option<EncodedMatrix<B>>,
+    levels: Vec<EncodedMatrix<B>>,
     masks: Vec<MaybeEncrypted<B>>,
-    shuffle: Option<PackedMatrix<B>>,
+    shuffle: Option<EncodedMatrix<B>>,
 }
 
 /// The evaluator.
@@ -735,11 +733,10 @@ impl<'b, B: FheBackend> Sally<'b, B> {
     ///
     /// Results are identical to calling [`classify`](Sally::classify)
     /// per query — the per-query operation sequence is unchanged — but
-    /// the pipeline runs *stage-major*: each stage's model artifacts
-    /// (threshold planes, reshuffle diagonals, level matrices + masks)
-    /// are walked once per batch instead of once per query, which is
-    /// what the `copse-server` batching scheduler amortises under
-    /// concurrent load.
+    /// the pipeline runs *stage-major*: every query of the batch
+    /// finishes a stage (forked across the shared pool) before the
+    /// next stage starts, which is what the `copse-server` batching
+    /// scheduler amortises under concurrent load.
     pub fn classify_batch(&self, queries: &[EncryptedQuery<B>]) -> Vec<EncryptedResult<B>> {
         self.classify_batch_traced(queries).0
     }
@@ -804,36 +801,23 @@ impl<'b, B: FheBackend> Sally<'b, B> {
             });
         trace.reshuffle = report;
 
-        // Step 3: per-level select-and-mask, level-major: the outer
-        // loop walks each level matrix once and applies it to every
-        // query of the batch before moving on.
+        // Step 3: per-level select-and-mask. Every level matrix
+        // multiplies the same branch vector, so each query rotates it
+        // once for all of them; queries fork across the pool.
         let inputs = if self.model.reshuffle.is_some() {
             &branches
         } else {
             &decisions
         };
         let (level_results, report) = self.staged(&pass, "stage:levels", || {
-            let mut per_query = vec![Vec::with_capacity(self.model.levels.len()); queries.len()];
-            for (li, (matrix, mask)) in self.model.levels.iter().zip(&self.model.masks).enumerate()
-            {
-                // Level-major outside, query-parallel inside: the
-                // level matrix is walked once per batch while the
-                // queries it applies to fork across the pool.
-                let selected = map_indices(par, inputs.len(), |qi| {
-                    let s = mat_vec(
-                        be,
-                        matrix,
-                        &inputs[qi],
-                        self.matmul_at(2, li as u64, qi as u64),
-                        par,
-                    );
-                    mask.add_into(be, &s)
-                });
-                for (collected, s) in per_query.iter_mut().zip(selected) {
-                    collected.push(s);
-                }
-            }
-            per_query
+            map_indices(par, inputs.len(), |qi| {
+                self.select_levels(
+                    &self.model.levels,
+                    &self.model.masks,
+                    &inputs[qi],
+                    qi as u64,
+                )
+            })
         });
         trace.levels = report;
 
@@ -934,45 +918,33 @@ impl<'b, B: FheBackend> Sally<'b, B> {
         let (branches, report) =
             self.staged(&pass, "stage:reshuffle", || match &self.model.reshuffle {
                 Some(r) => map_indices(par, decisions.len(), |ci| {
-                    let options = self.matmul_at(1, 0, ci as u64);
-                    if chunks[ci].len() >= 2 {
-                        let tiled = packed.reshuffle.as_ref().expect("tiled with sequential");
-                        mat_vec_packed(be, tiled, &decisions[ci], options, par)
+                    let r = if chunks[ci].len() >= 2 {
+                        packed.reshuffle.as_ref().expect("tiled with sequential")
                     } else {
-                        mat_vec(be, r, &decisions[ci], options, par)
-                    }
+                        r
+                    };
+                    mat_vec(be, r, &decisions[ci], self.matmul_at(1, 0, ci as u64), par)
                 }),
                 None => Vec::new(),
             });
         trace.reshuffle = report;
 
-        // Step 3: per-level select-and-mask, level-major over chunks.
+        // Step 3: per-level select-and-mask, one shared set of block
+        // rotations per chunk.
         let inputs = if self.model.reshuffle.is_some() {
             &branches
         } else {
             &decisions
         };
         let (level_results, report) = self.staged(&pass, "stage:levels", || {
-            let mut per_chunk = vec![Vec::with_capacity(self.model.levels.len()); chunks.len()];
-            for (li, (matrix, mask)) in self.model.levels.iter().zip(&self.model.masks).enumerate()
-            {
-                let tiled_matrix = &packed.levels[li];
-                let tiled_mask = &packed.masks[li];
-                let selected = map_indices(par, inputs.len(), |ci| {
-                    let options = self.matmul_at(2, li as u64, ci as u64);
-                    if chunks[ci].len() >= 2 {
-                        let s = mat_vec_packed(be, tiled_matrix, &inputs[ci], options, par);
-                        tiled_mask.add_into(be, &s)
-                    } else {
-                        let s = mat_vec(be, matrix, &inputs[ci], options, par);
-                        mask.add_into(be, &s)
-                    }
-                });
-                for (collected, s) in per_chunk.iter_mut().zip(selected) {
-                    collected.push(s);
-                }
-            }
-            per_chunk
+            map_indices(par, inputs.len(), |ci| {
+                let (levels, masks) = if chunks[ci].len() >= 2 {
+                    (&packed.levels, &packed.masks)
+                } else {
+                    (&self.model.levels, &self.model.masks)
+                };
+                self.select_levels(levels, masks, &inputs[ci], ci as u64)
+            })
         });
         trace.levels = report;
 
@@ -985,7 +957,7 @@ impl<'b, B: FheBackend> Sally<'b, B> {
                 if chunks[ci].len() >= 2 {
                     let shuffled = match &packed.shuffle {
                         Some(tiled) => {
-                            mat_vec_packed(be, tiled, &labels, self.matmul_at(3, 0, ci as u64), par)
+                            mat_vec(be, tiled, &labels, self.matmul_at(3, 0, ci as u64), par)
                         }
                         None => labels,
                     };
@@ -1022,6 +994,29 @@ impl<'b, B: FheBackend> Sally<'b, B> {
                 .collect(),
             trace,
         )
+    }
+
+    /// Step 3 for one unit of evaluation (a query, or a packed chunk
+    /// against the tiled operands): all level matrices times the same
+    /// branch vector in one rotation-sharing product, then each
+    /// level's mask XOR.
+    fn select_levels(
+        &self,
+        levels: &[EncodedMatrix<B>],
+        masks: &[MaybeEncrypted<B>],
+        input: &B::Ciphertext,
+        unit: u64,
+    ) -> Vec<B::Ciphertext> {
+        let be = self.backend;
+        let matrices: Vec<&EncodedMatrix<B>> = levels.iter().collect();
+        let options: Vec<MatMulOptions> = (0..levels.len())
+            .map(|li| self.matmul_at(2, li as u64, unit))
+            .collect();
+        mat_vec_many(be, &matrices, input, &options, self.options.parallelism)
+            .iter()
+            .zip(masks)
+            .map(|(selected, mask)| mask.add_into(be, selected))
+            .collect()
     }
 
     fn accumulate(&self, results: &[B::Ciphertext]) -> B::Ciphertext {
@@ -1605,6 +1600,38 @@ mod tests {
             packed.total_ops().total_homomorphic(),
             seq4
         );
+    }
+
+    #[test]
+    fn levels_stage_rotates_once_per_unit_for_all_level_matrices() {
+        // d level matrices of b columns multiply the same branch
+        // vector: b - 1 rotations per query (or packed chunk), not
+        // d(b - 1), while every level keeps its own b multiplies.
+        let forest = microbench::generate(&table6_specs()[0], 23); // depth4
+        let maurice = Maurice::compile(&forest, CompileOptions::default()).unwrap();
+        let meta = maurice.compiled().meta.clone();
+        let (b, d) = (meta.branches as u64, u64::from(meta.max_level));
+        assert!(d >= 2 && b >= 2);
+        let be = packed_clear_backend(&maurice, ModelForm::Plain, 4);
+        let sally = Sally::host(&be, maurice.deploy(&be, ModelForm::Plain));
+        let diane = Diane::new(&be, maurice.public_query_info());
+        let queries: Vec<EncryptedQuery<_>> = microbench::random_queries(&forest, 5, 79)
+            .iter()
+            .map(|q| diane.encrypt_features(q).unwrap())
+            .collect();
+
+        let (_, single) = sally.classify_traced(&queries[0]);
+        assert_eq!(single.levels.ops.rotate, b - 1);
+        assert_eq!(single.levels.ops.constant_multiply, d * b);
+        assert_eq!(single.levels.ops.add, d * (b - 1));
+        assert_eq!(single.levels.ops.constant_add, d);
+
+        // Five queries at four lanes: one packed chunk and a remainder
+        // of one — two units, each rotating once.
+        let (_, packed) = sally.classify_batch_traced(&queries);
+        assert_eq!(packed.packed_sizes, vec![4, 4, 4, 4, 1]);
+        assert_eq!(packed.levels.ops.rotate, 2 * (b - 1));
+        assert_eq!(packed.levels.ops.constant_multiply, 2 * d * b);
     }
 
     #[test]

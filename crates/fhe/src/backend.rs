@@ -383,6 +383,16 @@ pub trait FheBackend: Send + Sync {
         self.pack_blocks(&copies, stride, count * stride)
     }
 
+    /// A ciphertext that decrypts exactly like `ct` but is as small as
+    /// the scheme can make it without the secret key, for results that
+    /// are about to be shipped and only ever decrypted (leveled schemes
+    /// drop the unused part of the modulus chain). It is no longer a
+    /// useful operand for further homomorphic operations. The default
+    /// is a plain clone.
+    fn compact_for_decrypt(&self, ct: &Self::Ciphertext) -> Self::Ciphertext {
+        ct.clone()
+    }
+
     /// Serialises a ciphertext into a self-contained byte string for
     /// transport (see `copse-core::wire` and `copse-server`).
     ///

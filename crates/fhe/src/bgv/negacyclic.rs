@@ -455,12 +455,15 @@ mod tests {
         for k in -3isize..=5 {
             assert_eq!(be.decrypt(&be.rotate(&ct, k)), v.rotate_left(k), "k = {k}");
         }
-        let before = crate::transform_snapshot();
-        let e = be.cyclic_extend(&be.rotate(&ct, 1), 7);
-        let masked = be.mul_plain(&ct, &be.encode(&bits(&[true, false, true, false])));
+        let ((e, masked), scope) = crate::OpMeter::measure(|| {
+            (
+                be.cyclic_extend(&be.rotate(&ct, 1), 7),
+                be.mul_plain(&ct, &be.encode(&bits(&[true, false, true, false]))),
+            )
+        });
         // Layout operations — and constant-0/1 masking — never touch
         // the ring in this encoding.
-        assert_eq!(crate::transform_snapshot().since(&before).total(), 0);
+        assert_eq!(scope.transforms().total(), 0);
         assert_eq!(be.decrypt(&e), v.rotate_left(1).cyclic_extend(7));
         assert_eq!(be.decrypt(&be.truncate(&ct, 2)), v.truncate(2));
         assert_eq!(be.decrypt(&masked).to_bools(), [true, false, false, false]);

@@ -551,13 +551,22 @@ impl BgvScheme {
         }
     }
 
-    /// Decrypts to a plaintext polynomial. Switches down to the last
-    /// chain prime first, then reduces `c0 + c1·s` centered mod 2.
-    pub fn decrypt_poly(&self, ct: &Ciphertext) -> Gf2Poly {
+    /// Switches `ct` down to the last chain prime — the first thing
+    /// [`decrypt_poly`](Self::decrypt_poly) does, and keyless, so the
+    /// evaluator can do it before shipping a result: the ciphertext
+    /// shrinks to one residue row per half and decrypts identically.
+    pub fn compact_for_decrypt(&self, ct: &Ciphertext) -> Ciphertext {
         let mut work = ct.clone();
         while self.level(&work) > 1 {
             work = self.mod_switch(&work);
         }
+        work
+    }
+
+    /// Decrypts to a plaintext polynomial. Switches down to the last
+    /// chain prime first, then reduces `c0 + c1·s` centered mod 2.
+    pub fn decrypt_poly(&self, ct: &Ciphertext) -> Gf2Poly {
+        let work = self.compact_for_decrypt(ct);
         let s1 = self.ring.reduce_level(&self.secret, 1);
         let v = self.ring.add(&work.c0, &self.ring.mul(&work.c1, &s1));
         let centered = self.ring.to_centered(&v);

@@ -485,15 +485,13 @@ mod tests {
 
     #[test]
     fn transforms_are_counted() {
-        // The counters are process-wide, so concurrently running tests
-        // may add to the delta; assert the floor this call contributes.
         let p = plan(25, 32);
         let a: Vec<u64> = (0..32).collect();
-        let before = crate::meter::transform_snapshot();
-        let _ = p.cyclic_mul(&a, &a);
-        let delta = crate::meter::transform_snapshot().since(&before);
-        assert!(delta.forward >= 2, "one forward per operand: {delta}");
-        assert!(delta.inverse >= 1, "one inverse for the product: {delta}");
+        let (_, scope) = crate::OpMeter::measure(|| p.cyclic_mul(&a, &a));
+        let delta = scope.transforms();
+        assert_eq!(delta.forward, 2, "one forward per operand: {delta}");
+        assert_eq!(delta.inverse, 1, "one inverse for the product: {delta}");
+        assert_eq!(scope.transform_sizes().nonzero(), vec![(32, 3)]);
     }
 
     #[test]

@@ -13,16 +13,78 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Process-wide count of forward NTTs executed by any [`crate::math::ntt::NttPlan`].
-static NTT_FORWARD: AtomicU64 = AtomicU64::new(0);
-/// Process-wide count of inverse NTTs.
-static NTT_INVERSE: AtomicU64 = AtomicU64::new(0);
-
 /// Largest transform size bucket tracked: `2^(SIZE_BUCKETS - 1)`.
 const SIZE_BUCKETS: usize = 32;
-/// Process-wide transform counts bucketed by `log2(size)` (transform
-/// lengths are always powers of two), forward + inverse combined.
-static NTT_BY_LOG2: [AtomicU64; SIZE_BUCKETS] = [const { AtomicU64::new(0) }; SIZE_BUCKETS];
+
+/// One set of NTT transform counters: forward and inverse totals plus
+/// a histogram by `log2(size)` (transform lengths are always powers of
+/// two), forward + inverse combined. Every [`OpMeter`] carries one, and
+/// [`PROCESS_TRANSFORMS`] is the process-wide instance.
+#[derive(Debug)]
+struct TransformCells {
+    forward: AtomicU64,
+    inverse: AtomicU64,
+    by_log2: [AtomicU64; SIZE_BUCKETS],
+}
+
+/// Every transform executed by any [`crate::math::ntt::NttPlan`] in
+/// this process.
+static PROCESS_TRANSFORMS: TransformCells = TransformCells::new();
+
+impl TransformCells {
+    const fn new() -> Self {
+        Self {
+            forward: AtomicU64::new(0),
+            inverse: AtomicU64::new(0),
+            by_log2: [const { AtomicU64::new(0) }; SIZE_BUCKETS],
+        }
+    }
+
+    #[inline]
+    fn record(&self, direction: Direction, size: usize) {
+        match direction {
+            Direction::Forward => &self.forward,
+            Direction::Inverse => &self.inverse,
+        }
+        .fetch_add(1, Ordering::Relaxed);
+        self.by_log2[size_bucket(size)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn counts(&self) -> TransformCounts {
+        TransformCounts {
+            forward: self.forward.load(Ordering::Relaxed),
+            inverse: self.inverse.load(Ordering::Relaxed),
+        }
+    }
+
+    fn sizes(&self) -> TransformSizeCounts {
+        let mut counts = [0u64; SIZE_BUCKETS];
+        for (slot, cell) in counts.iter_mut().zip(&self.by_log2) {
+            *slot = cell.load(Ordering::Relaxed);
+        }
+        TransformSizeCounts { counts }
+    }
+
+    fn reset(&self) {
+        self.forward.store(0, Ordering::Relaxed);
+        self.inverse.store(0, Ordering::Relaxed);
+        for cell in &self.by_log2 {
+            cell.store(0, Ordering::Relaxed);
+        }
+    }
+}
+
+impl Default for TransformCells {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+#[derive(Clone, Copy)]
+enum Direction {
+    Forward,
+    Inverse,
+}
 
 /// A snapshot of low-level NTT transform counts.
 ///
@@ -30,10 +92,14 @@ static NTT_BY_LOG2: [AtomicU64; SIZE_BUCKETS] = [const { AtomicU64::new(0) }; SI
 /// the BGV backend, and the quantity the evaluation-domain
 /// representation exists to save: a ciphertext kept in NTT form across
 /// a key-switch digit loop pays one forward transform per digit row
-/// instead of several per digit product. Unlike [`OpCounts`], which
-/// meters *semantic* operations per backend, transforms are counted
-/// process-wide (the ring context has no handle to a backend meter);
-/// callers diff snapshots around the region of interest, exactly like
+/// instead of several per digit product. The ring context has no
+/// handle to a backend meter, so transforms are recorded twice: into
+/// the **scoped** [`OpMeter`] installed on the current task context
+/// ([`OpMeter::install_scope`], read back with
+/// [`OpMeter::transforms`]) — exact for the work that scope forked,
+/// whatever else the process is doing — and into the process-wide
+/// totals ([`transform_snapshot`]), which concurrent work pollutes.
+/// Callers diff snapshots around the region of interest, exactly like
 /// [`OpCounts::since`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TransformCounts {
@@ -78,15 +144,25 @@ impl fmt::Display for TransformCounts {
 /// transform hot path).
 #[inline]
 pub(crate) fn record_ntt_forward(size: usize) {
-    NTT_FORWARD.fetch_add(1, Ordering::Relaxed);
-    record_size(size);
+    record_transform(Direction::Forward, size);
 }
 
 /// Records one inverse NTT of length `size`.
 #[inline]
 pub(crate) fn record_ntt_inverse(size: usize) {
-    NTT_INVERSE.fetch_add(1, Ordering::Relaxed);
-    record_size(size);
+    record_transform(Direction::Inverse, size);
+}
+
+/// Counts one transform process-wide and, like [`OpMeter::record`],
+/// mirrors it into the scoped meter of the current task context.
+#[inline]
+fn record_transform(direction: Direction, size: usize) {
+    PROCESS_TRANSFORMS.record(direction, size);
+    copse_pool::with_task_context(|ctx| {
+        if let Some(scoped) = ctx.and_then(|c| c.downcast_ref::<OpMeter>()) {
+            scoped.transforms.record(direction, size);
+        }
+    });
 }
 
 /// The histogram bucket for a transform of length `size` — shared by
@@ -96,21 +172,16 @@ fn size_bucket(size: usize) -> usize {
     (size.max(1).trailing_zeros() as usize).min(SIZE_BUCKETS - 1)
 }
 
-#[inline]
-fn record_size(size: usize) {
-    NTT_BY_LOG2[size_bucket(size)].fetch_add(1, Ordering::Relaxed);
-}
-
-/// Snapshot of the process-wide transform counters.
+/// Snapshot of the process-wide transform counters. Everything the
+/// process runs lands here, so only a single-threaded caller can diff
+/// it exactly; tests and evaluation passes read
+/// [`OpMeter::transforms`] on an installed scope instead.
 pub fn transform_snapshot() -> TransformCounts {
-    TransformCounts {
-        forward: NTT_FORWARD.load(Ordering::Relaxed),
-        inverse: NTT_INVERSE.load(Ordering::Relaxed),
-    }
+    PROCESS_TRANSFORMS.counts()
 }
 
 /// A snapshot of transform counts **by transform length** (forward and
-/// inverse combined), process-wide like [`TransformCounts`].
+/// inverse combined), scoped or process-wide like [`TransformCounts`].
 ///
 /// This is the witness the ring-flavor tests use to prove *which* plan
 /// ran: the prime-cyclotomic route transforms at `next_pow2(2m - 1)`
@@ -161,13 +232,10 @@ impl TransformSizeCounts {
     }
 }
 
-/// Snapshot of the process-wide per-size transform counters.
+/// Snapshot of the process-wide per-size transform counters (see
+/// [`transform_snapshot`] for the caveat).
 pub fn transform_size_snapshot() -> TransformSizeCounts {
-    let mut counts = [0u64; SIZE_BUCKETS];
-    for (slot, cell) in counts.iter_mut().zip(&NTT_BY_LOG2) {
-        *slot = cell.load(Ordering::Relaxed);
-    }
-    TransformSizeCounts { counts }
+    PROCESS_TRANSFORMS.sizes()
 }
 
 /// The primitive homomorphic operations of the paper's cost vocabulary.
@@ -334,6 +402,8 @@ pub struct OpMeter {
     constant_add: AtomicU64,
     multiply: AtomicU64,
     constant_multiply: AtomicU64,
+    /// NTT transforms executed under this meter's installed scope.
+    transforms: TransformCells,
 }
 
 impl OpMeter {
@@ -367,9 +437,22 @@ impl OpMeter {
     /// this thread — and, via the pool's task-context propagation, on
     /// any pool task forked from it, transitively — is mirrored here
     /// in addition to the recording backend's own meter. Scopes nest;
-    /// the innermost wins.
+    /// the innermost wins. NTT transforms are mirrored the same way
+    /// (see [`OpMeter::transforms`]).
     pub fn install_scope(self: &Arc<Self>) -> copse_pool::TaskContextGuard {
         copse_pool::set_task_context(Arc::clone(self) as copse_pool::TaskContext)
+    }
+
+    /// Runs `f` under a fresh installed scope and returns its result
+    /// with the meter holding exactly what `f` recorded — ops and
+    /// transforms, pool-forked work included.
+    pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Arc<OpMeter>) {
+        let meter = Arc::new(OpMeter::new());
+        let value = {
+            let _scope = meter.install_scope();
+            f()
+        };
+        (value, meter)
     }
 
     /// Takes a snapshot of the current counts.
@@ -385,11 +468,24 @@ impl OpMeter {
         }
     }
 
+    /// NTT transforms executed while this meter was the installed
+    /// scope (on the installing thread and every pool task forked from
+    /// it). A meter that was never installed reads zero.
+    pub fn transforms(&self) -> TransformCounts {
+        self.transforms.counts()
+    }
+
+    /// [`OpMeter::transforms`] by transform length.
+    pub fn transform_sizes(&self) -> TransformSizeCounts {
+        self.transforms.sizes()
+    }
+
     /// Resets all counters to zero.
     pub fn reset(&self) {
         for op in FheOp::ALL {
             self.cell(op).store(0, Ordering::Relaxed);
         }
+        self.transforms.reset();
     }
 
     fn cell(&self, op: FheOp) -> &AtomicU64 {
@@ -555,32 +651,41 @@ mod tests {
 
     #[test]
     fn transform_counters_accumulate_and_diff() {
-        let before = transform_snapshot();
-        record_ntt_forward(64);
-        record_ntt_forward(64);
-        record_ntt_inverse(64);
-        let delta = transform_snapshot().since(&before);
-        assert_eq!(delta.forward, 2);
-        assert_eq!(delta.inverse, 1);
-        assert_eq!(delta.total(), 3);
-        assert_eq!(delta.to_string(), "fwd=2 inv=1");
+        // Other tests in this binary run transforms concurrently: the
+        // scope counts exactly its own (pool-forked ones included), the
+        // process-wide view at least those.
+        let process_before = transform_snapshot();
+        let ((), scope) = OpMeter::measure(|| {
+            record_ntt_forward(64);
+            copse_pool::global().scope_indices(4, 4, |_| record_ntt_forward(64));
+            record_ntt_inverse(64);
+        });
+        record_ntt_inverse(64); // after the scope closed
+        let delta = scope.transforms();
+        assert_eq!((delta.forward, delta.inverse), (5, 1));
+        assert_eq!(delta.total(), 6);
+        assert_eq!(delta.to_string(), "fwd=5 inv=1");
+        let process = transform_snapshot().since(&process_before);
+        assert!(process.forward >= 5 && process.inverse >= 2, "{process}");
+        scope.reset();
+        assert_eq!(scope.transforms(), TransformCounts::default());
     }
 
     #[test]
     fn per_size_counters_bucket_by_length() {
-        let before = transform_size_snapshot();
-        record_ntt_forward(16);
-        record_ntt_forward(16);
-        record_ntt_inverse(256);
-        // Counters are process-wide, so concurrently running tests may
-        // add to the delta; assert the floor this test contributes.
-        let delta = transform_size_snapshot().since(&before);
-        assert!(delta.at(16) >= 2, "{:?}", delta.nonzero());
-        assert!(delta.at(256) >= 1, "{:?}", delta.nonzero());
-        assert!(delta.total() >= 3);
-        let nonzero = delta.nonzero();
-        assert!(nonzero.iter().any(|&(s, c)| s == 16 && c >= 2));
-        assert!(nonzero.iter().any(|&(s, c)| s == 256 && c >= 1));
+        let process_before = transform_size_snapshot();
+        let ((), scope) = OpMeter::measure(|| {
+            record_ntt_forward(16);
+            record_ntt_forward(16);
+            record_ntt_inverse(256);
+        });
+        let sizes = scope.transform_sizes();
+        assert_eq!(sizes.at(16), 2);
+        assert_eq!(sizes.at(256), 1);
+        assert_eq!(sizes.total(), 3);
+        assert_eq!(sizes.nonzero(), vec![(16, 2), (256, 1)]);
+        let process = transform_size_snapshot().since(&process_before);
+        assert!(process.at(16) >= 2 && process.at(256) >= 1);
     }
 
     #[test]

@@ -2,15 +2,12 @@
 //! proof that the size-`n` `ψ`-twisted plans are the ones actually
 //! invoked, not the zero-padded `2^s >= 2m - 1` plans of the prime
 //! flavor. Transform *counts* alone cannot distinguish the two routes;
-//! the per-size histogram (`transform_size_snapshot`) can.
-//!
-//! This file deliberately holds a single `#[test]`: integration-test
-//! files run as their own process, so nothing else touches the global
-//! per-size counters while the deltas are measured, and asserting a
+//! the per-size histogram (`OpMeter::transform_sizes`) can. Each
+//! measurement runs under its own scoped meter, so asserting a
 //! **zero** count at the padded size is sound.
 
 use copse_fhe::bgv::ring::RnsContext;
-use copse_fhe::{transform_size_snapshot, transform_snapshot};
+use copse_fhe::OpMeter;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -28,11 +25,8 @@ fn negacyclic_route_transforms_at_size_n_only() {
 
         // One full multiplication: per prime, 2 forward + 1 inverse
         // transforms, every one of length exactly n.
-        let before_sizes = transform_size_snapshot();
-        let before = transform_snapshot();
-        let fast = ntt.mul(&a, &b);
-        let counts = transform_snapshot().since(&before);
-        let sizes = transform_size_snapshot().since(&before_sizes);
+        let (fast, meter) = OpMeter::measure(|| ntt.mul(&a, &b));
+        let (counts, sizes) = (meter.transforms(), meter.transform_sizes());
         assert_eq!(counts.forward, 2 * 3, "2 forwards per prime, n = {n}");
         assert_eq!(counts.inverse, 3, "1 inverse per prime, n = {n}");
         assert_eq!(sizes.at(n), 9, "all transforms at size n = {n}");
@@ -45,18 +39,21 @@ fn negacyclic_route_transforms_at_size_n_only() {
         assert_eq!(sizes.nonzero(), vec![(n, 9)]);
 
         // The evaluation-domain route stays at size n too.
-        let before_sizes = transform_size_snapshot();
-        let ea = ntt.to_eval(&a);
-        let eb = ntt.to_eval(&b);
-        let via_eval = ntt.from_eval(&ntt.eval_mul(&ea, &eb, 3));
-        let sizes = transform_size_snapshot().since(&before_sizes);
-        assert_eq!(sizes.nonzero(), vec![(n, 9)], "eval route, n = {n}");
+        let (via_eval, meter) = OpMeter::measure(|| {
+            let ea = ntt.to_eval(&a);
+            let eb = ntt.to_eval(&b);
+            ntt.from_eval(&ntt.eval_mul(&ea, &eb, 3))
+        });
+        assert_eq!(
+            meter.transform_sizes().nonzero(),
+            vec![(n, 9)],
+            "eval route, n = {n}"
+        );
         assert_eq!(via_eval, fast);
 
         // The schoolbook oracle performs no transforms at all.
-        let before_sizes = transform_size_snapshot();
-        let slow = school.mul(&a, &b);
-        assert_eq!(transform_size_snapshot().since(&before_sizes).total(), 0);
+        let (slow, meter) = OpMeter::measure(|| school.mul(&a, &b));
+        assert_eq!(meter.transform_sizes().total(), 0);
         assert_eq!(slow, fast, "oracle parity, n = {n}");
     }
 
@@ -67,20 +64,16 @@ fn negacyclic_route_transforms_at_size_n_only() {
     assert_eq!(prime.transform_size(), 256);
     let a = prime.sample_uniform(2, &mut rng);
     let b = prime.sample_uniform(2, &mut rng);
-    let before_sizes = transform_size_snapshot();
-    let _ = prime.mul(&a, &b);
-    let sizes = transform_size_snapshot().since(&before_sizes);
-    assert_eq!(sizes.nonzero(), vec![(256, 6)]);
+    let (_, meter) = OpMeter::measure(|| prime.mul(&a, &b));
+    assert_eq!(meter.transform_sizes().nonzero(), vec![(256, 6)]);
 
     let (nega, _) = RnsContext::negacyclic_schoolbook_pair(128, 25, 2);
     assert_eq!(nega.transform_size(), 128);
     let a = nega.sample_uniform(2, &mut rng);
     let b = nega.sample_uniform(2, &mut rng);
-    let before_sizes = transform_size_snapshot();
-    let _ = nega.mul(&a, &b);
-    let sizes = transform_size_snapshot().since(&before_sizes);
+    let (_, meter) = OpMeter::measure(|| nega.mul(&a, &b));
     assert_eq!(
-        sizes.nonzero(),
+        meter.transform_sizes().nonzero(),
         vec![(128, 6)],
         "half the prime flavor's transform length at comparable ring dimension"
     );

@@ -1,14 +1,17 @@
 //! Transform-count accounting for the evaluation-domain paths.
 //!
-//! The NTT transform counters are process-wide
-//! ([`copse_fhe::transform_snapshot`]), so these measurements live in
-//! their own integration-test binary — a single `#[test]` whose
-//! sections run sequentially — rather than alongside concurrently
-//! running unit tests that would pollute the deltas.
+//! Every measurement runs under its own scoped meter
+//! ([`OpMeter::measure`]), so the counts are exact whatever else the
+//! test process is doing.
 
 use copse_fhe::bgv::scheme::{BgvParams, BgvScheme};
-use copse_fhe::transform_snapshot;
-use copse_fhe::BitVec;
+use copse_fhe::{BitVec, OpMeter, TransformCounts};
+
+/// Runs `f` and returns its result with the transforms it performed.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, TransformCounts) {
+    let (value, meter) = OpMeter::measure(f);
+    (value, meter.transforms())
+}
 
 #[test]
 fn eval_domain_key_switching_cuts_transforms() {
@@ -22,13 +25,8 @@ fn eval_domain_key_switching_cuts_transforms() {
     let ct_coeff = coeff.encrypt_poly(&coeff.slots().encode(&bits));
 
     // --- rotate (automorphism + key switch) ---
-    let before = transform_snapshot();
-    let r_coeff = coeff.rotate_slots(&ct_coeff, 1);
-    let coeff_rotate = transform_snapshot().since(&before);
-
-    let before = transform_snapshot();
-    let r_eval = eval.rotate_slots(&ct_eval, 1);
-    let eval_rotate = transform_snapshot().since(&before);
+    let (r_coeff, coeff_rotate) = counted(|| coeff.rotate_slots(&ct_coeff, 1));
+    let (r_eval, eval_rotate) = counted(|| eval.rotate_slots(&ct_eval, 1));
 
     assert_eq!(r_eval, r_coeff, "paths agree bitwise");
     assert!(
@@ -53,13 +51,8 @@ fn eval_domain_key_switching_cuts_transforms() {
         .encode(&BitVec::from_bools(&[true, true, false, false, true, true]));
     let prepared = eval.prepare_plain(&mask);
 
-    let before = transform_snapshot();
-    let _ = eval.mul_plain_prepared(&ct_eval, &prepared);
-    let first = transform_snapshot().since(&before);
-
-    let before = transform_snapshot();
-    let _ = eval.mul_plain_prepared(&ct_eval, &prepared);
-    let warm = transform_snapshot().since(&before);
+    let (_, first) = counted(|| eval.mul_plain_prepared(&ct_eval, &prepared));
+    let (_, warm) = counted(|| eval.mul_plain_prepared(&ct_eval, &prepared));
 
     // First call pays the plaintext transform (chain_len rows); warm
     // calls transform only the two ciphertext halves.
@@ -67,9 +60,7 @@ fn eval_domain_key_switching_cuts_transforms() {
     assert_eq!(warm.forward, 2 * level);
     assert_eq!(warm.inverse, 2 * level);
 
-    let before = transform_snapshot();
-    let _ = coeff.mul_plain(&ct_coeff, &mask, 4);
-    let coeff_mul = transform_snapshot().since(&before);
+    let (_, coeff_mul) = counted(|| coeff.mul_plain(&ct_coeff, &mask, 4));
     assert_eq!(coeff_mul.forward, 4 * level, "2 products x 2 operands");
     assert!(
         coeff_mul.total() > warm.total(),

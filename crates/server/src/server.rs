@@ -1396,8 +1396,14 @@ fn handle_query<B: FheBackend>(
             &entry.name,
             timing,
             packed_size,
+            // The client only decrypts the result, so ship it at the
+            // size decryption needs, not at the level evaluation ended.
             Answer::Served {
-                ciphertext: Bytes::from(shared.backend.serialize_ciphertext(&ciphertext)),
+                ciphertext: Bytes::from(
+                    shared
+                        .backend
+                        .serialize_ciphertext(&shared.backend.compact_for_decrypt(&ciphertext)),
+                ),
             },
         ),
         Ok(JobOutcome::Failed { message, timing }) => {

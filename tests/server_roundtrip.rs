@@ -332,7 +332,11 @@ fn poisoned_query_does_not_fail_coalesced_neighbours() {
 
 #[test]
 fn service_works_over_real_bgv_ciphertexts() {
-    use copse::fhe::{BgvBackend, BgvParams};
+    use copse::core::wire::Frame;
+    use copse::fhe::{BgvBackend, BgvParams, FheBackend};
+    use copse::server::transport::{read_frame, write_frame};
+    use std::io::{BufReader, BufWriter};
+    use std::net::TcpStream;
     // A model whose widths fit the tiny ring's 6 slots (see
     // tests/bgv_end_to_end.rs for the shape arithmetic).
     let forest = Forest::parse(
@@ -369,8 +373,8 @@ fn service_works_over_real_bgv_ciphertexts() {
         .spawn()
         .expect("spawn");
 
-    let mut client =
-        InferenceClient::connect(handle.addr(), client_backend, "tiny").expect("connect");
+    let mut client = InferenceClient::connect(handle.addr(), Arc::clone(&client_backend), "tiny")
+        .expect("connect");
     for (x, y) in [(0u64, 7u64), (5, 12), (9, 0)] {
         let served = client.classify(&[x, y]).expect("classify");
         assert_eq!(
@@ -380,6 +384,66 @@ fn service_works_over_real_bgv_ciphertexts() {
         );
     }
     client.close().expect("close");
+
+    // The result frame carries the ciphertext compacted for decryption
+    // (one chain prime), not at the level evaluation ended: it decrypts
+    // to the same answer and is smaller than what Sally returned.
+    let maurice = Maurice::compile(&forest, CompileOptions::default()).expect("compiles");
+    let sally = Sally::host(
+        server_backend.as_ref(),
+        maurice.deploy(server_backend.as_ref(), ModelForm::Encrypted),
+    );
+    let diane = Diane::new(client_backend.as_ref(), maurice.public_query_info());
+    let query = diane.encrypt_features(&[5, 12]).expect("valid query");
+    let direct = sally.classify(&query);
+    let direct_bytes = server_backend
+        .serialize_ciphertext(direct.ciphertext())
+        .len();
+
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = BufWriter::new(stream);
+    write_frame(
+        &mut writer,
+        &Frame::ClientHello {
+            model: "tiny".into(),
+        },
+    )
+    .expect("hello");
+    assert!(matches!(
+        read_frame(&mut reader).expect("server hello"),
+        Frame::ServerHello { .. }
+    ));
+    write_frame(
+        &mut writer,
+        &Frame::Query {
+            id: 1,
+            deadline_ms: 0,
+            trace: None,
+            planes: query
+                .planes()
+                .iter()
+                .map(|ct| client_backend.serialize_ciphertext(ct).into())
+                .collect(),
+        },
+    )
+    .expect("query");
+    let Frame::Result { ciphertext, .. } = read_frame(&mut reader).expect("result") else {
+        panic!("expected a result frame");
+    };
+    assert!(
+        ciphertext.len() < direct_bytes / 2,
+        "compacted result {} B vs {direct_bytes} B at the evaluation level",
+        ciphertext.len()
+    );
+    let served = client_backend
+        .deserialize_ciphertext(&ciphertext)
+        .expect("decodes");
+    assert_eq!(served.width(), direct.ciphertext().width());
+    assert_eq!(
+        client_backend.decrypt(&served),
+        client_backend.decrypt(direct.ciphertext())
+    );
     handle.shutdown();
 }
 
