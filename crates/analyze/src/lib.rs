@@ -88,7 +88,8 @@ pub struct PackedPlanShape {
     /// Queries per packed ciphertext (`>= 2`; the runtime never packs
     /// a chunk of one).
     pub lanes: usize,
-    /// Slots per query block (the sequential `min_slot_capacity`).
+    /// Slots per query block: [`CompiledModel::slot_width`], which is
+    /// also the sequential `min_slot_capacity`.
     pub stride: usize,
 }
 
@@ -303,21 +304,7 @@ impl CircuitReport {
             accumulate.depth_cost += 1;
         }
 
-        let mut min_slots = meta.quantized.max(meta.n_leaves);
-        for plane in model.thresholds.planes() {
-            min_slots = min_slots.max(plane.width());
-        }
-        if !model.fused {
-            min_slots = min_slots
-                .max(model.reshuffle.rows())
-                .max(model.reshuffle.cols());
-        }
-        for matrix in &model.levels {
-            min_slots = min_slots.max(matrix.rows()).max(matrix.cols());
-        }
-        for mask in &model.masks {
-            min_slots = min_slots.max(mask.width());
-        }
+        let mut min_slots = model.slot_width();
         if let Some(packing) = shape.packing {
             // A packed chunk needs all `lanes` blocks side by side.
             min_slots = min_slots.max(packing.lanes * packing.stride);

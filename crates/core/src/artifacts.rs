@@ -183,6 +183,24 @@ impl CompiledModel {
     pub fn comparison_width(&self) -> usize {
         self.meta.quantized
     }
+
+    /// Slots one query's operands span: the widest vector any pipeline
+    /// stage touches (query planes and decisions, branch vector,
+    /// matrix rows and columns, masks, the result). The single
+    /// definition behind the analyzer's sequential
+    /// `min_slot_capacity` and the runtime's packed block stride, so
+    /// admission and evaluation agree on what fits.
+    pub fn slot_width(&self) -> usize {
+        let reshuffle = (!self.fused).then_some(&self.reshuffle);
+        let matrices = reshuffle.into_iter().chain(&self.levels);
+        let vectors = self.thresholds.planes().iter().chain(&self.masks);
+        matrices
+            .flat_map(|m| [m.rows(), m.cols()])
+            .chain(vectors.map(BitVec::width))
+            .chain([self.meta.quantized, self.meta.n_leaves])
+            .max()
+            .expect("meta widths are always present")
+    }
 }
 
 #[cfg(test)]

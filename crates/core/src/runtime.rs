@@ -16,7 +16,7 @@
 //! operation counts can be captured with
 //! [`Sally::classify_traced`] (the Figure 10 breakdowns).
 
-use crate::artifacts::{CompiledModel, ModelMeta};
+use crate::artifacts::{BoolMatrix, CompiledModel, ModelMeta};
 use crate::compiler::{self, Accumulation, CompileOptions};
 use crate::complexity::{ours, CostInputs};
 use crate::matmul::{mat_vec, mat_vec_many, tile_operand, EncodedMatrix, MatMulOptions};
@@ -24,6 +24,7 @@ use crate::parallel::{map_indices, Parallelism};
 use crate::seccomp::{secure_less_than, SecCompVariant};
 use copse_fhe::{BitSliced, BitVec, FheBackend, MaybeEncrypted, OpCounts, OpMeter};
 use copse_forest::model::Forest;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -44,21 +45,22 @@ pub enum ModelForm {
 ///
 /// When the backend reports a slot capacity wide enough for several
 /// query blocks, Sally can evaluate `k` queries per ciphertext: every
-/// stage runs once per *chunk* instead of once per query, and results
-/// split back out at decode time via the backend's cached slot-range
-/// masks. Decoded results are bitwise identical to the sequential path
-/// (the parity battery in `tests/packing_props.rs` enforces this).
+/// stage runs once per *unit* of up to `k` queries instead of once per
+/// query, and results split back out at decode time via the backend's
+/// cached slot-range masks. Decoded results are bitwise identical to
+/// per-query evaluation (the parity battery in
+/// `tests/packing_props.rs` enforces this).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PackingMode {
     /// Pack whenever [`Sally::pack_plan`] finds room: the backend has
     /// a slot capacity of at least two query strides, supports slot
     /// rotation, and has one level of depth headroom for the unpack
-    /// mask. Backends without a capacity (clear-unbounded, negacyclic)
-    /// transparently fall through to the stage-major path.
+    /// mask. On backends without a capacity (clear-unbounded,
+    /// negacyclic) every unit is transparently a single query.
     #[default]
     Auto,
-    /// Never pack; batches run stage-major over per-query ciphertexts
-    /// (the pre-packing behaviour, kept as the benchmark baseline).
+    /// Never pack; every unit of a batch is a single query over its
+    /// own ciphertexts (the benchmark baseline).
     Off,
 }
 
@@ -162,14 +164,7 @@ impl Maurice {
     /// feature count, precision, and the result codebook (paper steps
     /// 0 and 4; §7.2 discusses exactly what this leaks).
     pub fn public_query_info(&self) -> QueryInfo {
-        QueryInfo {
-            max_multiplicity: self.compiled.meta.max_multiplicity,
-            feature_count: self.compiled.meta.feature_count,
-            precision: self.compiled.meta.precision,
-            n_leaves: self.compiled.meta.n_leaves,
-            label_names: self.compiled.meta.label_names.clone(),
-            codebook: self.compiled.codebook.clone(),
-        }
+        QueryInfo::reveal(&self.compiled.meta, self.compiled.codebook.clone())
     }
 
     /// Encodes (plain) or encrypts (offloaded) every artifact for the
@@ -191,15 +186,68 @@ impl Maurice {
             form,
             meta: m.meta.clone(),
             codebook: m.codebook.clone(),
-            thresholds: m.thresholds.planes().iter().map(&wrap_vec).collect(),
-            reshuffle: if m.fused {
-                None
-            } else {
-                Some(wrap_matrix(&m.reshuffle))
+            operands: Operands {
+                thresholds: m.thresholds.planes().iter().map(&wrap_vec).collect(),
+                reshuffle: (!m.fused).then(|| wrap_matrix(&m.reshuffle)),
+                levels: m.levels.iter().map(wrap_matrix).collect(),
+                masks: m.masks.iter().map(&wrap_vec).collect(),
+                shuffle: None,
+                packing: None,
             },
-            levels: m.levels.iter().map(wrap_matrix).collect(),
-            masks: m.masks.iter().map(&wrap_vec).collect(),
+            slot_width: m.slot_width(),
             accumulation: self.accumulation,
+        }
+    }
+}
+
+/// Everything the four stages read besides the query: Maurice's
+/// artifacts plus Sally's result-shuffle matrix. One type serves both
+/// layouts — as deployed (one query per ciphertext), and
+/// [tiled](Operands::tile) so that every operand repeats in each slot
+/// block of a packed unit.
+#[derive(Debug)]
+struct Operands<B: FheBackend> {
+    thresholds: Vec<MaybeEncrypted<B>>,
+    reshuffle: Option<EncodedMatrix<B>>,
+    levels: Vec<EncodedMatrix<B>>,
+    masks: Vec<MaybeEncrypted<B>>,
+    /// Sally's secret result permutation (paper §7.2.2), set when she
+    /// hosts the model with a `shuffle_seed`. Always plaintext: it is
+    /// her secret, not Maurice's.
+    shuffle: Option<EncodedMatrix<B>>,
+    /// The block layout of a tiled set; `None` as deployed.
+    packing: Option<PackPlan>,
+}
+
+impl<B: FheBackend> Clone for Operands<B> {
+    fn clone(&self) -> Self {
+        Self {
+            thresholds: self.thresholds.clone(),
+            reshuffle: self.reshuffle.clone(),
+            levels: self.levels.clone(),
+            masks: self.masks.clone(),
+            shuffle: self.shuffle.clone(),
+            packing: self.packing,
+        }
+    }
+}
+
+impl<B: FheBackend> Operands<B> {
+    /// The same operands repeated at block offsets `0, stride,
+    /// 2·stride, …`, so each stage's homomorphic ops apply to all
+    /// `lanes` packed queries at once.
+    fn tile(&self, be: &B, plan: PackPlan) -> Self {
+        let (s, c) = (plan.stride, plan.lanes);
+        let tile_vecs = |vecs: &[MaybeEncrypted<B>]| -> Vec<MaybeEncrypted<B>> {
+            vecs.iter().map(|v| tile_operand(be, v, s, c)).collect()
+        };
+        Self {
+            thresholds: tile_vecs(&self.thresholds),
+            reshuffle: self.reshuffle.as_ref().map(|r| r.pack(be, s, c)),
+            levels: self.levels.iter().map(|l| l.pack(be, s, c)).collect(),
+            masks: tile_vecs(&self.masks),
+            shuffle: self.shuffle.as_ref().map(|sh| sh.pack(be, s, c)),
+            packing: Some(plan),
         }
     }
 }
@@ -210,10 +258,9 @@ pub struct DeployedModel<B: FheBackend> {
     form: ModelForm,
     meta: ModelMeta,
     codebook: Vec<usize>,
-    thresholds: Vec<MaybeEncrypted<B>>,
-    reshuffle: Option<EncodedMatrix<B>>,
-    levels: Vec<EncodedMatrix<B>>,
-    masks: Vec<MaybeEncrypted<B>>,
+    operands: Operands<B>,
+    /// [`CompiledModel::slot_width`] of the model deployed here.
+    slot_width: usize,
     accumulation: Accumulation,
 }
 
@@ -223,10 +270,8 @@ impl<B: FheBackend> Clone for DeployedModel<B> {
             form: self.form,
             meta: self.meta.clone(),
             codebook: self.codebook.clone(),
-            thresholds: self.thresholds.clone(),
-            reshuffle: self.reshuffle.clone(),
-            levels: self.levels.clone(),
-            masks: self.masks.clone(),
+            operands: self.operands.clone(),
+            slot_width: self.slot_width,
             accumulation: self.accumulation,
         }
     }
@@ -259,6 +304,20 @@ pub struct QueryInfo {
     pub label_names: Vec<String>,
     /// Label index per result slot (paper §7.2.2's codebook).
     pub codebook: Vec<usize>,
+}
+
+impl QueryInfo {
+    /// The public part of a model's shape, with the given codebook.
+    fn reveal(meta: &ModelMeta, codebook: Vec<usize>) -> Self {
+        Self {
+            max_multiplicity: meta.max_multiplicity,
+            feature_count: meta.feature_count,
+            precision: meta.precision,
+            n_leaves: meta.n_leaves,
+            label_names: meta.label_names.clone(),
+            codebook,
+        }
+    }
 }
 
 /// An encrypted inference query: `p` bit planes of the replicated
@@ -433,8 +492,8 @@ impl ClassificationOutcome {
 /// options triple (see [`Sally::pack_plan`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PackPlan {
-    /// Slots per query block: the widest operand any pipeline stage
-    /// touches (mirrors the analyzer's `min_slot_capacity`).
+    /// Slots per query block: the model's
+    /// [`CompiledModel::slot_width`].
     pub stride: usize,
     /// Queries per packed ciphertext: `slot_capacity / stride`.
     pub lanes: usize,
@@ -453,8 +512,8 @@ pub struct EvalTrace {
     pub accumulate: StageReport,
     /// Packed-batch lane occupancy per query, in query order: how many
     /// queries shared that query's ciphertexts (1 = a solo remainder
-    /// chunk). Empty when the packed path never engaged and the batch
-    /// ran stage-major over per-query ciphertexts.
+    /// unit). Empty when no [`PackPlan`] engaged and every unit was a
+    /// single query over its own ciphertexts.
     pub packed_sizes: Vec<u32>,
 }
 
@@ -499,28 +558,46 @@ pub struct StageReport {
     pub ops: OpCounts,
 }
 
-/// Sally's secret result permutation (paper §7.2.2): the matrix that
-/// scrambles the N-hot result and the permutation used to scramble the
-/// codebook handed to clients.
-#[derive(Debug)]
-struct ResultShuffle<B: FheBackend> {
-    /// `permutation[old] = new`: result slot `old` moves to `new`.
-    permutation: Vec<usize>,
-    matrix: EncodedMatrix<B>,
+/// One unit of evaluation: `1..=lanes` queries that travel through the
+/// four stages as one set of ciphertexts, and the operand set they run
+/// against — as deployed for a solo unit, tiled for a packed one. That
+/// choice is made once, when the unit is built: the stages never ask.
+struct Unit<'a, B: FheBackend> {
+    queries: &'a [EncryptedQuery<B>],
+    operands: &'a Operands<B>,
 }
 
-/// Model artifacts tiled for the packed-batch layout: every operand
-/// repeats at block offsets `0, stride, 2·stride, …`, so each stage's
-/// homomorphic ops apply to all packed queries at once. Built lazily
-/// (first packed batch) or eagerly ([`Sally::warm_packed`]), then
-/// cached for the lifetime of the `Sally`.
-#[derive(Debug)]
-struct PackedModel<B: FheBackend> {
-    thresholds: Vec<MaybeEncrypted<B>>,
-    reshuffle: Option<EncodedMatrix<B>>,
-    levels: Vec<EncodedMatrix<B>>,
-    masks: Vec<MaybeEncrypted<B>>,
-    shuffle: Option<EncodedMatrix<B>>,
+impl<'a, B: FheBackend> Unit<'a, B> {
+    /// The way in: the unit's `p` bit planes. A solo unit borrows its
+    /// query's; a packed unit packs each plane lane-wise. A partial
+    /// unit still packs at the full tiled width — unused lanes hold
+    /// zeros and are never unpacked.
+    fn planes(&self, be: &B) -> Cow<'a, [B::Ciphertext]> {
+        let Some(plan) = self.operands.packing else {
+            return Cow::Borrowed(&self.queries[0].planes);
+        };
+        let full_width = plan.lanes * plan.stride;
+        (0..self.queries[0].planes.len())
+            .map(|p| {
+                let lane_planes: Vec<B::Ciphertext> =
+                    self.queries.iter().map(|q| q.planes[p].clone()).collect();
+                be.pack_blocks(&lane_planes, plan.stride, full_width)
+            })
+            .collect()
+    }
+
+    /// The way out: one `width`-slot result per query. A packed unit
+    /// splits with the backend's cached block masks (the extra depth
+    /// level [`Sally::pack_plan`] budgeted).
+    fn split(&self, be: &B, ct: B::Ciphertext, width: usize) -> Vec<EncryptedResult<B>> {
+        let Some(plan) = self.operands.packing else {
+            return vec![EncryptedResult { ct }];
+        };
+        (0..self.queries.len())
+            .map(|lane| be.unpack_block(&ct, lane, plan.stride, width))
+            .map(|ct| EncryptedResult { ct })
+            .collect()
+    }
 }
 
 /// The evaluator.
@@ -529,8 +606,15 @@ pub struct Sally<'b, B: FheBackend> {
     backend: &'b B,
     model: DeployedModel<B>,
     options: EvalOptions,
-    shuffle: Option<ResultShuffle<B>>,
-    packed: OnceLock<PackedModel<B>>,
+    /// Sally's secret result permutation (paper §7.2.2), as applied to
+    /// the codebook handed to clients: `permutation[old] = new` moves
+    /// result slot `old` to `new`. Its matrix is `operands.shuffle`.
+    permutation: Option<Vec<usize>>,
+    plan: Option<PackPlan>,
+    /// `model.operands` tiled for `plan`: built lazily (first packed
+    /// batch) or eagerly ([`Sally::warm_packed`]), then kept for the
+    /// lifetime of the `Sally`.
+    tiled: OnceLock<Operands<B>>,
 }
 
 impl<'b, B: FheBackend> Sally<'b, B> {
@@ -540,28 +624,26 @@ impl<'b, B: FheBackend> Sally<'b, B> {
     }
 
     /// Hosts a deployed model with explicit evaluator options.
-    pub fn with_options(backend: &'b B, model: DeployedModel<B>, options: EvalOptions) -> Self {
-        let shuffle = options.shuffle_seed.map(|seed| {
-            let n = model.meta.n_leaves;
-            let permutation = random_permutation(n, seed);
-            let mut matrix = crate::artifacts::BoolMatrix::zeros(n, n);
+    pub fn with_options(backend: &'b B, mut model: DeployedModel<B>, options: EvalOptions) -> Self {
+        let n = model.meta.n_leaves;
+        let permutation = options.shuffle_seed.map(|seed| random_permutation(n, seed));
+        model.operands.shuffle = permutation.as_ref().map(|permutation| {
+            let mut matrix = BoolMatrix::zeros(n, n);
             for (old, &new) in permutation.iter().enumerate() {
                 matrix.set(new, old, true);
             }
-            ResultShuffle {
-                permutation,
-                // Sally's own permutation stays plaintext regardless of
-                // the model form: it is her secret, not Maurice's.
-                matrix: EncodedMatrix::encode_plain(backend, &matrix),
-            }
+            EncodedMatrix::encode_plain(backend, &matrix)
         });
-        Self {
+        let mut sally = Self {
             backend,
             model,
             options,
-            shuffle,
-            packed: OnceLock::new(),
-        }
+            permutation,
+            plan: None,
+            tiled: OnceLock::new(),
+        };
+        sally.plan = sally.plan_packing();
+        sally
     }
 
     /// The query information Sally forwards to clients: Maurice's
@@ -569,23 +651,15 @@ impl<'b, B: FheBackend> Sally<'b, B> {
     /// is enabled (so clients decode correctly but learn nothing about
     /// the forest's leaf-label order; paper §7.2.2).
     pub fn client_query_info(&self) -> QueryInfo {
-        let meta = &self.model.meta;
         let mut codebook = self.model.codebook.clone();
-        if let Some(shuffle) = &self.shuffle {
+        if let Some(permutation) = &self.permutation {
             let mut permuted = vec![0usize; codebook.len()];
-            for (old, &new) in shuffle.permutation.iter().enumerate() {
+            for (old, &new) in permutation.iter().enumerate() {
                 permuted[new] = codebook[old];
             }
             codebook = permuted;
         }
-        QueryInfo {
-            max_multiplicity: meta.max_multiplicity,
-            feature_count: meta.feature_count,
-            precision: meta.precision,
-            n_leaves: meta.n_leaves,
-            label_names: meta.label_names.clone(),
-            codebook,
-        }
+        QueryInfo::reveal(&self.model.meta, codebook)
     }
 
     /// The hosted model.
@@ -603,97 +677,71 @@ impl<'b, B: FheBackend> Sally<'b, B> {
     /// backend reports no slot capacity (clear-unbounded, negacyclic)
     /// or no slot rotation, fewer than two query strides fit, or the
     /// depth budget lacks the one extra level the unpack mask costs.
-    /// All of those fall through to the stage-major batch path — the
-    /// caller never has to care.
+    /// Every unit of a batch is then a single query — the caller never
+    /// has to care. A pure function of backend, model and options,
+    /// computed once when Sally hosts the model.
     pub fn pack_plan(&self) -> Option<PackPlan> {
-        if self.options.packing == PackingMode::Off {
+        self.plan
+    }
+
+    fn plan_packing(&self) -> Option<PackPlan> {
+        let (backend, model) = (self.backend, &self.model);
+        if self.options.packing == PackingMode::Off || !backend.supports_slot_rotation() {
             return None;
         }
-        let capacity = self.backend.slot_capacity()?;
-        if !self.backend.supports_slot_rotation() {
-            return None;
-        }
-        let stride = self.packed_stride();
-        if stride == 0 {
-            return None;
-        }
-        let lanes = capacity / stride;
+        let stride = model.slot_width;
+        let lanes = backend.slot_capacity()?.checked_div(stride)?;
         if lanes < 2 {
             return None;
         }
         // Splitting results back out multiplies by a block mask, so the
         // packed circuit is one level deeper than the sequential one.
-        let m = &self.model;
-        let inputs = CostInputs {
-            comparator: self.options.comparator,
-            ..CostInputs::from_meta(&m.meta, m.form, m.reshuffle.is_none(), m.accumulation)
-        };
-        let depth = ours::classify_depth(&inputs) + u32::from(self.shuffle.is_some()) + 1;
-        (depth <= self.backend.depth_budget()).then_some(PackPlan { stride, lanes })
+        let fused = model.operands.reshuffle.is_none();
+        let mut inputs = CostInputs::from_meta(&model.meta, model.form, fused, model.accumulation);
+        inputs.comparator = self.options.comparator;
+        let shuffle = u32::from(model.operands.shuffle.is_some());
+        let depth = ours::classify_depth(&inputs) + shuffle + 1;
+        (depth <= backend.depth_budget()).then_some(PackPlan { stride, lanes })
     }
 
-    /// Slots one packed query block must span: the widest operand any
-    /// stage touches (query planes, decision/branch vectors, matrix
-    /// rows and columns, masks, the result). Mirrors the analyzer's
-    /// `min_slot_capacity` so admission and the runtime agree on what
-    /// fits.
-    fn packed_stride(&self) -> usize {
-        let be = self.backend;
-        let operand_width = |op: &MaybeEncrypted<B>| match op {
-            MaybeEncrypted::Plain(pt) => be.decode(pt).width(),
-            MaybeEncrypted::Encrypted(ct) => be.width(ct),
-        };
-        let mut stride = self.model.meta.quantized.max(self.model.meta.n_leaves);
-        for plane in &self.model.thresholds {
-            stride = stride.max(operand_width(plane));
-        }
-        if let Some(r) = &self.model.reshuffle {
-            stride = stride.max(r.rows()).max(r.cols());
-        }
-        for matrix in &self.model.levels {
-            stride = stride.max(matrix.rows()).max(matrix.cols());
-        }
-        for mask in &self.model.masks {
-            stride = stride.max(operand_width(mask));
-        }
-        if let Some(shuffle) = &self.shuffle {
-            stride = stride.max(shuffle.matrix.rows()).max(shuffle.matrix.cols());
-        }
-        stride
-    }
-
-    /// Pre-builds the tiled model artifacts for the packed-batch path
+    /// Pre-builds the tiled operands packed units run against
     /// (otherwise the first packed batch pays the one-time tiling
     /// cost). Returns the plan batches will use, or `None` when
     /// packing cannot engage (see [`Sally::pack_plan`]).
     pub fn warm_packed(&self) -> Option<PackPlan> {
-        let plan = self.pack_plan()?;
-        let _ = self.packed_model(plan);
-        Some(plan)
+        self.tiled().and(self.plan)
     }
 
-    fn packed_model(&self, plan: PackPlan) -> &PackedModel<B> {
-        self.packed.get_or_init(|| {
-            let be = self.backend;
-            let (s, c) = (plan.stride, plan.lanes);
-            PackedModel {
-                thresholds: self
-                    .model
-                    .thresholds
-                    .iter()
-                    .map(|t| tile_operand(be, t, s, c))
-                    .collect(),
-                reshuffle: self.model.reshuffle.as_ref().map(|r| r.pack(be, s, c)),
-                levels: self.model.levels.iter().map(|l| l.pack(be, s, c)).collect(),
-                masks: self
-                    .model
-                    .masks
-                    .iter()
-                    .map(|m| tile_operand(be, m, s, c))
-                    .collect(),
-                shuffle: self.shuffle.as_ref().map(|sh| sh.matrix.pack(be, s, c)),
-            }
-        })
+    fn tiled(&self) -> Option<&Operands<B>> {
+        let plan = self.plan?;
+        let tile = || self.model.operands.tile(self.backend, plan);
+        Some(self.tiled.get_or_init(tile))
+    }
+
+    /// Splits a batch into its units of evaluation: chunks of
+    /// `plan.lanes` queries against the tiled operands, or single
+    /// queries against the operands as deployed when no plan applies.
+    /// A remainder of one is a solo unit too — packing a single query
+    /// would only add the unpack overhead.
+    fn units<'a>(
+        &'a self,
+        queries: &'a [EncryptedQuery<B>],
+        plan: Option<PackPlan>,
+    ) -> Vec<Unit<'a, B>> {
+        let p = self.model.meta.precision as usize;
+        if let Some(qi) = queries.iter().position(|q| q.planes.len() != p) {
+            panic!("query {qi} does not carry one bit plane per bit of the model's precision {p}");
+        }
+        let tiled = plan.and_then(|_| self.tiled());
+        queries
+            .chunks(plan.map_or(1, |plan| plan.lanes))
+            .map(|chunk| Unit {
+                queries: chunk,
+                operands: tiled
+                    .filter(|_| chunk.len() >= 2)
+                    .unwrap_or(&self.model.operands),
+            })
+            .collect()
     }
 
     /// MatMul options for one call site, with a pre-split `zero_tag`
@@ -702,17 +750,15 @@ impl<'b, B: FheBackend> Sally<'b, B> {
     /// `mat_vec` in a batch draws its all-skipped-fallback randomness
     /// from its own tag, so results cannot depend on scheduling order.
     fn matmul_at(&self, stage: u64, level: u64, unit: u64) -> MatMulOptions {
-        let mut z = self
+        let z = self
             .options
             .matmul
             .zero_tag
             .wrapping_add(stage.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .wrapping_add(level.wrapping_mul(0xBF58_476D_1CE4_E5B9))
             .wrapping_add(unit.wrapping_mul(0x94D0_49BB_1331_11EB));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         MatMulOptions {
-            zero_tag: z ^ (z >> 31),
+            zero_tag: splitmix64_mix(z),
             ..self.options.matmul
         }
     }
@@ -731,19 +777,27 @@ impl<'b, B: FheBackend> Sally<'b, B> {
 
     /// Runs Algorithm 1 over a batch of queries in one pass.
     ///
-    /// Results are identical to calling [`classify`](Sally::classify)
-    /// per query — the per-query operation sequence is unchanged — but
-    /// the pipeline runs *stage-major*: every query of the batch
-    /// finishes a stage (forked across the shared pool) before the
-    /// next stage starts, which is what the `copse-server` batching
-    /// scheduler amortises under concurrent load.
+    /// The batch splits into *units* of `1..=lanes` queries
+    /// (`lanes = 1` unless a [`PackPlan`] applies) and the pipeline
+    /// runs *stage-major* over them: every unit finishes a stage
+    /// (forked across the shared pool) before the next stage starts,
+    /// which is what the `copse-server` batching scheduler amortises
+    /// under concurrent load. Decrypted results are identical to
+    /// calling [`classify`](Sally::classify) per query; without a plan
+    /// the ciphertexts are too — the per-query operation sequence is
+    /// unchanged.
     pub fn classify_batch(&self, queries: &[EncryptedQuery<B>]) -> Vec<EncryptedResult<B>> {
         self.classify_batch_traced(queries).0
     }
 
     /// Runs a batch, additionally reporting one [`EvalTrace`]
     /// aggregated over the whole batch (per-stage wall-clock and
-    /// operation counts summed across queries).
+    /// operation counts summed across units).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a query does not carry one bit plane per bit of the
+    /// model's precision.
     pub fn classify_batch_traced(
         &self,
         queries: &[EncryptedQuery<B>],
@@ -754,13 +808,18 @@ impl<'b, B: FheBackend> Sally<'b, B> {
         if queries.is_empty() {
             return (Vec::new(), trace);
         }
-        // Packed path: only for real batches. A batch of one runs the
-        // sequential circuit below — it *is* the oracle the packing
-        // parity battery compares against.
-        if queries.len() >= 2 {
-            if let Some(plan) = self.pack_plan() {
-                return self.classify_batch_packed(queries, plan);
-            }
+        // Packing is only for real batches: a batch of one is a solo
+        // unit (the oracle the packing parity battery compares against)
+        // and never tiles. `units` tiles — one-time, deploy-like work —
+        // before the pass scope is installed, so per-batch stage ops
+        // stay exact from the first packed batch onwards.
+        let plan = self.plan.filter(|_| queries.len() >= 2);
+        let units = self.units(queries, plan);
+        if plan.is_some() {
+            let lanes = units.iter().map(|unit| unit.queries.len());
+            trace.packed_sizes = lanes
+                .flat_map(|k| std::iter::repeat_n(k as u32, k))
+                .collect();
         }
         // Per-pass meter, installed as the task context for the whole
         // batch: ops recorded by this pass — including those executed
@@ -773,250 +832,69 @@ impl<'b, B: FheBackend> Sally<'b, B> {
         let _span = copse_trace::span("classify_batch");
 
         // Step 1: comparison. Every decision node of every query
-        // thresholds within one stage pass; queries fork across the
-        // shared pool (each query's circuit is untouched, so batch
-        // results stay bitwise identical to per-query evaluation).
-        let (decisions, report) = self.staged(&pass, "stage:comparison", || {
-            map_indices(par, queries.len(), |qi| {
+        // thresholds within one stage pass; units fork across the
+        // shared pool. SecComp is purely slot-wise, so a packed unit's
+        // circuit is literally the solo one over wider ciphertexts.
+        let decisions = staged(&pass, "stage:comparison", &mut trace.comparison, || {
+            map_indices(par, units.len(), |u| {
+                let unit = &units[u];
                 secure_less_than(
                     be,
-                    &queries[qi].planes,
-                    &self.model.thresholds,
+                    &unit.planes(be),
+                    &unit.operands.thresholds,
                     self.options.comparator,
                     par,
                 )
             })
         });
-        trace.comparison = report;
 
-        // Step 2: reshuffle into branch preorder (compiled away when
-        // level matrices were fused with R; then step 3 reads the
-        // decisions directly and nothing is materialised here).
-        let (branches, report) =
-            self.staged(&pass, "stage:reshuffle", || match &self.model.reshuffle {
-                Some(r) => map_indices(par, decisions.len(), |qi| {
-                    mat_vec(be, r, &decisions[qi], self.matmul_at(1, 0, qi as u64), par)
-                }),
-                None => Vec::new(),
-            });
-        trace.reshuffle = report;
+        // Step 2: reshuffle into branch preorder, one (block-rotating,
+        // when packed) MatMul per unit. Compiled away (`None`) when
+        // the level matrices were fused with R; then step 3 reads the
+        // decisions directly.
+        let branches = staged(&pass, "stage:reshuffle", &mut trace.reshuffle, || {
+            map_indices(par, units.len(), |u| {
+                let r = units[u].operands.reshuffle.as_ref()?;
+                let options = self.matmul_at(1, 0, u as u64);
+                Some(mat_vec(be, r, &decisions[u], options, par))
+            })
+        });
 
         // Step 3: per-level select-and-mask. Every level matrix
-        // multiplies the same branch vector, so each query rotates it
-        // once for all of them; queries fork across the pool.
-        let inputs = if self.model.reshuffle.is_some() {
-            &branches
-        } else {
-            &decisions
-        };
-        let (level_results, report) = self.staged(&pass, "stage:levels", || {
-            map_indices(par, inputs.len(), |qi| {
-                self.select_levels(
-                    &self.model.levels,
-                    &self.model.masks,
-                    &inputs[qi],
-                    qi as u64,
-                )
+        // multiplies the same branch vector, so each unit rotates it
+        // once for all of them in one rotation-sharing product, then
+        // XORs each level's mask.
+        let level_results = staged(&pass, "stage:levels", &mut trace.levels, || {
+            map_indices(par, units.len(), |u| -> Vec<B::Ciphertext> {
+                let Operands { levels, masks, .. } = units[u].operands;
+                let input = branches[u].as_ref().unwrap_or(&decisions[u]);
+                let matrices: Vec<&EncodedMatrix<B>> = levels.iter().collect();
+                let options: Vec<MatMulOptions> = (0..levels.len())
+                    .map(|li| self.matmul_at(2, li as u64, u as u64))
+                    .collect();
+                mat_vec_many(be, &matrices, input, &options, par)
+                    .iter()
+                    .zip(masks)
+                    .map(|(selected, mask)| mask.add_into(be, selected))
+                    .collect()
             })
         });
-        trace.levels = report;
 
-        // Step 4: accumulate each query's level results into its label
-        // vector, then optionally scramble it with Sally's secret
-        // permutation (paper §7.2.2; one extra plaintext MatMul).
-        let (results, report) = self.staged(&pass, "stage:accumulate", || {
-            map_indices(par, level_results.len(), |qi| {
-                let labels = self.accumulate(&level_results[qi]);
-                match &self.shuffle {
-                    Some(shuffle) => mat_vec(
-                        be,
-                        &shuffle.matrix,
-                        &labels,
-                        self.matmul_at(3, 0, qi as u64),
-                        par,
-                    ),
-                    None => labels,
+        // Step 4: accumulate each unit's level results into its label
+        // vector (slot-wise, so packed-transparent), optionally
+        // scramble it with Sally's secret permutation (paper §7.2.2;
+        // one extra plaintext MatMul), and split it per query.
+        let results = staged(&pass, "stage:accumulate", &mut trace.accumulate, || {
+            map_indices(par, units.len(), |u| {
+                let mut labels = self.accumulate(&level_results[u]);
+                if let Some(shuffle) = &units[u].operands.shuffle {
+                    labels = mat_vec(be, shuffle, &labels, self.matmul_at(3, 0, u as u64), par);
                 }
+                units[u].split(be, labels, self.model.meta.n_leaves)
             })
         });
-        trace.accumulate = report;
 
-        (
-            results
-                .into_iter()
-                .map(|ct| EncryptedResult { ct })
-                .collect(),
-            trace,
-        )
-    }
-
-    /// The packed-batch pipeline: queries chunk into groups of
-    /// `plan.lanes`, each chunk's operands pack into disjoint slot
-    /// blocks of shared ciphertexts, and the four stages run **once
-    /// per chunk**. Results split back out at the end with one masked
-    /// unpack per query (the extra depth level `pack_plan` budgeted).
-    /// A remainder chunk of one runs the ordinary sequential circuit —
-    /// packing a single query would only add the unpack overhead.
-    fn classify_batch_packed(
-        &self,
-        queries: &[EncryptedQuery<B>],
-        plan: PackPlan,
-    ) -> (Vec<EncryptedResult<B>>, EvalTrace) {
-        let be = self.backend;
-        let par = self.options.parallelism;
-        let mut trace = EvalTrace::default();
-        // Tiling the model is one-time, deploy-like work; build it
-        // before installing the pass scope so per-batch stage ops stay
-        // exact from the first packed batch onwards.
-        let packed = self.packed_model(plan);
-        let pass = Arc::new(OpMeter::new());
-        let _pass_scope = pass.install_scope();
-        let _span = copse_trace::span("classify_batch_packed");
-
-        let (stride, lanes) = (plan.stride, plan.lanes);
-        let full_width = lanes * stride;
-        let chunks: Vec<&[EncryptedQuery<B>]> = queries.chunks(lanes).collect();
-
-        // Step 1: pack each chunk's bit planes lane-wise, then run the
-        // comparator once per chunk against the *tiled* threshold
-        // planes. SecComp is purely slot-wise, so the packed circuit
-        // is literally the sequential one over wider ciphertexts. A
-        // partial chunk still packs at the full tiled width; unused
-        // lanes hold zeros and are never unpacked.
-        let (decisions, report) = self.staged(&pass, "stage:comparison", || {
-            map_indices(par, chunks.len(), |ci| {
-                let chunk = chunks[ci];
-                if chunk.len() >= 2 {
-                    let planes: Vec<B::Ciphertext> = (0..chunk[0].planes.len())
-                        .map(|p| {
-                            let lane_planes: Vec<B::Ciphertext> =
-                                chunk.iter().map(|q| q.planes[p].clone()).collect();
-                            be.pack_blocks(&lane_planes, stride, full_width)
-                        })
-                        .collect();
-                    secure_less_than(
-                        be,
-                        &planes,
-                        &packed.thresholds,
-                        self.options.comparator,
-                        par,
-                    )
-                } else {
-                    secure_less_than(
-                        be,
-                        &chunk[0].planes,
-                        &self.model.thresholds,
-                        self.options.comparator,
-                        par,
-                    )
-                }
-            })
-        });
-        trace.comparison = report;
-
-        // Step 2: reshuffle, one block-rotating MatMul per chunk.
-        let (branches, report) =
-            self.staged(&pass, "stage:reshuffle", || match &self.model.reshuffle {
-                Some(r) => map_indices(par, decisions.len(), |ci| {
-                    let r = if chunks[ci].len() >= 2 {
-                        packed.reshuffle.as_ref().expect("tiled with sequential")
-                    } else {
-                        r
-                    };
-                    mat_vec(be, r, &decisions[ci], self.matmul_at(1, 0, ci as u64), par)
-                }),
-                None => Vec::new(),
-            });
-        trace.reshuffle = report;
-
-        // Step 3: per-level select-and-mask, one shared set of block
-        // rotations per chunk.
-        let inputs = if self.model.reshuffle.is_some() {
-            &branches
-        } else {
-            &decisions
-        };
-        let (level_results, report) = self.staged(&pass, "stage:levels", || {
-            map_indices(par, inputs.len(), |ci| {
-                let (levels, masks) = if chunks[ci].len() >= 2 {
-                    (&packed.levels, &packed.masks)
-                } else {
-                    (&self.model.levels, &self.model.masks)
-                };
-                self.select_levels(levels, masks, &inputs[ci], ci as u64)
-            })
-        });
-        trace.levels = report;
-
-        // Step 4: accumulate (slot-wise, packed-transparent), shuffle
-        // if enabled, then split each chunk back into per-query
-        // results with the backend's cached block masks.
-        let (results, report) = self.staged(&pass, "stage:accumulate", || {
-            map_indices(par, chunks.len(), |ci| -> Vec<B::Ciphertext> {
-                let labels = self.accumulate(&level_results[ci]);
-                if chunks[ci].len() >= 2 {
-                    let shuffled = match &packed.shuffle {
-                        Some(tiled) => {
-                            mat_vec(be, tiled, &labels, self.matmul_at(3, 0, ci as u64), par)
-                        }
-                        None => labels,
-                    };
-                    (0..chunks[ci].len())
-                        .map(|lane| {
-                            be.unpack_block(&shuffled, lane, stride, self.model.meta.n_leaves)
-                        })
-                        .collect()
-                } else {
-                    vec![match &self.shuffle {
-                        Some(shuffle) => mat_vec(
-                            be,
-                            &shuffle.matrix,
-                            &labels,
-                            self.matmul_at(3, 0, ci as u64),
-                            par,
-                        ),
-                        None => labels,
-                    }]
-                }
-            })
-        });
-        trace.accumulate = report;
-        trace.packed_sizes = chunks
-            .iter()
-            .flat_map(|c| std::iter::repeat_n(c.len() as u32, c.len()))
-            .collect();
-
-        (
-            results
-                .into_iter()
-                .flatten()
-                .map(|ct| EncryptedResult { ct })
-                .collect(),
-            trace,
-        )
-    }
-
-    /// Step 3 for one unit of evaluation (a query, or a packed chunk
-    /// against the tiled operands): all level matrices times the same
-    /// branch vector in one rotation-sharing product, then each
-    /// level's mask XOR.
-    fn select_levels(
-        &self,
-        levels: &[EncodedMatrix<B>],
-        masks: &[MaybeEncrypted<B>],
-        input: &B::Ciphertext,
-        unit: u64,
-    ) -> Vec<B::Ciphertext> {
-        let be = self.backend;
-        let matrices: Vec<&EncodedMatrix<B>> = levels.iter().collect();
-        let options: Vec<MatMulOptions> = (0..levels.len())
-            .map(|li| self.matmul_at(2, li as u64, unit))
-            .collect();
-        mat_vec_many(be, &matrices, input, &options, self.options.parallelism)
-            .iter()
-            .zip(masks)
-            .map(|(selected, mask)| mask.add_into(be, selected))
-            .collect()
+        (results.into_iter().flatten().collect(), trace)
     }
 
     fn accumulate(&self, results: &[B::Ciphertext]) -> B::Ciphertext {
@@ -1032,48 +910,50 @@ impl<'b, B: FheBackend> Sally<'b, B> {
             }
             Accumulation::BalancedTree => {
                 let par = self.options.parallelism;
-                let pairs = results.len() / 2;
-                let mut layer =
-                    map_indices(par, pairs, |i| be.mul(&results[2 * i], &results[2 * i + 1]));
-                if results.len() % 2 == 1 {
-                    layer.push(results.last().expect("odd element").clone());
-                }
-                while layer.len() > 1 {
+                // One layer of the tree: adjacent pairs multiply, an
+                // odd last element carries over.
+                let halve = |layer: &[B::Ciphertext]| {
                     let pairs = layer.len() / 2;
                     let mut next =
                         map_indices(par, pairs, |i| be.mul(&layer[2 * i], &layer[2 * i + 1]));
-                    if layer.len() % 2 == 1 {
-                        next.push(layer.last().expect("odd element").clone());
-                    }
-                    layer = next;
+                    next.extend(layer[2 * pairs..].iter().cloned());
+                    next
+                };
+                let mut layer = halve(results);
+                while layer.len() > 1 {
+                    layer = halve(&layer);
                 }
-                layer.into_iter().next().expect("nonempty")
+                layer.pop().expect("nonempty")
             }
         }
     }
+}
 
-    /// Times one pipeline stage and attributes its ops by diffing the
-    /// caller's **per-pass** meter (not the shared backend meter), so
-    /// stage counts are exact even under concurrent evaluations. Each
-    /// stage also opens a named timing span for the Chrome trace view.
-    fn staged<T>(
-        &self,
-        pass: &OpMeter,
-        name: &'static str,
-        f: impl FnOnce() -> T,
-    ) -> (T, StageReport) {
-        let _span = copse_trace::span(name);
-        let before = pass.snapshot();
-        let start = copse_trace::Stopwatch::start();
-        let value = f();
-        (
-            value,
-            StageReport {
-                duration: start.elapsed(),
-                ops: pass.snapshot().since(&before),
-            },
-        )
-    }
+/// Times one pipeline stage into `report` and attributes its ops by
+/// diffing the caller's **per-pass** meter (not the shared backend
+/// meter), so stage counts are exact even under concurrent
+/// evaluations. Each stage also opens a named timing span for the
+/// Chrome trace view.
+fn staged<T>(
+    pass: &OpMeter,
+    name: &'static str,
+    report: &mut StageReport,
+    f: impl FnOnce() -> T,
+) -> T {
+    let _span = copse_trace::span(name);
+    let before = pass.snapshot();
+    let start = copse_trace::Stopwatch::start();
+    let value = f();
+    report.duration = start.elapsed();
+    report.ops = pass.snapshot().since(&before);
+    value
+}
+
+/// The splitmix64 output finalizer.
+fn splitmix64_mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Deterministic Fisher-Yates permutation of `0..n` driven by a
@@ -1082,10 +962,7 @@ fn random_permutation(n: usize, seed: u64) -> Vec<usize> {
     let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut next = move || {
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix64_mix(state)
     };
     let mut perm: Vec<usize> = (0..n).collect();
     for i in (1..n).rev() {
@@ -1722,6 +1599,25 @@ mod tests {
                 be.decrypt(sally.classify(q).ciphertext())
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "query 1 does not carry one bit plane per bit")]
+    fn ragged_batch_is_rejected_naming_the_query() {
+        // Unequal precision inside one packed unit used to index past
+        // the short query's planes; now every query is checked once,
+        // with the same message whether or not the batch packs.
+        let maurice = Maurice::compile(&figure1(), CompileOptions::default()).unwrap();
+        let be = packed_clear_backend(&maurice, ModelForm::Encrypted, 4);
+        let sally = Sally::host(&be, maurice.deploy(&be, ModelForm::Encrypted));
+        assert!(sally.pack_plan().is_some());
+        let diane = Diane::new(&be, maurice.public_query_info());
+        let mut queries: Vec<EncryptedQuery<_>> = [[25u64, 60], [0, 0], [55, 7]]
+            .iter()
+            .map(|q| diane.encrypt_features(q).unwrap())
+            .collect();
+        queries[1].planes.pop();
+        sally.classify_batch(&queries);
     }
 
     #[test]

@@ -28,6 +28,12 @@
 //!    stats snapshot, the metrics exposition, or the flight recorder
 //!    — never interleaved on a stdio stream the embedding process
 //!    owns.
+//! 7. **Algorithm 1 is written once.** Across non-test
+//!    `crates/core/src`, each of the four pipeline-stage span literals
+//!    (`stage:comparison`, `stage:reshuffle`, `stage:levels`,
+//!    `stage:accumulate`, as quoted strings) occurs exactly once: a
+//!    second copy of the evaluation pipeline cannot re-grow beside
+//!    the first without failing the build.
 //!
 //! The scan covers `crates/*/src/**/*.rs` plus the facade's `src/`;
 //! examples, integration tests, and vendored shims are out of scope.
@@ -73,6 +79,7 @@ struct Patterns {
     deque: String,
     print: String,
     println: String,
+    stages: [String; 4],
 }
 
 impl Patterns {
@@ -90,6 +97,8 @@ impl Patterns {
             // macros between the two patterns.
             print: ["print", "!("].concat(),
             println: ["println", "!("].concat(),
+            stages: ["comparison", "reshuffle", "levels", "accumulate"]
+                .map(|stage| ["\"stage", ":", stage, "\""].concat()),
         }
     }
 }
@@ -137,12 +146,10 @@ fn brace_delta(code: &str) -> i64 {
     opens - closes
 }
 
-/// Scans one file's source, returning every finding. `rel_path` is the
-/// workspace-relative path used both for reporting and for rule
-/// selection.
-fn scan_source(rel_path: &str, source: &str, patterns: &Patterns) -> Vec<Finding> {
-    let rules = rules_for(rel_path);
-    let mut findings = Vec::new();
+/// The non-test lines of one file's source as `(line number, raw
+/// line)`: `#[cfg(test)] mod` bodies are skipped.
+fn production_lines(source: &str) -> Vec<(usize, &str)> {
+    let mut lines = Vec::new();
     let mut pending_cfg_test = false;
     let mut skip_depth: Option<i64> = None;
 
@@ -181,11 +188,24 @@ fn scan_source(rel_path: &str, source: &str, patterns: &Patterns) -> Vec<Finding
                 continue;
             }
         }
+        lines.push((idx + 1, raw));
+    }
+    lines
+}
 
+/// Scans one file's source for the per-line rules, returning every
+/// finding. `rel_path` is the workspace-relative path used both for
+/// reporting and for rule selection.
+fn scan_source(rel_path: &str, source: &str, patterns: &Patterns) -> Vec<Finding> {
+    let rules = rules_for(rel_path);
+    let mut findings = Vec::new();
+
+    for (line, raw) in production_lines(source) {
+        let code = strip_comment(raw);
         let mut report = |rule: &'static str| {
             findings.push(Finding {
                 path: rel_path.to_string(),
-                line: idx + 1,
+                line,
                 rule,
                 excerpt: raw.trim().to_string(),
             });
@@ -207,6 +227,39 @@ fn scan_source(rel_path: &str, source: &str, patterns: &Patterns) -> Vec<Finding
         }
         if rules.ban_print && (code.contains(&patterns.print) || code.contains(&patterns.println)) {
             report("server-print");
+        }
+    }
+    findings
+}
+
+/// Rule 7 over the given `(workspace-relative path, source)` files:
+/// each stage-span literal must occur exactly once across the non-test
+/// code of `crates/core/src`. Every site of a repeated literal is a
+/// finding; so is a literal that occurs nowhere.
+fn second_pipeline_findings(files: &[(String, String)], patterns: &Patterns) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for literal in &patterns.stages {
+        let mut sites = Vec::new();
+        for (rel, source) in files.iter().filter(|f| f.0.starts_with("crates/core/src/")) {
+            for (line, raw) in production_lines(source) {
+                let uses = strip_comment(raw).matches(literal.as_str()).count();
+                sites.extend((0..uses).map(|_| Finding {
+                    path: rel.clone(),
+                    line,
+                    rule: "second-pipeline",
+                    excerpt: raw.trim().to_string(),
+                }));
+            }
+        }
+        match sites.len() {
+            1 => {}
+            0 => findings.push(Finding {
+                path: "crates/core/src".to_string(),
+                line: 1,
+                rule: "second-pipeline",
+                excerpt: format!("no pipeline stage opens the {literal} span"),
+            }),
+            _ => findings.extend(sites),
         }
     }
     findings
@@ -252,12 +305,13 @@ fn scan_roots(workspace: &Path) -> Vec<PathBuf> {
 fn scan_workspace(workspace: &Path) -> (Vec<Finding>, usize) {
     let patterns = Patterns::new();
     let mut findings = Vec::new();
-    let mut files = Vec::new();
+    let mut paths = Vec::new();
     for root in scan_roots(workspace) {
-        rust_files(&root, &mut files);
+        rust_files(&root, &mut paths);
     }
-    let scanned = files.len();
-    for path in &files {
+    let scanned = paths.len();
+    let mut files = Vec::new();
+    for path in &paths {
         let rel = path
             .strip_prefix(workspace)
             .unwrap_or(path)
@@ -271,13 +325,15 @@ fn scan_workspace(workspace: &Path) -> (Vec<Finding>, usize) {
         // Rule 4: crate roots must warn on missing docs.
         if rel.ends_with("src/lib.rs") && !source.contains(&patterns.docs) {
             findings.push(Finding {
-                path: rel,
+                path: rel.clone(),
                 line: 1,
                 rule: "missing-docs-warn",
                 excerpt: "crate root lacks the missing_docs warn attribute".to_string(),
             });
         }
+        files.push((rel, source));
     }
+    findings.extend(second_pipeline_findings(&files, &patterns));
     (findings, scanned)
 }
 
@@ -444,6 +500,45 @@ mod tests {
             assert!(scan("crates/server/src/queue.rs", src).is_empty());
             assert!(scan("crates/core/src/runtime.rs", src).is_empty());
         }
+    }
+
+    #[test]
+    fn flags_a_second_pipeline_in_core() {
+        let patterns = Patterns::new();
+        let stage = |i: usize| format!("fn f() {{ staged({}, || ()); }}\n", patterns.stages[i]);
+        let file = |rel: &str, src: String| (rel.to_string(), src);
+        let once: String = (0..4).map(stage).collect();
+        let one = vec![file("crates/core/src/runtime.rs", once.clone())];
+        assert!(second_pipeline_findings(&one, &patterns).is_empty());
+
+        // A second copy of one stage, even in another core file: both
+        // sites are reported.
+        let mut two = one.clone();
+        two.push(file("crates/core/src/packed.rs", stage(2)));
+        let hits = second_pipeline_findings(&two, &patterns);
+        assert_eq!(hits.len(), 2);
+        assert!(hits.iter().all(|f| f.rule == "second-pipeline"));
+        assert_eq!(hits[1].path, "crates/core/src/packed.rs");
+
+        // Out of scope: other crates, tests, comments.
+        let in_test = format!("#[cfg(test)]\nmod tests {{\n{}}}\n", stage(2));
+        let comment = format!("// opens {}\n", patterns.stages[2]);
+        for (rel, src) in [
+            ("crates/bench/src/reports.rs", stage(2)),
+            ("crates/core/src/packed.rs", in_test),
+            ("crates/core/src/packed.rs", comment),
+        ] {
+            let mut files = one.clone();
+            files.push(file(rel, src));
+            assert!(second_pipeline_findings(&files, &patterns).is_empty());
+        }
+
+        // A stage that lost its span is a finding too.
+        let three: String = (0..3).map(stage).collect();
+        let hits =
+            second_pipeline_findings(&[file("crates/core/src/runtime.rs", three)], &patterns);
+        assert_eq!(hits.len(), 1);
+        assert!(hits[0].excerpt.contains("accumulate"));
     }
 
     /// The invariant the linter exists to keep: the workspace itself

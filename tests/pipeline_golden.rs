@@ -1,0 +1,119 @@
+//! Cross-commit byte identity of the evaluation pipeline.
+//!
+//! Solo and batched evaluation share one pipeline (a unit of
+//! `1..=lanes` queries through the same four stages), so no in-tree
+//! comparison of "batched vs per-query" can show that a refactor of
+//! that pipeline kept the bits: both sides move together. This test
+//! pins the result **ciphertext bytes** on real BGV instead. The
+//! constants below were captured at commit `814d9c2`, when
+//! `classify_batch_traced` and `classify_batch_packed` were still two
+//! hand-copied pipelines; they must keep matching across any change
+//! that claims to be structure-only.
+//!
+//! Everything that feeds the backend's randomness stream is fixed: the
+//! `keygen_seed`, and the order keygen → deploy → encrypt `lanes + 1`
+//! queries one after another → `classify_batch`, evaluated
+//! sequentially. `lanes + 1` queries cover one full packed unit plus a
+//! solo remainder under `PackingMode::Auto`, and `lanes + 1` solo
+//! units under `PackingMode::Off`.
+//!
+//! A PR that *legitimately* changes ciphertext bits (ROADMAP items
+//! 1–2: a different rotation or modulus schedule) regenerates the
+//! constants — run the test, copy the hashes out of the failure
+//! message — and is then held to the decrypt-equality regime of
+//! `tests/packing_props.rs` and `tests/bgv_end_to_end.rs` instead.
+
+use copse::core::compiler::CompileOptions;
+use copse::core::runtime::{Diane, EvalOptions, Maurice, ModelForm, PackingMode, Sally};
+use copse::fhe::{BgvBackend, BgvParams, FheBackend};
+use copse::forest::model::Forest;
+
+/// The one-branch model of `tests/packing_props.rs`: its stride fits
+/// several lanes into the 6-slot tiny BGV ring.
+fn one_branch_forest() -> Forest {
+    Forest::parse("precision 4\nlabels no yes\ntree (branch 0 8 (leaf 0) (leaf 1))\n")
+        .expect("valid model")
+}
+
+/// FNV-1a, 64 bit.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Hash of every result ciphertext of one `lanes + 1` batch, in query
+/// order, on a fresh backend.
+fn batch_hash(form: ModelForm, packing: PackingMode, shuffle_seed: Option<u64>) -> u64 {
+    let backend = BgvBackend::new(BgvParams {
+        m: 31,
+        prime_bits: 25,
+        chain_len: 14,
+        ks_digit_bits: 7,
+        error_eta: 2,
+        keygen_seed: 0xE2E,
+    });
+    // The shuffled cases compile fused: the result shuffle costs a
+    // level, and without the reshuffle stage the 14-prime chain still
+    // has the headroom the unpack mask needs, so they pin the packed
+    // shuffle and the fused (no reshuffle stage) branch together.
+    let compile = CompileOptions {
+        fuse_reshuffle: shuffle_seed.is_some(),
+        ..CompileOptions::default()
+    };
+    let maurice = Maurice::compile(&one_branch_forest(), compile).expect("compile");
+    let sally = Sally::with_options(
+        &backend,
+        maurice.deploy(&backend, form),
+        EvalOptions {
+            packing,
+            shuffle_seed,
+            ..EvalOptions::default()
+        },
+    );
+    // The lane count Auto plans for, read off a default-options host
+    // (only public API, so this file runs unchanged at the commit the
+    // constants came from); Off evaluates the same queries solo.
+    let lanes = Sally::host(&backend, sally.model().clone())
+        .pack_plan()
+        .expect("6 slots fit several one-branch lanes")
+        .lanes;
+    assert_eq!(sally.pack_plan().is_some(), packing == PackingMode::Auto);
+    let diane = Diane::new(&backend, sally.client_query_info());
+    let queries: Vec<_> = (0..=lanes as u64)
+        .map(|i| {
+            diane
+                .encrypt_features(&[(i * 5) % 16])
+                .expect("valid query")
+        })
+        .collect();
+    sally
+        .classify_batch(&queries)
+        .iter()
+        .fold(0xCBF2_9CE4_8422_2325, |h, result| {
+            fnv1a(h, &backend.serialize_ciphertext(result.ciphertext()))
+        })
+}
+
+#[test]
+fn result_ciphertext_bytes_match_the_two_pipeline_parent() {
+    use ModelForm::{Encrypted, Plain};
+    use PackingMode::{Auto, Off};
+    let cases = [
+        (Plain, Auto, None, 0xF869_046C_3F2A_51A0_u64),
+        (Plain, Off, None, 0x9E02_D663_C0D5_A7A8),
+        (Encrypted, Auto, None, 0xFE23_A19B_A48A_AF8F),
+        (Encrypted, Off, None, 0x7513_3718_00ED_84B7),
+        (Encrypted, Auto, Some(0xFEED), 0x9CDE_1357_DE0C_CE44),
+        (Encrypted, Off, Some(0xFEED), 0xC9B4_B0B3_F9E9_3896),
+    ];
+    let got: Vec<u64> = cases
+        .iter()
+        .map(|&(form, packing, shuffle, _)| batch_hash(form, packing, shuffle))
+        .collect();
+    let want: Vec<u64> = cases.iter().map(|c| c.3).collect();
+    assert_eq!(
+        got, want,
+        "result ciphertext bytes changed; got {got:#018X?} for {cases:?}"
+    );
+}
