@@ -13,37 +13,54 @@
 //! session handshake ([`Frame::ClientHello`] / [`Frame::ServerHello`]),
 //! model-registry discovery ([`Frame::ListModels`] /
 //! [`Frame::ModelList`]), encrypted queries and results
-//! ([`Frame::Query`] / [`Frame::Result`]), service statistics, errors,
-//! and orderly shutdown. Ciphertext *contents* stay backend-specific —
+//! ([`Frame::Query`] / [`Frame::Result`]), the metrics pull
+//! ([`Frame::MetricsRequest`] / [`Frame::MetricsReport`]), errors, and
+//! orderly shutdown. Ciphertext *contents* stay backend-specific —
 //! frames carry the opaque byte strings produced by
 //! `FheBackend::serialize_ciphertext` — but their framing is fixed
 //! here, so clients and servers can live on opposite ends of a socket.
 //! Every frame starts with the same version byte and a tag; decoding
-//! rejects unknown versions and tags loudly.
+//! rejects any other version and unknown tags loudly. The byte layout
+//! of every message is tabulated once, on [`WIRE_VERSION`].
 
 use crate::runtime::QueryInfo;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 
-/// Current format version. Version 2 widened [`Frame::StatsReport`]
-/// with the server's pool-parallelism degree; version 3 extends it
-/// again with the latency breakdown (queue-wait vs evaluation time
-/// and per-model percentiles); version 4 extends [`Frame::Error`]
-/// with an optional structured deploy-rejection detail
-/// ([`RejectionDetail`]); version 5 adds the overload vocabulary —
-/// the [`Frame::Busy`] load-shed answer ([`ShedDetail`]), the
-/// [`Frame::Query`] deadline budget, and the shed/timeout counters
-/// plus queue-depth gauges in [`Frame::StatsReport`]; version 6 adds
-/// the tracing vocabulary — an optional client-assigned trace id on
-/// [`Frame::Query`], an optional per-query [`ServerTiming`] record on
-/// [`Frame::Result`] / [`Frame::Busy`] / [`Frame::Error`], and the
-/// [`Frame::MetricsRequest`] / [`Frame::MetricsReport`] metrics pull.
-/// Decoding accepts versions 2 through 6; [`encode_frame_versioned`]
-/// can still emit older bytes so a server can keep serving old
-/// clients at the version they spoke first.
+/// The protocol's format version, the first byte of every message.
+/// There is one dialect: a message carrying any other version byte is
+/// [`WireError::BadVersion`].
+///
+/// Integers are big-endian. `str` is a `u16` length plus UTF-8 bytes,
+/// `blob` a `u32` length plus raw bytes, `flag` one byte that is 0 or
+/// 1, and `opt T` a `flag` followed by `T` when the flag is 1. Every
+/// message is `version: u8`, `tag: u8`, then the body below; a frame
+/// body must end exactly where the buffer does.
+///
+/// | message (tag) | body: field, width |
+/// |---|---|
+/// | [`QueryInfo`] (0x51) | `info` (below) |
+/// | `ClientHello` (0x01) | `model: str` |
+/// | `ServerHello` (0x02) | `session: u64`, `encrypted_model: u8`, `info` |
+/// | `ListModels` (0x03) | empty |
+/// | `ModelList` (0x04) | `count: u32`, `count` × `name: str` |
+/// | `Query` (0x05) | `id: u64`, `deadline_ms: u32`, `trace: opt u64`, `count: u32`, `count` × `plane: blob` |
+/// | `Result` (0x06) | `id: u64`, `batch_size: u32`, `ciphertext: blob`, `timing: opt timing` |
+/// | `Error` (0x09) | `message: str`, `detail: opt rejection`, `timing: opt timing` |
+/// | `Bye` (0x0A) | empty |
+/// | `Busy` (0x0B) | `id: u64`, `model: str`, `queue_depth: u32`, `retry_after_ms: u32`, `timing: opt timing` |
+/// | `MetricsRequest` (0x0C) | empty |
+/// | `MetricsReport` (0x0D) | `text: blob` (UTF-8) |
+///
+/// | shared section | fields, width |
+/// |---|---|
+/// | `info` | `max_multiplicity`, `feature_count`, `precision`, `n_leaves`: `u32` each; `labels: u32`, `labels` × `name: str`; `codes: u32`, `codes` × `label: u32` |
+/// | `rejection` | `model: str`, `code: u8`, `required: u64`, `available: u64` |
+/// | `timing` | `worker: u32`, `cause: u8`, `enqueue`, `dequeue`, `assembled`, 4 × `stage`, `encode` nanos: `u64` each; `batch_size: u32`; `peers: u32`, `peers` × `trace: u64` |
+///
+/// Tags 0x07 and 0x08 belonged to a retired binary statistics pair and
+/// stay reserved: they decode as [`WireError::BadTag`].
 pub const WIRE_VERSION: u8 = 6;
-/// Oldest version this build still decodes and can re-encode.
-pub const WIRE_VERSION_MIN: u8 = 2;
 /// Message tag for [`QueryInfo`].
 const TAG_QUERY_INFO: u8 = 0x51;
 /// Session-opening request naming a model.
@@ -58,20 +75,15 @@ const TAG_MODEL_LIST: u8 = 0x04;
 const TAG_QUERY: u8 = 0x05;
 /// Encrypted inference result (one serialized ciphertext).
 const TAG_RESULT: u8 = 0x06;
-/// Service statistics request.
-const TAG_STATS: u8 = 0x07;
-/// Service statistics response.
-const TAG_STATS_REPORT: u8 = 0x08;
 /// Server-side failure description.
 const TAG_ERROR: u8 = 0x09;
 /// Orderly session close.
 const TAG_BYE: u8 = 0x0A;
-/// Load-shed answer: the server refused a query it could not finish
-/// (version 5; older sessions get a plain [`Frame::Error`] instead).
+/// Load-shed answer: the server refused a query it could not finish.
 const TAG_BUSY: u8 = 0x0B;
-/// Metrics-exposition pull request (version 6).
+/// Metrics-exposition pull request.
 const TAG_METRICS_REQUEST: u8 = 0x0C;
-/// Metrics-exposition response: Prometheus-style text (version 6).
+/// Metrics-exposition response: Prometheus-style text.
 const TAG_METRICS_REPORT: u8 = 0x0D;
 
 /// Upper bound a decoder accepts for [`ShedDetail::retry_after_ms`].
@@ -113,16 +125,15 @@ pub enum WireError {
         /// Number of unconsumed bytes.
         extra: usize,
     },
-    /// A presence flag (error detail v4, query trace id v6, server
-    /// timing v6) was neither 0 nor 1.
+    /// A presence flag (error detail, query trace id, server timing)
+    /// was neither 0 nor 1.
     BadDetailFlag(u8),
-    /// An unknown [`RejectionCode`] byte in an error detail (v4).
+    /// An unknown [`RejectionCode`] byte in an error detail.
     BadRejectionCode(u8),
-    /// An unknown [`TimingCause`] byte in a [`ServerTiming`] record
-    /// (v6).
+    /// An unknown [`TimingCause`] byte in a [`ServerTiming`] record.
     BadTimingCause(u8),
     /// A bounded numeric field carried a value outside its documented
-    /// range (v5: `retry_after_ms`, `deadline_ms`). Hostile or corrupt
+    /// range (`retry_after_ms`, `deadline_ms`). Hostile or corrupt
     /// values are rejected at decode so they can never reach backoff
     /// or deadline arithmetic.
     FieldOutOfRange {
@@ -274,7 +285,7 @@ pub fn encode_query_info(info: &QueryInfo) -> Bytes {
 pub fn decode_query_info(mut buf: Bytes) -> Result<QueryInfo, WireError> {
     need(&buf, 2)?;
     let version = buf.get_u8();
-    if !(WIRE_VERSION_MIN..=WIRE_VERSION).contains(&version) {
+    if version != WIRE_VERSION {
         return Err(WireError::BadVersion(version));
     }
     let tag = buf.get_u8();
@@ -288,9 +299,10 @@ pub fn decode_query_info(mut buf: Bytes) -> Result<QueryInfo, WireError> {
 ///
 /// A session is: `ClientHello` → `ServerHello`, then any number of
 /// `Query` → `Result` (or `Error`) exchanges plus optional
-/// `ListModels`/`Stats` requests, ended by `Bye`. Ciphertext fields
-/// hold backend-serialized bytes (`FheBackend::serialize_ciphertext`);
-/// the protocol never looks inside them.
+/// `ListModels`/`MetricsRequest` requests, ended by `Bye`. Ciphertext
+/// fields hold backend-serialized bytes
+/// (`FheBackend::serialize_ciphertext`); the protocol never looks
+/// inside them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Frame {
     /// Opens a session against one registered model.
@@ -321,16 +333,14 @@ pub enum Frame {
         /// Client deadline budget in milliseconds, measured by the
         /// *server* from the moment it reads the frame (clocks are
         /// never compared across the wire — see docs/ROBUSTNESS.md).
-        /// `0` means no deadline. Version-5 extension: older
-        /// encodings omit it and decode as `0`. Values above
-        /// [`MAX_DEADLINE_MS`] are rejected at decode.
+        /// `0` means no deadline. Values above [`MAX_DEADLINE_MS`] are
+        /// rejected at decode.
         deadline_ms: u32,
         /// Client-assigned trace id: `Some` means "trace me" — the
         /// server tags its per-stage spans with this id and returns a
-        /// [`ServerTiming`] record on the answer frame. Version-6
-        /// extension: older encodings omit it and decode as `None`.
-        /// A retried query re-sends the same id, so duplicate ids in
-        /// the server's flight recorder *are* the client's retries.
+        /// [`ServerTiming`] record on the answer frame. A retried
+        /// query re-sends the same id, so duplicate ids in the
+        /// server's flight recorder *are* the client's retries.
         trace: Option<u64>,
         /// Serialized ciphertexts, MSB plane first.
         planes: Vec<Bytes>,
@@ -345,64 +355,19 @@ pub enum Frame {
         /// The serialized N-hot result ciphertext.
         ciphertext: Bytes,
         /// Per-query server-side timing, present iff the query asked
-        /// to be traced (version-6 extension; older encodings omit
-        /// it).
+        /// to be traced.
         timing: Option<ServerTiming>,
-    },
-    /// Asks for service statistics.
-    Stats,
-    /// Service statistics (whole-server, all models).
-    ///
-    /// The latency fields (`queue_wait_nanos`, `eval_nanos`,
-    /// `model_latencies`) are version-3 extensions: a version-2
-    /// encoding omits them and a version-2 body decodes with them
-    /// zeroed/empty.
-    StatsReport {
-        /// Inference queries answered so far.
-        queries_served: u64,
-        /// Evaluation passes run (each serves ≥ 1 query).
-        batches: u64,
-        /// Largest batch coalesced so far.
-        max_batch: u32,
-        /// Parallel degree the server evaluates with (workers of the
-        /// shared `copse-pool` runtime a pass may fork onto; 1 =
-        /// sequential).
-        pool_threads: u32,
-        /// Homomorphic op totals per pipeline stage:
-        /// `[comparison, reshuffle, levels, accumulate]`.
-        stage_ops: [u64; 4],
-        /// Total nanoseconds queries spent waiting in the batching
-        /// queue before an evaluation pass picked them up (v3).
-        queue_wait_nanos: u64,
-        /// Total nanoseconds spent inside evaluation passes,
-        /// attributed per query (v3).
-        eval_nanos: u64,
-        /// Per-model end-to-end latency percentiles (v3).
-        model_latencies: Vec<ModelLatency>,
-        /// Queries refused with [`Frame::Busy`] because their model's
-        /// bounded queue was full (v5).
-        queries_shed: u64,
-        /// Accepted queries shed at dequeue because their deadline
-        /// budget expired in the queue — never evaluated (v5).
-        queries_expired: u64,
-        /// Connections closed by the server's read/write timeouts
-        /// (slow-loris bound, v5).
-        conn_timeouts: u64,
-        /// Per-model live queue-depth gauges and shed counters (v5).
-        queue_depths: Vec<ModelQueueDepth>,
     },
     /// A request failed; the session stays open.
     Error {
         /// Human-readable failure description.
         message: String,
         /// Structured deploy-rejection diagnostic, when the failure is
-        /// a model the static analyzer refused to admit (version-4
-        /// extension; older encodings carry only the message).
+        /// a model the static analyzer refused to admit.
         detail: Option<RejectionDetail>,
         /// Per-query server-side timing for traced queries that ended
         /// in a typed error (expired deadline, failed evaluation) —
-        /// the slow path is exactly the one worth tracing (version-6
-        /// extension; older encodings omit it).
+        /// the slow path is exactly the one worth tracing.
         timing: Option<ServerTiming>,
     },
     /// Orderly session close.
@@ -411,25 +376,21 @@ pub enum Frame {
     /// bounded queue was full when the query arrived. The query was
     /// **not** accepted — retrying after the hinted backoff is safe
     /// and the idiomatic client behaviour (see `RetryPolicy` in
-    /// `copse-server`). Version-5 vocabulary: sessions speaking
-    /// version 4 or older receive a plain [`Frame::Error`] carrying
-    /// the same text instead.
+    /// `copse-server`).
     Busy {
         /// The id of the query being shed.
         id: u64,
         /// Structured overload diagnostic.
         detail: ShedDetail,
         /// Per-query server-side timing for traced queries that were
-        /// shed after acceptance (version-6 extension; older
-        /// encodings omit it; front-door sheds carry one too so a
+        /// shed after acceptance (front-door sheds carry one too so a
         /// traced client can see how fast the refusal was).
         timing: Option<ServerTiming>,
     },
-    /// Asks for the metrics exposition (version 6; older sessions use
-    /// [`Frame::Stats`]).
+    /// Asks for the metrics exposition.
     MetricsRequest,
     /// Every server counter, gauge, and latency histogram rendered in
-    /// Prometheus-style text exposition format (version 6). The
+    /// Prometheus-style text exposition format. The
     /// grammar is documented in `docs/OBSERVABILITY.md`; a
     /// self-contained parser lives in `copse-server::metrics`.
     MetricsReport {
@@ -439,8 +400,7 @@ pub enum Frame {
     },
 }
 
-/// Why a [`ServerTiming`] record's query ended the way it did (wire
-/// version 6).
+/// Why a [`ServerTiming`] record's query ended the way it did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TimingCause {
     /// Evaluated and answered with a [`Frame::Result`].
@@ -483,8 +443,8 @@ impl TimingCause {
     }
 }
 
-/// Compact per-query server-side timing record (wire version 6),
-/// returned on the answer frame of a traced query.
+/// Compact per-query server-side timing record, returned on the
+/// answer frame of a traced query.
 ///
 /// All `*_nanos` fields are **relative** offsets from the moment the
 /// server finished reading the `Query` frame (receive = 0) — client
@@ -523,8 +483,7 @@ pub struct ServerTiming {
     pub batch_peers: Vec<u64>,
 }
 
-/// Why and for how long a [`Frame::Busy`] shed happened (wire
-/// version 5).
+/// Why and for how long a [`Frame::Busy`] shed happened.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShedDetail {
     /// Registry name of the overloaded model.
@@ -538,7 +497,7 @@ pub struct ShedDetail {
     pub retry_after_ms: u32,
 }
 
-/// Why deploy-time admission refused a model (wire version 4).
+/// Why deploy-time admission refused a model.
 ///
 /// Mirrors the verdicts of the `copse-analyze` static circuit
 /// analysis: the compiled pipeline's requirements were checked against
@@ -583,8 +542,7 @@ impl RejectionCode {
     }
 }
 
-/// Structured deploy-rejection diagnostic carried by [`Frame::Error`]
-/// from wire version 4 on.
+/// Structured deploy-rejection diagnostic carried by [`Frame::Error`].
 ///
 /// `required`/`available` quantify the failed check in the code's
 /// units: multiplicative depth levels for
@@ -603,43 +561,6 @@ pub struct RejectionDetail {
     pub available: u64,
 }
 
-/// One model's end-to-end latency summary inside
-/// [`Frame::StatsReport`] (wire version 3).
-///
-/// Percentiles come from the server's log-bucketed
-/// `LatencyHistogram`, so each is the upper bound of the bucket the
-/// rank falls in, capped at the exact maximum.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ModelLatency {
-    /// Registry name of the model.
-    pub model: String,
-    /// Queries this model has answered.
-    pub queries: u64,
-    /// Median end-to-end latency in nanoseconds.
-    pub p50_nanos: u64,
-    /// 90th-percentile latency in nanoseconds.
-    pub p90_nanos: u64,
-    /// 99th-percentile latency in nanoseconds.
-    pub p99_nanos: u64,
-    /// Worst observed latency in nanoseconds (exact).
-    pub max_nanos: u64,
-}
-
-/// One model's live queue gauge inside [`Frame::StatsReport`] (wire
-/// version 5): how deep its bounded job queue currently is and how
-/// many queries it has shed so far.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ModelQueueDepth {
-    /// Registry name of the model.
-    pub model: String,
-    /// Jobs waiting in the model's bounded queue at snapshot time.
-    pub depth: u32,
-    /// Configured bound of that queue.
-    pub capacity: u32,
-    /// Queries this model has refused with [`Frame::Busy`].
-    pub shed: u64,
-}
-
 impl Frame {
     /// The frame's wire tag (exposed for diagnostics).
     pub fn tag(&self) -> u8 {
@@ -650,8 +571,6 @@ impl Frame {
             Frame::ModelList { .. } => TAG_MODEL_LIST,
             Frame::Query { .. } => TAG_QUERY,
             Frame::Result { .. } => TAG_RESULT,
-            Frame::Stats => TAG_STATS,
-            Frame::StatsReport { .. } => TAG_STATS_REPORT,
             Frame::Error { .. } => TAG_ERROR,
             Frame::Bye => TAG_BYE,
             Frame::Busy { .. } => TAG_BUSY,
@@ -742,42 +661,11 @@ fn get_opt_timing(buf: &mut Bytes) -> Result<Option<ServerTiming>, WireError> {
     }
 }
 
-/// Serialises one protocol frame (version byte, tag, body) at the
-/// current [`WIRE_VERSION`].
+/// Serialises one protocol frame: [`WIRE_VERSION`], tag, body (layout
+/// tabulated on [`WIRE_VERSION`]).
 pub fn encode_frame(frame: &Frame) -> Bytes {
-    encode_frame_versioned(frame, WIRE_VERSION)
-}
-
-/// Serialises one protocol frame at an explicit wire version, for
-/// sessions negotiated with an older client: an old peer rejects
-/// *any* frame carrying a newer version byte, so a server answering
-/// such a session must encode every response — not just stats — at
-/// the session's version. Two frames have version-dependent bodies:
-/// [`Frame::StatsReport`] (version 2 drops the latency extension,
-/// versions below 5 drop the overload counters), [`Frame::Error`]
-/// (versions below 4 drop the structured rejection detail, versions
-/// below 6 the timing record), [`Frame::Query`] (versions below 5
-/// drop the deadline budget, versions below 6 the trace id), and
-/// [`Frame::Result`] / [`Frame::Busy`] (versions below 6 drop the
-/// timing record).
-///
-/// # Panics
-///
-/// Panics if `version` is outside
-/// [`WIRE_VERSION_MIN`]`..=`[`WIRE_VERSION`], when asked to encode
-/// [`Frame::Busy`] below version 5 — that frame does not exist in the
-/// older vocabularies, and a server answering an old session must
-/// send a plain [`Frame::Error`] instead (which `copse-server` does)
-/// — or when asked to encode [`Frame::MetricsRequest`] /
-/// [`Frame::MetricsReport`] below version 6 (pre-6 sessions have no
-/// metrics pull; they use [`Frame::Stats`]).
-pub fn encode_frame_versioned(frame: &Frame, version: u8) -> Bytes {
-    assert!(
-        (WIRE_VERSION_MIN..=WIRE_VERSION).contains(&version),
-        "cannot encode wire version {version}"
-    );
     let mut buf = BytesMut::with_capacity(64);
-    buf.put_u8(version);
+    buf.put_u8(WIRE_VERSION);
     buf.put_u8(frame.tag());
     match frame {
         Frame::ClientHello { model } => put_string(&mut buf, model),
@@ -790,7 +678,7 @@ pub fn encode_frame_versioned(frame: &Frame, version: u8) -> Bytes {
             buf.put_u8(u8::from(*encrypted_model));
             put_query_info_body(&mut buf, info);
         }
-        Frame::ListModels | Frame::Stats | Frame::Bye => {}
+        Frame::ListModels | Frame::MetricsRequest | Frame::Bye => {}
         Frame::ModelList { models } => {
             buf.put_u32(models.len() as u32);
             for name in models {
@@ -804,23 +692,12 @@ pub fn encode_frame_versioned(frame: &Frame, version: u8) -> Bytes {
             planes,
         } => {
             buf.put_u64(*id);
-            // The deadline budget exists only from version 5 on; an
-            // older body goes straight from the id to the plane count
-            // (the deadline is silently dropped — an old server would
-            // not have honoured it anyway).
-            if version >= 5 {
-                buf.put_u32(*deadline_ms);
-            }
-            // The trace id exists only from version 6 on; an older
-            // encoding silently drops it (an old server could not
-            // answer with timing anyway).
-            if version >= 6 {
-                match trace {
-                    None => buf.put_u8(0),
-                    Some(trace_id) => {
-                        buf.put_u8(1);
-                        buf.put_u64(*trace_id);
-                    }
+            buf.put_u32(*deadline_ms);
+            match trace {
+                None => buf.put_u8(0),
+                Some(trace_id) => {
+                    buf.put_u8(1);
+                    buf.put_u64(*trace_id);
                 }
             }
             buf.put_u32(planes.len() as u32);
@@ -837,62 +714,7 @@ pub fn encode_frame_versioned(frame: &Frame, version: u8) -> Bytes {
             buf.put_u64(*id);
             buf.put_u32(*batch_size);
             put_blob(&mut buf, ciphertext);
-            // The timing record exists only from version 6 on; a
-            // pre-6 body ends with the ciphertext, byte-identical to
-            // what old peers always parsed.
-            if version >= 6 {
-                put_opt_timing(&mut buf, timing);
-            }
-        }
-        Frame::StatsReport {
-            queries_served,
-            batches,
-            max_batch,
-            pool_threads,
-            stage_ops,
-            queue_wait_nanos,
-            eval_nanos,
-            model_latencies,
-            queries_shed,
-            queries_expired,
-            conn_timeouts,
-            queue_depths,
-        } => {
-            buf.put_u64(*queries_served);
-            buf.put_u64(*batches);
-            buf.put_u32(*max_batch);
-            buf.put_u32(*pool_threads);
-            for &ops in stage_ops {
-                buf.put_u64(ops);
-            }
-            // The latency extension exists only from version 3 on; a
-            // version-2 body ends with the stage ops.
-            if version >= 3 {
-                buf.put_u64(*queue_wait_nanos);
-                buf.put_u64(*eval_nanos);
-                buf.put_u32(model_latencies.len() as u32);
-                for lat in model_latencies {
-                    put_string(&mut buf, &lat.model);
-                    buf.put_u64(lat.queries);
-                    buf.put_u64(lat.p50_nanos);
-                    buf.put_u64(lat.p90_nanos);
-                    buf.put_u64(lat.p99_nanos);
-                    buf.put_u64(lat.max_nanos);
-                }
-            }
-            // The overload counters exist only from version 5 on.
-            if version >= 5 {
-                buf.put_u64(*queries_shed);
-                buf.put_u64(*queries_expired);
-                buf.put_u64(*conn_timeouts);
-                buf.put_u32(queue_depths.len() as u32);
-                for q in queue_depths {
-                    put_string(&mut buf, &q.model);
-                    buf.put_u32(q.depth);
-                    buf.put_u32(q.capacity);
-                    buf.put_u64(q.shed);
-                }
-            }
+            put_opt_timing(&mut buf, timing);
         }
         Frame::Error {
             message,
@@ -900,54 +722,26 @@ pub fn encode_frame_versioned(frame: &Frame, version: u8) -> Bytes {
             timing,
         } => {
             put_string(&mut buf, message);
-            // The structured detail exists only from version 4 on; an
-            // older body is just the message, byte-identical to what
-            // old peers always parsed.
-            if version >= 4 {
-                match detail {
-                    None => buf.put_u8(0),
-                    Some(d) => {
-                        buf.put_u8(1);
-                        put_string(&mut buf, &d.model);
-                        buf.put_u8(d.code.to_byte());
-                        buf.put_u64(d.required);
-                        buf.put_u64(d.available);
-                    }
+            match detail {
+                None => buf.put_u8(0),
+                Some(d) => {
+                    buf.put_u8(1);
+                    put_string(&mut buf, &d.model);
+                    buf.put_u8(d.code.to_byte());
+                    buf.put_u64(d.required);
+                    buf.put_u64(d.available);
                 }
             }
-            if version >= 6 {
-                put_opt_timing(&mut buf, timing);
-            }
+            put_opt_timing(&mut buf, timing);
         }
         Frame::Busy { id, detail, timing } => {
-            assert!(
-                version >= 5,
-                "Busy has no encoding below wire version 5; \
-                 answer old sessions with Frame::Error instead"
-            );
             buf.put_u64(*id);
             put_string(&mut buf, &detail.model);
             buf.put_u32(detail.queue_depth);
             buf.put_u32(detail.retry_after_ms.min(MAX_RETRY_AFTER_MS));
-            // A v5 Busy body ends with the backoff hint; the timing
-            // record exists only from version 6 on.
-            if version >= 6 {
-                put_opt_timing(&mut buf, timing);
-            }
-        }
-        Frame::MetricsRequest => {
-            assert!(
-                version >= 6,
-                "the metrics pull has no encoding below wire version 6; \
-                 old sessions use Frame::Stats instead"
-            );
+            put_opt_timing(&mut buf, timing);
         }
         Frame::MetricsReport { text } => {
-            assert!(
-                version >= 6,
-                "the metrics pull has no encoding below wire version 6; \
-                 old sessions use Frame::Stats instead"
-            );
             // A u32 length prefix (not the u16 string prefix): a full
             // exposition document easily outgrows 64 KiB.
             put_blob(&mut buf, text.as_bytes());
@@ -960,23 +754,13 @@ pub fn encode_frame_versioned(frame: &Frame, version: u8) -> Bytes {
 ///
 /// # Errors
 ///
-/// Returns a [`WireError`] on truncation, an unknown version byte, an
-/// unknown tag, invalid UTF-8, or out-of-range codebook entries.
-pub fn decode_frame(buf: Bytes) -> Result<Frame, WireError> {
-    decode_frame_with_version(buf).map(|(frame, _)| frame)
-}
-
-/// Parses one protocol frame, also reporting the wire version it was
-/// encoded at — the server uses this to remember which version a
-/// session's client speaks and answer in kind.
-///
-/// # Errors
-///
-/// Same as [`decode_frame`].
-pub fn decode_frame_with_version(mut buf: Bytes) -> Result<(Frame, u8), WireError> {
+/// Returns a [`WireError`] on truncation, a version byte other than
+/// [`WIRE_VERSION`], an unknown tag, invalid UTF-8, an out-of-range
+/// field, or bytes left over after the body.
+pub fn decode_frame(mut buf: Bytes) -> Result<Frame, WireError> {
     need(&buf, 2)?;
     let version = buf.get_u8();
-    if !(WIRE_VERSION_MIN..=WIRE_VERSION).contains(&version) {
+    if version != WIRE_VERSION {
         return Err(WireError::BadVersion(version));
     }
     let tag = buf.get_u8();
@@ -1007,30 +791,21 @@ pub fn decode_frame_with_version(mut buf: Bytes) -> Result<(Frame, u8), WireErro
         TAG_QUERY => {
             need(&buf, 12)?;
             let id = buf.get_u64();
-            let deadline_ms = if version >= 5 {
-                let ms = buf.get_u32();
-                if ms > MAX_DEADLINE_MS {
-                    return Err(WireError::FieldOutOfRange {
-                        field: "deadline_ms",
-                        value: u64::from(ms),
-                    });
+            let deadline_ms = buf.get_u32();
+            if deadline_ms > MAX_DEADLINE_MS {
+                return Err(WireError::FieldOutOfRange {
+                    field: "deadline_ms",
+                    value: u64::from(deadline_ms),
+                });
+            }
+            need(&buf, 1)?;
+            let trace = match buf.get_u8() {
+                0 => None,
+                1 => {
+                    need(&buf, 8)?;
+                    Some(buf.get_u64())
                 }
-                ms
-            } else {
-                0
-            };
-            let trace = if version >= 6 {
-                need(&buf, 1)?;
-                match buf.get_u8() {
-                    0 => None,
-                    1 => {
-                        need(&buf, 8)?;
-                        Some(buf.get_u64())
-                    }
-                    other => return Err(WireError::BadDetailFlag(other)),
-                }
-            } else {
-                None
+                other => return Err(WireError::BadDetailFlag(other)),
             };
             need(&buf, 4)?;
             let n = buf.get_u32() as usize;
@@ -1050,122 +825,39 @@ pub fn decode_frame_with_version(mut buf: Bytes) -> Result<(Frame, u8), WireErro
             let id = buf.get_u64();
             let batch_size = buf.get_u32();
             let ciphertext = get_blob(&mut buf)?;
-            let timing = if version >= 6 {
-                get_opt_timing(&mut buf)?
-            } else {
-                None
-            };
             Frame::Result {
                 id,
                 batch_size,
                 ciphertext,
-                timing,
-            }
-        }
-        TAG_STATS => Frame::Stats,
-        TAG_STATS_REPORT => {
-            need(&buf, 56)?;
-            let queries_served = buf.get_u64();
-            let batches = buf.get_u64();
-            let max_batch = buf.get_u32();
-            let pool_threads = buf.get_u32();
-            let mut stage_ops = [0u64; 4];
-            for slot in &mut stage_ops {
-                *slot = buf.get_u64();
-            }
-            let (mut queue_wait_nanos, mut eval_nanos) = (0u64, 0u64);
-            let mut model_latencies = Vec::new();
-            if version >= 3 {
-                need(&buf, 20)?;
-                queue_wait_nanos = buf.get_u64();
-                eval_nanos = buf.get_u64();
-                let n = buf.get_u32() as usize;
-                model_latencies.reserve(n.min(1024));
-                for _ in 0..n {
-                    let model = get_string(&mut buf)?;
-                    need(&buf, 40)?;
-                    model_latencies.push(ModelLatency {
-                        model,
-                        queries: buf.get_u64(),
-                        p50_nanos: buf.get_u64(),
-                        p90_nanos: buf.get_u64(),
-                        p99_nanos: buf.get_u64(),
-                        max_nanos: buf.get_u64(),
-                    });
-                }
-            }
-            let (mut queries_shed, mut queries_expired, mut conn_timeouts) = (0u64, 0u64, 0u64);
-            let mut queue_depths = Vec::new();
-            if version >= 5 {
-                need(&buf, 28)?;
-                queries_shed = buf.get_u64();
-                queries_expired = buf.get_u64();
-                conn_timeouts = buf.get_u64();
-                let n = buf.get_u32() as usize;
-                queue_depths.reserve(n.min(1024));
-                for _ in 0..n {
-                    let model = get_string(&mut buf)?;
-                    need(&buf, 16)?;
-                    queue_depths.push(ModelQueueDepth {
-                        model,
-                        depth: buf.get_u32(),
-                        capacity: buf.get_u32(),
-                        shed: buf.get_u64(),
-                    });
-                }
-            }
-            Frame::StatsReport {
-                queries_served,
-                batches,
-                max_batch,
-                pool_threads,
-                stage_ops,
-                queue_wait_nanos,
-                eval_nanos,
-                model_latencies,
-                queries_shed,
-                queries_expired,
-                conn_timeouts,
-                queue_depths,
+                timing: get_opt_timing(&mut buf)?,
             }
         }
         TAG_ERROR => {
             let message = get_string(&mut buf)?;
-            let detail = if version >= 4 {
-                need(&buf, 1)?;
-                match buf.get_u8() {
-                    0 => None,
-                    1 => {
-                        let model = get_string(&mut buf)?;
-                        need(&buf, 17)?;
-                        let code = RejectionCode::from_byte(buf.get_u8())?;
-                        Some(RejectionDetail {
-                            model,
-                            code,
-                            required: buf.get_u64(),
-                            available: buf.get_u64(),
-                        })
-                    }
-                    other => return Err(WireError::BadDetailFlag(other)),
+            need(&buf, 1)?;
+            let detail = match buf.get_u8() {
+                0 => None,
+                1 => {
+                    let model = get_string(&mut buf)?;
+                    need(&buf, 17)?;
+                    let code = RejectionCode::from_byte(buf.get_u8())?;
+                    Some(RejectionDetail {
+                        model,
+                        code,
+                        required: buf.get_u64(),
+                        available: buf.get_u64(),
+                    })
                 }
-            } else {
-                None
-            };
-            let timing = if version >= 6 {
-                get_opt_timing(&mut buf)?
-            } else {
-                None
+                other => return Err(WireError::BadDetailFlag(other)),
             };
             Frame::Error {
                 message,
                 detail,
-                timing,
+                timing: get_opt_timing(&mut buf)?,
             }
         }
         TAG_BYE => Frame::Bye,
-        // Busy entered the vocabulary at version 5: a lower version
-        // byte claiming the tag is framing corruption, not a frame.
-        TAG_BUSY if version >= 5 => {
+        TAG_BUSY => {
             need(&buf, 8)?;
             let id = buf.get_u64();
             let model = get_string(&mut buf)?;
@@ -1178,11 +870,6 @@ pub fn decode_frame_with_version(mut buf: Bytes) -> Result<(Frame, u8), WireErro
                     value: u64::from(retry_after_ms),
                 });
             }
-            let timing = if version >= 6 {
-                get_opt_timing(&mut buf)?
-            } else {
-                None
-            };
             Frame::Busy {
                 id,
                 detail: ShedDetail {
@@ -1190,14 +877,11 @@ pub fn decode_frame_with_version(mut buf: Bytes) -> Result<(Frame, u8), WireErro
                     queue_depth,
                     retry_after_ms,
                 },
-                timing,
+                timing: get_opt_timing(&mut buf)?,
             }
         }
-        // The metrics pull entered the vocabulary at version 6: a
-        // lower version byte claiming these tags is framing
-        // corruption, not a frame.
-        TAG_METRICS_REQUEST if version >= 6 => Frame::MetricsRequest,
-        TAG_METRICS_REPORT if version >= 6 => {
+        TAG_METRICS_REQUEST => Frame::MetricsRequest,
+        TAG_METRICS_REPORT => {
             let raw = get_blob(&mut buf)?;
             let text = String::from_utf8(raw.to_vec()).map_err(|_| WireError::BadString)?;
             Frame::MetricsReport { text }
@@ -1209,7 +893,7 @@ pub fn decode_frame_with_version(mut buf: Bytes) -> Result<(Frame, u8), WireErro
             extra: buf.remaining(),
         });
     }
-    Ok((frame, version))
+    Ok(frame)
 }
 
 #[cfg(test)]
@@ -1258,11 +942,13 @@ mod tests {
     fn version_and_tag_checked() {
         let encoded = encode_query_info(&sample_info());
         let mut bad = encoded.to_vec();
-        bad[0] = 9;
-        assert_eq!(
-            decode_query_info(Bytes::from(bad.clone())).unwrap_err(),
-            WireError::BadVersion(9)
-        );
+        for version in [WIRE_VERSION - 1, 9] {
+            bad[0] = version;
+            assert_eq!(
+                decode_query_info(Bytes::from(bad.clone())).unwrap_err(),
+                WireError::BadVersion(version)
+            );
+        }
         bad[0] = WIRE_VERSION;
         bad[1] = 0x00;
         assert_eq!(
@@ -1329,48 +1015,11 @@ mod tests {
                 ciphertext: Bytes::from(vec![9u8; 33]),
                 timing: Some(sample_timing()),
             },
-            Frame::Stats,
             Frame::MetricsRequest,
             Frame::MetricsReport {
                 text: "# TYPE copse_queries_served counter\n\
                        copse_queries_served 1000003\n"
                     .into(),
-            },
-            Frame::StatsReport {
-                queries_served: 1_000_003,
-                batches: 250_001,
-                max_batch: 8,
-                pool_threads: 16,
-                stage_ops: [10, 20, 30, 40],
-                queue_wait_nanos: 5_500_000,
-                eval_nanos: 77_000_000,
-                model_latencies: vec![
-                    ModelLatency {
-                        model: "income5".into(),
-                        queries: 640_000,
-                        p50_nanos: 1 << 20,
-                        p90_nanos: 1 << 21,
-                        p99_nanos: 1 << 22,
-                        max_nanos: 5_123_456,
-                    },
-                    ModelLatency {
-                        model: "µ-bench".into(),
-                        queries: 3,
-                        p50_nanos: 999,
-                        p90_nanos: 999,
-                        p99_nanos: 999,
-                        max_nanos: 999,
-                    },
-                ],
-                queries_shed: 4_200,
-                queries_expired: 17,
-                conn_timeouts: 3,
-                queue_depths: vec![ModelQueueDepth {
-                    model: "income5".into(),
-                    depth: 12,
-                    capacity: 64,
-                    shed: 4_200,
-                }],
             },
             Frame::Busy {
                 id: 99,
@@ -1415,60 +1064,6 @@ mod tests {
         ]
     }
 
-    /// The frame an old-session decode is expected to yield: the same
-    /// frame with every field the version's vocabulary lacks dropped
-    /// to its decode default.
-    fn downgraded(frame: &Frame, version: u8) -> Frame {
-        let mut f = frame.clone();
-        match &mut f {
-            Frame::Query {
-                deadline_ms, trace, ..
-            } => {
-                if version < 5 {
-                    *deadline_ms = 0;
-                }
-                if version < 6 {
-                    *trace = None;
-                }
-            }
-            Frame::Result { timing, .. } | Frame::Busy { timing, .. } if version < 6 => {
-                *timing = None;
-            }
-            Frame::Error { detail, timing, .. } => {
-                if version < 4 {
-                    *detail = None;
-                }
-                if version < 6 {
-                    *timing = None;
-                }
-            }
-            Frame::StatsReport {
-                queue_wait_nanos,
-                eval_nanos,
-                model_latencies,
-                queries_shed,
-                queries_expired,
-                conn_timeouts,
-                queue_depths,
-                ..
-            } => {
-                if version < 3 {
-                    *queue_wait_nanos = 0;
-                    *eval_nanos = 0;
-                    model_latencies.clear();
-                }
-                if version < 5 {
-                    *queries_shed = 0;
-                    *queries_expired = 0;
-                    *conn_timeouts = 0;
-                    queue_depths.clear();
-                }
-            }
-            _ => {}
-        }
-        f
-    }
-
     #[test]
     fn every_frame_roundtrips() {
         for frame in sample_frames() {
@@ -1488,81 +1083,28 @@ mod tests {
         assert_eq!(tags.len(), n, "duplicate frame tag");
     }
 
-    /// Oldest version a frame can be encoded at ([`Frame::Busy`]
-    /// entered the vocabulary at 5, the metrics pull at 6; everything
-    /// else downgrades).
-    fn min_encodable_version(frame: &Frame) -> u8 {
-        match frame {
-            Frame::Busy { .. } => 5,
-            Frame::MetricsRequest | Frame::MetricsReport { .. } => 6,
-            _ => WIRE_VERSION_MIN,
-        }
-    }
-
     #[test]
     fn frame_truncation_detected_at_every_length() {
         for frame in sample_frames() {
-            for version in [min_encodable_version(&frame), WIRE_VERSION] {
-                let encoded = encode_frame_versioned(&frame, version);
-                for cut in 0..encoded.len() {
-                    let err = decode_frame(encoded.slice(0..cut)).unwrap_err();
-                    assert_eq!(
-                        err,
-                        WireError::Truncated,
-                        "{frame:?} v{version} cut at {cut}"
-                    );
-                }
+            let encoded = encode_frame(&frame);
+            for cut in 0..encoded.len() {
+                let err = decode_frame(encoded.slice(0..cut)).unwrap_err();
+                assert_eq!(err, WireError::Truncated, "{frame:?} cut at {cut}");
             }
         }
     }
 
     #[test]
-    fn busy_tag_on_a_pre_v5_session_is_a_bad_tag() {
-        // A v4 (or older) session never negotiated the overload
-        // vocabulary, so a Busy tag arriving with an old version byte
-        // is hostile input, not a frame.
-        let frame = Frame::Busy {
-            id: 7,
-            detail: ShedDetail {
-                model: "income5".into(),
-                queue_depth: 8,
-                retry_after_ms: 100,
-            },
-            timing: None,
-        };
-        // Encode at v5 (not current) so the body carries no v6 tail:
-        // the test is about the tag gate, not trailing bytes.
-        let mut bytes = encode_frame_versioned(&frame, 5).to_vec();
-        for version in WIRE_VERSION_MIN..5 {
-            bytes[0] = version;
+    fn retired_stats_tags_are_bad_tags() {
+        // 0x07/0x08 carried a binary statistics pair the metrics pull
+        // replaced; the tags stay reserved so they can never be reused
+        // for something an old peer would misparse.
+        for tag in [0x07u8, 0x08] {
+            assert!(sample_frames().iter().all(|f| f.tag() != tag));
             assert_eq!(
-                decode_frame(Bytes::from(bytes.clone())).unwrap_err(),
-                WireError::BadTag(TAG_BUSY),
-                "v{version}"
+                decode_frame(Bytes::from(vec![WIRE_VERSION, tag])).unwrap_err(),
+                WireError::BadTag(tag)
             );
-        }
-    }
-
-    #[test]
-    fn metrics_tags_on_a_pre_v6_session_are_bad_tags() {
-        // Pre-6 sessions never negotiated the metrics pull, so these
-        // tags arriving with an old version byte are hostile input.
-        for frame in [
-            Frame::MetricsRequest,
-            Frame::MetricsReport {
-                text: "x 1\n".into(),
-            },
-        ] {
-            let mut bytes = encode_frame(&frame).to_vec();
-            let tag = frame.tag();
-            for version in WIRE_VERSION_MIN..6 {
-                bytes[0] = version;
-                assert_eq!(
-                    decode_frame(Bytes::from(bytes.clone())).unwrap_err(),
-                    WireError::BadTag(tag),
-                    "v{version}"
-                );
-            }
         }
     }
 
@@ -1603,8 +1145,7 @@ mod tests {
             },
             timing: None,
         };
-        let (decoded, _) = decode_frame_with_version(encode_frame(&frame)).unwrap();
-        match decoded {
+        match decode_frame(encode_frame(&frame)).unwrap() {
             Frame::Busy { detail, .. } => assert_eq!(detail.retry_after_ms, MAX_RETRY_AFTER_MS),
             other => panic!("expected Busy, got {other:?}"),
         }
@@ -1612,7 +1153,7 @@ mod tests {
 
     #[test]
     fn oversized_query_deadline_is_rejected() {
-        // deadline_ms sits right after the 8-byte query id at v5.
+        // deadline_ms sits right after the 8-byte query id.
         let frame = Frame::Query {
             id: 3,
             deadline_ms: 0,
@@ -1630,140 +1171,94 @@ mod tests {
         );
     }
 
-    #[test]
-    fn v2_sessions_still_roundtrip_every_frame() {
-        // A version-2 encoding of any frame decodes, and the decoder
-        // reports the version so the server can answer in kind. Every
-        // field the v2 vocabulary lacks (latency stats, overload
-        // counters, rejection detail, deadline, trace id, timing) is
-        // dropped; everything else survives. Busy and the metrics
-        // pull have no pre-5/pre-6 encoding and are skipped here.
-        for frame in sample_frames() {
-            if min_encodable_version(&frame) > 2 {
-                continue;
-            }
-            let encoded = encode_frame_versioned(&frame, 2);
-            assert_eq!(encoded[0], 2, "old clients check this byte first");
-            let (decoded, version) = decode_frame_with_version(encoded).unwrap();
-            assert_eq!(version, 2);
-            assert_eq!(decoded, downgraded(&frame, 2), "{frame:?}");
-        }
+    /// FNV-1a, 64 bit.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    /// Encoded length of an optional timing record: the flag, then
+    /// worker(4) + cause(1) + 8 × u64 + batch_size(4) + count(4) +
+    /// peers.
+    fn timing_len(timing: &Option<ServerTiming>) -> usize {
+        1 + timing
+            .as_ref()
+            .map_or(0, |t| 4 + 1 + 8 * 8 + 4 + 4 + 8 * t.batch_peers.len())
     }
 
     #[test]
-    fn v2_stats_report_body_is_byte_identical_to_the_old_format() {
-        // The legacy body layout old clients parse: 8+8+4+4+4*8 = 56
-        // bytes after the two header bytes, nothing more.
-        let frame = sample_frames()
-            .into_iter()
-            .find(|f| matches!(f, Frame::StatsReport { .. }))
-            .unwrap();
-        let encoded = encode_frame_versioned(&frame, 2);
-        assert_eq!(encoded.len(), 2 + 56);
-    }
+    fn v6_encodings_are_pinned() {
+        // Hashes captured at 3886199, the last commit that also spoke
+        // v2-v5, in `sample_frames()` order: the format survived the
+        // collapse to one dialect byte for byte.
+        let want: [u64; 11] = [
+            0x3B17_3B5C_D4CA_BFA9, // ClientHello
+            0x2A9A_07C4_BF81_7AC3, // ServerHello
+            0x082B_BD07_B4E5_AB4E, // ListModels
+            0xA0D0_840C_C274_CE18, // ModelList
+            0x2230_C1FB_2B9F_8280, // Query
+            0x9C52_F966_BCD5_5560, // Result
+            0x082B_B807_B4E5_A2CF, // MetricsRequest
+            0xDF01_085F_7B37_02C4, // MetricsReport
+            0xEAD3_5DDE_6008_D941, // Busy
+            0x9431_4F60_89E5_A5E7, // Error
+            0x082B_B607_B4E5_9F69, // Bye
+        ];
+        let got: Vec<u64> = sample_frames()
+            .iter()
+            .map(|f| fnv1a(&encode_frame(f)))
+            .collect();
+        assert_eq!(got, want, "frame bytes changed; got {got:#018X?}");
+        assert_eq!(
+            fnv1a(&encode_query_info(&sample_info())),
+            0x4783_82C8_202A_AC1F,
+            "QueryInfo bytes changed"
+        );
 
-    #[test]
-    fn current_frames_decode_as_the_current_version() {
-        for frame in sample_frames() {
-            let (decoded, version) = decode_frame_with_version(encode_frame(&frame)).unwrap();
-            assert_eq!(version, WIRE_VERSION);
-            assert_eq!(decoded, frame);
-        }
-    }
-
-    #[test]
-    fn v3_and_v4_sessions_drop_only_the_fields_their_version_lacks() {
-        // v3 keeps the latency stats but drops the v4 error detail and
-        // everything v5/v6 added; v4 additionally keeps the error
-        // detail. Busy and the metrics pull cannot be encoded at
-        // these versions and are skipped.
-        for version in [3u8, 4] {
-            for frame in sample_frames() {
-                if min_encodable_version(&frame) > version {
-                    continue;
-                }
-                let encoded = encode_frame_versioned(&frame, version);
-                let (decoded, seen) = decode_frame_with_version(encoded).unwrap();
-                assert_eq!(seen, version);
-                assert_eq!(decoded, downgraded(&frame, version), "v{version} {frame:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn v5_sessions_drop_only_the_v6_trace_fields() {
-        // A v5 session keeps everything up to the overload vocabulary
-        // but must never see a trace id or a ServerTiming record.
-        for frame in sample_frames() {
-            if min_encodable_version(&frame) > 5 {
-                continue;
-            }
-            let encoded = encode_frame_versioned(&frame, 5);
-            let (decoded, seen) = decode_frame_with_version(encoded).unwrap();
-            assert_eq!(seen, 5);
-            let expected = downgraded(&frame, 5);
-            assert_eq!(decoded, expected, "{frame:?}");
-            // The samples for the extended frames genuinely carry the
-            // v6 fields, so the downgrade must actually bite.
-            if matches!(
-                frame,
-                Frame::Query { .. }
-                    | Frame::Result { .. }
-                    | Frame::Busy { .. }
-                    | Frame::Error { .. }
-            ) {
-                assert_ne!(expected, frame, "sample lost no v6 field: {frame:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn v5_bodies_are_byte_identical_to_the_pre_v6_format() {
-        // Byte-layout pins for every frame the v6 vocabulary extended:
-        // a v5 session's bytes must be exactly what a v5 build wrote.
+        // Length pins for the frames with optional sections, derived
+        // from the layout table on WIRE_VERSION.
         for frame in sample_frames() {
             let expected = match &frame {
-                Frame::Query {
-                    deadline_ms: _,
-                    planes,
-                    ..
-                } => {
-                    // header(2) + id(8) + deadline(4) + count(4) + blobs
-                    Some(2 + 8 + 4 + 4 + planes.iter().map(|p| 4 + p.len()).sum::<usize>())
+                Frame::Query { trace, planes, .. } => {
+                    let trace_len = 1 + trace.map_or(0, |_| 8);
+                    2 + 8 + 4 + trace_len + 4 + planes.iter().map(|p| 4 + p.len()).sum::<usize>()
                 }
-                Frame::Result { ciphertext, .. } => Some(2 + 8 + 4 + 4 + ciphertext.len()),
-                Frame::Busy { detail, .. } => Some(2 + 8 + 2 + detail.model.len() + 4 + 4),
+                Frame::Result {
+                    ciphertext, timing, ..
+                } => 2 + 8 + 4 + 4 + ciphertext.len() + timing_len(timing),
+                Frame::Busy { detail, timing, .. } => {
+                    2 + 8 + 2 + detail.model.len() + 4 + 4 + timing_len(timing)
+                }
                 Frame::Error {
                     message,
-                    detail: Some(d),
-                    ..
+                    detail,
+                    timing,
                 } => {
-                    // header + message + flag(1) + model + code(1)
-                    // + required(8) + available(8)
-                    Some(2 + 2 + message.len() + 1 + 2 + d.model.len() + 1 + 8 + 8)
+                    // flag(1), then model + code(1) + required(8) +
+                    // available(8) when present.
+                    let detail_len =
+                        1 + detail.as_ref().map_or(0, |d| 2 + d.model.len() + 1 + 8 + 8);
+                    2 + 2 + message.len() + detail_len + timing_len(timing)
                 }
-                _ => None,
+                _ => continue,
             };
-            if let Some(expected) = expected {
-                let encoded = encode_frame_versioned(&frame, 5);
-                assert_eq!(encoded.len(), expected, "{frame:?}");
-            }
+            assert_eq!(encode_frame(&frame).len(), expected, "{frame:?}");
         }
     }
 
     #[test]
-    fn error_without_detail_roundtrips_at_every_version() {
+    fn error_without_detail_roundtrips() {
+        // `sample_frames()` only carries an Error with every optional
+        // section present; this is the all-absent body.
         let frame = Frame::Error {
             message: "unknown model `chess`".into(),
             detail: None,
             timing: None,
         };
-        for version in WIRE_VERSION_MIN..=WIRE_VERSION {
-            let (decoded, seen) =
-                decode_frame_with_version(encode_frame_versioned(&frame, version)).unwrap();
-            assert_eq!(seen, version);
-            assert_eq!(decoded, frame);
-        }
+        let encoded = encode_frame(&frame);
+        assert_eq!(encoded.len(), 2 + 2 + "unknown model `chess`".len() + 1 + 1);
+        assert_eq!(decode_frame(encoded).unwrap(), frame);
     }
 
     #[test]
@@ -1903,27 +1398,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no encoding below wire version 6")]
-    fn encoding_a_metrics_frame_below_v6_is_refused() {
-        let _ = encode_frame_versioned(&Frame::MetricsRequest, 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot encode wire version")]
-    fn encoding_an_unknown_version_is_refused() {
-        let _ = encode_frame_versioned(&Frame::Bye, 1);
-    }
-
-    #[test]
     fn frame_version_and_tag_checked() {
+        // One dialect: every byte but WIRE_VERSION is refused, the
+        // neighbours 5 and 7 like any other.
         for frame in sample_frames() {
-            let encoded = encode_frame(&frame).to_vec();
-            let mut bad_version = encoded.clone();
-            bad_version[0] = 0xEE;
-            assert_eq!(
-                decode_frame(Bytes::from(bad_version)).unwrap_err(),
-                WireError::BadVersion(0xEE)
-            );
+            let mut bad_version = encode_frame(&frame).to_vec();
+            for version in (0..=u8::MAX).filter(|&v| v != WIRE_VERSION) {
+                bad_version[0] = version;
+                assert_eq!(
+                    decode_frame(Bytes::from(bad_version.clone())).unwrap_err(),
+                    WireError::BadVersion(version)
+                );
+            }
         }
         let mut bad_tag = encode_frame(&Frame::Bye).to_vec();
         bad_tag[1] = 0x7F;

@@ -34,6 +34,13 @@
 //!    `stage:accumulate`, as quoted strings) occurs exactly once: a
 //!    second copy of the evaluation pipeline cannot re-grow beside
 //!    the first without failing the build.
+//! 8. **The wire speaks one dialect.** In non-test
+//!    `crates/core/src/wire.rs` and `crates/server/src`, no code
+//!    branches on a wire version (`version >=`, `version <`), calls a
+//!    `_versioned(` codec entry point, or names an oldest-accepted
+//!    version (`WIRE_VERSION` suffixed `_MIN`): a frame carries
+//!    `WIRE_VERSION` or is refused, so a second dialect cannot re-grow
+//!    beside the first.
 //!
 //! The scan covers `crates/*/src/**/*.rs` plus the facade's `src/`;
 //! examples, integration tests, and vendored shims are out of scope.
@@ -80,6 +87,7 @@ struct Patterns {
     print: String,
     println: String,
     stages: [String; 4],
+    dialect: [String; 4],
 }
 
 impl Patterns {
@@ -99,6 +107,12 @@ impl Patterns {
             println: ["println", "!("].concat(),
             stages: ["comparison", "reshuffle", "levels", "accumulate"]
                 .map(|stage| ["\"stage", ":", stage, "\""].concat()),
+            dialect: [
+                ["version", " >="].concat(),
+                ["version", " <"].concat(),
+                ["_version", "ed("].concat(),
+                ["WIRE_VERSION", "_MIN"].concat(),
+            ],
         }
     }
 }
@@ -112,6 +126,7 @@ struct RuleSet {
     ban_panics: bool,
     ban_unbounded: bool,
     ban_print: bool,
+    ban_dialect: bool,
 }
 
 fn rules_for(rel_path: &str) -> RuleSet {
@@ -126,6 +141,8 @@ fn rules_for(rel_path: &str) -> RuleSet {
         // Binaries own their stdio; library code embedded in someone
         // else's process does not.
         ban_print: server && !rel_path.contains("/bin/") && !rel_path.ends_with("/main.rs"),
+        ban_dialect: rel_path == "crates/core/src/wire.rs"
+            || rel_path.starts_with("crates/server/src/"),
     }
 }
 
@@ -227,6 +244,9 @@ fn scan_source(rel_path: &str, source: &str, patterns: &Patterns) -> Vec<Finding
         }
         if rules.ban_print && (code.contains(&patterns.print) || code.contains(&patterns.println)) {
             report("server-print");
+        }
+        if rules.ban_dialect && patterns.dialect.iter().any(|p| code.contains(p.as_str())) {
+            report("wire-dialect");
         }
     }
     findings
@@ -539,6 +559,33 @@ mod tests {
             second_pipeline_findings(&[file("crates/core/src/runtime.rs", three)], &patterns);
         assert_eq!(hits.len(), 1);
         assert!(hits[0].excerpt.contains("accumulate"));
+    }
+
+    #[test]
+    fn flags_a_second_wire_dialect() {
+        let patterns = Patterns::new();
+        let [ge, lt, versioned, min] = &patterns.dialect;
+        let srcs = [
+            format!("fn f(version: u8) {{ if {ge} 5 {{}} }}\n"),
+            format!("fn f(version: u8) {{ if {lt} 6 {{}} }}\n"),
+            format!("fn f() {{ encode_frame{versioned}&frame, 5); }}\n"),
+            format!("const OLDEST: u8 = {min};\n"),
+        ];
+        for src in &srcs {
+            for rel in ["crates/core/src/wire.rs", "crates/server/src/transport.rs"] {
+                let hits = scan(rel, src);
+                assert_eq!(hits.len(), 1, "{rel}: {src}");
+                assert_eq!(hits[0].rule, "wire-dialect");
+            }
+            // Out of scope: other files, tests, comments.
+            assert!(scan("crates/core/src/runtime.rs", src).is_empty());
+            let in_test = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+            assert!(scan("crates/core/src/wire.rs", &in_test).is_empty());
+            assert!(scan("crates/core/src/wire.rs", &format!("// {src}")).is_empty());
+        }
+        // Refusing every version but one is not a dialect.
+        let single = "fn f(version: u8) -> bool { version != WIRE_VERSION }\n";
+        assert!(scan("crates/core/src/wire.rs", single).is_empty());
     }
 
     /// The invariant the linter exists to keep: the workspace itself

@@ -44,9 +44,7 @@ use crate::faults::SplitMix64;
 use crate::transport::{read_frame, write_frame};
 use bytes::Bytes;
 use copse_core::runtime::{ClassificationOutcome, Diane, EncryptedResult, QueryInfo};
-use copse_core::wire::{
-    Frame, ModelLatency, ModelQueueDepth, ServerTiming, ShedDetail, TimingCause, MAX_DEADLINE_MS,
-};
+use copse_core::wire::{Frame, ServerTiming, ShedDetail, TimingCause, MAX_DEADLINE_MS};
 use copse_fhe::FheBackend;
 use copse_trace::{chrome_trace_json, Phase, Stopwatch, TraceEvent};
 use std::borrow::Cow;
@@ -314,39 +312,6 @@ impl TraceRecorder {
             }
         }
     }
-}
-
-/// Whole-service counters as reported over the wire.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RemoteStats {
-    /// Inference queries answered.
-    pub queries_served: u64,
-    /// Evaluation passes run.
-    pub batches: u64,
-    /// Largest batch coalesced so far.
-    pub max_batch: u32,
-    /// Parallel degree the server evaluates with (workers of its
-    /// shared `copse-pool` runtime one pass may fork onto; 1 =
-    /// sequential).
-    pub pool_threads: u32,
-    /// Per-stage homomorphic op totals:
-    /// `[comparison, reshuffle, levels, accumulate]`.
-    pub stage_ops: [u64; 4],
-    /// Total nanoseconds queries spent waiting in batching queues.
-    pub queue_wait_nanos: u64,
-    /// Total nanoseconds queries spent in evaluation passes
-    /// (per-query attribution of each pass's wall-clock).
-    pub eval_nanos: u64,
-    /// Per-model end-to-end latency percentiles.
-    pub model_latencies: Vec<ModelLatency>,
-    /// Queries the server shed with an overload answer.
-    pub queries_shed: u64,
-    /// Queries whose deadline expired server-side before evaluation.
-    pub queries_expired: u64,
-    /// Connections the server closed on a socket timeout.
-    pub conn_timeouts: u64,
-    /// Live per-model queue gauges at snapshot time.
-    pub queue_depths: Vec<ModelQueueDepth>,
 }
 
 /// How [`InferenceClient::classify`] handles sheds and broken
@@ -721,46 +686,6 @@ impl<B: FheBackend> InferenceClient<B> {
         write_frame(&mut self.writer, &Frame::ListModels)?;
         match read_frame(&mut self.reader)? {
             Frame::ModelList { models } => Ok(models),
-            Frame::Error { message, .. } => Err(io::Error::other(message)),
-            other => Err(protocol_error(&other)),
-        }
-    }
-
-    /// Fetches whole-service statistics.
-    ///
-    /// # Errors
-    ///
-    /// Fails on socket errors or protocol violations.
-    pub fn stats(&mut self) -> io::Result<RemoteStats> {
-        write_frame(&mut self.writer, &Frame::Stats)?;
-        match read_frame(&mut self.reader)? {
-            Frame::StatsReport {
-                queries_served,
-                batches,
-                max_batch,
-                pool_threads,
-                stage_ops,
-                queue_wait_nanos,
-                eval_nanos,
-                model_latencies,
-                queries_shed,
-                queries_expired,
-                conn_timeouts,
-                queue_depths,
-            } => Ok(RemoteStats {
-                queries_served,
-                batches,
-                max_batch,
-                pool_threads,
-                stage_ops,
-                queue_wait_nanos,
-                eval_nanos,
-                model_latencies,
-                queries_shed,
-                queries_expired,
-                conn_timeouts,
-                queue_depths,
-            }),
             Frame::Error { message, .. } => Err(io::Error::other(message)),
             other => Err(protocol_error(&other)),
         }

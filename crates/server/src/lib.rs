@@ -6,7 +6,7 @@
 //! deployments over one [`FheBackend`](copse_fhe::FheBackend)), speaks
 //! the framed wire protocol of [`copse_core::wire`] over TCP — session
 //! handshake, model discovery, serialized-ciphertext queries and
-//! results, service statistics — and schedules evaluation through a
+//! results, a metrics pull — and schedules evaluation through a
 //! **batching scheduler**: each model's worker coalesces queries that
 //! arrive within a batch window into one
 //! [`Sally::classify_batch`](copse_core::runtime::Sally::classify_batch)
@@ -26,8 +26,7 @@
 //!   (encrypt → serialize → send, receive → deserialize → decrypt),
 //!   with a [`RetryPolicy`] that absorbs sheds and connection drops
 //!   via jittered exponential backoff and reconnect-and-rehello;
-//! * [`transport`] — length-prefixed frame I/O over any byte stream,
-//!   version-aware so old-protocol sessions are answered in kind;
+//! * [`transport`] — length-prefixed frame I/O over any byte stream;
 //! * [`queue`] — the bounded, closeable job channel every server-side
 //!   queue is built from: full queues shed instead of growing, closed
 //!   queues drain instead of dropping;
@@ -37,21 +36,21 @@
 //! * [`stats`] — served-queries/batch-size/per-stage-ops counters plus
 //!   per-model latency histograms, the queue-wait vs evaluation time
 //!   split, and the overload counters (shed / expired / connection
-//!   timeouts, live queue gauges), behind the `Stats` frame and the
+//!   timeouts, live queue gauges), behind the
 //!   [`StatsSnapshot::render_text`] operator exposition;
 //! * [`flight`] — the always-on [`FlightRecorder`]: a fixed-capacity,
 //!   lock-light ring buffer remembering the last N per-query records
 //!   (outcome, timing split, batch shape, faults observed), dumped on
 //!   demand and at shutdown;
 //! * [`metrics`] — the pull-able Prometheus-style text exposition
-//!   behind the wire-v6 `MetricsRequest`/`MetricsReport` frames
+//!   behind the `MetricsRequest`/`MetricsReport` frames
 //!   ([`render_exposition`]), plus a strict self-contained parser
 //!   ([`parse_exposition`]) that round-trip tests pin the grammar
 //!   with.
 //!
-//! The serving tier is also **traceable end to end**: a wire-v6
-//! `Query` may carry a client-assigned trace id, and the answering
-//! frame returns a compact `ServerTiming` record (receive → enqueue →
+//! The serving tier is also **traceable end to end**: a `Query` may
+//! carry a client-assigned trace id, and the answering frame returns
+//! a compact `ServerTiming` record (receive → enqueue →
 //! dequeue → batch-assembly → per-stage-eval → encode, batch size and
 //! traced batch peers, shed/expiry cause, worker id) that
 //! [`InferenceClient`] stitches with its own spans into one merged
@@ -103,11 +102,8 @@ pub mod server;
 pub mod stats;
 pub mod transport;
 
-pub use client::{InferenceClient, QueryTrace, RemoteStats, RetryPolicy, ServedOutcome};
-pub use copse_core::wire::{
-    ModelLatency, ModelQueueDepth, RejectionCode, RejectionDetail, ServerTiming, ShedDetail,
-    TimingCause,
-};
+pub use client::{InferenceClient, QueryTrace, RetryPolicy, ServedOutcome};
+pub use copse_core::wire::{RejectionCode, RejectionDetail, ServerTiming, ShedDetail, TimingCause};
 pub use faults::FaultPlan;
 pub use flight::{FlightRecord, FlightRecorder};
 pub use metrics::{parse_exposition, render_exposition, Exposition};
@@ -115,4 +111,4 @@ pub use queue::{BoundedReceiver, BoundedSender, RecvError, TrySendError};
 pub use server::{
     AdmissionPolicy, DeployError, InferenceServer, ServerBuilder, ServerConfig, ServerHandle,
 };
-pub use stats::{CircuitSummary, ModelStats, ServerStats, StatsSnapshot};
+pub use stats::{CircuitSummary, ModelQueueDepth, ModelStats, ServerStats, StatsSnapshot};

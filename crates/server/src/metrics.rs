@@ -1,12 +1,12 @@
 //! Pull-able metrics exposition: every server counter, gauge, and
 //! latency histogram rendered as Prometheus-style text.
 //!
-//! The `Stats` frame carries a *binary* snapshot for this workspace's
-//! own client; real deployments are scraped by collectors that speak
-//! the Prometheus text exposition format. A wire-v6 session sends
-//! `MetricsRequest` and gets a `MetricsReport` whose body is the text
-//! this module renders — one `# HELP`/`# TYPE` header per family,
-//! then `name{label="value"} number` samples.
+//! Real deployments are scraped by collectors that speak the
+//! Prometheus text exposition format, so that format is the one
+//! counter rendering on the wire. A session sends `MetricsRequest` and
+//! gets a `MetricsReport` whose body is the text this module renders —
+//! one `# HELP`/`# TYPE` header per family, then
+//! `name{label="value"} number` samples.
 //!
 //! ## Grammar (the subset this module emits and parses)
 //!
@@ -93,9 +93,9 @@ impl Renderer {
 }
 
 /// Renders the full exposition page: every counter, gauge, and
-/// histogram in a [`StatsSnapshot`] (the complete `StatsReport`
-/// vocabulary — service totals, stage ops, per-model latency,
-/// overload tail, live queue gauges, static circuit analysis) plus
+/// histogram in a [`StatsSnapshot`] (service totals, stage ops,
+/// per-model latency, overload counters, live queue gauges, static
+/// circuit analysis) plus
 /// the flight-recorder gauges (capacity, lifetime records, and the
 /// slow-query counts derived from the current ring).
 pub fn render_exposition(snapshot: &StatsSnapshot, flight: &FlightRecorder) -> String {
@@ -710,9 +710,8 @@ fn validate_histograms(exposition: &Exposition) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::ServerStats;
+    use crate::stats::{ModelQueueDepth, ServerStats};
     use copse_core::runtime::EvalTrace;
-    use copse_core::wire::ModelQueueDepth;
     use std::time::Duration;
 
     fn populated_snapshot() -> StatsSnapshot {
@@ -773,7 +772,7 @@ mod tests {
         let text = render_exposition(&snap, &flight);
         let parsed = parse_exposition(&text).expect("renderer emits the grammar it documents");
 
-        // Every StatsReport counter/gauge is present with its value.
+        // Every snapshot counter/gauge is present with its value.
         assert_eq!(parsed.value("copse_queries_served_total", &[]), Some(3.0));
         assert_eq!(parsed.value("copse_batches_total", &[]), Some(2.0));
         assert_eq!(parsed.value("copse_queries_shed_total", &[]), Some(1.0));

@@ -21,9 +21,8 @@
 //! The serving tier degrades instead of stalling (docs/ROBUSTNESS.md
 //! is the full story):
 //!
-//! * a **full queue sheds**: the client gets a wire-v5 `Busy` frame
-//!   with a structured [`ShedDetail`] (pre-v5 sessions get a plain
-//!   `Error`), never an unbounded wait;
+//! * a **full queue sheds**: the client gets a `Busy` frame with a
+//!   structured [`ShedDetail`], never an unbounded wait;
 //! * a **query deadline** ([`Frame::Query`]'s `deadline_ms`) is
 //!   checked at dequeue — an expired job is answered with a typed
 //!   error and *never evaluated*;
@@ -42,8 +41,8 @@
 use crate::faults::{FaultPlan, ServerFaults};
 use crate::flight::{FlightRecord, FlightRecorder};
 use crate::queue::{self, TrySendError};
-use crate::stats::{CircuitSummary, ServerStats};
-use crate::transport::{read_frame_versioned, write_frame_versioned};
+use crate::stats::{CircuitSummary, ModelQueueDepth, ServerStats, StatsSnapshot};
+use crate::transport::{read_frame, write_frame};
 use bytes::Bytes;
 use copse_analyze::{AdmissionIssue, BackendProfile, CircuitReport, EvalShape};
 use copse_core::compiler::{CompileError, CompileOptions};
@@ -51,8 +50,8 @@ use copse_core::runtime::{
     DeployedModel, EncryptedQuery, EvalOptions, Maurice, ModelForm, QueryInfo, Sally,
 };
 use copse_core::wire::{
-    Frame, ModelQueueDepth, RejectionCode, RejectionDetail, ServerTiming, ShedDetail, TimingCause,
-    MAX_DEADLINE_MS,
+    Frame, RejectionCode, RejectionDetail, ServerTiming, ShedDetail, TimingCause, WireError,
+    MAX_DEADLINE_MS, WIRE_VERSION,
 };
 use copse_fhe::{BackendError, CostModel, FheBackend};
 use copse_forest::model::Forest;
@@ -169,9 +168,9 @@ struct Job<B: FheBackend> {
     /// receipt (`received`); 0 = no deadline. Relative on purpose:
     /// client and server clocks are never compared.
     deadline_ms: u32,
-    /// Client-assigned trace id when the query asked to be traced
-    /// (wire v6); threads through the queue into the worker's spans
-    /// and the returned timing record.
+    /// Client-assigned trace id when the query asked to be traced;
+    /// threads through the queue into the worker's spans and the
+    /// returned timing record.
     trace: Option<u64>,
     reply: queue::BoundedSender<JobOutcome<B>>,
     /// Started at frame receipt: the clock origin of every relative
@@ -282,23 +281,24 @@ impl<B: FheBackend> Drop for Shared<B> {
 }
 
 impl<B: FheBackend> Shared<B> {
-    /// Live queue gauges for the stats page: one row per deployed
-    /// model (sorted), depth and capacity from the queue itself, shed
-    /// count from the per-model counters.
-    fn queue_gauges(&self, shed_by_model: &dyn Fn(&str) -> u64) -> Vec<ModelQueueDepth> {
+    /// The counters plus the live queue gauges the stats module cannot
+    /// see: one row per deployed model (sorted), depth and capacity
+    /// from the queue itself, shed count from the per-model counters.
+    fn snapshot(&self) -> StatsSnapshot {
+        let mut snap = self.stats.snapshot();
         let registry = self.registry.read().unwrap_or_else(PoisonError::into_inner);
-        let mut rows: Vec<ModelQueueDepth> = registry
+        snap.queue_depths = registry
             .models
             .values()
             .map(|entry| ModelQueueDepth {
                 model: entry.name.clone(),
                 depth: entry.jobs.len().min(u32::MAX as usize) as u32,
                 capacity: entry.jobs.capacity().min(u32::MAX as usize) as u32,
-                shed: shed_by_model(&entry.name),
+                shed: snap.per_model.get(&entry.name).map_or(0, |m| m.shed),
             })
             .collect();
-        rows.sort_by(|a, b| a.model.cmp(&b.model));
-        rows
+        snap.queue_depths.sort_by(|a, b| a.model.cmp(&b.model));
+        snap
     }
 }
 
@@ -593,7 +593,7 @@ fn rejection_detail(model: &str, issue: &AdmissionIssue) -> RejectionDetail {
 }
 
 /// Human-readable form of a wire rejection diagnostic (the structured
-/// fields survive alongside it for version-4 sessions).
+/// fields travel alongside it).
 fn rejection_text(detail: &RejectionDetail) -> String {
     match detail.code {
         RejectionCode::DepthExceeded => format!(
@@ -1043,40 +1043,14 @@ fn error_frame(message: String) -> Frame {
     }
 }
 
-/// The client-facing form of a shed: version-5+ sessions get the
-/// structured `Busy` frame, older sessions a plain `Error` carrying
-/// the same facts as text (old decoders reject the Busy tag). The
-/// timing record rides along for v6 traced queries; older session
-/// encoders drop it.
-fn shed_frame(
-    session_version: u8,
-    id: u64,
-    detail: ShedDetail,
-    timing: Option<ServerTiming>,
-) -> Frame {
-    if session_version >= 5 {
-        Frame::Busy { id, detail, timing }
-    } else {
-        Frame::Error {
-            message: clamp_error_message(format!(
-                "model `{}` is overloaded (queue depth {}); retry in {} ms",
-                detail.model, detail.queue_depth, detail.retry_after_ms
-            )),
-            detail: None,
-            timing,
-        }
-    }
-}
-
 /// Serves one client connection until EOF, `Bye`, a socket timeout,
-/// or an I/O error.
+/// an undecodable frame, or an I/O error.
 ///
-/// The connection answers at whatever wire version the client speaks:
-/// every received frame reports its version byte, and every response
-/// is encoded at the version of the last frame received. A version-2
-/// client therefore never sees a version-3 byte (old decoders reject
-/// any frame whose version is not their own), while current clients
-/// get the full version-5 vocabulary (`Busy`, queue gauges).
+/// A frame with a version byte this server does not speak is the one
+/// decode failure that gets an answer before the close: the peer is a
+/// protocol implementation of another vintage, not line noise, and an
+/// `Error` frame tells it why the session ended. Every other decode
+/// failure closes without a reply.
 fn serve_connection<B: FheBackend, R: Read, W: Write>(
     shared: &Shared<B>,
     reader: R,
@@ -1086,13 +1060,21 @@ fn serve_connection<B: FheBackend, R: Read, W: Write>(
     let mut writer = BufWriter::new(writer);
     let mut active_model: Option<Arc<ModelEntry<B>>> = None;
     loop {
-        let (frame, session_version) = match read_frame_versioned(&mut reader) {
-            Ok(got) => got,
+        let frame = match read_frame(&mut reader) {
+            Ok(frame) => frame,
             Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        let write_frame = |writer: &mut BufWriter<W>, frame: &Frame| -> io::Result<()> {
-            write_frame_versioned(writer, frame, session_version)
+            Err(e) => {
+                let wire_error = e.get_ref().and_then(|inner| inner.downcast_ref());
+                if let Some(WireError::BadVersion(n)) = wire_error {
+                    write_frame(
+                        &mut writer,
+                        &error_frame(format!(
+                            "unsupported wire version {n}; this server speaks {WIRE_VERSION}"
+                        )),
+                    )?;
+                }
+                return Err(e);
+            }
         };
         match frame {
             Frame::ClientHello { model } => {
@@ -1128,9 +1110,7 @@ fn serve_connection<B: FheBackend, R: Read, W: Write>(
                         let response = match rejection {
                             // The model exists but failed deploy-time
                             // admission: answer with the analyzer's
-                            // typed diagnostic (version-4+ sessions
-                            // get the structured detail; older
-                            // sessions the text).
+                            // typed diagnostic.
                             Some(detail) => Frame::Error {
                                 message: format!(
                                     "model `{model}` was rejected at deploy: {}",
@@ -1156,22 +1136,8 @@ fn serve_connection<B: FheBackend, R: Read, W: Write>(
                 models.sort();
                 write_frame(&mut writer, &Frame::ModelList { models })?;
             }
-            Frame::Stats => {
-                let mut snap = shared.stats.snapshot();
-                let per_model = snap.per_model.clone();
-                snap.queue_depths =
-                    shared.queue_gauges(&|name: &str| per_model.get(name).map_or(0, |m| m.shed));
-                write_frame(&mut writer, &snap.to_frame())?;
-            }
             Frame::MetricsRequest => {
-                // The pull-able Prometheus-style exposition: the
-                // decoder only yields this frame on v6+ sessions, so
-                // the v6-only MetricsReport below always encodes.
-                let mut snap = shared.stats.snapshot();
-                let per_model = snap.per_model.clone();
-                snap.queue_depths =
-                    shared.queue_gauges(&|name: &str| per_model.get(name).map_or(0, |m| m.shed));
-                let text = crate::metrics::render_exposition(&snap, &shared.flight);
+                let text = crate::metrics::render_exposition(&shared.snapshot(), &shared.flight);
                 write_frame(&mut writer, &Frame::MetricsReport { text })?;
             }
             Frame::Query {
@@ -1187,7 +1153,6 @@ fn serve_connection<B: FheBackend, R: Read, W: Write>(
                 let response = handle_query(
                     shared,
                     active_model.as_ref(),
-                    session_version,
                     id,
                     deadline_ms,
                     trace,
@@ -1243,11 +1208,9 @@ fn local_timing(cause: TimingCause, enqueue_nanos: u64) -> ServerTiming {
 /// Every outcome (served, shed, expired, failed) lands in the flight
 /// recorder, and clients that sent a trace id get the per-query
 /// [`ServerTiming`] record on whatever frame answers them.
-#[allow(clippy::too_many_arguments)]
 fn handle_query<B: FheBackend>(
     shared: &Shared<B>,
     active_model: Option<&Arc<ModelEntry<B>>>,
-    session_version: u8,
     id: u64,
     deadline_ms: u32,
     trace: Option<u64>,
@@ -1256,9 +1219,7 @@ fn handle_query<B: FheBackend>(
 ) -> Frame {
     // Every exit funnels through here: stamp the final encode offset,
     // record the query's flight entry, and attach the timing record
-    // only for clients that asked to be traced (pre-v6 sessions
-    // cannot ask, and their encoders drop the field besides — belt
-    // and suspenders against leaking timing to old peers).
+    // only for clients that asked to be traced.
     let finish =
         |model: &str, mut timing: ServerTiming, packed_size: u32, answer: Answer| -> Frame {
             timing.encode_nanos = saturating_nanos(received.elapsed());
@@ -1294,7 +1255,7 @@ fn handle_query<B: FheBackend>(
                     detail: None,
                     timing,
                 },
-                Answer::Shed { detail } => shed_frame(session_version, id, detail, timing),
+                Answer::Shed { detail } => Frame::Busy { id, detail, timing },
             }
         };
     let fail = |model: &str, message: String| -> Frame {
@@ -1445,6 +1406,14 @@ impl<B: FheBackend + 'static> ServerHandle<B> {
     /// Shared handle to the service counters.
     pub fn stats(&self) -> Arc<ServerStats> {
         Arc::clone(&self.shared.stats)
+    }
+
+    /// A snapshot of the service counters with the live per-model
+    /// queue gauges filled in — what the operator page
+    /// ([`StatsSnapshot::render_text`]) and the metrics exposition are
+    /// rendered from.
+    pub fn snapshot(&self) -> StatsSnapshot {
+        self.shared.snapshot()
     }
 
     /// Shared handle to the always-on flight recorder (dump it any

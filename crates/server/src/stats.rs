@@ -2,10 +2,10 @@
 //!
 //! Every evaluation pass records its batch size, per-stage operation
 //! counts, and its latency split here; connection threads read
-//! consistent snapshots to answer `Stats` frames, and operators read
-//! them to see whether the batching scheduler is actually coalescing
-//! load (`max_batch > 1` under concurrency is the whole point) and
-//! what the service's tail latency looks like
+//! consistent snapshots to answer `MetricsRequest` frames, and
+//! operators read them to see whether the batching scheduler is
+//! actually coalescing load (`max_batch > 1` under concurrency is the
+//! whole point) and what the service's tail latency looks like
 //! ([`StatsSnapshot::render_text`]).
 //!
 //! Per-stage op counts come from the **per-pass** scoped meter each
@@ -19,7 +19,6 @@
 //! every count stays exact (see the concurrent-recording test).
 
 use copse_core::runtime::EvalTrace;
-use copse_core::wire::{Frame, ModelLatency, ModelQueueDepth};
 use copse_fhe::OpCounts;
 use copse_trace::{format_nanos, LatencyHistogram};
 use std::collections::BTreeMap;
@@ -165,9 +164,24 @@ pub struct StatsSnapshot {
     pub conn_timeouts: u64,
     /// Live per-model queue gauges (depth/capacity/shed). The stats
     /// module cannot see the queues, so this is empty in a raw
-    /// [`ServerStats::snapshot`]; the server fills it before encoding
-    /// a `StatsReport` frame or rendering the operator page.
+    /// [`ServerStats::snapshot`]; `ServerHandle::snapshot` and the
+    /// `MetricsRequest` arm fill it from the live queues.
     pub queue_depths: Vec<ModelQueueDepth>,
+}
+
+/// One model's live queue gauge inside a [`StatsSnapshot`]: how deep
+/// its bounded job queue currently is and how many queries it has shed
+/// so far.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ModelQueueDepth {
+    /// Registry name of the model.
+    pub model: String,
+    /// Jobs waiting in the model's bounded queue at snapshot time.
+    pub depth: u32,
+    /// Configured bound of that queue.
+    pub capacity: u32,
+    /// Queries this model has refused with `Frame::Busy`.
+    pub shed: u64,
 }
 
 impl StatsSnapshot {
@@ -177,42 +191,6 @@ impl StatsSnapshot {
             0.0
         } else {
             self.queries_served as f64 / self.batches as f64
-        }
-    }
-
-    /// Renders the snapshot as a wire [`Frame::StatsReport`] (version
-    /// 5 semantics; `encode_frame_versioned` can still downgrade it
-    /// for an older session — the v5 overload block is dropped).
-    pub fn to_frame(&self) -> Frame {
-        Frame::StatsReport {
-            queries_served: self.queries_served,
-            batches: self.batches,
-            max_batch: self.max_batch as u32,
-            pool_threads: self.pool_threads.min(u32::MAX as usize) as u32,
-            stage_ops: [
-                self.comparison_ops.total_homomorphic(),
-                self.reshuffle_ops.total_homomorphic(),
-                self.level_ops.total_homomorphic(),
-                self.accumulate_ops.total_homomorphic(),
-            ],
-            queue_wait_nanos: duration_nanos(self.queue_wait_total),
-            eval_nanos: duration_nanos(self.eval_total),
-            model_latencies: self
-                .per_model
-                .iter()
-                .map(|(name, m)| ModelLatency {
-                    model: name.clone(),
-                    queries: m.queries,
-                    p50_nanos: m.latency.p50_nanos(),
-                    p90_nanos: m.latency.p90_nanos(),
-                    p99_nanos: m.latency.p99_nanos(),
-                    max_nanos: m.latency.max_nanos(),
-                })
-                .collect(),
-            queries_shed: self.queries_shed,
-            queries_expired: self.queries_expired,
-            conn_timeouts: self.conn_timeouts,
-            queue_depths: self.queue_depths.clone(),
         }
     }
 
@@ -332,8 +310,8 @@ impl ServerStats {
     }
 
     /// Fresh counters for a server evaluating at the given parallel
-    /// degree (recorded once; reported in every snapshot and frame —
-    /// floored at 1, the wire contract's "sequential").
+    /// degree (recorded once; reported in every snapshot — floored at
+    /// 1, the `copse_pool_threads` gauge's "sequential").
     pub fn with_threads(pool_threads: usize) -> Self {
         Self {
             pool_threads: pool_threads.max(1),
@@ -506,54 +484,9 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_converts_to_stats_report_frame() {
-        let stats = ServerStats::with_threads(4);
-        stats.record_batch("income5", &trace(9), &waits(3, 2), Duration::from_millis(8));
-        stats.record_shed("income5");
-        stats.record_expired("income5");
-        stats.record_conn_timeout();
-        match stats.snapshot().to_frame() {
-            Frame::StatsReport {
-                queries_served,
-                batches,
-                max_batch,
-                pool_threads,
-                stage_ops,
-                queue_wait_nanos,
-                eval_nanos,
-                model_latencies,
-                queries_shed,
-                queries_expired,
-                conn_timeouts,
-                queue_depths,
-            } => {
-                assert_eq!(queries_shed, 1);
-                assert_eq!(queries_expired, 1);
-                assert_eq!(conn_timeouts, 1);
-                assert!(queue_depths.is_empty(), "gauges are filled by the server");
-                assert_eq!(queries_served, 3);
-                assert_eq!(batches, 1);
-                assert_eq!(max_batch, 3);
-                assert_eq!(pool_threads, 4);
-                assert_eq!(stage_ops, [0, 0, 9, 0]);
-                assert_eq!(queue_wait_nanos, 6_000_000);
-                assert_eq!(eval_nanos, 24_000_000);
-                assert_eq!(model_latencies.len(), 1);
-                let lat = &model_latencies[0];
-                assert_eq!(lat.model, "income5");
-                assert_eq!(lat.queries, 3);
-                assert_eq!(lat.max_nanos, 10_000_000);
-                assert!(lat.p50_nanos >= 10_000_000, "bucket upper bound ≥ sample");
-                assert!(lat.p99_nanos >= lat.p50_nanos);
-            }
-            other => panic!("wrong frame {other:?}"),
-        }
-    }
-
-    #[test]
     fn pool_threads_floor_is_one() {
-        // The wire contract says 1 = sequential; no constructor may
-        // emit the out-of-contract 0.
+        // The gauge's contract says 1 = sequential; no constructor
+        // may emit the out-of-contract 0.
         assert_eq!(ServerStats::with_threads(0).snapshot().pool_threads, 1);
         assert_eq!(ServerStats::new().snapshot().pool_threads, 1);
         assert_eq!(ServerStats::default().snapshot().pool_threads, 1);

@@ -7,7 +7,7 @@
 //! unboundedly.
 
 use bytes::Bytes;
-use copse_core::wire::{decode_frame_with_version, encode_frame, encode_frame_versioned, Frame};
+use copse_core::wire::{decode_frame, encode_frame, Frame};
 use std::io::{self, Read, Write};
 
 /// Upper bound on one frame's payload; generous enough for the widest
@@ -23,27 +23,7 @@ pub const MAX_FRAME_BYTES: usize = 64 << 20;
 /// on the sender (the receiver would reject it anyway, with a far
 /// more confusing error on the wrong side of the wire).
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    write_payload(w, encode_frame(frame))
-}
-
-/// Writes one length-prefixed frame encoded at the given wire
-/// `version` and flushes. Servers use this to answer a version-2
-/// session with version-2 bytes (old clients reject any frame whose
-/// version byte is not their own).
-///
-/// # Errors
-///
-/// Same contract as [`write_frame`].
-///
-/// # Panics
-///
-/// Panics when `version` is outside the supported range, like
-/// [`copse_core::wire::encode_frame_versioned`].
-pub fn write_frame_versioned(w: &mut impl Write, frame: &Frame, version: u8) -> io::Result<()> {
-    write_payload(w, encode_frame_versioned(frame, version))
-}
-
-fn write_payload(w: &mut impl Write, payload: Bytes) -> io::Result<()> {
+    let payload = encode_frame(frame);
     if payload.len() > MAX_FRAME_BYTES {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -63,21 +43,11 @@ fn write_payload(w: &mut impl Write, payload: Bytes) -> io::Result<()> {
 /// # Errors
 ///
 /// Propagates I/O errors; decode failures and oversized lengths
-/// surface as [`io::ErrorKind::InvalidData`]. A clean EOF before the
-/// length prefix surfaces as [`io::ErrorKind::UnexpectedEof`].
+/// surface as [`io::ErrorKind::InvalidData`] (a decode failure wraps
+/// its `WireError`, recoverable through [`io::Error::get_ref`]). A
+/// clean EOF before the length prefix surfaces as
+/// [`io::ErrorKind::UnexpectedEof`].
 pub fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
-    read_frame_versioned(r).map(|(frame, _)| frame)
-}
-
-/// Reads one length-prefixed frame and reports which wire version the
-/// peer encoded it at. Servers remember that version per session so
-/// every response can be written back at the same version via
-/// [`write_frame_versioned`].
-///
-/// # Errors
-///
-/// Same contract as [`read_frame`].
-pub fn read_frame_versioned(r: &mut impl Read) -> io::Result<(Frame, u8)> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
     let len = u32::from_be_bytes(len) as usize;
@@ -89,8 +59,7 @@ pub fn read_frame_versioned(r: &mut impl Read) -> io::Result<(Frame, u8)> {
     }
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
-    decode_frame_with_version(Bytes::from(payload))
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    decode_frame(Bytes::from(payload)).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]
@@ -126,24 +95,6 @@ mod tests {
     }
 
     #[test]
-    fn versioned_io_reports_and_preserves_the_peer_version() {
-        use copse_core::wire::{WIRE_VERSION, WIRE_VERSION_MIN};
-        let frame = Frame::ListModels;
-        for version in [WIRE_VERSION_MIN, WIRE_VERSION] {
-            let mut stream = Vec::new();
-            write_frame_versioned(&mut stream, &frame, version).unwrap();
-            let (decoded, seen) = read_frame_versioned(&mut stream.as_slice()).unwrap();
-            assert_eq!(decoded, frame);
-            assert_eq!(seen, version, "reader reports the sender's version");
-        }
-        // The unversioned writer speaks the current version.
-        let mut stream = Vec::new();
-        write_frame(&mut stream, &frame).unwrap();
-        let (_, seen) = read_frame_versioned(&mut stream.as_slice()).unwrap();
-        assert_eq!(seen, WIRE_VERSION);
-    }
-
-    #[test]
     fn oversized_length_prefix_rejected() {
         let mut stream = Vec::new();
         stream.extend_from_slice(&u32::MAX.to_be_bytes());
@@ -159,5 +110,11 @@ mod tests {
         stream.extend_from_slice(&[0xEE, 0xEE]);
         let err = read_frame(&mut stream.as_slice()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // The server tells a wrong version byte from line noise by
+        // recovering the decode error.
+        assert_eq!(
+            err.get_ref().and_then(|e| e.downcast_ref()),
+            Some(&copse_core::wire::WireError::BadVersion(0xEE))
+        );
     }
 }

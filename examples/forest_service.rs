@@ -11,7 +11,7 @@ use copse::core::compiler::CompileOptions;
 use copse::core::runtime::ModelForm;
 use copse::fhe::ClearBackend;
 use copse::forest::zoo;
-use copse::server::{InferenceClient, ServerBuilder, ServerConfig};
+use copse::server::{parse_exposition, InferenceClient, ServerBuilder, ServerConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -58,9 +58,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     {
         let mut browser = InferenceClient::connect(addr, Arc::clone(&backend), "soccer5")?;
         println!("registry: {:?}", browser.list_models()?);
+        let metrics = parse_exposition(&browser.metrics()?)?;
         println!(
             "server evaluates {}-way parallel on the shared worker pool",
-            browser.stats()?.pool_threads
+            metrics.value("copse_pool_threads", &[]).unwrap_or(0.0)
         );
         browser.close()?;
     }
@@ -104,7 +105,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let elapsed = started.elapsed();
 
     let total_queries = 2 * CLIENTS_PER_MODEL * QUERIES_PER_CLIENT;
-    let snapshot = handle.stats().snapshot();
+    let snapshot = handle.snapshot();
     println!(
         "served {total_queries} queries in {elapsed:?} ({:.1} queries/s)",
         total_queries as f64 / elapsed.as_secs_f64()

@@ -1,6 +1,6 @@
 //! Resilience tests for the serving tier: bounded queues shed under
-//! overload (structured `Busy` for v5 sessions, plain `Error` for
-//! older ones), deadlines expire in-queue without being evaluated,
+//! overload (a structured `Busy`), deadlines expire in-queue without
+//! being evaluated,
 //! clients retry through sheds, models hot-deploy and hot-undeploy on
 //! a live server, and shutdown drains instead of dropping.
 //!
@@ -14,7 +14,7 @@ use copse::core::runtime::{Diane, ModelForm};
 use copse::core::wire::Frame;
 use copse::fhe::{ClearBackend, FheBackend};
 use copse::forest::model::Forest;
-use copse::server::transport::{read_frame_versioned, write_frame_versioned};
+use copse::server::transport::{read_frame, write_frame};
 use copse::server::{
     DeployError, FaultPlan, InferenceClient, RetryPolicy, ServerBuilder, ServerConfig,
 };
@@ -31,33 +31,27 @@ fn tiny_forest() -> Forest {
     .expect("valid model")
 }
 
-/// One raw versioned session: hello for `model`, send one valid
-/// query, return the (frame, version) the server answered the query
-/// with.
-fn raw_query_at_version(
+/// One raw session: hello for `model`, send one valid query, return
+/// the frame the server answered the query with.
+fn raw_query(
     addr: std::net::SocketAddr,
     backend: &Arc<ClearBackend>,
     model: &str,
     features: &[u64],
-    version: u8,
-) -> (Frame, u8) {
+) -> Frame {
     let stream = std::net::TcpStream::connect(addr).expect("connect raw");
     let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
     let mut writer = std::io::BufWriter::new(stream);
-    write_frame_versioned(
+    write_frame(
         &mut writer,
         &Frame::ClientHello {
             model: model.into(),
         },
-        version,
     )
     .expect("hello");
-    let info = match read_frame_versioned(&mut reader).expect("server hello") {
-        (Frame::ServerHello { info, .. }, v) => {
-            assert_eq!(v, version, "hello answered at the session version");
-            info
-        }
-        (other, _) => panic!("expected ServerHello, got {other:?}"),
+    let info = match read_frame(&mut reader).expect("server hello") {
+        Frame::ServerHello { info, .. } => info,
+        other => panic!("expected ServerHello, got {other:?}"),
     };
     let diane = Diane::new(backend.as_ref(), info);
     let planes: Vec<bytes::Bytes> = diane
@@ -67,7 +61,7 @@ fn raw_query_at_version(
         .iter()
         .map(|ct| bytes::Bytes::from(backend.serialize_ciphertext(ct)))
         .collect();
-    write_frame_versioned(
+    write_frame(
         &mut writer,
         &Frame::Query {
             id: 42,
@@ -75,10 +69,9 @@ fn raw_query_at_version(
             trace: None,
             planes,
         },
-        version,
     )
     .expect("query");
-    read_frame_versioned(&mut reader).expect("response")
+    read_frame(&mut reader).expect("response")
 }
 
 #[test]
@@ -154,11 +147,10 @@ fn overload_sheds_deadlines_expire_and_shutdown_drains() {
     assert_eq!(served + shed, 4);
     assert!(handle.stats().snapshot().queries_shed >= shed as u64);
 
-    // Phase 2 — the wire form of a shed, per session version. Occupy
-    // the evaluator and the queue slot with two real clients, then
-    // probe with raw sessions: a v4 session must get a plain `Error`
-    // (old decoders reject the Busy tag), a v5 session the structured
-    // `Busy` with the configured hint.
+    // Phase 2 — the wire form of a shed. Occupy the evaluator and the
+    // queue slot with two real clients, then probe with a raw
+    // session: it must get the structured `Busy` with the configured
+    // hint.
     let occupiers: Vec<_> = (0..2)
         .map(|_| {
             let backend = Arc::clone(&client_backend);
@@ -170,26 +162,14 @@ fn overload_sheds_deadlines_expire_and_shutdown_drains() {
         .collect();
     std::thread::sleep(Duration::from_millis(250));
 
-    let (frame, v) = raw_query_at_version(addr, &client_backend, "tiny", &[5, 12], 4);
-    assert_eq!(v, 4);
-    match frame {
-        Frame::Error { message, .. } => {
-            assert!(message.contains("overloaded"), "{message}");
-            assert!(message.contains("retry in 25 ms"), "{message}");
-        }
-        other => panic!("v4 session must shed as Error, got {other:?}"),
-    }
-
-    let (frame, v) = raw_query_at_version(addr, &client_backend, "tiny", &[5, 12], 5);
-    assert_eq!(v, 5);
-    match frame {
+    match raw_query(addr, &client_backend, "tiny", &[5, 12]) {
         Frame::Busy { id, detail, .. } => {
             assert_eq!(id, 42);
             assert_eq!(detail.model, "tiny");
             assert_eq!(detail.retry_after_ms, 25);
             assert_eq!(detail.queue_depth, 1);
         }
-        other => panic!("v5 session must shed as Busy, got {other:?}"),
+        other => panic!("a full queue must shed as Busy, got {other:?}"),
     }
     for t in occupiers {
         let got = t.join().expect("occupier thread");

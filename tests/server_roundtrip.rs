@@ -7,9 +7,24 @@ use copse::core::runtime::{Diane, Maurice, ModelForm, Sally};
 use copse::fhe::ClearBackend;
 use copse::forest::microbench::{self, table6_specs};
 use copse::forest::model::Forest;
-use copse::server::{InferenceClient, ServerBuilder, ServerConfig};
+use copse::server::{parse_exposition, Exposition, InferenceClient, ServerBuilder, ServerConfig};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
+
+/// Pulls and parses the server's metrics exposition over `client`'s
+/// session.
+fn pull_metrics(client: &mut InferenceClient<ClearBackend>) -> Exposition {
+    parse_exposition(&client.metrics().expect("metrics pull")).expect("exposition parses")
+}
+
+/// How many models the exposition carries a latency histogram for.
+fn latency_histograms(metrics: &Exposition) -> usize {
+    metrics.families["copse_model_latency_nanos"]
+        .samples
+        .iter()
+        .filter(|s| s.name == "copse_model_latency_nanos_count")
+        .count()
+}
 
 fn spawn_two_model_server(
     backend: &Arc<ClearBackend>,
@@ -147,31 +162,45 @@ fn concurrent_clients_match_direct_classification_and_batch() {
     );
     assert!(text.contains("queue-wait"), "{text}");
 
-    // And the same split reaches remote clients through the v3 frame.
+    // The handle's snapshot adds what the raw counters cannot see:
+    // one live queue gauge per deployed model.
+    let gauges = handle.snapshot().queue_depths;
+    let gauged: Vec<&str> = gauges.iter().map(|q| q.model.as_str()).collect();
+    assert_eq!(gauged, ["depth5", "width55"]);
+
+    // And the same split reaches remote clients through the metrics
+    // pull.
     let mut observer =
         InferenceClient::connect(addr, Arc::clone(&backend), "depth5").expect("observer");
-    let remote = observer.stats().expect("stats");
-    assert_eq!(remote.queries_served, snapshot.queries_served);
-    assert!(remote.eval_nanos > 0);
-    assert_eq!(remote.model_latencies.len(), 2);
-    let depth = remote
-        .model_latencies
-        .iter()
-        .find(|m| m.model == "depth5")
-        .expect("depth5 latency entry");
+    let remote = pull_metrics(&mut observer);
     assert_eq!(
-        depth.queries,
-        (CLIENTS_PER_MODEL * QUERIES_PER_CLIENT) as u64
+        remote.value("copse_queries_served_total", &[]),
+        Some(snapshot.queries_served as f64)
     );
-    assert!(depth.max_nanos >= depth.p50_nanos || depth.p50_nanos <= depth.p99_nanos);
+    assert!(
+        remote
+            .value("copse_eval_nanos_total", &[])
+            .expect("eval nanos")
+            > 0.0
+    );
+    assert_eq!(
+        latency_histograms(&remote),
+        2,
+        "one latency histogram per model"
+    );
+    assert_eq!(
+        remote.value("copse_model_queries_total", &[("model", "depth5")]),
+        Some((CLIENTS_PER_MODEL * QUERIES_PER_CLIENT) as f64)
+    );
     observer.close().expect("close observer");
     handle.shutdown();
 }
 
 #[test]
-fn old_protocol_clients_are_answered_in_their_own_version() {
-    use copse::core::wire::{Frame, WIRE_VERSION, WIRE_VERSION_MIN};
-    use copse::server::transport::{read_frame_versioned, write_frame_versioned};
+fn unsupported_wire_versions_get_a_typed_error_then_eof() {
+    use copse::core::wire::{encode_frame, Frame, WIRE_VERSION};
+    use copse::server::transport::read_frame;
+    use std::io::{Read, Write};
 
     let backend = Arc::new(ClearBackend::with_defaults());
     let forest = microbench::generate(&table6_specs()[0], 5);
@@ -181,60 +210,63 @@ fn old_protocol_clients_are_answered_in_their_own_version() {
         &microbench::generate(&table6_specs()[3], 5),
         Duration::from_millis(1),
     );
-
-    // A raw session speaking the previous wire version end to end:
-    // every server response must come back at version 2, and the
-    // version-2 StatsReport must decode (with the latency extension
-    // degraded to its zero defaults).
-    let stream = std::net::TcpStream::connect(handle.addr()).expect("connect raw");
-    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
-    let mut writer = std::io::BufWriter::new(stream);
-    let mut exchange = |frame: &Frame| -> (Frame, u8) {
-        write_frame_versioned(&mut writer, frame, WIRE_VERSION_MIN).unwrap();
-        read_frame_versioned(&mut reader).unwrap()
-    };
-
-    let (hello, v) = exchange(&Frame::ClientHello {
-        model: "depth5".into(),
-    });
-    assert!(matches!(hello, Frame::ServerHello { .. }));
-    assert_eq!(v, WIRE_VERSION_MIN, "v2 hello answered at v2");
-
-    let q = microbench::random_queries(&forest, 1, 3).remove(0);
-    let mut v3_client =
+    let mut current =
         InferenceClient::connect(handle.addr(), Arc::clone(&backend), "depth5").expect("connect");
-    let _ = v3_client.classify(&q).expect("classify");
 
-    let (stats, v) = exchange(&Frame::Stats);
-    assert_eq!(v, WIRE_VERSION_MIN, "v2 stats answered at v2");
-    match stats {
-        Frame::StatsReport {
-            queries_served,
-            model_latencies,
-            queue_wait_nanos,
-            eval_nanos,
-            ..
-        } => {
-            assert_eq!(queries_served, 1);
-            // The v2 body cannot carry the extension; it degrades to
-            // the documented zero defaults.
-            assert_eq!(model_latencies, Vec::new());
-            assert_eq!((queue_wait_nanos, eval_nanos), (0, 0));
+    // A raw peer of the neighbouring vintages: a well-formed hello
+    // whose version byte is not the server's. It is told why the
+    // session ends, at the server's own version, and then hung up on.
+    for version in [WIRE_VERSION - 1, WIRE_VERSION + 1] {
+        let mut hello = encode_frame(&Frame::ClientHello {
+            model: "depth5".into(),
+        })
+        .to_vec();
+        hello[0] = version;
+        let mut stream = std::net::TcpStream::connect(handle.addr()).expect("connect raw");
+        stream
+            .write_all(&(hello.len() as u32).to_be_bytes())
+            .and_then(|()| stream.write_all(&hello))
+            .expect("send hello");
+        match read_frame(&mut stream).expect("the refusal decodes at the current version") {
+            Frame::Error {
+                message,
+                detail: None,
+                timing: None,
+            } => assert_eq!(
+                message,
+                format!("unsupported wire version {version}; this server speaks 6")
+            ),
+            other => panic!("expected Error, got {other:?}"),
         }
-        other => panic!("expected StatsReport, got {other:?}"),
+        let mut rest = Vec::new();
+        assert_eq!(stream.read_to_end(&mut rest).expect("clean close"), 0);
     }
 
-    // The concurrent current-version session still gets the full v3
-    // report: per-session versioning, not a server-wide downgrade.
-    let remote = v3_client.stats().expect("v3 stats");
-    assert_eq!(remote.model_latencies.len(), 1);
-    assert!(remote.eval_nanos > 0);
-    v3_client.close().expect("close");
-
-    let (bye, v) = exchange(&Frame::Bye);
-    assert!(matches!(bye, Frame::Bye));
-    assert_eq!(v, WIRE_VERSION_MIN);
-    assert_ne!(WIRE_VERSION, WIRE_VERSION_MIN, "test covers a real skew");
+    // The concurrent current-version session is unaffected.
+    let q = microbench::random_queries(&forest, 1, 3).remove(0);
+    assert_eq!(
+        current
+            .classify(&q)
+            .expect("classify")
+            .outcome
+            .leaf_hits()
+            .to_bools(),
+        forest.classify_leaf_hits(&q)
+    );
+    let remote = pull_metrics(&mut current);
+    assert_eq!(remote.value("copse_queries_served_total", &[]), Some(1.0));
+    assert_eq!(
+        latency_histograms(&remote),
+        1,
+        "only the queried model has a histogram"
+    );
+    assert!(
+        remote
+            .value("copse_eval_nanos_total", &[])
+            .expect("eval nanos")
+            > 0.0
+    );
+    current.close().expect("close");
     handle.shutdown();
 }
 
@@ -508,8 +540,10 @@ fn registry_discovery_session_isolation_and_errors() {
         depth_forest.classify_leaf_hits(&qa)
     );
 
-    let stats = a.stats().expect("stats");
-    assert_eq!(stats.queries_served, 3);
+    assert_eq!(
+        pull_metrics(&mut a).value("copse_queries_served_total", &[]),
+        Some(3.0)
+    );
     a.close().expect("close a");
     b.close().expect("close b");
     handle.shutdown();
@@ -518,8 +552,8 @@ fn registry_discovery_session_isolation_and_errors() {
 #[test]
 fn parallel_server_serves_identical_answers_and_reports_pool_size() {
     // Same registry, two servers: sequential oracle vs 4-way pool
-    // parallelism. Served answers must match bitwise, and the stats
-    // frame must carry the configured pool degree to clients.
+    // parallelism. Served answers must match bitwise, and the metrics
+    // pull must carry the configured pool degree to clients.
     let backend = Arc::new(ClearBackend::with_defaults());
     let forest = microbench::generate(&table6_specs()[1], 77);
     let build = |threads: usize| {
@@ -559,8 +593,11 @@ fn parallel_server_serves_identical_answers_and_reports_pool_size() {
             "parallel server diverged on {q:?}"
         );
     }
-    assert_eq!(seq_client.stats().expect("stats").pool_threads, 1);
-    assert_eq!(par_client.stats().expect("stats").pool_threads, 4);
+    let pool_threads = |client: &mut InferenceClient<ClearBackend>| {
+        pull_metrics(client).value("copse_pool_threads", &[])
+    };
+    assert_eq!(pool_threads(&mut seq_client), Some(1.0));
+    assert_eq!(pool_threads(&mut par_client), Some(4.0));
     assert_eq!(par.stats().snapshot().pool_threads, 4);
     seq_client.close().expect("close");
     par_client.close().expect("close");

@@ -2,21 +2,17 @@
 //! a traced query yields one merged Chrome trace holding the client's
 //! spans and the server's anchored timing split; coalesced batches
 //! attribute per-query peers; the metrics exposition round-trips
-//! through the in-repo parser; the flight recorder captures every
-//! query; and pre-v6 sessions receive byte-identical legacy frames
-//! with no `ServerTiming` leakage.
+//! through the in-repo parser; and the flight recorder captures every
+//! query.
 
 use copse::core::compiler::CompileOptions;
-use copse::core::runtime::{Diane, ModelForm};
-use copse::core::wire::{
-    decode_frame_with_version, encode_frame_versioned, Frame, TimingCause, WIRE_VERSION,
-};
-use copse::fhe::{ClearBackend, FheBackend};
+use copse::core::runtime::ModelForm;
+use copse::core::wire::TimingCause;
+use copse::fhe::ClearBackend;
 use copse::forest::model::Forest;
 use copse::server::metrics::parse_exposition;
 use copse::server::{FaultPlan, InferenceClient, ServerBuilder, ServerConfig};
 use copse::trace::validate_chrome_trace;
-use std::io::{BufReader, BufWriter, Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -257,125 +253,4 @@ fn metrics_exposition_round_trips_over_the_wire() {
     assert_eq!(parsed.value("copse_flight_recorded_total", &[]), Some(3.0));
     assert_eq!(parsed.value("copse_flight_capacity", &[]), Some(1024.0));
     assert_eq!(parsed.value("copse_queries_shed_total", &[]), Some(0.0));
-}
-
-/// Reads one raw length-prefixed frame payload (the exact bytes the
-/// server put on the wire).
-fn read_raw_payload(r: &mut impl Read) -> Vec<u8> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len).expect("length prefix");
-    let mut payload = vec![0u8; u32::from_be_bytes(len) as usize];
-    r.read_exact(&mut payload).expect("payload");
-    payload
-}
-
-fn write_raw_frame(w: &mut impl Write, frame: &Frame, version: u8) {
-    let payload = encode_frame_versioned(frame, version);
-    w.write_all(&(payload.len() as u32).to_be_bytes())
-        .expect("length");
-    w.write_all(&payload).expect("payload");
-    w.flush().expect("flush");
-}
-
-#[test]
-fn pre_v6_sessions_get_byte_identical_legacy_frames() {
-    let backend = Arc::new(ClearBackend::with_defaults());
-    let forest = tiny_forest();
-    let expected_hits = forest.classify_leaf_hits(&[5, 12]);
-    let handle = ServerBuilder::new(Arc::clone(&backend))
-        .register(
-            "demo",
-            &forest,
-            CompileOptions::default(),
-            ModelForm::Encrypted,
-        )
-        .expect("register")
-        .bind("127.0.0.1:0")
-        .expect("bind")
-        .spawn()
-        .expect("spawn");
-
-    for version in [4u8, 5u8] {
-        let stream = std::net::TcpStream::connect(handle.addr()).expect("connect raw");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut writer = BufWriter::new(stream);
-        write_raw_frame(
-            &mut writer,
-            &Frame::ClientHello {
-                model: "demo".into(),
-            },
-            version,
-        );
-        let hello = read_raw_payload(&mut reader);
-        let (hello_frame, v) =
-            decode_frame_with_version(bytes::Bytes::from(hello.clone())).expect("hello decodes");
-        assert_eq!(v, version, "answered at the session version");
-        let info = match &hello_frame {
-            Frame::ServerHello { info, .. } => info.clone(),
-            other => panic!("expected ServerHello, got {other:?}"),
-        };
-        assert_eq!(
-            encode_frame_versioned(&hello_frame, version).as_ref(),
-            hello.as_slice(),
-            "v{version} hello is the canonical v{version} encoding"
-        );
-
-        let diane = Diane::new(backend.as_ref(), info);
-        let planes: Vec<bytes::Bytes> = diane
-            .encrypt_features(&[5, 12])
-            .expect("encrypt")
-            .planes()
-            .iter()
-            .map(|ct| bytes::Bytes::from(backend.serialize_ciphertext(ct)))
-            .collect();
-        write_raw_frame(
-            &mut writer,
-            &Frame::Query {
-                id: 9,
-                deadline_ms: 0,
-                trace: None,
-                planes,
-            },
-            version,
-        );
-        let result = read_raw_payload(&mut reader);
-        let (result_frame, v) =
-            decode_frame_with_version(bytes::Bytes::from(result.clone())).expect("result decodes");
-        assert_eq!(v, version);
-        match &result_frame {
-            Frame::Result {
-                id,
-                ciphertext,
-                timing,
-                ..
-            } => {
-                assert_eq!(*id, 9);
-                assert!(
-                    timing.is_none(),
-                    "a v{version} result must not leak ServerTiming"
-                );
-                let ct = backend
-                    .deserialize_ciphertext(ciphertext)
-                    .expect("ciphertext");
-                let outcome = diane.decrypt_result(&copse::core::runtime::EncryptedResult::<
-                    ClearBackend,
-                >::from_ciphertext(ct));
-                assert_eq!(outcome.leaf_hits().to_bools(), expected_hits);
-            }
-            other => panic!("expected Result, got {other:?}"),
-        }
-        // The exact wire bytes are the canonical pre-v6 encoding: the
-        // v6 timing extension leaves old sessions byte-identical.
-        assert_eq!(
-            encode_frame_versioned(&result_frame, version).as_ref(),
-            result.as_slice(),
-            "v{version} result is the canonical v{version} encoding"
-        );
-        assert_ne!(
-            encode_frame_versioned(&result_frame, WIRE_VERSION).as_ref(),
-            result.as_slice(),
-            "the v6 encoding differs (it carries the timing flag)"
-        );
-    }
-    handle.shutdown();
 }
