@@ -229,6 +229,18 @@ fn packed_shapes_conform_op_for_op() {
                 "{} {form:?}: packed result depth",
                 model.name
             );
+            // What packing is for: the chunk's total (analyzed, and by
+            // the stage equalities above also metered) must undercut
+            // running its queries one by one.
+            let lanes = plan.lanes as u64;
+            let sequential =
+                CircuitReport::analyze(maurice.compiled(), &EvalShape::plan(&maurice, form));
+            let (chunk, solo) = (report.total_ops(), sequential.total_ops());
+            assert!(
+                chunk.total_homomorphic() < lanes * solo.total_homomorphic(),
+                "{} {form:?}: a packed chunk of {lanes} costs {chunk}, no less than {lanes} x {solo}",
+                model.name
+            );
         }
     }
 }

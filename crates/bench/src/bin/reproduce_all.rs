@@ -1,13 +1,10 @@
 //! Runs every table and figure harness and emits an
-//! EXPERIMENTS.md-ready report on stdout. With `--json`, also writes
-//! the kernel medians to `BENCH_kernels.json` so the perf trajectory
-//! is machine-readable across PRs.
+//! EXPERIMENTS.md-ready report on stdout.
 use copse_bench::{queries_from_args, reports, threads_from_args, SUITE_SEED, WORK_PER_OP};
 
 fn main() {
     let n = queries_from_args();
     let threads = threads_from_args();
-    let json = std::env::args().any(|a| a == "--json");
     println!("# COPSE reproduction report\n");
     println!(
         "suite seed {SUITE_SEED}, {n} queries per model, {threads} threads for parallel runs\n"
@@ -23,16 +20,4 @@ fn main() {
     println!("{}", reports::figure10(SUITE_SEED, n, WORK_PER_OP));
     println!("{}", reports::ablations(SUITE_SEED, n, WORK_PER_OP));
     println!("{}", reports::ring_mul());
-    let kernels = reports::measure_kernels(5, 4);
-    println!("{}", reports::rotate_keyswitch(&kernels));
-    let packing = reports::measure_packing(5);
-    println!("{}", reports::packing_text(&packing));
-    if json {
-        std::fs::write(
-            "BENCH_kernels.json",
-            reports::kernels_json(&kernels, &packing),
-        )
-        .expect("write BENCH_kernels.json");
-        eprintln!("wrote BENCH_kernels.json");
-    }
 }

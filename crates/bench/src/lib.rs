@@ -96,44 +96,7 @@ pub fn measure_copse(
     n_queries: usize,
     work_per_op: usize,
 ) -> Measurement {
-    let backend = bench_backend(work_per_op);
-    let maurice =
-        Maurice::compile(forest, CompileOptions::default()).expect("benchmark model compiles");
-    let sally = Sally::with_options(
-        &backend,
-        maurice.deploy(&backend, form),
-        EvalOptions {
-            parallelism: Parallelism { threads },
-            ..EvalOptions::default()
-        },
-    );
-    let diane = Diane::new(&backend, maurice.public_query_info());
-    let queries = random_queries(forest, n_queries, SUITE_SEED ^ 0xF00D);
-
-    let mut ops_per_query = OpCounts::default();
-    let mut times = Vec::with_capacity(n_queries);
-    for (i, q) in queries.iter().enumerate() {
-        let query = diane.encrypt_features(q).expect("valid query");
-        let before = backend.meter().snapshot();
-        let start = Stopwatch::start();
-        let result = sally.classify(&query);
-        times.push(start.elapsed());
-        if i == 0 {
-            ops_per_query = backend.meter().snapshot().since(&before);
-        }
-        // Keep the oracle honest even while benchmarking.
-        debug_assert_eq!(
-            diane.decrypt_result(&result).leaf_hits().to_bools(),
-            forest.classify_leaf_hits(q)
-        );
-        let _ = result;
-    }
-    Measurement {
-        name: name.to_string(),
-        median_wall: median(times),
-        ops_per_query,
-        modeled_ms: CostModel::default().modeled_ms(&ops_per_query),
-    }
+    measure_copse_traced(name, forest, form, threads, n_queries, work_per_op).0
 }
 
 /// Measures COPSE and returns the per-stage trace of the first query
@@ -166,11 +129,16 @@ pub fn measure_copse_traced(
         let query = diane.encrypt_features(q).expect("valid query");
         let before = backend.meter().snapshot();
         let start = Stopwatch::start();
-        let (_, trace) = sally.classify_traced(&query);
+        let (result, trace) = sally.classify_traced(&query);
         times.push(start.elapsed());
         if first.is_none() {
             first = Some((backend.meter().snapshot().since(&before), trace));
         }
+        // Keep the oracle honest even while benchmarking.
+        debug_assert_eq!(
+            diane.decrypt_result(&result).leaf_hits().to_bools(),
+            forest.classify_leaf_hits(q)
+        );
     }
     let (ops_per_query, trace) = first.expect("at least one query");
     (

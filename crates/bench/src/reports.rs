@@ -602,764 +602,6 @@ pub fn ring_mul() -> String {
     out
 }
 
-/// Medians and transform counts for the hot BGV kernels at demo
-/// parameters, shared by the [`rotate_keyswitch`] exhibit and the
-/// machine-readable `BENCH_kernels.json` (the cross-PR perf
-/// trajectory). Since the `copse-pool` runtime landed, every kernel
-/// carries a **threads dimension**: the `*_par_ms` medians rerun the
-/// same kernel forked [`KernelMedians::threads`]-ways onto the shared
-/// worker pool (bitwise-identical results; only wall-clock moves), and
-/// [`KernelMedians::host_cores`] records how much hardware the numbers
-/// were taken on — a 4-thread median on a 1-core container cannot
-/// beat its own baseline, and readers need to see that.
-#[derive(Clone, Copy, Debug)]
-pub struct KernelMedians {
-    /// `RnsContext::mul`, NTT fast path (m = 127, level-3 chain).
-    pub ring_mul_ntt_ms: f64,
-    /// `RnsContext::mul`, schoolbook oracle.
-    pub ring_mul_school_ms: f64,
-    /// `RnsContext::mul` on the negacyclic power-of-two ring at
-    /// comparable dimension (n = 128 vs φ(127) = 126, level-3 chain):
-    /// `ψ`-twisted transforms of size exactly `n` — half the prime
-    /// flavor's zero-padded length.
-    pub ring_mul_nega_ms: f64,
-    /// Per-prime transform length of the prime-cyclotomic `ring_mul`
-    /// point (`next_pow2(2m - 1)`).
-    pub ring_mul_cyclic_size: usize,
-    /// Per-prime transform length of the negacyclic `ring_mul` point
-    /// (exactly `n`).
-    pub ring_mul_nega_size: usize,
-    /// `rotate_slots` with cached evaluation-domain key switching.
-    pub rotate_eval_ms: f64,
-    /// `rotate_slots` on the per-call coefficient route (PR 2).
-    pub rotate_coeff_ms: f64,
-    /// `rotate_slots`, evaluation-domain, forked `threads`-ways.
-    pub rotate_par_ms: f64,
-    /// One relinearisation key switch, evaluation-domain.
-    pub key_switch_eval_ms: f64,
-    /// One relinearisation key switch, coefficient-domain.
-    pub key_switch_coeff_ms: f64,
-    /// One relinearisation key switch, forked `threads`-ways.
-    pub key_switch_par_ms: f64,
-    /// Full Halevi–Shoup `mat_vec` over a plaintext model on real BGV
-    /// (cached diagonal transforms), single-threaded.
-    pub mat_vec_ms: f64,
-    /// The same `mat_vec`, stage- and kernel-parallel `threads`-ways.
-    pub mat_vec_par_ms: f64,
-    /// Parallel degree the `*_par_ms` medians forked to.
-    pub threads: usize,
-    /// Cores the host advertised while measuring.
-    pub host_cores: usize,
-    /// NTT transforms per evaluation-domain rotate.
-    pub rotate_eval_transforms: u64,
-    /// NTT transforms per coefficient-domain rotate.
-    pub rotate_coeff_transforms: u64,
-}
-
-/// Measures the kernel quartet (`ring_mul`, `rotate`, `key_switch`,
-/// `mat_vec`) at demo parameters, `reps` samples per point, with the
-/// parallel variants forked `threads`-ways onto the shared pool.
-pub fn measure_kernels(reps: usize, threads: usize) -> KernelMedians {
-    use copse_core::artifacts::BoolMatrix;
-    use copse_core::matmul::{mat_vec, EncodedMatrix, MatMulOptions};
-    use copse_core::parallel::Parallelism;
-    use copse_fhe::bgv::ring::RnsContext;
-    use copse_fhe::bgv::scheme::{BgvParams, BgvScheme};
-    use copse_fhe::{BgvBackend, BitVec, FheBackend, OpMeter};
-    use copse_trace::Stopwatch;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-
-    let reps = reps.max(1);
-    let median_ms = |mut f: Box<dyn FnMut()>| -> f64 {
-        let times: Vec<_> = (0..reps)
-            .map(|_| {
-                let start = Stopwatch::start();
-                f();
-                start.elapsed()
-            })
-            .collect();
-        crate::median(times).as_secs_f64() * 1e3
-    };
-
-    // Ring multiplication, m = 127 over a level-3 chain of 45-bit
-    // primes (the PR 2 exhibit's smaller point, CI-friendly).
-    let mut rng = SmallRng::seed_from_u64(0x517);
-    let (ntt, school) = RnsContext::ntt_schoolbook_pair(127, 45, 3);
-    let a = ntt.sample_uniform(3, &mut rng);
-    let b = ntt.sample_uniform(3, &mut rng);
-    let ring_mul_ntt_ms = median_ms(Box::new(|| {
-        let _ = std::hint::black_box(ntt.mul(&a, &b));
-    }));
-    let ring_mul_school_ms = median_ms(Box::new(|| {
-        let _ = std::hint::black_box(school.mul(&a, &b));
-    }));
-
-    // Negacyclic power-of-two ring at comparable dimension: n = 128
-    // (ring Z_q[X]/(X^128 + 1)) vs φ(127) = 126 above. Same chain
-    // shape (level-3, 45-bit primes with 2n | q - 1); the ψ-twisted
-    // transforms run at size exactly n = 128, half the prime flavor's
-    // next_pow2(2·127 − 1) = 256.
-    let (nega, _) = RnsContext::negacyclic_schoolbook_pair(128, 45, 3);
-    let ring_mul_cyclic_size = ntt.transform_size();
-    let ring_mul_nega_size = nega.transform_size();
-    let na = nega.sample_uniform(3, &mut rng);
-    let nb = nega.sample_uniform(3, &mut rng);
-    let ring_mul_nega_ms = median_ms(Box::new(|| {
-        let _ = std::hint::black_box(nega.mul(&na, &nb));
-    }));
-
-    // Rotate and key switch at demo parameters, evaluation-domain vs
-    // the per-call coefficient route (same keys, NTT on for both).
-    let eval = BgvScheme::keygen(BgvParams::demo());
-    let mut coeff = BgvScheme::keygen(BgvParams::demo());
-    coeff.set_eval_domain_enabled(false);
-    let nslots = eval.slots().nslots();
-    let bits = BitVec::from_fn(nslots, |i| i % 3 != 0);
-    let ct = eval.encrypt_poly(&eval.slots().encode(&bits));
-
-    let (_, meter) = OpMeter::measure(|| eval.rotate_slots(&ct, 1));
-    let rotate_eval_transforms = meter.transforms().total();
-    let (_, meter) = OpMeter::measure(|| coeff.rotate_slots(&ct, 1));
-    let rotate_coeff_transforms = meter.transforms().total();
-
-    let rotate_eval_ms = median_ms(Box::new(|| {
-        let _ = std::hint::black_box(eval.rotate_slots(&ct, 1));
-    }));
-    let rotate_coeff_ms = median_ms(Box::new(|| {
-        let _ = std::hint::black_box(coeff.rotate_slots(&ct, 1));
-    }));
-    let key_switch_eval_ms = median_ms(Box::new(|| {
-        let _ = std::hint::black_box(eval.key_switch_relin(&ct));
-    }));
-    let key_switch_coeff_ms = median_ms(Box::new(|| {
-        let _ = std::hint::black_box(coeff.key_switch_relin(&ct));
-    }));
-
-    // The threads dimension: identical kernels, identical outputs,
-    // forked across the shared worker pool (per-prime rows and
-    // key-switch digit rows). The knob is flipped back afterwards so
-    // later single-thread measurements stay honest.
-    let threads = threads.max(1);
-    eval.set_threads(threads);
-    let rotate_par_ms = median_ms(Box::new(|| {
-        let _ = std::hint::black_box(eval.rotate_slots(&ct, 1));
-    }));
-    let key_switch_par_ms = median_ms(Box::new(|| {
-        let _ = std::hint::black_box(eval.key_switch_relin(&ct));
-    }));
-    eval.set_threads(1);
-
-    // Full mat-vec over a plaintext model on real BGV: nslots x nslots
-    // random matrix, diagonal transforms cached at encode time.
-    let backend = BgvBackend::demo();
-    let n = backend.nslots();
-    let mut matrix = BoolMatrix::zeros(n, n);
-    for r in 0..n {
-        for c in 0..n {
-            if rng.gen_bool(0.4) {
-                matrix.set(r, c, true);
-            }
-        }
-    }
-    let encoded = EncodedMatrix::encode_plain(&backend, &matrix);
-    let v = backend.encrypt_bits(&BitVec::from_fn(n, |i| i % 2 == 0));
-    let mat_vec_ms = median_ms(Box::new(|| {
-        let _ = std::hint::black_box(mat_vec(
-            &backend,
-            &encoded,
-            &v,
-            MatMulOptions::default(),
-            Parallelism::sequential(),
-        ));
-    }));
-    // Parallel mat_vec: the diagonals fork at the stage layer (the
-    // dominant lever here — each chunk is several milliseconds of
-    // rotations). Kernel-level forking stays suppressed inside those
-    // chunks by the pool's outermost-fork guard, so this median
-    // isolates the stage dimension; `rotate_par_ms` and
-    // `key_switch_par_ms` above isolate the kernel dimension.
-    let mat_vec_par_ms = median_ms(Box::new(|| {
-        let _ = std::hint::black_box(mat_vec(
-            &backend,
-            &encoded,
-            &v,
-            MatMulOptions::default(),
-            Parallelism { threads },
-        ));
-    }));
-
-    KernelMedians {
-        ring_mul_ntt_ms,
-        ring_mul_school_ms,
-        ring_mul_nega_ms,
-        ring_mul_cyclic_size,
-        ring_mul_nega_size,
-        rotate_eval_ms,
-        rotate_coeff_ms,
-        rotate_par_ms,
-        key_switch_eval_ms,
-        key_switch_coeff_ms,
-        key_switch_par_ms,
-        mat_vec_ms,
-        mat_vec_par_ms,
-        threads,
-        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        rotate_eval_transforms,
-        rotate_coeff_transforms,
-    }
-}
-
-/// Renders [`KernelMedians`] plus a [`PackingSweep`] as the
-/// `BENCH_kernels.json` document (hand-formatted: the vendored serde
-/// shim has no JSON serialiser). The `threads` block records the
-/// parallel degree of the `parallel` medians and the cores of the host
-/// that produced them — the speedup figures only mean something
-/// relative to `host_cores`.
-pub fn kernels_json(k: &KernelMedians, p: &PackingSweep) -> String {
-    let points: Vec<String> = p
-        .points
-        .iter()
-        .map(|pt| {
-            format!(
-                "    {{\"batch\": {}, \"packed_qps\": {:.2}, \
-                 \"stage_major_qps\": {:.2}, \"speedup\": {:.4}}}",
-                pt.batch,
-                pt.packed_qps,
-                pt.stage_major_qps,
-                pt.speedup()
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"params\": \"demo (m = 127, 16-prime chain)\",\n  \
-         \"threads\": {{\"parallel\": {}, \"host_cores\": {}}},\n  \
-         \"ring_mul_ms\": {{\"ntt\": {:.4}, \"schoolbook\": {:.4}}},\n  \
-         \"ring_mul_negacyclic\": {:.4},\n  \
-         \"ring_mul_transform_sizes\": {{\"cyclic\": {}, \"negacyclic\": {}}},\n  \
-         \"rotate_ms\": {{\"eval_domain\": {:.4}, \"coefficient\": {:.4}, \"parallel\": {:.4}}},\n  \
-         \"key_switch_ms\": {{\"eval_domain\": {:.4}, \"coefficient\": {:.4}, \"parallel\": {:.4}}},\n  \
-         \"mat_vec_ms\": {{\"threads_1\": {:.4}, \"parallel\": {:.4}}},\n  \
-         \"mat_vec_parallel_speedup\": {:.4},\n  \
-         \"rotate_transforms\": {{\"eval_domain\": {}, \"coefficient\": {}}},\n  \
-         \"packing_sweep\": {{\n    \
-         \"model\": \"{}\", \"work_per_op\": {}, \"reps\": {},\n    \
-         \"stride\": {}, \"lanes\": {}, \"slot_capacity\": {},\n    \
-         \"points\": [\n{}\n    ]\n  }}\n}}\n",
-        k.threads,
-        k.host_cores,
-        k.ring_mul_ntt_ms,
-        k.ring_mul_school_ms,
-        k.ring_mul_nega_ms,
-        k.ring_mul_cyclic_size,
-        k.ring_mul_nega_size,
-        k.rotate_eval_ms,
-        k.rotate_coeff_ms,
-        k.rotate_par_ms,
-        k.key_switch_eval_ms,
-        k.key_switch_coeff_ms,
-        k.key_switch_par_ms,
-        k.mat_vec_ms,
-        k.mat_vec_par_ms,
-        k.mat_vec_ms / k.mat_vec_par_ms,
-        k.rotate_eval_transforms,
-        k.rotate_coeff_transforms,
-        p.model,
-        p.work_per_op,
-        p.reps,
-        p.stride,
-        p.lanes,
-        p.slot_capacity,
-        points.join(",\n"),
-    )
-}
-
-/// Cross-query packing throughput sweep: the same batch evaluated by
-/// the packed path ([`PackingMode::Auto`] on a capacity-bounded clear
-/// backend) and by the pre-packing stage-major loop
-/// ([`PackingMode::Off`] on the *same* backend), at batch sizes from a
-/// lone query up to a full ciphertext of lanes. Queries/second is the
-/// honest unit here: packing wins by evaluating the four stages once
-/// per chunk instead of once per query, so per-pass wall-clock barely
-/// moves while per-query throughput multiplies.
-///
-/// [`PackingMode::Auto`]: copse_core::runtime::PackingMode::Auto
-/// [`PackingMode::Off`]: copse_core::runtime::PackingMode::Off
-#[derive(Clone, Debug)]
-pub struct PackingSweep {
-    /// Model swept (depth4 microbenchmark).
-    pub model: String,
-    /// Synthetic per-op work of the backend (wall-clock fidelity).
-    pub work_per_op: usize,
-    /// Samples per median.
-    pub reps: usize,
-    /// Slot stride one query occupies (widest pipeline operand).
-    pub stride: usize,
-    /// Queries per ciphertext at the swept capacity.
-    pub lanes: usize,
-    /// Slot capacity the swept backend advertises (`lanes * stride`).
-    pub slot_capacity: usize,
-    /// One entry per batch size.
-    pub points: Vec<PackingPoint>,
-}
-
-/// One batch size of a [`PackingSweep`].
-#[derive(Clone, Copy, Debug)]
-pub struct PackingPoint {
-    /// Queries per evaluation pass.
-    pub batch: usize,
-    /// Median queries/second through the packed path.
-    pub packed_qps: f64,
-    /// Median queries/second through the stage-major loop.
-    pub stage_major_qps: f64,
-}
-
-impl PackingPoint {
-    /// Packed throughput over stage-major throughput.
-    pub fn speedup(&self) -> f64 {
-        self.packed_qps / self.stage_major_qps
-    }
-}
-
-impl PackingSweep {
-    /// The sweep point at `batch`, if that size was measured.
-    pub fn point_at(&self, batch: usize) -> Option<&PackingPoint> {
-        self.points.iter().find(|p| p.batch == batch)
-    }
-}
-
-/// Measures the packing sweep: batch sizes {1, 4, 16, lanes} on a
-/// 32-lane capacity-bounded clear backend with the standard synthetic
-/// per-op work, `reps` passes per point, median reported. Both
-/// variants run the identical backend and deployment; only the
-/// packing policy differs, so the throughput ratio isolates the
-/// packed path itself.
-pub fn measure_packing(reps: usize) -> PackingSweep {
-    use copse_core::runtime::{Diane, EvalOptions, Maurice, PackingMode, Sally};
-    use copse_fhe::{ClearBackend, ClearConfig};
-    use copse_trace::Stopwatch;
-
-    let reps = reps.max(1);
-    let spec = table6_specs()[0];
-    let forest = copse_forest::microbench::generate(&spec, crate::SUITE_SEED);
-    let maurice = Maurice::compile(&forest, CompileOptions::default()).expect("compiles");
-
-    // Probe pass: an effectively unbounded capacity reveals the
-    // layout stride so the real backend can be sized in whole lanes.
-    let probe = ClearBackend::new(ClearConfig {
-        slot_capacity: Some(1 << 20),
-        ..ClearConfig::default()
-    });
-    let stride = Sally::host(&probe, maurice.deploy(&probe, ModelForm::Encrypted))
-        .pack_plan()
-        .expect("unbounded capacity always packs")
-        .stride;
-    let lanes = 32usize;
-    let slot_capacity = lanes * stride;
-
-    let backend = ClearBackend::new(ClearConfig {
-        slot_capacity: Some(slot_capacity),
-        work_per_op: crate::WORK_PER_OP,
-        ..ClearConfig::default()
-    });
-    let packed = Sally::host(&backend, maurice.deploy(&backend, ModelForm::Encrypted));
-    let stage_major = Sally::with_options(
-        &backend,
-        maurice.deploy(&backend, ModelForm::Encrypted),
-        EvalOptions {
-            packing: PackingMode::Off,
-            ..EvalOptions::default()
-        },
-    );
-    assert!(
-        packed.pack_plan().is_some(),
-        "the swept backend must admit the packed path"
-    );
-    let diane = Diane::new(&backend, maurice.public_query_info());
-
-    let mut points = Vec::new();
-    for batch in [1usize, 4, 16, lanes] {
-        let queries: Vec<_> =
-            copse_forest::microbench::random_queries(&forest, batch, crate::SUITE_SEED ^ 0x9ACC)
-                .iter()
-                .map(|q| diane.encrypt_features(q).expect("valid query"))
-                .collect();
-        let qps = |sally: &Sally<'_, ClearBackend>| -> f64 {
-            let times: Vec<_> = (0..reps)
-                .map(|_| {
-                    let start = Stopwatch::start();
-                    let _ = std::hint::black_box(sally.classify_batch(&queries));
-                    start.elapsed()
-                })
-                .collect();
-            batch as f64 / crate::median(times).as_secs_f64()
-        };
-        points.push(PackingPoint {
-            batch,
-            packed_qps: qps(&packed),
-            stage_major_qps: qps(&stage_major),
-        });
-    }
-    PackingSweep {
-        model: spec.name.to_string(),
-        work_per_op: crate::WORK_PER_OP,
-        reps,
-        stride,
-        lanes,
-        slot_capacity,
-        points,
-    }
-}
-
-/// Plain-text rendering of a [`PackingSweep`].
-pub fn packing_text(p: &PackingSweep) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "## Cross-query packing throughput ({}, stride {}, {} lanes, {} reps)",
-        p.model, p.stride, p.lanes, p.reps
-    );
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "{:<7} {:>14} {:>18} {:>9}",
-        "batch", "packed_q/s", "stage_major_q/s", "speedup"
-    );
-    for pt in &p.points {
-        let _ = writeln!(
-            out,
-            "{:<7} {:>14.1} {:>18.1} {:>8.2}x",
-            pt.batch,
-            pt.packed_qps,
-            pt.stage_major_qps,
-            pt.speedup()
-        );
-    }
-    let _ = writeln!(
-        out,
-        "expected shape: ~1x at batch 1 (a lone query never packs); the gap\n\
-         widens with batch size until every lane of the ciphertext is full"
-    );
-    out
-}
-
-/// Per-stage wall-clock medians for one batched evaluation pass — the
-/// timing half of Figure 10 (the [`figure10`] exhibit reports the
-/// modeled-cost half), plus the cost of a *disabled* tracing span
-/// relative to the `mat_vec` kernel it instruments.
-#[derive(Clone, Debug)]
-pub struct StageMedians {
-    /// Model the pass evaluated (depth5 microbenchmark).
-    pub model: String,
-    /// Queries per evaluation pass.
-    pub batch: usize,
-    /// Samples per median.
-    pub reps: usize,
-    /// Parallel degree of the pass.
-    pub threads: usize,
-    /// Cores the host advertised while measuring.
-    pub host_cores: usize,
-    /// Median comparison-stage wall-clock (SecComp).
-    pub comparison_ms: f64,
-    /// Median reshuffle-stage wall-clock (reshuffle MatMul).
-    pub reshuffle_ms: f64,
-    /// Median level-processing wall-clock (per-level MatMul ⊕ mask).
-    pub levels_ms: f64,
-    /// Median accumulation wall-clock.
-    pub accumulate_ms: f64,
-    /// Median whole-pass wall-clock.
-    pub total_ms: f64,
-    /// Cost of one `copse_trace::span` call while tracing is disabled.
-    pub disabled_span_ns: f64,
-    /// Median `mat_vec` wall-clock on the same backend (the kernel a
-    /// permanent span instruments).
-    pub mat_vec_ms: f64,
-    /// `disabled_span_ns` as a percentage of the `mat_vec` median —
-    /// the steady-state overhead of leaving the instrumentation in.
-    pub disabled_overhead_pct: f64,
-}
-
-/// Measures per-stage wall-clock over `reps` batched passes of the
-/// depth5 microbenchmark, and the disabled-span overhead against the
-/// `mat_vec` kernel. Tracing stays **disabled** throughout: the stage
-/// numbers come from [`EvalTrace`](copse_core::runtime::EvalTrace)'s
-/// own wall-clocks, and the span probe must measure the disabled path.
-pub fn measure_stages(reps: usize, threads: usize) -> StageMedians {
-    use copse_core::artifacts::BoolMatrix;
-    use copse_core::matmul::{mat_vec, EncodedMatrix, MatMulOptions};
-    use copse_core::parallel::Parallelism;
-    use copse_core::runtime::{Diane, EvalOptions, Maurice, Sally};
-    use copse_fhe::{BitVec, FheBackend};
-    use copse_trace::Stopwatch;
-
-    let reps = reps.max(1);
-    let threads = threads.max(1);
-    let batch = 4;
-    let spec = table6_specs()[1];
-    let forest = copse_forest::microbench::generate(&spec, crate::SUITE_SEED);
-    let backend = crate::bench_backend(crate::WORK_PER_OP);
-    let maurice = Maurice::compile(&forest, CompileOptions::default()).expect("compiles");
-    let sally = Sally::with_options(
-        &backend,
-        maurice.deploy(&backend, ModelForm::Encrypted),
-        EvalOptions {
-            parallelism: Parallelism { threads },
-            ..EvalOptions::default()
-        },
-    );
-    let diane = Diane::new(&backend, maurice.public_query_info());
-    let queries: Vec<_> = copse_forest::microbench::random_queries(&forest, batch, 0xBEEF)
-        .iter()
-        .map(|q| diane.encrypt_features(q).expect("valid query"))
-        .collect();
-
-    copse_trace::set_enabled(false);
-    let mut stage_times: [Vec<std::time::Duration>; 5] = Default::default();
-    for _ in 0..reps {
-        let start = Stopwatch::start();
-        let (_, trace) = sally.classify_batch_traced(&queries);
-        let total = start.elapsed();
-        for (slot, d) in stage_times.iter_mut().zip([
-            trace.comparison.duration,
-            trace.reshuffle.duration,
-            trace.levels.duration,
-            trace.accumulate.duration,
-            total,
-        ]) {
-            slot.push(d);
-        }
-    }
-    let ms = |ts: Vec<std::time::Duration>| crate::median(ts).as_secs_f64() * 1e3;
-    let [comparison, reshuffle, levels, accumulate, total] = stage_times;
-
-    // Disabled-span probe: the guard construction + drop around one
-    // relaxed load, amortized over enough calls to resolve it.
-    let probes = 1_000_000u32;
-    assert!(!copse_trace::enabled(), "probe must hit the disabled path");
-    let start = Stopwatch::start();
-    for _ in 0..probes {
-        let _span = copse_trace::span("overhead-probe");
-    }
-    let disabled_span_ns = start.elapsed().as_secs_f64() * 1e9 / f64::from(probes);
-
-    // The kernel that span instruments, on the same backend.
-    let n = 64;
-    let mut matrix = BoolMatrix::zeros(n, n);
-    for r in 0..n {
-        for c in 0..n {
-            if (r * 31 + c * 17) % 5 == 0 {
-                matrix.set(r, c, true);
-            }
-        }
-    }
-    let encoded = EncodedMatrix::encode_plain(&backend, &matrix);
-    let v = backend.encrypt_bits(&BitVec::from_fn(n, |i| i % 2 == 0));
-    let mat_vec_times: Vec<_> = (0..reps)
-        .map(|_| {
-            let start = Stopwatch::start();
-            let _ = std::hint::black_box(mat_vec(
-                &backend,
-                &encoded,
-                &v,
-                MatMulOptions::default(),
-                Parallelism::sequential(),
-            ));
-            start.elapsed()
-        })
-        .collect();
-    let mat_vec_ms = crate::median(mat_vec_times).as_secs_f64() * 1e3;
-
-    StageMedians {
-        model: spec.name.to_string(),
-        batch,
-        reps,
-        threads,
-        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        comparison_ms: ms(comparison),
-        reshuffle_ms: ms(reshuffle),
-        levels_ms: ms(levels),
-        accumulate_ms: ms(accumulate),
-        total_ms: ms(total),
-        disabled_span_ns,
-        mat_vec_ms,
-        // One span per mat_vec call.
-        disabled_overhead_pct: disabled_span_ns / (mat_vec_ms * 1e6) * 100.0,
-    }
-}
-
-/// Renders [`StageMedians`] as the `BENCH_stages.json` document
-/// (hand-formatted: the vendored serde shim has no JSON serialiser).
-pub fn stages_json(s: &StageMedians) -> String {
-    format!(
-        "{{\n  \"model\": \"{}\",\n  \
-         \"batch\": {},\n  \"reps\": {},\n  \
-         \"threads\": {{\"parallel\": {}, \"host_cores\": {}}},\n  \
-         \"stage_ms\": {{\"comparison\": {:.4}, \"reshuffle\": {:.4}, \
-         \"levels\": {:.4}, \"accumulate\": {:.4}, \"total\": {:.4}}},\n  \
-         \"tracing_overhead\": {{\"disabled_span_ns\": {:.2}, \
-         \"mat_vec_ms\": {:.4}, \"disabled_overhead_pct\": {:.5}}}\n}}\n",
-        s.model,
-        s.batch,
-        s.reps,
-        s.threads,
-        s.host_cores,
-        s.comparison_ms,
-        s.reshuffle_ms,
-        s.levels_ms,
-        s.accumulate_ms,
-        s.total_ms,
-        s.disabled_span_ns,
-        s.mat_vec_ms,
-        s.disabled_overhead_pct,
-    )
-}
-
-/// Plain-text rendering of [`StageMedians`], Figure 10 style.
-pub fn stages_text(s: &StageMedians) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "## Per-stage wall-clock ({}, batch {}, {} reps, {} threads on {} cores)",
-        s.model, s.batch, s.reps, s.threads, s.host_cores
-    );
-    let _ = writeln!(out);
-    let sum = s.comparison_ms + s.reshuffle_ms + s.levels_ms + s.accumulate_ms;
-    for (name, ms) in [
-        ("comparison", s.comparison_ms),
-        ("reshuffle", s.reshuffle_ms),
-        ("levels", s.levels_ms),
-        ("accumulate", s.accumulate_ms),
-    ] {
-        let width = ((ms / sum.max(f64::EPSILON)) * 40.0).round() as usize;
-        let _ = writeln!(
-            out,
-            "{name:<12} {ms:>10.2} ms  {}",
-            "#".repeat(width.max(1))
-        );
-    }
-    let _ = writeln!(out, "{:<12} {:>10.2} ms", "total", s.total_ms);
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "disabled span: {:.1} ns/call = {:.4}% of a {:.2} ms mat_vec",
-        s.disabled_span_ns, s.disabled_overhead_pct, s.mat_vec_ms
-    );
-    out
-}
-
-/// Enables tracing, runs one batched evaluation pass of the depth5
-/// microbenchmark, and returns the collected spans as a validated
-/// Chrome trace-event JSON document (`chrome://tracing`-loadable).
-pub fn capture_chrome_trace(threads: usize) -> String {
-    use copse_core::parallel::Parallelism;
-    use copse_core::runtime::{Diane, EvalOptions, Maurice, Sally};
-
-    let forest = copse_forest::microbench::generate(&table6_specs()[1], crate::SUITE_SEED);
-    let backend = crate::bench_backend(crate::WORK_PER_OP);
-    let maurice = Maurice::compile(&forest, CompileOptions::default()).expect("compiles");
-    let sally = Sally::with_options(
-        &backend,
-        maurice.deploy(&backend, ModelForm::Encrypted),
-        EvalOptions {
-            parallelism: Parallelism {
-                threads: threads.max(1),
-            },
-            ..EvalOptions::default()
-        },
-    );
-    let diane = Diane::new(&backend, maurice.public_query_info());
-    let queries: Vec<_> = copse_forest::microbench::random_queries(&forest, 4, 0xBEEF)
-        .iter()
-        .map(|q| diane.encrypt_features(q).expect("valid query"))
-        .collect();
-
-    copse_trace::clear_events();
-    copse_trace::set_enabled(true);
-    let _ = sally.classify_batch_traced(&queries);
-    copse_trace::set_enabled(false);
-    let json = copse_trace::chrome_trace_json(&copse_trace::take_events());
-    copse_trace::validate_chrome_trace(&json).expect("exporter emits valid Chrome traces");
-    json
-}
-
-/// Rotate / key-switch kernel exhibit: cached evaluation-domain key
-/// switching (key parts pre-transformed at keygen, each digit row
-/// transformed once, one inverse per output row) vs the per-call
-/// coefficient-domain route, at demo parameters. Key switching is the
-/// dominant cost of the rotate-heavy `mat_vec` at COPSE's heart, so
-/// this speedup propagates to every server-side batch.
-pub fn rotate_keyswitch(k: &KernelMedians) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "## Rotate / key-switch kernel: evaluation-domain vs per-call transforms (demo parameters)"
-    );
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "{:<12} {:>14} {:>14} {:>9} {:>14} {:>22}",
-        "kernel",
-        "eval_ms",
-        "coefficient_ms",
-        "speedup",
-        format!("{}-thread_ms", k.threads),
-        "transforms (eval/coef)"
-    );
-    let _ = writeln!(
-        out,
-        "{:<12} {:>14.3} {:>14.3} {:>8.1}x {:>14.3} {:>22}",
-        "rotate",
-        k.rotate_eval_ms,
-        k.rotate_coeff_ms,
-        k.rotate_coeff_ms / k.rotate_eval_ms,
-        k.rotate_par_ms,
-        format!(
-            "{} / {}",
-            k.rotate_eval_transforms, k.rotate_coeff_transforms
-        ),
-    );
-    let _ = writeln!(
-        out,
-        "{:<12} {:>14.3} {:>14.3} {:>8.1}x {:>14.3}",
-        "key_switch",
-        k.key_switch_eval_ms,
-        k.key_switch_coeff_ms,
-        k.key_switch_coeff_ms / k.key_switch_eval_ms,
-        k.key_switch_par_ms,
-    );
-    let _ = writeln!(
-        out,
-        "{:<12} {:>14.3} {:>14} {:>9} {:>14.3} (plaintext model, cached diagonals)",
-        "mat_vec", k.mat_vec_ms, "-", "-", k.mat_vec_par_ms,
-    );
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "ring_mul at comparable dimension: negacyclic n = {} ({:.3} ms, size-{} \
-         transforms) vs prime-cyclotomic m = 127 ({:.3} ms, size-{} transforms) \
-         — the power-of-two flavor transforms at half the length",
-        k.ring_mul_nega_size,
-        k.ring_mul_nega_ms,
-        k.ring_mul_nega_size,
-        k.ring_mul_ntt_ms,
-        k.ring_mul_cyclic_size,
-    );
-    let _ = writeln!(
-        out,
-        "mat_vec speedup at {} threads: {:.2}x on a {}-core host",
-        k.threads,
-        k.mat_vec_ms / k.mat_vec_par_ms,
-        k.host_cores,
-    );
-    let _ = writeln!(
-        out,
-        "expected shape: transforms per key switch drop from ~3 per digit product\n\
-         to ~1 per digit (+2 per output row); >= 3x wall-clock on rotate_slots;\n\
-         the threads column tracks host cores (>= 2x mat_vec at 4 threads on >= 4 cores)"
-    );
-    out
-}
-
 /// Ablations: design-choice studies called out in DESIGN.md.
 pub fn ablations(seed: u64, n_queries: usize, work: usize) -> String {
     let forest = copse_forest::microbench::generate(&table6_specs()[1], seed);

@@ -67,7 +67,6 @@ pub use bitvec::BitVec;
 pub use clear::{ClearBackend, ClearCiphertext, ClearConfig, ClearPlaintext};
 pub use cost::CostModel;
 pub use meter::{
-    transform_size_snapshot, transform_snapshot, FheOp, OpCounts, OpMeter, TransformCounts,
-    TransformSizeCounts,
+    transform_snapshot, FheOp, OpCounts, OpMeter, TransformCounts, TransformSizeCounts,
 };
 pub use params::{EncryptionParams, SecurityLevel};

@@ -176,12 +176,18 @@ fn size_bucket(size: usize) -> usize {
 /// process runs lands here, so only a single-threaded caller can diff
 /// it exactly; tests and evaluation passes read
 /// [`OpMeter::transforms`] on an installed scope instead.
+///
+/// Kept for one caller: `benchmark/src/probes.rs` imports it, and
+/// `benchmark/` is frozen (BENCHMARK.json `paths`). When that package
+/// may be edited, move its probe to [`OpMeter::measure`] and delete
+/// this function and `PROCESS_TRANSFORMS` with it.
 pub fn transform_snapshot() -> TransformCounts {
     PROCESS_TRANSFORMS.counts()
 }
 
 /// A snapshot of transform counts **by transform length** (forward and
-/// inverse combined), scoped or process-wide like [`TransformCounts`].
+/// inverse combined), read off a scoped meter with
+/// [`OpMeter::transform_sizes`].
 ///
 /// This is the witness the ring-flavor tests use to prove *which* plan
 /// ran: the prime-cyclotomic route transforms at `next_pow2(2m - 1)`
@@ -205,21 +211,6 @@ impl TransformSizeCounts {
         self.counts.iter().sum()
     }
 
-    /// Component-wise difference `self - earlier`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any bucket of `earlier` exceeds `self`'s.
-    pub fn since(&self, earlier: &TransformSizeCounts) -> TransformSizeCounts {
-        let mut counts = [0u64; SIZE_BUCKETS];
-        for (k, slot) in counts.iter_mut().enumerate() {
-            *slot = self.counts[k]
-                .checked_sub(earlier.counts[k])
-                .expect("per-size transform counter went backwards");
-        }
-        TransformSizeCounts { counts }
-    }
-
     /// The `(size, count)` pairs with nonzero counts, ascending by
     /// size.
     pub fn nonzero(&self) -> Vec<(usize, u64)> {
@@ -230,12 +221,6 @@ impl TransformSizeCounts {
             .map(|(k, &c)| (1usize << k, c))
             .collect()
     }
-}
-
-/// Snapshot of the process-wide per-size transform counters (see
-/// [`transform_snapshot`] for the caveat).
-pub fn transform_size_snapshot() -> TransformSizeCounts {
-    PROCESS_TRANSFORMS.sizes()
 }
 
 /// The primitive homomorphic operations of the paper's cost vocabulary.
@@ -673,7 +658,6 @@ mod tests {
 
     #[test]
     fn per_size_counters_bucket_by_length() {
-        let process_before = transform_size_snapshot();
         let ((), scope) = OpMeter::measure(|| {
             record_ntt_forward(16);
             record_ntt_forward(16);
@@ -684,8 +668,6 @@ mod tests {
         assert_eq!(sizes.at(256), 1);
         assert_eq!(sizes.total(), 3);
         assert_eq!(sizes.nonzero(), vec![(16, 2), (256, 1)]);
-        let process = transform_size_snapshot().since(&process_before);
-        assert!(process.at(16) >= 2 && process.at(256) >= 1);
     }
 
     #[test]

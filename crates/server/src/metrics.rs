@@ -35,9 +35,11 @@
 //! malformed exposition before a real scraper would.
 
 use crate::flight::FlightRecorder;
-use crate::stats::StatsSnapshot;
+use crate::stats::{ModelQueueDepth, ModelStats, StatsSnapshot};
+use copse_fhe::OpCounts;
+use copse_trace::LatencyHistogram;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 
 /// Slow-query thresholds (milliseconds) the flight-recorder gauge
 /// family reports: how many of the currently-held records took at
@@ -58,350 +60,288 @@ fn escape_label(value: &str) -> String {
     out
 }
 
-/// One metric family header + its samples, all appended through this
-/// helper so a family can never emit samples without its `# TYPE`.
-struct Renderer {
-    out: String,
+/// One sample as a family reads it: the suffix its name takes (`""`
+/// outside [`histogram`]), its labels, its value.
+type Reading = (&'static str, Vec<(&'static str, String)>, f64);
+
+/// One metric family of the exposition page: the header fields and
+/// the function that reads the family's samples, in document order.
+struct MetricFamily {
+    name: &'static str,
+    kind: &'static str,
+    help: &'static str,
+    read: fn(&StatsSnapshot, &FlightRecorder) -> Vec<Reading>,
 }
 
-impl Renderer {
-    fn family(&mut self, name: &str, kind: &str, help: &str) {
-        let _ = writeln!(self.out, "# HELP {name} {help}");
-        let _ = writeln!(self.out, "# TYPE {name} {kind}");
-    }
+/// The one sample of an unlabelled family.
+fn scalar(value: f64) -> Vec<Reading> {
+    vec![("", Vec::new(), value)]
+}
 
-    fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        let _ = write!(self.out, "{name}");
-        if !labels.is_empty() {
-            let _ = write!(self.out, "{{");
-            for (i, (k, v)) in labels.iter().enumerate() {
-                if i > 0 {
-                    let _ = write!(self.out, ",");
-                }
-                let _ = write!(self.out, "{k}=\"{}\"", escape_label(v));
+/// One sample per item, labelled `key="<item's first half>"`.
+fn labelled<L: Display>(
+    key: &'static str,
+    items: impl IntoIterator<Item = (L, f64)>,
+) -> Vec<Reading> {
+    let reading = |(label, value): (L, f64)| ("", vec![(key, label.to_string())], value);
+    items.into_iter().map(reading).collect()
+}
+
+/// One sample per entry of a map, labelled `key="<entry's key>"`.
+fn per_key<K: Display, T>(
+    key: &'static str,
+    map: &BTreeMap<K, T>,
+    value: fn(&T) -> f64,
+) -> Vec<Reading> {
+    labelled(key, map.iter().map(|(k, entry)| (k, value(entry))))
+}
+
+/// One sample per live job queue.
+fn per_queue(s: &StatsSnapshot, value: fn(&ModelQueueDepth) -> f64) -> Vec<Reading> {
+    labelled("model", s.queue_depths.iter().map(|q| (&q.model, value(q))))
+}
+
+/// The samples of one distribution, by the Prometheus histogram
+/// convention: cumulative `_bucket{le="..."}` counts ending in
+/// `le="+Inf"`, then `_sum` and `_count`.
+fn histogram(labels: Vec<(&'static str, String)>, h: &LatencyHistogram) -> Vec<Reading> {
+    let with_le = |le: String| [labels.as_slice(), &[("le", le)]].concat();
+    let mut readings = Vec::new();
+    let mut cumulative = 0u64;
+    for (hi, count) in h.nonzero_buckets() {
+        cumulative += count;
+        readings.push(("_bucket", with_le(hi.to_string()), cumulative as f64));
+    }
+    let count = h.count() as f64;
+    readings.push(("_bucket", with_le("+Inf".into()), count));
+    readings.push(("_sum", labels.clone(), h.sum_nanos() as f64));
+    readings.push(("_count", labels, count));
+    readings
+}
+
+/// Every family of the exposition page, in document order. A family
+/// is declared on every page, samples or not: dashboards must never
+/// see one appear mid-watch.
+const FAMILIES: &[MetricFamily] = &[
+    MetricFamily {
+        name: "copse_queries_served_total",
+        kind: "counter",
+        help: "Inference queries answered.",
+        read: |s, _| scalar(s.queries_served as f64),
+    },
+    MetricFamily {
+        name: "copse_batches_total",
+        kind: "counter",
+        help: "Evaluation passes run (each serves one batch).",
+        read: |s, _| scalar(s.batches as f64),
+    },
+    MetricFamily {
+        name: "copse_queries_shed_total",
+        kind: "counter",
+        help: "Queries shed with an overload answer instead of evaluated.",
+        read: |s, _| scalar(s.queries_shed as f64),
+    },
+    MetricFamily {
+        name: "copse_queries_expired_total",
+        kind: "counter",
+        help: "Queries whose client deadline expired in the queue.",
+        read: |s, _| scalar(s.queries_expired as f64),
+    },
+    MetricFamily {
+        name: "copse_conn_timeouts_total",
+        kind: "counter",
+        help: "Connections closed by the socket read/write timeouts.",
+        read: |s, _| scalar(s.conn_timeouts as f64),
+    },
+    MetricFamily {
+        name: "copse_pool_threads",
+        kind: "gauge",
+        help: "Parallel degree evaluation passes fork onto (1 = sequential).",
+        read: |s, _| scalar(s.pool_threads as f64),
+    },
+    MetricFamily {
+        name: "copse_max_batch",
+        kind: "gauge",
+        help: "Largest batch coalesced so far.",
+        read: |s, _| scalar(s.max_batch as f64),
+    },
+    MetricFamily {
+        name: "copse_stage_ops_total",
+        kind: "counter",
+        help: "Homomorphic operations per evaluation stage.",
+        read: |s, _| {
+            let total = |ops: OpCounts| ops.total_homomorphic() as f64;
+            let stages = [
+                ("comparison", total(s.comparison_ops)),
+                ("reshuffle", total(s.reshuffle_ops)),
+                ("levels", total(s.level_ops)),
+                ("accumulate", total(s.accumulate_ops)),
+            ];
+            labelled("stage", stages)
+        },
+    },
+    MetricFamily {
+        name: "copse_queue_wait_nanos_total",
+        kind: "counter",
+        help: "Nanoseconds queries spent waiting in batching queues.",
+        read: |s, _| scalar(s.queue_wait_total.as_nanos() as f64),
+    },
+    MetricFamily {
+        name: "copse_eval_nanos_total",
+        kind: "counter",
+        help: "Nanoseconds queries spent inside evaluation passes.",
+        read: |s, _| scalar(s.eval_total.as_nanos() as f64),
+    },
+    MetricFamily {
+        name: "copse_batches_by_size_total",
+        kind: "counter",
+        help: "Evaluation passes by exact batch size.",
+        read: |s, _| per_key("size", &s.batch_size_counts, |&count| count as f64),
+    },
+    MetricFamily {
+        name: "copse_packed_queries_total",
+        kind: "counter",
+        help: "Queries that shared a packed ciphertext with another query.",
+        read: |s, _| scalar(s.packed_queries as f64),
+    },
+    MetricFamily {
+        name: "copse_max_packed",
+        kind: "gauge",
+        help: "Largest lane occupancy any query ran at (1 = never packed).",
+        read: |s, _| scalar(f64::from(s.max_packed)),
+    },
+    MetricFamily {
+        name: "copse_queries_by_packed_size_total",
+        kind: "counter",
+        help: "Queries by exact lane occupancy of the ciphertext that carried them.",
+        read: |s, _| per_key("size", &s.packed_size_counts, |&count| count as f64),
+    },
+    MetricFamily {
+        name: "copse_model_queries_total",
+        kind: "counter",
+        help: "Queries answered, per model.",
+        read: |s, _| per_key("model", &s.per_model, |m| m.queries as f64),
+    },
+    MetricFamily {
+        name: "copse_model_shed_total",
+        kind: "counter",
+        help: "Queries shed from this model's queue.",
+        read: |s, _| per_key("model", &s.per_model, |m| m.shed as f64),
+    },
+    MetricFamily {
+        name: "copse_model_expired_total",
+        kind: "counter",
+        help: "Queries expired in this model's queue.",
+        read: |s, _| per_key("model", &s.per_model, |m| m.expired as f64),
+    },
+    MetricFamily {
+        name: "copse_model_latency_nanos",
+        kind: "histogram",
+        help: "End-to-end latency (queue wait + evaluation) per query.",
+        read: |s, _| {
+            let per_model = s.per_model.iter();
+            let samples = |(model, m): (&String, &ModelStats)| {
+                histogram(vec![("model", model.clone())], &m.latency)
+            };
+            per_model.flat_map(samples).collect()
+        },
+    },
+    MetricFamily {
+        name: "copse_queue_depth",
+        kind: "gauge",
+        help: "Live job-queue depth, per model.",
+        read: |s, _| per_queue(s, |q| f64::from(q.depth)),
+    },
+    MetricFamily {
+        name: "copse_queue_capacity",
+        kind: "gauge",
+        help: "Job-queue capacity, per model.",
+        read: |s, _| per_queue(s, |q| f64::from(q.capacity)),
+    },
+    MetricFamily {
+        name: "copse_circuit_depth",
+        kind: "gauge",
+        help: "Multiplicative depth of one classification (static analysis).",
+        read: |s, _| per_key("model", &s.circuits, |c| f64::from(c.depth)),
+    },
+    MetricFamily {
+        name: "copse_circuit_depth_budget",
+        kind: "gauge",
+        help: "Depth the backend's parameters support.",
+        read: |s, _| per_key("model", &s.circuits, |c| f64::from(c.depth_budget)),
+    },
+    MetricFamily {
+        name: "copse_circuit_ops_per_query",
+        kind: "gauge",
+        help: "Homomorphic operations one classification costs.",
+        read: |s, _| per_key("model", &s.circuits, |c| c.ops_per_query as f64),
+    },
+    MetricFamily {
+        name: "copse_circuit_modeled_ms",
+        kind: "gauge",
+        help: "Modeled single-thread latency per classification (ms).",
+        read: |s, _| per_key("model", &s.circuits, |c| c.modeled_ms),
+    },
+    MetricFamily {
+        name: "copse_flight_capacity",
+        kind: "gauge",
+        help: "Flight-recorder ring capacity (0 = disabled).",
+        read: |_, flight| scalar(flight.capacity() as f64),
+    },
+    MetricFamily {
+        name: "copse_flight_recorded_total",
+        kind: "counter",
+        help: "Per-query flight records written over the recorder's lifetime.",
+        read: |_, flight| scalar(flight.recorded() as f64),
+    },
+    MetricFamily {
+        name: "copse_flight_slow_queries",
+        kind: "gauge",
+        help: "Currently-held flight records at or above the threshold, end to end.",
+        read: |_, flight| {
+            let held = |ms: u64| (ms, flight.slow_queries(ms * 1_000_000) as f64);
+            labelled("threshold_ms", SLOW_QUERY_THRESHOLDS_MS.map(held))
+        },
+    },
+];
+
+/// Appends one `name{labels} value` line.
+fn write_sample(out: &mut String, name: &str, labels: &[(&str, String)], value: f64) {
+    let _ = write!(out, "{name}");
+    if !labels.is_empty() {
+        let _ = write!(out, "{{");
+        for (i, (k, v)) in labels.iter().enumerate() {
+            if i > 0 {
+                let _ = write!(out, ",");
             }
-            let _ = write!(self.out, "}}");
+            let _ = write!(out, "{k}=\"{}\"", escape_label(v));
         }
-        if value == f64::INFINITY {
-            let _ = writeln!(self.out, " +Inf");
-        } else if value.fract() == 0.0 && value.abs() < 9e15 {
-            let _ = writeln!(self.out, " {}", value as i64);
-        } else {
-            let _ = writeln!(self.out, " {value}");
-        }
+        let _ = write!(out, "}}");
+    }
+    if value == f64::INFINITY {
+        let _ = writeln!(out, " +Inf");
+    } else if value.fract() == 0.0 && value.abs() < 9e15 {
+        let _ = writeln!(out, " {}", value as i64);
+    } else {
+        let _ = writeln!(out, " {value}");
     }
 }
 
-/// Renders the full exposition page: every counter, gauge, and
-/// histogram in a [`StatsSnapshot`] (service totals, stage ops,
-/// per-model latency, overload counters, live queue gauges, static
-/// circuit analysis) plus
-/// the flight-recorder gauges (capacity, lifetime records, and the
-/// slow-query counts derived from the current ring).
+/// Renders the full exposition page, one `FAMILIES` row at a time:
+/// the counters, gauges and histograms of a [`StatsSnapshot`] plus the
+/// flight-recorder gauges, each as its `# HELP`/`# TYPE` header and
+/// then its samples — a family cannot emit samples without its header.
 pub fn render_exposition(snapshot: &StatsSnapshot, flight: &FlightRecorder) -> String {
-    let mut r = Renderer { out: String::new() };
-
-    r.family(
-        "copse_queries_served_total",
-        "counter",
-        "Inference queries answered.",
-    );
-    r.sample(
-        "copse_queries_served_total",
-        &[],
-        snapshot.queries_served as f64,
-    );
-    r.family(
-        "copse_batches_total",
-        "counter",
-        "Evaluation passes run (each serves one batch).",
-    );
-    r.sample("copse_batches_total", &[], snapshot.batches as f64);
-    r.family(
-        "copse_queries_shed_total",
-        "counter",
-        "Queries shed with an overload answer instead of evaluated.",
-    );
-    r.sample(
-        "copse_queries_shed_total",
-        &[],
-        snapshot.queries_shed as f64,
-    );
-    r.family(
-        "copse_queries_expired_total",
-        "counter",
-        "Queries whose client deadline expired in the queue.",
-    );
-    r.sample(
-        "copse_queries_expired_total",
-        &[],
-        snapshot.queries_expired as f64,
-    );
-    r.family(
-        "copse_conn_timeouts_total",
-        "counter",
-        "Connections closed by the socket read/write timeouts.",
-    );
-    r.sample(
-        "copse_conn_timeouts_total",
-        &[],
-        snapshot.conn_timeouts as f64,
-    );
-    r.family(
-        "copse_pool_threads",
-        "gauge",
-        "Parallel degree evaluation passes fork onto (1 = sequential).",
-    );
-    r.sample("copse_pool_threads", &[], snapshot.pool_threads as f64);
-    r.family(
-        "copse_max_batch",
-        "gauge",
-        "Largest batch coalesced so far.",
-    );
-    r.sample("copse_max_batch", &[], snapshot.max_batch as f64);
-
-    r.family(
-        "copse_stage_ops_total",
-        "counter",
-        "Homomorphic operations per evaluation stage.",
-    );
-    for (stage, ops) in [
-        ("comparison", snapshot.comparison_ops),
-        ("reshuffle", snapshot.reshuffle_ops),
-        ("levels", snapshot.level_ops),
-        ("accumulate", snapshot.accumulate_ops),
-    ] {
-        r.sample(
-            "copse_stage_ops_total",
-            &[("stage", stage)],
-            ops.total_homomorphic() as f64,
-        );
-    }
-
-    r.family(
-        "copse_queue_wait_nanos_total",
-        "counter",
-        "Nanoseconds queries spent waiting in batching queues.",
-    );
-    r.sample(
-        "copse_queue_wait_nanos_total",
-        &[],
-        snapshot.queue_wait_total.as_nanos() as f64,
-    );
-    r.family(
-        "copse_eval_nanos_total",
-        "counter",
-        "Nanoseconds queries spent inside evaluation passes.",
-    );
-    r.sample(
-        "copse_eval_nanos_total",
-        &[],
-        snapshot.eval_total.as_nanos() as f64,
-    );
-
-    r.family(
-        "copse_batches_by_size_total",
-        "counter",
-        "Evaluation passes by exact batch size.",
-    );
-    for (&size, &count) in &snapshot.batch_size_counts {
-        let size = size.to_string();
-        r.sample(
-            "copse_batches_by_size_total",
-            &[("size", size.as_str())],
-            count as f64,
-        );
-    }
-
-    r.family(
-        "copse_packed_queries_total",
-        "counter",
-        "Queries that shared a packed ciphertext with another query.",
-    );
-    r.sample(
-        "copse_packed_queries_total",
-        &[],
-        snapshot.packed_queries as f64,
-    );
-    r.family(
-        "copse_max_packed",
-        "gauge",
-        "Largest lane occupancy any query ran at (1 = never packed).",
-    );
-    r.sample("copse_max_packed", &[], snapshot.max_packed as f64);
-    r.family(
-        "copse_queries_by_packed_size_total",
-        "counter",
-        "Queries by exact lane occupancy of the ciphertext that carried them.",
-    );
-    for (&size, &count) in &snapshot.packed_size_counts {
-        let size = size.to_string();
-        r.sample(
-            "copse_queries_by_packed_size_total",
-            &[("size", size.as_str())],
-            count as f64,
-        );
-    }
-
-    r.family(
-        "copse_model_queries_total",
-        "counter",
-        "Queries answered, per model.",
-    );
-    for (model, m) in &snapshot.per_model {
-        r.sample(
-            "copse_model_queries_total",
-            &[("model", model)],
-            m.queries as f64,
-        );
-    }
-    r.family(
-        "copse_model_shed_total",
-        "counter",
-        "Queries shed from this model's queue.",
-    );
-    for (model, m) in &snapshot.per_model {
-        r.sample("copse_model_shed_total", &[("model", model)], m.shed as f64);
-    }
-    r.family(
-        "copse_model_expired_total",
-        "counter",
-        "Queries expired in this model's queue.",
-    );
-    for (model, m) in &snapshot.per_model {
-        r.sample(
-            "copse_model_expired_total",
-            &[("model", model)],
-            m.expired as f64,
-        );
-    }
-
-    r.family(
-        "copse_model_latency_nanos",
-        "histogram",
-        "End-to-end latency (queue wait + evaluation) per query.",
-    );
-    for (model, m) in &snapshot.per_model {
-        let mut cumulative = 0u64;
-        for (hi, count) in m.latency.nonzero_buckets() {
-            cumulative += count;
-            let le = hi.to_string();
-            r.sample(
-                "copse_model_latency_nanos_bucket",
-                &[("model", model), ("le", le.as_str())],
-                cumulative as f64,
-            );
+    let mut out = String::new();
+    for family in FAMILIES {
+        let name = family.name;
+        let _ = writeln!(out, "# HELP {name} {}", family.help);
+        let _ = writeln!(out, "# TYPE {name} {}", family.kind);
+        for (suffix, labels, value) in (family.read)(snapshot, flight) {
+            write_sample(&mut out, &format!("{name}{suffix}"), &labels, value);
         }
-        r.sample(
-            "copse_model_latency_nanos_bucket",
-            &[("model", model), ("le", "+Inf")],
-            m.latency.count() as f64,
-        );
-        r.sample(
-            "copse_model_latency_nanos_sum",
-            &[("model", model)],
-            m.latency.sum_nanos() as f64,
-        );
-        r.sample(
-            "copse_model_latency_nanos_count",
-            &[("model", model)],
-            m.latency.count() as f64,
-        );
     }
-
-    r.family(
-        "copse_queue_depth",
-        "gauge",
-        "Live job-queue depth, per model.",
-    );
-    for q in &snapshot.queue_depths {
-        r.sample("copse_queue_depth", &[("model", &q.model)], q.depth as f64);
-    }
-    r.family(
-        "copse_queue_capacity",
-        "gauge",
-        "Job-queue capacity, per model.",
-    );
-    for q in &snapshot.queue_depths {
-        r.sample(
-            "copse_queue_capacity",
-            &[("model", &q.model)],
-            q.capacity as f64,
-        );
-    }
-
-    r.family(
-        "copse_circuit_depth",
-        "gauge",
-        "Multiplicative depth of one classification (static analysis).",
-    );
-    for (model, c) in &snapshot.circuits {
-        r.sample("copse_circuit_depth", &[("model", model)], c.depth as f64);
-    }
-    r.family(
-        "copse_circuit_depth_budget",
-        "gauge",
-        "Depth the backend's parameters support.",
-    );
-    for (model, c) in &snapshot.circuits {
-        r.sample(
-            "copse_circuit_depth_budget",
-            &[("model", model)],
-            c.depth_budget as f64,
-        );
-    }
-    r.family(
-        "copse_circuit_ops_per_query",
-        "gauge",
-        "Homomorphic operations one classification costs.",
-    );
-    for (model, c) in &snapshot.circuits {
-        r.sample(
-            "copse_circuit_ops_per_query",
-            &[("model", model)],
-            c.ops_per_query as f64,
-        );
-    }
-    r.family(
-        "copse_circuit_modeled_ms",
-        "gauge",
-        "Modeled single-thread latency per classification (ms).",
-    );
-    for (model, c) in &snapshot.circuits {
-        r.sample(
-            "copse_circuit_modeled_ms",
-            &[("model", model)],
-            c.modeled_ms,
-        );
-    }
-
-    r.family(
-        "copse_flight_capacity",
-        "gauge",
-        "Flight-recorder ring capacity (0 = disabled).",
-    );
-    r.sample("copse_flight_capacity", &[], flight.capacity() as f64);
-    r.family(
-        "copse_flight_recorded_total",
-        "counter",
-        "Per-query flight records written over the recorder's lifetime.",
-    );
-    r.sample("copse_flight_recorded_total", &[], flight.recorded() as f64);
-    r.family(
-        "copse_flight_slow_queries",
-        "gauge",
-        "Currently-held flight records at or above the threshold, end to end.",
-    );
-    for threshold_ms in SLOW_QUERY_THRESHOLDS_MS {
-        let label = threshold_ms.to_string();
-        r.sample(
-            "copse_flight_slow_queries",
-            &[("threshold_ms", label.as_str())],
-            flight.slow_queries(threshold_ms * 1_000_000) as f64,
-        );
-    }
-
-    r.out
+    out
 }
 
 /// One parsed sample line.
@@ -751,9 +691,8 @@ mod tests {
         snap
     }
 
-    #[test]
-    fn exposition_round_trips_through_the_parser() {
-        let snap = populated_snapshot();
+    /// A recorder holding one 150 ms served query.
+    fn populated_flight() -> FlightRecorder {
         let flight = FlightRecorder::new(8);
         flight.record(crate::flight::FlightRecord {
             seq: 0,
@@ -769,6 +708,39 @@ mod tests {
             worker: 0,
             faults_seen: 0,
         });
+        flight
+    }
+
+    /// FNV-1a, 64 bit.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    #[test]
+    fn exposition_is_pinned() {
+        // Hashes captured at cdb89e6, the last commit that wrote the
+        // page one statement per sample: the text survived the move to
+        // the `FAMILIES` table byte for byte.
+        let populated = render_exposition(&populated_snapshot(), &populated_flight());
+        let empty = render_exposition(&ServerStats::new().snapshot(), &FlightRecorder::new(16));
+        assert_eq!(
+            fnv1a(populated.as_bytes()),
+            0xFA4C_3351_D1BF_E77F,
+            "populated exposition changed:\n{populated}"
+        );
+        assert_eq!(
+            fnv1a(empty.as_bytes()),
+            0x7A45_8324_1BBD_2412,
+            "empty-server exposition changed:\n{empty}"
+        );
+    }
+
+    #[test]
+    fn exposition_round_trips_through_the_parser() {
+        let snap = populated_snapshot();
+        let flight = populated_flight();
         let text = render_exposition(&snap, &flight);
         let parsed = parse_exposition(&text).expect("renderer emits the grammar it documents");
 
@@ -925,6 +897,24 @@ h_count 5
     }
 
     #[test]
+    fn family_names_are_unique_and_kinds_are_parseable() {
+        let mut names: Vec<&str> = FAMILIES.iter().map(|f| f.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), FAMILIES.len(), "a family is defined twice");
+        for family in FAMILIES {
+            assert!(valid_name(family.name), "{}", family.name);
+            // `summary` parses too, but no row's reader produces one.
+            assert!(
+                matches!(family.kind, "counter" | "gauge" | "histogram"),
+                "`{}` has kind `{}`",
+                family.name,
+                family.kind
+            );
+        }
+    }
+
+    #[test]
     fn empty_server_still_renders_every_scalar_family() {
         // Dashboards must never see fields appear and disappear: a
         // freshly started server's exposition already carries every
@@ -933,31 +923,10 @@ h_count 5
         let snap = ServerStats::new().snapshot();
         let flight = FlightRecorder::new(16);
         let parsed = parse_exposition(&render_exposition(&snap, &flight)).expect("parses");
-        for family in [
-            "copse_queries_served_total",
-            "copse_batches_total",
-            "copse_queries_shed_total",
-            "copse_queries_expired_total",
-            "copse_conn_timeouts_total",
-            "copse_pool_threads",
-            "copse_max_batch",
-            "copse_stage_ops_total",
-            "copse_queue_wait_nanos_total",
-            "copse_eval_nanos_total",
-            "copse_batches_by_size_total",
-            "copse_packed_queries_total",
-            "copse_max_packed",
-            "copse_queries_by_packed_size_total",
-            "copse_model_queries_total",
-            "copse_model_latency_nanos",
-            "copse_queue_depth",
-            "copse_flight_capacity",
-            "copse_flight_recorded_total",
-            "copse_flight_slow_queries",
-        ] {
+        for MetricFamily { name, .. } in FAMILIES {
             assert!(
-                parsed.families.contains_key(family),
-                "family `{family}` missing from an empty server's exposition"
+                parsed.families.contains_key(*name),
+                "family `{name}` missing from an empty server's exposition"
             );
         }
     }

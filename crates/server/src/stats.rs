@@ -298,7 +298,7 @@ impl StatsSnapshot {
     }
 }
 
-/// Saturating `Duration` → nanoseconds for wire fields.
+/// Saturating `Duration` → nanoseconds for the time-split line.
 fn duration_nanos(d: Duration) -> u64 {
     d.as_nanos().min(u128::from(u64::MAX)) as u64
 }
