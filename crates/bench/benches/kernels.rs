@@ -152,15 +152,12 @@ fn bench_ring_mul(c: &mut Criterion) {
 }
 
 /// `rotate_slots` and the relinearisation key switch at demo
-/// parameters: the cached evaluation-domain route (key parts
+/// parameters on the evaluation-domain route (key parts
 /// pre-transformed at keygen, one forward per digit row, two inverses
-/// per output) against the per-call coefficient-domain baseline. Both
-/// schemes share keys and an NTT-ready chain; only the key-switch
-/// strategy differs.
+/// per output). `benchmark/`'s `fhe.rotate_ms` / `fhe.multiply_ms` are
+/// the numbers of record.
 fn bench_rotate_key_switch(c: &mut Criterion) {
     let eval = BgvScheme::keygen(BgvParams::demo());
-    let mut coeff = BgvScheme::keygen(BgvParams::demo());
-    coeff.set_eval_domain_enabled(false);
     let bits = BitVec::from_fn(eval.slots().nslots(), |i| i % 3 != 0);
     let ct = eval.encrypt_poly(&eval.slots().encode(&bits));
 
@@ -169,18 +166,12 @@ fn bench_rotate_key_switch(c: &mut Criterion) {
     group.bench_function("eval-domain", |bench| {
         bench.iter(|| eval.rotate_slots(&ct, 1))
     });
-    group.bench_function("coefficient", |bench| {
-        bench.iter(|| coeff.rotate_slots(&ct, 1))
-    });
     group.finish();
 
     let mut group = c.benchmark_group("key_switch");
     group.sample_size(10);
     group.bench_function("eval-domain", |bench| {
         bench.iter(|| eval.key_switch_relin(&ct))
-    });
-    group.bench_function("coefficient", |bench| {
-        bench.iter(|| coeff.key_switch_relin(&ct))
     });
     group.finish();
 }

@@ -55,25 +55,21 @@ impl BgvCiphertext {
 
 /// Cache of periodic per-block masks, keyed by
 /// `(from, to, stride, count)`.
-type BlockMaskCache = HashMap<(usize, usize, usize, usize), Arc<BgvPlaintext>>;
+type MaskCache = HashMap<(usize, usize, usize, usize), Arc<BgvPlaintext>>;
 
 /// The real-FHE backend.
 #[derive(Debug)]
 pub struct BgvBackend {
     scheme: BgvScheme,
     meter: Arc<OpMeter>,
-    /// Slot-range masks keyed by `(from, to)`, shared across rotations
-    /// and cyclic extensions. A given width uses the same few masks on
-    /// every call, so caching them turns each into a *warm* fixed
-    /// operand whose evaluation-domain transform is paid exactly once
-    /// per backend.
-    masks: Mutex<HashMap<(usize, usize), Arc<BgvPlaintext>>>,
-    /// Periodic per-block masks for the packed-batch layout, keyed by
-    /// `(from, to, stride, count)`: ones at `j*stride + [from, to)`
-    /// for every block `j < count`. The packed mat-vec kernel reuses
-    /// the same few masks on every chunk, exactly like the
-    /// single-query cache above.
-    block_masks: Mutex<BlockMaskCache>,
+    /// Periodic per-block masks keyed by `(from, to, stride, count)`:
+    /// ones at `j*stride + [from, to)` for every block `j < count`. A
+    /// plain slot range is the one-block case `(from, to, nslots, 1)`.
+    /// Rotations, cyclic extensions and the packed mat-vec kernel use
+    /// the same few masks on every call, so caching them turns each
+    /// into a *warm* fixed operand whose evaluation-domain transform
+    /// is paid exactly once per backend.
+    masks: Mutex<MaskCache>,
 }
 
 impl BgvBackend {
@@ -90,7 +86,6 @@ impl BgvBackend {
             scheme: BgvScheme::keygen_with_ntt(params, use_ntt),
             meter: Arc::new(OpMeter::new()),
             masks: Mutex::new(HashMap::new()),
-            block_masks: Mutex::new(HashMap::new()),
         }
     }
 
@@ -109,34 +104,12 @@ impl BgvBackend {
         &self.scheme
     }
 
-    /// Enables or disables the scheme's cached evaluation-domain paths
-    /// (see [`BgvScheme::set_eval_domain_enabled`]); `false` is the
-    /// per-call coefficient-domain baseline/oracle.
-    pub fn set_eval_domain_enabled(&mut self, on: bool) {
-        self.scheme.set_eval_domain_enabled(on);
-    }
-
     /// Number of SIMD slots.
     pub fn nslots(&self) -> usize {
         self.scheme.slots().nslots()
     }
 
-    fn encode_mask(&self, from: usize, to: usize) -> Arc<BgvPlaintext> {
-        if let Some(mask) = self.masks.lock().unwrap().get(&(from, to)) {
-            return mask.clone();
-        }
-        let bits = BitVec::from_fn(self.nslots(), |i| i >= from && i < to);
-        let mask = Arc::new(self.encode(&bits));
-        self.scheme.warm_prepared(&mask.prepared);
-        self.masks
-            .lock()
-            .unwrap()
-            .entry((from, to))
-            .or_insert(mask)
-            .clone()
-    }
-
-    fn encode_block_mask(
+    fn encode_mask(
         &self,
         from: usize,
         to: usize,
@@ -144,7 +117,7 @@ impl BgvBackend {
         count: usize,
     ) -> Arc<BgvPlaintext> {
         let key = (from, to, stride, count);
-        if let Some(mask) = self.block_masks.lock().unwrap().get(&key) {
+        if let Some(mask) = self.masks.lock().unwrap().get(&key) {
             return mask.clone();
         }
         let bits = BitVec::from_fn(self.nslots(), |i| {
@@ -153,7 +126,7 @@ impl BgvBackend {
         });
         let mask = Arc::new(self.encode(&bits));
         self.scheme.warm_prepared(&mask.prepared);
-        self.block_masks
+        self.masks
             .lock()
             .unwrap()
             .entry(key)
@@ -172,6 +145,70 @@ impl BgvBackend {
     /// Slot-level left rotation by `k` (full width), no masking.
     fn rotate_full(&self, a: &Ciphertext, k: isize) -> Ciphertext {
         self.scheme.rotate_slots(a, k)
+    }
+
+    /// Rotates each of `count` `stride`-spaced blocks of live width
+    /// `width` left by `k` within its own range (a plain vector is the
+    /// one block `(w, nslots, 1)`): out[i] = v[i+k] for i < width-k
+    /// (from the left-rotated copy), and out[i] = v[i+k-width] for
+    /// width-k <= i < width (from the right-rotated copy). The two
+    /// full-ring automorphisms are masked with one span per block,
+    /// which preserves zero padding and clears cross-block leakage.
+    fn rotate_in_blocks(
+        &self,
+        a: &Ciphertext,
+        k: usize,
+        width: usize,
+        stride: usize,
+        count: usize,
+    ) -> Ciphertext {
+        let left = self.rotate_full(a, k as isize);
+        let right = self.rotate_full(a, k as isize - width as isize);
+        let m1 = self.encode_mask(0, width - k, stride, count);
+        let m2 = self.encode_mask(width - k, width, stride, count);
+        let t1 = self.scheme.mul_plain_prepared(&left, &m1.prepared);
+        let t2 = self.scheme.mul_plain_prepared(&right, &m2.prepared);
+        self.scheme.add(&t1, &t2)
+    }
+
+    /// Cyclically extends each block from `width` to `new_width` live
+    /// slots: window j holds v[i - j*width] for i in
+    /// [j*width, min((j+1)*width, new_width)), one masked full-ring
+    /// automorphism per window for every block at once.
+    fn extend_in_blocks(
+        &self,
+        a: &Ciphertext,
+        width: usize,
+        new_width: usize,
+        stride: usize,
+        count: usize,
+    ) -> Ciphertext {
+        let mut acc: Option<Ciphertext> = None;
+        let mut start = 0usize;
+        let mut j = 0isize;
+        while start < new_width {
+            let end = (start + width).min(new_width);
+            let shifted = if j == 0 {
+                a.clone()
+            } else {
+                self.rotate_full(a, -j * width as isize)
+            };
+            // The j = 0 window needs no mask (already zero-padded and
+            // end >= width). Later windows mask to their span.
+            let term = if j == 0 && end >= width {
+                shifted
+            } else {
+                let mask = self.encode_mask(start, end, stride, count);
+                self.scheme.mul_plain_prepared(&shifted, &mask.prepared)
+            };
+            acc = Some(match acc {
+                None => term,
+                Some(prev) => self.scheme.add(&prev, &term),
+            });
+            start = end;
+            j += 1;
+        }
+        acc.expect("new_width > 0")
     }
 }
 
@@ -312,17 +349,8 @@ impl FheBackend for BgvBackend {
                 width: w,
             };
         }
-        // out[i] = v[i+k] for i < w-k (from the left-rotated copy), and
-        // out[i] = v[i+k-w] for w-k <= i < w (from the right-rotated
-        // copy); both masked, preserving zero padding.
-        let left = self.rotate_full(&a.inner, k as isize);
-        let right = self.rotate_full(&a.inner, k as isize - w as isize);
-        let m1 = self.encode_mask(0, w - k);
-        let m2 = self.encode_mask(w - k, w);
-        let t1 = self.scheme.mul_plain_prepared(&left, &m1.prepared);
-        let t2 = self.scheme.mul_plain_prepared(&right, &m2.prepared);
         BgvCiphertext {
-            inner: self.scheme.add(&t1, &t2),
+            inner: self.rotate_in_blocks(&a.inner, k, w, self.nslots(), 1),
             width: w,
         }
     }
@@ -332,34 +360,8 @@ impl FheBackend for BgvBackend {
         self.check_width(width);
         let w = a.width;
         assert!(w > 0, "cannot extend an empty vector");
-        // Window j holds v[(i - j*w)] for i in [j*w, min((j+1)w, width)).
-        let mut acc: Option<Ciphertext> = None;
-        let mut start = 0usize;
-        let mut j = 0isize;
-        while start < width {
-            let end = (start + w).min(width);
-            let shifted = if j == 0 {
-                a.inner.clone()
-            } else {
-                self.rotate_full(&a.inner, -j * w as isize)
-            };
-            // The j = 0 window needs no mask (already zero-padded and
-            // end >= w). Later windows mask to their span.
-            let term = if j == 0 && end >= w {
-                shifted
-            } else {
-                let mask = self.encode_mask(start, end);
-                self.scheme.mul_plain_prepared(&shifted, &mask.prepared)
-            };
-            acc = Some(match acc {
-                None => term,
-                Some(prev) => self.scheme.add(&prev, &term),
-            });
-            start = end;
-            j += 1;
-        }
         BgvCiphertext {
-            inner: acc.expect("width > 0"),
+            inner: self.extend_in_blocks(&a.inner, w, width, self.nslots(), 1),
             width,
         }
     }
@@ -444,7 +446,7 @@ impl FheBackend for BgvBackend {
         // it also clears any other blocks' content the full-ring
         // rotation wrapped around.
         self.meter.record(FheOp::ConstantMultiply);
-        let mask = self.encode_mask(0, width);
+        let mask = self.encode_mask(0, width, self.nslots(), 1);
         BgvCiphertext {
             inner: self.scheme.mul_plain_prepared(&shifted, &mask.prepared),
             width,
@@ -474,18 +476,8 @@ impl FheBackend for BgvBackend {
         if k == 0 {
             return ct.clone();
         }
-        // The per-block generalisation of `rotate`: the same two
-        // full-ring automorphisms, but the masks are periodic — one
-        // span per block — so every block rotates within its own live
-        // range at once and cross-block leakage is masked away.
-        let left = self.rotate_full(&ct.inner, k as isize);
-        let right = self.rotate_full(&ct.inner, k as isize - width as isize);
-        let m1 = self.encode_block_mask(0, width - k, stride, count);
-        let m2 = self.encode_block_mask(width - k, width, stride, count);
-        let t1 = self.scheme.mul_plain_prepared(&left, &m1.prepared);
-        let t2 = self.scheme.mul_plain_prepared(&right, &m2.prepared);
         BgvCiphertext {
-            inner: self.scheme.add(&t1, &t2),
+            inner: self.rotate_in_blocks(&ct.inner, k, width, stride, count),
             width: ct.width,
         }
     }
@@ -504,34 +496,8 @@ impl FheBackend for BgvBackend {
         if new_width == width {
             return ct.clone();
         }
-        // The per-block mirror of `cyclic_extend`'s window loop, with
-        // periodic masks: one full-ring automorphism extends window j
-        // of every block simultaneously.
-        let mut acc: Option<Ciphertext> = None;
-        let mut start = 0usize;
-        let mut j = 0isize;
-        while start < new_width {
-            let end = (start + width).min(new_width);
-            let shifted = if j == 0 {
-                ct.inner.clone()
-            } else {
-                self.rotate_full(&ct.inner, -j * width as isize)
-            };
-            let term = if j == 0 && end >= width {
-                shifted
-            } else {
-                let mask = self.encode_block_mask(start, end, stride, count);
-                self.scheme.mul_plain_prepared(&shifted, &mask.prepared)
-            };
-            acc = Some(match acc {
-                None => term,
-                Some(prev) => self.scheme.add(&prev, &term),
-            });
-            start = end;
-            j += 1;
-        }
         BgvCiphertext {
-            inner: acc.expect("new_width > 0"),
+            inner: self.extend_in_blocks(&ct.inner, width, new_width, stride, count),
             width: ct.width,
         }
     }

@@ -116,13 +116,6 @@ impl NegacyclicBackend {
         &self.scheme
     }
 
-    /// Enables or disables the scheme's cached evaluation-domain paths
-    /// (see [`BgvScheme::set_eval_domain_enabled`]); `false` is the
-    /// per-call coefficient-domain baseline/oracle.
-    pub fn set_eval_domain_enabled(&mut self, on: bool) {
-        self.scheme.set_eval_domain_enabled(on);
-    }
-
     /// Lowers one logical bit to its constant plaintext polynomial.
     fn bit_poly(bit: bool) -> Gf2Poly {
         if bit {
@@ -596,12 +589,10 @@ mod tests {
     fn schoolbook_and_eval_toggles_agree() {
         let ntt = NegacyclicBackend::tiny();
         let school = NegacyclicBackend::new_with_ntt(BgvParams::negacyclic_tiny(), false);
-        let mut coeff = NegacyclicBackend::tiny();
-        coeff.set_eval_domain_enabled(false);
         let a = bits(&[true, false, true, true]);
         let b = bits(&[true, true, false, true]);
-        // Same keygen seed: all three share keys, and ciphertexts are
-        // interchangeable across the ring-path toggles.
+        // Same keygen seed: both share keys, and ciphertexts are
+        // interchangeable between the evaluation route and the oracle.
         let ct = ntt.encrypt_bits(&a);
         let prod_ntt = ntt.mul(&ct, &ntt.encrypt_bits(&b));
         let prod_school = school.mul(
@@ -612,6 +603,6 @@ mod tests {
         );
         assert_eq!(ntt.decrypt(&prod_ntt), a.and(&b));
         assert_eq!(school.decrypt(&prod_school), a.and(&b));
-        assert_eq!(coeff.decrypt(&prod_ntt), a.and(&b));
+        assert_eq!(school.decrypt(&prod_ntt), a.and(&b));
     }
 }

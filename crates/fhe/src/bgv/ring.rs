@@ -262,8 +262,10 @@ impl RnsContext {
     }
 
     /// Enables or disables the NTT fast path; with `false` every
-    /// product takes the schoolbook route (the test oracle).
-    pub fn set_ntt_enabled(&mut self, enabled: bool) {
+    /// product takes the schoolbook route (the test oracle). Only for
+    /// building a context (keygen, the `*_schoolbook_pair`s): keys are
+    /// derived in the form the route reads.
+    pub(crate) fn set_ntt_enabled(&mut self, enabled: bool) {
         self.use_ntt = enabled;
     }
 
@@ -1239,10 +1241,11 @@ mod tests {
 
     #[test]
     fn eval_ready_respects_toggle_and_plan_gaps() {
-        let (mut ntt, _) = RnsContext::ntt_schoolbook_pair(17, 25, 2);
+        // One chain, both routes: readiness follows the route the
+        // context was built on.
+        let (ntt, school) = RnsContext::ntt_schoolbook_pair(17, 25, 2);
         assert!(ntt.eval_ready(2));
-        ntt.set_ntt_enabled(false);
-        assert!(!ntt.eval_ready(1));
+        assert!(!school.eval_ready(1));
         let unfriendly = ctx();
         assert!(!unfriendly.eval_ready(1), "no plans on a generic chain");
     }

@@ -148,19 +148,19 @@ pub struct Ciphertext {
 }
 
 /// A key-switching key: for each chain prime `j` and digit `t`, an
-/// encryption of `q*_j · B^t · s'` under `s`.
+/// encryption `(b, a)` of `q*_j · B^t · s'` under `s`, indexed
+/// `[prime j][digit t]` at the full chain level.
 ///
-/// When the modulus chain is NTT-friendly the fixed key parts are also
-/// stored **pre-transformed in the evaluation domain** (built once at
-/// keygen), so every key switch multiply-accumulates against them
-/// pointwise instead of re-transforming them per call.
-#[derive(Clone, Debug)]
-pub struct KsKey {
-    parts: Vec<Vec<(RnsPoly, RnsPoly)>>, // [prime j][digit t] -> (b, a)
-    /// Evaluation-domain mirror of `parts` at the full chain level;
-    /// `None` when the ring cannot host the eval path (unfriendly
-    /// chain or NTT disabled at keygen).
-    parts_eval: Option<Vec<Vec<(EvalPoly, EvalPoly)>>>,
+/// A key is stored in **exactly one form**, the one its scheme's key
+/// switch reads: pre-transformed in the evaluation domain, so every
+/// key switch multiply-accumulates against the parts pointwise, or as
+/// coefficients.
+#[derive(Clone, Debug, PartialEq)]
+pub enum KsKey {
+    /// Evaluation-domain parts (an NTT scheme).
+    Eval(Vec<Vec<(EvalPoly, EvalPoly)>>),
+    /// Coefficient parts (the schoolbook oracle).
+    Coeff(Vec<Vec<(RnsPoly, RnsPoly)>>),
 }
 
 /// A plaintext operand prepared for (repeated) multiplication: the
@@ -210,10 +210,6 @@ pub struct BgvScheme {
     relin: KsKey,
     rotation: HashMap<u64, KsKey>,
     ks_noise_bits: f64,
-    /// Whether the cached evaluation-domain paths (key switching
-    /// against pre-transformed key parts, cached plaintext transforms,
-    /// eval-domain tensoring) are taken when the ring supports them.
-    eval_domain: bool,
     rng_seed: std::sync::atomic::AtomicU64,
 }
 
@@ -239,11 +235,11 @@ impl BgvScheme {
         Self::keygen_with_ntt(params, true)
     }
 
-    /// [`BgvScheme::keygen`] with the NTT fast path explicitly enabled
-    /// or disabled. The chain primes are identical either way, so the
-    /// two variants are interchangeable on the same ciphertexts —
-    /// `use_ntt: false` forces the schoolbook oracle for differential
-    /// testing.
+    /// [`BgvScheme::keygen`] with the arithmetic route chosen, for the
+    /// scheme's whole life: `use_ntt: false` builds the schoolbook
+    /// oracle for differential testing (no transform anywhere,
+    /// coefficient-form keys). The chain primes, keys and randomness
+    /// are identical either way, and so is every ciphertext bit.
     pub fn keygen_with_ntt(params: BgvParams, use_ntt: bool) -> Self {
         Self::keygen_with_threads(params, use_ntt, copse_pool::global().threads())
     }
@@ -271,6 +267,11 @@ impl BgvScheme {
                 ntt_chain_primes(params.prime_bits, params.chain_len, two_adic_order),
             )
         };
+        // All-or-nothing per scheme: the route never depends on a level.
+        assert!(
+            ring.eval_ready(params.chain_len),
+            "keygen chain lacks a plan"
+        );
         ring.set_ntt_enabled(use_ntt);
         let slots = (!params.is_negacyclic()).then(|| SlotStructure::new(params.m));
         let mut rng = SmallRng::seed_from_u64(params.keygen_seed);
@@ -291,12 +292,8 @@ impl BgvScheme {
             slots,
             secret,
             public,
-            relin: KsKey {
-                parts: Vec::new(),
-                parts_eval: None,
-            },
+            relin: KsKey::Coeff(Vec::new()),
             rotation: HashMap::new(),
-            eval_domain: true,
             rng_seed: std::sync::atomic::AtomicU64::new(params.keygen_seed ^ 0x5EED),
         };
         // Per-key rng split: seeds are drawn serially in key order
@@ -304,7 +301,7 @@ impl BgvScheme {
         // randomness independent of *when* it is generated — the
         // parallel fork below is bitwise identical to the serial loop.
         let s2 = scheme.ring.mul(&scheme.secret, &scheme.secret);
-        scheme.relin = scheme.ks_keygen_seeded(&s2, rng.next_u64());
+        scheme.relin = scheme.ks_keygen(&s2, rng.next_u64());
         let specs: Vec<(u64, RnsPoly, u64)> = scheme
             .slots
             .as_ref()
@@ -321,12 +318,12 @@ impl BgvScheme {
         let keys: Vec<KsKey> = if threads > 1 && specs.len() > 1 && !copse_pool::in_worker() {
             let scheme_ref = &scheme;
             copse_pool::global().scope_indices(specs.len(), threads, |i| {
-                scheme_ref.ks_keygen_seeded(&specs[i].1, specs[i].2)
+                scheme_ref.ks_keygen(&specs[i].1, specs[i].2)
             })
         } else {
             specs
                 .iter()
-                .map(|(_, target, seed)| scheme.ks_keygen_seeded(target, *seed))
+                .map(|(_, target, seed)| scheme.ks_keygen(target, *seed))
                 .collect()
         };
         for ((exponent, _, _), key) in specs.into_iter().zip(keys) {
@@ -349,16 +346,29 @@ impl BgvScheme {
     }
 
     /// One key-switching key from its own rng split (see
-    /// [`BgvScheme::keygen_with_threads`]).
-    fn ks_keygen_seeded(&self, target: &RnsPoly, seed: u64) -> KsKey {
-        self.ks_keygen(target, &mut SmallRng::seed_from_u64(seed))
+    /// [`BgvScheme::keygen_with_threads`]), each part put in the
+    /// scheme's form as it is drawn — a whole coefficient key is never
+    /// resident on the evaluation route.
+    fn ks_keygen(&self, target: &RnsPoly, seed: u64) -> KsKey {
+        let rng = &mut SmallRng::seed_from_u64(seed);
+        if self.eval_path() {
+            KsKey::Eval(self.ks_parts(target, rng, |p| self.ring.to_eval(&p)))
+        } else {
+            KsKey::Coeff(self.ks_parts(target, rng, |p| p))
+        }
     }
 
-    fn ks_keygen(&self, target: &RnsPoly, rng: &mut SmallRng) -> KsKey {
+    /// The `[prime j][digit t]` grid of key parts `(form(b), form(a))`.
+    fn ks_parts<P>(
+        &self,
+        target: &RnsPoly,
+        rng: &mut SmallRng,
+        form: impl Fn(RnsPoly) -> P,
+    ) -> Vec<Vec<(P, P)>> {
         let level = self.params.chain_len;
         let primes = self.ring.primes().to_vec();
         let n_digits = self.params.prime_bits.div_ceil(self.params.ks_digit_bits) as usize;
-        let parts: Vec<Vec<(RnsPoly, RnsPoly)>> = (0..level)
+        (0..level)
             .map(|j| {
                 (0..n_digits)
                     .map(|t| {
@@ -384,24 +394,11 @@ impl BgvScheme {
                             ),
                             &self.ring.mul_scalar_rns(target, &scalars),
                         );
-                        (b, a)
+                        (form(b), form(a))
                     })
                     .collect()
             })
-            .collect();
-        // Fixed key material is forward-transformed once, here at
-        // keygen, so key switches never pay for it again.
-        let parts_eval = self.ring.eval_ready(level).then(|| {
-            parts
-                .iter()
-                .map(|row| {
-                    row.iter()
-                        .map(|(b, a)| (self.ring.to_eval(b), self.ring.to_eval(a)))
-                        .collect()
-                })
-                .collect()
-        });
-        KsKey { parts, parts_eval }
+            .collect()
     }
 
     /// `q*_j mod qi` where `q*_j = (Q/q_j) * [(Q/q_j)^{-1}]_{q_j}`.
@@ -467,23 +464,10 @@ impl BgvScheme {
         self.ring.threads()
     }
 
-    /// Whether the cached evaluation-domain paths are enabled (they
-    /// additionally require an NTT-ready ring to actually run).
-    pub fn eval_domain_enabled(&self) -> bool {
-        self.eval_domain
-    }
-
-    /// Enables or disables the evaluation-domain paths. With `false`,
-    /// key switching, plaintext multiplication and tensoring take the
-    /// per-call coefficient-domain route even on an NTT-ready ring —
-    /// the pre-amortisation baseline, and the differential oracle for
-    /// the cached paths.
-    pub fn set_eval_domain_enabled(&mut self, on: bool) {
-        self.eval_domain = on;
-    }
-
-    fn eval_path(&self, level: usize) -> bool {
-        self.eval_domain && self.ring.eval_ready(level)
+    /// Whether this is the evaluation-domain scheme rather than the
+    /// schoolbook oracle — a keygen-time fact, true at every level.
+    fn eval_path(&self) -> bool {
+        self.ring.ntt_enabled()
     }
 
     /// Primes remaining for a ciphertext (its level).
@@ -641,10 +625,10 @@ impl BgvScheme {
 
     /// Eagerly populates a prepared plaintext's transform cache (the
     /// deployment-time hook: fixed model diagonals transform at deploy,
-    /// so the first query pays nothing). No-op when the evaluation
-    /// path is unavailable or disabled.
+    /// so the first query pays nothing). No-op on the schoolbook
+    /// oracle.
     pub fn warm_prepared(&self, pt: &PreparedPlaintext) {
-        if self.eval_path(self.params.chain_len) {
+        if self.eval_path() {
             let _ = self.prepared_eval(pt);
         }
     }
@@ -658,14 +642,14 @@ impl BgvScheme {
         self.mul_plain_prepared(a, &prepared)
     }
 
-    /// Multiplies by a prepared plaintext. On an NTT-ready ring the
+    /// Multiplies by a prepared plaintext. On the evaluation route the
     /// plaintext's cached full-level transform serves both ciphertext
     /// halves (and, for fixed operands, every later call) pointwise;
-    /// otherwise the coefficient-domain product runs as before.
+    /// the oracle takes the schoolbook product.
     pub fn mul_plain_prepared(&self, a: &Ciphertext, pt: &PreparedPlaintext) -> Ciphertext {
         let level = self.level(a);
         let noise_bits = a.noise_bits + (pt.l1.max(2) as f64).log2() + 1.0;
-        if self.eval_path(self.params.chain_len) {
+        if self.eval_path() {
             let local;
             let pe = match pt.eval.get() {
                 Some(pe) => pe,
@@ -704,7 +688,7 @@ impl BgvScheme {
             &self.reduce(b, MUL_INPUT_BITS),
         );
         let level = self.level(&a);
-        let (d0, d1, d2) = if self.eval_path(level) {
+        let (d0, d1, d2) = if self.eval_path() {
             // Four forward transforms cover all four cross products
             // (the cross term sums before its single inverse).
             let ea0 = self.ring.to_eval(&a.c0);
@@ -799,23 +783,20 @@ impl BgvScheme {
     /// the key encodes `s'`) as a pair under `s`, via per-prime digit
     /// decomposition.
     ///
-    /// Two routes, bitwise identical (the NTT is linear and exact over
-    /// each `Z_q`): the evaluation-domain route transforms each digit
-    /// row once, multiply-accumulates pointwise against key parts that
-    /// were pre-transformed at keygen, and inverse-transforms each of
-    /// the two output polynomials once — `level · digits` forward
-    /// transforms plus `2 · level` inverses per call, down from
-    /// `3 · level` transforms per digit *product*. The coefficient
-    /// route survives as the oracle for unfriendly chains and the
-    /// NTT-off/eval-off toggles.
+    /// Two routes, chosen by the form the key was born in and bitwise
+    /// identical (the NTT is linear and exact over each `Z_q`): the
+    /// evaluation-domain route transforms each digit row once,
+    /// multiply-accumulates pointwise against key parts that were
+    /// pre-transformed at keygen, and inverse-transforms each of the
+    /// two output polynomials once — `level · digits · level` forward
+    /// transforms plus `2 · level` inverses per call. The coefficient
+    /// route is the schoolbook oracle's.
     fn key_switch(&self, poly: &RnsPoly, key: &KsKey) -> (RnsPoly, RnsPoly) {
         let level = self.ring.level_of(poly);
-        if self.eval_path(level) {
-            if let Some(parts) = &key.parts_eval {
-                return self.key_switch_eval(poly, parts, level);
-            }
+        match key {
+            KsKey::Eval(parts) => self.key_switch_eval(poly, parts, level),
+            KsKey::Coeff(parts) => self.key_switch_coeff(poly, parts, level),
         }
-        self.key_switch_coeff(poly, key, level)
     }
 
     fn key_switch_eval(
@@ -862,14 +843,20 @@ impl BgvScheme {
         (self.ring.from_eval(&acc0), self.ring.from_eval(&acc1))
     }
 
-    /// Coefficient-domain key switch (the differential oracle). Digits
-    /// lift through [`RnsContext::from_small_unsigned`] (no per-digit
+    /// Coefficient-domain key switch — the schoolbook oracle's, kept
+    /// independent of the evaluation route it checks. Digits lift
+    /// through [`RnsContext::from_small_unsigned`] (no per-digit
     /// signed re-collect) and key parts are consumed at `level` through
     /// [`RnsContext::mul_prefix`] row-slice views (no per-digit clone).
-    fn key_switch_coeff(&self, poly: &RnsPoly, key: &KsKey, level: usize) -> (RnsPoly, RnsPoly) {
+    fn key_switch_coeff(
+        &self,
+        poly: &RnsPoly,
+        parts: &[Vec<(RnsPoly, RnsPoly)>],
+        level: usize,
+    ) -> (RnsPoly, RnsPoly) {
         let mut acc0 = self.ring.zero(level);
         let mut acc1 = self.ring.zero(level);
-        for (j, key_row) in key.parts.iter().enumerate().take(level) {
+        for (j, key_row) in parts.iter().enumerate().take(level) {
             let digits = self
                 .ring
                 .decompose_digits(poly, j, self.params.ks_digit_bits);
@@ -1050,32 +1037,21 @@ mod tests {
 
     #[test]
     fn keygen_chain_is_ntt_ready_and_paths_interoperate() {
+        // Same params and seed: identical keys and identical encryption
+        // randomness streams, so every ciphertext component must match
+        // bit for bit between the evaluation-domain scheme and the
+        // schoolbook oracle, which shares no transform with it.
         let on = scheme();
         assert_eq!(on.ring().ntt_ready_primes(), on.params().chain_len);
         assert!(on.ring().ntt_enabled());
         let off = BgvScheme::keygen_with_ntt(BgvParams::tiny(), false);
         assert!(!off.ring().ntt_enabled());
-        // Same keys either way: a ciphertext produced on the NTT path
-        // decrypts on the schoolbook path.
-        let bits = [true, false, true, true, false, false];
-        let ct = enc_bits(&on, &bits);
-        assert_eq!(dec_bits(&off, &ct, 6), bits);
-    }
-
-    #[test]
-    fn eval_and_coeff_paths_are_bitwise_identical() {
-        // Same params and seed: identical keys and identical encryption
-        // randomness streams, so every ciphertext component must match
-        // bit for bit between the cached evaluation-domain paths and
-        // the per-call coefficient-domain route.
-        let on = BgvScheme::keygen(BgvParams::tiny());
-        let mut off = BgvScheme::keygen(BgvParams::tiny());
-        off.set_eval_domain_enabled(false);
-        assert!(on.relin.parts_eval.is_some(), "keys pre-transformed");
 
         let bits = [true, false, true, true, false, true];
         let (a_on, a_off) = (enc_bits(&on, &bits), enc_bits(&off, &bits));
         assert_eq!(a_on.c0, a_off.c0);
+        // A ciphertext produced on one route decrypts on the other.
+        assert_eq!(dec_bits(&off, &a_on, 6), bits);
 
         for k in 1..6isize {
             let (r_on, r_off) = (on.rotate_slots(&a_on, k), off.rotate_slots(&a_off, k));
@@ -1134,13 +1110,11 @@ mod tests {
     #[test]
     fn schoolbook_scheme_skips_eval_material() {
         let off = BgvScheme::keygen_with_ntt(BgvParams::tiny(), false);
-        assert!(
-            off.relin.parts_eval.is_none(),
-            "no eval key parts without NTT"
-        );
-        assert!(off.eval_domain_enabled(), "toggle defaults on");
-        // The eval path is gated on ring readiness, so operations still
-        // run (and the whole scheme stays the schoolbook oracle).
+        let prepared = off.prepare_plain(&off.slots().encode(&BitVec::from_bools(&[true; 6])));
+        off.warm_prepared(&prepared);
+        assert!(!prepared.is_warm(), "no plaintext transforms without NTT");
+        // The whole scheme is the schoolbook oracle, and operations
+        // still run.
         let bits = [true, false, false, true, false, true];
         let ct = enc_bits(&off, &bits);
         assert_eq!(dec_bits(&off, &off.rotate_slots(&ct, 1), 6), {
@@ -1148,6 +1122,22 @@ mod tests {
             w.rotate_left(1);
             w
         });
+    }
+
+    #[test]
+    fn switching_keys_hold_exactly_one_form() {
+        // The route is fixed at keygen and every key is stored only in
+        // the form that route reads.
+        fn keys(s: &BgvScheme) -> impl Iterator<Item = &KsKey> {
+            std::iter::once(&s.relin).chain(s.rotation.values())
+        }
+        for params in [BgvParams::tiny(), BgvParams::negacyclic_tiny()] {
+            let ntt = BgvScheme::keygen(params);
+            let oracle = BgvScheme::keygen_with_ntt(params, false);
+            assert_eq!(ntt.rotation.len(), oracle.rotation.len());
+            assert!(keys(&ntt).all(|k| matches!(k, KsKey::Eval(p) if !p.is_empty())));
+            assert!(keys(&oracle).all(|k| matches!(k, KsKey::Coeff(p) if !p.is_empty())));
+        }
     }
 
     #[test]
@@ -1171,13 +1161,11 @@ mod tests {
             let par = BgvScheme::keygen_with_threads(BgvParams::tiny(), true, threads);
             assert_eq!(par.secret, serial.secret, "threads {threads}");
             assert_eq!(par.public, serial.public, "threads {threads}");
-            assert_eq!(par.relin.parts, serial.relin.parts, "threads {threads}");
-            assert_eq!(par.relin.parts_eval, serial.relin.parts_eval);
+            assert_eq!(par.relin, serial.relin, "threads {threads}");
             assert_eq!(par.rotation.len(), serial.rotation.len());
             for (exponent, key) in &serial.rotation {
                 let p = par.rotation.get(exponent).expect("same exponent set");
-                assert_eq!(p.parts, key.parts, "key {exponent}, threads {threads}");
-                assert_eq!(p.parts_eval, key.parts_eval, "key {exponent}");
+                assert_eq!(p, key, "key {exponent}, threads {threads}");
             }
         }
     }
@@ -1244,42 +1232,31 @@ mod tests {
     }
 
     #[test]
-    fn negacyclic_eval_and_coeff_paths_are_bitwise_identical() {
-        // Same seed, same keys: the cached evaluation-domain paths
-        // (ψ-twisted size-n transforms) and the per-call coefficient
-        // route must produce identical ciphertext bits.
-        let on = BgvScheme::keygen(BgvParams::negacyclic_tiny());
-        let mut off = BgvScheme::keygen(BgvParams::negacyclic_tiny());
-        off.set_eval_domain_enabled(false);
-        assert!(on.relin.parts_eval.is_some(), "keys pre-transformed");
+    fn negacyclic_schoolbook_scheme_agrees_with_ntt_scheme() {
+        // Same seed, same keys: the evaluation-domain scheme (ψ-twisted
+        // size-n transforms) and the negacyclic schoolbook oracle must
+        // produce identical ciphertext bits.
+        let ntt = BgvScheme::keygen(BgvParams::negacyclic_tiny());
+        let school = BgvScheme::keygen_with_ntt(BgvParams::negacyclic_tiny(), false);
+        assert!(!school.ring().ntt_enabled());
         let bits: Vec<bool> = (0..16).map(|i| i % 4 == 1).collect();
-        let (a_on, a_off) = (enc_poly_bits(&on, &bits), enc_poly_bits(&off, &bits));
-        assert_eq!(a_on.c0, a_off.c0);
-        let (b_on, b_off) = (enc_poly_bits(&on, &bits), enc_poly_bits(&off, &bits));
-        let (m_on, m_off) = (on.mul(&a_on, &b_on), off.mul(&a_off, &b_off));
-        assert_eq!(m_on.c0, m_off.c0, "tensor + relin c0");
-        assert_eq!(m_on.c1, m_off.c1, "tensor + relin c1");
+        let (a_n, a_s) = (enc_poly_bits(&ntt, &bits), enc_poly_bits(&school, &bits));
+        assert_eq!(a_n.c0, a_s.c0);
+        // A ciphertext produced on one route decrypts on the other.
+        assert_eq!(dec_poly_bits(&school, &a_n, 16), bits);
+        let (b_n, b_s) = (enc_poly_bits(&ntt, &bits), enc_poly_bits(&school, &bits));
+        let (m_n, m_s) = (ntt.mul(&a_n, &b_n), school.mul(&a_s, &b_s));
+        assert_eq!(m_n.c0, m_s.c0, "tensor + relin c0");
+        assert_eq!(m_n.c1, m_s.c1, "tensor + relin c1");
         let pt = {
             let mut p = Gf2Poly::zero();
             p.flip(0);
             p.flip(3);
             p
         };
-        let (p_on, p_off) = (on.mul_plain(&a_on, &pt, 2), off.mul_plain(&a_off, &pt, 2));
-        assert_eq!(p_on.c0, p_off.c0, "mul_plain c0");
-        assert_eq!(p_on.c1, p_off.c1, "mul_plain c1");
-    }
-
-    #[test]
-    fn negacyclic_schoolbook_scheme_agrees_with_ntt_scheme() {
-        let ntt = BgvScheme::keygen(BgvParams::negacyclic_tiny());
-        let school = BgvScheme::keygen_with_ntt(BgvParams::negacyclic_tiny(), false);
-        assert!(!school.ring().ntt_enabled());
-        let bits: Vec<bool> = (0..16).map(|i| i % 3 != 0).collect();
-        // Same keys: ciphertexts from the ψ-twisted NTT scheme decrypt
-        // on the schoolbook scheme.
-        let ct = enc_poly_bits(&ntt, &bits);
-        assert_eq!(dec_poly_bits(&school, &ct, 16), bits);
+        let (p_n, p_s) = (ntt.mul_plain(&a_n, &pt, 2), school.mul_plain(&a_s, &pt, 2));
+        assert_eq!(p_n.c0, p_s.c0, "mul_plain c0");
+        assert_eq!(p_n.c1, p_s.c1, "mul_plain c1");
     }
 
     #[test]

@@ -208,7 +208,7 @@ proptest! {
     }
 }
 
-// --- evaluation-domain BGV paths vs the coefficient-domain oracle ---
+// --- evaluation-domain BGV scheme vs the schoolbook oracle ---
 
 mod bgv_eval_parity {
     use copse_fhe::bgv::scheme::{BgvParams, BgvScheme, Ciphertext};
@@ -216,34 +216,28 @@ mod bgv_eval_parity {
     use proptest::prelude::*;
     use std::sync::OnceLock;
 
-    /// Three schemes over identical keys and randomness streams:
-    /// cached evaluation-domain, per-call coefficient-domain (NTT on),
-    /// and the full schoolbook oracle (NTT off). Built once — keygen
+    /// Two schemes over identical keys and randomness streams: the
+    /// evaluation-domain scheme and the schoolbook oracle (no
+    /// transform anywhere, coefficient-form keys). Built once — keygen
     /// dominates the suite otherwise.
-    fn trio() -> &'static (BgvScheme, BgvScheme, BgvScheme) {
-        static TRIO: OnceLock<(BgvScheme, BgvScheme, BgvScheme)> = OnceLock::new();
-        TRIO.get_or_init(|| {
+    fn pair() -> &'static (BgvScheme, BgvScheme) {
+        static PAIR: OnceLock<(BgvScheme, BgvScheme)> = OnceLock::new();
+        PAIR.get_or_init(|| {
             let params = BgvParams::tiny();
-            let eval = BgvScheme::keygen(params);
-            let mut coeff = BgvScheme::keygen(params);
-            coeff.set_eval_domain_enabled(false);
-            let school = BgvScheme::keygen_with_ntt(params, false);
-            (eval, coeff, school)
+            (
+                BgvScheme::keygen(params),
+                BgvScheme::keygen_with_ntt(params, false),
+            )
         })
     }
 
-    fn encrypt_all(bits: &[bool]) -> (Ciphertext, Ciphertext, Ciphertext) {
-        let (eval, coeff, school) = trio();
-        // One encryption per scheme per call keeps the three internal
+    fn encrypt_both(bits: &[bool]) -> (Ciphertext, Ciphertext) {
+        let (eval, school) = pair();
+        // One encryption per scheme per call keeps the two internal
         // randomness counters in lockstep, so ciphertexts stay
         // bitwise identical across schemes.
         let enc = |s: &BgvScheme| s.encrypt_poly(&s.slots().encode(&BitVec::from_bools(bits)));
-        (enc(eval), enc(coeff), enc(school))
-    }
-
-    fn assert_trio_eq(e: &Ciphertext, c: &Ciphertext, s: &Ciphertext, what: &str) {
-        assert_eq!(e, c, "{what}: eval vs coefficient path");
-        assert_eq!(e, s, "{what}: eval path vs schoolbook oracle");
+        (enc(eval), enc(school))
     }
 
     proptest! {
@@ -257,46 +251,40 @@ mod bgv_eval_parity {
             k in 1isize..6,
             drops in 0usize..4,
         ) {
-            let (eval, coeff, school) = trio();
-            let (mut e, mut c, mut s) = encrypt_all(&bits);
-            prop_assert_eq!(&e, &c);
+            let (eval, school) = pair();
+            let (mut e, mut s) = encrypt_both(&bits);
+            prop_assert_eq!(&e, &s);
 
             // Vary the level so reduced ciphertexts hit the row-prefix
             // views over full-level key material and plaintext caches.
             for _ in 0..drops {
                 e = eval.mod_switch(&e);
-                c = coeff.mod_switch(&c);
                 s = school.mod_switch(&s);
             }
 
-            let (re, rc, rs) = (
+            prop_assert_eq!(
                 eval.rotate_slots(&e, k),
-                coeff.rotate_slots(&c, k),
                 school.rotate_slots(&s, k),
+                "rotate_slots"
             );
-            assert_trio_eq(&re, &rc, &rs, "rotate_slots");
 
             // key_switch directly (the relinearisation key), beneath
             // the rotate/mul wrappers.
-            let (ke0, ke1) = eval.key_switch_relin(&e);
-            let (kc0, kc1) = coeff.key_switch_relin(&c);
-            let (ks0, ks1) = school.key_switch_relin(&s);
-            prop_assert_eq!(&ke0, &kc0, "key_switch c0: eval vs coeff");
-            prop_assert_eq!(&ke1, &kc1, "key_switch c1: eval vs coeff");
-            prop_assert_eq!(&ke0, &ks0, "key_switch c0: eval vs schoolbook");
-            prop_assert_eq!(&ke1, &ks1, "key_switch c1: eval vs schoolbook");
+            prop_assert_eq!(
+                eval.key_switch_relin(&e),
+                school.key_switch_relin(&s),
+                "key_switch"
+            );
 
-            let (oe, oc, os) = encrypt_all(&other);
-            let (me, mc, ms) = (eval.mul(&e, &oe), coeff.mul(&c, &oc), school.mul(&s, &os));
-            assert_trio_eq(&me, &mc, &ms, "mul (tensor + relin)");
+            let (oe, os) = encrypt_both(&other);
+            prop_assert_eq!(eval.mul(&e, &oe), school.mul(&s, &os), "mul (tensor + relin)");
 
             let pt = eval.slots().encode(&BitVec::from_bools(&mask));
-            let (pe, pc, ps) = (
+            prop_assert_eq!(
                 eval.mul_plain(&e, &pt, 4),
-                coeff.mul_plain(&c, &pt, 4),
                 school.mul_plain(&s, &pt, 4),
+                "mul_plain"
             );
-            assert_trio_eq(&pe, &pc, &ps, "mul_plain");
 
             // And the cached form reproduces the one-shot form.
             let prepared = eval.prepare_plain(&pt);
@@ -306,9 +294,9 @@ mod bgv_eval_parity {
         }
     }
 
-    /// Digit-width sweep: the eval/coefficient split must agree for
-    /// every decomposition geometry, from many narrow digits to one
-    /// digit per prime.
+    /// Digit-width sweep: the evaluation route and the oracle must
+    /// agree for every decomposition geometry, from many narrow digits
+    /// to one digit per prime.
     #[test]
     fn parity_holds_across_digit_widths() {
         for ks_digit_bits in [5u32, 13, 25] {
@@ -317,20 +305,19 @@ mod bgv_eval_parity {
                 ..BgvParams::tiny()
             };
             let eval = BgvScheme::keygen(params);
-            let mut coeff = BgvScheme::keygen(params);
-            coeff.set_eval_domain_enabled(false);
+            let school = BgvScheme::keygen_with_ntt(params, false);
             let bits = BitVec::from_bools(&[true, false, true, true, false, true]);
             let e = eval.encrypt_poly(&eval.slots().encode(&bits));
-            let c = coeff.encrypt_poly(&coeff.slots().encode(&bits));
-            assert_eq!(e, c, "fresh ciphertexts, B = 2^{ks_digit_bits}");
+            let s = school.encrypt_poly(&school.slots().encode(&bits));
+            assert_eq!(e, s, "fresh ciphertexts, B = 2^{ks_digit_bits}");
             assert_eq!(
                 eval.rotate_slots(&e, 2),
-                coeff.rotate_slots(&c, 2),
+                school.rotate_slots(&s, 2),
                 "rotate, B = 2^{ks_digit_bits}"
             );
             assert_eq!(
                 eval.mul(&e, &e),
-                coeff.mul(&c, &c),
+                school.mul(&s, &s),
                 "mul, B = 2^{ks_digit_bits}"
             );
         }

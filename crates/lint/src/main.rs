@@ -41,6 +41,14 @@
 //!    version (`WIRE_VERSION` suffixed `_MIN`): a frame carries
 //!    `WIRE_VERSION` or is refused, so a second dialect cannot re-grow
 //!    beside the first.
+//! 9. **The arithmetic route is fixed at keygen.** Non-test
+//!    `crates/fhe/src/bgv` (`BgvScheme`, `BgvBackend`,
+//!    `NegacyclicBackend`, `RnsContext`) defines no public
+//!    `set_*_enabled(` mutator, and `KsKey` stays an enum of forms:
+//!    declaring it as a `struct`, or re-growing the `parts_eval`
+//!    mirror field, is a finding. A scheme is born on the evaluation
+//!    route or as the schoolbook oracle and holds each switching key
+//!    in the one form that route reads.
 //!
 //! The scan covers `crates/*/src/**/*.rs` plus the facade's `src/`;
 //! examples, integration tests, and vendored shims are out of scope.
@@ -88,6 +96,9 @@ struct Patterns {
     println: String,
     stages: [String; 4],
     dialect: [String; 4],
+    /// Rule 9: a public setter is `toggle.0 .. toggle.1` on one line.
+    toggle: (String, String),
+    second_form: [String; 2],
 }
 
 impl Patterns {
@@ -113,6 +124,8 @@ impl Patterns {
                 ["_version", "ed("].concat(),
                 ["WIRE_VERSION", "_MIN"].concat(),
             ],
+            toggle: (["pub fn ", "set_"].concat(), ["_enabled", "("].concat()),
+            second_form: [["struct ", "KsKey"].concat(), ["parts", "_eval"].concat()],
         }
     }
 }
@@ -127,6 +140,7 @@ struct RuleSet {
     ban_unbounded: bool,
     ban_print: bool,
     ban_dialect: bool,
+    ban_route_toggle: bool,
 }
 
 fn rules_for(rel_path: &str) -> RuleSet {
@@ -143,6 +157,7 @@ fn rules_for(rel_path: &str) -> RuleSet {
         ban_print: server && !rel_path.contains("/bin/") && !rel_path.ends_with("/main.rs"),
         ban_dialect: rel_path == "crates/core/src/wire.rs"
             || rel_path.starts_with("crates/server/src/"),
+        ban_route_toggle: rel_path.starts_with("crates/fhe/src/bgv/"),
     }
 }
 
@@ -247,6 +262,17 @@ fn scan_source(rel_path: &str, source: &str, patterns: &Patterns) -> Vec<Finding
         }
         if rules.ban_dialect && patterns.dialect.iter().any(|p| code.contains(p.as_str())) {
             report("wire-dialect");
+        }
+        let (setter, enabled) = &patterns.toggle;
+        let toggle = code
+            .find(setter.as_str())
+            .is_some_and(|i| code[i..].contains(enabled.as_str()));
+        let second_form = patterns
+            .second_form
+            .iter()
+            .any(|p| code.contains(p.as_str()));
+        if rules.ban_route_toggle && (toggle || second_form) {
+            report("route-toggle");
         }
     }
     findings
@@ -586,6 +612,35 @@ mod tests {
         // Refusing every version but one is not a dialect.
         let single = "fn f(version: u8) -> bool { version != WIRE_VERSION }\n";
         assert!(scan("crates/core/src/wire.rs", single).is_empty());
+    }
+
+    #[test]
+    fn flags_a_route_toggle_or_a_second_key_form() {
+        let patterns = Patterns::new();
+        let (setter, enabled) = &patterns.toggle;
+        let [as_struct, mirror] = &patterns.second_form;
+        let srcs = [
+            format!("    {setter}eval_domain{enabled}&mut self, on: bool) {{}}\n"),
+            format!("    {setter}ntt{enabled}&mut self, enabled: bool) {{}}\n"),
+            format!("pub {as_struct} {{\n"),
+            format!("    {mirror}: Option<Vec<Vec<(EvalPoly, EvalPoly)>>>,\n"),
+        ];
+        for src in &srcs {
+            let hits = scan("crates/fhe/src/bgv/scheme.rs", src);
+            assert_eq!(hits.len(), 1, "{src}");
+            assert_eq!(hits[0].rule, "route-toggle");
+            // Out of scope: other crates, tests, comments.
+            assert!(scan("crates/core/src/runtime.rs", src).is_empty());
+            let in_test = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+            assert!(scan("crates/fhe/src/bgv/scheme.rs", &in_test).is_empty());
+            assert!(scan("crates/fhe/src/bgv/scheme.rs", &format!("// {src}")).is_empty());
+        }
+        // What the crate does hold: a one-form enum, a crate-private
+        // construction-time setter, and the thread knob.
+        let fine = "pub enum KsKey {\n    Eval(Vec<Vec<(EvalPoly, EvalPoly)>>),\n}\n\
+                    pub(crate) fn set_ntt_enabled(&mut self, enabled: bool) {}\n\
+                    pub fn set_threads(&self, threads: usize) {}\n";
+        assert!(scan("crates/fhe/src/bgv/ring.rs", fine).is_empty());
     }
 
     /// The invariant the linter exists to keep: the workspace itself

@@ -128,8 +128,8 @@ fn ntt_and_schoolbook_ring_paths_classify_identically() {
 fn eval_domain_and_coefficient_paths_classify_identically() {
     // Same keys either way; the evaluation-domain backend key-switches
     // against pre-transformed key parts and multiplies cached model
-    // diagonal transforms, while the coefficient backend re-transforms
-    // per call (the pre-amortisation baseline). Classification must
+    // diagonal transforms, while the schoolbook oracle holds
+    // coefficient-form keys and never transforms. Classification must
     // match bitwise, and both must match the cleartext model —
     // covering key_switch, rotate and mul_plain end to end, on both
     // plaintext-model (cached diagonals) and encrypted-model forms.
@@ -143,8 +143,7 @@ fn eval_domain_and_coefficient_paths_classify_identically() {
         keygen_seed: 0xE2E,
     };
     let eval = BgvBackend::new(params);
-    let mut coeff = BgvBackend::new(params);
-    coeff.set_eval_domain_enabled(false);
+    let coeff = BgvBackend::new_with_ntt(params, false);
 
     let maurice = Maurice::compile(&forest, CompileOptions::default()).unwrap();
     for form in [ModelForm::Plain, ModelForm::Encrypted] {
