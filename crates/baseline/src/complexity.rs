@@ -1,13 +1,14 @@
 //! Exact operation counts for the baseline evaluator.
 //!
-//! The counterpart of `copse-core::complexity::ours` for the Aloufi et
-//! al. strategy: counts derived from the kernel structure and asserted
+//! The counterpart of the COPSE static analyzer (`copse_core::analyze`)
+//! for the Aloufi et al. strategy: counts derived from the kernel
+//! structure — a different circuit, so its own model — and asserted
 //! against the instrumented meter in tests. Comparing these with
 //! COPSE's counts explains Figure 6 analytically — the baseline pays
 //! `SecComp` once **per branch** plus one balanced path product per
 //! leaf, where COPSE pays one `SecComp` plus `d` matrix products.
 
-use copse_core::complexity::ours::seccomp_counts;
+use copse_core::analyze::seccomp_counts;
 use copse_core::runtime::ModelForm;
 use copse_core::seccomp::SecCompVariant;
 use copse_fhe::OpCounts;
@@ -155,16 +156,13 @@ mod tests {
     fn baseline_comparison_work_dwarfs_copse() {
         // The analytical content of Figure 6: baseline multiplies grow
         // with b x SecComp while COPSE pays SecComp once.
-        use copse_core::compiler::{compile, Accumulation, CompileOptions};
-        use copse_core::complexity::{ours, CostInputs};
+        use copse_core::analyze::{CircuitReport, EvalShape};
+        use copse_core::compiler::CompileOptions;
+        use copse_core::runtime::Maurice;
         let forest = microbench::generate(&table6_specs()[1], 31);
-        let compiled = compile(&forest, CompileOptions::default()).unwrap();
-        let copse = ours::classify_counts(&CostInputs::from_meta(
-            &compiled.meta,
-            ModelForm::Encrypted,
-            false,
-            Accumulation::BalancedTree,
-        ));
+        let maurice = Maurice::compile(&forest, CompileOptions::default()).unwrap();
+        let shape = EvalShape::plan(&maurice, ModelForm::Encrypted);
+        let copse = CircuitReport::analyze(maurice.compiled(), &shape).total_ops();
         let base = classify_counts(&forest, ModelForm::Encrypted);
         assert!(
             base.multiply > 3 * copse.multiply,

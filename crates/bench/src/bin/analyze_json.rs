@@ -1,4 +1,4 @@
-//! The static-analysis artifact: runs `copse-analyze` over every zoo
+//! The static-analysis artifact: runs `copse_core::analyze` over every zoo
 //! model in both forms, cross-checks each prediction op-for-op against
 //! one metered evaluation, and writes `BENCH_analysis.json` with the
 //! per-circuit depth profile, exact operation counts, minimum slot

@@ -8,10 +8,11 @@
 use crate::{
     geomean, measure_baseline, measure_copse, measure_copse_traced, BarTable, Measurement,
 };
-use copse_core::compiler::{compile, Accumulation, CompileOptions};
-use copse_core::complexity::{self, CostInputs};
+use copse_core::analyze::{self, CircuitReport, EvalShape};
+use copse_core::compiler::{Accumulation, CompileOptions};
+use copse_core::complexity::paper;
 use copse_core::leakage::{render_table, Scenario};
-use copse_core::runtime::ModelForm;
+use copse_core::runtime::{Maurice, ModelForm};
 use copse_fhe::{CostModel, EncryptionParams, SecurityLevel};
 use copse_forest::microbench::table6_specs;
 use copse_forest::zoo::{self, BenchModel, ModelGroup};
@@ -255,37 +256,26 @@ pub fn table1_2(seed: u64) -> String {
         "{:<26} {:>8} {:>8} {:>10} {:>10} {:>10}",
         "", "(p=8)", "(p=8)", "(p=16)", "(p=16)", ""
     );
-    for (label, f_ours, f_paper) in [
-        (
-            "SecComp multiplies",
-            Box::new(|p: u32| {
-                complexity::ours::seccomp_counts(p, ModelForm::Encrypted, Default::default())
-                    .multiplies_combined()
-            }) as Box<dyn Fn(u32) -> u64>,
-            Box::new(|p: u32| complexity::paper::seccomp_counts(p).multiply)
-                as Box<dyn Fn(u32) -> u64>,
-        ),
-        (
-            "SecComp adds",
-            Box::new(|p| {
-                complexity::ours::seccomp_counts(p, ModelForm::Encrypted, Default::default()).add
-            }),
-            Box::new(|p| complexity::paper::seccomp_counts(p).add),
-        ),
-        (
-            "SecComp depth",
-            Box::new(|p| u64::from(complexity::ours::seccomp_depth(p, Default::default()))),
-            Box::new(|p| u64::from(complexity::paper::seccomp_depth(p))),
-        ),
-    ] {
+    // (ours, paper) per row, at one precision.
+    let seccomp = |p: u32| {
+        let ours = analyze::seccomp_counts(p, ModelForm::Encrypted, Default::default());
+        let printed = paper::seccomp_counts(p);
+        let depth = analyze::seccomp_depth(p, Default::default());
+        [
+            (ours.multiplies_combined(), printed.multiply),
+            (ours.add, printed.add),
+            (u64::from(depth), u64::from(paper::seccomp_depth(p))),
+        ]
+    };
+    let (p8, p16) = (seccomp(8), seccomp(16));
+    for (i, label) in ["SecComp multiplies", "SecComp adds", "SecComp depth"]
+        .into_iter()
+        .enumerate()
+    {
         let _ = writeln!(
             out,
             "{:<26} {:>8} {:>8} {:>10} {:>10}",
-            label,
-            f_ours(8),
-            f_paper(8),
-            f_ours(16),
-            f_paper(16),
+            label, p8[i].0, p8[i].1, p16[i].0, p16[i].1,
         );
     }
     let _ = writeln!(out);
@@ -294,16 +284,14 @@ pub fn table1_2(seed: u64) -> String {
     // against a metered run.
     let spec = table6_specs()[1];
     let forest = copse_forest::microbench::generate(&spec, seed);
-    let compiled = compile(&forest, CompileOptions::default()).expect("compiles");
-    let meta = &compiled.meta;
-    let inputs = CostInputs::from_meta(
-        meta,
-        ModelForm::Encrypted,
-        false,
-        Accumulation::BalancedTree,
+    let maurice = Maurice::compile(&forest, CompileOptions::default()).expect("compiles");
+    let meta = &maurice.compiled().meta;
+    let report = CircuitReport::analyze(
+        maurice.compiled(),
+        &EvalShape::plan(&maurice, ModelForm::Encrypted),
     );
-    let ours = complexity::ours::classify_counts(&inputs);
-    let paper = complexity::paper::total_counts(
+    let ours = report.total_ops();
+    let paper = paper::total_counts(
         meta.precision,
         meta.quantized,
         meta.branches,
@@ -347,8 +335,8 @@ pub fn table1_2(seed: u64) -> String {
     let _ = writeln!(
         out,
         "depth: measured-model {} (paper bound {})",
-        complexity::ours::classify_depth(&inputs),
-        complexity::paper::total_depth(meta.precision, meta.max_level)
+        report.depth,
+        paper::total_depth(meta.precision, meta.max_level)
     );
     out
 }
@@ -380,20 +368,18 @@ pub fn table5(seed: u64) -> String {
     // using the paper's depth bound 2 log p + log d + 2.
     let required_depth = table6_specs()
         .iter()
-        .map(|s| complexity::paper::total_depth(s.precision, s.max_depth))
+        .map(|s| paper::total_depth(s.precision, s.max_depth))
         .max()
         .expect("specs nonempty");
     // Workload for scoring: the depth5 microbenchmark op counts.
     let forest = copse_forest::microbench::generate(&table6_specs()[1], seed);
-    let compiled = compile(&forest, CompileOptions::default()).expect("compiles");
-    let inputs = CostInputs::from_meta(
-        &compiled.meta,
-        ModelForm::Encrypted,
-        false,
-        Accumulation::BalancedTree,
+    let maurice = Maurice::compile(&forest, CompileOptions::default()).expect("compiles");
+    let report = CircuitReport::analyze(
+        maurice.compiled(),
+        &EvalShape::plan(&maurice, ModelForm::Encrypted),
     );
-    let ops = complexity::ours::classify_counts(&inputs);
-    let max_width = compiled.meta.quantized.max(compiled.meta.n_leaves);
+    let ops = report.total_ops();
+    let max_width = report.min_slot_capacity;
 
     let mut out = String::new();
     let _ = writeln!(out, "## Table 5: encryption parameter sweep");
@@ -605,9 +591,8 @@ pub fn ring_mul() -> String {
 /// Ablations: design-choice studies called out in DESIGN.md.
 pub fn ablations(seed: u64, n_queries: usize, work: usize) -> String {
     let forest = copse_forest::microbench::generate(&table6_specs()[1], seed);
-    let meta = compile(&forest, CompileOptions::default())
-        .expect("compiles")
-        .meta;
+    let maurice = Maurice::compile(&forest, CompileOptions::default()).expect("compiles");
+    let meta = &maurice.compiled().meta;
     let mut out = String::new();
     let _ = writeln!(out, "## Ablations (depth5 microbenchmark)");
     let _ = writeln!(out);
@@ -616,7 +601,7 @@ pub fn ablations(seed: u64, n_queries: usize, work: usize) -> String {
     let run = |options: CompileOptions, matmul_skip: bool, form: ModelForm| -> Measurement {
         use copse_core::matmul::MatMulOptions;
         use copse_core::parallel::Parallelism;
-        use copse_core::runtime::{Diane, EvalOptions, Maurice, Sally};
+        use copse_core::runtime::{Diane, EvalOptions, Sally};
         use copse_fhe::{CostModel, FheBackend};
         let backend = crate::bench_backend(work);
         let maurice = Maurice::compile(&forest, options).expect("compiles");
@@ -682,20 +667,18 @@ pub fn ablations(seed: u64, n_queries: usize, work: usize) -> String {
     let _ = writeln!(out);
 
     // 2. Accumulation strategy: depth only.
-    let bal = CostInputs::from_meta(
-        &meta,
-        ModelForm::Encrypted,
-        false,
-        Accumulation::BalancedTree,
-    );
-    let lin = CostInputs::from_meta(&meta, ModelForm::Encrypted, false, Accumulation::Linear);
+    let balanced = EvalShape::plan(&maurice, ModelForm::Encrypted);
+    let linear = EvalShape {
+        accumulation: Accumulation::Linear,
+        ..balanced
+    };
+    let bal = CircuitReport::analyze(maurice.compiled(), &balanced);
+    let lin = CircuitReport::analyze(maurice.compiled(), &linear);
     let _ = writeln!(out, "accumulation strategy (multiplicative depth):");
     let _ = writeln!(
         out,
         "  balanced tree: depth {}; linear fold: depth {} (same {} multiplies)",
-        complexity::ours::classify_depth(&bal),
-        complexity::ours::classify_depth(&lin),
-        complexity::ours::accumulate_counts(meta.max_level).multiply,
+        bal.depth, lin.depth, bal.accumulate.ops.multiply,
     );
     let _ = writeln!(out);
 
@@ -725,10 +708,8 @@ pub fn ablations(seed: u64, n_queries: usize, work: usize) -> String {
         "comparator variant (SecComp mult counts, encrypted model):"
     );
     for p in [8u32, 16] {
-        let ladder =
-            complexity::ours::seccomp_counts(p, ModelForm::Encrypted, SecCompVariant::LadderPrefix);
-        let shared =
-            complexity::ours::seccomp_counts(p, ModelForm::Encrypted, SecCompVariant::SharedPrefix);
+        let ladder = analyze::seccomp_counts(p, ModelForm::Encrypted, SecCompVariant::LadderPrefix);
+        let shared = analyze::seccomp_counts(p, ModelForm::Encrypted, SecCompVariant::SharedPrefix);
         let _ = writeln!(
             out,
             "  p = {p:>2}: ladder {} ct-mults (paper-parity) vs shared-prefix {} ct-mults",
@@ -756,8 +737,8 @@ pub fn ablations(seed: u64, n_queries: usize, work: usize) -> String {
 /// disagrees with the meter (the conformance property this artifact
 /// certifies).
 pub fn analysis_json(seed: u64) -> String {
-    use copse_analyze::{BackendProfile, CircuitReport, EvalShape};
-    use copse_core::runtime::{Diane, Maurice, Sally};
+    use copse_core::analyze::BackendProfile;
+    use copse_core::runtime::{Diane, Sally};
     use copse_fhe::{ClearBackend, FheBackend};
     use copse_forest::microbench::random_queries;
 

@@ -1,14 +1,15 @@
-//! # copse-analyze — static circuit analysis for compiled COPSE models
+//! Static circuit analysis for compiled COPSE models.
 //!
 //! The COPSE pipeline is a *fixed* circuit per compiled model: its
 //! operation counts and multiplicative depth depend only on the model
 //! shape and the evaluation plan, never on the (encrypted) query data.
 //! That makes the whole evaluation statically analysable, and this
-//! crate is the abstract interpreter that does it:
+//! module is the abstract interpreter that does it — the one place
+//! that knows the circuit's op counts and depth:
 //!
-//! * [`CircuitReport::analyze`] walks the compiled artifacts and
-//!   derives, per pipeline stage, the exact homomorphic operation
-//!   counts (in the [`FheOp`](copse_fhe::FheOp) vocabulary) and the
+//! * [`CircuitReport::analyze`] walks the compiled shape and derives,
+//!   per pipeline stage, the exact homomorphic operation counts (in
+//!   the [`FheOp`](copse_fhe::FheOp) vocabulary) and the
 //!   multiplicative-depth profile of one classification. "Exact" is a
 //!   tested property, not an aspiration: the conformance suite asserts
 //!   these predictions against a scoped [`copse_fhe::OpMeter`]
@@ -22,18 +23,20 @@
 //!   [`AdmissionIssue`]s. `copse-server` runs this check on every
 //!   deploy, so a model that would exhaust the modulus chain mid-query
 //!   or panic on a rotation-free ring is rejected with a typed
-//!   diagnostic *before* any ciphertext is touched.
+//!   diagnostic *before* any ciphertext is touched; [`Sally`] asks the
+//!   same report whether a packed chunk still fits the depth budget.
 //!
 //! The per-stage predictions line up with the runtime's
-//! [`EvalTrace`](copse_core::EvalTrace) stages (comparison, reshuffle,
+//! [`EvalTrace`](crate::EvalTrace) stages (comparison, reshuffle,
 //! levels, accumulate), so measured and predicted breakdowns can be
 //! compared side by side; `copse-bench`'s `analyze_json` binary emits
-//! exactly that report.
+//! exactly that report. The paper's own Table 1–2 closed forms live
+//! beside it, as printed, in [`crate::complexity::paper`].
 //!
 //! ## Example
 //!
 //! ```
-//! use copse_analyze::{BackendProfile, CircuitReport, EvalShape};
+//! use copse_core::analyze::{BackendProfile, CircuitReport, EvalShape};
 //! use copse_core::{CompileOptions, Maurice, ModelForm};
 //! use copse_fhe::ClearBackend;
 //! use copse_forest::microbench::{self, MicrobenchSpec};
@@ -48,20 +51,19 @@
 //! assert!(report.admit(&BackendProfile::of(&backend)).is_empty());
 //! assert!(report.depth >= 2);
 //! ```
+//!
+//! [`Sally`]: crate::Sally
 
-#![warn(missing_docs)]
-
-use copse_core::artifacts::CompiledModel;
-use copse_core::compiler::Accumulation;
-use copse_core::complexity::{log2ceil, ours, CostInputs};
-use copse_core::runtime::ModelForm;
-use copse_core::seccomp::SecCompVariant;
+use crate::artifacts::{CompiledModel, ModelMeta};
+use crate::compiler::Accumulation;
+use crate::complexity::log2ceil;
+use crate::runtime::{Maurice, ModelForm, PackPlan};
+use crate::seccomp::SecCompVariant;
 use copse_fhe::{CostModel, FheBackend, OpCounts};
 use std::fmt;
 
 /// The evaluation plan the analysis is performed against: everything
-/// that affects circuit structure beyond the compiled artifacts
-/// themselves.
+/// that affects circuit structure beyond the compiled model's shape.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EvalShape {
     /// Plain or encrypted model artifacts.
@@ -73,40 +75,21 @@ pub struct EvalShape {
     /// Whether Sally scrambles results with her secret permutation
     /// (paper §7.2.2): one extra *plaintext* MatMul over the leaves.
     pub result_shuffle: bool,
-    /// Cross-query slot packing, when the runtime evaluates `lanes`
-    /// queries per ciphertext ([`copse_core::Sally::pack_plan`]).
-    /// `None` analyses the sequential per-query circuit.
-    pub packing: Option<PackedPlanShape>,
-}
-
-/// The packed-batch layout analysis runs against: one **full chunk**
-/// of `lanes` queries sharing each ciphertext at block `stride`. The
-/// resulting [`CircuitReport`] predicts the ops and depth of that one
-/// chunk (amortised cost per query is the report divided by `lanes`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PackedPlanShape {
-    /// Queries per packed ciphertext (`>= 2`; the runtime never packs
-    /// a chunk of one).
-    pub lanes: usize,
-    /// Slots per query block: [`CompiledModel::slot_width`], which is
-    /// also the sequential `min_slot_capacity`.
-    pub stride: usize,
-}
-
-impl From<copse_core::PackPlan> for PackedPlanShape {
-    fn from(plan: copse_core::PackPlan) -> Self {
-        Self {
-            lanes: plan.lanes,
-            stride: plan.stride,
-        }
-    }
+    /// Cross-query slot packing ([`crate::Sally::pack_plan`]): the
+    /// report then predicts one **full chunk** of `lanes` queries
+    /// sharing each ciphertext at block `stride` (amortised cost per
+    /// query is the report divided by `lanes`). `None` analyses the
+    /// sequential per-query circuit.
+    pub packing: Option<PackPlan>,
 }
 
 impl EvalShape {
-    /// The plan the server uses for a deployed model: Maurice's
+    /// The shape of a model hosted with default
+    /// [`EvalOptions`](crate::EvalOptions) — what `copse-server` runs,
+    /// since its only evaluator knob is the thread count: Maurice's
     /// compile-time accumulation choice, the default comparator, no
     /// result shuffling, and the sequential (unpacked) layout.
-    pub fn plan(maurice: &copse_core::Maurice, form: ModelForm) -> Self {
+    pub fn plan(maurice: &Maurice, form: ModelForm) -> Self {
         Self {
             form,
             accumulation: maurice.accumulation(),
@@ -208,8 +191,6 @@ impl fmt::Display for AdmissionIssue {
 /// capabilities the circuit requires of its backend.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CircuitReport {
-    /// The shape quantities the prediction was derived from.
-    pub inputs: CostInputs,
     /// SecComp (pipeline step 1).
     pub comparison: StagePrediction,
     /// Reshuffle MatMul (step 2); zero when fused away.
@@ -234,27 +215,32 @@ pub struct CircuitReport {
 
 impl CircuitReport {
     /// Statically interprets the compiled pipeline: derives per-stage
-    /// operation counts and depth from the artifacts that will
-    /// actually be evaluated (matrix dimensions are read off the
-    /// compiled matrices, not re-derived from metadata).
+    /// operation counts and depth of one classification of `model`
+    /// under `shape`.
     pub fn analyze(model: &CompiledModel, shape: &EvalShape) -> Self {
-        let meta = &model.meta;
-        let inputs = CostInputs::from_meta(meta, shape.form, model.fused, shape.accumulation);
-        let inputs = CostInputs {
-            comparator: shape.comparator,
-            ..inputs
+        Self::from_meta(&model.meta, model.fused, shape)
+    }
+
+    /// The analysis proper, from the non-secret shape both parties
+    /// hold — Maurice's [`ModelMeta`] and whether `R` was fused — so an
+    /// evaluator that never sees cleartext artifacts (an encrypted
+    /// deployment) can run it too. The compiler builds every matrix
+    /// from exactly these dimensions: `R` is `b × q`, each of the `d`
+    /// level matrices `leaves × b` (`leaves × q` when fused).
+    pub(crate) fn from_meta(meta: &ModelMeta, fused: bool, shape: &EvalShape) -> Self {
+        let (p, d, form) = (meta.precision, meta.max_level, shape.form);
+        let level_cols = if fused { meta.quantized } else { meta.branches };
+
+        let mut comparison = StagePrediction {
+            ops: seccomp_counts(p, form, shape.comparator),
+            depth_cost: seccomp_depth(p, shape.comparator),
         };
 
-        let comparison = StagePrediction {
-            ops: ours::seccomp_counts(meta.precision, shape.form, shape.comparator),
-            depth_cost: ours::seccomp_depth(meta.precision, shape.comparator),
-        };
-
-        let reshuffle = if model.fused {
+        let reshuffle = if fused {
             StagePrediction::default()
         } else {
             StagePrediction {
-                ops: ours::matmul_counts(model.reshuffle.cols(), shape.form),
+                ops: matmul_counts(meta.quantized, form),
                 depth_cost: 1,
             }
         };
@@ -262,15 +248,13 @@ impl CircuitReport {
         // The level matrices share one shape (the compiler builds them
         // over the same branch vector) and the runtime multiplies them
         // as one rotation-sharing group.
-        let d = model.levels.len() as u32;
-        let level_cols = model.levels.first().map_or(0, |matrix| matrix.cols());
         let levels = StagePrediction {
-            ops: ours::levels_counts(d, level_cols, shape.form),
+            ops: levels_counts(d, level_cols, form),
             depth_cost: u32::from(d > 0),
         };
 
         let mut accumulate = StagePrediction {
-            ops: ours::accumulate_counts(d),
+            ops: accumulate_counts(d),
             depth_cost: match shape.accumulation {
                 Accumulation::BalancedTree => log2ceil(u64::from(d)),
                 Accumulation::Linear => d.saturating_sub(1),
@@ -281,11 +265,11 @@ impl CircuitReport {
             // over the leaves regardless of the model form.
             accumulate.ops = accumulate
                 .ops
-                .plus(&ours::matmul_counts(meta.n_leaves, ModelForm::Plain));
+                .plus(&matmul_counts(meta.n_leaves, ModelForm::Plain));
             accumulate.depth_cost += 1;
         }
 
-        let mut comparison = comparison;
+        let mut min_slot_capacity = meta.slot_width(fused);
         if let Some(packing) = shape.packing {
             // Packed chunk deltas over one sequential query's circuit
             // (every other op in the four stages is slot-wise or a
@@ -297,17 +281,13 @@ impl CircuitReport {
             // constant-multiply per lane plus a rotation for every
             // lane after the first — and one extra depth level.
             let k = packing.lanes as u64;
-            comparison.ops.rotate += u64::from(meta.precision) * (k - 1);
-            comparison.ops.add += u64::from(meta.precision) * (k - 1);
+            comparison.ops.rotate += u64::from(p) * (k - 1);
+            comparison.ops.add += u64::from(p) * (k - 1);
             accumulate.ops.constant_multiply += k;
             accumulate.ops.rotate += k - 1;
             accumulate.depth_cost += 1;
-        }
-
-        let mut min_slots = model.slot_width();
-        if let Some(packing) = shape.packing {
             // A packed chunk needs all `lanes` blocks side by side.
-            min_slots = min_slots.max(packing.lanes * packing.stride);
+            min_slot_capacity = min_slot_capacity.max(packing.lanes * packing.stride);
         }
 
         let depth = comparison.depth_cost
@@ -316,15 +296,14 @@ impl CircuitReport {
             + accumulate.depth_cost;
 
         Self {
-            inputs,
             comparison,
             reshuffle,
             levels,
             accumulate,
             depth,
-            model_encrypt_ops: ours::model_encrypt_counts(&inputs),
-            query_encrypt_ops: ours::query_encrypt_counts(meta.precision),
-            min_slot_capacity: min_slots,
+            model_encrypt_ops: model_encrypt_counts(meta, form, fused),
+            query_encrypt_ops: query_encrypt_counts(p),
+            min_slot_capacity,
         }
     }
 
@@ -383,10 +362,159 @@ impl CircuitReport {
     }
 }
 
+/// SecComp counts for precision `p` (matches
+/// `seccomp::secure_less_than` op-for-op).
+pub fn seccomp_counts(p: u32, form: ModelForm, variant: SecCompVariant) -> OpCounts {
+    let p = u64::from(p);
+    let mut c = OpCounts::default();
+    // below: NOT (ConstantAdd) then threshold multiply.
+    c.constant_add += p;
+    match form {
+        ModelForm::Encrypted => c.multiply += p,
+        ModelForm::Plain => c.constant_multiply += p,
+    }
+    if p == 1 {
+        return c;
+    }
+    // equality bits: XOR with threshold then NOT.
+    match form {
+        ModelForm::Encrypted => c.add += p - 1,
+        ModelForm::Plain => c.constant_add += p - 1,
+    }
+    c.constant_add += p - 1;
+    match variant {
+        SecCompVariant::LadderPrefix => {
+            // Term i multiplies i+1 factors: i multiplies each,
+            // independently (Aloufi's per-term pairing).
+            c.multiply += p * (p - 1) / 2;
+        }
+        SecCompVariant::SharedPrefix => {
+            // Hillis-Steele scan over p-1 elements, then one
+            // multiply per term.
+            let n = p - 1;
+            let mut step = 1;
+            while step < n {
+                c.multiply += n - step;
+                step *= 2;
+            }
+            c.multiply += p - 1;
+        }
+    }
+    // XOR fold of the terms.
+    c.add += p - 1;
+    c
+}
+
+/// SecComp output depth.
+pub fn seccomp_depth(p: u32, variant: SecCompVariant) -> u32 {
+    if p == 1 {
+        return 1;
+    }
+    match variant {
+        SecCompVariant::LadderPrefix => (1..p)
+            .map(|i| {
+                let mut depths = vec![1u32]; // below[i]
+                depths.extend(std::iter::repeat_n(0, i as usize)); // e's
+                product_depth(depths)
+            })
+            .max()
+            .expect("p >= 2")
+            .max(1),
+        SecCompVariant::SharedPrefix => log2ceil(u64::from(p) - 1).max(1) + 1,
+    }
+}
+
+/// Depth of a balanced pairwise product over factors with the given
+/// depths (mirrors `seccomp::balanced_product`).
+fn product_depth(mut depths: Vec<u32>) -> u32 {
+    assert!(!depths.is_empty());
+    while depths.len() > 1 {
+        depths = depths
+            .chunks(2)
+            .map(|c| match c {
+                [a, b] => a.max(b) + 1,
+                [a] => *a,
+                _ => unreachable!(),
+            })
+            .collect();
+    }
+    depths[0]
+}
+
+/// One Halevi-Shoup MatMul over an `n`-column matrix: `n-1` rotations
+/// (offset 0 is free), `n` multiplies, `n-1` adds.
+fn matmul_counts(cols: usize, form: ModelForm) -> OpCounts {
+    let n = cols as u64;
+    let mut c = OpCounts::default();
+    c.rotate += n.saturating_sub(1);
+    match form {
+        ModelForm::Encrypted => c.multiply += n,
+        ModelForm::Plain => c.constant_multiply += n,
+    }
+    c.add += n.saturating_sub(1);
+    c
+}
+
+/// All `d` level stages: every level matrix multiplies the same branch
+/// vector, so `mat_vec_many` rotates it once for all of them — `cols -
+/// 1` rotations in total where the paper's Table 1b pays them per
+/// level — while multiplies, adds and the mask XOR stay per level.
+fn levels_counts(d: u32, cols: usize, form: ModelForm) -> OpCounts {
+    let per_level = matmul_counts(cols, form);
+    let mut c = OpCounts {
+        rotate: if d > 0 { per_level.rotate } else { 0 },
+        ..OpCounts::default()
+    };
+    for _ in 0..d {
+        c = c.plus(&OpCounts {
+            rotate: 0,
+            ..per_level
+        });
+        match form {
+            ModelForm::Encrypted => c.add += 1,
+            ModelForm::Plain => c.constant_add += 1,
+        }
+    }
+    c
+}
+
+/// Accumulation of `d` level results: `d-1` ciphertext multiplies under
+/// either strategy (they differ only in depth).
+fn accumulate_counts(d: u32) -> OpCounts {
+    let mut c = OpCounts::default();
+    c.multiply += u64::from(d.saturating_sub(1));
+    c
+}
+
+/// Encrypt operations to deploy an encrypted model: `p + q + d(b+1)`
+/// (paper Table 1d; `p + d(q+1)` when fused; plaintext deployment
+/// costs 0).
+fn model_encrypt_counts(meta: &ModelMeta, form: ModelForm, fused: bool) -> OpCounts {
+    let mut c = OpCounts::default();
+    if form == ModelForm::Encrypted {
+        let level_cols = if fused { meta.quantized } else { meta.branches } as u64;
+        c.encrypt += u64::from(meta.precision); // threshold planes
+        if !fused {
+            c.encrypt += meta.quantized as u64; // reshuffle diagonals
+        }
+        c.encrypt += u64::from(meta.max_level) * (level_cols + 1); // levels + masks
+    }
+    c
+}
+
+/// Encrypt operations for one query: `p` bit planes. The paper's Table
+/// 1e lists 1 (a fully packed query); we encrypt one ciphertext per bit
+/// plane, which is what its SecComp consumes.
+fn query_encrypt_counts(p: u32) -> OpCounts {
+    let mut c = OpCounts::default();
+    c.encrypt += u64::from(p);
+    c
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copse_core::{CompileOptions, Maurice};
+    use crate::compiler::CompileOptions;
     use copse_forest::microbench::{self, MicrobenchSpec};
 
     fn compiled(fused: bool) -> Maurice {
@@ -407,19 +535,6 @@ mod tests {
 
     fn report(maurice: &Maurice, form: ModelForm) -> CircuitReport {
         CircuitReport::analyze(maurice.compiled(), &EvalShape::plan(maurice, form))
-    }
-
-    #[test]
-    fn totals_agree_with_the_proven_closed_forms() {
-        for fused in [false, true] {
-            let maurice = compiled(fused);
-            for form in [ModelForm::Plain, ModelForm::Encrypted] {
-                let r = report(&maurice, form);
-                assert_eq!(r.total_ops(), ours::classify_counts(&r.inputs));
-                assert_eq!(r.depth, ours::classify_depth(&r.inputs));
-                assert_eq!(r.model_encrypt_ops, ours::model_encrypt_counts(&r.inputs));
-            }
-        }
     }
 
     #[test]
@@ -526,5 +641,63 @@ mod tests {
             r.min_slot_capacity,
             m.meta.quantized.max(m.meta.branches).max(m.meta.n_leaves)
         );
+        // The width read off the metadata is the widest vector the
+        // compiled artifacts actually hold, fused or not.
+        for fused in [false, true] {
+            let maurice = compiled(fused);
+            let m = maurice.compiled();
+            let reshuffle = (!m.fused).then_some(&m.reshuffle);
+            let widest = reshuffle
+                .into_iter()
+                .chain(&m.levels)
+                .flat_map(|matrix| [matrix.rows(), matrix.cols()])
+                .chain(m.thresholds.planes().iter().map(|v| v.width()))
+                .chain(m.masks.iter().map(|v| v.width()))
+                .max();
+            let r = report(&maurice, ModelForm::Plain);
+            assert_eq!(Some(r.min_slot_capacity), widest, "fused={fused}");
+        }
+    }
+
+    #[test]
+    fn seccomp_depth_corner_cases() {
+        use SecCompVariant::{LadderPrefix, SharedPrefix};
+        for v in [LadderPrefix, SharedPrefix] {
+            assert_eq!(seccomp_depth(1, v), 1);
+            assert_eq!(seccomp_depth(2, v), 2);
+        }
+        assert_eq!(seccomp_depth(8, SharedPrefix), log2ceil(7) + 1);
+        // Ladder: largest term multiplies 8 factors, one at depth 1.
+        assert_eq!(seccomp_depth(8, LadderPrefix), 4);
+    }
+
+    #[test]
+    fn product_depth_matches_log_bound() {
+        assert_eq!(product_depth(vec![0]), 0);
+        assert_eq!(product_depth(vec![0, 0]), 1);
+        assert_eq!(product_depth(vec![0; 8]), 3);
+        // [1,0,0]: (1*0) at depth 2, then *0 at depth 3 (odd carry).
+        assert_eq!(product_depth(vec![1, 0, 0]), 3);
+    }
+
+    #[test]
+    fn ladder_is_more_expensive_than_shared() {
+        // Quadratic vs p log p: equal at p = 4, strictly worse beyond.
+        let mult = |p, v| seccomp_counts(p, ModelForm::Encrypted, v).multiply;
+        assert_eq!(
+            mult(4, SecCompVariant::LadderPrefix),
+            mult(4, SecCompVariant::SharedPrefix)
+        );
+        for p in [8u32, 16, 32] {
+            let ladder = mult(p, SecCompVariant::LadderPrefix);
+            let shared = mult(p, SecCompVariant::SharedPrefix);
+            assert!(ladder > shared, "p = {p}: {ladder} !> {shared}");
+        }
+    }
+
+    #[test]
+    fn query_encrypt_counts_are_p() {
+        assert_eq!(query_encrypt_counts(8).encrypt, 8);
+        assert_eq!(query_encrypt_counts(16).encrypt, 16);
     }
 }

@@ -149,6 +149,24 @@ pub struct ModelMeta {
     pub label_names: Vec<String>,
 }
 
+impl ModelMeta {
+    /// Slots one query's operands span: the widest vector any pipeline
+    /// stage touches (query planes and decisions, branch vector,
+    /// matrix rows and columns, masks, the result). The compiler
+    /// builds every artifact from these dimensions — `q`-wide threshold
+    /// planes, a `b × q` reshuffle matrix (absent when `fused`),
+    /// `leaves`-row level matrices of `b` (or, fused, `q`) columns,
+    /// `leaves`-wide masks — so the width needs no artifact, only the
+    /// shape both parties hold. The single definition behind the
+    /// analyzer's sequential `min_slot_capacity` and the runtime's
+    /// packed block stride, so admission and evaluation agree on what
+    /// fits.
+    pub(crate) fn slot_width(&self, fused: bool) -> usize {
+        let branches = if fused { 0 } else { self.branches };
+        self.quantized.max(self.n_leaves).max(branches)
+    }
+}
+
 /// A fully compiled model: the output of the COPSE compiler, ready to
 /// be encoded/encrypted and shipped to the evaluator.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -182,24 +200,6 @@ impl CompiledModel {
     /// The input width the comparison stage expects (`q`).
     pub fn comparison_width(&self) -> usize {
         self.meta.quantized
-    }
-
-    /// Slots one query's operands span: the widest vector any pipeline
-    /// stage touches (query planes and decisions, branch vector,
-    /// matrix rows and columns, masks, the result). The single
-    /// definition behind the analyzer's sequential
-    /// `min_slot_capacity` and the runtime's packed block stride, so
-    /// admission and evaluation agree on what fits.
-    pub fn slot_width(&self) -> usize {
-        let reshuffle = (!self.fused).then_some(&self.reshuffle);
-        let matrices = reshuffle.into_iter().chain(&self.levels);
-        let vectors = self.thresholds.planes().iter().chain(&self.masks);
-        matrices
-            .flat_map(|m| [m.rows(), m.cols()])
-            .chain(vectors.map(BitVec::width))
-            .chain([self.meta.quantized, self.meta.n_leaves])
-            .max()
-            .expect("meta widths are always present")
     }
 }
 

@@ -1,70 +1,19 @@
-//! Executable circuit cost model (paper §6, Tables 1 and 2).
+//! The paper's circuit cost model (§6, Tables 1 and 2), as printed.
 //!
-//! Two cost models live here:
-//!
-//! * [`ours`] — exact operation counts and multiplicative depth of
-//!   *this* implementation, derived from the kernel structure. The
-//!   complexity tests assert these against the instrumented meter
-//!   op-for-op, so the formulas are guaranteed truthful.
-//! * [`paper`] — the closed forms printed in the paper's Table 1/2
-//!   (which describe the authors' HElib kernels). Small constants
-//!   differ from ours — e.g. our accumulation uses `d-1` multiplies
-//!   against the paper's `2d-2`, our Hillis–Steele prefix scan is
-//!   shallower than their SecComp, and our levels stage shares its
-//!   `b-1` rotations across all `d` level matrices where Table 1b
-//!   pays `b` per level — and EXPERIMENTS.md reports both side by
-//!   side.
+//! [`paper`] holds the closed forms of the paper's Table 1/2, which
+//! describe the authors' HElib kernels. The exact counts and depth of
+//! *this* implementation are not a second formula set: they come from
+//! the static analyzer, [`CircuitReport`](crate::analyze::CircuitReport),
+//! which is proven against the meter op for op. Small constants differ
+//! between the two — e.g. our accumulation uses `d-1` multiplies
+//! against the paper's `2d-2`, our SecComp is shallower than theirs,
+//! and our levels stage shares its `b-1` rotations across all `d` level
+//! matrices where Table 1b pays `b` per level — and the `table1_2`
+//! exhibit reports both side by side.
 //!
 //! All counts are parameterised on the paper's model shape quantities:
-//! precision `p`, branches `b`, quantized branching `q`, level count
-//! `d`, plus the leaf count and deployment form.
-
-use crate::artifacts::ModelMeta;
-use crate::compiler::Accumulation;
-use crate::runtime::ModelForm;
-use crate::seccomp::SecCompVariant;
-use copse_fhe::OpCounts;
-
-/// Shape of one evaluation for costing purposes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CostInputs {
-    /// Fixed-point precision `p`.
-    pub precision: u32,
-    /// Branch count `b`.
-    pub branches: usize,
-    /// Quantized branching `q`.
-    pub quantized: usize,
-    /// Total leaves.
-    pub leaves: usize,
-    /// Level count `d`.
-    pub max_level: u32,
-    /// Plain or encrypted model artifacts.
-    pub form: ModelForm,
-    /// Whether the reshuffle matrix was fused into the level matrices.
-    pub fused: bool,
-    /// Accumulation strategy.
-    pub accumulation: Accumulation,
-    /// SecComp strategy.
-    pub comparator: SecCompVariant,
-}
-
-impl CostInputs {
-    /// Builds cost inputs from compiled-model metadata with the
-    /// default (paper-parity) comparator.
-    pub fn from_meta(meta: &ModelMeta, form: ModelForm, fused: bool, acc: Accumulation) -> Self {
-        Self {
-            precision: meta.precision,
-            branches: meta.branches,
-            quantized: meta.quantized,
-            leaves: meta.n_leaves,
-            max_level: meta.max_level,
-            form,
-            fused,
-            accumulation: acc,
-            comparator: SecCompVariant::default(),
-        }
-    }
-}
+//! precision `p`, branches `b`, quantized branching `q` and level count
+//! `d`.
 
 /// `ceil(log2 n)` with `log2ceil(n <= 1) = 0`.
 pub fn log2ceil(n: u64) -> u32 {
@@ -72,193 +21,6 @@ pub fn log2ceil(n: u64) -> u32 {
         0
     } else {
         64 - (n - 1).leading_zeros()
-    }
-}
-
-/// Exact cost model of this implementation.
-pub mod ours {
-    use super::*;
-
-    /// SecComp counts for precision `p` (matches
-    /// `seccomp::secure_less_than` op-for-op).
-    pub fn seccomp_counts(p: u32, form: ModelForm, variant: SecCompVariant) -> OpCounts {
-        let p = u64::from(p);
-        let mut c = OpCounts::default();
-        // below: NOT (ConstantAdd) then threshold multiply.
-        c.constant_add += p;
-        match form {
-            ModelForm::Encrypted => c.multiply += p,
-            ModelForm::Plain => c.constant_multiply += p,
-        }
-        if p == 1 {
-            return c;
-        }
-        // equality bits: XOR with threshold then NOT.
-        match form {
-            ModelForm::Encrypted => c.add += p - 1,
-            ModelForm::Plain => c.constant_add += p - 1,
-        }
-        c.constant_add += p - 1;
-        match variant {
-            SecCompVariant::LadderPrefix => {
-                // Term i multiplies i+1 factors: i multiplies each,
-                // independently (Aloufi's per-term pairing).
-                c.multiply += p * (p - 1) / 2;
-            }
-            SecCompVariant::SharedPrefix => {
-                // Hillis-Steele scan over p-1 elements, then one
-                // multiply per term.
-                let n = p - 1;
-                let mut step = 1;
-                while step < n {
-                    c.multiply += n - step;
-                    step *= 2;
-                }
-                c.multiply += p - 1;
-            }
-        }
-        // XOR fold of the terms.
-        c.add += p - 1;
-        c
-    }
-
-    /// Depth of a balanced pairwise product over factors with the
-    /// given depths (mirrors `seccomp::balanced_product`).
-    pub fn product_depth(mut depths: Vec<u32>) -> u32 {
-        assert!(!depths.is_empty());
-        while depths.len() > 1 {
-            depths = depths
-                .chunks(2)
-                .map(|c| match c {
-                    [a, b] => a.max(b) + 1,
-                    [a] => *a,
-                    _ => unreachable!(),
-                })
-                .collect();
-        }
-        depths[0]
-    }
-
-    /// SecComp output depth.
-    pub fn seccomp_depth(p: u32, variant: SecCompVariant) -> u32 {
-        if p == 1 {
-            return 1;
-        }
-        match variant {
-            SecCompVariant::LadderPrefix => (1..p)
-                .map(|i| {
-                    let mut depths = vec![1u32]; // below[i]
-                    depths.extend(std::iter::repeat_n(0, i as usize)); // e's
-                    product_depth(depths)
-                })
-                .max()
-                .expect("p >= 2")
-                .max(1),
-            SecCompVariant::SharedPrefix => log2ceil(u64::from(p) - 1).max(1) + 1,
-        }
-    }
-
-    /// One Halevi-Shoup MatMul over an `n`-column matrix: `n-1`
-    /// rotations (offset 0 is free), `n` multiplies, `n-1` adds.
-    pub fn matmul_counts(cols: usize, form: ModelForm) -> OpCounts {
-        let n = cols as u64;
-        let mut c = OpCounts::default();
-        c.rotate += n.saturating_sub(1);
-        match form {
-            ModelForm::Encrypted => c.multiply += n,
-            ModelForm::Plain => c.constant_multiply += n,
-        }
-        c.add += n.saturating_sub(1);
-        c
-    }
-
-    /// All `d` level stages: every level matrix multiplies the same
-    /// branch vector, so `mat_vec_many` rotates it once for all of
-    /// them — `cols - 1` rotations in total where the paper's Table 1b
-    /// pays them per level — while multiplies, adds and the mask XOR
-    /// stay per level.
-    pub fn levels_counts(d: u32, cols: usize, form: ModelForm) -> OpCounts {
-        let per_level = matmul_counts(cols, form);
-        let mut c = OpCounts {
-            rotate: if d > 0 { per_level.rotate } else { 0 },
-            ..OpCounts::default()
-        };
-        for _ in 0..d {
-            c = c.plus(&OpCounts {
-                rotate: 0,
-                ..per_level
-            });
-            match form {
-                ModelForm::Encrypted => c.add += 1,
-                ModelForm::Plain => c.constant_add += 1,
-            }
-        }
-        c
-    }
-
-    /// Accumulation of `d` level results: `d-1` ciphertext multiplies
-    /// under either strategy (they differ only in depth).
-    pub fn accumulate_counts(d: u32) -> OpCounts {
-        let mut c = OpCounts::default();
-        c.multiply += u64::from(d.saturating_sub(1));
-        c
-    }
-
-    /// Total counts for one classification.
-    pub fn classify_counts(inputs: &CostInputs) -> OpCounts {
-        let mut c = seccomp_counts(inputs.precision, inputs.form, inputs.comparator);
-        let level_cols = if inputs.fused {
-            inputs.quantized
-        } else {
-            c = c.plus(&matmul_counts(inputs.quantized, inputs.form));
-            inputs.branches
-        };
-        c = c.plus(&levels_counts(inputs.max_level, level_cols, inputs.form));
-        c.plus(&accumulate_counts(inputs.max_level))
-    }
-
-    /// Multiplicative depth of the full classification circuit. Both
-    /// ciphertext-ciphertext and ciphertext-plaintext multiplies count
-    /// one level, matching the clear backend's accounting.
-    pub fn classify_depth(inputs: &CostInputs) -> u32 {
-        let mut depth = seccomp_depth(inputs.precision, inputs.comparator);
-        if !inputs.fused {
-            depth += 1; // reshuffle MatMul
-        }
-        depth += 1; // level MatMul
-        depth += match inputs.accumulation {
-            Accumulation::BalancedTree => log2ceil(u64::from(inputs.max_level)),
-            Accumulation::Linear => inputs.max_level.saturating_sub(1),
-        };
-        depth
-    }
-
-    /// Encrypt operations to deploy an encrypted model:
-    /// `p + q + d(b+1)` (paper Table 1d; plaintext deployment costs 0).
-    pub fn model_encrypt_counts(inputs: &CostInputs) -> OpCounts {
-        let mut c = OpCounts::default();
-        if inputs.form == ModelForm::Encrypted {
-            let level_cols = if inputs.fused {
-                inputs.quantized as u64
-            } else {
-                inputs.branches as u64
-            };
-            c.encrypt += u64::from(inputs.precision); // threshold planes
-            if !inputs.fused {
-                c.encrypt += inputs.quantized as u64; // reshuffle diagonals
-            }
-            c.encrypt += u64::from(inputs.max_level) * (level_cols + 1); // levels + masks
-        }
-        c
-    }
-
-    /// Encrypt operations for one query: `p` bit planes. The paper's
-    /// Table 1e lists 1 (a fully packed query); we encrypt one
-    /// ciphertext per bit plane, which is what its SecComp consumes.
-    pub fn query_encrypt_counts(p: u32) -> OpCounts {
-        let mut c = OpCounts::default();
-        c.encrypt += u64::from(p);
-        c
     }
 }
 
@@ -325,11 +87,10 @@ pub mod paper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::{CircuitReport, EvalShape};
     use crate::compiler::CompileOptions;
-    use crate::parallel::Parallelism;
-    use crate::runtime::{Diane, EvalOptions, Maurice, Sally};
-    use copse_fhe::{ClearBackend, FheBackend};
-    use copse_forest::microbench::{self, table6_specs};
+    use crate::runtime::{Maurice, ModelForm};
+    use copse_forest::microbench::{self, MicrobenchSpec};
 
     #[test]
     fn log2ceil_values() {
@@ -339,159 +100,6 @@ mod tests {
         assert_eq!(log2ceil(3), 2);
         assert_eq!(log2ceil(8), 3);
         assert_eq!(log2ceil(9), 4);
-    }
-
-    /// The central honesty test: the formula module must predict the
-    /// meter *exactly* for every microbenchmark model, in both model
-    /// forms and both pipeline shapes.
-    #[test]
-    fn formulas_match_metered_execution_exactly() {
-        for spec in &table6_specs()[..3] {
-            let forest = microbench::generate(spec, 21);
-            for form in [ModelForm::Plain, ModelForm::Encrypted] {
-                for fused in [false, true] {
-                    let be = ClearBackend::with_defaults();
-                    let options = CompileOptions {
-                        fuse_reshuffle: fused,
-                        ..CompileOptions::default()
-                    };
-                    let maurice = Maurice::compile(&forest, options).unwrap();
-                    let inputs = CostInputs::from_meta(
-                        &maurice.compiled().meta,
-                        form,
-                        fused,
-                        Accumulation::BalancedTree,
-                    );
-
-                    let before = be.meter().snapshot();
-                    let deployed = maurice.deploy(&be, form);
-                    let deploy_delta = be.meter().snapshot().since(&before);
-                    assert_eq!(
-                        deploy_delta.encrypt,
-                        ours::model_encrypt_counts(&inputs).encrypt,
-                        "{} {form:?} fused={fused}: deploy",
-                        spec.name
-                    );
-
-                    let sally = Sally::host(&be, deployed);
-                    let diane = Diane::new(&be, maurice.public_query_info());
-                    let query = diane
-                        .encrypt_features(&microbench::random_queries(&forest, 1, 5)[0])
-                        .unwrap();
-
-                    let before = be.meter().snapshot();
-                    let result = sally.classify(&query);
-                    let delta = be.meter().snapshot().since(&before);
-                    let predicted = ours::classify_counts(&inputs);
-                    assert_eq!(
-                        delta, predicted,
-                        "{} {form:?} fused={fused}: classify counts",
-                        spec.name
-                    );
-                    assert_eq!(
-                        be.depth(result.ciphertext()),
-                        ours::classify_depth(&inputs),
-                        "{} {form:?} fused={fused}: depth",
-                        spec.name
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn seccomp_depth_corner_cases() {
-        use SecCompVariant::{LadderPrefix, SharedPrefix};
-        for v in [LadderPrefix, SharedPrefix] {
-            assert_eq!(ours::seccomp_depth(1, v), 1);
-            assert_eq!(ours::seccomp_depth(2, v), 2);
-        }
-        assert_eq!(ours::seccomp_depth(8, SharedPrefix), log2ceil(7) + 1);
-        // Ladder: largest term multiplies 8 factors, one at depth 1.
-        assert_eq!(ours::seccomp_depth(8, LadderPrefix), 4);
-    }
-
-    #[test]
-    fn product_depth_matches_log_bound() {
-        assert_eq!(ours::product_depth(vec![0]), 0);
-        assert_eq!(ours::product_depth(vec![0, 0]), 1);
-        assert_eq!(ours::product_depth(vec![0; 8]), 3);
-        // [1,0,0]: (1*0) at depth 2, then *0 at depth 3 (odd carry).
-        assert_eq!(ours::product_depth(vec![1, 0, 0]), 3);
-    }
-
-    #[test]
-    fn ladder_is_more_expensive_than_shared() {
-        // Quadratic vs p log p: equal at p = 4, strictly worse beyond.
-        let mult = |p, v| ours::seccomp_counts(p, ModelForm::Encrypted, v).multiply;
-        assert_eq!(
-            mult(4, SecCompVariant::LadderPrefix),
-            mult(4, SecCompVariant::SharedPrefix)
-        );
-        for p in [8u32, 16, 32] {
-            let ladder = mult(p, SecCompVariant::LadderPrefix);
-            let shared = mult(p, SecCompVariant::SharedPrefix);
-            assert!(ladder > shared, "p = {p}: {ladder} !> {shared}");
-        }
-    }
-
-    #[test]
-    fn linear_accumulation_depth() {
-        let forest = microbench::generate(&table6_specs()[2], 2); // depth6
-        let be = ClearBackend::with_defaults();
-        let options = CompileOptions {
-            accumulation: Accumulation::Linear,
-            ..CompileOptions::default()
-        };
-        let maurice = Maurice::compile(&forest, options).unwrap();
-        let inputs = CostInputs::from_meta(
-            &maurice.compiled().meta,
-            ModelForm::Encrypted,
-            false,
-            Accumulation::Linear,
-        );
-        let sally = Sally::with_options(
-            &be,
-            maurice.deploy(&be, ModelForm::Encrypted),
-            EvalOptions {
-                parallelism: Parallelism::sequential(),
-                ..EvalOptions::default()
-            },
-        );
-        let diane = Diane::new(&be, maurice.public_query_info());
-        let q = diane
-            .encrypt_features(&microbench::random_queries(&forest, 1, 8)[0])
-            .unwrap();
-        let result = sally.classify(&q);
-        assert_eq!(be.depth(result.ciphertext()), ours::classify_depth(&inputs));
-        // Linear is strictly deeper than balanced for d >= 3.
-        let balanced = CostInputs {
-            accumulation: Accumulation::BalancedTree,
-            ..inputs
-        };
-        assert!(ours::classify_depth(&inputs) > ours::classify_depth(&balanced));
-    }
-
-    #[test]
-    fn our_depth_is_within_paper_budget() {
-        // The paper's depth bound 2 log p + log d + 2 must dominate our
-        // (shallower) pipeline for every benchmark shape.
-        for spec in table6_specs() {
-            let forest = microbench::generate(&spec, 2);
-            let maurice = Maurice::compile(&forest, CompileOptions::default()).unwrap();
-            let meta = maurice.compiled().meta.clone();
-            let inputs = CostInputs::from_meta(
-                &meta,
-                ModelForm::Encrypted,
-                false,
-                Accumulation::BalancedTree,
-            );
-            assert!(
-                ours::classify_depth(&inputs) <= paper::total_depth(meta.precision, meta.max_level),
-                "{}",
-                spec.name
-            );
-        }
     }
 
     #[test]
@@ -515,33 +123,36 @@ mod tests {
     #[test]
     fn ours_and_paper_agree_on_asymptotics() {
         // Both models must scale identically in the dominant terms:
-        // multiplies roughly linear in d*b.
-        let base = |d: u32, b: usize| CostInputs {
-            precision: 8,
-            branches: b,
-            quantized: b + 2,
-            leaves: b + 2,
-            max_level: d,
-            form: ModelForm::Encrypted,
-            fused: false,
-            accumulation: Accumulation::BalancedTree,
-            comparator: SecCompVariant::default(),
+        // multiplies roughly linear in d*b. Ours is the analyzer's
+        // report on two compiled shapes that differ only in b.
+        let multiplies = |branches: usize| {
+            let spec = MicrobenchSpec {
+                name: "asymptotics",
+                max_depth: 4,
+                precision: 8,
+                n_trees: 8,
+                branches,
+            };
+            let forest = microbench::generate(&spec, 5);
+            let maurice = Maurice::compile(&forest, CompileOptions::default()).unwrap();
+            let meta = &maurice.compiled().meta;
+            let shape = EvalShape::plan(&maurice, ModelForm::Encrypted);
+            let ours = CircuitReport::analyze(maurice.compiled(), &shape).total_ops();
+            let paper = paper::total_counts(
+                meta.precision,
+                meta.quantized,
+                meta.branches,
+                meta.max_level,
+            );
+            (ours.multiply as f64, paper.multiply as f64)
         };
-        let ours_small = ours::classify_counts(&base(4, 50));
-        let ours_big = ours::classify_counts(&base(4, 100));
-        let paper_small = paper::total_counts(8, 52, 50, 4);
-        let paper_big = paper::total_counts(8, 102, 100, 4);
-        let ours_ratio = ours_big.multiply as f64 / ours_small.multiply as f64;
-        let paper_ratio = paper_big.multiply as f64 / paper_small.multiply as f64;
+        let (ours_small, paper_small) = multiplies(50);
+        let (ours_big, paper_big) = multiplies(100);
+        let ours_ratio = ours_big / ours_small;
+        let paper_ratio = paper_big / paper_small;
         assert!(
             (ours_ratio - paper_ratio).abs() < 0.12,
             "{ours_ratio} vs {paper_ratio}"
         );
-    }
-
-    #[test]
-    fn query_encrypt_counts_are_p() {
-        assert_eq!(ours::query_encrypt_counts(8).encrypt, 8);
-        assert_eq!(ours::query_encrypt_counts(16).encrypt, 16);
     }
 }

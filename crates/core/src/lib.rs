@@ -18,8 +18,10 @@
 //! * [`runtime`] — Maurice/Diane/Sally and Algorithm 1 (step 4
 //!   included), with per-stage tracing;
 //! * [`parallel`] — the threading substrate;
-//! * [`complexity`] — executable versions of the paper's Table 1/2
-//!   cost model, asserted against metered runs;
+//! * [`analyze`] — the static circuit analyzer: exact per-stage op
+//!   counts and depth of the compiled pipeline, and the admission
+//!   check against a backend (asserted against metered runs);
+//! * [`complexity`] — the paper's Table 1/2 closed forms, as printed;
 //! * [`leakage`] — the §7 information-leakage audit (Tables 3/4);
 //! * [`codegen`] — the staging back-end: emits a standalone Rust
 //!   program specialised to one compiled model;
@@ -29,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+pub mod analyze;
 pub mod artifacts;
 pub mod codegen;
 pub mod compiler;

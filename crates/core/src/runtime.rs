@@ -16,9 +16,9 @@
 //! operation counts can be captured with
 //! [`Sally::classify_traced`] (the Figure 10 breakdowns).
 
+use crate::analyze::{CircuitReport, EvalShape};
 use crate::artifacts::{BoolMatrix, CompiledModel, ModelMeta};
 use crate::compiler::{self, Accumulation, CompileOptions};
-use crate::complexity::{ours, CostInputs};
 use crate::matmul::{mat_vec, mat_vec_many, tile_operand, EncodedMatrix, MatMulOptions};
 use crate::parallel::{map_indices, Parallelism};
 use crate::seccomp::{secure_less_than, SecCompVariant};
@@ -154,7 +154,7 @@ impl Maurice {
 
     /// The accumulation strategy evaluation will use — the one piece
     /// of the evaluation plan Maurice fixes at compile time. Static
-    /// analysis (`copse-analyze`) reads it to pick the right depth
+    /// analysis ([`EvalShape::plan`]) reads it to pick the right depth
     /// formula for the final product stage.
     pub fn accumulation(&self) -> Accumulation {
         self.accumulation
@@ -194,7 +194,6 @@ impl Maurice {
                 shuffle: None,
                 packing: None,
             },
-            slot_width: m.slot_width(),
             accumulation: self.accumulation,
         }
     }
@@ -259,8 +258,6 @@ pub struct DeployedModel<B: FheBackend> {
     meta: ModelMeta,
     codebook: Vec<usize>,
     operands: Operands<B>,
-    /// [`CompiledModel::slot_width`] of the model deployed here.
-    slot_width: usize,
     accumulation: Accumulation,
 }
 
@@ -271,7 +268,6 @@ impl<B: FheBackend> Clone for DeployedModel<B> {
             meta: self.meta.clone(),
             codebook: self.codebook.clone(),
             operands: self.operands.clone(),
-            slot_width: self.slot_width,
             accumulation: self.accumulation,
         }
     }
@@ -492,8 +488,8 @@ impl ClassificationOutcome {
 /// options triple (see [`Sally::pack_plan`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PackPlan {
-    /// Slots per query block: the model's
-    /// [`CompiledModel::slot_width`].
+    /// Slots per query block: the widest per-query operand of the
+    /// model (`ModelMeta::slot_width`).
     pub stride: usize,
     /// Queries per packed ciphertext: `slot_capacity / stride`.
     pub lanes: usize,
@@ -689,19 +685,25 @@ impl<'b, B: FheBackend> Sally<'b, B> {
         if self.options.packing == PackingMode::Off || !backend.supports_slot_rotation() {
             return None;
         }
-        let stride = model.slot_width;
+        let fused = model.operands.reshuffle.is_none();
+        let stride = model.meta.slot_width(fused);
         let lanes = backend.slot_capacity()?.checked_div(stride)?;
         if lanes < 2 {
             return None;
         }
-        // Splitting results back out multiplies by a block mask, so the
-        // packed circuit is one level deeper than the sequential one.
-        let fused = model.operands.reshuffle.is_none();
-        let mut inputs = CostInputs::from_meta(&model.meta, model.form, fused, model.accumulation);
-        inputs.comparator = self.options.comparator;
-        let shuffle = u32::from(model.operands.shuffle.is_some());
-        let depth = ours::classify_depth(&inputs) + shuffle + 1;
-        (depth <= backend.depth_budget()).then_some(PackPlan { stride, lanes })
+        // Gate on the packed circuit Sally will actually run (splitting
+        // results back out costs one more level than the sequential
+        // one), analysed from the shape she holds, never the artifacts.
+        let plan = PackPlan { stride, lanes };
+        let shape = EvalShape {
+            form: model.form,
+            accumulation: model.accumulation,
+            comparator: self.options.comparator,
+            result_shuffle: model.operands.shuffle.is_some(),
+            packing: Some(plan),
+        };
+        let report = CircuitReport::from_meta(&model.meta, fused, &shape);
+        (report.depth <= backend.depth_budget()).then_some(plan)
     }
 
     /// Pre-builds the tiled operands packed units run against
@@ -1543,10 +1545,8 @@ mod tests {
         // No depth headroom for the unpack mask: capacity fits but the
         // budget only covers the sequential circuit. The batch still
         // evaluates correctly on the stage-major path.
-        let meta = maurice.compiled().meta.clone();
-        let inputs =
-            CostInputs::from_meta(&meta, ModelForm::Encrypted, false, maurice.accumulation());
-        let exact = ours::classify_depth(&inputs);
+        let shape = EvalShape::plan(&maurice, ModelForm::Encrypted);
+        let exact = CircuitReport::analyze(maurice.compiled(), &shape).depth;
         let probe = packed_clear_backend(&maurice, ModelForm::Encrypted, 4);
         let stride = {
             let s = Sally::host(&probe, maurice.deploy(&probe, ModelForm::Encrypted));

@@ -499,7 +499,7 @@ pub struct ShedDetail {
 
 /// Why deploy-time admission refused a model.
 ///
-/// Mirrors the verdicts of the `copse-analyze` static circuit
+/// Mirrors the verdicts of the [`crate::analyze`] static circuit
 /// analysis: the compiled pipeline's requirements were checked against
 /// the serving backend's capabilities before any ciphertext existed,
 /// and one of these budgets or capabilities fell short.

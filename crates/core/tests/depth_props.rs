@@ -13,7 +13,7 @@
 
 use std::sync::OnceLock;
 
-use copse_analyze::{BackendProfile, CircuitReport, EvalShape};
+use copse_core::analyze::{BackendProfile, CircuitReport, EvalShape};
 use copse_core::compiler::CompileOptions;
 use copse_core::runtime::{Diane, Maurice, ModelForm, Sally};
 use copse_fhe::{BgvBackend, BgvParams, ClearBackend, FheBackend};

@@ -9,9 +9,10 @@
 //! shape we ship, a deploy-time rejection is a statement about the
 //! circuit, not a guess.
 
-use copse_analyze::{AdmissionIssue, BackendProfile, CircuitReport, EvalShape, PackedPlanShape};
-use copse_core::compiler::CompileOptions;
+use copse_core::analyze::{AdmissionIssue, BackendProfile, CircuitReport, EvalShape};
+use copse_core::compiler::{Accumulation, CompileOptions};
 use copse_core::runtime::{Diane, EvalOptions, Maurice, ModelForm, PackPlan, Sally};
+use copse_core::seccomp::SecCompVariant;
 use copse_fhe::{ClearBackend, ClearConfig, FheBackend, OpCounts};
 use copse_forest::microbench::random_queries;
 use copse_forest::zoo;
@@ -208,7 +209,7 @@ fn packed_shapes_conform_op_for_op() {
                 Maurice::compile(&model.forest, CompileOptions::default()).expect("compile");
             let (measured, observed_depth, plan) = measure_packed(&maurice, form, 3, &model.forest);
             let shape = EvalShape {
-                packing: Some(plan.into()),
+                packing: Some(plan),
                 ..EvalShape::plan(&maurice, form)
             };
             let report = CircuitReport::analyze(maurice.compiled(), &shape);
@@ -255,7 +256,7 @@ fn admission_rejects_a_pack_exceeding_capacity() {
     );
     let stride = sequential.min_slot_capacity;
     let shape = EvalShape {
-        packing: Some(PackedPlanShape { lanes: 4, stride }),
+        packing: Some(PackPlan { lanes: 4, stride }),
         ..EvalShape::plan(&maurice, ModelForm::Plain)
     };
     let report = CircuitReport::analyze(maurice.compiled(), &shape);
@@ -299,4 +300,69 @@ fn result_shuffle_prediction_conforms() {
     let (measured, observed_depth, _) = measure(&maurice, ModelForm::Plain, eval, 1, &model.forest);
     assert_eq!(measured[3], report.accumulate.ops, "shuffled accumulate");
     assert_eq!(observed_depth, report.depth, "shuffled depth");
+}
+
+/// The evaluation choices off the default plan — the shared-prefix
+/// comparator, linear accumulation, and both together — conform per
+/// stage and in result depth too, in both model forms, on models that
+/// spread depth (4, 6) and precision (8, 16). Nothing else meters
+/// these shapes; a new comparator lands against this battery.
+#[test]
+fn comparator_and_accumulation_variants_conform() {
+    let suite = zoo::micro_suite(SUITE_SEED);
+    for name in ["depth4", "depth6", "prec16"] {
+        let model = suite.iter().find(|m| m.name == name).expect("zoo model");
+        for form in [ModelForm::Plain, ModelForm::Encrypted] {
+            for (comparator, accumulation) in [
+                (SecCompVariant::SharedPrefix, Accumulation::BalancedTree),
+                (SecCompVariant::LadderPrefix, Accumulation::Linear),
+                (SecCompVariant::SharedPrefix, Accumulation::Linear),
+            ] {
+                let options = CompileOptions {
+                    accumulation,
+                    ..CompileOptions::default()
+                };
+                let maurice = Maurice::compile(&model.forest, options).expect("compile");
+                let shape = EvalShape {
+                    comparator,
+                    ..EvalShape::plan(&maurice, form)
+                };
+                let report = CircuitReport::analyze(maurice.compiled(), &shape);
+                let eval = EvalOptions {
+                    comparator,
+                    ..EvalOptions::default()
+                };
+                let (measured, observed_depth, _) = measure(&maurice, form, eval, 1, &model.forest);
+                let predicted = [
+                    report.comparison.ops,
+                    report.reshuffle.ops,
+                    report.levels.ops,
+                    report.accumulate.ops,
+                ];
+                let case = format!("{name} {form:?} {comparator:?} {accumulation:?}");
+                for (stage, (p, m)) in ["comparison", "reshuffle", "levels", "accumulate"]
+                    .iter()
+                    .zip(predicted.iter().zip(measured.iter()))
+                {
+                    assert_eq!(p, m, "{case}: {stage} stage ops");
+                }
+                assert_eq!(observed_depth, report.depth, "{case}: result depth");
+
+                // Same multiplies, different depth: the linear fold is
+                // strictly deeper than the balanced tree once d >= 3.
+                let d = maurice.compiled().meta.max_level;
+                if accumulation == Accumulation::Linear && d >= 3 {
+                    let balanced = CircuitReport::analyze(
+                        maurice.compiled(),
+                        &EvalShape {
+                            accumulation: Accumulation::BalancedTree,
+                            ..shape
+                        },
+                    );
+                    assert!(report.depth > balanced.depth, "{case}");
+                    assert_eq!(report.total_ops(), balanced.total_ops(), "{case}");
+                }
+            }
+        }
+    }
 }

@@ -61,7 +61,7 @@ impl std::error::Error for CiphertextCodecError {}
 ///
 /// Historically these surfaced as panics deep inside the scheme (the
 /// negacyclic flavor's missing slot structure, a missing rotation
-/// key); deploy-time admission (`copse-analyze`) needs them as values
+/// key); deploy-time admission (`copse_core::analyze`) needs them as values
 /// so an unsupported circuit is a structured diagnostic, not a crash.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BackendError {

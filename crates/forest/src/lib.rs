@@ -37,7 +37,6 @@ pub mod model;
 pub mod quantize;
 pub mod text;
 pub mod train;
-pub mod viz;
 pub mod zoo;
 
 pub use datasets::Dataset;

@@ -49,6 +49,12 @@
 //!    mirror field, is a finding. A scheme is born on the evaluation
 //!    route or as the schoolbook oracle and holds each switching key
 //!    in the one form that route reads.
+//! 10. **The circuit has one model.** Non-test `crates/*/src` declares
+//!     no `struct CostInputs`, no `mod ours` and no
+//!     `fn classify_depth(`: COPSE's op counts and depth come from the
+//!     static analyzer (`copse_core::analyze`) alone, so a second
+//!     whole-circuit formula set cannot re-grow beside it. (The
+//!     baseline's own `classify_counts` models a different circuit.)
 //!
 //! The scan covers `crates/*/src/**/*.rs` plus the facade's `src/`;
 //! examples, integration tests, and vendored shims are out of scope.
@@ -99,6 +105,7 @@ struct Patterns {
     /// Rule 9: a public setter is `toggle.0 .. toggle.1` on one line.
     toggle: (String, String),
     second_form: [String; 2],
+    circuit_model: [String; 3],
 }
 
 impl Patterns {
@@ -126,6 +133,11 @@ impl Patterns {
             ],
             toggle: (["pub fn ", "set_"].concat(), ["_enabled", "("].concat()),
             second_form: [["struct ", "KsKey"].concat(), ["parts", "_eval"].concat()],
+            circuit_model: [
+                ["struct ", "CostInputs"].concat(),
+                ["mod ", "ours"].concat(),
+                ["fn classify", "_depth("].concat(),
+            ],
         }
     }
 }
@@ -141,6 +153,7 @@ struct RuleSet {
     ban_print: bool,
     ban_dialect: bool,
     ban_route_toggle: bool,
+    ban_second_model: bool,
 }
 
 fn rules_for(rel_path: &str) -> RuleSet {
@@ -158,6 +171,7 @@ fn rules_for(rel_path: &str) -> RuleSet {
         ban_dialect: rel_path == "crates/core/src/wire.rs"
             || rel_path.starts_with("crates/server/src/"),
         ban_route_toggle: rel_path.starts_with("crates/fhe/src/bgv/"),
+        ban_second_model: rel_path.starts_with("crates/"),
     }
 }
 
@@ -273,6 +287,14 @@ fn scan_source(rel_path: &str, source: &str, patterns: &Patterns) -> Vec<Finding
             .any(|p| code.contains(p.as_str()));
         if rules.ban_route_toggle && (toggle || second_form) {
             report("route-toggle");
+        }
+        if rules.ban_second_model
+            && patterns
+                .circuit_model
+                .iter()
+                .any(|p| code.contains(p.as_str()))
+        {
+            report("one-circuit-model");
         }
     }
     findings
@@ -641,6 +663,39 @@ mod tests {
                     pub(crate) fn set_ntt_enabled(&mut self, enabled: bool) {}\n\
                     pub fn set_threads(&self, threads: usize) {}\n";
         assert!(scan("crates/fhe/src/bgv/ring.rs", fine).is_empty());
+    }
+
+    #[test]
+    fn flags_a_second_circuit_model() {
+        let patterns = Patterns::new();
+        let [inputs, ours, depth] = &patterns.circuit_model;
+        let srcs = [
+            format!("pub {inputs} {{\n"),
+            format!("pub {ours} {{\n"),
+            format!("    pub {depth}inputs: &CostInputs) -> u32 {{\n"),
+        ];
+        for src in &srcs {
+            for rel in [
+                "crates/core/src/complexity.rs",
+                "crates/bench/src/reports.rs",
+            ] {
+                let hits = scan(rel, src);
+                assert_eq!(hits.len(), 1, "{rel}: {src}");
+                assert_eq!(hits[0].rule, "one-circuit-model");
+            }
+            // Out of scope: the facade, tests, comments.
+            assert!(scan("src/lib.rs", src).is_empty());
+            let in_test = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+            assert!(scan("crates/core/src/complexity.rs", &in_test).is_empty());
+            assert!(scan("crates/core/src/complexity.rs", &format!("// {src}")).is_empty());
+        }
+        // What the workspace does hold: the paper's printed forms, the
+        // analyzer's report, and the baseline's own (different) circuit.
+        let fine = "pub mod paper {}\n\
+                    pub fn from_meta(meta: &ModelMeta) -> CircuitReport {}\n\
+                    pub fn classify_counts(forest: &Forest, form: ModelForm) -> OpCounts {}\n";
+        assert!(scan("crates/core/src/complexity.rs", fine).is_empty());
+        assert!(scan("crates/baseline/src/complexity.rs", fine).is_empty());
     }
 
     /// The invariant the linter exists to keep: the workspace itself

@@ -15,7 +15,7 @@
 //!
 //! * [`server`] — [`ServerBuilder`], the model registry, the
 //!   per-model batching workers, and the thread-per-connection front
-//!   end. Every registered model passes through `copse-analyze` at
+//!   end. Every registered model passes through `copse_core::analyze` at
 //!   [`ServerBuilder::bind`]: a circuit the backend cannot evaluate
 //!   (depth over the modulus chain, rotations on a rotation-free
 //!   ring, operands wider than the slot count) is rejected with a

@@ -29,7 +29,7 @@
 //! * **connection read/write timeouts** bound slow-loris sessions;
 //! * models **hot deploy/undeploy** through
 //!   [`ServerHandle::deploy`] / [`ServerHandle::undeploy`], routed
-//!   through the same `copse-analyze` admission gate as `bind`, with
+//!   through the same `copse_core::analyze` admission gate as `bind`, with
 //!   an undeployed model's accepted jobs drained (evaluated) before
 //!   its worker exits;
 //! * [`ServerHandle::shutdown`] **drains**: queued-but-unstarted jobs
@@ -44,7 +44,7 @@ use crate::queue::{self, TrySendError};
 use crate::stats::{CircuitSummary, ModelQueueDepth, ServerStats, StatsSnapshot};
 use crate::transport::{read_frame, write_frame};
 use bytes::Bytes;
-use copse_analyze::{AdmissionIssue, BackendProfile, CircuitReport, EvalShape};
+use copse_core::analyze::{AdmissionIssue, BackendProfile, CircuitReport, EvalShape};
 use copse_core::compiler::{CompileError, CompileOptions};
 use copse_core::runtime::{
     DeployedModel, EncryptedQuery, EvalOptions, Maurice, ModelForm, QueryInfo, Sally,
@@ -107,7 +107,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// What `bind` does when `copse-analyze` finds a registered model the
+/// What `bind` does when the static analyzer finds a registered model the
 /// backend cannot evaluate (circuit deeper than the modulus chain,
 /// operands wider than the slot count, rotations on a rotation-free
 /// ring).
@@ -128,7 +128,7 @@ pub enum AdmissionPolicy {
 /// did not deploy.
 #[derive(Debug)]
 pub enum DeployError {
-    /// `copse-analyze` says the backend cannot evaluate this circuit;
+    /// The static analyzer says the backend cannot evaluate this circuit;
     /// the diagnostic is recorded so clients that hello the model get
     /// the same typed rejection.
     Rejected(RejectionDetail),
@@ -306,10 +306,9 @@ impl<B: FheBackend> Shared<B> {
 pub struct ServerBuilder<B: FheBackend + 'static> {
     backend: Arc<B>,
     config: ServerConfig,
-    eval: EvalOptions,
-    /// `Some` once [`ServerBuilder::threads`] was called; applied to
-    /// the eval options at [`ServerBuilder::bind`] so the override
-    /// holds regardless of builder-call order.
+    /// `Some` once [`ServerBuilder::threads`] was called. The only
+    /// evaluator knob: workers otherwise run default [`EvalOptions`],
+    /// which is the shape admission analyses ([`EvalShape::plan`]).
     threads: Option<usize>,
     admission: AdmissionPolicy,
     faults: FaultPlan,
@@ -323,7 +322,6 @@ impl<B: FheBackend + 'static> ServerBuilder<B> {
         Self {
             backend,
             config: ServerConfig::default(),
-            eval: EvalOptions::default(),
             threads: None,
             admission: AdmissionPolicy::default(),
             faults: FaultPlan::default(),
@@ -349,15 +347,6 @@ impl<B: FheBackend + 'static> ServerBuilder<B> {
     /// default plan injects nothing).
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
-        self
-    }
-
-    /// Evaluator options every model worker runs with. The
-    /// `parallelism` field is overridden by [`ServerBuilder::threads`]
-    /// when that knob is set (in either order — the override is
-    /// applied at [`ServerBuilder::bind`]).
-    pub fn eval_options(mut self, eval: EvalOptions) -> Self {
-        self.eval = eval;
         self
     }
 
@@ -405,7 +394,7 @@ impl<B: FheBackend + 'static> ServerBuilder<B> {
     /// registered model, then binds the listening socket (`port 0` =
     /// ephemeral).
     ///
-    /// Each model is first run through `copse-analyze` against this
+    /// Each model is first run through the static analyzer against this
     /// backend's [`BackendProfile`]; under the default
     /// [`AdmissionPolicy::Reject`] a model the backend cannot evaluate
     /// is *not* deployed — clients that hello it receive a structured
@@ -420,22 +409,21 @@ impl<B: FheBackend + 'static> ServerBuilder<B> {
     /// # Panics
     ///
     /// Panics if no model was registered or two models share a name.
-    pub fn bind(mut self, addr: impl ToSocketAddrs) -> io::Result<InferenceServer<B>> {
+    pub fn bind(self, addr: impl ToSocketAddrs) -> io::Result<InferenceServer<B>> {
         assert!(
             !self.pending.is_empty(),
             "an inference server needs at least one registered model"
         );
         // Kernel-level parallelism is a backend property (per-prime
         // rows, key-switch digit rows); the stage-level degree rides
-        // in `eval.parallelism`. Both draw from the shared pool. The
-        // `threads` knob, when set, overrides whatever `eval_options`
-        // carried — applied here so builder-call order cannot matter —
-        // and the stats always report the *effective* degree.
+        // in `eval.parallelism`. Both draw from the shared pool, and
+        // the stats always report the *effective* degree.
+        let mut eval = EvalOptions::default();
         if let Some(threads) = self.threads {
-            self.eval.parallelism = copse_core::parallel::Parallelism { threads };
+            eval.parallelism = copse_core::parallel::Parallelism { threads };
             self.backend.set_kernel_threads(threads);
         }
-        let effective = self.eval.parallelism.threads.max(1);
+        let effective = eval.parallelism.threads.max(1);
         let profile = BackendProfile::of(self.backend.as_ref());
         let shared = Arc::new(Shared {
             backend: self.backend,
@@ -443,7 +431,7 @@ impl<B: FheBackend + 'static> ServerBuilder<B> {
             stats: Arc::new(ServerStats::with_threads(effective)),
             next_session: AtomicU64::new(1),
             config: self.config,
-            eval: self.eval,
+            eval,
             profile,
             admission: self.admission,
             cost: CostModel::default(),
@@ -1436,7 +1424,7 @@ impl<B: FheBackend + 'static> ServerHandle<B> {
     }
 
     /// Hot-deploys a compiled model onto the live server, through the
-    /// same `copse-analyze` admission gate as `bind`-time
+    /// same static-analysis admission gate as `bind`-time
     /// registration and with the same `EncodedMatrix` precompute
     /// warming — the first query pays no transform cost. Existing
     /// sessions are untouched; new hellos see the model immediately.

@@ -68,8 +68,8 @@ struct StatsInner {
 }
 
 /// The static-analysis verdict for one deployed model, registered at
-/// deploy time from the `copse-analyze`
-/// [`CircuitReport`](copse_analyze::CircuitReport) so the
+/// deploy time from the static analyzer's
+/// [`CircuitReport`](copse_core::analyze::CircuitReport) so the
 /// operator page can show each model's depth headroom next to its
 /// measured latency.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]

@@ -11,10 +11,11 @@
 //! copse-core runtime — the architecture of the paper's C++ code
 //! generator, retargeted at Rust.
 
+use copse::analyze::{CircuitReport, EvalShape};
 use copse::core::codegen::generate_program;
-use copse::core::compiler::{compile, Accumulation, CompileOptions};
-use copse::core::complexity::{self, CostInputs};
-use copse::core::runtime::ModelForm;
+use copse::core::compiler::CompileOptions;
+use copse::core::complexity::paper;
+use copse::core::runtime::{Maurice, ModelForm};
 use copse::forest::model::Forest;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -23,7 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          tree (branch 0 90 (branch 1 40 (leaf 0) (leaf 1)) (branch 2 200 (leaf 1) (leaf 2)))\n\
          tree (branch 2 150 (leaf 0) (branch 0 60 (leaf 1) (leaf 2)))\n",
     )?;
-    let compiled = compile(&forest, CompileOptions::default())?;
+    let maurice = Maurice::compile(&forest, CompileOptions::default())?;
+    let compiled = maurice.compiled();
     let meta = &compiled.meta;
 
     println!("== compiled artifacts ==");
@@ -58,26 +60,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n== circuit cost sheet (Tables 1-2 for this model) ==");
     for form in [ModelForm::Encrypted, ModelForm::Plain] {
-        let inputs = CostInputs::from_meta(meta, form, false, Accumulation::BalancedTree);
-        let counts = complexity::ours::classify_counts(&inputs);
-        println!(
-            "{form:?}: {counts}; depth {}",
-            complexity::ours::classify_depth(&inputs)
-        );
+        let report = CircuitReport::analyze(compiled, &EvalShape::plan(&maurice, form));
+        println!("{form:?}: {}; depth {}", report.total_ops(), report.depth);
     }
     println!(
         "paper closed-form total (encrypted): {}; depth bound {}",
-        complexity::paper::total_counts(
+        paper::total_counts(
             meta.precision,
             meta.quantized,
             meta.branches,
             meta.max_level
         ),
-        complexity::paper::total_depth(meta.precision, meta.max_level)
+        paper::total_depth(meta.precision, meta.max_level)
     );
 
     println!("\n== staged program ==");
-    let program = generate_program(&compiled, Accumulation::BalancedTree, "credit-demo");
+    let program = generate_program(compiled, maurice.accumulation(), "credit-demo");
     let out_path = std::path::Path::new("target").join("copse_generated_main.rs");
     std::fs::create_dir_all("target")?;
     std::fs::write(&out_path, &program)?;

@@ -9,9 +9,10 @@
 //! * [`core`] — the COPSE compiler and runtime (the paper's
 //!   contribution).
 //! * [`baseline`] — the Aloufi et al. polynomial-evaluation baseline.
-//! * [`analyze`] — static circuit analysis: exact per-stage op
-//!   counts, the multiplicative-depth profile, and the deploy-time
-//!   admission check the server runs on every registered model.
+//! * [`analyze`] — static circuit analysis (`copse_core::analyze`):
+//!   exact per-stage op counts, the multiplicative-depth profile, and
+//!   the deploy-time admission check the server runs on every
+//!   registered model.
 //! * [`pool`] — the shared worker-pool runtime every layer forks its
 //!   data-parallel loops onto (per-prime FHE kernels, stage loops,
 //!   server batches).
@@ -47,9 +48,9 @@
 
 #![warn(missing_docs)]
 
-pub use copse_analyze as analyze;
 pub use copse_baseline as baseline;
 pub use copse_core as core;
+pub use copse_core::analyze;
 pub use copse_fhe as fhe;
 pub use copse_forest as forest;
 pub use copse_pool as pool;

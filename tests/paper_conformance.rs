@@ -2,8 +2,9 @@
 //! formulas vs metered runs on the whole suite, Tables 3/4 leakage,
 //! Table 5 parameter sweep outcome, Table 6 shapes.
 
-use copse::core::compiler::{Accumulation, CompileOptions};
-use copse::core::complexity::{self, CostInputs};
+use copse::analyze::{CircuitReport, EvalShape};
+use copse::core::compiler::CompileOptions;
+use copse::core::complexity;
 use copse::core::leakage::{leakage_profile, LeakedItem, Scenario};
 use copse::core::runtime::{Diane, Maurice, ModelForm, Sally};
 use copse::fhe::{ClearBackend, EncryptionParams, FheBackend, SecurityLevel};
@@ -21,12 +22,7 @@ fn complexity_formulas_hold_across_the_full_suite() {
         for form in [ModelForm::Plain, ModelForm::Encrypted] {
             let backend = ClearBackend::with_defaults();
             let maurice = Maurice::compile(forest, CompileOptions::default()).unwrap();
-            let inputs = CostInputs::from_meta(
-                &maurice.compiled().meta,
-                form,
-                false,
-                Accumulation::BalancedTree,
-            );
+            let ours = CircuitReport::analyze(maurice.compiled(), &EvalShape::plan(&maurice, form));
             let sally = Sally::host(&backend, maurice.deploy(&backend, form));
             let diane = Diane::new(&backend, maurice.public_query_info());
             let query = diane
@@ -37,14 +33,11 @@ fn complexity_formulas_hold_across_the_full_suite() {
             let measured = backend.meter().snapshot().since(&before);
             assert_eq!(
                 measured,
-                complexity::ours::classify_counts(&inputs),
+                ours.total_ops(),
                 "{form:?} b={}",
                 forest.branch_count()
             );
-            assert_eq!(
-                backend.depth(result.ciphertext()),
-                complexity::ours::classify_depth(&inputs)
-            );
+            assert_eq!(backend.depth(result.ciphertext()), ours.depth);
         }
     }
 }
@@ -54,16 +47,13 @@ fn our_circuits_fit_the_paper_depth_bound() {
     for spec in table6_specs() {
         let forest = microbench::generate(&spec, 11);
         let maurice = Maurice::compile(&forest, CompileOptions::default()).unwrap();
-        let meta = maurice.compiled().meta.clone();
-        let inputs = CostInputs::from_meta(
-            &meta,
-            ModelForm::Encrypted,
-            false,
-            Accumulation::BalancedTree,
+        let meta = &maurice.compiled().meta;
+        let ours = CircuitReport::analyze(
+            maurice.compiled(),
+            &EvalShape::plan(&maurice, ModelForm::Encrypted),
         );
         assert!(
-            complexity::ours::classify_depth(&inputs)
-                <= complexity::paper::total_depth(meta.precision, meta.max_level),
+            ours.depth <= complexity::paper::total_depth(meta.precision, meta.max_level),
             "{}",
             spec.name
         );
@@ -132,13 +122,11 @@ fn table5_sweep_selects_the_paper_parameters() {
         .unwrap();
     let forest = microbench::generate(&table6_specs()[1], 11);
     let maurice = Maurice::compile(&forest, CompileOptions::default()).unwrap();
-    let inputs = CostInputs::from_meta(
-        &maurice.compiled().meta,
-        ModelForm::Encrypted,
-        false,
-        Accumulation::BalancedTree,
-    );
-    let ops = complexity::ours::classify_counts(&inputs);
+    let ops = CircuitReport::analyze(
+        maurice.compiled(),
+        &EvalShape::plan(&maurice, ModelForm::Encrypted),
+    )
+    .total_ops();
 
     let best = EncryptionParams::sweep_grid()
         .into_iter()
