@@ -13,7 +13,7 @@ use copse_core::compiler::{Accumulation, CompileOptions};
 use copse_core::complexity::paper;
 use copse_core::leakage::{render_table, Scenario};
 use copse_core::runtime::{Maurice, ModelForm};
-use copse_fhe::{CostModel, EncryptionParams, SecurityLevel};
+use copse_fhe::{BgvParams, CostModel, EncryptionParams, LevelRule, NoiseBudget, SecurityLevel};
 use copse_forest::microbench::table6_specs;
 use copse_forest::zoo::{self, BenchModel, ModelGroup};
 use std::fmt::Write as _;
@@ -723,13 +723,27 @@ pub fn ablations(seed: u64, n_queries: usize, work: usize) -> String {
     out
 }
 
+/// The real-BGV parameter point of the repo benchmark (`benchmark/`):
+/// `m = 127` (18 slots), a 20-prime chain of 25-bit primes, 7-bit
+/// switching digits.
+pub const BENCH_BGV_PARAMS: BgvParams = BgvParams {
+    m: 127,
+    prime_bits: 25,
+    chain_len: 20,
+    ks_digit_bits: 7,
+    error_eta: 2,
+    keygen_seed: 0xC0F5E,
+};
+
 /// Static circuit analysis of the whole zoo, as the
 /// `BENCH_analysis.json` document: per-model exact operation counts,
 /// the multiplicative-depth profile, the minimum slot capacity, the
-/// modeled HElib cost, and the admission verdict against the default
-/// clear profile — each entry cross-checked op-for-op against one
-/// metered evaluation so the artifact doubles as the analyzer's CI
-/// smoke test.
+/// modeled HElib cost, the admission verdict against the default
+/// clear profile, and the chain primes a query needs at
+/// [`BENCH_BGV_PARAMS`] (computed for every model, including the ones
+/// too wide for its 18 slots) — each entry cross-checked op-for-op
+/// against one metered evaluation so the artifact doubles as the
+/// analyzer's CI smoke test.
 ///
 /// # Panics
 ///
@@ -745,6 +759,7 @@ pub fn analysis_json(seed: u64) -> String {
     let cost = CostModel::helib_bgv_128();
     let reference = ClearBackend::with_defaults();
     let profile = BackendProfile::of(&reference);
+    let chain = LevelRule::of(&BENCH_BGV_PARAMS);
 
     let mut entries = Vec::new();
     for model in suite(seed) {
@@ -789,7 +804,8 @@ pub fn analysis_json(seed: u64) -> String {
                  \"depth\": {}, \"min_slot_capacity\": {}, \
                  \"ops\": {{\"rotate\": {}, \"add\": {}, \"constant_add\": {}, \
                  \"multiply\": {}, \"constant_multiply\": {}, \"total\": {}}}, \
-                 \"modeled_ms\": {:.3}, \"admitted\": {}, \"meter_parity\": true}}",
+                 \"modeled_ms\": {:.3}, \"admitted\": {}, \"primes_needed\": {}, \
+                 \"meter_parity\": true}}",
                 model.name,
                 group,
                 form_tag,
@@ -803,14 +819,26 @@ pub fn analysis_json(seed: u64) -> String {
                 ops.total_homomorphic(),
                 report.modeled_ms(&cost),
                 report.admit(&profile).is_empty(),
+                report.chain(&chain).primes_needed,
             ));
         }
     }
+    let NoiseBudget::Depth(depth_budget) = profile.budget else {
+        unreachable!("the clear backend budgets depth")
+    };
+    let BgvParams {
+        m,
+        prime_bits,
+        chain_len,
+        ks_digit_bits,
+        ..
+    } = BENCH_BGV_PARAMS;
     format!(
-        "{{\n  \"seed\": {seed},\n  \"reference_profile\": {{\"depth_budget\": {}, \
+        "{{\n  \"seed\": {seed},\n  \"reference_profile\": {{\"depth_budget\": {depth_budget}, \
          \"slot_capacity\": null, \"supports_slot_rotation\": true}},\n  \
+         \"chain_point\": {{\"m\": {m}, \"prime_bits\": {prime_bits}, \"chain_len\": {chain_len}, \
+         \"ks_digit_bits\": {ks_digit_bits}}},\n  \
          \"circuits\": [\n{}\n  ]\n}}\n",
-        profile.depth_budget,
         entries.join(",\n"),
     )
 }

@@ -14,17 +14,26 @@
 //!   tested property, not an aspiration: the conformance suite asserts
 //!   these predictions against a scoped [`copse_fhe::OpMeter`]
 //!   op-for-op for every model in the benchmark zoo.
+//! * [`CircuitReport::chain`] replays the same op sequence over the
+//!   BGV [`LevelRule`] — noise growth, the reduce-before-and-after of
+//!   every multiply, modulus switching and operand alignment, exactly
+//!   as the scheme applies them — and derives the fewest chain primes a
+//!   fresh query must carry for the result to decrypt
+//!   ([`ChainReport::primes_needed`]) and the primes each stage
+//!   consumes from there. [`Sally`] enters every query at that level
+//!   instead of the top of the chain.
 //! * [`BackendProfile::of`] captures what a concrete
 //!   [`FheBackend`] can actually evaluate —
-//!   its depth budget, slot capacity, and whether slot rotation exists
-//!   at all (the negacyclic power-of-two ring has no GF(2) slot
-//!   structure, paper §4.1 vs. the `X^n + 1` ablation).
+//!   its [`NoiseBudget`] (a modulus chain, or a depth limit), slot
+//!   capacity, and whether slot rotation exists at all (the negacyclic
+//!   power-of-two ring has no GF(2) slot structure, paper §4.1 vs. the
+//!   `X^n + 1` ablation).
 //! * [`CircuitReport::admit`] compares the two and returns structured
 //!   [`AdmissionIssue`]s. `copse-server` runs this check on every
 //!   deploy, so a model that would exhaust the modulus chain mid-query
 //!   or panic on a rotation-free ring is rejected with a typed
 //!   diagnostic *before* any ciphertext is touched; [`Sally`] asks the
-//!   same report whether a packed chunk still fits the depth budget.
+//!   same report whether a packed chunk still fits the chain.
 //!
 //! The per-stage predictions line up with the runtime's
 //! [`EvalTrace`](crate::EvalTrace) stages (comparison, reshuffle,
@@ -59,7 +68,7 @@ use crate::compiler::Accumulation;
 use crate::complexity::log2ceil;
 use crate::runtime::{Maurice, ModelForm, PackPlan};
 use crate::seccomp::SecCompVariant;
-use copse_fhe::{CostModel, FheBackend, OpCounts};
+use copse_fhe::{CostModel, FheBackend, Level, LevelRule, NoiseBudget, OpCounts};
 use std::fmt;
 
 /// The evaluation plan the analysis is performed against: everything
@@ -111,11 +120,13 @@ pub struct StagePrediction {
 
 /// What a concrete backend can evaluate: the parameters admission
 /// checks a [`CircuitReport`] against.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BackendProfile {
-    /// Multiplicative depth the backend supports before noise (or the
-    /// clear backend's budget guard) exhausts a fresh ciphertext.
-    pub depth_budget: u32,
+    /// What bounds a circuit: a BGV modulus chain with its level rule
+    /// (checked against [`ChainReport::primes_needed`]), or a
+    /// multiplicative-depth limit (checked against
+    /// [`CircuitReport::depth`]).
+    pub budget: NoiseBudget,
     /// Slots per ciphertext (`None` = unbounded).
     pub slot_capacity: Option<usize>,
     /// Whether slot rotation exists at all. `false` only for the BGV
@@ -129,7 +140,7 @@ impl BackendProfile {
     /// introspection.
     pub fn of<B: FheBackend>(backend: &B) -> Self {
         Self {
-            depth_budget: backend.depth_budget(),
+            budget: backend.noise_budget(),
             slot_capacity: backend.slot_capacity(),
             supports_slot_rotation: backend.supports_slot_rotation(),
         }
@@ -140,14 +151,22 @@ impl BackendProfile {
 /// prove it. Produced by [`CircuitReport::admit`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdmissionIssue {
-    /// The circuit consumes more multiplicative levels than the
-    /// backend's modulus chain provides: evaluation would abort (clear
-    /// backend) or decrypt to noise (BGV).
+    /// The circuit is deeper than a depth-budgeted backend supports:
+    /// evaluation would abort.
     DepthExceeded {
         /// Depth of the classification circuit.
         required: u32,
         /// Depth the backend supports.
         budget: u32,
+    },
+    /// A fresh query would need more primes than the backend's modulus
+    /// chain holds for the result to decrypt: evaluation would decrypt
+    /// to noise.
+    ChainExceeded {
+        /// [`ChainReport::primes_needed`] of the circuit.
+        required: u32,
+        /// Primes in the backend's chain.
+        available: u32,
     },
     /// The circuit rotates slots but the backend has no slot structure
     /// (negacyclic power-of-two ring).
@@ -171,6 +190,13 @@ impl fmt::Display for AdmissionIssue {
                 f,
                 "circuit depth {required} exceeds the backend depth budget {budget}"
             ),
+            AdmissionIssue::ChainExceeded {
+                required,
+                available,
+            } => write!(
+                f,
+                "circuit needs {required} chain primes but the backend's modulus chain has {available}"
+            ),
             AdmissionIssue::SlotRotationUnsupported { rotations } => write!(
                 f,
                 "circuit needs {rotations} slot rotations but the backend has no slot structure"
@@ -184,6 +210,21 @@ impl fmt::Display for AdmissionIssue {
             ),
         }
     }
+}
+
+/// How one classification spends a BGV modulus chain
+/// ([`CircuitReport::chain`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ChainReport {
+    /// Primes in the backend's modulus chain.
+    pub chain_len: u32,
+    /// The fewest primes a fresh query plane must carry for the result
+    /// to decrypt — the level [`Sally`](crate::Sally) enters the circuit at. Larger
+    /// than `chain_len` when the circuit does not fit the chain.
+    pub primes_needed: u32,
+    /// Primes each stage consumes from that entry, in pipeline order
+    /// (comparison, reshuffle, levels, accumulate).
+    pub consumed: [u32; 4],
 }
 
 /// The static analysis of one compiled model under one evaluation
@@ -211,6 +252,8 @@ pub struct CircuitReport {
     /// Widest packed operand (ciphertext or plaintext) the circuit
     /// touches: the slot count the backend must provide.
     pub min_slot_capacity: usize,
+    /// The shape [`CircuitReport::chain`] replays.
+    circuit: Circuit,
 }
 
 impl CircuitReport {
@@ -304,6 +347,16 @@ impl CircuitReport {
             model_encrypt_ops: model_encrypt_counts(meta, form, fused),
             query_encrypt_ops: query_encrypt_counts(p),
             min_slot_capacity,
+            circuit: Circuit {
+                shape: *shape,
+                precision: p,
+                max_level: d,
+                quantized: meta.quantized,
+                branches: meta.branches,
+                leaves: meta.n_leaves,
+                level_cols,
+                fused,
+            },
         }
     }
 
@@ -328,16 +381,45 @@ impl CircuitReport {
         cost.modeled_ms(&self.total_ops())
     }
 
-    /// Depth the backend has left over after this circuit, or `None`
-    /// when the circuit does not fit.
-    pub fn depth_headroom(&self, profile: &BackendProfile) -> Option<u32> {
-        profile.depth_budget.checked_sub(self.depth)
+    /// How one classification spends `rule`'s modulus chain: the
+    /// fewest primes a fresh query must carry for the result to
+    /// decrypt, and what each stage consumes from there.
+    ///
+    /// The circuit's op sequence is replayed over [`Level`]s — the
+    /// query planes switched down from the top of the chain to a
+    /// candidate entry, the model's encrypted operands (if any) at the
+    /// top, aligned down where they meet the query — and the entry is
+    /// the smallest whose result keeps positive noise headroom through
+    /// its final switch to one prime. Past the chain the search goes on
+    /// over hypothetical longer chains, so a circuit that does not fit
+    /// still reports what it needs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no chain of up to 4096 primes fits the circuit.
+    pub fn chain(&self, rule: &LevelRule) -> ChainReport {
+        let chain_len = rule.chain_len();
+        let (entry, trajectory) = (1..=4096)
+            .map(|entry| {
+                let rule = rule.with_chain_len(entry.max(chain_len));
+                (entry, self.circuit.trajectory(&rule, entry))
+            })
+            .find(|(_, t)| t.decrypts())
+            .expect("a long enough chain fits every circuit");
+        let spent = |stage: usize| {
+            (trajectory.stages[stage].primes - trajectory.stages[stage + 1].primes) as u32
+        };
+        ChainReport {
+            chain_len: chain_len as u32,
+            primes_needed: entry as u32,
+            consumed: [spent(0), spent(1), spent(2), spent(3)],
+        }
     }
 
     /// Checks the circuit against a backend profile. An empty result
     /// admits the model; each issue carries the numbers that prove the
     /// mismatch. Issues are ordered most-fundamental first: a missing
-    /// capability (rotation, slots) precedes the depth verdict.
+    /// capability (rotation, slots) precedes the noise verdict.
     pub fn admit(&self, profile: &BackendProfile) -> Vec<AdmissionIssue> {
         let mut issues = Vec::new();
         let rotations = self.rotations();
@@ -352,14 +434,236 @@ impl CircuitReport {
                 });
             }
         }
-        if self.depth > profile.depth_budget {
-            issues.push(AdmissionIssue::DepthExceeded {
-                required: self.depth,
-                budget: profile.depth_budget,
-            });
+        match profile.budget {
+            NoiseBudget::Depth(budget) if self.depth > budget => {
+                issues.push(AdmissionIssue::DepthExceeded {
+                    required: self.depth,
+                    budget,
+                });
+            }
+            NoiseBudget::Chain(rule) => {
+                let chain = self.chain(&rule);
+                if chain.primes_needed > chain.chain_len {
+                    issues.push(AdmissionIssue::ChainExceeded {
+                        required: chain.primes_needed,
+                        available: chain.chain_len,
+                    });
+                }
+            }
+            NoiseBudget::Depth(_) => {}
         }
         issues
     }
+}
+
+/// The non-secret shape the level interpreter replays: Maurice's
+/// dimensions and the evaluation plan.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Circuit {
+    shape: EvalShape,
+    precision: u32,
+    max_level: u32,
+    quantized: usize,
+    branches: usize,
+    leaves: usize,
+    level_cols: usize,
+    fused: bool,
+}
+
+/// One replay of a circuit: where the query stood at the entry and
+/// after each of the four stages, and the result as a client decrypts
+/// it (switched down to the last prime).
+struct Trajectory {
+    stages: [Level; 5],
+    result: Level,
+}
+
+impl Trajectory {
+    fn decrypts(&self) -> bool {
+        self.result.headroom_bits > 0.0
+    }
+}
+
+/// A model operand as the replay sees it: plaintext (it never has a
+/// level of its own) or a ciphertext Maurice encrypted at the top of
+/// the chain.
+#[derive(Clone, Copy)]
+enum Operand {
+    Plain,
+    Encrypted(Level),
+}
+
+/// The level semantics of the runtime's operations on one layout.
+struct Replay<'a> {
+    rule: &'a LevelRule,
+    packing: Option<PackPlan>,
+}
+
+impl Replay<'_> {
+    /// A model operand of the given form, tiled when the layout packs.
+    fn operand(&self, form: ModelForm) -> Operand {
+        match (form, self.packing) {
+            (ModelForm::Plain, _) => Operand::Plain,
+            (ModelForm::Encrypted, None) => Operand::Encrypted(self.rule.encrypt()),
+            (ModelForm::Encrypted, Some(plan)) => {
+                Operand::Encrypted(self.rule.tile(self.rule.encrypt(), plan.stride, plan.lanes))
+            }
+        }
+    }
+
+    /// `MaybeEncrypted::mul_into`.
+    fn mul_into(&self, operand: Operand, x: Level) -> Level {
+        match operand {
+            Operand::Plain => self.rule.mul_plain(x),
+            Operand::Encrypted(t) => self.rule.mul(x, t),
+        }
+    }
+
+    /// `MaybeEncrypted::add_into`.
+    fn add_into(&self, operand: Operand, x: Level) -> Level {
+        match operand {
+            Operand::Plain => self.rule.add_plain(x),
+            Operand::Encrypted(t) => self.rule.add(x, t),
+        }
+    }
+
+    /// `FheBackend::rotate`, or its block form in a packed layout.
+    fn rotate(&self, v: Level, k: usize, width: usize) -> Level {
+        match self.packing {
+            None => self.rule.rotate(v, k as isize, width),
+            Some(p) => self
+                .rule
+                .rotate_blocks(v, k as isize, width, p.stride, p.lanes),
+        }
+    }
+
+    /// `FheBackend::cyclic_extend`, or its block form.
+    fn extend(&self, v: Level, width: usize, new_width: usize) -> Level {
+        match self.packing {
+            None => self.rule.cyclic_extend(v, width, new_width),
+            Some(p) => self
+                .rule
+                .cyclic_extend_blocks(v, width, new_width, p.stride, p.lanes),
+        }
+    }
+
+    /// `matmul::mat_vec` of a `rows × cols` matrix of `diagonal`
+    /// operands (every matrix of a rotation-sharing group yields the
+    /// same level). Its partial sums may combine in any bracketing:
+    /// addition noise is associative.
+    fn mat_vec(&self, rows: usize, cols: usize, diagonal: Operand, v: Level) -> Level {
+        (0..cols)
+            .map(|i| {
+                let rotated = if i == 0 { v } else { self.rotate(v, i, cols) };
+                let adjusted = if rows > cols {
+                    self.extend(rotated, cols, rows)
+                } else {
+                    rotated
+                };
+                self.mul_into(diagonal, adjusted)
+            })
+            .reduce(|sum, term| self.rule.add(sum, term))
+            .expect("a matrix has columns")
+    }
+
+    /// `seccomp::secure_less_than` of one query plane against the
+    /// threshold planes.
+    fn comparison(&self, c: &Circuit, x: Level) -> Level {
+        let rule = self.rule;
+        let thresholds = self.operand(c.shape.form);
+        let below = self.mul_into(thresholds, rule.add_plain(x));
+        if c.precision == 1 {
+            return below;
+        }
+        let equal = rule.add_plain(self.add_into(thresholds, x));
+        let p = c.precision as usize;
+        let terms: Vec<Level> = match c.shape.comparator {
+            SecCompVariant::LadderPrefix => (1..p)
+                .map(|i| {
+                    let factors = std::iter::once(below).chain(std::iter::repeat_n(equal, i));
+                    balanced(factors.collect(), |a, b| rule.mul(a, b))
+                })
+                .collect(),
+            SecCompVariant::SharedPrefix => {
+                let mut prefix = vec![equal; p - 1];
+                let mut step = 1;
+                while step < prefix.len() {
+                    let snapshot = prefix.clone();
+                    for i in step..prefix.len() {
+                        prefix[i] = rule.mul(snapshot[i], snapshot[i - step]);
+                    }
+                    step *= 2;
+                }
+                prefix.iter().map(|&e| rule.mul(e, below)).collect()
+            }
+        };
+        terms.iter().fold(below, |acc, &t| rule.add(acc, t))
+    }
+}
+
+impl Circuit {
+    /// Replays one classification whose query planes enter at `entry`
+    /// primes (switched down from the top of `rule`'s chain).
+    fn trajectory(&self, rule: &LevelRule, entry: usize) -> Trajectory {
+        let replay = Replay {
+            rule,
+            packing: self.shape.packing,
+        };
+        let form = self.shape.form;
+        let plane = rule.mod_switch_to(rule.encrypt(), entry);
+        let x = match self.shape.packing {
+            None => plane,
+            Some(plan) => rule.pack_blocks(&vec![plane; plan.lanes], plan.stride),
+        };
+        let decisions = replay.comparison(self, x);
+        let branches = if self.fused {
+            decisions
+        } else {
+            let r = replay.operand(form);
+            replay.mat_vec(self.branches, self.quantized, r, decisions)
+        };
+        let selected = replay.mat_vec(self.leaves, self.level_cols, replay.operand(form), branches);
+        let level = replay.add_into(replay.operand(form), selected);
+        let results = vec![level; self.max_level as usize];
+        let mut labels = match self.shape.accumulation {
+            Accumulation::Linear => results
+                .into_iter()
+                .reduce(|acc, r| rule.mul(acc, r))
+                .expect("compile guarantees >= 1 level"),
+            Accumulation::BalancedTree => balanced(results, |a, b| rule.mul(a, b)),
+        };
+        if self.shape.result_shuffle {
+            labels = replay.mat_vec(self.leaves, self.leaves, Operand::Plain, labels);
+        }
+        // Splitting a packed unit: every lane after the first pays a
+        // rotation before its mask, so lane 1 is the noisiest.
+        let result = match self.shape.packing {
+            None => labels,
+            Some(plan) => rule.unpack_block(labels, 1, plan.stride, self.leaves),
+        };
+        Trajectory {
+            stages: [plane, decisions, branches, level, result],
+            result: rule.mod_switch_to(result, 1),
+        }
+    }
+}
+
+/// Balanced pairwise reduction (adjacent pairs combine, an odd last
+/// item carries over), the shape of `seccomp::balanced_product` and of
+/// the balanced accumulation tree.
+fn balanced<T: Copy>(mut items: Vec<T>, pair: impl Fn(T, T) -> T) -> T {
+    assert!(!items.is_empty(), "product of no factors");
+    while items.len() > 1 {
+        items = items
+            .chunks(2)
+            .map(|c| match *c {
+                [a, b] => pair(a, b),
+                [a] => a,
+                _ => unreachable!("chunks(2)"),
+            })
+            .collect();
+    }
+    items[0]
 }
 
 /// SecComp counts for precision `p` (matches
@@ -426,19 +730,8 @@ pub fn seccomp_depth(p: u32, variant: SecCompVariant) -> u32 {
 
 /// Depth of a balanced pairwise product over factors with the given
 /// depths (mirrors `seccomp::balanced_product`).
-fn product_depth(mut depths: Vec<u32>) -> u32 {
-    assert!(!depths.is_empty());
-    while depths.len() > 1 {
-        depths = depths
-            .chunks(2)
-            .map(|c| match c {
-                [a, b] => a.max(b) + 1,
-                [a] => *a,
-                _ => unreachable!(),
-            })
-            .collect();
-    }
-    depths[0]
+fn product_depth(depths: Vec<u32>) -> u32 {
+    balanced(depths, |a, b| a.max(b) + 1)
 }
 
 /// One Halevi-Shoup MatMul over an `n`-column matrix: `n-1` rotations
@@ -570,15 +863,14 @@ mod tests {
         let r = report(&maurice, ModelForm::Plain);
 
         let roomy = BackendProfile {
-            depth_budget: r.depth,
+            budget: NoiseBudget::Depth(r.depth),
             slot_capacity: Some(r.min_slot_capacity),
             supports_slot_rotation: true,
         };
         assert!(r.admit(&roomy).is_empty());
-        assert_eq!(r.depth_headroom(&roomy), Some(0));
 
         let shallow = BackendProfile {
-            depth_budget: r.depth - 1,
+            budget: NoiseBudget::Depth(r.depth - 1),
             ..roomy
         };
         assert_eq!(
@@ -588,7 +880,6 @@ mod tests {
                 budget: r.depth - 1,
             }]
         );
-        assert_eq!(r.depth_headroom(&shallow), None);
 
         let narrow = BackendProfile {
             slot_capacity: Some(r.min_slot_capacity - 1),

@@ -252,9 +252,11 @@ pub fn mat_vec<B: FheBackend>(
 /// accumulators, never all `cols` of them.
 ///
 /// Determinism: diagonal chunks run on the shared worker pool and
-/// their partial sums combine in chunk order, per matrix, so every
-/// output is a pure function of the inputs and the pool degree — and
-/// bitwise identical to a [`mat_vec`] of that matrix alone: a rotation
+/// their partial sums combine in chunk order, per matrix. The chunking
+/// cannot show in the result — ciphertext addition is exact modular
+/// arithmetic, and the BGV noise estimate sums integer magnitudes — so
+/// every output is a pure function of the inputs, bitwise identical at
+/// every pool degree and to a [`mat_vec`] of that matrix alone: a rotation
 /// is a deterministic function of `v`, so which call computed it
 /// cannot show. With `skip_zero_diagonals`, rotation `i` is computed
 /// iff some matrix keeps diagonal `i`; a matrix with every diagonal
@@ -734,9 +736,8 @@ mod tests {
 
     /// The bitwise contract: at every pool degree, every member of a
     /// rotation-sharing group serialises to exactly the bytes of that
-    /// matrix multiplied alone. (Across pool degrees the BGV noise
-    /// *estimate* follows the shape of the partial-sum tree, so the
-    /// comparison is per degree, as for `mat_vec` before sharing.)
+    /// matrix multiplied alone. (The comparison is per degree; the BGV
+    /// noise estimate sums integer magnitudes, so degrees agree too.)
     fn assert_group_equals_singles<B: FheBackend>(
         be: &B,
         group: &[EncodedMatrix<B>],

@@ -16,13 +16,13 @@
 //! operation counts can be captured with
 //! [`Sally::classify_traced`] (the Figure 10 breakdowns).
 
-use crate::analyze::{CircuitReport, EvalShape};
+use crate::analyze::{BackendProfile, CircuitReport, EvalShape};
 use crate::artifacts::{BoolMatrix, CompiledModel, ModelMeta};
 use crate::compiler::{self, Accumulation, CompileOptions};
 use crate::matmul::{mat_vec, mat_vec_many, tile_operand, EncodedMatrix, MatMulOptions};
 use crate::parallel::{map_indices, Parallelism};
 use crate::seccomp::{secure_less_than, SecCompVariant};
-use copse_fhe::{BitSliced, BitVec, FheBackend, MaybeEncrypted, OpCounts, OpMeter};
+use copse_fhe::{BitSliced, BitVec, FheBackend, MaybeEncrypted, NoiseBudget, OpCounts, OpMeter};
 use copse_forest::model::Forest;
 use std::borrow::Cow;
 use std::fmt;
@@ -54,9 +54,10 @@ pub enum ModelForm {
 pub enum PackingMode {
     /// Pack whenever [`Sally::pack_plan`] finds room: the backend has
     /// a slot capacity of at least two query strides, supports slot
-    /// rotation, and has one level of depth headroom for the unpack
-    /// mask. On backends without a capacity (clear-unbounded,
-    /// negacyclic) every unit is transparently a single query.
+    /// rotation, and its noise budget admits the packed circuit (the
+    /// unpack mask costs one more level). On backends without a
+    /// capacity (clear-unbounded, negacyclic) every unit is
+    /// transparently a single query.
     #[default]
     Auto,
     /// Never pack; every unit of a batch is a single query over its
@@ -300,6 +301,14 @@ pub struct QueryInfo {
     pub label_names: Vec<String>,
     /// Label index per result slot (paper §7.2.2's codebook).
     pub codebook: Vec<usize>,
+    /// The modulus-chain primes query planes should carry: the level
+    /// the evaluator enters every circuit it runs for this model at
+    /// ([`Sally::client_query_info`]). [`Diane`] switches her fresh
+    /// planes down to it, so they travel at that size. `None` when the
+    /// backend has no modulus chain, or before a [`Sally`] hosts the
+    /// model ([`Maurice::public_query_info`]); planes then stay at the
+    /// top of the chain and the evaluator switches them on receipt.
+    pub entry_primes: Option<u32>,
 }
 
 impl QueryInfo {
@@ -312,6 +321,7 @@ impl QueryInfo {
             n_leaves: meta.n_leaves,
             label_names: meta.label_names.clone(),
             codebook,
+            entry_primes: None,
         }
     }
 }
@@ -394,7 +404,9 @@ impl<'b, B: FheBackend> Diane<'b, B> {
     }
 
     /// Replicates, bit-slices and encrypts a feature vector (paper
-    /// step 0). Costs `p` Encrypt operations (one per bit plane).
+    /// step 0), each plane switched down to the query information's
+    /// [`entry_primes`](QueryInfo::entry_primes). Costs `p` Encrypt
+    /// operations (one per bit plane).
     ///
     /// # Errors
     ///
@@ -418,12 +430,15 @@ impl<'b, B: FheBackend> Diane<'b, B> {
         }
         let replicated = compiler::replicate_features(features, self.info.max_multiplicity);
         let sliced = BitSliced::from_values(&replicated, p);
+        let encrypt = |plane: &BitVec| {
+            let fresh = self.backend.encrypt_bits(plane);
+            match self.info.entry_primes {
+                Some(primes) => self.backend.mod_switch_to(&fresh, primes as usize),
+                None => fresh,
+            }
+        };
         Ok(EncryptedQuery {
-            planes: sliced
-                .planes()
-                .iter()
-                .map(|plane| self.backend.encrypt_bits(plane))
-                .collect(),
+            planes: sliced.planes().iter().map(encrypt).collect(),
         })
     }
 
@@ -498,6 +513,10 @@ pub struct PackPlan {
 /// Per-stage measurements from one traced inference.
 #[derive(Clone, Debug, Default)]
 pub struct EvalTrace {
+    /// The backend's [`depth`](FheBackend::depth) reading of the
+    /// query planes as they entered the comparison (after the switch to
+    /// the entry level; the deepest unit's).
+    pub entry_depth: u32,
     /// SecComp (paper step 1).
     pub comparison: StageReport,
     /// Reshuffle MatMul (step 2); zeroed when fused.
@@ -545,38 +564,54 @@ impl EvalTrace {
     }
 }
 
-/// Timing and operation counts for one pipeline stage.
+/// Timing, operation counts and reached depth for one pipeline stage.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageReport {
     /// Wall-clock time.
     pub duration: Duration,
     /// Homomorphic operations performed.
     pub ops: OpCounts,
+    /// The backend's [`depth`](FheBackend::depth) reading of the
+    /// stage's output (the deepest unit's): multiplicative depth on the
+    /// clear backend, `chain_len − primes` on BGV. A stage that does
+    /// not run (a fused reshuffle) passes its input's depth on.
+    pub depth: u32,
 }
 
 /// One unit of evaluation: `1..=lanes` queries that travel through the
-/// four stages as one set of ciphertexts, and the operand set they run
-/// against — as deployed for a solo unit, tiled for a packed one. That
-/// choice is made once, when the unit is built: the stages never ask.
+/// four stages as one set of ciphertexts, the operand set they run
+/// against — as deployed for a solo unit, tiled for a packed one — and
+/// the chain level their circuit enters at. Those choices are made
+/// once, when the unit is built: the stages never ask.
 struct Unit<'a, B: FheBackend> {
     queries: &'a [EncryptedQuery<B>],
     operands: &'a Operands<B>,
+    entry: Option<usize>,
 }
 
 impl<'a, B: FheBackend> Unit<'a, B> {
-    /// The way in: the unit's `p` bit planes. A solo unit borrows its
-    /// query's; a packed unit packs each plane lane-wise. A partial
-    /// unit still packs at the full tiled width — unused lanes hold
-    /// zeros and are never unpacked.
+    /// The way in: the unit's `p` bit planes, switched down to the
+    /// unit's entry level (before packing, so the alignment rotations
+    /// run low too). A solo unit takes its query's; a packed unit packs
+    /// each plane lane-wise. A partial unit still packs at the full
+    /// tiled width — unused lanes hold zeros and are never unpacked.
     fn planes(&self, be: &B) -> Cow<'a, [B::Ciphertext]> {
+        let enter = |ct: &B::Ciphertext| match self.entry {
+            Some(primes) => be.mod_switch_to(ct, primes),
+            None => ct.clone(),
+        };
         let Some(plan) = self.operands.packing else {
-            return Cow::Borrowed(&self.queries[0].planes);
+            let planes = &self.queries[0].planes;
+            return match self.entry {
+                Some(_) => planes.iter().map(enter).collect(),
+                None => Cow::Borrowed(planes),
+            };
         };
         let full_width = plan.lanes * plan.stride;
         (0..self.queries[0].planes.len())
             .map(|p| {
                 let lane_planes: Vec<B::Ciphertext> =
-                    self.queries.iter().map(|q| q.planes[p].clone()).collect();
+                    self.queries.iter().map(|q| enter(&q.planes[p])).collect();
                 be.pack_blocks(&lane_planes, plan.stride, full_width)
             })
             .collect()
@@ -607,6 +642,11 @@ pub struct Sally<'b, B: FheBackend> {
     /// result slot `old` to `new`. Its matrix is `operands.shuffle`.
     permutation: Option<Vec<usize>>,
     plan: Option<PackPlan>,
+    /// The chain primes a solo unit's planes enter at (`None`: the
+    /// backend has no modulus chain).
+    solo_entry: Option<usize>,
+    /// The same for a packed unit of `plan`.
+    packed_entry: Option<usize>,
     /// `model.operands` tiled for `plan`: built lazily (first packed
     /// batch) or eagerly ([`Sally::warm_packed`]), then kept for the
     /// lifetime of the `Sally`.
@@ -636,16 +676,22 @@ impl<'b, B: FheBackend> Sally<'b, B> {
             options,
             permutation,
             plan: None,
+            solo_entry: None,
+            packed_entry: None,
             tiled: OnceLock::new(),
         };
         sally.plan = sally.plan_packing();
+        sally.solo_entry = sally.entry(None);
+        sally.packed_entry = sally.plan.and_then(|plan| sally.entry(Some(plan)));
         sally
     }
 
     /// The query information Sally forwards to clients: Maurice's
     /// public reveal, with the codebook permuted when result shuffling
     /// is enabled (so clients decode correctly but learn nothing about
-    /// the forest's leaf-label order; paper §7.2.2).
+    /// the forest's leaf-label order; paper §7.2.2), and the entry
+    /// level the planes should carry — the highest of the circuits she
+    /// runs (solo, and packed when her plan engages).
     pub fn client_query_info(&self) -> QueryInfo {
         let mut codebook = self.model.codebook.clone();
         if let Some(permutation) = &self.permutation {
@@ -655,7 +701,10 @@ impl<'b, B: FheBackend> Sally<'b, B> {
             }
             codebook = permuted;
         }
-        QueryInfo::reveal(&self.model.meta, codebook)
+        QueryInfo {
+            entry_primes: self.solo_entry.max(self.packed_entry).map(|p| p as u32),
+            ..QueryInfo::reveal(&self.model.meta, codebook)
+        }
     }
 
     /// The hosted model.
@@ -672,7 +721,8 @@ impl<'b, B: FheBackend> Sally<'b, B> {
     /// packing cannot engage: packing is [`PackingMode::Off`], the
     /// backend reports no slot capacity (clear-unbounded, negacyclic)
     /// or no slot rotation, fewer than two query strides fit, or the
-    /// depth budget lacks the one extra level the unpack mask costs.
+    /// backend's noise budget does not admit the packed circuit
+    /// (splitting results back out costs one more level).
     /// Every unit of a batch is then a single query — the caller never
     /// has to care. A pure function of backend, model and options,
     /// computed once when Sally hosts the model.
@@ -691,19 +741,37 @@ impl<'b, B: FheBackend> Sally<'b, B> {
         if lanes < 2 {
             return None;
         }
-        // Gate on the packed circuit Sally will actually run (splitting
-        // results back out costs one more level than the sequential
-        // one), analysed from the shape she holds, never the artifacts.
+        // Gate on the packed circuit Sally will actually run.
         let plan = PackPlan { stride, lanes };
+        let issues = self.report(Some(plan)).admit(&BackendProfile::of(backend));
+        issues.is_empty().then_some(plan)
+    }
+
+    /// The analyzer's report of the circuit Sally runs for a unit laid
+    /// out by `packing`, from the shape she holds, never the artifacts.
+    fn report(&self, packing: Option<PackPlan>) -> CircuitReport {
+        let model = &self.model;
         let shape = EvalShape {
             form: model.form,
             accumulation: model.accumulation,
             comparator: self.options.comparator,
             result_shuffle: model.operands.shuffle.is_some(),
-            packing: Some(plan),
+            packing,
         };
-        let report = CircuitReport::from_meta(&model.meta, fused, &shape);
-        (report.depth <= backend.depth_budget()).then_some(plan)
+        let fused = model.operands.reshuffle.is_none();
+        CircuitReport::from_meta(&model.meta, fused, &shape)
+    }
+
+    /// The chain primes a unit laid out by `packing` enters at: the
+    /// fewest its circuit needs ([`CircuitReport::chain`]), never more
+    /// than the chain holds. Derived, never configured; `None` on a
+    /// backend without a modulus chain.
+    fn entry(&self, packing: Option<PackPlan>) -> Option<usize> {
+        let NoiseBudget::Chain(rule) = self.backend.noise_budget() else {
+            return None;
+        };
+        let needed = self.report(packing).chain(&rule).primes_needed as usize;
+        Some(needed.min(rule.chain_len()))
     }
 
     /// Pre-builds the tiled operands packed units run against
@@ -737,11 +805,16 @@ impl<'b, B: FheBackend> Sally<'b, B> {
         let tiled = plan.and_then(|_| self.tiled());
         queries
             .chunks(plan.map_or(1, |plan| plan.lanes))
-            .map(|chunk| Unit {
-                queries: chunk,
-                operands: tiled
-                    .filter(|_| chunk.len() >= 2)
-                    .unwrap_or(&self.model.operands),
+            .map(|chunk| {
+                let (operands, entry) = match tiled.filter(|_| chunk.len() >= 2) {
+                    Some(tiled) => (tiled, self.packed_entry),
+                    None => (&self.model.operands, self.solo_entry),
+                };
+                Unit {
+                    queries: chunk,
+                    operands,
+                    entry,
+                }
             })
             .collect()
     }
@@ -837,18 +910,25 @@ impl<'b, B: FheBackend> Sally<'b, B> {
         // thresholds within one stage pass; units fork across the
         // shared pool. SecComp is purely slot-wise, so a packed unit's
         // circuit is literally the solo one over wider ciphertexts.
-        let decisions = staged(&pass, "stage:comparison", &mut trace.comparison, || {
-            map_indices(par, units.len(), |u| {
-                let unit = &units[u];
-                secure_less_than(
-                    be,
-                    &unit.planes(be),
-                    &unit.operands.thresholds,
-                    self.options.comparator,
-                    par,
-                )
-            })
-        });
+        let (entry_depths, decisions): (Vec<u32>, Vec<B::Ciphertext>) =
+            staged(&pass, "stage:comparison", &mut trace.comparison, || {
+                map_indices(par, units.len(), |u| {
+                    let unit = &units[u];
+                    let planes = unit.planes(be);
+                    let decision = secure_less_than(
+                        be,
+                        &planes,
+                        &unit.operands.thresholds,
+                        self.options.comparator,
+                        par,
+                    );
+                    (be.depth(&planes[0]), decision)
+                })
+                .into_iter()
+                .unzip()
+            });
+        trace.entry_depth = entry_depths.into_iter().max().unwrap_or(0);
+        trace.comparison.depth = deepest(be, &decisions);
 
         // Step 2: reshuffle into branch preorder, one (block-rotating,
         // when packed) MatMul per unit. Compiled away (`None`) when
@@ -861,6 +941,7 @@ impl<'b, B: FheBackend> Sally<'b, B> {
                 Some(mat_vec(be, r, &decisions[u], options, par))
             })
         });
+        trace.reshuffle.depth = deepest(be, branches.iter().flatten()).max(trace.comparison.depth);
 
         // Step 3: per-level select-and-mask. Every level matrix
         // multiplies the same branch vector, so each unit rotates it
@@ -881,6 +962,7 @@ impl<'b, B: FheBackend> Sally<'b, B> {
                     .collect()
             })
         });
+        trace.levels.depth = deepest(be, level_results.iter().flatten());
 
         // Step 4: accumulate each unit's level results into its label
         // vector (slot-wise, so packed-transparent), optionally
@@ -895,8 +977,10 @@ impl<'b, B: FheBackend> Sally<'b, B> {
                 units[u].split(be, labels, self.model.meta.n_leaves)
             })
         });
+        let results: Vec<EncryptedResult<B>> = results.into_iter().flatten().collect();
+        trace.accumulate.depth = deepest(be, results.iter().map(|r| &r.ct));
 
-        (results.into_iter().flatten().collect(), trace)
+        (results, trace)
     }
 
     fn accumulate(&self, results: &[B::Ciphertext]) -> B::Ciphertext {
@@ -949,6 +1033,14 @@ fn staged<T>(
     report.duration = start.elapsed();
     report.ops = pass.snapshot().since(&before);
     value
+}
+
+/// The deepest [`depth`](FheBackend::depth) reading among `cts`.
+fn deepest<'a, B: FheBackend>(be: &B, cts: impl IntoIterator<Item = &'a B::Ciphertext>) -> u32
+where
+    B::Ciphertext: 'a,
+{
+    cts.into_iter().map(|ct| be.depth(ct)).max().unwrap_or(0)
 }
 
 /// The splitmix64 output finalizer.

@@ -54,13 +54,13 @@ use std::fmt;
 ///
 /// | shared section | fields, width |
 /// |---|---|
-/// | `info` | `max_multiplicity`, `feature_count`, `precision`, `n_leaves`: `u32` each; `labels: u32`, `labels` × `name: str`; `codes: u32`, `codes` × `label: u32` |
+/// | `info` | `max_multiplicity`, `feature_count`, `precision`, `n_leaves`: `u32` each; `labels: u32`, `labels` × `name: str`; `codes: u32`, `codes` × `label: u32`; `entry_primes: u32` (0: no modulus chain) |
 /// | `rejection` | `model: str`, `code: u8`, `required: u64`, `available: u64` |
 /// | `timing` | `worker: u32`, `cause: u8`, `enqueue`, `dequeue`, `assembled`, 4 × `stage`, `encode` nanos: `u64` each; `batch_size: u32`; `peers: u32`, `peers` × `trace: u64` |
 ///
 /// Tags 0x07 and 0x08 belonged to a retired binary statistics pair and
 /// stay reserved: they decode as [`WireError::BadTag`].
-pub const WIRE_VERSION: u8 = 6;
+pub const WIRE_VERSION: u8 = 7;
 /// Message tag for [`QueryInfo`].
 const TAG_QUERY_INFO: u8 = 0x51;
 /// Session-opening request naming a model.
@@ -227,6 +227,7 @@ fn put_query_info_body(buf: &mut BytesMut, info: &QueryInfo) {
     for &label in &info.codebook {
         buf.put_u32(label as u32);
     }
+    buf.put_u32(info.entry_primes.unwrap_or(0));
 }
 
 fn get_query_info_body(buf: &mut Bytes) -> Result<QueryInfo, WireError> {
@@ -256,6 +257,8 @@ fn get_query_info_body(buf: &mut Bytes) -> Result<QueryInfo, WireError> {
         }
         codebook.push(label);
     }
+    need(buf, 4)?;
+    let entry_primes = Some(buf.get_u32()).filter(|&primes| primes > 0);
 
     Ok(QueryInfo {
         max_multiplicity,
@@ -264,6 +267,7 @@ fn get_query_info_body(buf: &mut Bytes) -> Result<QueryInfo, WireError> {
         n_leaves,
         label_names,
         codebook,
+        entry_primes,
     })
 }
 
@@ -505,15 +509,17 @@ pub struct ShedDetail {
 /// and one of these budgets or capabilities fell short.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RejectionCode {
-    /// Predicted multiplicative depth exceeds the backend's
-    /// `depth_budget()` — evaluation would exhaust the noise budget
-    /// and decrypt garbage.
+    /// Predicted multiplicative depth exceeds a depth-budgeted
+    /// backend's limit — evaluation would abort.
     DepthExceeded,
     /// The circuit needs slot rotations and the backend cannot rotate
     /// (the negacyclic-flavored packed backend has no slot structure).
     SlotRotationUnsupported,
     /// A pipeline operand is wider than the backend's slot capacity.
     SlotCapacityExceeded,
+    /// A fresh query would need more modulus-chain primes than the
+    /// backend's chain holds — the result would decrypt garbage.
+    ChainExceeded,
 }
 
 impl RejectionCode {
@@ -523,6 +529,7 @@ impl RejectionCode {
             RejectionCode::DepthExceeded => 1,
             RejectionCode::SlotRotationUnsupported => 2,
             RejectionCode::SlotCapacityExceeded => 3,
+            RejectionCode::ChainExceeded => 4,
         }
     }
 
@@ -537,6 +544,7 @@ impl RejectionCode {
             1 => Ok(RejectionCode::DepthExceeded),
             2 => Ok(RejectionCode::SlotRotationUnsupported),
             3 => Ok(RejectionCode::SlotCapacityExceeded),
+            4 => Ok(RejectionCode::ChainExceeded),
             other => Err(WireError::BadRejectionCode(other)),
         }
     }
@@ -548,7 +556,8 @@ impl RejectionCode {
 /// units: multiplicative depth levels for
 /// [`RejectionCode::DepthExceeded`], rotation count vs zero for
 /// [`RejectionCode::SlotRotationUnsupported`], slot widths for
-/// [`RejectionCode::SlotCapacityExceeded`].
+/// [`RejectionCode::SlotCapacityExceeded`], chain primes for
+/// [`RejectionCode::ChainExceeded`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RejectionDetail {
     /// Registry name of the refused model.
@@ -993,7 +1002,10 @@ mod tests {
             Frame::ServerHello {
                 session: 0xDEAD_BEEF_0042,
                 encrypted_model: true,
-                info: sample_info(),
+                info: QueryInfo {
+                    entry_primes: Some(11),
+                    ..sample_info()
+                },
             },
             Frame::ListModels,
             Frame::ModelList {
@@ -1122,7 +1134,7 @@ mod tests {
             timing: None,
         };
         let mut bytes = encode_frame(&frame).to_vec();
-        // The v6 body ends retry_after_ms(4) + timing flag(1).
+        // The body ends retry_after_ms(4) + timing flag(1).
         let at = bytes.len() - 5;
         bytes[at..at + 4].copy_from_slice(&(MAX_RETRY_AFTER_MS + 1).to_be_bytes());
         assert_eq!(
@@ -1188,22 +1200,23 @@ mod tests {
     }
 
     #[test]
-    fn v6_encodings_are_pinned() {
-        // Hashes captured at 3886199, the last commit that also spoke
-        // v2-v5, in `sample_frames()` order: the format survived the
-        // collapse to one dialect byte for byte.
+    fn encodings_are_pinned() {
+        // Hashes of v7, in `sample_frames()` order: v6 (captured at
+        // 3886199, where it survived the collapse to one dialect byte
+        // for byte) plus the query info's `entry_primes`, and the new
+        // version byte in every frame.
         let want: [u64; 11] = [
-            0x3B17_3B5C_D4CA_BFA9, // ClientHello
-            0x2A9A_07C4_BF81_7AC3, // ServerHello
-            0x082B_BD07_B4E5_AB4E, // ListModels
-            0xA0D0_840C_C274_CE18, // ModelList
-            0x2230_C1FB_2B9F_8280, // Query
-            0x9C52_F966_BCD5_5560, // Result
-            0x082B_B807_B4E5_A2CF, // MetricsRequest
-            0xDF01_085F_7B37_02C4, // MetricsReport
-            0xEAD3_5DDE_6008_D941, // Busy
-            0x9431_4F60_89E5_A5E7, // Error
-            0x082B_B607_B4E5_9F69, // Bye
+            0xD326_3A13_D9CA_14CA, // ClientHello
+            0xB474_65FD_1AF3_7EE9, // ServerHello
+            0x0828_5507_B4E2_C4BF, // ListModels
+            0x73B3_6CEF_7DF5_C9EF, // ModelList
+            0x78D1_7B11_1708_A82D, // Query
+            0xA1A1_42A4_B00C_3FE3, // Result
+            0x0828_5A07_B4E2_CD3E, // MetricsRequest
+            0x6AA1_FC7B_164C_85F3, // MetricsReport
+            0x2555_A43D_1041_394E, // Busy
+            0xF42A_53FC_5D59_80A6, // Error
+            0x0828_5C07_B4E2_D0A4, // Bye
         ];
         let got: Vec<u64> = sample_frames()
             .iter()
@@ -1212,7 +1225,7 @@ mod tests {
         assert_eq!(got, want, "frame bytes changed; got {got:#018X?}");
         assert_eq!(
             fnv1a(&encode_query_info(&sample_info())),
-            0x4783_82C8_202A_AC1F,
+            0x4C0B_70A5_D8DB_BE16,
             "QueryInfo bytes changed"
         );
 
@@ -1267,6 +1280,7 @@ mod tests {
             RejectionCode::DepthExceeded,
             RejectionCode::SlotRotationUnsupported,
             RejectionCode::SlotCapacityExceeded,
+            RejectionCode::ChainExceeded,
         ] {
             assert_eq!(RejectionCode::from_byte(code.to_byte()).unwrap(), code);
         }
@@ -1274,7 +1288,7 @@ mod tests {
             RejectionCode::from_byte(0).unwrap_err(),
             WireError::BadRejectionCode(0)
         );
-        // A corrupted detail flag is rejected, not guessed at. The v6
+        // A corrupted detail flag is rejected, not guessed at. The
         // body ends detail flag(1) + timing flag(1).
         let mut bytes = encode_frame(&Frame::Error {
             message: "m".into(),
@@ -1369,7 +1383,7 @@ mod tests {
     #[test]
     fn hostile_timing_flag_is_rejected() {
         // The timing presence flag is the last byte of a timing-free
-        // v6 Result body.
+        // Result body.
         let frame = Frame::Result {
             id: 1,
             batch_size: 1,
@@ -1467,14 +1481,16 @@ mod tests {
     fn handshake_reveals_only_public_data() {
         // The message must carry exactly the fields of the paper's
         // step-0 handshake: K, feature count, precision, result width
-        // and codebook - nothing about thresholds or structure.
+        // and codebook - nothing about thresholds or structure - plus
+        // the entry level, a function of that shape and the backend's
+        // parameters alone.
         let info = sample_info();
         let encoded = encode_query_info(&info);
-        // 2 (header) + 5*4 + labels + 4 + codebook
+        // 2 (header) + 5*4 + labels + 4 + codebook + entry_primes
         let label_bytes: usize = info.label_names.iter().map(|n| 2 + n.len()).sum();
         assert_eq!(
             encoded.len(),
-            2 + 20 + label_bytes + 4 + 4 * info.codebook.len()
+            2 + 20 + label_bytes + 4 + 4 * info.codebook.len() + 4
         );
     }
 }

@@ -6,17 +6,16 @@
 //!   random forests across the paper's whole depth range (2–8).
 //! * On the **leveled BGV backend** the analyzer's claim is the
 //!   admission contract: any circuit the analyzer admits against
-//!   [`BackendProfile::of`] must evaluate without exhausting the
-//!   modulus chain, decrypt correctly, and consume at most two chain
-//!   primes per predicted multiplicative level (a multiply spends one
-//!   prime, plus at most one more for the key-switch rescale).
+//!   [`BackendProfile::of`] must enter the modulus chain at exactly
+//!   the predicted level, consume exactly the predicted primes, and
+//!   decrypt correctly.
 
 use std::sync::OnceLock;
 
 use copse_core::analyze::{BackendProfile, CircuitReport, EvalShape};
 use copse_core::compiler::CompileOptions;
 use copse_core::runtime::{Diane, Maurice, ModelForm, Sally};
-use copse_fhe::{BgvBackend, BgvParams, ClearBackend, FheBackend};
+use copse_fhe::{BgvBackend, BgvParams, ClearBackend, FheBackend, NoiseBudget};
 use copse_forest::microbench::{self, MicrobenchSpec};
 use proptest::prelude::*;
 
@@ -75,7 +74,7 @@ proptest! {
 }
 
 /// BGV keygen is the expensive part; share one cyclic tiny backend
-/// (6 slots, depth budget 4) across all admitted shapes.
+/// (6 slots, 10 primes) across all admitted shapes.
 fn tiny_bgv() -> &'static BgvBackend {
     static BE: OnceLock<BgvBackend> = OnceLock::new();
     BE.get_or_init(|| BgvBackend::new(BgvParams::tiny()))
@@ -85,7 +84,9 @@ fn tiny_bgv() -> &'static BgvBackend {
 fn admitted_circuits_fit_the_bgv_chain() {
     let be = tiny_bgv();
     let profile = BackendProfile::of(be);
-    assert_eq!(profile.depth_budget, 4);
+    let NoiseBudget::Chain(rule) = profile.budget else {
+        panic!("BGV budgets a modulus chain")
+    };
     assert_eq!(profile.slot_capacity, Some(6));
 
     let mut admitted = 0usize;
@@ -125,23 +126,28 @@ fn admitted_circuits_fit_the_bgv_chain() {
 
             let sally = Sally::host(be, maurice.deploy(be, ModelForm::Plain));
             let diane = Diane::new(be, maurice.public_query_info());
-            let result = sally.classify(&diane.encrypt_features(&features).unwrap());
-            let observed = be.depth(result.ciphertext());
+            let (result, trace) =
+                sally.classify_traced(&diane.encrypt_features(&features).unwrap());
 
-            // Sound: the chain never runs dry on an admitted circuit,
-            // and consumption stays within two primes per predicted
-            // level (multiply + key-switch rescale).
-            assert!(
-                observed <= 2 * report.depth,
-                "d={max_depth} p={precision} fused={fused}: consumed {observed} primes \
-                 for predicted depth {}",
-                report.depth
+            // Exact: the query entered at the predicted level and the
+            // result sits exactly where the analyzer says.
+            let chain = report.chain(&rule);
+            let case = format!("d={max_depth} p={precision} fused={fused}");
+            assert_eq!(
+                chain.chain_len - trace.entry_depth,
+                chain.primes_needed,
+                "{case}: entry level"
+            );
+            assert_eq!(
+                be.depth(result.ciphertext()) - trace.entry_depth,
+                chain.consumed.iter().sum::<u32>(),
+                "{case}: primes consumed"
             );
             let outcome = diane.decrypt_result(&result);
             assert_eq!(
                 outcome.plurality_label(),
                 expected.plurality_label(),
-                "d={max_depth} p={precision} fused={fused}: decryption diverged"
+                "{case}: decryption diverged"
             );
         }
     }

@@ -2,20 +2,27 @@
 //! zoo, the static per-stage predictions must equal the scoped
 //! [`OpMeter`](copse_fhe::OpMeter) measurements **op-for-op**, and the
 //! predicted multiplicative depth must equal the depth the clear
-//! backend observes on the result ciphertext.
+//! backend observes on the result ciphertext. On real BGV, the
+//! predicted entry level and the chain primes every stage consumes
+//! must equal the levels evaluation reaches.
 //!
 //! This is the property that turns the admission check from a
 //! heuristic into a proof: if the static counts are exact on every
 //! shape we ship, a deploy-time rejection is a statement about the
 //! circuit, not a guess.
 
-use copse_core::analyze::{AdmissionIssue, BackendProfile, CircuitReport, EvalShape};
+use copse_core::analyze::{AdmissionIssue, BackendProfile, ChainReport, CircuitReport, EvalShape};
 use copse_core::compiler::{Accumulation, CompileOptions};
+use copse_core::parallel::Parallelism;
 use copse_core::runtime::{Diane, EvalOptions, Maurice, ModelForm, PackPlan, Sally};
 use copse_core::seccomp::SecCompVariant;
-use copse_fhe::{ClearBackend, ClearConfig, FheBackend, OpCounts};
+use copse_fhe::{
+    BgvBackend, BgvParams, ClearBackend, ClearConfig, FheBackend, NoiseBudget, OpCounts,
+};
 use copse_forest::microbench::random_queries;
+use copse_forest::model::Forest;
 use copse_forest::zoo;
+use std::sync::OnceLock;
 
 const SUITE_SEED: u64 = 2021;
 
@@ -265,7 +272,7 @@ fn admission_rejects_a_pack_exceeding_capacity() {
 
     // The exact pack fits...
     let fits = BackendProfile {
-        depth_budget: report.depth,
+        budget: NoiseBudget::Depth(report.depth),
         slot_capacity: Some(4 * stride),
         supports_slot_rotation: true,
     };
@@ -364,5 +371,298 @@ fn comparator_and_accumulation_variants_conform() {
                 }
             }
         }
+    }
+}
+
+/// Evaluates `batch` queries of `forest` (one solo unit, or one full
+/// packed chunk) on real BGV and asserts the analyzer's chain report
+/// for the shape Sally ran equals what evaluation observed: the entry
+/// level, the primes every stage consumed, and correct answers. `None`
+/// when admission rejects the shape (it does not fit the chain).
+fn assert_chain_conforms(
+    be: &BgvBackend,
+    maurice: &Maurice,
+    forest: &Forest,
+    form: ModelForm,
+    eval: EvalOptions,
+    packed: bool,
+    case: &str,
+) -> Option<ChainReport> {
+    let NoiseBudget::Chain(rule) = be.noise_budget() else {
+        unreachable!("BGV budgets a modulus chain")
+    };
+    let solo = EvalShape {
+        comparator: eval.comparator,
+        result_shuffle: eval.shuffle_seed.is_some(),
+        ..EvalShape::plan(maurice, form)
+    };
+    let fits = |shape: &EvalShape| {
+        let report = CircuitReport::analyze(maurice.compiled(), shape);
+        report
+            .admit(&BackendProfile::of(be))
+            .is_empty()
+            .then_some(report)
+    };
+    fits(&solo)?;
+    let sally = Sally::with_options(be, maurice.deploy(be, form), eval);
+    let plan = sally.pack_plan().filter(|_| packed);
+    if packed && plan.is_none() {
+        return None;
+    }
+    let report = fits(&EvalShape {
+        packing: plan,
+        ..solo
+    })?;
+    let chain = report.chain(&rule);
+    let info = sally.client_query_info();
+    let diane = Diane::new(be, info);
+    let features = random_queries(forest, plan.map_or(1, |p| p.lanes), SUITE_SEED ^ 0x1E7);
+    let queries: Vec<_> = features
+        .iter()
+        .map(|q| diane.encrypt_features(q).expect("valid query"))
+        .collect();
+    let (results, trace) = sally.classify_batch_traced(&queries);
+
+    let depths = [
+        trace.entry_depth,
+        trace.comparison.depth,
+        trace.reshuffle.depth,
+        trace.levels.depth,
+        trace.accumulate.depth,
+    ];
+    let observed = [0, 1, 2, 3].map(|s| depths[s + 1] - depths[s]);
+    let chain_len = rule.chain_len() as u32;
+    assert_eq!(
+        chain_len - depths[0],
+        chain.primes_needed,
+        "{case}: entry level"
+    );
+    assert_eq!(
+        observed, chain.consumed,
+        "{case}: primes consumed per stage"
+    );
+    for (q, result) in features.iter().zip(&results) {
+        let outcome = diane.decrypt_result(result);
+        assert_eq!(
+            outcome.plurality_label(),
+            Some(forest.labels()[forest.classify_plurality(q)].as_str()),
+            "{case}: query {q:?}"
+        );
+    }
+    Some(chain)
+}
+
+/// Real BGV at the tiny parameter point (6 slots, 10 primes).
+fn tiny_bgv() -> &'static BgvBackend {
+    static BE: OnceLock<BgvBackend> = OnceLock::new();
+    BE.get_or_init(|| BgvBackend::new(BgvParams::tiny()))
+}
+
+/// Models that fit the tiny ring's 6 slots: one branch (it packs three
+/// lanes), a three-leaf tree, and the paper's Fig. 1 tree, whose
+/// operands span all six slots.
+fn tiny_forests() -> Vec<(&'static str, Forest)> {
+    [
+        (
+            "one-branch",
+            "precision 4\nlabels no yes\ntree (branch 0 8 (leaf 0) (leaf 1))\n",
+        ),
+        (
+            "three-leaf",
+            "precision 4\nlabels no maybe yes\n\
+             tree (branch 0 8 (branch 1 4 (leaf 0) (leaf 1)) (branch 0 3 (leaf 1) (leaf 2)))\n",
+        ),
+        (
+            "fig1",
+            "precision 6\nlabels L0 L1 L2 L3 L4 L5\n\
+             tree (branch 1 50 (branch 0 30 (branch 1 10 (leaf 0) (leaf 1)) \
+             (branch 0 20 (leaf 2) (leaf 3))) (branch 1 40 (leaf 4) (leaf 5)))\n",
+        ),
+    ]
+    .into_iter()
+    .map(|(name, text)| (name, Forest::parse(text).expect("valid model")))
+    .collect()
+}
+
+/// The level battery on real BGV: every shape of the tiny models that
+/// fits — both forms, fused and unfused, with and without the result
+/// shuffle, solo and packed — at stage thread counts 1, 2 and 7
+/// (chunked `mat_vec` folds must not move a level).
+#[test]
+fn predicted_primes_match_real_bgv_after_every_stage() {
+    let be = tiny_bgv();
+    let (mut conformed, mut packed) = (0usize, 0usize);
+    for (name, forest) in tiny_forests() {
+        for fused in [false, true] {
+            let options = CompileOptions {
+                fuse_reshuffle: fused,
+                ..CompileOptions::default()
+            };
+            let maurice = Maurice::compile(&forest, options).expect("compile");
+            for form in [ModelForm::Plain, ModelForm::Encrypted] {
+                for shuffle_seed in [None, Some(0xC0FFEE)] {
+                    for threads in [1usize, 2, 7] {
+                        let eval = EvalOptions {
+                            parallelism: Parallelism { threads },
+                            shuffle_seed,
+                            ..EvalOptions::default()
+                        };
+                        for pack in [false, true] {
+                            let case = format!(
+                                "{name} fused={fused} {form:?} shuffle={} threads={threads} \
+                                 packed={pack}",
+                                shuffle_seed.is_some()
+                            );
+                            if assert_chain_conforms(be, &maurice, &forest, form, eval, pack, &case)
+                                .is_some()
+                            {
+                                conformed += 1;
+                                packed += usize::from(pack);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        conformed >= 80,
+        "only {conformed} shapes fit the tiny chain"
+    );
+    assert!(
+        packed >= 24,
+        "only {packed} packed shapes fit the tiny chain"
+    );
+}
+
+/// The noise canary: a chain one prime short of what a circuit needs
+/// is refused at admission, and a chain of exactly that length
+/// evaluates it correctly.
+#[test]
+fn a_chain_one_prime_short_is_rejected_and_an_exact_one_decrypts() {
+    for (name, forest) in tiny_forests() {
+        let maurice = Maurice::compile(&forest, CompileOptions::default()).expect("compile");
+        for form in [ModelForm::Plain, ModelForm::Encrypted] {
+            let shape = EvalShape::plan(&maurice, form);
+            let report = CircuitReport::analyze(maurice.compiled(), &shape);
+            let NoiseBudget::Chain(rule) = tiny_bgv().noise_budget() else {
+                unreachable!("BGV budgets a modulus chain")
+            };
+            let needed = report.chain(&rule).primes_needed as usize;
+            let short = BgvBackend::new(BgvParams {
+                chain_len: needed - 1,
+                ..BgvParams::tiny()
+            });
+            assert_eq!(
+                report.admit(&BackendProfile::of(&short)),
+                vec![AdmissionIssue::ChainExceeded {
+                    required: needed as u32,
+                    available: needed as u32 - 1,
+                }],
+                "{name} {form:?}"
+            );
+            let exact = BgvBackend::new(BgvParams {
+                chain_len: needed,
+                ..BgvParams::tiny()
+            });
+            let eval = EvalOptions {
+                packing: copse_core::runtime::PackingMode::Off,
+                ..EvalOptions::default()
+            };
+            let case = format!("{name} {form:?} on an exact {needed}-prime chain");
+            let chain = assert_chain_conforms(&exact, &maurice, &forest, form, eval, false, &case)
+                .expect("an exact chain admits");
+            assert_eq!(chain.primes_needed as usize, needed, "{case}");
+        }
+    }
+}
+
+/// The repo benchmark's real-BGV parameter point: `m = 127` (18
+/// slots), 20 primes of 25 bits, 7-bit switching digits.
+const BENCH_POINT: BgvParams = BgvParams {
+    m: 127,
+    prime_bits: 25,
+    chain_len: 20,
+    ks_digit_bits: 7,
+    error_eta: 2,
+    keygen_seed: 0xC0F5E,
+};
+
+/// The level battery at the benchmark's parameter point, over every
+/// micro zoo model that fits its 18 slots (all but `width677`): both
+/// forms, fused and unfused, at stage thread counts 1, 2 and 7, plus
+/// the noise canary on `depth4`. Minutes in a debug build, so it runs
+/// in release: `cargo test --release -p copse-core --test
+/// zoo_conformance -- --ignored`.
+#[test]
+#[ignore = "m = 127 BGV; run in release"]
+fn predicted_primes_match_bgv_at_the_benchmark_point() {
+    let be = BgvBackend::new(BENCH_POINT);
+    let mut conformed = Vec::new();
+    for model in zoo::micro_suite(SUITE_SEED) {
+        for fused in [false, true] {
+            let options = CompileOptions {
+                fuse_reshuffle: fused,
+                ..CompileOptions::default()
+            };
+            let maurice = Maurice::compile(&model.forest, options).expect("compile");
+            for form in [ModelForm::Plain, ModelForm::Encrypted] {
+                for threads in [1usize, 2, 7] {
+                    let eval = EvalOptions {
+                        parallelism: Parallelism { threads },
+                        ..EvalOptions::default()
+                    };
+                    let case = format!("{} fused={fused} {form:?} threads={threads}", model.name);
+                    let fits = assert_chain_conforms(
+                        &be,
+                        &maurice,
+                        &model.forest,
+                        form,
+                        eval,
+                        false,
+                        &case,
+                    );
+                    if fits.is_some() && !conformed.contains(&model.name) {
+                        conformed.push(model.name.clone());
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(conformed.len(), 7, "micro models on BGV: {conformed:?}");
+
+    let model = zoo::micro_suite(SUITE_SEED).remove(0);
+    assert_eq!(model.name, "depth4");
+    let maurice = Maurice::compile(&model.forest, CompileOptions::default()).expect("compile");
+    let NoiseBudget::Chain(rule) = be.noise_budget() else {
+        unreachable!("BGV budgets a modulus chain")
+    };
+    for form in [ModelForm::Plain, ModelForm::Encrypted] {
+        let report = CircuitReport::analyze(maurice.compiled(), &EvalShape::plan(&maurice, form));
+        let needed = report.chain(&rule).primes_needed as usize;
+        let short = BgvBackend::new(BgvParams {
+            chain_len: needed - 1,
+            ..BENCH_POINT
+        });
+        assert!(
+            !report.admit(&BackendProfile::of(&short)).is_empty(),
+            "depth4 {form:?}: a {}-prime chain must be refused",
+            needed - 1
+        );
+        let exact = BgvBackend::new(BgvParams {
+            chain_len: needed,
+            ..BENCH_POINT
+        });
+        let case = format!("depth4 {form:?} on an exact {needed}-prime chain");
+        assert_chain_conforms(
+            &exact,
+            &maurice,
+            &model.forest,
+            form,
+            EvalOptions::default(),
+            false,
+            &case,
+        )
+        .expect("an exact chain admits");
     }
 }

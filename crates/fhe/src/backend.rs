@@ -21,6 +21,7 @@
 //!   (size-`n` transforms, no slot structure: one scalar ciphertext
 //!   per bit, free layout operations).
 
+use crate::bgv::LevelRule;
 use crate::bitvec::BitVec;
 use crate::meter::OpMeter;
 use std::fmt::{self, Debug};
@@ -88,6 +89,19 @@ impl fmt::Display for BackendError {
 
 impl std::error::Error for BackendError {}
 
+/// What bounds the circuits a backend can evaluate
+/// ([`FheBackend::noise_budget`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum NoiseBudget {
+    /// A multiplicative-depth limit: the clear backend's guard, and
+    /// the per-bit negacyclic backend's conservative bound.
+    Depth(u32),
+    /// A BGV modulus chain and the rule its ciphertexts' levels
+    /// follow: a circuit fits iff that rule, replayed over the
+    /// circuit, needs no more primes than the chain holds.
+    Chain(LevelRule),
+}
+
 /// A fully homomorphic encryption backend with GF(2) SIMD slots.
 ///
 /// Semantics: a ciphertext encrypts a vector of bits ("slots").
@@ -98,11 +112,10 @@ impl std::error::Error for BackendError {}
 /// # Panics
 ///
 /// Implementations panic on slot-width mismatches between operands
-/// (programming errors) and, for leveled schemes, when an operation
-/// would exceed the multiplicative depth supported by the encryption
-/// parameters. Use [`crate::EncryptionParams::depth_budget`] together
-/// with the circuit's analysed depth (see `copse-core::complexity`) to
-/// validate parameters before evaluation.
+/// (programming errors) and, for the clear backend, when an operation
+/// would exceed its multiplicative-depth guard. Check a circuit
+/// against [`FheBackend::noise_budget`] (`copse_core::analyze` does)
+/// before evaluating it.
 pub trait FheBackend: Send + Sync {
     /// Packed (encoded, unencrypted) plaintext vector.
     type Plaintext: Clone + Debug + Send + Sync;
@@ -127,9 +140,9 @@ pub trait FheBackend: Send + Sync {
     /// The meter recording every homomorphic operation.
     fn meter(&self) -> &OpMeter;
 
-    /// Maximum ciphertext-ciphertext multiplicative depth supported by
-    /// the backend's parameters.
-    fn depth_budget(&self) -> u32;
+    /// What bounds the circuits this backend can evaluate: a
+    /// multiplicative depth, or a modulus chain with its level rule.
+    fn noise_budget(&self) -> NoiseBudget;
 
     /// Encodes a bit vector into a packed plaintext.
     fn encode(&self, bits: &BitVec) -> Self::Plaintext;
@@ -381,6 +394,18 @@ pub trait FheBackend: Send + Sync {
     ) -> Self::Ciphertext {
         let copies = vec![ct.clone(); count];
         self.pack_blocks(&copies, stride, count * stride)
+    }
+
+    /// Switches `ct` down to `primes` modulus-chain primes: one keyless
+    /// modulus switch per dropped prime on a leveled scheme, after
+    /// which `ct` decrypts identically and stays a valid operand at the
+    /// lower level. A ciphertext already at or below `primes` is
+    /// returned unchanged, and so is every ciphertext of a backend
+    /// without a chain (the default). Unmetered, like the switches a
+    /// multiplication performs internally.
+    fn mod_switch_to(&self, ct: &Self::Ciphertext, primes: usize) -> Self::Ciphertext {
+        let _ = primes;
+        ct.clone()
     }
 
     /// A ciphertext that decrypts exactly like `ct` but is as small as

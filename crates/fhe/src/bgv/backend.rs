@@ -15,8 +15,15 @@
 //! and noise, which is exactly how HElib's costs exceed abstract op
 //! counts. Differential tests drive this backend and
 //! [`ClearBackend`](crate::ClearBackend) with identical circuits.
+//!
+//! The layout kernels (masked rotation, cyclic extension, block
+//! packing and unpacking) are written once, generic over `SlotOps`:
+//! this backend runs them on ciphertexts, and
+//! [`LevelRule`](crate::bgv::LevelRule) runs the same code on chain
+//! positions, which is how the static analyzer knows the level every
+//! semantic operation leaves behind.
 
-use crate::backend::{codec, CiphertextCodecError, FheBackend};
+use crate::backend::{codec, CiphertextCodecError, FheBackend, NoiseBudget};
 use crate::bgv::ring::RnsPoly;
 use crate::bgv::scheme::{BgvParams, BgvScheme, Ciphertext, PreparedPlaintext};
 use crate::bitvec::BitVec;
@@ -53,9 +60,209 @@ impl BgvCiphertext {
     }
 }
 
-/// Cache of periodic per-block masks, keyed by
-/// `(from, to, stride, count)`.
-type MaskCache = HashMap<(usize, usize, usize, usize), Arc<BgvPlaintext>>;
+/// A periodic slot range: slots `j*stride + [from, to)` of every block
+/// `j < count` (a plain slot range is the one-block case
+/// `(from, to, nslots, 1)`). The masks the layout kernels multiply by.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct Span {
+    from: usize,
+    to: usize,
+    stride: usize,
+    count: usize,
+}
+
+/// The three scheme operations the backend's slot-layout kernels are
+/// built from. The backend implements them on ciphertexts and
+/// [`LevelRule`](crate::bgv::LevelRule) on chain positions, so each
+/// kernel below is written once and its level trajectory is read off
+/// the code that runs it.
+pub(crate) trait SlotOps {
+    /// What the kernels move: a ciphertext, or its [`Level`](crate::bgv::Level).
+    type Ct: Clone;
+    /// Slot-level left rotation by `k` (full width), no masking.
+    fn rotate_full(&self, a: &Self::Ct, k: isize) -> Self::Ct;
+    /// Product with the (cached) 0/1 mask of `span`.
+    fn mask(&self, a: &Self::Ct, span: Span) -> Self::Ct;
+    /// Ciphertext addition.
+    fn sum(&self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct;
+}
+
+/// A semantic rotation of a `width`-slot vector by `k`: free for a
+/// zero shift, one automorphism at full width, a masked pair below it.
+pub(crate) fn rotate<S: SlotOps>(
+    ops: &S,
+    a: &S::Ct,
+    k: isize,
+    width: usize,
+    nslots: usize,
+) -> S::Ct {
+    if width == 0 {
+        return a.clone();
+    }
+    let k = k.rem_euclid(width as isize) as usize;
+    if k == 0 {
+        return a.clone();
+    }
+    if width == nslots {
+        return ops.rotate_full(a, k as isize);
+    }
+    rotate_in_blocks(ops, a, k, width, nslots, 1)
+}
+
+/// Rotates the first `width` slots of each of `count` blocks by `k`.
+pub(crate) fn rotate_blocks<S: SlotOps>(
+    ops: &S,
+    a: &S::Ct,
+    k: isize,
+    width: usize,
+    stride: usize,
+    count: usize,
+) -> S::Ct {
+    let k = k.rem_euclid(width as isize) as usize;
+    if k == 0 {
+        return a.clone();
+    }
+    rotate_in_blocks(ops, a, k, width, stride, count)
+}
+
+/// Rotates each of `count` `stride`-spaced blocks of live width
+/// `width` left by `k` within its own range (a plain vector is the one
+/// block `(w, nslots, 1)`): out[i] = v[i+k] for i < width-k (from the
+/// left-rotated copy), and out[i] = v[i+k-width] for width-k <= i <
+/// width (from the right-rotated copy). The two full-ring
+/// automorphisms are masked with one span per block, which preserves
+/// zero padding and clears cross-block leakage.
+fn rotate_in_blocks<S: SlotOps>(
+    ops: &S,
+    a: &S::Ct,
+    k: usize,
+    width: usize,
+    stride: usize,
+    count: usize,
+) -> S::Ct {
+    let span = |from, to| Span {
+        from,
+        to,
+        stride,
+        count,
+    };
+    let left = ops.rotate_full(a, k as isize);
+    let right = ops.rotate_full(a, k as isize - width as isize);
+    let t1 = ops.mask(&left, span(0, width - k));
+    let t2 = ops.mask(&right, span(width - k, width));
+    ops.sum(&t1, &t2)
+}
+
+/// Cyclically extends each block from `width` to `new_width` live
+/// slots (unchanged when they are equal).
+pub(crate) fn extend_blocks<S: SlotOps>(
+    ops: &S,
+    a: &S::Ct,
+    width: usize,
+    new_width: usize,
+    stride: usize,
+    count: usize,
+) -> S::Ct {
+    if new_width == width {
+        return a.clone();
+    }
+    extend_in_blocks(ops, a, width, new_width, stride, count)
+}
+
+/// Cyclically extends each block from `width` to `new_width` live
+/// slots: window j holds v[i - j*width] for i in
+/// [j*width, min((j+1)*width, new_width)), one masked full-ring
+/// automorphism per window for every block at once.
+pub(crate) fn extend_in_blocks<S: SlotOps>(
+    ops: &S,
+    a: &S::Ct,
+    width: usize,
+    new_width: usize,
+    stride: usize,
+    count: usize,
+) -> S::Ct {
+    let mut acc: Option<S::Ct> = None;
+    let mut start = 0usize;
+    let mut j = 0isize;
+    while start < new_width {
+        let end = (start + width).min(new_width);
+        let shifted = if j == 0 {
+            a.clone()
+        } else {
+            ops.rotate_full(a, -j * width as isize)
+        };
+        // The j = 0 window needs no mask (already zero-padded and
+        // end >= width). Later windows mask to their span.
+        let term = if j == 0 && end >= width {
+            shifted
+        } else {
+            let span = Span {
+                from: start,
+                to: end,
+                stride,
+                count,
+            };
+            ops.mask(&shifted, span)
+        };
+        acc = Some(match acc {
+            None => term,
+            Some(prev) => ops.sum(&prev, &term),
+        });
+        start = end;
+        j += 1;
+    }
+    acc.expect("new_width > 0")
+}
+
+/// Packs `cts` into blocks `stride` apart: input `j` is rotated right
+/// by `j * stride` and summed in. Inputs ride the zero-padding
+/// invariant (fresh or masked ciphertexts, never relabel-truncated
+/// ones), so the alignment rotations need no masks.
+pub(crate) fn pack<'a, S: SlotOps>(
+    ops: &S,
+    cts: impl IntoIterator<Item = &'a S::Ct>,
+    stride: usize,
+) -> S::Ct
+where
+    S::Ct: 'a,
+{
+    let mut acc: Option<S::Ct> = None;
+    for (j, ct) in cts.into_iter().enumerate() {
+        acc = Some(match acc {
+            None => ct.clone(),
+            Some(prev) => ops.sum(&prev, &ops.rotate_full(ct, -((j * stride) as isize))),
+        });
+    }
+    acc.expect("at least one block")
+}
+
+/// Extracts block `index`: rotated to the front (block 0 stays put),
+/// then split out by the contiguous `width`-slot mask, which also
+/// clears whatever the full-ring rotation wrapped around.
+pub(crate) fn unpack<S: SlotOps>(
+    ops: &S,
+    a: &S::Ct,
+    index: usize,
+    stride: usize,
+    width: usize,
+    nslots: usize,
+) -> S::Ct {
+    let shifted = if index == 0 {
+        a.clone()
+    } else {
+        ops.rotate_full(a, (index * stride) as isize)
+    };
+    let span = Span {
+        from: 0,
+        to: width,
+        stride: nslots,
+        count: 1,
+    };
+    ops.mask(&shifted, span)
+}
+
+/// Cache of periodic per-block masks.
+type MaskCache = HashMap<Span, Arc<BgvPlaintext>>;
 
 /// The real-FHE backend.
 #[derive(Debug)]
@@ -109,17 +316,16 @@ impl BgvBackend {
         self.scheme.slots().nslots()
     }
 
-    fn encode_mask(
-        &self,
-        from: usize,
-        to: usize,
-        stride: usize,
-        count: usize,
-    ) -> Arc<BgvPlaintext> {
-        let key = (from, to, stride, count);
-        if let Some(mask) = self.masks.lock().unwrap().get(&key) {
+    fn encode_mask(&self, span: Span) -> Arc<BgvPlaintext> {
+        if let Some(mask) = self.masks.lock().unwrap().get(&span) {
             return mask.clone();
         }
+        let Span {
+            from,
+            to,
+            stride,
+            count,
+        } = span;
         let bits = BitVec::from_fn(self.nslots(), |i| {
             let offset = i % stride;
             i < count * stride && offset >= from && offset < to
@@ -129,7 +335,7 @@ impl BgvBackend {
         self.masks
             .lock()
             .unwrap()
-            .entry(key)
+            .entry(span)
             .or_insert(mask)
             .clone()
     }
@@ -141,74 +347,22 @@ impl BgvBackend {
             self.nslots()
         );
     }
+}
 
-    /// Slot-level left rotation by `k` (full width), no masking.
+impl SlotOps for BgvBackend {
+    type Ct = Ciphertext;
+
     fn rotate_full(&self, a: &Ciphertext, k: isize) -> Ciphertext {
         self.scheme.rotate_slots(a, k)
     }
 
-    /// Rotates each of `count` `stride`-spaced blocks of live width
-    /// `width` left by `k` within its own range (a plain vector is the
-    /// one block `(w, nslots, 1)`): out[i] = v[i+k] for i < width-k
-    /// (from the left-rotated copy), and out[i] = v[i+k-width] for
-    /// width-k <= i < width (from the right-rotated copy). The two
-    /// full-ring automorphisms are masked with one span per block,
-    /// which preserves zero padding and clears cross-block leakage.
-    fn rotate_in_blocks(
-        &self,
-        a: &Ciphertext,
-        k: usize,
-        width: usize,
-        stride: usize,
-        count: usize,
-    ) -> Ciphertext {
-        let left = self.rotate_full(a, k as isize);
-        let right = self.rotate_full(a, k as isize - width as isize);
-        let m1 = self.encode_mask(0, width - k, stride, count);
-        let m2 = self.encode_mask(width - k, width, stride, count);
-        let t1 = self.scheme.mul_plain_prepared(&left, &m1.prepared);
-        let t2 = self.scheme.mul_plain_prepared(&right, &m2.prepared);
-        self.scheme.add(&t1, &t2)
+    fn mask(&self, a: &Ciphertext, span: Span) -> Ciphertext {
+        self.scheme
+            .mul_plain_prepared(a, &self.encode_mask(span).prepared)
     }
 
-    /// Cyclically extends each block from `width` to `new_width` live
-    /// slots: window j holds v[i - j*width] for i in
-    /// [j*width, min((j+1)*width, new_width)), one masked full-ring
-    /// automorphism per window for every block at once.
-    fn extend_in_blocks(
-        &self,
-        a: &Ciphertext,
-        width: usize,
-        new_width: usize,
-        stride: usize,
-        count: usize,
-    ) -> Ciphertext {
-        let mut acc: Option<Ciphertext> = None;
-        let mut start = 0usize;
-        let mut j = 0isize;
-        while start < new_width {
-            let end = (start + width).min(new_width);
-            let shifted = if j == 0 {
-                a.clone()
-            } else {
-                self.rotate_full(a, -j * width as isize)
-            };
-            // The j = 0 window needs no mask (already zero-padded and
-            // end >= width). Later windows mask to their span.
-            let term = if j == 0 && end >= width {
-                shifted
-            } else {
-                let mask = self.encode_mask(start, end, stride, count);
-                self.scheme.mul_plain_prepared(&shifted, &mask.prepared)
-            };
-            acc = Some(match acc {
-                None => term,
-                Some(prev) => self.scheme.add(&prev, &term),
-            });
-            start = end;
-            j += 1;
-        }
-        acc.expect("new_width > 0")
+    fn sum(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
+        self.scheme.add(a, b)
     }
 }
 
@@ -231,10 +385,8 @@ impl FheBackend for BgvBackend {
         &self.meter
     }
 
-    fn depth_budget(&self) -> u32 {
-        // Conservative: a multiplication consumes one or two chain
-        // primes depending on operand noise.
-        (self.scheme.params().chain_len as u32).saturating_sub(1) / 2
+    fn noise_budget(&self) -> NoiseBudget {
+        NoiseBudget::Chain(*self.scheme.level_rule())
     }
 
     fn encode(&self, bits: &BitVec) -> BgvPlaintext {
@@ -335,23 +487,9 @@ impl FheBackend for BgvBackend {
 
     fn rotate(&self, a: &BgvCiphertext, k: isize) -> BgvCiphertext {
         self.meter.record(FheOp::Rotate);
-        let w = a.width;
-        if w == 0 {
-            return a.clone();
-        }
-        let k = k.rem_euclid(w as isize) as usize;
-        if k == 0 {
-            return a.clone();
-        }
-        if w == self.nslots() {
-            return BgvCiphertext {
-                inner: self.rotate_full(&a.inner, k as isize),
-                width: w,
-            };
-        }
         BgvCiphertext {
-            inner: self.rotate_in_blocks(&a.inner, k, w, self.nslots(), 1),
-            width: w,
+            inner: rotate(self, &a.inner, k, a.width, self.nslots()),
+            width: a.width,
         }
     }
 
@@ -361,7 +499,7 @@ impl FheBackend for BgvBackend {
         let w = a.width;
         assert!(w > 0, "cannot extend an empty vector");
         BgvCiphertext {
-            inner: self.extend_in_blocks(&a.inner, w, width, self.nslots(), 1),
+            inner: extend_in_blocks(self, &a.inner, w, width, self.nslots(), 1),
             width,
         }
     }
@@ -393,33 +531,21 @@ impl FheBackend for BgvBackend {
             cts.len()
         );
         self.check_width(width);
-        // Inputs ride the zero-padding invariant (they are fresh or
-        // masked ciphertexts, never relabel-truncated ones), so the
-        // alignment rotations need no masks: block j's content lands
-        // in `[j*stride, j*stride + w_j)` and everything else is zero.
-        let mut acc: Option<Ciphertext> = None;
-        for (j, ct) in cts.iter().enumerate() {
+        for ct in cts {
             assert!(
                 ct.width <= stride,
                 "block input width {} exceeds stride {stride}",
                 ct.width
             );
-            let aligned = if j == 0 {
-                ct.inner.clone()
-            } else {
-                self.meter.record(FheOp::Rotate);
-                self.rotate_full(&ct.inner, -((j * stride) as isize))
-            };
-            acc = Some(match acc {
-                None => aligned,
-                Some(prev) => {
-                    self.meter.record(FheOp::Add);
-                    self.scheme.add(&prev, &aligned)
-                }
-            });
         }
+        for _ in 1..cts.len() {
+            self.meter.record(FheOp::Rotate);
+            self.meter.record(FheOp::Add);
+        }
+        // Block j's content lands in `[j*stride, j*stride + w_j)` and
+        // everything else is zero.
         BgvCiphertext {
-            inner: acc.expect("at least one block"),
+            inner: pack(self, cts.iter().map(|ct| &ct.inner), stride),
             width,
         }
     }
@@ -436,19 +562,12 @@ impl FheBackend for BgvBackend {
             "block {index} at stride {stride} exceeds packed width {}",
             ct.width
         );
-        let shifted = if index == 0 {
-            ct.inner.clone()
-        } else {
+        if index > 0 {
             self.meter.record(FheOp::Rotate);
-            self.rotate_full(&ct.inner, (index * stride) as isize)
-        };
-        // The cached contiguous slot-range mask splits the block out;
-        // it also clears any other blocks' content the full-ring
-        // rotation wrapped around.
+        }
         self.meter.record(FheOp::ConstantMultiply);
-        let mask = self.encode_mask(0, width, self.nslots(), 1);
         BgvCiphertext {
-            inner: self.scheme.mul_plain_prepared(&shifted, &mask.prepared),
+            inner: unpack(self, &ct.inner, index, stride, width, self.nslots()),
             width,
         }
     }
@@ -472,12 +591,8 @@ impl FheBackend for BgvBackend {
             ct.width
         );
         self.meter.record(FheOp::Rotate);
-        let k = k.rem_euclid(width as isize) as usize;
-        if k == 0 {
-            return ct.clone();
-        }
         BgvCiphertext {
-            inner: self.rotate_in_blocks(&ct.inner, k, width, stride, count),
+            inner: rotate_blocks(self, &ct.inner, k, width, stride, count),
             width: ct.width,
         }
     }
@@ -493,11 +608,8 @@ impl FheBackend for BgvBackend {
         assert!(width > 0, "cannot extend empty blocks");
         let count = ct.width / stride;
         assert_eq!(count * stride, ct.width);
-        if new_width == width {
-            return ct.clone();
-        }
         BgvCiphertext {
-            inner: self.extend_in_blocks(&ct.inner, width, new_width, stride, count),
+            inner: extend_blocks(self, &ct.inner, width, new_width, stride, count),
             width: ct.width,
         }
     }
@@ -517,11 +629,15 @@ impl FheBackend for BgvBackend {
         ct.clone()
     }
 
-    fn compact_for_decrypt(&self, ct: &BgvCiphertext) -> BgvCiphertext {
+    fn mod_switch_to(&self, ct: &BgvCiphertext, primes: usize) -> BgvCiphertext {
         BgvCiphertext {
-            inner: self.scheme.compact_for_decrypt(&ct.inner),
+            inner: self.scheme.mod_switch_to(&ct.inner, primes),
             width: ct.width,
         }
+    }
+
+    fn compact_for_decrypt(&self, ct: &BgvCiphertext) -> BgvCiphertext {
+        self.mod_switch_to(ct, 1)
     }
 
     fn serialize_ciphertext(&self, ct: &BgvCiphertext) -> Vec<u8> {
@@ -538,7 +654,7 @@ impl FheBackend for BgvBackend {
         let mut out = Vec::with_capacity(1 + 8 + 8 + 2 * (4 + level * phi * 8));
         out.push(BGV_CT_MAGIC);
         out.extend_from_slice(&(ct.width as u64).to_le_bytes());
-        out.extend_from_slice(&ct.inner.noise_bits.to_le_bytes());
+        out.extend_from_slice(&ct.inner.noise.to_le_bytes());
         put_poly(&mut out, &ct.inner.c0);
         put_poly(&mut out, &ct.inner.c1);
         out
@@ -580,8 +696,8 @@ impl FheBackend for BgvBackend {
         if width > self.nslots() {
             return Err(CiphertextCodecError::Malformed("width exceeds slot count"));
         }
-        let noise_bits = codec::get_f64(&mut buf)?;
-        if !noise_bits.is_finite() || noise_bits < 0.0 {
+        let noise = codec::get_f64(&mut buf)?;
+        if !noise.is_finite() || noise < 0.0 {
             return Err(CiphertextCodecError::Malformed("non-finite noise estimate"));
         }
         let c0 = get_poly(&mut buf)?;
@@ -593,7 +709,7 @@ impl FheBackend for BgvBackend {
         }
         codec::finish(buf)?;
         Ok(BgvCiphertext {
-            inner: Ciphertext { c0, c1, noise_bits },
+            inner: Ciphertext { c0, c1, noise },
             width,
         })
     }

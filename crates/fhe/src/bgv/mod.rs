@@ -10,6 +10,9 @@
 //! * [`scheme`] — RLWE keys, encryption, homomorphic add/multiply with
 //!   relinearisation, Galois-automorphism slot rotation (prime flavor
 //!   only), and an automatic modulus-switching noise policy;
+//! * [`level`] — that policy as pure functions of a ciphertext's chain
+//!   position ([`LevelRule`]), which the scheme calls and a static
+//!   analyzer replays;
 //! * [`backend`] — the [`FheBackend`](crate::FheBackend)
 //!   implementation over the prime flavor with logical-width slot
 //!   packing (masked rotations, cyclic extension), differentially
@@ -24,11 +27,13 @@
 //! level is not (see DESIGN.md).
 
 pub mod backend;
+pub mod level;
 pub mod negacyclic;
 pub mod ring;
 pub mod scheme;
 
 pub use backend::{BgvBackend, BgvCiphertext, BgvPlaintext};
+pub use level::{Level, LevelRule};
 pub use negacyclic::{NegacyclicBackend, NegacyclicCiphertext, NegacyclicPlaintext};
 pub use ring::RingFlavor;
 pub use scheme::{BgvParams, BgvScheme};

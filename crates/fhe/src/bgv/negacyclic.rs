@@ -34,7 +34,7 @@
 //! `tests/negacyclic_end_to_end.rs` proves `Sally::classify` parity
 //! over a real compiled forest.
 
-use crate::backend::{codec, CiphertextCodecError, FheBackend};
+use crate::backend::{codec, CiphertextCodecError, FheBackend, NoiseBudget};
 use crate::bgv::ring::RnsPoly;
 use crate::bgv::scheme::{BgvParams, BgvScheme, Ciphertext};
 use crate::bitvec::BitVec;
@@ -144,8 +144,11 @@ impl FheBackend for NegacyclicBackend {
         &self.meter
     }
 
-    fn depth_budget(&self) -> u32 {
-        (self.scheme.params().chain_len as u32).saturating_sub(1) / 2
+    fn noise_budget(&self) -> NoiseBudget {
+        // The level rule replays the slotted backend's kernels, not
+        // this one's per-bit layout; a multiply consumes one or two
+        // chain primes depending on operand noise.
+        NoiseBudget::Depth((self.scheme.params().chain_len as u32).saturating_sub(1) / 2)
     }
 
     fn encode(&self, bits: &BitVec) -> NegacyclicPlaintext {
@@ -336,7 +339,7 @@ impl FheBackend for NegacyclicBackend {
         out.push(NEGA_CT_MAGIC);
         out.extend_from_slice(&(ct.slots.len() as u64).to_le_bytes());
         for slot in &ct.slots {
-            out.extend_from_slice(&slot.noise_bits.to_le_bytes());
+            out.extend_from_slice(&slot.noise.to_le_bytes());
             put_poly(&mut out, &slot.c0);
             put_poly(&mut out, &slot.c1);
         }
@@ -388,8 +391,8 @@ impl FheBackend for NegacyclicBackend {
         }
         let mut slots = Vec::with_capacity(width);
         for _ in 0..width {
-            let noise_bits = codec::get_f64(&mut buf)?;
-            if !noise_bits.is_finite() || noise_bits < 0.0 {
+            let noise = codec::get_f64(&mut buf)?;
+            if !noise.is_finite() || noise < 0.0 {
                 return Err(CiphertextCodecError::Malformed("non-finite noise estimate"));
             }
             let c0 = get_poly(&mut buf)?;
@@ -399,7 +402,7 @@ impl FheBackend for NegacyclicBackend {
                     "ciphertext halves at different levels",
                 ));
             }
-            slots.push(Ciphertext { c0, c1, noise_bits });
+            slots.push(Ciphertext { c0, c1, noise });
         }
         codec::finish(buf)?;
         Ok(NegacyclicCiphertext { slots })

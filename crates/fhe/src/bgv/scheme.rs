@@ -33,6 +33,7 @@
 //! use for production secrets. See DESIGN.md substitution #1.
 
 use crate::backend::BackendError;
+use crate::bgv::level::{Level, LevelRule, MUL_INPUT_BITS};
 use crate::bgv::ring::{EvalPoly, RnsContext, RnsPoly};
 use crate::math::cyclotomic::SlotStructure;
 use crate::math::gf2poly::Gf2Poly;
@@ -141,10 +142,11 @@ impl BgvParams {
 pub struct Ciphertext {
     pub(crate) c0: RnsPoly,
     pub(crate) c1: RnsPoly,
-    /// Conservative log2 estimate of the noise magnitude, used by the
-    /// automatic modulus-switching policy (correctness is verified by
-    /// decryption, not assumed from this estimate).
-    pub(crate) noise_bits: f64,
+    /// Conservative estimate of the noise magnitude (an integer; see
+    /// [`crate::bgv::level`]), used by the automatic modulus-switching
+    /// policy (correctness is verified by decryption, not assumed from
+    /// this estimate).
+    pub(crate) noise: f64,
 }
 
 /// A key-switching key: for each chain prime `j` and digit `t`, an
@@ -164,8 +166,9 @@ pub enum KsKey {
 }
 
 /// A plaintext operand prepared for (repeated) multiplication: the
-/// signed coefficient lift, its 1-norm for noise accounting, and a
-/// lazily built evaluation-domain transform at the full chain level.
+/// signed coefficient lift, the 1-norm bound its products are charged,
+/// and a lazily built evaluation-domain transform at the full chain
+/// level.
 ///
 /// The cache is what amortises model transforms in COPSE's `mat_vec`:
 /// a fixed diagonal is forward-transformed once (lazily on first use,
@@ -180,8 +183,10 @@ pub struct PreparedPlaintext {
 }
 
 impl PreparedPlaintext {
-    /// The operand's 1-norm (number of nonzero coefficients), as used
-    /// by the multiplication noise estimate.
+    /// The 1-norm bound the multiplication noise estimate charges: the
+    /// ring degree `φ`, which bounds every GF(2) polynomial, so no
+    /// level depends on the operand's contents (see
+    /// [`crate::bgv::level`]).
     pub fn l1(&self) -> usize {
         self.l1
     }
@@ -209,14 +214,9 @@ pub struct BgvScheme {
     public: (RnsPoly, RnsPoly),
     relin: KsKey,
     rotation: HashMap<u64, KsKey>,
-    ks_noise_bits: f64,
+    rule: LevelRule,
     rng_seed: std::sync::atomic::AtomicU64,
 }
-
-/// Noise floor after a modulus switch (`~ ||s||_1` rounding).
-const MS_FLOOR_BITS: f64 = 8.0;
-/// Target operand noise before a ciphertext multiplication.
-const MUL_INPUT_BITS: f64 = 14.0;
 
 impl BgvScheme {
     /// Generates keys for the given parameters (deterministic in
@@ -286,7 +286,7 @@ impl BgvScheme {
         let public = (b, a);
 
         let mut scheme = Self {
-            ks_noise_bits: Self::ks_noise_estimate(&params),
+            rule: LevelRule::new(params, slots.as_ref().map_or(0, SlotStructure::nslots)),
             params,
             ring,
             slots,
@@ -330,19 +330,6 @@ impl BgvScheme {
             scheme.rotation.insert(exponent, key);
         }
         scheme
-    }
-
-    /// Estimated key-switch additive noise:
-    /// `#primes * #digits * B * 2η * φ`.
-    fn ks_noise_estimate(params: &BgvParams) -> f64 {
-        let digits = params.prime_bits.div_ceil(params.ks_digit_bits) as f64;
-        let terms = params.chain_len as f64 * digits;
-        (terms
-            * f64::from(1u32 << params.ks_digit_bits)
-            * 2.0
-            * f64::from(params.error_eta)
-            * params.phi() as f64)
-            .log2()
     }
 
     /// One key-switching key from its own rng split (see
@@ -423,6 +410,11 @@ impl BgvScheme {
         &self.params
     }
 
+    /// The level rule every ciphertext of this scheme follows.
+    pub fn level_rule(&self) -> &LevelRule {
+        &self.rule
+    }
+
     /// The slot structure (packing/rotation geometry).
     ///
     /// # Panics
@@ -477,7 +469,12 @@ impl BgvScheme {
 
     /// Current noise estimate (log2).
     pub fn noise_bits(&self, ct: &Ciphertext) -> f64 {
-        ct.noise_bits
+        ct.noise.log2()
+    }
+
+    /// Where `ct` stands in the chain, as the level rule sees it.
+    fn position(&self, ct: &Ciphertext) -> Level {
+        self.rule.at(self.level(ct), ct.noise)
     }
 
     fn fresh_rng(&self) -> SmallRng {
@@ -531,8 +528,20 @@ impl BgvScheme {
         Ciphertext {
             c0,
             c1,
-            noise_bits: 12.0,
+            noise: self.rule.encrypt().noise,
         }
+    }
+
+    /// Switches `ct` down to `primes` chain primes (at least one); a
+    /// ciphertext already at or below them is returned unchanged.
+    /// Keyless, and the result decrypts identically: how a query
+    /// enters the chain at the level its circuit needs.
+    pub fn mod_switch_to(&self, ct: &Ciphertext, primes: usize) -> Ciphertext {
+        let mut work = ct.clone();
+        while self.level(&work) > primes.max(1) {
+            work = self.mod_switch(&work);
+        }
+        work
     }
 
     /// Switches `ct` down to the last chain prime — the first thing
@@ -540,11 +549,7 @@ impl BgvScheme {
     /// evaluator can do it before shipping a result: the ciphertext
     /// shrinks to one residue row per half and decrypts identically.
     pub fn compact_for_decrypt(&self, ct: &Ciphertext) -> Ciphertext {
-        let mut work = ct.clone();
-        while self.level(&work) > 1 {
-            work = self.mod_switch(&work);
-        }
-        work
+        self.mod_switch_to(ct, 1)
     }
 
     /// Decrypts to a plaintext polynomial. Switches down to the last
@@ -563,25 +568,17 @@ impl BgvScheme {
         out
     }
 
-    fn align(&self, a: &Ciphertext, b: &Ciphertext) -> (Ciphertext, Ciphertext) {
-        let mut a = a.clone();
-        let mut b = b.clone();
-        while self.level(&a) > self.level(&b) {
-            a = self.mod_switch(&a);
-        }
-        while self.level(&b) > self.level(&a) {
-            b = self.mod_switch(&b);
-        }
-        (a, b)
-    }
-
     /// Homomorphic addition (XOR on packed bits).
     pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        let (a, b) = self.align(a, b);
+        let (la, lb) = self.rule.align(self.position(a), self.position(b));
+        let (a, b) = (
+            self.mod_switch_to(a, la.primes),
+            self.mod_switch_to(b, lb.primes),
+        );
         Ciphertext {
             c0: self.ring.add(&a.c0, &b.c0),
             c1: self.ring.add(&a.c1, &b.c1),
-            noise_bits: a.noise_bits.max(b.noise_bits) + 1.0,
+            noise: self.rule.add(la, lb).noise,
         }
     }
 
@@ -594,22 +591,21 @@ impl BgvScheme {
         Ciphertext {
             c0: self.ring.add(&a.c0, &self.ring.from_signed(&coeffs, level)),
             c1: a.c1.clone(),
-            noise_bits: a.noise_bits.max(1.0) + 0.1,
+            noise: self.rule.add_plain(self.position(a)).noise,
         }
     }
 
     /// Prepares a plaintext polynomial for multiplication: lifts the
-    /// coefficients once and computes the 1-norm; the evaluation-domain
+    /// coefficients once; the evaluation-domain
     /// transform is cached lazily on first multiply (or eagerly via
     /// [`BgvScheme::warm_prepared`]).
     pub fn prepare_plain(&self, pt: &Gf2Poly) -> PreparedPlaintext {
         let coeffs: Vec<i64> = (0..self.ring.phi())
             .map(|i| i64::from(pt.coeff(i)))
             .collect();
-        let l1 = coeffs.iter().filter(|&&c| c != 0).count().max(1);
         PreparedPlaintext {
             coeffs,
-            l1,
+            l1: self.params.phi(),
             eval: OnceLock::new(),
         }
     }
@@ -633,8 +629,9 @@ impl BgvScheme {
         }
     }
 
-    /// Multiplies by a plaintext polynomial with 1-norm `l1` (one-shot
-    /// form; repeated multiplications should prepare once and use
+    /// Multiplies by a plaintext polynomial, charging the noise
+    /// estimate the 1-norm bound `l1` (one-shot form; repeated
+    /// multiplications should prepare once and use
     /// [`BgvScheme::mul_plain_prepared`]).
     pub fn mul_plain(&self, a: &Ciphertext, pt: &Gf2Poly, l1: usize) -> Ciphertext {
         let mut prepared = self.prepare_plain(pt);
@@ -648,7 +645,7 @@ impl BgvScheme {
     /// the oracle takes the schoolbook product.
     pub fn mul_plain_prepared(&self, a: &Ciphertext, pt: &PreparedPlaintext) -> Ciphertext {
         let level = self.level(a);
-        let noise_bits = a.noise_bits + (pt.l1.max(2) as f64).log2() + 1.0;
+        let noise = self.rule.mul_plain_l1(self.position(a), pt.l1).noise;
         if self.eval_path() {
             let local;
             let pe = match pt.eval.get() {
@@ -670,22 +667,23 @@ impl BgvScheme {
             let c1 = self
                 .ring
                 .from_eval(&self.ring.eval_mul(&self.ring.to_eval(&a.c1), pe, level));
-            return Ciphertext { c0, c1, noise_bits };
+            return Ciphertext { c0, c1, noise };
         }
         let p = self.ring.from_signed(&pt.coeffs, level);
         Ciphertext {
             c0: self.ring.mul(&a.c0, &p),
             c1: self.ring.mul(&a.c1, &p),
-            noise_bits,
+            noise,
         }
     }
 
     /// Homomorphic multiplication (AND on packed bits): tensor,
     /// relinearise, and switch moduli to re-normalise noise.
     pub fn mul(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        let (a, b) = self.align(
-            &self.reduce(a, MUL_INPUT_BITS),
-            &self.reduce(b, MUL_INPUT_BITS),
+        let (la, lb) = self.rule.mul_inputs(self.position(a), self.position(b));
+        let (a, b) = (
+            self.mod_switch_to(a, la.primes),
+            self.mod_switch_to(b, lb.primes),
         );
         let level = self.level(&a);
         let (d0, d1, d2) = if self.eval_path() {
@@ -710,12 +708,11 @@ impl BgvScheme {
                 self.ring.mul(&a.c1, &b.c1),
             )
         };
-        let tensor_noise = a.noise_bits + b.noise_bits + ((self.ring.phi() as f64).log2() + 2.0);
         let (k0, k1) = self.key_switch(&d2, &self.relin);
         let ct = Ciphertext {
             c0: self.ring.add(&d0, &k0),
             c1: self.ring.add(&d1, &k1),
-            noise_bits: tensor_noise.max(self.ks_noise_bits) + 1.0,
+            noise: self.rule.tensor(la, lb).noise,
         };
         self.reduce(&ct, MUL_INPUT_BITS)
     }
@@ -775,7 +772,7 @@ impl BgvScheme {
         Ok(Ciphertext {
             c0: self.ring.add(&r0, &k0),
             c1: k1,
-            noise_bits: a.noise_bits.max(self.ks_noise_bits) + 1.0,
+            noise: self.rule.key_switch(self.position(a)).noise,
         })
     }
 
@@ -886,7 +883,7 @@ impl BgvScheme {
         Ciphertext {
             c0: self.ring.zero(level),
             c1: self.ring.zero(level),
-            noise_bits: 0.0,
+            noise: 0.0,
         }
     }
 
@@ -895,18 +892,15 @@ impl BgvScheme {
         Ciphertext {
             c0: self.ring.mod_switch_down(&a.c0, 2),
             c1: self.ring.mod_switch_down(&a.c1, 2),
-            noise_bits: (a.noise_bits - f64::from(self.params.prime_bits)).max(MS_FLOOR_BITS) + 1.0,
+            noise: self.rule.mod_switch(self.position(a)).noise,
         }
     }
 
     /// Switches moduli until the noise estimate drops to `target_bits`
     /// (or one prime remains).
     pub fn reduce(&self, a: &Ciphertext, target_bits: f64) -> Ciphertext {
-        let mut ct = a.clone();
-        while ct.noise_bits > target_bits && self.level(&ct) > 1 {
-            ct = self.mod_switch(&ct);
-        }
-        ct
+        let to = self.rule.reduce(self.position(a), target_bits);
+        self.mod_switch_to(a, to.primes)
     }
 }
 

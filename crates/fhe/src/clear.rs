@@ -13,7 +13,7 @@
 //! [`CostModel`](crate::CostModel) converts metered counts into modeled
 //! FHE milliseconds).
 
-use crate::backend::{codec, CiphertextCodecError, FheBackend};
+use crate::backend::{codec, CiphertextCodecError, FheBackend, NoiseBudget};
 use crate::bitvec::BitVec;
 use crate::meter::{FheOp, OpMeter};
 use crate::params::EncryptionParams;
@@ -190,8 +190,8 @@ impl FheBackend for ClearBackend {
         &self.meter
     }
 
-    fn depth_budget(&self) -> u32 {
-        self.config.max_depth
+    fn noise_budget(&self) -> NoiseBudget {
+        NoiseBudget::Depth(self.config.max_depth)
     }
 
     fn encode(&self, bits: &BitVec) -> ClearPlaintext {
@@ -749,6 +749,6 @@ mod tests {
     fn from_params_inherits_depth_budget() {
         let params = EncryptionParams::paper_optimal();
         let be = ClearBackend::from_params(&params);
-        assert_eq!(be.depth_budget(), params.depth_budget());
+        assert_eq!(be.noise_budget(), NoiseBudget::Depth(params.depth_budget()));
     }
 }

@@ -57,10 +57,10 @@ pub mod math;
 pub mod meter;
 pub mod params;
 
-pub use backend::{BackendError, CiphertextCodecError, FheBackend, MaybeEncrypted};
+pub use backend::{BackendError, CiphertextCodecError, FheBackend, MaybeEncrypted, NoiseBudget};
 pub use bgv::{
-    BgvBackend, BgvCiphertext, BgvParams, BgvPlaintext, NegacyclicBackend, NegacyclicCiphertext,
-    NegacyclicPlaintext, RingFlavor,
+    BgvBackend, BgvCiphertext, BgvParams, BgvPlaintext, Level, LevelRule, NegacyclicBackend,
+    NegacyclicCiphertext, NegacyclicPlaintext, RingFlavor,
 };
 pub use bitslice::BitSliced;
 pub use bitvec::BitVec;

@@ -111,4 +111,6 @@ pub use queue::{BoundedReceiver, BoundedSender, RecvError, TrySendError};
 pub use server::{
     AdmissionPolicy, DeployError, InferenceServer, ServerBuilder, ServerConfig, ServerHandle,
 };
-pub use stats::{CircuitSummary, ModelQueueDepth, ModelStats, ServerStats, StatsSnapshot};
+pub use stats::{
+    CircuitBudget, CircuitSummary, ModelQueueDepth, ModelStats, ServerStats, StatsSnapshot,
+};

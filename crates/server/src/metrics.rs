@@ -35,7 +35,7 @@
 //! malformed exposition before a real scraper would.
 
 use crate::flight::FlightRecorder;
-use crate::stats::{ModelQueueDepth, ModelStats, StatsSnapshot};
+use crate::stats::{CircuitBudget, CircuitSummary, ModelQueueDepth, ModelStats, StatsSnapshot};
 use copse_fhe::OpCounts;
 use copse_trace::LatencyHistogram;
 use std::collections::BTreeMap;
@@ -265,10 +265,25 @@ const FAMILIES: &[MetricFamily] = &[
         read: |s, _| per_key("model", &s.circuits, |c| f64::from(c.depth)),
     },
     MetricFamily {
-        name: "copse_circuit_depth_budget",
+        name: "copse_circuit_primes",
         kind: "gauge",
-        help: "Depth the backend's parameters support.",
-        read: |s, _| per_key("model", &s.circuits, |c| f64::from(c.depth_budget)),
+        help: "Modulus-chain primes (static analysis): needed by one classification, entered at, in the chain.",
+        read: |s, _| {
+            let chain = |(model, c): (&String, &CircuitSummary)| match c.budget {
+                CircuitBudget::Chain {
+                    primes_needed,
+                    entry,
+                    chain_len,
+                } => [("needed", primes_needed), ("entry", entry), ("chain", chain_len)]
+                    .map(|(kind, primes)| {
+                        let labels = vec![("model", model.clone()), ("kind", kind.to_string())];
+                        ("", labels, f64::from(primes))
+                    })
+                    .to_vec(),
+                CircuitBudget::Depth { .. } => Vec::new(),
+            };
+            s.circuits.iter().flat_map(chain).collect()
+        },
     },
     MetricFamily {
         name: "copse_circuit_ops_per_query",
@@ -674,9 +689,13 @@ mod tests {
         stats.record_conn_timeout();
         stats.set_circuit(
             "income5",
-            crate::stats::CircuitSummary {
+            CircuitSummary {
                 depth: 9,
-                depth_budget: 14,
+                budget: CircuitBudget::Chain {
+                    primes_needed: 10,
+                    entry: 11,
+                    chain_len: 20,
+                },
                 ops_per_query: 1234,
                 modeled_ms: 87.5,
             },
@@ -720,19 +739,20 @@ mod tests {
 
     #[test]
     fn exposition_is_pinned() {
-        // Hashes captured at cdb89e6, the last commit that wrote the
-        // page one statement per sample: the text survived the move to
-        // the `FAMILIES` table byte for byte.
+        // Hashes re-pinned when `copse_circuit_primes` (needed / entry
+        // / chain) replaced `copse_circuit_depth_budget`; every other
+        // family's text is as captured at cdb89e6, the last commit that
+        // wrote the page one statement per sample.
         let populated = render_exposition(&populated_snapshot(), &populated_flight());
         let empty = render_exposition(&ServerStats::new().snapshot(), &FlightRecorder::new(16));
         assert_eq!(
             fnv1a(populated.as_bytes()),
-            0xFA4C_3351_D1BF_E77F,
+            0x8661_F1B9_B639_6377,
             "populated exposition changed:\n{populated}"
         );
         assert_eq!(
             fnv1a(empty.as_bytes()),
-            0x7A45_8324_1BBD_2412,
+            0x8B88_8D2A_3EFC_EEE0,
             "empty-server exposition changed:\n{empty}"
         );
     }
@@ -803,6 +823,16 @@ mod tests {
             parsed.value("copse_circuit_modeled_ms", &[("model", "income5")]),
             Some(87.5)
         );
+        for (kind, primes) in [("needed", 10.0), ("entry", 11.0), ("chain", 20.0)] {
+            assert_eq!(
+                parsed.value(
+                    "copse_circuit_primes",
+                    &[("model", "income5"), ("kind", kind)]
+                ),
+                Some(primes),
+                "{kind}"
+            );
+        }
 
         // The histogram obeys bucket discipline (validate_histograms
         // ran inside parse) and its count matches the query count.

@@ -41,7 +41,7 @@
 use crate::faults::{FaultPlan, ServerFaults};
 use crate::flight::{FlightRecord, FlightRecorder};
 use crate::queue::{self, TrySendError};
-use crate::stats::{CircuitSummary, ModelQueueDepth, ServerStats, StatsSnapshot};
+use crate::stats::{CircuitBudget, CircuitSummary, ModelQueueDepth, ServerStats, StatsSnapshot};
 use crate::transport::{read_frame, write_frame};
 use bytes::Bytes;
 use copse_core::analyze::{AdmissionIssue, BackendProfile, CircuitReport, EvalShape};
@@ -53,7 +53,7 @@ use copse_core::wire::{
     Frame, RejectionCode, RejectionDetail, ServerTiming, ShedDetail, TimingCause, WireError,
     MAX_DEADLINE_MS, WIRE_VERSION,
 };
-use copse_fhe::{BackendError, CostModel, FheBackend};
+use copse_fhe::{BackendError, CostModel, FheBackend, NoiseBudget};
 use copse_forest::model::Forest;
 use copse_trace::Stopwatch;
 use std::collections::HashMap;
@@ -490,18 +490,9 @@ fn deploy_model<B: FheBackend + 'static>(
             return Err(DeployError::Rejected(detail));
         }
     }
-    shared.stats.set_circuit(
-        &name,
-        CircuitSummary {
-            depth: report.depth,
-            depth_budget: shared.profile.depth_budget,
-            ops_per_query: report.total_ops().total_homomorphic(),
-            modeled_ms: report.modeled_ms(&shared.cost),
-        },
-    );
     let (jobs_tx, jobs_rx) = queue::bounded(shared.config.queue_capacity);
+    let (info_tx, info_rx) = queue::bounded(1);
     let deployed = maurice.deploy(shared.backend.as_ref(), form);
-    let info = maurice.public_query_info();
     let worker = spawn_worker(
         name.clone(),
         Arc::clone(&shared.backend),
@@ -509,11 +500,41 @@ fn deploy_model<B: FheBackend + 'static>(
         shared.eval,
         shared.config,
         jobs_rx,
+        info_tx,
         Arc::clone(&shared.stats),
         Arc::clone(&shared.draining),
         Arc::clone(&shared.faults),
     )
     .map_err(DeployError::Spawn)?;
+    // What clients get in the handshake comes from the Sally the
+    // worker hosts: Maurice's reveal plus the level her circuits enter
+    // the chain at.
+    let Ok(info) = info_rx.recv() else {
+        let _ = worker.join();
+        return Err(DeployError::Spawn(io::Error::other(
+            "evaluation worker exited before hosting the model",
+        )));
+    };
+    let budget = match shared.profile.budget {
+        NoiseBudget::Depth(budget) => CircuitBudget::Depth { budget },
+        NoiseBudget::Chain(rule) => {
+            let chain = report.chain(&rule);
+            CircuitBudget::Chain {
+                primes_needed: chain.primes_needed,
+                entry: info.entry_primes.unwrap_or(chain.chain_len),
+                chain_len: chain.chain_len,
+            }
+        }
+    };
+    shared.stats.set_circuit(
+        &name,
+        CircuitSummary {
+            depth: report.depth,
+            budget,
+            ops_per_query: report.total_ops().total_homomorphic(),
+            modeled_ms: report.modeled_ms(&shared.cost),
+        },
+    );
     let entry = Arc::new(ModelEntry {
         name: name.clone(),
         form,
@@ -560,6 +581,14 @@ fn rejection_detail(model: &str, issue: &AdmissionIssue) -> RejectionDetail {
             u64::from(required),
             u64::from(budget),
         ),
+        AdmissionIssue::ChainExceeded {
+            required,
+            available,
+        } => (
+            RejectionCode::ChainExceeded,
+            u64::from(required),
+            u64::from(available),
+        ),
         AdmissionIssue::SlotRotationUnsupported { rotations } => {
             (RejectionCode::SlotRotationUnsupported, rotations, 0)
         }
@@ -594,6 +623,10 @@ fn rejection_text(detail: &RejectionDetail) -> String {
         ),
         RejectionCode::SlotCapacityExceeded => format!(
             "circuit packs {}-slot operands but the backend has {} slots",
+            detail.required, detail.available
+        ),
+        RejectionCode::ChainExceeded => format!(
+            "circuit needs {} chain primes but the backend's modulus chain has {}",
             detail.required, detail.available
         ),
     }
@@ -659,7 +692,18 @@ fn dequeue_timing<B: FheBackend>(
     }
 }
 
-/// Spawns the evaluator worker that owns one deployed model. The loop
+/// A sender that closes its channel when dropped.
+struct CloseOnDrop<T>(queue::BoundedSender<T>);
+
+impl<T> Drop for CloseOnDrop<T> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// Spawns the evaluator worker that owns one deployed model. It hosts
+/// the model, answers `info` with the hosted Sally's
+/// [`client_query_info`](Sally::client_query_info), then loops: it
 /// blocks for the first job, coalesces more jobs for the batch
 /// window, sheds what expired in the queue, then answers the whole
 /// batch from one evaluation pass. The loop ends when the model's
@@ -673,6 +717,7 @@ fn spawn_worker<B: FheBackend + 'static>(
     eval: EvalOptions,
     config: ServerConfig,
     jobs: queue::BoundedReceiver<Job<B>>,
+    info: queue::BoundedSender<QueryInfo>,
     stats: Arc<ServerStats>,
     draining: Arc<AtomicBool>,
     faults: Arc<ServerFaults>,
@@ -681,7 +726,12 @@ fn spawn_worker<B: FheBackend + 'static>(
         .name(format!("copse-model-{name}"))
         .spawn(move || {
             let worker_id = NEXT_WORKER.fetch_add(1, Ordering::Relaxed);
+            // Closed on every way out, a panic while hosting included,
+            // so the deploying thread never waits on a dead worker.
+            let reveal = CloseOnDrop(info);
             let sally = Sally::with_options(backend.as_ref(), deployed, eval);
+            let _ = reveal.0.try_send(sally.client_query_info());
+            drop(reveal);
             // Tile the packed model eagerly (a no-op when the backend
             // cannot pack) so the first coalesced batch pays no
             // deploy-like tiling cost inside its evaluation pass.
@@ -1269,6 +1319,12 @@ fn handle_query<B: FheBackend>(
         );
     }
     let expected_width = entry.info.feature_count * entry.info.max_multiplicity;
+    // The chain primes a plane carries: on a modulus chain the backend
+    // reads a ciphertext's depth as `chain_len - primes`.
+    let chain_len = match shared.profile.budget {
+        NoiseBudget::Chain(rule) => Some(rule.chain_len() as u32),
+        NoiseBudget::Depth(_) => None,
+    };
     let mut decoded = Vec::with_capacity(planes.len());
     for (i, plane) in planes.iter().enumerate() {
         match shared.backend.deserialize_ciphertext(plane) {
@@ -1279,6 +1335,21 @@ fn handle_query<B: FheBackend>(
                         &entry.name,
                         format!("plane {i} is {width} slots wide, expected {expected_width}"),
                     );
+                }
+                // A plane below the advertised entry level would run
+                // out of chain mid-circuit and decrypt to garbage.
+                if let (Some(chain_len), Some(entry_primes)) = (chain_len, entry.info.entry_primes)
+                {
+                    let primes = chain_len.saturating_sub(shared.backend.depth(&ct));
+                    if primes < entry_primes {
+                        return fail(
+                            &entry.name,
+                            format!(
+                                "plane {i} carries {primes} chain primes, model `{}` enters at {entry_primes}",
+                                entry.name
+                            ),
+                        );
+                    }
                 }
                 decoded.push(ct);
             }

@@ -70,14 +70,14 @@ struct StatsInner {
 /// The static-analysis verdict for one deployed model, registered at
 /// deploy time from the static analyzer's
 /// [`CircuitReport`](copse_core::analyze::CircuitReport) so the
-/// operator page can show each model's depth headroom next to its
-/// measured latency.
+/// operator page can show where each model sits in its backend's
+/// noise budget next to its measured latency.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CircuitSummary {
     /// Multiplicative depth of one classification.
     pub depth: u32,
-    /// Depth the backend's parameters support.
-    pub depth_budget: u32,
+    /// The backend's noise budget and the circuit's use of it.
+    pub budget: CircuitBudget,
     /// Homomorphic operations per classification.
     pub ops_per_query: u64,
     /// Modeled single-thread latency per classification (calibrated
@@ -85,11 +85,48 @@ pub struct CircuitSummary {
     pub modeled_ms: f64,
 }
 
+/// What bounds one model's circuit on its backend
+/// ([`NoiseBudget`](copse_fhe::NoiseBudget)), with the analyzer's
+/// prediction.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CircuitBudget {
+    /// A depth-budgeted backend: the depth it supports.
+    Depth {
+        /// Depth the backend's parameters support.
+        budget: u32,
+    },
+    /// A BGV modulus chain.
+    Chain {
+        /// Primes a fresh query needs for one classification to
+        /// decrypt ([`ChainReport::primes_needed`](copse_core::analyze::ChainReport::primes_needed)).
+        primes_needed: u32,
+        /// Primes queries enter at: the highest entry level of the
+        /// circuits the hosted evaluator runs (packed ones included).
+        entry: u32,
+        /// Primes in the backend's chain.
+        chain_len: u32,
+    },
+}
+
+impl Default for CircuitBudget {
+    fn default() -> Self {
+        CircuitBudget::Depth { budget: 0 }
+    }
+}
+
 impl CircuitSummary {
-    /// Levels left unused by one classification (`None` when the
-    /// circuit exceeds the budget — a warn-admitted model).
-    pub fn depth_headroom(&self) -> Option<u32> {
-        self.depth_budget.checked_sub(self.depth)
+    /// What one classification leaves unused of the budget — depth
+    /// levels, or chain primes — or `None` when the circuit exceeds it
+    /// (a warn-admitted model).
+    pub fn headroom(&self) -> Option<u32> {
+        match self.budget {
+            CircuitBudget::Depth { budget } => budget.checked_sub(self.depth),
+            CircuitBudget::Chain {
+                primes_needed,
+                chain_len,
+                ..
+            } => chain_len.checked_sub(primes_needed),
+        }
     }
 }
 
@@ -283,14 +320,28 @@ impl StatsSnapshot {
         } else {
             let width = self.circuits.keys().map(|n| n.len()).max().unwrap_or(0);
             for (name, c) in &self.circuits {
-                let headroom = match c.depth_headroom() {
+                let headroom = |used: u32, budget: u32| match c.headroom() {
                     Some(h) => format!("headroom {h}"),
-                    None => format!("OVER BUDGET by {}", c.depth - c.depth_budget),
+                    None => format!("OVER BUDGET by {}", used - budget),
+                };
+                let budget = match c.budget {
+                    CircuitBudget::Depth { budget } => {
+                        format!("depth {}/{budget} ({})", c.depth, headroom(c.depth, budget))
+                    }
+                    CircuitBudget::Chain {
+                        primes_needed,
+                        entry,
+                        chain_len,
+                    } => format!(
+                        "depth {}  primes {primes_needed}/{chain_len} ({})  entry {entry}",
+                        c.depth,
+                        headroom(primes_needed, chain_len)
+                    ),
                 };
                 let _ = writeln!(
                     out,
-                    "    {name:width$}  depth {}/{} ({headroom})  ops/query {}  modeled {:.1} ms",
-                    c.depth, c.depth_budget, c.ops_per_query, c.modeled_ms,
+                    "    {name:width$}  {budget}  ops/query {}  modeled {:.1} ms",
+                    c.ops_per_query, c.modeled_ms,
                 );
             }
         }
@@ -450,6 +501,7 @@ mod tests {
                     multiply: multiplies,
                     ..OpCounts::default()
                 },
+                ..StageReport::default()
             },
             ..EvalTrace::default()
         }
@@ -567,7 +619,7 @@ mod tests {
             "chess15",
             CircuitSummary {
                 depth: 9,
-                depth_budget: 14,
+                budget: CircuitBudget::Depth { budget: 14 },
                 ops_per_query: 1234,
                 modeled_ms: 87.5,
             },
@@ -576,19 +628,37 @@ mod tests {
             "warned",
             CircuitSummary {
                 depth: 19,
-                depth_budget: 14,
+                budget: CircuitBudget::Depth { budget: 14 },
                 ops_per_query: 9000,
                 modeled_ms: 410.0,
             },
         );
+        stats.set_circuit(
+            "depth4",
+            CircuitSummary {
+                depth: 8,
+                budget: CircuitBudget::Chain {
+                    primes_needed: 10,
+                    entry: 11,
+                    chain_len: 20,
+                },
+                ops_per_query: 174,
+                modeled_ms: 39.0,
+            },
+        );
         let snap = stats.snapshot();
-        assert_eq!(snap.circuits["chess15"].depth_headroom(), Some(5));
-        assert_eq!(snap.circuits["warned"].depth_headroom(), None);
+        assert_eq!(snap.circuits["chess15"].headroom(), Some(5));
+        assert_eq!(snap.circuits["warned"].headroom(), None);
+        assert_eq!(snap.circuits["depth4"].headroom(), Some(10));
         let text = snap.render_text();
         assert!(text.contains("circuit analysis"), "{text}");
         assert!(text.contains("depth 9/14 (headroom 5)"), "{text}");
         assert!(text.contains("OVER BUDGET by 5"), "{text}");
         assert!(text.contains("modeled 87.5 ms"), "{text}");
+        assert!(
+            text.contains("depth 8  primes 10/20 (headroom 10)  entry 11"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -28,11 +28,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("generating BGV keys (m = 127, 16-prime chain)...");
     let t = Instant::now();
     let backend = BgvBackend::demo();
+    let chain_len = backend.scheme().params().chain_len as u32;
     println!(
-        "  done in {:.1}s; {} slots, depth budget ~{}",
+        "  done in {:.1}s; {} slots, {chain_len}-prime chain",
         t.elapsed().as_secs_f64(),
         backend.nslots(),
-        backend.depth_budget()
     );
 
     let maurice = Maurice::compile(&forest, CompileOptions::default())?;
@@ -49,7 +49,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t = Instant::now();
     let sally = Sally::host(&backend, maurice.deploy(&backend, ModelForm::Encrypted));
     println!("model encrypted in {:.1}s", t.elapsed().as_secs_f64());
-    let diane = Diane::new(&backend, maurice.public_query_info());
+    // Sally's reveal carries the chain level her circuit needs: Diane
+    // switches every plane down to it before it leaves her hands.
+    let info = sally.client_query_info();
+    let entry = info.entry_primes.expect("a BGV chain has an entry level");
+    println!("queries enter the chain at {entry} of {chain_len} primes");
+    let diane = Diane::new(&backend, info);
 
     for features in [[25u64, 60], [0, 5], [0, 45], [35, 60]] {
         let t = Instant::now();
@@ -59,12 +64,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let expected = forest.classify_leaf_hits(&features);
         assert_eq!(outcome.leaf_hits().to_bools(), expected);
         println!(
-            "(x={:>2}, y={:>2}) -> {}   [{:.1}s on real ciphertexts, depth consumed {}]",
+            "(x={:>2}, y={:>2}) -> {}   [{:.1}s on real ciphertexts, {} primes left]",
             features[0],
             features[1],
             outcome.plurality_label().unwrap_or("<none>"),
             t.elapsed().as_secs_f64(),
-            backend.depth(result.ciphertext()),
+            chain_len - backend.depth(result.ciphertext()),
         );
     }
     println!("\nevery classification verified against plaintext inference.");

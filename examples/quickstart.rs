@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "result ciphertext multiplicative depth: {} (budget {})",
         backend.depth(response.ciphertext()),
-        backend.depth_budget()
+        backend.config().max_depth
     );
     Ok(())
 }

@@ -13,7 +13,7 @@ use copse::fhe::{BgvBackend, BgvParams, ClearBackend, ClearConfig, FheBackend};
 use copse::forest::microbench::{self, MicrobenchSpec};
 use copse::forest::model::Forest;
 use copse::server::transport::{read_frame, write_frame};
-use copse::server::{AdmissionPolicy, InferenceClient, ServerBuilder};
+use copse::server::{AdmissionPolicy, CircuitBudget, InferenceClient, ServerBuilder};
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -80,7 +80,7 @@ fn depth_exceeding_model_is_rejected_before_deploy() {
     let detail = &rejections[0];
     assert_eq!(detail.model, "deep");
     assert_eq!(detail.code, RejectionCode::DepthExceeded);
-    assert_eq!(detail.available, u64::from(backend.depth_budget()));
+    assert_eq!(detail.available, u64::from(backend.config().max_depth));
     assert!(detail.required > detail.available);
     let required = detail.required;
 
@@ -182,8 +182,9 @@ fn warn_policy_deploys_anyway_and_reports_the_overdraft() {
     let stats = server.stats();
     let snapshot = stats.snapshot();
     let summary = snapshot.circuits.get("deep").expect("circuit analyzed");
-    assert!(summary.depth > summary.depth_budget);
-    assert_eq!(summary.depth_headroom(), None);
+    assert_eq!(summary.budget, CircuitBudget::Depth { budget: 6 });
+    assert!(summary.depth > 6);
+    assert_eq!(summary.headroom(), None);
     assert!(snapshot.render_text().contains("OVER BUDGET"));
 
     // The model really is deployed: its handshake succeeds.

@@ -234,7 +234,7 @@ fn unsupported_wire_versions_get_a_typed_error_then_eof() {
                 timing: None,
             } => assert_eq!(
                 message,
-                format!("unsupported wire version {version}; this server speaks 6")
+                format!("unsupported wire version {version}; this server speaks {WIRE_VERSION}")
             ),
             other => panic!("expected Error, got {other:?}"),
         }
@@ -300,7 +300,7 @@ fn poisoned_query_does_not_fail_coalesced_neighbours() {
         .map(|ct| {
             let mut raw = backend.serialize_ciphertext(ct);
             // Layout: [magic u8][depth u32 LE][width u64 LE][bits].
-            raw[1..5].copy_from_slice(&backend.depth_budget().to_le_bytes());
+            raw[1..5].copy_from_slice(&backend.config().max_depth.to_le_bytes());
             bytes::Bytes::from(raw)
         })
         .collect();
@@ -377,9 +377,8 @@ fn service_works_over_real_bgv_ciphertexts() {
          tree (branch 0 8 (branch 1 4 (leaf 0) (leaf 1)) (branch 0 3 (leaf 1) (leaf 2)))\n",
     )
     .expect("valid model");
-    // 14 primes: the circuit's multiplicative depth is 6, and the
-    // deploy-time admission check requires budget (chain_len - 1) / 2
-    // to cover it.
+    // 14 primes: more than the circuit needs, so queries arriving at
+    // the top of the chain are switched down to the entry level.
     let params = BgvParams {
         m: 31,
         prime_bits: 25,
@@ -417,9 +416,11 @@ fn service_works_over_real_bgv_ciphertexts() {
     }
     client.close().expect("close");
 
-    // The result frame carries the ciphertext compacted for decryption
-    // (one chain prime), not at the level evaluation ended: it decrypts
-    // to the same answer and is smaller than what Sally returned.
+    // The result frame carries the ciphertext at one chain prime, where
+    // decryption happens: evaluation entered at exactly the level the
+    // circuit needs, so it ends there, and the server's compaction
+    // keeps any circuit's result that small. It decrypts to the same
+    // answer as Sally's.
     let maurice = Maurice::compile(&forest, CompileOptions::default()).expect("compiles");
     let sally = Sally::host(
         server_backend.as_ref(),
@@ -463,11 +464,11 @@ fn service_works_over_real_bgv_ciphertexts() {
     let Frame::Result { ciphertext, .. } = read_frame(&mut reader).expect("result") else {
         panic!("expected a result frame");
     };
-    assert!(
-        ciphertext.len() < direct_bytes / 2,
-        "compacted result {} B vs {direct_bytes} B at the evaluation level",
-        ciphertext.len()
-    );
+    let one_prime = client_backend
+        .serialize_ciphertext(&client_backend.compact_for_decrypt(&query.planes()[0]))
+        .len();
+    assert_eq!(ciphertext.len(), one_prime, "result frame ciphertext");
+    assert!(direct_bytes >= one_prime);
     let served = client_backend
         .deserialize_ciphertext(&ciphertext)
         .expect("decodes");
@@ -475,6 +476,98 @@ fn service_works_over_real_bgv_ciphertexts() {
     assert_eq!(
         client_backend.decrypt(&served),
         client_backend.decrypt(direct.ciphertext())
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn planes_below_the_entry_level_are_refused_unevaluated() {
+    use copse::core::runtime::QueryInfo;
+    use copse::core::wire::Frame;
+    use copse::fhe::{BgvBackend, BgvParams, FheBackend};
+    use copse::server::transport::{read_frame, write_frame};
+    use std::io::{BufReader, BufWriter};
+    use std::net::TcpStream;
+    let forest = Forest::parse("precision 4\nlabels no yes\ntree (branch 0 8 (leaf 0) (leaf 1))\n")
+        .expect("valid model");
+    let backend = Arc::new(BgvBackend::new(BgvParams::tiny()));
+    let handle = ServerBuilder::new(Arc::clone(&backend))
+        .register("tiny", &forest, CompileOptions::default(), ModelForm::Plain)
+        .expect("compiles")
+        .bind("127.0.0.1:0")
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = BufWriter::new(stream);
+    let query_frame = |diane: &Diane<'_, BgvBackend>, id: u64| {
+        let query = diane.encrypt_features(&[5]).expect("valid query");
+        let planes = query.planes().iter();
+        Frame::Query {
+            id,
+            deadline_ms: 0,
+            trace: None,
+            planes: planes
+                .map(|ct| backend.serialize_ciphertext(ct).into())
+                .collect(),
+        }
+    };
+    write_frame(
+        &mut writer,
+        &Frame::ClientHello {
+            model: "tiny".into(),
+        },
+    )
+    .expect("hello");
+    let Frame::ServerHello { info, .. } = read_frame(&mut reader).expect("server hello") else {
+        panic!("expected a server hello");
+    };
+    let entry = info
+        .entry_primes
+        .expect("a BGV server advertises its entry level");
+    assert!(entry < BgvParams::tiny().chain_len as u32, "entry {entry}");
+
+    // One prime short of the advertised level: a typed error, and the
+    // worker never sees the job.
+    let short = QueryInfo {
+        entry_primes: Some(entry - 1),
+        ..info.clone()
+    };
+    let frame = query_frame(&Diane::new(backend.as_ref(), short), 1);
+    write_frame(&mut writer, &frame).expect("query");
+    match read_frame(&mut reader).expect("reply") {
+        Frame::Error { message, .. } => assert_eq!(
+            message,
+            format!(
+                "plane 0 carries {} chain primes, model `tiny` enters at {entry}",
+                entry - 1
+            )
+        ),
+        other => panic!("expected Error, got {other:?}"),
+    }
+    assert_eq!(
+        handle.stats().snapshot().batches,
+        0,
+        "nothing was evaluated"
+    );
+
+    // The same session still serves planes at the advertised level.
+    let diane = Diane::new(backend.as_ref(), info);
+    write_frame(&mut writer, &query_frame(&diane, 2)).expect("query");
+    let Frame::Result { ciphertext, .. } = read_frame(&mut reader).expect("result") else {
+        panic!("expected a result frame");
+    };
+    let result = backend
+        .deserialize_ciphertext(&ciphertext)
+        .expect("decodes");
+    let outcome = diane.decrypt_result(&copse::core::runtime::EncryptedResult::from_ciphertext(
+        result,
+    ));
+    assert_eq!(
+        outcome.leaf_hits().to_bools(),
+        forest.classify_leaf_hits(&[5])
     );
     handle.shutdown();
 }
