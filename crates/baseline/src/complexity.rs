@@ -8,7 +8,7 @@
 //! `SecComp` once **per branch** plus one balanced path product per
 //! leaf, where COPSE pays one `SecComp` plus `d` matrix products.
 
-use copse_core::analyze::seccomp_counts;
+use copse_core::analyze;
 use copse_core::runtime::ModelForm;
 use copse_core::seccomp::SecCompVariant;
 use copse_fhe::OpCounts;
@@ -25,7 +25,7 @@ pub fn classify_counts(forest: &Forest, form: ModelForm) -> OpCounts {
         // One SecComp per branch, then one NOT per decision.
         let b_t = tree.branch_count() as u64;
         for _ in 0..b_t {
-            c = c.plus(&seccomp_counts(p, form, SecCompVariant::LadderPrefix));
+            c = c.plus(&analyze::seccomp(p, form, SecCompVariant::LadderPrefix).ops);
         }
         c.constant_add += b_t;
         // Per leaf: balanced product over the path literals, then the

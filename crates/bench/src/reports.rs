@@ -258,13 +258,15 @@ pub fn table1_2(seed: u64) -> String {
     );
     // (ours, paper) per row, at one precision.
     let seccomp = |p: u32| {
-        let ours = analyze::seccomp_counts(p, ModelForm::Encrypted, Default::default());
+        let ours = analyze::seccomp(p, ModelForm::Encrypted, Default::default());
         let printed = paper::seccomp_counts(p);
-        let depth = analyze::seccomp_depth(p, Default::default());
         [
-            (ours.multiplies_combined(), printed.multiply),
-            (ours.add, printed.add),
-            (u64::from(depth), u64::from(paper::seccomp_depth(p))),
+            (ours.ops.multiplies_combined(), printed.multiply),
+            (ours.ops.add, printed.add),
+            (
+                u64::from(ours.depth_cost),
+                u64::from(paper::seccomp_depth(p)),
+            ),
         ]
     };
     let (p8, p16) = (seccomp(8), seccomp(16));
@@ -708,12 +710,16 @@ pub fn ablations(seed: u64, n_queries: usize, work: usize) -> String {
         "comparator variant (SecComp mult counts, encrypted model):"
     );
     for p in [8u32, 16] {
-        let ladder = analyze::seccomp_counts(p, ModelForm::Encrypted, SecCompVariant::LadderPrefix);
-        let shared = analyze::seccomp_counts(p, ModelForm::Encrypted, SecCompVariant::SharedPrefix);
+        let mults = |variant| {
+            analyze::seccomp(p, ModelForm::Encrypted, variant)
+                .ops
+                .multiply
+        };
         let _ = writeln!(
             out,
             "  p = {p:>2}: ladder {} ct-mults (paper-parity) vs shared-prefix {} ct-mults",
-            ladder.multiply, shared.multiply
+            mults(SecCompVariant::LadderPrefix),
+            mults(SecCompVariant::SharedPrefix)
         );
     }
     let _ = writeln!(

@@ -3,44 +3,37 @@
 //! The COPSE pipeline is a *fixed* circuit per compiled model: its
 //! operation counts and multiplicative depth depend only on the model
 //! shape and the evaluation plan, never on the (encrypted) query data.
-//! That makes the whole evaluation statically analysable, and this
-//! module is the abstract interpreter that does it — the one place
-//! that knows the circuit's op counts and depth:
+//! This module is the abstract interpreter that analyses it, and the
+//! one place that knows the circuit: a replay of the runtime's op
+//! sequence (every bit plane, level matrix and packed lane) that reads
+//! each operation three ways — the metered [`FheOp`], the
+//! multiplicative depth the clear backend tracks, and, given a BGV
+//! [`LevelRule`], the chain position.
 //!
-//! * [`CircuitReport::analyze`] walks the compiled shape and derives,
-//!   per pipeline stage, the exact homomorphic operation counts (in
-//!   the [`FheOp`](copse_fhe::FheOp) vocabulary) and the
-//!   multiplicative-depth profile of one classification. "Exact" is a
-//!   tested property, not an aspiration: the conformance suite asserts
-//!   these predictions against a scoped [`copse_fhe::OpMeter`]
-//!   op-for-op for every model in the benchmark zoo.
-//! * [`CircuitReport::chain`] replays the same op sequence over the
-//!   BGV [`LevelRule`] — noise growth, the reduce-before-and-after of
-//!   every multiply, modulus switching and operand alignment, exactly
-//!   as the scheme applies them — and derives the fewest chain primes a
-//!   fresh query must carry for the result to decrypt
-//!   ([`ChainReport::primes_needed`]) and the primes each stage
-//!   consumes from there. [`Sally`] enters every query at that level
-//!   instead of the top of the chain.
-//! * [`BackendProfile::of`] captures what a concrete
-//!   [`FheBackend`] can actually evaluate —
-//!   its [`NoiseBudget`] (a modulus chain, or a depth limit), slot
-//!   capacity, and whether slot rotation exists at all (the negacyclic
-//!   power-of-two ring has no GF(2) slot structure, paper §4.1 vs. the
-//!   `X^n + 1` ablation).
+//! * [`CircuitReport::analyze`] replays one classification without a
+//!   rule: per-stage operation counts and depth, which the conformance
+//!   suite asserts op for op against a scoped [`copse_fhe::OpMeter`]
+//!   for every model in the benchmark zoo.
+//! * [`CircuitReport::chain`] replays it under a [`LevelRule`] — noise
+//!   growth, modulus switching and operand alignment exactly as the
+//!   scheme applies them — for the fewest chain primes a fresh query
+//!   must carry ([`ChainReport::primes_needed`], the level [`Sally`]
+//!   enters it at) and the primes each stage consumes.
+//! * [`BackendProfile::of`] captures what a concrete [`FheBackend`]
+//!   can evaluate: its [`NoiseBudget`] (a modulus chain, or a depth
+//!   limit), slot capacity, and whether slots rotate at all (the
+//!   negacyclic power-of-two ring has no GF(2) slot structure).
 //! * [`CircuitReport::admit`] compares the two and returns structured
-//!   [`AdmissionIssue`]s. `copse-server` runs this check on every
-//!   deploy, so a model that would exhaust the modulus chain mid-query
-//!   or panic on a rotation-free ring is rejected with a typed
-//!   diagnostic *before* any ciphertext is touched; [`Sally`] asks the
-//!   same report whether a packed chunk still fits the chain.
+//!   [`AdmissionIssue`]s. `copse-server` runs it on every deploy, so a
+//!   model that would exhaust the chain or panic on a rotation-free
+//!   ring is rejected with a typed diagnostic before any ciphertext is
+//!   touched; [`Sally`] asks it whether a packed chunk still fits.
 //!
-//! The per-stage predictions line up with the runtime's
-//! [`EvalTrace`](crate::EvalTrace) stages (comparison, reshuffle,
-//! levels, accumulate), so measured and predicted breakdowns can be
-//! compared side by side; `copse-bench`'s `analyze_json` binary emits
-//! exactly that report. The paper's own Table 1–2 closed forms live
-//! beside it, as printed, in [`crate::complexity::paper`].
+//! The stages line up with the runtime's [`EvalTrace`](crate::EvalTrace)
+//! (comparison, reshuffle, levels, accumulate), so `copse-bench`'s
+//! `analyze_json` prints predicted and measured side by side. The
+//! paper's own Table 1–2 closed forms live, as printed, in
+//! [`crate::complexity::paper`].
 //!
 //! ## Example
 //!
@@ -65,10 +58,9 @@
 
 use crate::artifacts::{CompiledModel, ModelMeta};
 use crate::compiler::Accumulation;
-use crate::complexity::log2ceil;
 use crate::runtime::{Maurice, ModelForm, PackPlan};
 use crate::seccomp::SecCompVariant;
-use copse_fhe::{CostModel, FheBackend, Level, LevelRule, NoiseBudget, OpCounts};
+use copse_fhe::{CostModel, FheBackend, FheOp, Level, LevelRule, NoiseBudget, OpCounts};
 use std::fmt;
 
 /// The evaluation plan the analysis is performed against: everything
@@ -267,96 +259,34 @@ impl CircuitReport {
     /// The analysis proper, from the non-secret shape both parties
     /// hold — Maurice's [`ModelMeta`] and whether `R` was fused — so an
     /// evaluator that never sees cleartext artifacts (an encrypted
-    /// deployment) can run it too. The compiler builds every matrix
-    /// from exactly these dimensions: `R` is `b × q`, each of the `d`
-    /// level matrices `leaves × b` (`leaves × q` when fused).
+    /// deployment) can run it too: the compiler builds every matrix
+    /// from exactly these dimensions.
     pub(crate) fn from_meta(meta: &ModelMeta, fused: bool, shape: &EvalShape) -> Self {
-        let (p, d, form) = (meta.precision, meta.max_level, shape.form);
-        let level_cols = if fused { meta.quantized } else { meta.branches };
-
-        let mut comparison = StagePrediction {
-            ops: seccomp_counts(p, form, shape.comparator),
-            depth_cost: seccomp_depth(p, shape.comparator),
+        let circuit = Circuit {
+            shape: *shape,
+            meta: meta.clone(),
+            fused,
         };
-
-        let reshuffle = if fused {
-            StagePrediction::default()
-        } else {
-            StagePrediction {
-                ops: matmul_counts(meta.quantized, form),
-                depth_cost: 1,
-            }
+        let walk = circuit.replay(None, 0);
+        let [comparison, reshuffle, levels, accumulate] = walk.stages;
+        // A packed chunk needs all `lanes` blocks side by side.
+        let packed_width = shape.packing.map_or(0, |plan| plan.lanes * plan.stride);
+        let encrypts = |encrypt| OpCounts {
+            encrypt,
+            ..OpCounts::default()
         };
-
-        // The level matrices share one shape (the compiler builds them
-        // over the same branch vector) and the runtime multiplies them
-        // as one rotation-sharing group.
-        let levels = StagePrediction {
-            ops: levels_counts(d, level_cols, form),
-            depth_cost: u32::from(d > 0),
-        };
-
-        let mut accumulate = StagePrediction {
-            ops: accumulate_counts(d),
-            depth_cost: match shape.accumulation {
-                Accumulation::BalancedTree => log2ceil(u64::from(d)),
-                Accumulation::Linear => d.saturating_sub(1),
-            },
-        };
-        if shape.result_shuffle {
-            // Sally's permutation is her own secret: a plaintext MatMul
-            // over the leaves regardless of the model form.
-            accumulate.ops = accumulate
-                .ops
-                .plus(&matmul_counts(meta.n_leaves, ModelForm::Plain));
-            accumulate.depth_cost += 1;
-        }
-
-        let mut min_slot_capacity = meta.slot_width(fused);
-        if let Some(packing) = shape.packing {
-            // Packed chunk deltas over one sequential query's circuit
-            // (every other op in the four stages is slot-wise or a
-            // block kernel with identical metering, so the chunk costs
-            // exactly one query plus these):
-            // packing `lanes` operands into each of the `p` bit planes
-            // costs `lanes - 1` alignment rotations and additions per
-            // plane; splitting the result back out costs one masked
-            // constant-multiply per lane plus a rotation for every
-            // lane after the first — and one extra depth level.
-            let k = packing.lanes as u64;
-            comparison.ops.rotate += u64::from(p) * (k - 1);
-            comparison.ops.add += u64::from(p) * (k - 1);
-            accumulate.ops.constant_multiply += k;
-            accumulate.ops.rotate += k - 1;
-            accumulate.depth_cost += 1;
-            // A packed chunk needs all `lanes` blocks side by side.
-            min_slot_capacity = min_slot_capacity.max(packing.lanes * packing.stride);
-        }
-
-        let depth = comparison.depth_cost
-            + reshuffle.depth_cost
-            + levels.depth_cost
-            + accumulate.depth_cost;
-
         Self {
             comparison,
             reshuffle,
             levels,
             accumulate,
-            depth,
-            model_encrypt_ops: model_encrypt_counts(meta, form, fused),
-            query_encrypt_ops: query_encrypt_counts(p),
-            min_slot_capacity,
-            circuit: Circuit {
-                shape: *shape,
-                precision: p,
-                max_level: d,
-                quantized: meta.quantized,
-                branches: meta.branches,
-                leaves: meta.n_leaves,
-                level_cols,
-                fused,
-            },
+            depth: walk.stages.iter().map(|stage| stage.depth_cost).sum(),
+            model_encrypt_ops: encrypts(walk.model_encrypts),
+            // One ciphertext per bit plane, as SecComp consumes them
+            // (the paper's Table 1e lists 1, a fully packed query).
+            query_encrypt_ops: encrypts(u64::from(meta.precision)),
+            min_slot_capacity: meta.slot_width(fused).max(packed_width),
+            circuit,
         }
     }
 
@@ -382,37 +312,35 @@ impl CircuitReport {
     }
 
     /// How one classification spends `rule`'s modulus chain: the
-    /// fewest primes a fresh query must carry for the result to
+    /// fewest primes a fresh query must carry for every result to
     /// decrypt, and what each stage consumes from there.
     ///
-    /// The circuit's op sequence is replayed over [`Level`]s — the
-    /// query planes switched down from the top of the chain to a
-    /// candidate entry, the model's encrypted operands (if any) at the
-    /// top, aligned down where they meet the query — and the entry is
-    /// the smallest whose result keeps positive noise headroom through
-    /// its final switch to one prime. Past the chain the search goes on
-    /// over hypothetical longer chains, so a circuit that does not fit
-    /// still reports what it needs.
+    /// It runs [`CircuitReport::analyze`]'s replay under `rule`, the
+    /// query planes switched down to a candidate entry and the model's
+    /// encrypted operands (if any) at the top of the chain, and takes
+    /// the smallest entry at which every result — the worst packed
+    /// lane's too — keeps positive headroom through its final switch
+    /// to one prime. The search goes on past the chain, so a circuit
+    /// that does not fit still reports what it needs.
     ///
     /// # Panics
     ///
     /// Panics if no chain of up to 4096 primes fits the circuit.
     pub fn chain(&self, rule: &LevelRule) -> ChainReport {
         let chain_len = rule.chain_len();
-        let (entry, trajectory) = (1..=4096)
-            .map(|entry| {
+        let (entry, walk) = (1..=4096)
+            .find_map(|entry| {
                 let rule = rule.with_chain_len(entry.max(chain_len));
-                (entry, self.circuit.trajectory(&rule, entry))
+                let walk = self.circuit.replay(Some(&rule), entry);
+                let decrypts = |v: &Value| rule.mod_switch_to(v.at(), 1).headroom_bits > 0.0;
+                walk.results.iter().all(decrypts).then_some((entry, walk))
             })
-            .find(|(_, t)| t.decrypts())
             .expect("a long enough chain fits every circuit");
-        let spent = |stage: usize| {
-            (trajectory.stages[stage].primes - trajectory.stages[stage + 1].primes) as u32
-        };
+        let primes = walk.values.map(|value| value.at().primes as u32);
         ChainReport {
             chain_len: chain_len as u32,
             primes_needed: entry as u32,
-            consumed: [spent(0), spent(1), spent(2), spent(3)],
+            consumed: [0, 1, 2, 3].map(|stage| primes[stage] - primes[stage + 1]),
         }
     }
 
@@ -456,194 +384,312 @@ impl CircuitReport {
     }
 }
 
-/// The non-secret shape the level interpreter replays: Maurice's
-/// dimensions and the evaluation plan.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// The non-secret shape the replay walks: Maurice's dimensions and the
+/// evaluation plan.
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct Circuit {
     shape: EvalShape,
-    precision: u32,
-    max_level: u32,
-    quantized: usize,
-    branches: usize,
-    leaves: usize,
-    level_cols: usize,
+    meta: ModelMeta,
     fused: bool,
 }
 
-/// One replay of a circuit: where the query stood at the entry and
-/// after each of the four stages, and the result as a client decrypts
-/// it (switched down to the last prime).
-struct Trajectory {
-    stages: [Level; 5],
-    result: Level,
+/// What the replay carries in place of a ciphertext: the
+/// multiplicative depth the clear backend tracks and, under a level
+/// rule, the BGV chain position.
+#[derive(Clone, Copy, Debug, Default)]
+struct Value {
+    depth: u32,
+    level: Option<Level>,
 }
 
-impl Trajectory {
-    fn decrypts(&self) -> bool {
-        self.result.headroom_bits > 0.0
+impl Value {
+    /// The chain position of a value replayed under a level rule.
+    fn at(self) -> Level {
+        self.level.expect("levels are replayed under a rule")
+    }
+
+    /// The deepest of one stage's outputs: what the runtime's trace
+    /// reads off its deepest ciphertext.
+    fn deepest(values: &[Value]) -> Value {
+        let primes = |v: &Value| v.level.map_or(0, |level| level.primes);
+        *values
+            .iter()
+            .max_by_key(|v| (v.depth, std::cmp::Reverse(primes(v))))
+            .expect("a stage has outputs")
     }
 }
 
-/// A model operand as the replay sees it: plaintext (it never has a
-/// level of its own) or a ciphertext Maurice encrypted at the top of
-/// the chain.
-#[derive(Clone, Copy)]
-enum Operand {
-    Plain,
-    Encrypted(Level),
+/// One replay of a circuit: each stage's metered ops and added depth,
+/// the query at the entry and after each stage, every result a client
+/// decrypts (one per packed lane), and how many model operands Maurice
+/// encrypts.
+struct Walk {
+    stages: [StagePrediction; 4],
+    values: [Value; 5],
+    results: Vec<Value>,
+    model_encrypts: u64,
 }
 
-/// The level semantics of the runtime's operations on one layout.
+/// The runtime's operations on one layout, as the replay reads them:
+/// each meters its [`FheOp`] into the current stage and moves depth
+/// (and, under a rule, the level) the way the backends do. A model
+/// operand is `Some` ciphertext, or `None` for a plaintext.
+#[derive(Default)]
 struct Replay<'a> {
-    rule: &'a LevelRule,
+    rule: Option<&'a LevelRule>,
     packing: Option<PackPlan>,
+    /// Ops metered since the current stage began.
+    ops: OpCounts,
+    model_encrypts: u64,
 }
 
 impl Replay<'_> {
-    /// A model operand of the given form, tiled when the layout packs.
-    fn operand(&self, form: ModelForm) -> Operand {
-        match (form, self.packing) {
-            (ModelForm::Plain, _) => Operand::Plain,
-            (ModelForm::Encrypted, None) => Operand::Encrypted(self.rule.encrypt()),
-            (ModelForm::Encrypted, Some(plan)) => {
-                Operand::Encrypted(self.rule.tile(self.rule.encrypt(), plan.stride, plan.lanes))
+    /// Closes a stage that took the query from `input` to `output`.
+    fn stage(&mut self, input: Value, output: Value) -> StagePrediction {
+        StagePrediction {
+            ops: std::mem::take(&mut self.ops),
+            depth_cost: output.depth - input.depth,
+        }
+    }
+
+    /// Meters `op` and yields its result at `depth` and, under a rule,
+    /// at `level(rule)`.
+    fn op(&mut self, op: FheOp, depth: u32, level: impl FnOnce(&LevelRule) -> Level) -> Value {
+        *self.ops.get_mut(op) += 1;
+        let level = self.rule.map(level);
+        Value { depth, level }
+    }
+
+    /// A model operand of `form`: Maurice encrypts it at the top of the
+    /// chain unless it is plaintext. Tiling it for a packed layout is
+    /// deploy-time work: it moves the level but meters nothing.
+    fn operand(&mut self, form: ModelForm) -> Option<Value> {
+        if form == ModelForm::Plain {
+            return None;
+        }
+        self.model_encrypts += 1;
+        let level = self.rule.map(|rule| match self.packing {
+            None => rule.encrypt(),
+            Some(plan) => rule.tile(rule.encrypt(), plan.stride, plan.lanes),
+        });
+        Some(Value { depth: 0, level })
+    }
+
+    /// `MaybeEncrypted::mul_into`: a product with a ciphertext `t`, or
+    /// a constant one.
+    fn mul(&mut self, x: Value, t: Option<Value>) -> Value {
+        match t {
+            None => self.op(FheOp::ConstantMultiply, x.depth + 1, |rule| {
+                rule.mul_plain(x.at())
+            }),
+            Some(t) => self.op(FheOp::Multiply, x.depth.max(t.depth) + 1, |rule| {
+                rule.mul(x.at(), t.at())
+            }),
+        }
+    }
+
+    /// `MaybeEncrypted::add_into`, likewise; a NOT adds a constant.
+    fn add(&mut self, x: Value, t: Option<Value>) -> Value {
+        match t {
+            None => self.op(FheOp::ConstantAdd, x.depth, |rule| rule.add_plain(x.at())),
+            Some(t) => self.op(FheOp::Add, x.depth.max(t.depth), |rule| {
+                rule.add(x.at(), t.at())
+            }),
+        }
+    }
+
+    /// `FheBackend::rotate` by a nonzero `k`, or its block form in a
+    /// packed layout.
+    fn rotate(&mut self, v: Value, k: usize, width: usize) -> Value {
+        let packing = self.packing;
+        self.op(FheOp::Rotate, v.depth, |rule| match packing {
+            None => rule.rotate(v.at(), k as isize, width),
+            Some(p) => rule.rotate_blocks(v.at(), k as isize, width, p.stride, p.lanes),
+        })
+    }
+
+    /// `matmul`'s width adjustment from `width` to `new_width` slots:
+    /// `FheBackend::cyclic_extend` (or its block form) when it grows, a
+    /// free relabel when it shrinks. Layout ops are unmetered.
+    fn adjust(&self, v: Value, width: usize, new_width: usize) -> Value {
+        if new_width <= width {
+            return v;
+        }
+        let level = self.rule.map(|rule| match self.packing {
+            None => rule.cyclic_extend(v.at(), width, new_width),
+            Some(p) => rule.cyclic_extend_blocks(v.at(), width, new_width, p.stride, p.lanes),
+        });
+        Value { level, ..v }
+    }
+
+    /// `FheBackend::pack_blocks` of `plan.lanes` copies of `plane`: an
+    /// alignment rotation and an addition for every lane after the
+    /// first.
+    fn pack(&mut self, plane: Value, plan: PackPlan) -> Value {
+        let extra = plan.lanes as u64 - 1;
+        self.ops.rotate += extra;
+        self.ops.add += extra;
+        let level = self
+            .rule
+            .map(|rule| rule.tile(plane.at(), plan.stride, plan.lanes));
+        Value { level, ..plane }
+    }
+
+    /// `FheBackend::unpack_block` of lane `index`: a rotation to the
+    /// front (lane 0 stays put), then the block mask.
+    fn unpack(&mut self, v: Value, index: usize, stride: usize, width: usize) -> Value {
+        self.ops.rotate += u64::from(index > 0);
+        self.op(FheOp::ConstantMultiply, v.depth + 1, |rule| {
+            rule.unpack_block(v.at(), index, stride, width)
+        })
+    }
+
+    /// `matmul::mat_vec_many` of `count` `rows × cols` matrices of
+    /// `form` diagonals: the group shares the rotations of `v`
+    /// (diagonal 0 needs none) and each matrix multiplies and adds its
+    /// own, folding in any bracketing (associative in every reading).
+    fn mat_vec_many(
+        &mut self,
+        count: usize,
+        rows: usize,
+        cols: usize,
+        form: ModelForm,
+        v: Value,
+    ) -> Vec<Value> {
+        let mut sums: Vec<Option<Value>> = vec![None; count];
+        for i in 0..cols {
+            let rotated = if i == 0 { v } else { self.rotate(v, i, cols) };
+            let adjusted = self.adjust(rotated, cols, rows);
+            for sum in &mut sums {
+                let diagonal = self.operand(form);
+                let term = self.mul(adjusted, diagonal);
+                *sum = Some(sum.map_or(term, |acc| self.add(acc, Some(term))));
             }
         }
+        sums.into_iter().flatten().collect()
     }
 
-    /// `MaybeEncrypted::mul_into`.
-    fn mul_into(&self, operand: Operand, x: Level) -> Level {
-        match operand {
-            Operand::Plain => self.rule.mul_plain(x),
-            Operand::Encrypted(t) => self.rule.mul(x, t),
-        }
-    }
-
-    /// `MaybeEncrypted::add_into`.
-    fn add_into(&self, operand: Operand, x: Level) -> Level {
-        match operand {
-            Operand::Plain => self.rule.add_plain(x),
-            Operand::Encrypted(t) => self.rule.add(x, t),
-        }
-    }
-
-    /// `FheBackend::rotate`, or its block form in a packed layout.
-    fn rotate(&self, v: Level, k: usize, width: usize) -> Level {
-        match self.packing {
-            None => self.rule.rotate(v, k as isize, width),
-            Some(p) => self
-                .rule
-                .rotate_blocks(v, k as isize, width, p.stride, p.lanes),
-        }
-    }
-
-    /// `FheBackend::cyclic_extend`, or its block form.
-    fn extend(&self, v: Level, width: usize, new_width: usize) -> Level {
-        match self.packing {
-            None => self.rule.cyclic_extend(v, width, new_width),
-            Some(p) => self
-                .rule
-                .cyclic_extend_blocks(v, width, new_width, p.stride, p.lanes),
-        }
-    }
-
-    /// `matmul::mat_vec` of a `rows × cols` matrix of `diagonal`
-    /// operands (every matrix of a rotation-sharing group yields the
-    /// same level). Its partial sums may combine in any bracketing:
-    /// addition noise is associative.
-    fn mat_vec(&self, rows: usize, cols: usize, diagonal: Operand, v: Level) -> Level {
-        (0..cols)
+    /// `seccomp::secure_less_than` of the query's bit planes `x`
+    /// against threshold planes of `form`.
+    fn comparison(&mut self, x: &[Value], form: ModelForm, variant: SecCompVariant) -> Value {
+        let p = x.len();
+        let t: Vec<Option<Value>> = x.iter().map(|_| self.operand(form)).collect();
+        let below: Vec<Value> = (0..p)
             .map(|i| {
-                let rotated = if i == 0 { v } else { self.rotate(v, i, cols) };
-                let adjusted = if rows > cols {
-                    self.extend(rotated, cols, rows)
-                } else {
-                    rotated
-                };
-                self.mul_into(diagonal, adjusted)
+                let not = self.add(x[i], None);
+                self.mul(not, t[i])
             })
-            .reduce(|sum, term| self.rule.add(sum, term))
-            .expect("a matrix has columns")
-    }
-
-    /// `seccomp::secure_less_than` of one query plane against the
-    /// threshold planes.
-    fn comparison(&self, c: &Circuit, x: Level) -> Level {
-        let rule = self.rule;
-        let thresholds = self.operand(c.shape.form);
-        let below = self.mul_into(thresholds, rule.add_plain(x));
-        if c.precision == 1 {
-            return below;
+            .collect();
+        if p == 1 {
+            return below[0];
         }
-        let equal = rule.add_plain(self.add_into(thresholds, x));
-        let p = c.precision as usize;
-        let terms: Vec<Level> = match c.shape.comparator {
+        let equal: Vec<Value> = (0..p - 1)
+            .map(|i| {
+                let xor = self.add(x[i], t[i]);
+                self.add(xor, None)
+            })
+            .collect();
+        let terms: Vec<Value> = match variant {
             SecCompVariant::LadderPrefix => (1..p)
                 .map(|i| {
-                    let factors = std::iter::once(below).chain(std::iter::repeat_n(equal, i));
-                    balanced(factors.collect(), |a, b| rule.mul(a, b))
+                    let factors = std::iter::once(below[i]).chain(equal[..i].iter().copied());
+                    balanced(factors.collect(), |a, b| self.mul(a, Some(b)))
                 })
                 .collect(),
             SecCompVariant::SharedPrefix => {
-                let mut prefix = vec![equal; p - 1];
+                let mut prefix = equal;
                 let mut step = 1;
                 while step < prefix.len() {
                     let snapshot = prefix.clone();
                     for i in step..prefix.len() {
-                        prefix[i] = rule.mul(snapshot[i], snapshot[i - step]);
+                        prefix[i] = self.mul(snapshot[i], Some(snapshot[i - step]));
                     }
                     step *= 2;
                 }
-                prefix.iter().map(|&e| rule.mul(e, below)).collect()
+                (0..p - 1)
+                    .map(|j| self.mul(prefix[j], Some(below[j + 1])))
+                    .collect()
             }
         };
-        terms.iter().fold(below, |acc, &t| rule.add(acc, t))
+        terms
+            .into_iter()
+            .fold(below[0], |acc, term| self.add(acc, Some(term)))
     }
 }
 
 impl Circuit {
-    /// Replays one classification whose query planes enter at `entry`
-    /// primes (switched down from the top of `rule`'s chain).
-    fn trajectory(&self, rule: &LevelRule, entry: usize) -> Trajectory {
-        let replay = Replay {
+    /// Replays one classification — one full chunk of `lanes` queries
+    /// when the layout packs — closing each stage where the runtime's
+    /// `staged` block does. Under a rule the query planes enter at
+    /// `entry` primes (`entry` is unused without one).
+    fn replay(&self, rule: Option<&LevelRule>, entry: usize) -> Walk {
+        let (form, packing, m) = (self.shape.form, self.shape.packing, &self.meta);
+        let mut r = Replay {
             rule,
-            packing: self.shape.packing,
+            packing,
+            ..Replay::default()
         };
-        let form = self.shape.form;
-        let plane = rule.mod_switch_to(rule.encrypt(), entry);
-        let x = match self.shape.packing {
-            None => plane,
-            Some(plan) => rule.pack_blocks(&vec![plane; plan.lanes], plan.stride),
-        };
-        let decisions = replay.comparison(self, x);
+        // A fresh query plane switched down to `entry` primes: client
+        // work and a keyless switch, neither of them metered.
+        let level = rule.map(|rule| rule.mod_switch_to(rule.encrypt(), entry));
+        let plane = Value { depth: 0, level };
+
+        // Step 1, packing each plane's lanes included.
+        let planes: Vec<Value> = (0..m.precision)
+            .map(|_| packing.map_or(plane, |plan| r.pack(plane, plan)))
+            .collect();
+        let decisions = r.comparison(&planes, form, self.shape.comparator);
+        let comparison = r.stage(plane, decisions);
+
+        // Step 2: `R` is `b × q`, unless fused away.
         let branches = if self.fused {
             decisions
         } else {
-            let r = replay.operand(form);
-            replay.mat_vec(self.branches, self.quantized, r, decisions)
+            r.mat_vec_many(1, m.branches, m.quantized, form, decisions)[0]
         };
-        let selected = replay.mat_vec(self.leaves, self.level_cols, replay.operand(form), branches);
-        let level = replay.add_into(replay.operand(form), selected);
-        let results = vec![level; self.max_level as usize];
+        let reshuffle = r.stage(decisions, branches);
+
+        // Step 3: the `d` level matrices (`leaves × b`, or `leaves × q`
+        // fused) as one rotation-sharing group, then each level's mask.
+        let cols = if self.fused { m.quantized } else { m.branches };
+        let selected = r.mat_vec_many(m.max_level as usize, m.n_leaves, cols, form, branches);
+        let level_results: Vec<Value> = selected
+            .into_iter()
+            .map(|s| {
+                let mask = r.operand(form);
+                r.add(s, mask)
+            })
+            .collect();
+        let level = Value::deepest(&level_results);
+        let levels = r.stage(branches, level);
+
+        // Step 4: accumulate, scramble with Sally's permutation (her
+        // own secret, so a plaintext MatMul whatever the model form),
+        // and split the lanes back out.
         let mut labels = match self.shape.accumulation {
-            Accumulation::Linear => results
+            Accumulation::Linear => level_results
                 .into_iter()
-                .reduce(|acc, r| rule.mul(acc, r))
+                .reduce(|acc, x| r.mul(acc, Some(x)))
                 .expect("compile guarantees >= 1 level"),
-            Accumulation::BalancedTree => balanced(results, |a, b| rule.mul(a, b)),
+            Accumulation::BalancedTree => balanced(level_results, |a, b| r.mul(a, Some(b))),
         };
         if self.shape.result_shuffle {
-            labels = replay.mat_vec(self.leaves, self.leaves, Operand::Plain, labels);
+            labels = r.mat_vec_many(1, m.n_leaves, m.n_leaves, ModelForm::Plain, labels)[0];
         }
-        // Splitting a packed unit: every lane after the first pays a
-        // rotation before its mask, so lane 1 is the noisiest.
-        let result = match self.shape.packing {
-            None => labels,
-            Some(plan) => rule.unpack_block(labels, 1, plan.stride, self.leaves),
+        let results: Vec<Value> = match packing {
+            None => vec![labels],
+            Some(plan) => (0..plan.lanes)
+                .map(|lane| r.unpack(labels, lane, plan.stride, m.n_leaves))
+                .collect(),
         };
-        Trajectory {
-            stages: [plane, decisions, branches, level, result],
-            result: rule.mod_switch_to(result, 1),
+        let result = Value::deepest(&results);
+        let accumulate = r.stage(level, result);
+
+        Walk {
+            stages: [comparison, reshuffle, levels, accumulate],
+            values: [plane, decisions, branches, level, result],
+            results,
+            model_encrypts: r.model_encrypts,
         }
     }
 }
@@ -651,7 +697,7 @@ impl Circuit {
 /// Balanced pairwise reduction (adjacent pairs combine, an odd last
 /// item carries over), the shape of `seccomp::balanced_product` and of
 /// the balanced accumulation tree.
-fn balanced<T: Copy>(mut items: Vec<T>, pair: impl Fn(T, T) -> T) -> T {
+fn balanced<T: Copy>(mut items: Vec<T>, mut pair: impl FnMut(T, T) -> T) -> T {
     assert!(!items.is_empty(), "product of no factors");
     while items.len() > 1 {
         items = items
@@ -666,148 +712,21 @@ fn balanced<T: Copy>(mut items: Vec<T>, pair: impl Fn(T, T) -> T) -> T {
     items[0]
 }
 
-/// SecComp counts for precision `p` (matches
-/// `seccomp::secure_less_than` op-for-op).
-pub fn seccomp_counts(p: u32, form: ModelForm, variant: SecCompVariant) -> OpCounts {
-    let p = u64::from(p);
-    let mut c = OpCounts::default();
-    // below: NOT (ConstantAdd) then threshold multiply.
-    c.constant_add += p;
-    match form {
-        ModelForm::Encrypted => c.multiply += p,
-        ModelForm::Plain => c.constant_multiply += p,
-    }
-    if p == 1 {
-        return c;
-    }
-    // equality bits: XOR with threshold then NOT.
-    match form {
-        ModelForm::Encrypted => c.add += p - 1,
-        ModelForm::Plain => c.constant_add += p - 1,
-    }
-    c.constant_add += p - 1;
-    match variant {
-        SecCompVariant::LadderPrefix => {
-            // Term i multiplies i+1 factors: i multiplies each,
-            // independently (Aloufi's per-term pairing).
-            c.multiply += p * (p - 1) / 2;
-        }
-        SecCompVariant::SharedPrefix => {
-            // Hillis-Steele scan over p-1 elements, then one
-            // multiply per term.
-            let n = p - 1;
-            let mut step = 1;
-            while step < n {
-                c.multiply += n - step;
-                step *= 2;
-            }
-            c.multiply += p - 1;
-        }
-    }
-    // XOR fold of the terms.
-    c.add += p - 1;
-    c
-}
-
-/// SecComp output depth.
-pub fn seccomp_depth(p: u32, variant: SecCompVariant) -> u32 {
-    if p == 1 {
-        return 1;
-    }
-    match variant {
-        SecCompVariant::LadderPrefix => (1..p)
-            .map(|i| {
-                let mut depths = vec![1u32]; // below[i]
-                depths.extend(std::iter::repeat_n(0, i as usize)); // e's
-                product_depth(depths)
-            })
-            .max()
-            .expect("p >= 2")
-            .max(1),
-        SecCompVariant::SharedPrefix => log2ceil(u64::from(p) - 1).max(1) + 1,
-    }
-}
-
-/// Depth of a balanced pairwise product over factors with the given
-/// depths (mirrors `seccomp::balanced_product`).
-fn product_depth(depths: Vec<u32>) -> u32 {
-    balanced(depths, |a, b| a.max(b) + 1)
-}
-
-/// One Halevi-Shoup MatMul over an `n`-column matrix: `n-1` rotations
-/// (offset 0 is free), `n` multiplies, `n-1` adds.
-fn matmul_counts(cols: usize, form: ModelForm) -> OpCounts {
-    let n = cols as u64;
-    let mut c = OpCounts::default();
-    c.rotate += n.saturating_sub(1);
-    match form {
-        ModelForm::Encrypted => c.multiply += n,
-        ModelForm::Plain => c.constant_multiply += n,
-    }
-    c.add += n.saturating_sub(1);
-    c
-}
-
-/// All `d` level stages: every level matrix multiplies the same branch
-/// vector, so `mat_vec_many` rotates it once for all of them — `cols -
-/// 1` rotations in total where the paper's Table 1b pays them per
-/// level — while multiplies, adds and the mask XOR stay per level.
-fn levels_counts(d: u32, cols: usize, form: ModelForm) -> OpCounts {
-    let per_level = matmul_counts(cols, form);
-    let mut c = OpCounts {
-        rotate: if d > 0 { per_level.rotate } else { 0 },
-        ..OpCounts::default()
-    };
-    for _ in 0..d {
-        c = c.plus(&OpCounts {
-            rotate: 0,
-            ..per_level
-        });
-        match form {
-            ModelForm::Encrypted => c.add += 1,
-            ModelForm::Plain => c.constant_add += 1,
-        }
-    }
-    c
-}
-
-/// Accumulation of `d` level results: `d-1` ciphertext multiplies under
-/// either strategy (they differ only in depth).
-fn accumulate_counts(d: u32) -> OpCounts {
-    let mut c = OpCounts::default();
-    c.multiply += u64::from(d.saturating_sub(1));
-    c
-}
-
-/// Encrypt operations to deploy an encrypted model: `p + q + d(b+1)`
-/// (paper Table 1d; `p + d(q+1)` when fused; plaintext deployment
-/// costs 0).
-fn model_encrypt_counts(meta: &ModelMeta, form: ModelForm, fused: bool) -> OpCounts {
-    let mut c = OpCounts::default();
-    if form == ModelForm::Encrypted {
-        let level_cols = if fused { meta.quantized } else { meta.branches } as u64;
-        c.encrypt += u64::from(meta.precision); // threshold planes
-        if !fused {
-            c.encrypt += meta.quantized as u64; // reshuffle diagonals
-        }
-        c.encrypt += u64::from(meta.max_level) * (level_cols + 1); // levels + masks
-    }
-    c
-}
-
-/// Encrypt operations for one query: `p` bit planes. The paper's Table
-/// 1e lists 1 (a fully packed query); we encrypt one ciphertext per bit
-/// plane, which is what its SecComp consumes.
-fn query_encrypt_counts(p: u32) -> OpCounts {
-    let mut c = OpCounts::default();
-    c.encrypt += u64::from(p);
-    c
+/// One SecComp at precision `p` against thresholds of `form` — the
+/// comparison stage alone, replayed: its ops (those of
+/// `seccomp::secure_less_than`, op for op) and its depth.
+pub fn seccomp(p: u32, form: ModelForm, variant: SecCompVariant) -> StagePrediction {
+    let mut replay = Replay::default();
+    let plane = Value::default();
+    let decision = replay.comparison(&vec![plane; p as usize], form, variant);
+    replay.stage(plane, decision)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compiler::CompileOptions;
+    use crate::complexity::log2ceil;
     use copse_forest::microbench::{self, MicrobenchSpec};
 
     fn compiled(fused: bool) -> Maurice {
@@ -953,17 +872,28 @@ mod tests {
     #[test]
     fn seccomp_depth_corner_cases() {
         use SecCompVariant::{LadderPrefix, SharedPrefix};
+        let depth = |p, v| seccomp(p, ModelForm::Plain, v).depth_cost;
         for v in [LadderPrefix, SharedPrefix] {
-            assert_eq!(seccomp_depth(1, v), 1);
-            assert_eq!(seccomp_depth(2, v), 2);
+            assert_eq!(depth(1, v), 1);
+            assert_eq!(depth(2, v), 2);
         }
-        assert_eq!(seccomp_depth(8, SharedPrefix), log2ceil(7) + 1);
+        assert_eq!(depth(8, SharedPrefix), log2ceil(7) + 1);
         // Ladder: largest term multiplies 8 factors, one at depth 1.
-        assert_eq!(seccomp_depth(8, LadderPrefix), 4);
+        assert_eq!(depth(8, LadderPrefix), 4);
     }
 
     #[test]
     fn product_depth_matches_log_bound() {
+        // The depth of the replay's balanced product over factors of
+        // the given depths.
+        let product_depth = |depths: Vec<u32>| {
+            let mut replay = Replay::default();
+            let factors = depths
+                .into_iter()
+                .map(|depth| Value { depth, level: None })
+                .collect();
+            balanced(factors, |a, b| replay.mul(a, Some(b))).depth
+        };
         assert_eq!(product_depth(vec![0]), 0);
         assert_eq!(product_depth(vec![0, 0]), 1);
         assert_eq!(product_depth(vec![0; 8]), 3);
@@ -974,7 +904,7 @@ mod tests {
     #[test]
     fn ladder_is_more_expensive_than_shared() {
         // Quadratic vs p log p: equal at p = 4, strictly worse beyond.
-        let mult = |p, v| seccomp_counts(p, ModelForm::Encrypted, v).multiply;
+        let mult = |p, v| seccomp(p, ModelForm::Encrypted, v).ops.multiply;
         assert_eq!(
             mult(4, SecCompVariant::LadderPrefix),
             mult(4, SecCompVariant::SharedPrefix)
@@ -988,7 +918,10 @@ mod tests {
 
     #[test]
     fn query_encrypt_counts_are_p() {
-        assert_eq!(query_encrypt_counts(8).encrypt, 8);
-        assert_eq!(query_encrypt_counts(16).encrypt, 16);
+        let maurice = compiled(false);
+        let p = u64::from(maurice.compiled().meta.precision);
+        for form in [ModelForm::Plain, ModelForm::Encrypted] {
+            assert_eq!(report(&maurice, form).query_encrypt_ops.encrypt, p);
+        }
     }
 }

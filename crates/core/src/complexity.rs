@@ -57,15 +57,8 @@ pub mod paper {
         }
     }
 
-    /// Table 1c: accumulation over `d` levels.
-    pub fn accumulate_counts(d: u32) -> OpCounts {
-        OpCounts {
-            multiply: u64::from(2 * d).saturating_sub(2),
-            ..OpCounts::default()
-        }
-    }
-
-    /// Table 2: total evaluation counts.
+    /// Table 2: total evaluation counts (Table 1c's accumulation, `2d −
+    /// 2` multiplies, enters only here).
     pub fn total_counts(p: u32, q: usize, b: usize, d: u32) -> OpCounts {
         let (p64, q64, b64, d64) = (u64::from(p), q as u64, b as u64, u64::from(d));
         OpCounts {
@@ -113,8 +106,6 @@ mod tests {
         // Table 1b at b = 5.
         let l = paper::level_counts(5);
         assert_eq!((l.rotate, l.add, l.multiply), (5, 6, 5));
-        // Table 1c at d = 5: 8 multiplies.
-        assert_eq!(paper::accumulate_counts(5).multiply, 8);
         assert_eq!(paper::total_depth(8, 5), 2 * 3 + 3 + 2);
         // Table 2 encrypt total at p=8, q=6, b=5, d=3: 1+8+6+3*6 = 33.
         assert_eq!(paper::total_counts(8, 6, 5, 3).encrypt, 33);

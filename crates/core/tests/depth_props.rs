@@ -3,7 +3,8 @@
 //! * On the **clear backend** — which counts multiplicative depth
 //!   exactly, with no noise model in the way — the predicted depth is
 //!   not just an upper bound but *equal* to the observed depth, for
-//!   random forests across the paper's whole depth range (2–8).
+//!   random forests across the paper's whole depth range (2–8) — and
+//!   so, stage by stage, are the predicted op counts and depths.
 //! * On the **leveled BGV backend** the analyzer's claim is the
 //!   admission contract: any circuit the analyzer admits against
 //!   [`BackendProfile::of`] must enter the modulus chain at exactly
@@ -68,8 +69,21 @@ proptest! {
         let query = diane
             .encrypt_features(&microbench::random_queries(&forest, 1, seed ^ 0xD0)[0])
             .expect("valid query");
-        let result = sally.classify(&query);
+        let (result, trace) = sally.classify_traced(&query);
         prop_assert_eq!(be.depth(result.ciphertext()), report.depth);
+        // Per stage, the one replay predicts the metered ops and the
+        // depth the trace reads after the stage.
+        let mut depth = 0;
+        for (observed, predicted) in [
+            (&trace.comparison, &report.comparison),
+            (&trace.reshuffle, &report.reshuffle),
+            (&trace.levels, &report.levels),
+            (&trace.accumulate, &report.accumulate),
+        ] {
+            depth += predicted.depth_cost;
+            prop_assert_eq!(observed.ops, predicted.ops);
+            prop_assert_eq!(observed.depth, depth);
+        }
     }
 }
 

@@ -90,21 +90,6 @@ impl CostModel {
             .sum();
         us / 1000.0
     }
-
-    /// Modeled latency assuming ideal parallel speedup over `threads`
-    /// threads for the parallelisable fraction `parallel_fraction`
-    /// (Amdahl), in milliseconds.
-    pub fn modeled_ms_parallel(
-        &self,
-        counts: &OpCounts,
-        threads: usize,
-        parallel_fraction: f64,
-    ) -> f64 {
-        let seq = self.modeled_ms(counts);
-        let t = threads.max(1) as f64;
-        let p = parallel_fraction.clamp(0.0, 1.0);
-        seq * ((1.0 - p) + p / t)
-    }
 }
 
 impl Default for CostModel {
@@ -148,29 +133,5 @@ mod tests {
             ..OpCounts::default()
         };
         assert!((2.0 * m.modeled_ms(&a) - m.modeled_ms(&b)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn parallel_model_respects_amdahl() {
-        let m = CostModel::default();
-        let c = OpCounts {
-            multiply: 100,
-            ..OpCounts::default()
-        };
-        let seq = m.modeled_ms(&c);
-        let par = m.modeled_ms_parallel(&c, 32, 0.9);
-        assert!(par < seq);
-        // With 90% parallel work the ceiling is 10x.
-        assert!(seq / par <= 10.0 + 1e-9);
-    }
-
-    #[test]
-    fn zero_threads_treated_as_one() {
-        let m = CostModel::unit();
-        let c = OpCounts {
-            add: 10,
-            ..OpCounts::default()
-        };
-        assert_eq!(m.modeled_ms_parallel(&c, 0, 1.0), m.modeled_ms(&c));
     }
 }

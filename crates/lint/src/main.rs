@@ -50,11 +50,15 @@
 //!    route or as the schoolbook oracle and holds each switching key
 //!    in the one form that route reads.
 //! 10. **The circuit has one model.** Non-test `crates/*/src` declares
-//!     no `struct CostInputs`, no `mod ours` and no
-//!     `fn classify_depth(`: COPSE's op counts and depth come from the
-//!     static analyzer (`copse_core::analyze`) alone, so a second
-//!     whole-circuit formula set cannot re-grow beside it. (The
-//!     baseline's own `classify_counts` models a different circuit.)
+//!     no `struct CostInputs`, no `mod ours`, no `fn classify_depth(`,
+//!     and none of the per-stage closed forms `fn matmul_counts(`,
+//!     `fn levels_counts(`, `fn accumulate_counts(` and
+//!     `fn product_depth(`: COPSE's op counts, depth and chain primes
+//!     come from the static analyzer's one circuit replay
+//!     (`copse_core::analyze`) alone, so a second formula set cannot
+//!     re-grow beside it. (The baseline's own `classify_counts` models
+//!     a different circuit; `complexity::paper` keeps the paper's
+//!     printed SecComp, level and total forms under other names.)
 //!
 //! The scan covers `crates/*/src/**/*.rs` plus the facade's `src/`;
 //! examples, integration tests, and vendored shims are out of scope.
@@ -105,7 +109,7 @@ struct Patterns {
     /// Rule 9: a public setter is `toggle.0 .. toggle.1` on one line.
     toggle: (String, String),
     second_form: [String; 2],
-    circuit_model: [String; 3],
+    circuit_model: [String; 7],
 }
 
 impl Patterns {
@@ -137,6 +141,10 @@ impl Patterns {
                 ["struct ", "CostInputs"].concat(),
                 ["mod ", "ours"].concat(),
                 ["fn classify", "_depth("].concat(),
+                ["fn matmul", "_counts("].concat(),
+                ["fn levels", "_counts("].concat(),
+                ["fn accumulate", "_counts("].concat(),
+                ["fn product", "_depth("].concat(),
             ],
         }
     }
@@ -668,12 +676,17 @@ mod tests {
     #[test]
     fn flags_a_second_circuit_model() {
         let patterns = Patterns::new();
-        let [inputs, ours, depth] = &patterns.circuit_model;
-        let srcs = [
+        let [inputs, ours, depth, formulas @ ..] = &patterns.circuit_model;
+        let mut srcs = vec![
             format!("pub {inputs} {{\n"),
             format!("pub {ours} {{\n"),
             format!("    pub {depth}inputs: &CostInputs) -> u32 {{\n"),
         ];
+        srcs.extend(
+            formulas
+                .iter()
+                .map(|f| format!("{f}d: u32) -> OpCounts {{\n")),
+        );
         for src in &srcs {
             for rel in [
                 "crates/core/src/complexity.rs",
@@ -690,9 +703,13 @@ mod tests {
             assert!(scan("crates/core/src/complexity.rs", &format!("// {src}")).is_empty());
         }
         // What the workspace does hold: the paper's printed forms, the
-        // analyzer's report, and the baseline's own (different) circuit.
+        // analyzer's report and its comparison-stage replay, and the
+        // baseline's own (different) circuit.
         let fine = "pub mod paper {}\n\
+                    pub fn seccomp_counts(p: u32) -> OpCounts {}\n\
+                    pub fn level_counts(b: usize) -> OpCounts {}\n\
                     pub fn from_meta(meta: &ModelMeta) -> CircuitReport {}\n\
+                    pub fn seccomp(p: u32, form: ModelForm) -> StagePrediction {}\n\
                     pub fn classify_counts(forest: &Forest, form: ModelForm) -> OpCounts {}\n";
         assert!(scan("crates/core/src/complexity.rs", fine).is_empty());
         assert!(scan("crates/baseline/src/complexity.rs", fine).is_empty());

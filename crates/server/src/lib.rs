@@ -19,9 +19,7 @@
 //!   [`ServerBuilder::bind`]: a circuit the backend cannot evaluate
 //!   (depth over the modulus chain, rotations on a rotation-free
 //!   ring, operands wider than the slot count) is rejected with a
-//!   structured wire diagnostic under the default
-//!   [`AdmissionPolicy`] instead of failing
-//!   at first query;
+//!   structured wire diagnostic instead of failing at first query;
 //! * [`client`] — [`InferenceClient`], Diane's side of the protocol
 //!   (encrypt → serialize → send, receive → deserialize → decrypt),
 //!   with a [`RetryPolicy`] that absorbs sheds and connection drops
@@ -108,9 +106,7 @@ pub use faults::FaultPlan;
 pub use flight::{FlightRecord, FlightRecorder};
 pub use metrics::{parse_exposition, render_exposition, Exposition};
 pub use queue::{BoundedReceiver, BoundedSender, RecvError, TrySendError};
-pub use server::{
-    AdmissionPolicy, DeployError, InferenceServer, ServerBuilder, ServerConfig, ServerHandle,
-};
+pub use server::{DeployError, InferenceServer, ServerBuilder, ServerConfig, ServerHandle};
 pub use stats::{
     CircuitBudget, CircuitSummary, ModelQueueDepth, ModelStats, ServerStats, StatsSnapshot,
 };

@@ -107,23 +107,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// What `bind` does when the static analyzer finds a registered model the
-/// backend cannot evaluate (circuit deeper than the modulus chain,
-/// operands wider than the slot count, rotations on a rotation-free
-/// ring).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AdmissionPolicy {
-    /// Do not deploy the model. Clients that hello it get a structured
-    /// wire error carrying the analyzer's numbers. The default: a
-    /// model that cannot produce correct answers must not serve.
-    #[default]
-    Reject,
-    /// Deploy anyway (differential-testing and bring-up use), but
-    /// record the diagnostic so the operator stats page shows the
-    /// model over budget.
-    Warn,
-}
-
 /// Why a hot [`ServerHandle::deploy`] (or a `bind`-time registration)
 /// did not deploy.
 #[derive(Debug)]
@@ -255,7 +238,6 @@ struct Shared<B: FheBackend> {
     config: ServerConfig,
     eval: EvalOptions,
     profile: BackendProfile,
-    admission: AdmissionPolicy,
     cost: CostModel,
     /// Set by [`ServerHandle::shutdown`]: workers answer shed for
     /// queued jobs instead of evaluating them.
@@ -310,7 +292,6 @@ pub struct ServerBuilder<B: FheBackend + 'static> {
     /// evaluator knob: workers otherwise run default [`EvalOptions`],
     /// which is the shape admission analyses ([`EvalShape::plan`]).
     threads: Option<usize>,
-    admission: AdmissionPolicy,
     faults: FaultPlan,
     pending: Vec<(String, Maurice, ModelForm)>,
 }
@@ -323,17 +304,9 @@ impl<B: FheBackend + 'static> ServerBuilder<B> {
             backend,
             config: ServerConfig::default(),
             threads: None,
-            admission: AdmissionPolicy::default(),
             faults: FaultPlan::default(),
             pending: Vec::new(),
         }
-    }
-
-    /// What to do when static analysis says a registered model cannot
-    /// run on this backend (default: [`AdmissionPolicy::Reject`]).
-    pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
-        self.admission = policy;
-        self
     }
 
     /// Overrides the scheduler configuration.
@@ -395,11 +368,11 @@ impl<B: FheBackend + 'static> ServerBuilder<B> {
     /// ephemeral).
     ///
     /// Each model is first run through the static analyzer against this
-    /// backend's [`BackendProfile`]; under the default
-    /// [`AdmissionPolicy::Reject`] a model the backend cannot evaluate
-    /// is *not* deployed — clients that hello it receive a structured
-    /// [`RejectionDetail`] — while [`AdmissionPolicy::Warn`] deploys
-    /// it and surfaces the diagnostic on the stats page instead.
+    /// backend's [`BackendProfile`]; a model the backend cannot
+    /// evaluate (circuit deeper than the modulus chain, operands wider
+    /// than the slot count, rotations on a rotation-free ring) is *not*
+    /// deployed — clients that hello it receive a structured
+    /// [`RejectionDetail`] carrying the analyzer's numbers.
     ///
     /// # Errors
     ///
@@ -433,7 +406,6 @@ impl<B: FheBackend + 'static> ServerBuilder<B> {
             config: self.config,
             eval,
             profile,
-            admission: self.admission,
             cost: CostModel::default(),
             draining: Arc::new(AtomicBool::new(false)),
             faults: Arc::new(ServerFaults::new(self.faults)),
@@ -480,15 +452,13 @@ fn deploy_model<B: FheBackend + 'static>(
     let report = CircuitReport::analyze(maurice.compiled(), &EvalShape::plan(&maurice, form));
     let issues = report.admit(&shared.profile);
     if let Some(issue) = issues.first() {
-        if shared.admission == AdmissionPolicy::Reject {
-            let detail = rejection_detail(&name, issue);
-            let mut registry = shared
-                .registry
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            registry.rejected.insert(name, detail.clone());
-            return Err(DeployError::Rejected(detail));
-        }
+        let detail = rejection_detail(&name, issue);
+        let mut registry = shared
+            .registry
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        registry.rejected.insert(name, detail.clone());
+        return Err(DeployError::Rejected(detail));
     }
     let (jobs_tx, jobs_rx) = queue::bounded(shared.config.queue_capacity);
     let (info_tx, info_rx) = queue::bounded(1);
@@ -634,9 +604,8 @@ fn rejection_text(detail: &RejectionDetail) -> String {
 
 /// The message a worker answers a panicked evaluation with. A typed
 /// [`BackendError`] payload (e.g. `rotate_slots` on the negacyclic
-/// ring, reachable only under [`AdmissionPolicy::Warn`]) survives as
-/// the same text the admission layer would have used — a clean typed
-/// rejection, not a scraped panic string.
+/// ring, which admission keeps from ever deploying) survives as a
+/// clean typed message, not a scraped panic string.
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     if let Some(e) = panic.downcast_ref::<BackendError>() {
         return format!("backend capability error: {e}");
@@ -929,9 +898,8 @@ impl<B: FheBackend + 'static> InferenceServer<B> {
         Arc::clone(&self.shared.stats)
     }
 
-    /// Models refused at deploy time under
-    /// [`AdmissionPolicy::Reject`], with the analyzer diagnostic each
-    /// client will be shown (empty when everything deployed).
+    /// Models refused at deploy time, with the analyzer diagnostic
+    /// each client will be shown (empty when everything deployed).
     pub fn rejections(&self) -> Vec<RejectionDetail> {
         let registry = self
             .shared

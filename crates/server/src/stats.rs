@@ -115,17 +115,17 @@ impl Default for CircuitBudget {
 }
 
 impl CircuitSummary {
-    /// What one classification leaves unused of the budget — depth
-    /// levels, or chain primes — or `None` when the circuit exceeds it
-    /// (a warn-admitted model).
-    pub fn headroom(&self) -> Option<u32> {
+    /// What one classification leaves unused of the budget: depth
+    /// levels, or chain primes. A deployed circuit always fits —
+    /// admission rejects the rest.
+    pub fn headroom(&self) -> u32 {
         match self.budget {
-            CircuitBudget::Depth { budget } => budget.checked_sub(self.depth),
+            CircuitBudget::Depth { budget } => budget.saturating_sub(self.depth),
             CircuitBudget::Chain {
                 primes_needed,
                 chain_len,
                 ..
-            } => chain_len.checked_sub(primes_needed),
+            } => chain_len.saturating_sub(primes_needed),
         }
     }
 }
@@ -320,22 +320,18 @@ impl StatsSnapshot {
         } else {
             let width = self.circuits.keys().map(|n| n.len()).max().unwrap_or(0);
             for (name, c) in &self.circuits {
-                let headroom = |used: u32, budget: u32| match c.headroom() {
-                    Some(h) => format!("headroom {h}"),
-                    None => format!("OVER BUDGET by {}", used - budget),
-                };
+                let headroom = c.headroom();
                 let budget = match c.budget {
                     CircuitBudget::Depth { budget } => {
-                        format!("depth {}/{budget} ({})", c.depth, headroom(c.depth, budget))
+                        format!("depth {}/{budget} (headroom {headroom})", c.depth)
                     }
                     CircuitBudget::Chain {
                         primes_needed,
                         entry,
                         chain_len,
                     } => format!(
-                        "depth {}  primes {primes_needed}/{chain_len} ({})  entry {entry}",
-                        c.depth,
-                        headroom(primes_needed, chain_len)
+                        "depth {}  primes {primes_needed}/{chain_len} (headroom {headroom})  entry {entry}",
+                        c.depth
                     ),
                 };
                 let _ = writeln!(
@@ -625,15 +621,6 @@ mod tests {
             },
         );
         stats.set_circuit(
-            "warned",
-            CircuitSummary {
-                depth: 19,
-                budget: CircuitBudget::Depth { budget: 14 },
-                ops_per_query: 9000,
-                modeled_ms: 410.0,
-            },
-        );
-        stats.set_circuit(
             "depth4",
             CircuitSummary {
                 depth: 8,
@@ -647,13 +634,11 @@ mod tests {
             },
         );
         let snap = stats.snapshot();
-        assert_eq!(snap.circuits["chess15"].headroom(), Some(5));
-        assert_eq!(snap.circuits["warned"].headroom(), None);
-        assert_eq!(snap.circuits["depth4"].headroom(), Some(10));
+        assert_eq!(snap.circuits["chess15"].headroom(), 5);
+        assert_eq!(snap.circuits["depth4"].headroom(), 10);
         let text = snap.render_text();
         assert!(text.contains("circuit analysis"), "{text}");
         assert!(text.contains("depth 9/14 (headroom 5)"), "{text}");
-        assert!(text.contains("OVER BUDGET by 5"), "{text}");
         assert!(text.contains("modeled 87.5 ms"), "{text}");
         assert!(
             text.contains("depth 8  primes 10/20 (headroom 10)  entry 11"),
