@@ -710,16 +710,12 @@ pub fn ablations(seed: u64, n_queries: usize, work: usize) -> String {
         "comparator variant (SecComp mult counts, encrypted model):"
     );
     for p in [8u32, 16] {
-        let mults = |variant| {
-            analyze::seccomp(p, ModelForm::Encrypted, variant)
-                .ops
-                .multiply
-        };
+        let ladder = analyze::seccomp(p, ModelForm::Encrypted, SecCompVariant::LadderPrefix);
+        let shared = analyze::seccomp(p, ModelForm::Encrypted, SecCompVariant::SharedPrefix);
         let _ = writeln!(
             out,
             "  p = {p:>2}: ladder {} ct-mults (paper-parity) vs shared-prefix {} ct-mults",
-            mults(SecCompVariant::LadderPrefix),
-            mults(SecCompVariant::SharedPrefix)
+            ladder.ops.multiply, shared.ops.multiply
         );
     }
     let _ = writeln!(
