@@ -1,6 +1,6 @@
-//! Criterion ablation benches for the design choices DESIGN.md calls
-//! out: reshuffle fusion, comparator variant, sparse plaintext
-//! diagonals, accumulation strategy.
+//! Criterion ablation benches for COPSE's design choices: reshuffle
+//! fusion, comparator variant, sparse plaintext diagonals,
+//! accumulation strategy.
 
 use copse_core::compiler::{Accumulation, CompileOptions};
 use copse_core::matmul::MatMulOptions;

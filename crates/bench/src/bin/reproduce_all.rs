@@ -1,5 +1,5 @@
-//! Runs every table and figure harness and emits an
-//! EXPERIMENTS.md-ready report on stdout.
+//! Runs every table and figure harness and emits one Markdown report
+//! on stdout.
 use copse_bench::{queries_from_args, reports, threads_from_args, SUITE_SEED, WORK_PER_OP};
 
 fn main() {

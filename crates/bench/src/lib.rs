@@ -1,8 +1,8 @@
 //! # copse-bench — the evaluation harness
 //!
 //! Reproduces every table and figure of the paper's evaluation
-//! (§8). One binary per exhibit (see DESIGN.md's experiment index);
-//! this library holds the shared measurement machinery:
+//! (§8). One binary per exhibit (`src/bin/`); this library holds the
+//! shared measurement machinery:
 //!
 //! * [`measure_copse`] / [`measure_baseline`] — run `n` inference
 //!   queries against a model on a fresh [`ClearBackend`] and report the

@@ -2,8 +2,8 @@
 //!
 //! Each function runs the corresponding experiment and renders a
 //! plain-text exhibit with the same rows/series the paper reports. The
-//! `reproduce_all` binary stitches them into an EXPERIMENTS.md-ready
-//! document; the per-exhibit binaries print them individually.
+//! `reproduce_all` binary stitches them into one Markdown report; the
+//! per-exhibit binaries print them individually.
 
 use crate::{
     geomean, measure_baseline, measure_copse, measure_copse_traced, BarTable, Measurement,
@@ -590,7 +590,8 @@ pub fn ring_mul() -> String {
     out
 }
 
-/// Ablations: design-choice studies called out in DESIGN.md.
+/// Ablations: reshuffle fusion, accumulation strategy, sparse
+/// plaintext diagonals and the comparator variant.
 pub fn ablations(seed: u64, n_queries: usize, work: usize) -> String {
     let forest = copse_forest::microbench::generate(&table6_specs()[1], seed);
     let maurice = Maurice::compile(&forest, CompileOptions::default()).expect("compiles");

@@ -1,24 +1,23 @@
 //! Static circuit analysis for compiled COPSE models.
 //!
-//! The COPSE pipeline is a *fixed* circuit per compiled model: its
-//! operation counts and multiplicative depth depend only on the model
-//! shape and the evaluation plan, never on the (encrypted) query data.
-//! This module is the abstract interpreter that analyses it, and the
-//! one place that knows the circuit: a replay of the runtime's op
-//! sequence (every bit plane, level matrix and packed lane) that reads
-//! each operation three ways — the metered [`FheOp`], the
-//! multiplicative depth the clear backend tracks, and, given a BGV
-//! [`LevelRule`], the chain position.
+//! The COPSE pipeline is a *fixed* circuit per compiled model (the
+//! paper's Algorithm 1): its operation counts, multiplicative depth and
+//! chain levels depend only on the model shape and the evaluation plan,
+//! never on the (encrypted) query data. So the exact way to analyse it
+//! is to run it: this module hosts the runtime's own [`Sally`] on an
+//! [`AbstractBackend`] — whose ciphertexts are widths, depths and,
+//! given a BGV [`LevelRule`], chain positions — and reads the
+//! [`EvalTrace`](crate::EvalTrace) of one classification. Nothing here
+//! knows a comparator, a mat-vec or an accumulation.
 //!
-//! * [`CircuitReport::analyze`] replays one classification without a
-//!   rule: per-stage operation counts and depth, which the conformance
-//!   suite asserts op for op against a scoped [`copse_fhe::OpMeter`]
-//!   for every model in the benchmark zoo.
-//! * [`CircuitReport::chain`] replays it under a [`LevelRule`] — noise
-//!   growth, modulus switching and operand alignment exactly as the
-//!   scheme applies them — for the fewest chain primes a fresh query
-//!   must carry ([`ChainReport::primes_needed`], the level [`Sally`]
-//!   enters it at) and the primes each stage consumes.
+//! * [`CircuitReport::analyze`] runs one classification without a rule:
+//!   per-stage operation counts and depth, which the conformance suite
+//!   holds op for op to the clear backend's scoped
+//!   [`copse_fhe::OpMeter`] for every model in the benchmark zoo.
+//! * [`CircuitReport::chain`] runs it under a [`LevelRule`] for the
+//!   fewest chain primes a fresh query must carry
+//!   ([`ChainReport::primes_needed`], the level [`Sally`] enters it at)
+//!   and the primes each stage consumes.
 //! * [`BackendProfile::of`] captures what a concrete [`FheBackend`]
 //!   can evaluate: its [`NoiseBudget`] (a modulus chain, or a depth
 //!   limit), slot capacity, and whether slots rotate at all (the
@@ -29,11 +28,10 @@
 //!   ring is rejected with a typed diagnostic before any ciphertext is
 //!   touched; [`Sally`] asks it whether a packed chunk still fits.
 //!
-//! The stages line up with the runtime's [`EvalTrace`](crate::EvalTrace)
-//! (comparison, reshuffle, levels, accumulate), so `copse-bench`'s
-//! `analyze_json` prints predicted and measured side by side. The
-//! paper's own Table 1–2 closed forms live, as printed, in
-//! [`crate::complexity::paper`].
+//! The stages are the runtime's (comparison, reshuffle, levels,
+//! accumulate), so `copse-bench`'s `analyze_json` prints predicted and
+//! measured side by side. The paper's own Table 1–2 closed forms live,
+//! as printed, in [`crate::complexity::paper`].
 //!
 //! ## Example
 //!
@@ -53,14 +51,15 @@
 //! assert!(report.admit(&BackendProfile::of(&backend)).is_empty());
 //! assert!(report.depth >= 2);
 //! ```
-//!
-//! [`Sally`]: crate::Sally
 
 use crate::artifacts::{CompiledModel, ModelMeta};
 use crate::compiler::Accumulation;
-use crate::runtime::{Maurice, ModelForm, PackPlan};
-use crate::seccomp::SecCompVariant;
-use copse_fhe::{CostModel, FheBackend, FheOp, Level, LevelRule, NoiseBudget, OpCounts};
+use crate::parallel::Parallelism;
+use crate::runtime::{EncryptedQuery, Maurice, ModelForm, PackPlan, Sally};
+use crate::seccomp::{secure_less_than, SecCompVariant};
+use copse_fhe::{
+    AbstractBackend, CostModel, FheBackend, LevelRule, NoiseBudget, OpCounts, OpMeter,
+};
 use std::fmt;
 
 /// The evaluation plan the analysis is performed against: everything
@@ -76,7 +75,7 @@ pub struct EvalShape {
     /// Whether Sally scrambles results with her secret permutation
     /// (paper §7.2.2): one extra *plaintext* MatMul over the leaves.
     pub result_shuffle: bool,
-    /// Cross-query slot packing ([`crate::Sally::pack_plan`]): the
+    /// Cross-query slot packing ([`Sally::pack_plan`]): the
     /// report then predicts one **full chunk** of `lanes` queries
     /// sharing each ciphertext at block `stride` (amortised cost per
     /// query is the report divided by `lanes`). `None` analyses the
@@ -211,7 +210,7 @@ pub struct ChainReport {
     /// Primes in the backend's modulus chain.
     pub chain_len: u32,
     /// The fewest primes a fresh query plane must carry for the result
-    /// to decrypt — the level [`Sally`](crate::Sally) enters the circuit at. Larger
+    /// to decrypt — the level [`Sally`] enters the circuit at. Larger
     /// than `chain_len` when the circuit does not fit the chain.
     pub primes_needed: u32,
     /// Primes each stage consumes from that entry, in pipeline order
@@ -244,8 +243,10 @@ pub struct CircuitReport {
     /// Widest packed operand (ciphertext or plaintext) the circuit
     /// touches: the slot count the backend must provide.
     pub min_slot_capacity: usize,
-    /// The shape [`CircuitReport::chain`] replays.
-    circuit: Circuit,
+    /// What [`CircuitReport::chain`] runs again, under a rule.
+    meta: ModelMeta,
+    fused: bool,
+    shape: EvalShape,
 }
 
 impl CircuitReport {
@@ -262,31 +263,27 @@ impl CircuitReport {
     /// deployment) can run it too: the compiler builds every matrix
     /// from exactly these dimensions.
     pub(crate) fn from_meta(meta: &ModelMeta, fused: bool, shape: &EvalShape) -> Self {
-        let circuit = Circuit {
-            shape: *shape,
-            meta: meta.clone(),
-            fused,
-        };
-        let walk = circuit.replay(None, 0);
-        let [comparison, reshuffle, levels, accumulate] = walk.stages;
+        let (deploy, stages, _) = run(meta, fused, shape, None, None);
+        let [comparison, reshuffle, levels, accumulate] = stages;
         // A packed chunk needs all `lanes` blocks side by side.
         let packed_width = shape.packing.map_or(0, |plan| plan.lanes * plan.stride);
-        let encrypts = |encrypt| OpCounts {
-            encrypt,
-            ..OpCounts::default()
-        };
         Self {
             comparison,
             reshuffle,
             levels,
             accumulate,
-            depth: walk.stages.iter().map(|stage| stage.depth_cost).sum(),
-            model_encrypt_ops: encrypts(walk.model_encrypts),
+            depth: stages.iter().map(|stage| stage.depth_cost).sum(),
+            model_encrypt_ops: deploy,
             // One ciphertext per bit plane, as SecComp consumes them
             // (the paper's Table 1e lists 1, a fully packed query).
-            query_encrypt_ops: encrypts(u64::from(meta.precision)),
+            query_encrypt_ops: OpCounts {
+                encrypt: u64::from(meta.precision),
+                ..OpCounts::default()
+            },
             min_slot_capacity: meta.slot_width(fused).max(packed_width),
-            circuit,
+            meta: meta.clone(),
+            fused,
+            shape: *shape,
         }
     }
 
@@ -315,33 +312,21 @@ impl CircuitReport {
     /// fewest primes a fresh query must carry for every result to
     /// decrypt, and what each stage consumes from there.
     ///
-    /// It runs [`CircuitReport::analyze`]'s replay under `rule`, the
-    /// query planes switched down to a candidate entry and the model's
-    /// encrypted operands (if any) at the top of the chain, and takes
-    /// the smallest entry at which every result — the worst packed
-    /// lane's too — keeps positive headroom through its final switch
-    /// to one prime. The search goes on past the chain, so a circuit
-    /// that does not fit still reports what it needs.
+    /// It runs [`CircuitReport::analyze`]'s classification under
+    /// `rule`, the query planes switched down to a candidate entry and
+    /// the model's encrypted operands (if any) at the top of the chain,
+    /// and takes the smallest entry at which every result — the worst
+    /// packed lane's too — keeps positive headroom through its final
+    /// switch to one prime. Depth then reads `chain_len − primes`, so a
+    /// stage's depth cost is the primes it consumes. The search goes on
+    /// past the chain, so a circuit that does not fit still reports
+    /// what it needs.
     ///
     /// # Panics
     ///
     /// Panics if no chain of up to 4096 primes fits the circuit.
     pub fn chain(&self, rule: &LevelRule) -> ChainReport {
-        let chain_len = rule.chain_len();
-        let (entry, walk) = (1..=4096)
-            .find_map(|entry| {
-                let rule = rule.with_chain_len(entry.max(chain_len));
-                let walk = self.circuit.replay(Some(&rule), entry);
-                let decrypts = |v: &Value| rule.mod_switch_to(v.at(), 1).headroom_bits > 0.0;
-                walk.results.iter().all(decrypts).then_some((entry, walk))
-            })
-            .expect("a long enough chain fits every circuit");
-        let primes = walk.values.map(|value| value.at().primes as u32);
-        ChainReport {
-            chain_len: chain_len as u32,
-            primes_needed: entry as u32,
-            consumed: [0, 1, 2, 3].map(|stage| primes[stage] - primes[stage + 1]),
-        }
+        chain(&self.meta, self.fused, &self.shape, rule)
     }
 
     /// Checks the circuit against a backend profile. An empty result
@@ -384,342 +369,93 @@ impl CircuitReport {
     }
 }
 
-/// The non-secret shape the replay walks: Maurice's dimensions and the
-/// evaluation plan.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct Circuit {
-    shape: EvalShape,
-    meta: ModelMeta,
+/// [`CircuitReport::chain`] from the shape alone, for a caller that
+/// needs only the chain and not the rule-free run
+/// [`CircuitReport::analyze`] makes.
+pub(crate) fn chain(
+    meta: &ModelMeta,
     fused: bool,
-}
-
-/// What the replay carries in place of a ciphertext: the
-/// multiplicative depth the clear backend tracks and, under a level
-/// rule, the BGV chain position.
-#[derive(Clone, Copy, Debug, Default)]
-struct Value {
-    depth: u32,
-    level: Option<Level>,
-}
-
-impl Value {
-    /// The chain position of a value replayed under a level rule.
-    fn at(self) -> Level {
-        self.level.expect("levels are replayed under a rule")
-    }
-
-    /// The deepest of one stage's outputs: what the runtime's trace
-    /// reads off its deepest ciphertext.
-    fn deepest(values: &[Value]) -> Value {
-        let primes = |v: &Value| v.level.map_or(0, |level| level.primes);
-        *values
-            .iter()
-            .max_by_key(|v| (v.depth, std::cmp::Reverse(primes(v))))
-            .expect("a stage has outputs")
-    }
-}
-
-/// One replay of a circuit: each stage's metered ops and added depth,
-/// the query at the entry and after each stage, every result a client
-/// decrypts (one per packed lane), and how many model operands Maurice
-/// encrypts.
-struct Walk {
-    stages: [StagePrediction; 4],
-    values: [Value; 5],
-    results: Vec<Value>,
-    model_encrypts: u64,
-}
-
-/// The runtime's operations on one layout, as the replay reads them:
-/// each meters its [`FheOp`] into the current stage and moves depth
-/// (and, under a rule, the level) the way the backends do. A model
-/// operand is `Some` ciphertext, or `None` for a plaintext.
-#[derive(Default)]
-struct Replay<'a> {
-    rule: Option<&'a LevelRule>,
-    packing: Option<PackPlan>,
-    /// Ops metered since the current stage began.
-    ops: OpCounts,
-    model_encrypts: u64,
-}
-
-impl Replay<'_> {
-    /// Closes a stage that took the query from `input` to `output`.
-    fn stage(&mut self, input: Value, output: Value) -> StagePrediction {
-        StagePrediction {
-            ops: std::mem::take(&mut self.ops),
-            depth_cost: output.depth - input.depth,
-        }
-    }
-
-    /// Meters `op` and yields its result at `depth` and, under a rule,
-    /// at `level(rule)`.
-    fn op(&mut self, op: FheOp, depth: u32, level: impl FnOnce(&LevelRule) -> Level) -> Value {
-        *self.ops.get_mut(op) += 1;
-        let level = self.rule.map(level);
-        Value { depth, level }
-    }
-
-    /// A model operand of `form`: Maurice encrypts it at the top of the
-    /// chain unless it is plaintext. Tiling it for a packed layout is
-    /// deploy-time work: it moves the level but meters nothing.
-    fn operand(&mut self, form: ModelForm) -> Option<Value> {
-        if form == ModelForm::Plain {
-            return None;
-        }
-        self.model_encrypts += 1;
-        let level = self.rule.map(|rule| match self.packing {
-            None => rule.encrypt(),
-            Some(plan) => rule.tile(rule.encrypt(), plan.stride, plan.lanes),
-        });
-        Some(Value { depth: 0, level })
-    }
-
-    /// `MaybeEncrypted::mul_into`: a product with a ciphertext `t`, or
-    /// a constant one.
-    fn mul(&mut self, x: Value, t: Option<Value>) -> Value {
-        match t {
-            None => self.op(FheOp::ConstantMultiply, x.depth + 1, |rule| {
-                rule.mul_plain(x.at())
-            }),
-            Some(t) => self.op(FheOp::Multiply, x.depth.max(t.depth) + 1, |rule| {
-                rule.mul(x.at(), t.at())
-            }),
-        }
-    }
-
-    /// `MaybeEncrypted::add_into`, likewise; a NOT adds a constant.
-    fn add(&mut self, x: Value, t: Option<Value>) -> Value {
-        match t {
-            None => self.op(FheOp::ConstantAdd, x.depth, |rule| rule.add_plain(x.at())),
-            Some(t) => self.op(FheOp::Add, x.depth.max(t.depth), |rule| {
-                rule.add(x.at(), t.at())
-            }),
-        }
-    }
-
-    /// `FheBackend::rotate` by a nonzero `k`, or its block form in a
-    /// packed layout.
-    fn rotate(&mut self, v: Value, k: usize, width: usize) -> Value {
-        let packing = self.packing;
-        self.op(FheOp::Rotate, v.depth, |rule| match packing {
-            None => rule.rotate(v.at(), k as isize, width),
-            Some(p) => rule.rotate_blocks(v.at(), k as isize, width, p.stride, p.lanes),
+    shape: &EvalShape,
+    rule: &LevelRule,
+) -> ChainReport {
+    let chain_len = rule.chain_len();
+    let (entry, stages) = (1..=4096)
+        .find_map(|entry| {
+            let rule = rule.with_chain_len(entry.max(chain_len));
+            let (_, stages, decrypts) = run(meta, fused, shape, Some(rule), Some(entry));
+            decrypts.then_some((entry, stages))
         })
+        .expect("a long enough chain fits every circuit");
+    ChainReport {
+        chain_len: chain_len as u32,
+        primes_needed: entry as u32,
+        consumed: stages.map(|stage| stage.depth_cost),
     }
+}
 
-    /// `matmul`'s width adjustment from `width` to `new_width` slots:
-    /// `FheBackend::cyclic_extend` (or its block form) when it grows, a
-    /// free relabel when it shrinks. Layout ops are unmetered.
-    fn adjust(&self, v: Value, width: usize, new_width: usize) -> Value {
-        if new_width <= width {
-            return v;
-        }
-        let level = self.rule.map(|rule| match self.packing {
-            None => rule.cyclic_extend(v.at(), width, new_width),
-            Some(p) => rule.cyclic_extend_blocks(v.at(), width, new_width, p.stride, p.lanes),
+/// Runs one classification of `shape` — one full chunk of `lanes`
+/// queries when it packs — on the abstract backend under `rule`, its
+/// query planes entering at `entry` primes. Yields the deploy's
+/// metered ops (Maurice's encrypts), each stage's ops and the depth it
+/// adds (the difference of the trace's readings around it), and
+/// whether every result decrypts (always, without a rule).
+fn run(
+    meta: &ModelMeta,
+    fused: bool,
+    shape: &EvalShape,
+    rule: Option<LevelRule>,
+    entry: Option<usize>,
+) -> (OpCounts, [StagePrediction; 4], bool) {
+    on_abstract(rule, |be| {
+        let sally = Sally::analysis(be, meta, fused, shape, entry);
+        let deploy = be.meter().snapshot();
+        let planes = (0..meta.precision)
+            .map(|_| be.encrypt(&meta.quantized))
+            .collect();
+        let lanes = shape.packing.map_or(1, |plan| plan.lanes);
+        let queries = vec![EncryptedQuery::from_planes(planes); lanes];
+        let (results, t) = sally.classify_batch_traced(&queries);
+        let decrypts = results.iter().all(|result| {
+            let compact = be.compact_for_decrypt(result.ciphertext());
+            compact.level.is_none_or(|level| level.headroom_bits > 0.0)
         });
-        Value { level, ..v }
-    }
-
-    /// `FheBackend::pack_blocks` of `plan.lanes` copies of `plane`: an
-    /// alignment rotation and an addition for every lane after the
-    /// first.
-    fn pack(&mut self, plane: Value, plan: PackPlan) -> Value {
-        let extra = plan.lanes as u64 - 1;
-        self.ops.rotate += extra;
-        self.ops.add += extra;
-        let level = self
-            .rule
-            .map(|rule| rule.tile(plane.at(), plan.stride, plan.lanes));
-        Value { level, ..plane }
-    }
-
-    /// `FheBackend::unpack_block` of lane `index`: a rotation to the
-    /// front (lane 0 stays put), then the block mask.
-    fn unpack(&mut self, v: Value, index: usize, stride: usize, width: usize) -> Value {
-        self.ops.rotate += u64::from(index > 0);
-        self.op(FheOp::ConstantMultiply, v.depth + 1, |rule| {
-            rule.unpack_block(v.at(), index, stride, width)
-        })
-    }
-
-    /// `matmul::mat_vec_many` of `count` `rows × cols` matrices of
-    /// `form` diagonals: the group shares the rotations of `v`
-    /// (diagonal 0 needs none) and each matrix multiplies and adds its
-    /// own, folding in any bracketing (associative in every reading).
-    fn mat_vec_many(
-        &mut self,
-        count: usize,
-        rows: usize,
-        cols: usize,
-        form: ModelForm,
-        v: Value,
-    ) -> Vec<Value> {
-        let mut sums: Vec<Option<Value>> = vec![None; count];
-        for i in 0..cols {
-            let rotated = if i == 0 { v } else { self.rotate(v, i, cols) };
-            let adjusted = self.adjust(rotated, cols, rows);
-            for sum in &mut sums {
-                let diagonal = self.operand(form);
-                let term = self.mul(adjusted, diagonal);
-                *sum = Some(sum.map_or(term, |acc| self.add(acc, Some(term))));
+        let mut input = t.entry_depth;
+        let stages = [&t.comparison, &t.reshuffle, &t.levels, &t.accumulate].map(|stage| {
+            let depth_cost = stage.depth - input;
+            input = stage.depth;
+            StagePrediction {
+                ops: stage.ops,
+                depth_cost,
             }
-        }
-        sums.into_iter().flatten().collect()
-    }
-
-    /// `seccomp::secure_less_than` of the query's bit planes `x`
-    /// against threshold planes of `form`.
-    fn comparison(&mut self, x: &[Value], form: ModelForm, variant: SecCompVariant) -> Value {
-        let p = x.len();
-        let t: Vec<Option<Value>> = x.iter().map(|_| self.operand(form)).collect();
-        let below: Vec<Value> = (0..p)
-            .map(|i| {
-                let not = self.add(x[i], None);
-                self.mul(not, t[i])
-            })
-            .collect();
-        if p == 1 {
-            return below[0];
-        }
-        let equal: Vec<Value> = (0..p - 1)
-            .map(|i| {
-                let xor = self.add(x[i], t[i]);
-                self.add(xor, None)
-            })
-            .collect();
-        let terms: Vec<Value> = match variant {
-            SecCompVariant::LadderPrefix => (1..p)
-                .map(|i| {
-                    let factors = std::iter::once(below[i]).chain(equal[..i].iter().copied());
-                    balanced(factors.collect(), |a, b| self.mul(a, Some(b)))
-                })
-                .collect(),
-            SecCompVariant::SharedPrefix => {
-                let mut prefix = equal;
-                let mut step = 1;
-                while step < prefix.len() {
-                    let snapshot = prefix.clone();
-                    for i in step..prefix.len() {
-                        prefix[i] = self.mul(snapshot[i], Some(snapshot[i - step]));
-                    }
-                    step *= 2;
-                }
-                (0..p - 1)
-                    .map(|j| self.mul(prefix[j], Some(below[j + 1])))
-                    .collect()
-            }
-        };
-        terms
-            .into_iter()
-            .fold(below[0], |acc, term| self.add(acc, Some(term)))
-    }
+        });
+        (deploy, stages, decrypts)
+    })
 }
 
-impl Circuit {
-    /// Replays one classification — one full chunk of `lanes` queries
-    /// when the layout packs — closing each stage where the runtime's
-    /// `staged` block does. Under a rule the query planes enter at
-    /// `entry` primes (`entry` is unused without one).
-    fn replay(&self, rule: Option<&LevelRule>, entry: usize) -> Walk {
-        let (form, packing, m) = (self.shape.form, self.shape.packing, &self.meta);
-        let mut r = Replay {
-            rule,
-            packing,
-            ..Replay::default()
-        };
-        // A fresh query plane switched down to `entry` primes: client
-        // work and a keyless switch, neither of them metered.
-        let level = rule.map(|rule| rule.mod_switch_to(rule.encrypt(), entry));
-        let plane = Value { depth: 0, level };
-
-        // Step 1, packing each plane's lanes included.
-        let planes: Vec<Value> = (0..m.precision)
-            .map(|_| packing.map_or(plane, |plan| r.pack(plane, plan)))
-            .collect();
-        let decisions = r.comparison(&planes, form, self.shape.comparator);
-        let comparison = r.stage(plane, decisions);
-
-        // Step 2: `R` is `b × q`, unless fused away.
-        let branches = if self.fused {
-            decisions
-        } else {
-            r.mat_vec_many(1, m.branches, m.quantized, form, decisions)[0]
-        };
-        let reshuffle = r.stage(decisions, branches);
-
-        // Step 3: the `d` level matrices (`leaves × b`, or `leaves × q`
-        // fused) as one rotation-sharing group, then each level's mask.
-        let cols = if self.fused { m.quantized } else { m.branches };
-        let selected = r.mat_vec_many(m.max_level as usize, m.n_leaves, cols, form, branches);
-        let level_results: Vec<Value> = selected
-            .into_iter()
-            .map(|s| {
-                let mask = r.operand(form);
-                r.add(s, mask)
-            })
-            .collect();
-        let level = Value::deepest(&level_results);
-        let levels = r.stage(branches, level);
-
-        // Step 4: accumulate, scramble with Sally's permutation (her
-        // own secret, so a plaintext MatMul whatever the model form),
-        // and split the lanes back out.
-        let mut labels = match self.shape.accumulation {
-            Accumulation::Linear => level_results
-                .into_iter()
-                .reduce(|acc, x| r.mul(acc, Some(x)))
-                .expect("compile guarantees >= 1 level"),
-            Accumulation::BalancedTree => balanced(level_results, |a, b| r.mul(a, Some(b))),
-        };
-        if self.shape.result_shuffle {
-            labels = r.mat_vec_many(1, m.n_leaves, m.n_leaves, ModelForm::Plain, labels)[0];
-        }
-        let results: Vec<Value> = match packing {
-            None => vec![labels],
-            Some(plan) => (0..plan.lanes)
-                .map(|lane| r.unpack(labels, lane, plan.stride, m.n_leaves))
-                .collect(),
-        };
-        let result = Value::deepest(&results);
-        let accumulate = r.stage(level, result);
-
-        Walk {
-            stages: [comparison, reshuffle, levels, accumulate],
-            values: [plane, decisions, branches, level, result],
-            results,
-            model_encrypts: r.model_encrypts,
-        }
-    }
-}
-
-/// Balanced pairwise reduction (adjacent pairs combine, an odd last
-/// item carries over), the shape of `seccomp::balanced_product` and of
-/// the balanced accumulation tree.
-fn balanced<T: Copy>(mut items: Vec<T>, mut pair: impl FnMut(T, T) -> T) -> T {
-    assert!(!items.is_empty(), "product of no factors");
-    while items.len() > 1 {
-        items = items
-            .chunks(2)
-            .map(|c| match *c {
-                [a, b] => pair(a, b),
-                [a] => a,
-                _ => unreachable!("chunks(2)"),
-            })
-            .collect();
-    }
-    items[0]
+/// Runs `f` on a fresh abstract backend under `rule`, in one `analyze`
+/// trace span and a meter scope of its own, so none of its ops (the
+/// deploy's encrypts, the tiling of a packed operand set) reach a scope
+/// the caller installed.
+fn on_abstract<T>(rule: Option<LevelRule>, f: impl FnOnce(&AbstractBackend) -> T) -> T {
+    let _span = copse_trace::span("analyze");
+    OpMeter::measure(|| f(&AbstractBackend::new(rule))).0
 }
 
 /// One SecComp at precision `p` against thresholds of `form` — the
-/// comparison stage alone, replayed: its ops (those of
-/// `seccomp::secure_less_than`, op for op) and its depth.
+/// comparison stage alone: `seccomp::secure_less_than` run over `p`
+/// abstract planes, its ops and its depth.
 pub fn seccomp(p: u32, form: ModelForm, variant: SecCompVariant) -> StagePrediction {
-    let mut replay = Replay::default();
-    let plane = Value::default();
-    let decision = replay.comparison(&vec![plane; p as usize], form, variant);
-    replay.stage(plane, decision)
+    on_abstract(None, |be| {
+        let planes: Vec<_> = (0..p).map(|_| be.encrypt(&1)).collect();
+        let thresholds: Vec<_> = (0..p).map(|_| form.operand(be, 1)).collect();
+        let before = be.meter().snapshot();
+        let decision =
+            secure_less_than(be, &planes, &thresholds, variant, Parallelism::sequential());
+        StagePrediction {
+            ops: be.meter().snapshot().since(&before),
+            depth_cost: be.depth(&decision),
+        }
+    })
 }
 
 #[cfg(test)]
@@ -727,6 +463,8 @@ mod tests {
     use super::*;
     use crate::compiler::CompileOptions;
     use crate::complexity::log2ceil;
+    use crate::seccomp::balanced_product;
+    use copse_fhe::{BitVec, ClearBackend};
     use copse_forest::microbench::{self, MicrobenchSpec};
 
     fn compiled(fused: bool) -> Maurice {
@@ -884,15 +622,14 @@ mod tests {
 
     #[test]
     fn product_depth_matches_log_bound() {
-        // The depth of the replay's balanced product over factors of
-        // the given depths.
+        // The depth `seccomp::balanced_product` reaches on the clear
+        // backend over factors of the given depths.
+        let be = ClearBackend::with_defaults();
+        let fresh = be.encrypt_bits(&BitVec::ones(1));
+        let factor = |depth| (0..depth).fold(fresh.clone(), |ct, _| be.mul(&ct, &ct));
         let product_depth = |depths: Vec<u32>| {
-            let mut replay = Replay::default();
-            let factors = depths
-                .into_iter()
-                .map(|depth| Value { depth, level: None })
-                .collect();
-            balanced(factors, |a, b| replay.mul(a, Some(b))).depth
+            let factors = depths.into_iter().map(factor).collect();
+            be.depth(&balanced_product(&be, factors))
         };
         assert_eq!(product_depth(vec![0]), 0);
         assert_eq!(product_depth(vec![0, 0]), 1);

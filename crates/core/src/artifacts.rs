@@ -191,18 +191,6 @@ pub struct CompiledModel {
     pub fused: bool,
 }
 
-impl CompiledModel {
-    /// Width of the classification result vector.
-    pub fn result_width(&self) -> usize {
-        self.meta.n_leaves
-    }
-
-    /// The input width the comparison stage expects (`q`).
-    pub fn comparison_width(&self) -> usize {
-        self.meta.quantized
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

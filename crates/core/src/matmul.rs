@@ -83,17 +83,9 @@ impl<B: FheBackend> EncodedMatrix<B> {
     /// any one-time transform cost.
     pub fn encode_plain(backend: &B, matrix: &BoolMatrix) -> Self {
         let diags = matrix.diagonals();
-        let zero_diagonals = diags.iter().map(|d| d.is_zero()).collect();
-        let encoded = Self {
-            diagonals: diags
-                .iter()
-                .map(|d| MaybeEncrypted::Plain(backend.encode(d)))
-                .collect(),
-            zero_diagonals,
-            rows: matrix.rows(),
-            cols: matrix.cols(),
-            layout: Layout::Whole,
-        };
+        let encode = |d| MaybeEncrypted::Plain(backend.encode(d));
+        let mut encoded = Self::from_diagonals(diags.iter().map(encode).collect(), matrix.rows());
+        encoded.zero_diagonals = diags.iter().map(|d| d.is_zero()).collect();
         encoded.precompute(backend);
         encoded
     }
@@ -128,15 +120,19 @@ impl<B: FheBackend> EncodedMatrix<B> {
     /// model; costs `cols` Encrypt operations, which is how the paper
     /// counts model encryption in Table 1d).
     pub fn encrypt(backend: &B, matrix: &BoolMatrix) -> Self {
+        let diagonals = matrix.diagonals();
+        let encrypt = |d| MaybeEncrypted::Encrypted(backend.encrypt_bits(d));
+        Self::from_diagonals(diagonals.iter().map(encrypt).collect(), matrix.rows())
+    }
+
+    /// A `rows`-row matrix of the given diagonals (one per column),
+    /// none of them known to be zero.
+    pub(crate) fn from_diagonals(diagonals: Vec<MaybeEncrypted<B>>, rows: usize) -> Self {
         Self {
-            diagonals: matrix
-                .diagonals()
-                .iter()
-                .map(|d| MaybeEncrypted::Encrypted(backend.encrypt_bits(d)))
-                .collect(),
-            zero_diagonals: vec![false; matrix.cols()],
-            rows: matrix.rows(),
-            cols: matrix.cols(),
+            zero_diagonals: vec![false; diagonals.len()],
+            cols: diagonals.len(),
+            diagonals,
+            rows,
             layout: Layout::Whole,
         }
     }

@@ -16,13 +16,15 @@
 //! operation counts can be captured with
 //! [`Sally::classify_traced`] (the Figure 10 breakdowns).
 
-use crate::analyze::{BackendProfile, CircuitReport, EvalShape};
+use crate::analyze::{self, BackendProfile, CircuitReport, EvalShape};
 use crate::artifacts::{BoolMatrix, CompiledModel, ModelMeta};
 use crate::compiler::{self, Accumulation, CompileOptions};
 use crate::matmul::{mat_vec, mat_vec_many, tile_operand, EncodedMatrix, MatMulOptions};
 use crate::parallel::{map_indices, Parallelism};
 use crate::seccomp::{secure_less_than, SecCompVariant};
-use copse_fhe::{BitSliced, BitVec, FheBackend, MaybeEncrypted, NoiseBudget, OpCounts, OpMeter};
+use copse_fhe::{
+    AbstractBackend, BitSliced, BitVec, FheBackend, MaybeEncrypted, NoiseBudget, OpCounts, OpMeter,
+};
 use copse_forest::model::Forest;
 use std::borrow::Cow;
 use std::fmt;
@@ -39,6 +41,17 @@ pub enum ModelForm {
     Plain,
     /// The model is encrypted under the query key (Maurice offloads).
     Encrypted,
+}
+
+impl ModelForm {
+    /// A model vector of this form, as [`Maurice::deploy`] makes each:
+    /// the plaintext itself, or its encryption (one metered encrypt).
+    pub(crate) fn operand<B: FheBackend>(self, be: &B, pt: B::Plaintext) -> MaybeEncrypted<B> {
+        match self {
+            ModelForm::Plain => MaybeEncrypted::Plain(pt),
+            ModelForm::Encrypted => MaybeEncrypted::Encrypted(be.encrypt(&pt)),
+        }
+    }
 }
 
 /// Cross-query slot packing policy.
@@ -173,12 +186,7 @@ impl Maurice {
     /// operations, the paper's Table 1d.
     pub fn deploy<B: FheBackend>(&self, backend: &B, form: ModelForm) -> DeployedModel<B> {
         let m = &self.compiled;
-        let wrap_vec = |bits: &BitVec| -> MaybeEncrypted<B> {
-            match form {
-                ModelForm::Plain => MaybeEncrypted::Plain(backend.encode(bits)),
-                ModelForm::Encrypted => MaybeEncrypted::Encrypted(backend.encrypt_bits(bits)),
-            }
-        };
+        let wrap_vec = |bits: &BitVec| form.operand(backend, backend.encode(bits));
         let wrap_matrix = |matrix| match form {
             ModelForm::Plain => EncodedMatrix::encode_plain(backend, matrix),
             ModelForm::Encrypted => EncodedMatrix::encrypt(backend, matrix),
@@ -533,14 +541,6 @@ pub struct EvalTrace {
 }
 
 impl EvalTrace {
-    /// Wall-clock total over the four stages.
-    pub fn total_duration(&self) -> Duration {
-        self.comparison.duration
-            + self.reshuffle.duration
-            + self.levels.duration
-            + self.accumulate.duration
-    }
-
     /// Per-stage wall-clock as nanoseconds, in pipeline order
     /// (comparison, reshuffle, levels, accumulate) — the shape the
     /// wire-level `ServerTiming` record carries.
@@ -743,23 +743,23 @@ impl<'b, B: FheBackend> Sally<'b, B> {
         }
         // Gate on the packed circuit Sally will actually run.
         let plan = PackPlan { stride, lanes };
-        let issues = self.report(Some(plan)).admit(&BackendProfile::of(backend));
-        issues.is_empty().then_some(plan)
+        let report = CircuitReport::from_meta(&model.meta, fused, &self.shape(Some(plan)));
+        report
+            .admit(&BackendProfile::of(backend))
+            .is_empty()
+            .then_some(plan)
     }
 
-    /// The analyzer's report of the circuit Sally runs for a unit laid
-    /// out by `packing`, from the shape she holds, never the artifacts.
-    fn report(&self, packing: Option<PackPlan>) -> CircuitReport {
-        let model = &self.model;
-        let shape = EvalShape {
-            form: model.form,
-            accumulation: model.accumulation,
+    /// The analyzer's shape of the circuit Sally runs for a unit laid
+    /// out by `packing`, from what she holds, never the artifacts.
+    fn shape(&self, packing: Option<PackPlan>) -> EvalShape {
+        EvalShape {
+            form: self.model.form,
+            accumulation: self.model.accumulation,
             comparator: self.options.comparator,
-            result_shuffle: model.operands.shuffle.is_some(),
+            result_shuffle: self.model.operands.shuffle.is_some(),
             packing,
-        };
-        let fused = model.operands.reshuffle.is_none();
-        CircuitReport::from_meta(&model.meta, fused, &shape)
+        }
     }
 
     /// The chain primes a unit laid out by `packing` enters at: the
@@ -770,7 +770,9 @@ impl<'b, B: FheBackend> Sally<'b, B> {
         let NoiseBudget::Chain(rule) = self.backend.noise_budget() else {
             return None;
         };
-        let needed = self.report(packing).chain(&rule).primes_needed as usize;
+        let fused = self.model.operands.reshuffle.is_none();
+        let shape = self.shape(packing);
+        let needed = analyze::chain(&self.model.meta, fused, &shape, &rule).primes_needed as usize;
         Some(needed.min(rule.chain_len()))
     }
 
@@ -1011,6 +1013,61 @@ impl<'b, B: FheBackend> Sally<'b, B> {
                 }
                 layer.pop().expect("nonempty")
             }
+        }
+    }
+}
+
+impl<'b> Sally<'b, AbstractBackend> {
+    /// Hosts `shape`'s circuit on the abstract backend, for the
+    /// analyzer ([`CircuitReport`]): its operand set is built from the
+    /// model's shape alone — Maurice's operands, metered like his
+    /// deploy, and Sally's result shuffle — the plan and the entry
+    /// level are taken as given rather than derived (deriving them is
+    /// what the analyzer is asked), and every stage runs sequentially.
+    pub(crate) fn analysis(
+        backend: &'b AbstractBackend,
+        meta: &ModelMeta,
+        fused: bool,
+        shape: &EvalShape,
+        entry: Option<usize>,
+    ) -> Self {
+        let (m, form) = (meta, shape.form);
+        let vectors = |n, width| (0..n).map(|_| form.operand(backend, width)).collect();
+        let matrix = |form: ModelForm, rows, cols| {
+            let diagonals = (0..cols).map(|_| form.operand(backend, rows)).collect();
+            EncodedMatrix::from_diagonals(diagonals, rows)
+        };
+        let level_cols = if fused { m.quantized } else { m.branches };
+        let model = DeployedModel {
+            form,
+            meta: m.clone(),
+            codebook: Vec::new(),
+            operands: Operands {
+                thresholds: vectors(m.precision, m.quantized),
+                reshuffle: (!fused).then(|| matrix(form, m.branches, m.quantized)),
+                levels: (0..m.max_level)
+                    .map(|_| matrix(form, m.n_leaves, level_cols))
+                    .collect(),
+                masks: vectors(m.max_level, m.n_leaves),
+                shuffle: shape
+                    .result_shuffle
+                    .then(|| matrix(ModelForm::Plain, m.n_leaves, m.n_leaves)),
+                packing: None,
+            },
+            accumulation: shape.accumulation,
+        };
+        Sally {
+            backend,
+            model,
+            options: EvalOptions {
+                comparator: shape.comparator,
+                ..EvalOptions::default()
+            },
+            permutation: None,
+            plan: shape.packing,
+            solo_entry: entry,
+            packed_entry: entry,
+            tiled: OnceLock::new(),
         }
     }
 }

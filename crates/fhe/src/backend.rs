@@ -8,11 +8,14 @@
 //! and truncation). Every operation is recorded on the backend's
 //! [`OpMeter`] so circuits can be costed op-for-op.
 //!
-//! Three implementations ship with this crate:
+//! Four implementations ship with this crate:
 //!
 //! * [`ClearBackend`](crate::ClearBackend) — exact semantics over
 //!   plaintext bit vectors with multiplicative-depth tracking; the
 //!   workhorse for tests and benchmarks.
+//! * [`AbstractBackend`](crate::AbstractBackend) — no bits at all:
+//!   widths, depth and BGV chain levels, so the static analyzer can
+//!   run a circuit to read its cost.
 //! * [`BgvBackend`](crate::BgvBackend) — a real (teaching-grade)
 //!   leveled BGV scheme over a prime cyclotomic ring with GF(2) slot
 //!   packing, for end-to-end encrypted runs.
@@ -97,8 +100,8 @@ pub enum NoiseBudget {
     /// the per-bit negacyclic backend's conservative bound.
     Depth(u32),
     /// A BGV modulus chain and the rule its ciphertexts' levels
-    /// follow: a circuit fits iff that rule, replayed over the
-    /// circuit, needs no more primes than the chain holds.
+    /// follow: a circuit fits iff that rule, run over the circuit,
+    /// needs no more primes than the chain holds.
     Chain(LevelRule),
 }
 

@@ -19,9 +19,9 @@
 //! The layout kernels (masked rotation, cyclic extension, block
 //! packing and unpacking) are written once, generic over `SlotOps`:
 //! this backend runs them on ciphertexts, and
-//! [`LevelRule`](crate::bgv::LevelRule) runs the same code on chain
-//! positions, which is how the static analyzer knows the level every
-//! semantic operation leaves behind.
+//! [`AbstractBackend`](crate::AbstractBackend) runs the same code on
+//! chain positions, which is how the static analyzer knows the level
+//! every semantic operation leaves behind.
 
 use crate::backend::{codec, CiphertextCodecError, FheBackend, NoiseBudget};
 use crate::bgv::ring::RnsPoly;

@@ -5,12 +5,12 @@
 //! scheme calls them on every ciphertext it produces — the noise
 //! estimate it stores and each modulus switch it performs are the
 //! rule's — and [`BgvBackend`](crate::BgvBackend)'s slot-layout
-//! kernels run, unchanged, over bare [`Level`]s. A static analyzer
-//! (`copse_core::analyze`) therefore replays a whole circuit's level
-//! trajectory from its shape alone, with no key and no ciphertext,
-//! and gets the levels evaluation will reach.
+//! kernels run, unchanged, over bare [`Level`]s in the
+//! [`AbstractBackend`], whose ciphertexts are shapes. The static
+//! analyzer (`copse_core::analyze`) runs the runtime on that backend —
+//! no key, no ciphertext — and gets the levels evaluation will reach.
 //!
-//! Two properties keep that replay exact whatever the data and however
+//! Two properties keep that run exact whatever the data and however
 //! the evaluator schedules its work:
 //!
 //! * **No data dependence.** A plaintext product charges the 1-norm
@@ -27,9 +27,12 @@
 //!   `n` terms `log2 n` bits where a `max(a, b) + 1` fold charged
 //!   `n − 1`.)
 
+use crate::backend::{BackendError, CiphertextCodecError, FheBackend, NoiseBudget};
 use crate::bgv::backend::{self as kernels, SlotOps};
 use crate::bgv::scheme::BgvParams;
+use crate::bitvec::BitVec;
 use crate::math::cyclotomic::SlotStructure;
+use crate::meter::{FheOp, OpMeter};
 
 /// Noise estimate of a fresh encryption, in bits.
 const FRESH_BITS: f64 = 12.0;
@@ -228,62 +231,6 @@ impl LevelRule {
         let noise = a.noise.max(self.ks_noise) * 2.0;
         self.level(a.primes, noise, a.headroom_bits)
     }
-
-    /// [`FheBackend::rotate`](crate::FheBackend::rotate) of a
-    /// `width`-slot vector by `k`, as the BGV backend performs it.
-    pub fn rotate(&self, a: Level, k: isize, width: usize) -> Level {
-        kernels::rotate(self, &a, k, width, self.nslots)
-    }
-
-    /// [`FheBackend::cyclic_extend`](crate::FheBackend::cyclic_extend)
-    /// from `width` to `new_width` slots.
-    pub fn cyclic_extend(&self, a: Level, width: usize, new_width: usize) -> Level {
-        kernels::extend_in_blocks(self, &a, width, new_width, self.nslots, 1)
-    }
-
-    /// [`FheBackend::rotate_blocks`](crate::FheBackend::rotate_blocks)
-    /// over `count` blocks.
-    pub fn rotate_blocks(
-        &self,
-        a: Level,
-        k: isize,
-        width: usize,
-        stride: usize,
-        count: usize,
-    ) -> Level {
-        kernels::rotate_blocks(self, &a, k, width, stride, count)
-    }
-
-    /// [`FheBackend::cyclic_extend_blocks`](crate::FheBackend::cyclic_extend_blocks)
-    /// over `count` blocks.
-    pub fn cyclic_extend_blocks(
-        &self,
-        a: Level,
-        width: usize,
-        new_width: usize,
-        stride: usize,
-        count: usize,
-    ) -> Level {
-        kernels::extend_blocks(self, &a, width, new_width, stride, count)
-    }
-
-    /// [`FheBackend::pack_blocks`](crate::FheBackend::pack_blocks) of
-    /// `lanes`.
-    pub fn pack_blocks(&self, lanes: &[Level], stride: usize) -> Level {
-        kernels::pack(self, lanes, stride)
-    }
-
-    /// [`FheBackend::unpack_block`](crate::FheBackend::unpack_block)
-    /// of block `index`.
-    pub fn unpack_block(&self, a: Level, index: usize, stride: usize, width: usize) -> Level {
-        kernels::unpack(self, &a, index, stride, width, self.nslots)
-    }
-
-    /// [`FheBackend::tile_ciphertext`](crate::FheBackend::tile_ciphertext)
-    /// into `count` blocks.
-    pub fn tile(&self, a: Level, stride: usize, count: usize) -> Level {
-        self.pack_blocks(&vec![a; count], stride)
-    }
 }
 
 impl SlotOps for LevelRule {
@@ -306,9 +253,268 @@ impl SlotOps for LevelRule {
     }
 }
 
+/// A ciphertext of the [`AbstractBackend`]: what a circuit's shape
+/// alone decides about the value it stands for.
+#[derive(Clone, Copy, Debug)]
+pub struct AbstractCiphertext {
+    /// Logical slot width.
+    pub width: usize,
+    /// Multiplicative depth, by the clear backend's rules.
+    pub depth: u32,
+    /// Chain position under the backend's level rule, if it has one.
+    pub level: Option<Level>,
+}
+
+impl AbstractCiphertext {
+    fn at(&self) -> Level {
+        self.level.expect("levels move only under a level rule")
+    }
+}
+
+/// An [`FheBackend`] over shapes rather than bits: a ciphertext is its
+/// width, depth and (under a [`LevelRule`]) chain position, a plaintext
+/// its width. Every op meters the [`FheOp`] the trait's contract
+/// assigns it, tracks depth as the clear backend does, and moves the
+/// level as [`BgvBackend`](crate::BgvBackend) does — its layout ops run
+/// the BGV backend's own kernels, over [`Level`]s. [`depth`] reads the
+/// clear depth without a rule and `chain_len − primes` under one, like
+/// the BGV backend's. Nothing here carries data: decryption yields
+/// zeros and ciphertexts do not serialise.
+///
+/// COPSE's circuit is data-oblivious, so running the runtime on this
+/// backend is how `copse_core::analyze` reads a circuit's op counts,
+/// depth and chain primes.
+///
+/// [`depth`]: FheBackend::depth
+#[derive(Debug)]
+pub struct AbstractBackend {
+    rule: Option<LevelRule>,
+    meter: OpMeter,
+}
+
+impl AbstractBackend {
+    /// A backend whose ciphertexts move by `rule` (or carry no level).
+    pub fn new(rule: Option<LevelRule>) -> Self {
+        Self {
+            rule,
+            meter: OpMeter::new(),
+        }
+    }
+
+    /// The level rule moves `f` reads, if there is one.
+    fn moved(&self, f: impl FnOnce(&LevelRule) -> Level) -> Option<Level> {
+        self.rule.as_ref().map(f)
+    }
+
+    /// Meters `op` and yields its `width`-slot result.
+    fn op(
+        &self,
+        op: FheOp,
+        width: usize,
+        depth: u32,
+        level: impl FnOnce(&LevelRule) -> Level,
+    ) -> AbstractCiphertext {
+        self.meter.record(op);
+        AbstractCiphertext {
+            width,
+            depth,
+            level: self.moved(level),
+        }
+    }
+}
+
+impl FheBackend for AbstractBackend {
+    type Plaintext = usize;
+    type Ciphertext = AbstractCiphertext;
+
+    fn slot_capacity(&self) -> Option<usize> {
+        None
+    }
+
+    fn meter(&self) -> &OpMeter {
+        &self.meter
+    }
+
+    fn noise_budget(&self) -> NoiseBudget {
+        self.rule
+            .map_or(NoiseBudget::Depth(u32::MAX), NoiseBudget::Chain)
+    }
+
+    fn encode(&self, bits: &BitVec) -> usize {
+        bits.width()
+    }
+
+    fn decode(&self, width: &usize) -> BitVec {
+        BitVec::zeros(*width)
+    }
+
+    fn encrypt(&self, width: &usize) -> AbstractCiphertext {
+        self.op(FheOp::Encrypt, *width, 0, LevelRule::encrypt)
+    }
+
+    fn decrypt(&self, ct: &AbstractCiphertext) -> BitVec {
+        self.meter.record(FheOp::Decrypt);
+        BitVec::zeros(ct.width)
+    }
+
+    fn width(&self, ct: &AbstractCiphertext) -> usize {
+        ct.width
+    }
+
+    fn depth(&self, ct: &AbstractCiphertext) -> u32 {
+        match self.rule {
+            Some(rule) => (rule.chain_len() - ct.at().primes) as u32,
+            None => ct.depth,
+        }
+    }
+
+    fn add(&self, a: &AbstractCiphertext, b: &AbstractCiphertext) -> AbstractCiphertext {
+        self.op(FheOp::Add, a.width, a.depth.max(b.depth), |rule| {
+            rule.add(a.at(), b.at())
+        })
+    }
+
+    fn add_plain(&self, a: &AbstractCiphertext, _: &usize) -> AbstractCiphertext {
+        self.op(FheOp::ConstantAdd, a.width, a.depth, |rule| {
+            rule.add_plain(a.at())
+        })
+    }
+
+    fn mul(&self, a: &AbstractCiphertext, b: &AbstractCiphertext) -> AbstractCiphertext {
+        self.op(FheOp::Multiply, a.width, a.depth.max(b.depth) + 1, |rule| {
+            rule.mul(a.at(), b.at())
+        })
+    }
+
+    fn mul_plain(&self, a: &AbstractCiphertext, _: &usize) -> AbstractCiphertext {
+        self.op(FheOp::ConstantMultiply, a.width, a.depth + 1, |rule| {
+            rule.mul_plain(a.at())
+        })
+    }
+
+    fn rotate(&self, a: &AbstractCiphertext, k: isize) -> AbstractCiphertext {
+        self.op(FheOp::Rotate, a.width, a.depth, |rule| {
+            kernels::rotate(rule, &a.at(), k, a.width, rule.nslots)
+        })
+    }
+
+    fn cyclic_extend(&self, a: &AbstractCiphertext, width: usize) -> AbstractCiphertext {
+        AbstractCiphertext {
+            width,
+            level: self.moved(|rule| {
+                kernels::extend_in_blocks(rule, &a.at(), a.width, width, rule.nslots, 1)
+            }),
+            ..*a
+        }
+    }
+
+    fn truncate(&self, a: &AbstractCiphertext, width: usize) -> AbstractCiphertext {
+        AbstractCiphertext { width, ..*a }
+    }
+
+    fn pack_blocks(
+        &self,
+        cts: &[AbstractCiphertext],
+        stride: usize,
+        width: usize,
+    ) -> AbstractCiphertext {
+        for _ in 1..cts.len() {
+            self.meter.record(FheOp::Rotate);
+            self.meter.record(FheOp::Add);
+        }
+        AbstractCiphertext {
+            width,
+            depth: cts.iter().map(|ct| ct.depth).max().unwrap_or(0),
+            level: self.moved(|rule| {
+                let levels: Vec<Level> = cts.iter().map(AbstractCiphertext::at).collect();
+                kernels::pack(rule, &levels, stride)
+            }),
+        }
+    }
+
+    fn unpack_block(
+        &self,
+        ct: &AbstractCiphertext,
+        index: usize,
+        stride: usize,
+        width: usize,
+    ) -> AbstractCiphertext {
+        if index > 0 {
+            self.meter.record(FheOp::Rotate);
+        }
+        self.op(FheOp::ConstantMultiply, width, ct.depth + 1, |rule| {
+            kernels::unpack(rule, &ct.at(), index, stride, width, rule.nslots)
+        })
+    }
+
+    fn rotate_blocks(
+        &self,
+        ct: &AbstractCiphertext,
+        k: isize,
+        width: usize,
+        stride: usize,
+    ) -> AbstractCiphertext {
+        self.op(FheOp::Rotate, ct.width, ct.depth, |rule| {
+            kernels::rotate_blocks(rule, &ct.at(), k, width, stride, ct.width / stride)
+        })
+    }
+
+    fn cyclic_extend_blocks(
+        &self,
+        ct: &AbstractCiphertext,
+        width: usize,
+        new_width: usize,
+        stride: usize,
+    ) -> AbstractCiphertext {
+        let count = ct.width / stride;
+        AbstractCiphertext {
+            level: self.moved(|rule| {
+                kernels::extend_blocks(rule, &ct.at(), width, new_width, stride, count)
+            }),
+            ..*ct
+        }
+    }
+
+    fn truncate_blocks(
+        &self,
+        ct: &AbstractCiphertext,
+        _: usize,
+        _: usize,
+        _: usize,
+    ) -> AbstractCiphertext {
+        *ct
+    }
+
+    fn mod_switch_to(&self, ct: &AbstractCiphertext, primes: usize) -> AbstractCiphertext {
+        AbstractCiphertext {
+            level: self.moved(|rule| rule.mod_switch_to(ct.at(), primes)),
+            ..*ct
+        }
+    }
+
+    fn compact_for_decrypt(&self, ct: &AbstractCiphertext) -> AbstractCiphertext {
+        self.mod_switch_to(ct, 1)
+    }
+
+    fn serialize_ciphertext(&self, _: &AbstractCiphertext) -> Vec<u8> {
+        std::panic::panic_any(BackendError::Unsupported {
+            operation: "serialize_ciphertext",
+            reason: "an abstract ciphertext carries no data",
+        })
+    }
+
+    fn deserialize_ciphertext(&self, _: &[u8]) -> Result<AbstractCiphertext, CiphertextCodecError> {
+        Err(CiphertextCodecError::Malformed(
+            "an abstract ciphertext carries no data",
+        ))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::meter::OpCounts;
+    use crate::{BgvBackend, ClearBackend};
 
     fn rule() -> LevelRule {
         LevelRule::new(BgvParams::tiny(), 6)
@@ -371,5 +577,76 @@ mod tests {
         assert!(spoiled.headroom_bits < 0.0);
         let later = r.add(spoiled, bottom);
         assert!(later.headroom_bits < 0.0);
+    }
+
+    /// Runs a table of steps, one per [`FheBackend`] op (the
+    /// packed-batch primitives included), each over the results of the
+    /// steps before it, and returns the ops every step meters and the
+    /// depth reading of its result. Widths fit `BgvParams::tiny()`'s 6
+    /// slots; packed steps lay 2 blocks at stride 3.
+    fn readings<B: FheBackend>(be: &B) -> Vec<(OpCounts, u32)> {
+        type Step<B> = fn(&B, &[<B as FheBackend>::Ciphertext]) -> <B as FheBackend>::Ciphertext;
+        let steps: [Step<B>; 26] = [
+            |be, _| be.encrypt_bits(&BitVec::from_fn(4, |i| i % 2 == 0)),
+            |be, c| be.add_plain(&c[0], &be.encode(&BitVec::ones(4))),
+            |be, c| be.add(&c[0], &c[1]),
+            |be, c| be.mul(&c[0], &c[2]),
+            |be, c| be.mul_plain(&c[3], &be.encode(&BitVec::ones(4))),
+            |be, c| be.not(&c[4]),
+            |be, c| be.rotate(&c[5], 1),
+            |be, c| be.rotate(&c[6], -3),
+            |be, c| be.cyclic_extend(&c[7], 6),
+            |be, c| be.rotate(&c[8], 2),
+            |be, c| be.truncate(&c[9], 3),
+            |be, c| be.mul(&c[10], &c[10]),
+            |be, c| be.mod_switch_to(&c[11], 5),
+            |be, _| be.encrypt_zeros_seeded(3, 7),
+            |be, c| be.add(&c[12], &c[13]),
+            |be, c| {
+                be.decrypt(&c[14]);
+                c[14].clone()
+            },
+            |be, _| be.encrypt_bits(&BitVec::ones(2)),
+            |be, c| be.pack_blocks(&[c[14].clone(), c[16].clone()], 3, 6),
+            |be, c| be.rotate_blocks(&c[17], 1, 3, 3),
+            |be, c| be.truncate_blocks(&c[18], 3, 2, 3),
+            |be, c| be.unpack_block(&c[19], 1, 3, 2),
+            |be, c| be.pack_blocks(&[c[16].clone(), c[16].clone()], 3, 6),
+            |be, c| be.cyclic_extend_blocks(&c[21], 2, 3, 3),
+            |be, c| be.unpack_block(&c[22], 0, 3, 3),
+            |be, c| be.tile_ciphertext(&c[13], 3, 2),
+            |be, c| be.compact_for_decrypt(&c[24]),
+        ];
+        let mut cts = Vec::new();
+        steps
+            .iter()
+            .map(|step| {
+                be.meter().reset();
+                let ct = step(be, &cts);
+                let reading = (be.meter().snapshot(), be.depth(&ct));
+                cts.push(ct);
+                reading
+            })
+            .collect()
+    }
+
+    #[test]
+    fn abstract_backend_keeps_the_clear_and_bgv_contracts() {
+        // The analyzer's results rest on these: the abstract backend
+        // meters every op as the clear backend does and reads its
+        // depth, and under a BGV rule reads the level real ciphertexts
+        // reach.
+        let clear = readings(&ClearBackend::with_defaults());
+        assert_eq!(readings(&AbstractBackend::new(None)), clear);
+        let bgv = BgvBackend::tiny();
+        let NoiseBudget::Chain(rule) = bgv.noise_budget() else {
+            unreachable!("BGV budgets a modulus chain")
+        };
+        let real = readings(&bgv);
+        assert_eq!(readings(&AbstractBackend::new(Some(rule))), real);
+        assert!(
+            real.iter().any(|&(_, depth)| depth > 0),
+            "the program spends chain primes"
+        );
     }
 }

@@ -11,8 +11,8 @@
 //!   relinearisation, Galois-automorphism slot rotation (prime flavor
 //!   only), and an automatic modulus-switching noise policy;
 //! * [`level`] — that policy as pure functions of a ciphertext's chain
-//!   position ([`LevelRule`]), which the scheme calls and a static
-//!   analyzer replays;
+//!   position ([`LevelRule`]), which the scheme calls, and the
+//!   [`AbstractBackend`] a static analyzer runs circuits on;
 //! * [`backend`] — the [`FheBackend`](crate::FheBackend)
 //!   implementation over the prime flavor with logical-width slot
 //!   packing (masked rotations, cyclic extension), differentially
@@ -24,7 +24,7 @@
 //!
 //! Parameters are demonstration-sized (`m = 31` or `m = 127`; `m = 32`
 //! or `m = 256` negacyclic); the algebra is faithful, the security
-//! level is not (see DESIGN.md).
+//! level is not (see docs/PARAMETERS.md).
 
 pub mod backend;
 pub mod level;
@@ -33,7 +33,7 @@ pub mod ring;
 pub mod scheme;
 
 pub use backend::{BgvBackend, BgvCiphertext, BgvPlaintext};
-pub use level::{Level, LevelRule};
+pub use level::{AbstractBackend, AbstractCiphertext, Level, LevelRule};
 pub use negacyclic::{NegacyclicBackend, NegacyclicCiphertext, NegacyclicPlaintext};
 pub use ring::RingFlavor;
 pub use scheme::{BgvParams, BgvScheme};

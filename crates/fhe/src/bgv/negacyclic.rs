@@ -145,7 +145,7 @@ impl FheBackend for NegacyclicBackend {
     }
 
     fn noise_budget(&self) -> NoiseBudget {
-        // The level rule replays the slotted backend's kernels, not
+        // The level rule models the slotted backend's kernels, not
         // this one's per-bit layout; a multiply consumes one or two
         // chain primes depending on operand noise.
         NoiseBudget::Depth((self.scheme.params().chain_len as u32).saturating_sub(1) / 2)

@@ -30,7 +30,7 @@
 //! **Scope**: the algebra is real (decryption fails exactly when noise
 //! overflows; slots rotate via genuine automorphisms), but parameters
 //! are demonstration-sized and nothing here is constant-time — do not
-//! use for production secrets. See DESIGN.md substitution #1.
+//! use for production secrets. See docs/PARAMETERS.md.
 
 use crate::backend::BackendError;
 use crate::bgv::level::{Level, LevelRule, MUL_INPUT_BITS};

@@ -127,20 +127,9 @@ impl ClearBackend {
         Self::new(ClearConfig::default())
     }
 
-    /// Creates a backend sized from BGV encryption parameters.
-    pub fn from_params(params: &EncryptionParams) -> Self {
-        Self::new(ClearConfig::from_params(params))
-    }
-
     /// The backend configuration.
     pub fn config(&self) -> &ClearConfig {
         &self.config
-    }
-
-    /// Shared handle to the meter (e.g. for observing from another
-    /// thread while an evaluation runs).
-    pub fn meter_handle(&self) -> Arc<OpMeter> {
-        Arc::clone(&self.meter)
     }
 
     fn check_capacity(&self, width: usize) {
@@ -748,7 +737,7 @@ mod tests {
     #[test]
     fn from_params_inherits_depth_budget() {
         let params = EncryptionParams::paper_optimal();
-        let be = ClearBackend::from_params(&params);
+        let be = ClearBackend::new(ClearConfig::from_params(&params));
         assert_eq!(be.noise_budget(), NoiseBudget::Depth(params.depth_budget()));
     }
 }

@@ -8,7 +8,7 @@
 //! published BGV/HElib measurements at 128-bit security with a ~400-bit
 //! modulus chain (paper Table 5 parameters). This preserves the paper's
 //! comparison *shape* — who wins and by roughly what factor — which is
-//! what EXPERIMENTS.md records.
+//! what the `copse-bench` exhibits print.
 
 use crate::meter::{FheOp, OpCounts};
 use serde::{Deserialize, Serialize};
@@ -55,20 +55,6 @@ impl CostModel {
         }
     }
 
-    /// A uniform unit-cost model: every operation costs 1 us. Useful for
-    /// reasoning about raw operation totals.
-    pub fn unit() -> Self {
-        Self {
-            encrypt_us: 1.0,
-            decrypt_us: 1.0,
-            rotate_us: 1.0,
-            add_us: 1.0,
-            constant_add_us: 1.0,
-            multiply_us: 1.0,
-            constant_multiply_us: 1.0,
-        }
-    }
-
     /// Cost of a single operation kind in microseconds.
     pub fn op_cost_us(&self, op: FheOp) -> f64 {
         match op {
@@ -101,17 +87,6 @@ impl Default for CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn unit_model_counts_ops() {
-        let c = OpCounts {
-            add: 10,
-            multiply: 5,
-            rotate: 2,
-            ..OpCounts::default()
-        };
-        assert!((CostModel::unit().modeled_ms(&c) - 0.017).abs() < 1e-12);
-    }
 
     #[test]
     fn multiply_dominates_default_model() {

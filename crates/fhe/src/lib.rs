@@ -59,8 +59,8 @@ pub mod params;
 
 pub use backend::{BackendError, CiphertextCodecError, FheBackend, MaybeEncrypted, NoiseBudget};
 pub use bgv::{
-    BgvBackend, BgvCiphertext, BgvParams, BgvPlaintext, Level, LevelRule, NegacyclicBackend,
-    NegacyclicCiphertext, NegacyclicPlaintext, RingFlavor,
+    AbstractBackend, AbstractCiphertext, BgvBackend, BgvCiphertext, BgvParams, BgvPlaintext, Level,
+    LevelRule, NegacyclicBackend, NegacyclicCiphertext, NegacyclicPlaintext, RingFlavor,
 };
 pub use bitslice::BitSliced;
 pub use bitvec::BitVec;

@@ -20,7 +20,7 @@
 //! BGV/HElib sizing heuristics (~25–30 modulus bits consumed per
 //! multiplicative level; LWE security roughly proportional to
 //! `dimension / log2(q)`). They are a calibrated model, not a security
-//! proof; see DESIGN.md §1.
+//! proof; see docs/PARAMETERS.md.
 
 use crate::cost::CostModel;
 use serde::{Deserialize, Serialize};

@@ -6,7 +6,7 @@
 //! redistributable here, so this module generates synthetic datasets
 //! with the same schema and learnable structure: a hidden noisy scoring
 //! rule maps features to labels, so CART training recovers forests in
-//! the same size regime (see DESIGN.md, substitution #3).
+//! the same size regime.
 //!
 //! All features are fixed-point integers quantised to the dataset's
 //! declared precision, matching the paper's compile-time fixed-point

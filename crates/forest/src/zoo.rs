@@ -53,7 +53,7 @@ pub fn micro_suite(seed: u64) -> Vec<BenchModel> {
 /// Depth and leaf-size limits are tuned so the trained forests land in
 /// the size regime the paper's timings imply (a few hundred branches
 /// for the 15-tree models, with `income` somewhat larger than
-/// `soccer`); EXPERIMENTS.md records the realised shapes.
+/// `soccer`); the `table6_micro` exhibit prints the realised shapes.
 fn realworld_config(dataset: &str, n_trees: usize, seed: u64) -> TrainConfig {
     let (max_depth, min_samples_leaf) = match dataset {
         "income" => (6, 25),

@@ -51,14 +51,22 @@
 //!    in the one form that route reads.
 //! 10. **The circuit has one model.** Non-test `crates/*/src` declares
 //!     no `struct CostInputs`, no `mod ours`, no `fn classify_depth(`,
-//!     and none of the per-stage closed forms `fn matmul_counts(`,
+//!     none of the per-stage closed forms `fn matmul_counts(`,
 //!     `fn levels_counts(`, `fn accumulate_counts(` and
-//!     `fn product_depth(`: COPSE's op counts, depth and chain primes
-//!     come from the static analyzer's one circuit replay
-//!     (`copse_core::analyze`) alone, so a second formula set cannot
-//!     re-grow beside it. (The baseline's own `classify_counts` models
-//!     a different circuit; `complexity::paper` keeps the paper's
-//!     printed SecComp, level and total forms under other names.)
+//!     `fn product_depth(`, and no `struct Replay`; and outside
+//!     `crates/core/src/seccomp.rs` nothing can match on a
+//!     `SecCompVariant`: no `SecCompVariant::… =>` arm, no `use` of its
+//!     variants, no alias of it and no `impl` on it. (A lone
+//!     `SecCompVariant::Variant` inside a wrapped `use` group is not
+//!     seen.)
+//!     COPSE's op counts, depth and chain primes come from running the
+//!     runtime on the abstract backend (`copse_core::analyze`), so
+//!     neither a formula set nor a second description of the circuit
+//!     can re-grow beside it, and a comparator is written in one file.
+//!     (The baseline's own `classify_counts` models a different
+//!     circuit, checked against the meter; `complexity::paper` keeps
+//!     the paper's printed SecComp, level and total forms under other
+//!     names.)
 //!
 //! The scan covers `crates/*/src/**/*.rs` plus the facade's `src/`;
 //! examples, integration tests, and vendored shims are out of scope.
@@ -109,7 +117,9 @@ struct Patterns {
     /// Rule 9: a public setter is `toggle.0 .. toggle.1` on one line.
     toggle: (String, String),
     second_form: [String; 2],
-    circuit_model: [String; 7],
+    circuit_model: [String; 8],
+    /// Rule 10: the comparator's type name.
+    comparator: String,
 }
 
 impl Patterns {
@@ -145,7 +155,9 @@ impl Patterns {
                 ["fn levels", "_counts("].concat(),
                 ["fn accumulate", "_counts("].concat(),
                 ["fn product", "_depth("].concat(),
+                ["struct ", "Replay"].concat(),
             ],
+            comparator: ["SecComp", "Variant"].concat(),
         }
     }
 }
@@ -296,12 +308,21 @@ fn scan_source(rel_path: &str, source: &str, patterns: &Patterns) -> Vec<Finding
         if rules.ban_route_toggle && (toggle || second_form) {
             report("route-toggle");
         }
-        if rules.ban_second_model
-            && patterns
-                .circuit_model
-                .iter()
-                .any(|p| code.contains(p.as_str()))
-        {
+        // An arm `SecCompVariant::… =>`, or what lets one drop the
+        // prefix: a `use` of its variants, an alias, an `impl` on it.
+        let comparator_arm = rel_path != "crates/core/src/seccomp.rs"
+            && code.find(patterns.comparator.as_str()).is_some_and(|i| {
+                let (line, rest) = (code.trim_start(), &code[i + patterns.comparator.len()..]);
+                let variants = rest.strip_prefix("::").is_some_and(|path| {
+                    path.contains("=>") || path.starts_with(['*', '{']) || line.starts_with("use ")
+                });
+                variants || rest.starts_with(" as ") || line.starts_with("impl")
+            });
+        let formula = patterns
+            .circuit_model
+            .iter()
+            .any(|p| code.contains(p.as_str()));
+        if rules.ban_second_model && (formula || comparator_arm) {
             report("one-circuit-model");
         }
     }
@@ -676,11 +697,20 @@ mod tests {
     #[test]
     fn flags_a_second_circuit_model() {
         let patterns = Patterns::new();
-        let [inputs, ours, depth, formulas @ ..] = &patterns.circuit_model;
+        let [inputs, ours, depth, formulas @ .., replay] = &patterns.circuit_model;
+        let variant = &patterns.comparator;
         let mut srcs = vec![
             format!("pub {inputs} {{\n"),
             format!("pub {ours} {{\n"),
             format!("    pub {depth}inputs: &CostInputs) -> u32 {{\n"),
+            format!("{replay}<'a> {{\n"),
+            // A comparator arm, and each way to drop its prefix.
+            format!("            {variant}::LadderPrefix => (1..p)\n"),
+            format!("    use crate::seccomp::{variant}::*;\n"),
+            format!("use copse_core::seccomp::{variant}::{{LadderPrefix, SharedPrefix}};\n"),
+            format!("use crate::seccomp::{variant}::LadderPrefix;\n"),
+            format!("use crate::seccomp::{variant} as Comparator;\n"),
+            format!("impl fmt::Display for {variant} {{\n"),
         ];
         srcs.extend(
             formulas
@@ -702,10 +732,18 @@ mod tests {
             assert!(scan("crates/core/src/complexity.rs", &in_test).is_empty());
             assert!(scan("crates/core/src/complexity.rs", &format!("// {src}")).is_empty());
         }
+        // The comparator's own file matches on its variants.
+        for arm in &srcs[4..10] {
+            assert_eq!(scan("crates/core/src/seccomp.rs", arm), vec![]);
+        }
         // What the workspace does hold: the paper's printed forms, the
-        // analyzer's report and its comparison-stage replay, and the
-        // baseline's own (different) circuit.
+        // analyzer's report and its comparison-stage run, a variant
+        // named without a match arm, and the baseline's own
+        // (different) circuit.
         let fine = "pub mod paper {}\n\
+                    let shared = seccomp(p, ModelForm::Encrypted, SecCompVariant::SharedPrefix);\n\
+                    use crate::seccomp::{secure_less_than, SecCompVariant};\n\
+                    comparator: SecCompVariant::default(),\n\
                     pub fn seccomp_counts(p: u32) -> OpCounts {}\n\
                     pub fn level_counts(b: usize) -> OpCounts {}\n\
                     pub fn from_meta(meta: &ModelMeta) -> CircuitReport {}\n\

@@ -111,10 +111,11 @@ impl Default for ServerConfig {
 /// did not deploy.
 #[derive(Debug)]
 pub enum DeployError {
-    /// The static analyzer says the backend cannot evaluate this circuit;
-    /// the diagnostic is recorded so clients that hello the model get
-    /// the same typed rejection.
-    Rejected(RejectionDetail),
+    /// The static analyzer says the backend cannot evaluate this circuit:
+    /// the structured diagnostic and the analyzer's message for it,
+    /// both recorded so clients that hello the model get the same typed
+    /// rejection.
+    Rejected(RejectionDetail, String),
     /// A model with this name is already deployed.
     DuplicateName(String),
     /// The evaluator worker thread could not be spawned.
@@ -124,12 +125,13 @@ pub enum DeployError {
 impl std::fmt::Display for DeployError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DeployError::Rejected(detail) => write!(
-                f,
-                "model `{}` rejected by admission: {}",
-                detail.model,
-                rejection_text(detail)
-            ),
+            DeployError::Rejected(detail, reason) => {
+                write!(
+                    f,
+                    "model `{}` rejected by admission: {reason}",
+                    detail.model
+                )
+            }
             DeployError::DuplicateName(name) => {
                 write!(f, "model `{name}` is already deployed")
             }
@@ -215,9 +217,9 @@ struct ModelEntry<B: FheBackend> {
 struct Registry<B: FheBackend> {
     models: HashMap<String, Arc<ModelEntry<B>>>,
     /// Models refused at deploy time, with the analyzer's diagnostic:
-    /// a `ClientHello` for one of these gets the typed rejection
-    /// instead of "unknown model".
-    rejected: HashMap<String, RejectionDetail>,
+    /// a `ClientHello` for one of these gets the typed rejection and
+    /// the analyzer's message instead of "unknown model".
+    rejected: HashMap<String, (RejectionDetail, String)>,
 }
 
 impl<B: FheBackend> Default for Registry<B> {
@@ -413,7 +415,7 @@ impl<B: FheBackend + 'static> ServerBuilder<B> {
         });
         for (name, maurice, form) in self.pending {
             match deploy_model(&shared, name, maurice, form) {
-                Ok(()) | Err(DeployError::Rejected(_)) => {}
+                Ok(()) | Err(DeployError::Rejected(..)) => {}
                 Err(DeployError::DuplicateName(name)) => {
                     panic!("model `{name}` registered twice")
                 }
@@ -452,13 +454,15 @@ fn deploy_model<B: FheBackend + 'static>(
     let report = CircuitReport::analyze(maurice.compiled(), &EvalShape::plan(&maurice, form));
     let issues = report.admit(&shared.profile);
     if let Some(issue) = issues.first() {
-        let detail = rejection_detail(&name, issue);
+        let (detail, reason) = (rejection_detail(&name, issue), issue.to_string());
         let mut registry = shared
             .registry
             .write()
             .unwrap_or_else(PoisonError::into_inner);
-        registry.rejected.insert(name, detail.clone());
-        return Err(DeployError::Rejected(detail));
+        registry
+            .rejected
+            .insert(name, (detail.clone(), reason.clone()));
+        return Err(DeployError::Rejected(detail, reason));
     }
     let (jobs_tx, jobs_rx) = queue::bounded(shared.config.queue_capacity);
     let (info_tx, info_rx) = queue::bounded(1);
@@ -576,29 +580,6 @@ fn rejection_detail(model: &str, issue: &AdmissionIssue) -> RejectionDetail {
         code,
         required,
         available,
-    }
-}
-
-/// Human-readable form of a wire rejection diagnostic (the structured
-/// fields travel alongside it).
-fn rejection_text(detail: &RejectionDetail) -> String {
-    match detail.code {
-        RejectionCode::DepthExceeded => format!(
-            "circuit depth {} exceeds the backend depth budget {}",
-            detail.required, detail.available
-        ),
-        RejectionCode::SlotRotationUnsupported => format!(
-            "circuit needs {} slot rotations but the backend has no slot structure",
-            detail.required
-        ),
-        RejectionCode::SlotCapacityExceeded => format!(
-            "circuit packs {}-slot operands but the backend has {} slots",
-            detail.required, detail.available
-        ),
-        RejectionCode::ChainExceeded => format!(
-            "circuit needs {} chain primes but the backend's modulus chain has {}",
-            detail.required, detail.available
-        ),
     }
 }
 
@@ -906,7 +887,11 @@ impl<B: FheBackend + 'static> InferenceServer<B> {
             .registry
             .read()
             .unwrap_or_else(PoisonError::into_inner);
-        let mut all: Vec<_> = registry.rejected.values().cloned().collect();
+        let mut all: Vec<_> = registry
+            .rejected
+            .values()
+            .map(|(detail, _)| detail.clone())
+            .collect();
         all.sort_by(|a, b| a.model.cmp(&b.model));
         all
     }
@@ -1117,10 +1102,9 @@ fn serve_connection<B: FheBackend, R: Read, W: Write>(
                             // The model exists but failed deploy-time
                             // admission: answer with the analyzer's
                             // typed diagnostic.
-                            Some(detail) => Frame::Error {
+                            Some((detail, reason)) => Frame::Error {
                                 message: format!(
-                                    "model `{model}` was rejected at deploy: {}",
-                                    rejection_text(&detail)
+                                    "model `{model}` was rejected at deploy: {reason}"
                                 ),
                                 detail: Some(detail),
                                 timing: None,

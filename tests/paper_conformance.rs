@@ -186,7 +186,7 @@ fn encryption_cost_tracks_table1d_and_1e() {
     let before = backend.meter().snapshot();
     let _ = diane.encrypt_features(&[1, 2]).unwrap();
     // One ciphertext per bit plane (the paper's Table 1e says 1 fully
-    // packed ciphertext; see DESIGN.md deviations).
+    // packed ciphertext; see `CircuitReport::query_encrypt_ops`).
     assert_eq!(
         backend.meter().snapshot().since(&before).encrypt,
         u64::from(meta.precision)
