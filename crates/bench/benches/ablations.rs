@@ -41,7 +41,7 @@ fn bench_ablations(c: &mut Criterion) {
     let enc = diane.encrypt_features(query).unwrap();
     for (name, comparator) in [
         ("ladder", SecCompVariant::LadderPrefix),
-        ("shared", SecCompVariant::SharedPrefix),
+        ("tree", SecCompVariant::Tree),
     ] {
         let sally = Sally::with_options(
             &be,

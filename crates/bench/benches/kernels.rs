@@ -34,7 +34,7 @@ fn bench_seccomp(c: &mut Criterion) {
             .collect();
         for (name, variant) in [
             ("ladder", SecCompVariant::LadderPrefix),
-            ("shared", SecCompVariant::SharedPrefix),
+            ("tree", SecCompVariant::Tree),
         ] {
             group.bench_with_input(BenchmarkId::new(name, p), &p, |bench, _| {
                 bench.iter(|| {

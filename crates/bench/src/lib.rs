@@ -24,6 +24,7 @@ use copse_baseline as baseline;
 use copse_core::compiler::CompileOptions;
 use copse_core::parallel::Parallelism;
 use copse_core::runtime::{Diane, EvalOptions, EvalTrace, Maurice, ModelForm, Sally};
+use copse_core::seccomp::SecCompVariant;
 use copse_fhe::{ClearBackend, ClearConfig, CostModel, FheBackend, OpCounts};
 use copse_forest::microbench::random_queries;
 use copse_forest::model::Forest;
@@ -100,7 +101,8 @@ pub fn measure_copse(
 }
 
 /// Measures COPSE and returns the per-stage trace of the first query
-/// alongside the measurement (Figure 10).
+/// alongside the measurement (Figure 10). Runs the paper's ladder
+/// comparator, as every paper exhibit does.
 pub fn measure_copse_traced(
     name: &str,
     forest: &Forest,
@@ -117,6 +119,7 @@ pub fn measure_copse_traced(
         maurice.deploy(&backend, form),
         EvalOptions {
             parallelism: Parallelism { threads },
+            comparator: SecCompVariant::LadderPrefix,
             ..EvalOptions::default()
         },
     );

@@ -13,6 +13,7 @@ use copse_core::compiler::{Accumulation, CompileOptions};
 use copse_core::complexity::paper;
 use copse_core::leakage::{render_table, Scenario};
 use copse_core::runtime::{Maurice, ModelForm};
+use copse_core::seccomp::SecCompVariant;
 use copse_fhe::{BgvParams, CostModel, EncryptionParams, LevelRule, NoiseBudget, SecurityLevel};
 use copse_forest::microbench::table6_specs;
 use copse_forest::zoo::{self, BenchModel, ModelGroup};
@@ -21,6 +22,15 @@ use std::fmt::Write as _;
 /// Runs the full 12-model suite once.
 fn suite(seed: u64) -> Vec<BenchModel> {
     zoo::paper_suite(seed)
+}
+
+/// The encrypted-model plan the paper evaluates: the default plan with
+/// Aloufi's ladder comparator.
+fn paper_plan(maurice: &Maurice) -> EvalShape {
+    EvalShape {
+        comparator: SecCompVariant::LadderPrefix,
+        ..EvalShape::plan(maurice, ModelForm::Encrypted)
+    }
 }
 
 fn speedup_section(
@@ -258,7 +268,7 @@ pub fn table1_2(seed: u64) -> String {
     );
     // (ours, paper) per row, at one precision.
     let seccomp = |p: u32| {
-        let ours = analyze::seccomp(p, ModelForm::Encrypted, Default::default());
+        let ours = analyze::seccomp(p, ModelForm::Encrypted, SecCompVariant::LadderPrefix);
         let printed = paper::seccomp_counts(p);
         [
             (ours.ops.multiplies_combined(), printed.multiply),
@@ -288,10 +298,7 @@ pub fn table1_2(seed: u64) -> String {
     let forest = copse_forest::microbench::generate(&spec, seed);
     let maurice = Maurice::compile(&forest, CompileOptions::default()).expect("compiles");
     let meta = &maurice.compiled().meta;
-    let report = CircuitReport::analyze(
-        maurice.compiled(),
-        &EvalShape::plan(&maurice, ModelForm::Encrypted),
-    );
+    let report = CircuitReport::analyze(maurice.compiled(), &paper_plan(&maurice));
     let ours = report.total_ops();
     let paper = paper::total_counts(
         meta.precision,
@@ -376,10 +383,7 @@ pub fn table5(seed: u64) -> String {
     // Workload for scoring: the depth5 microbenchmark op counts.
     let forest = copse_forest::microbench::generate(&table6_specs()[1], seed);
     let maurice = Maurice::compile(&forest, CompileOptions::default()).expect("compiles");
-    let report = CircuitReport::analyze(
-        maurice.compiled(),
-        &EvalShape::plan(&maurice, ModelForm::Encrypted),
-    );
+    let report = CircuitReport::analyze(maurice.compiled(), &paper_plan(&maurice));
     let ops = report.total_ops();
     let max_width = report.min_slot_capacity;
 
@@ -617,6 +621,7 @@ pub fn ablations(seed: u64, n_queries: usize, work: usize) -> String {
                     skip_zero_diagonals: matmul_skip,
                     ..MatMulOptions::default()
                 },
+                comparator: SecCompVariant::LadderPrefix,
                 ..EvalOptions::default()
             },
         );
@@ -670,7 +675,7 @@ pub fn ablations(seed: u64, n_queries: usize, work: usize) -> String {
     let _ = writeln!(out);
 
     // 2. Accumulation strategy: depth only.
-    let balanced = EvalShape::plan(&maurice, ModelForm::Encrypted);
+    let balanced = paper_plan(&maurice);
     let linear = EvalShape {
         accumulation: Accumulation::Linear,
         ..balanced
@@ -705,18 +710,17 @@ pub fn ablations(seed: u64, n_queries: usize, work: usize) -> String {
 
     // 4. Comparator variant: shrink SecComp for both COPSE and the
     // baseline, and watch the Figure 6 gap move.
-    use copse_core::seccomp::SecCompVariant;
     let _ = writeln!(
         out,
-        "comparator variant (SecComp mult counts, encrypted model):"
+        "comparator variant (SecComp ct-mults and depth, encrypted model):"
     );
     for p in [8u32, 16] {
         let ladder = analyze::seccomp(p, ModelForm::Encrypted, SecCompVariant::LadderPrefix);
-        let shared = analyze::seccomp(p, ModelForm::Encrypted, SecCompVariant::SharedPrefix);
+        let tree = analyze::seccomp(p, ModelForm::Encrypted, SecCompVariant::Tree);
         let _ = writeln!(
             out,
-            "  p = {p:>2}: ladder {} ct-mults (paper-parity) vs shared-prefix {} ct-mults",
-            ladder.ops.multiply, shared.ops.multiply
+            "  p = {p:>2}: ladder {} ct-mults, depth {} (paper-parity) vs tree {} ct-mults, depth {} (served)",
+            ladder.ops.multiply, ladder.depth_cost, tree.ops.multiply, tree.depth_cost
         );
     }
     let _ = writeln!(
@@ -844,4 +848,30 @@ pub fn analysis_json(seed: u64) -> String {
          \"circuits\": [\n{}\n  ]\n}}\n",
         entries.join(",\n"),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Both halves of the Tables 1–2 exhibit run the paper's comparator:
+    /// the metered run agrees with the analyzer, and the SecComp rows
+    /// are the ladder's.
+    #[test]
+    fn table1_2_verifies_the_paper_ladder() {
+        let text = table1_2(crate::SUITE_SEED);
+        assert!(
+            text.contains("measured == our formulas: VERIFIED"),
+            "{text}"
+        );
+        let p8 = |label: &str| -> u64 {
+            let line = text.lines().find_map(|l| l.strip_prefix(label));
+            let first = line.and_then(|rest| rest.split_whitespace().next());
+            first.and_then(|n| n.parse().ok()).expect(label)
+        };
+        let ladder = analyze::seccomp(8, ModelForm::Encrypted, SecCompVariant::LadderPrefix);
+        assert_eq!(p8("SecComp multiplies"), ladder.ops.multiplies_combined());
+        assert_eq!(p8("SecComp adds"), ladder.ops.add);
+        assert_eq!(p8("SecComp depth"), u64::from(ladder.depth_cost));
+    }
 }

@@ -609,15 +609,18 @@ mod tests {
 
     #[test]
     fn seccomp_depth_corner_cases() {
-        use SecCompVariant::{LadderPrefix, SharedPrefix};
+        use SecCompVariant::{LadderPrefix, Tree};
         let depth = |p, v| seccomp(p, ModelForm::Plain, v).depth_cost;
-        for v in [LadderPrefix, SharedPrefix] {
+        for v in [LadderPrefix, Tree] {
             assert_eq!(depth(1, v), 1);
             assert_eq!(depth(2, v), 2);
+            // Ladder: largest term multiplies 8 factors, one at depth
+            // 1; tree: three levels above the depth-1 leaves.
+            assert_eq!(depth(8, v), log2ceil(8) + 1);
         }
-        assert_eq!(depth(8, SharedPrefix), log2ceil(7) + 1);
-        // Ladder: largest term multiplies 8 factors, one at depth 1.
-        assert_eq!(depth(8, LadderPrefix), 4);
+        // Off a power of two the tree is a level shallower.
+        assert_eq!(depth(6, LadderPrefix), log2ceil(6) + 1);
+        assert_eq!(depth(6, Tree), log2ceil(6));
     }
 
     #[test]
@@ -639,17 +642,19 @@ mod tests {
     }
 
     #[test]
-    fn ladder_is_more_expensive_than_shared() {
-        // Quadratic vs p log p: equal at p = 4, strictly worse beyond.
+    fn ladder_is_more_expensive_than_tree() {
+        // Quadratic vs linear: equal up to p = 3, strictly worse beyond.
         let mult = |p, v| seccomp(p, ModelForm::Encrypted, v).ops.multiply;
-        assert_eq!(
-            mult(4, SecCompVariant::LadderPrefix),
-            mult(4, SecCompVariant::SharedPrefix)
-        );
-        for p in [8u32, 16, 32] {
+        for p in [1u32, 2, 3] {
+            assert_eq!(
+                mult(p, SecCompVariant::LadderPrefix),
+                mult(p, SecCompVariant::Tree)
+            );
+        }
+        for p in [4u32, 8, 16, 32] {
             let ladder = mult(p, SecCompVariant::LadderPrefix);
-            let shared = mult(p, SecCompVariant::SharedPrefix);
-            assert!(ladder > shared, "p = {p}: {ladder} !> {shared}");
+            let tree = mult(p, SecCompVariant::Tree);
+            assert!(ladder > tree, "p = {p}: {ladder} !> {tree}");
         }
     }
 

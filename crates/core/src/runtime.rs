@@ -87,8 +87,8 @@ pub struct EvalOptions {
     pub packing: PackingMode,
     /// MatMul kernel options (sparse-diagonal ablation).
     pub matmul: MatMulOptions,
-    /// SecComp strategy (paper-parity ladder by default; shared-prefix
-    /// scan as an ablation).
+    /// SecComp strategy: the linear divide-and-conquer tree by default;
+    /// the paper exhibits and the baseline name Aloufi's ladder.
     pub comparator: SecCompVariant,
     /// When set, Sally applies a secret random permutation to the
     /// result vector (one extra plaintext MatMul) and hands clients a

@@ -16,35 +16,35 @@
 //! ```
 //!
 //! where the XOR-accumulation is exact because at most one term fires.
-//! Two strategies compute the equality-prefix terms
-//! ([`SecCompVariant`]):
+//! Two strategies evaluate it ([`SecCompVariant`]):
 //!
 //! * [`LadderPrefix`](SecCompVariant::LadderPrefix) — every term's
 //!   product is evaluated independently by balanced pairwise
 //!   multiplication, exactly as Aloufi et al. describe ("the
 //!   multiplications in each term are evaluated recursively in pairs").
-//!   `Θ(p²)` multiplies, depth `⌈log₂ p⌉ + 1`. This is the paper-parity
-//!   default: the paper uses Aloufi's SecComp in both COPSE and the
-//!   baseline.
-//! * [`SharedPrefix`](SecCompVariant::SharedPrefix) — a Hillis–Steele
-//!   AND-scan shares prefixes across terms: `Θ(p log p)` multiplies,
-//!   same depth up to a constant. A strict improvement we provide as an
-//!   ablation (it shrinks the baseline's per-branch comparison cost
-//!   b-fold more than COPSE's single comparison, so it *narrows* the
-//!   paper's speedup).
+//!   `p(p−1)/2` multiplies, depth `⌈log₂ p⌉ + 1`. The paper uses it in
+//!   both COPSE and the baseline, so the paper exhibits and
+//!   `copse-baseline` name it.
+//! * [`Tree`](SecCompVariant::Tree) — divide and conquer: a node holds
+//!   `(lt, eq)` over a contiguous range of planes, and adjacent ranges
+//!   merge as `lt = lt_hi ⊕ eq_hi ∧ lt_lo`, `eq = eq_hi ∧ eq_lo`. The
+//!   range holding plane `p−1` never needs its `eq`, so `Θ(p)`
+//!   multiplies (11 at `p = 8`, 26 at `p = 16`, against the ladder's 28
+//!   and 120), never deeper than the ladder. The default, so what
+//!   `copse-server` runs.
 
 use crate::parallel::{map_indices, Parallelism};
 use copse_fhe::{FheBackend, MaybeEncrypted};
 
-/// Strategy for the equality-prefix products inside SecComp.
+/// How SecComp combines the per-plane `below`/`equal` bits.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SecCompVariant {
-    /// Independent balanced product per term (Aloufi et al.; the
-    /// paper-parity default).
-    #[default]
+    /// Independent balanced product per term (Aloufi et al.; what the
+    /// paper evaluates).
     LadderPrefix,
-    /// Hillis-Steele shared prefix scan (our cheaper alternative).
-    SharedPrefix,
+    /// Divide-and-conquer `(lt, eq)` tree: linear in `p`.
+    #[default]
+    Tree,
 }
 
 /// Computes the packed decision vector `features < thresholds`.
@@ -77,52 +77,48 @@ pub fn secure_less_than<B: FheBackend>(
         thresholds[i].mul_into(backend, &backend.not(&features[i]))
     });
 
-    if p == 1 {
-        return below.into_iter().next().expect("p == 1");
-    }
-
     // Equality bits for planes 0..p-2 (plane p-1 never prefixes):
     // e_i = NOT(x_i XOR t_i).
     let equal: Vec<B::Ciphertext> = map_indices(parallelism, p - 1, |i| {
         backend.not(&thresholds[i].add_into(backend, &features[i]))
     });
 
-    let terms: Vec<B::Ciphertext> = match variant {
-        SecCompVariant::LadderPrefix => map_indices(parallelism, p - 1, |j| {
-            let i = j + 1;
-            let mut factors = Vec::with_capacity(i + 1);
-            factors.push(below[i].clone());
-            factors.extend(equal[..i].iter().cloned());
-            balanced_product(backend, factors)
-        }),
-        SecCompVariant::SharedPrefix => {
-            // Hillis-Steele inclusive AND-scan:
-            // prefix[i] = e_0 ∧ ... ∧ e_i.
-            let mut prefix = equal;
-            let mut step = 1;
-            while step < prefix.len() {
-                let snapshot = prefix.clone();
-                let updated = map_indices(parallelism, prefix.len() - step, |j| {
-                    let i = j + step;
-                    backend.mul(&snapshot[i], &snapshot[i - step])
-                });
-                for (j, v) in updated.into_iter().enumerate() {
-                    prefix[j + step] = v;
-                }
-                step *= 2;
-            }
-            map_indices(parallelism, p - 1, |j| {
-                backend.mul(&prefix[j], &below[j + 1])
-            })
+    match variant {
+        SecCompVariant::LadderPrefix => {
+            let terms = map_indices(parallelism, p - 1, |j| {
+                let i = j + 1;
+                let mut factors = Vec::with_capacity(i + 1);
+                factors.push(below[i].clone());
+                factors.extend(equal[..i].iter().cloned());
+                balanced_product(backend, factors)
+            });
+            // Combine: l_0 XOR the per-position terms.
+            terms
+                .iter()
+                .fold(below[0].clone(), |acc, t| backend.add(&acc, t))
         }
-    };
-
-    // Combine: l_0 XOR the per-position terms.
-    let mut acc = below[0].clone();
-    for t in &terms {
-        acc = backend.add(&acc, t);
+        SecCompVariant::Tree => {
+            // Leaves (l_i, e_i). The last node of every level holds
+            // plane p-1, whose `eq` nothing reads: it has none.
+            let eqs = equal.into_iter().map(Some).chain([None]);
+            let mut nodes: Vec<_> = below.into_iter().zip(eqs).collect();
+            while nodes.len() > 1 {
+                // An odd node is carried up unchanged.
+                let odd = nodes.len() % 2 == 1;
+                let carried = nodes.pop_if(|_| odd);
+                let mut merged = map_indices(parallelism, nodes.len() / 2, |k| {
+                    let ((lt_hi, eq_hi), (lt_lo, eq_lo)) = (&nodes[2 * k], &nodes[2 * k + 1]);
+                    let eq_hi = eq_hi.as_ref().expect("only the last node lacks eq");
+                    // The XOR joins disjoint terms: lt_hi = 1 ⇒ eq_hi = 0.
+                    let lt = backend.add(lt_hi, &backend.mul(eq_hi, lt_lo));
+                    (lt, eq_lo.as_ref().map(|eq_lo| backend.mul(eq_hi, eq_lo)))
+                });
+                merged.extend(carried);
+                nodes = merged;
+            }
+            nodes.pop().expect("one root").0
+        }
     }
-    acc
 }
 
 /// Balanced pairwise product of `factors` (`n-1` multiplies, depth
@@ -154,8 +150,7 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    const VARIANTS: [SecCompVariant; 2] =
-        [SecCompVariant::LadderPrefix, SecCompVariant::SharedPrefix];
+    const VARIANTS: [SecCompVariant; 2] = [SecCompVariant::LadderPrefix, SecCompVariant::Tree];
 
     fn run_comparison(
         xs: &[u64],
@@ -185,14 +180,17 @@ mod tests {
     }
 
     #[test]
-    fn compares_exhaustively_at_4_bits() {
-        let all: Vec<u64> = (0..16).collect();
-        for variant in VARIANTS {
-            for &t in &all {
-                let ts = vec![t; 16];
-                let got = run_comparison(&all, &ts, 4, false, variant, 1);
-                let want: Vec<bool> = all.iter().map(|&x| x < t).collect();
-                assert_eq!(got, want, "threshold {t} variant {variant:?}");
+    fn compares_every_pair_up_to_6_bits() {
+        for p in 1..=6u32 {
+            let n = 1u64 << p;
+            let xs: Vec<u64> = (0..n * n).map(|k| k / n).collect();
+            let ts: Vec<u64> = (0..n * n).map(|k| k % n).collect();
+            let want: Vec<bool> = xs.iter().zip(&ts).map(|(x, t)| x < t).collect();
+            for variant in VARIANTS {
+                for encrypted in [false, true] {
+                    let got = run_comparison(&xs, &ts, p, encrypted, variant, 1);
+                    assert_eq!(got, want, "p = {p} {variant:?} encrypted={encrypted}");
+                }
             }
         }
     }
@@ -218,35 +216,43 @@ mod tests {
             let ts: Vec<u64> = (0..20).map(|_| rng.gen_range(0..bound)).collect();
             assert_eq!(
                 run_comparison(&xs, &ts, p, true, SecCompVariant::LadderPrefix, 1),
-                run_comparison(&xs, &ts, p, true, SecCompVariant::SharedPrefix, 1),
+                run_comparison(&xs, &ts, p, true, SecCompVariant::Tree, 1),
                 "p = {p}"
             );
         }
     }
 
     #[test]
-    fn shared_prefix_uses_fewer_multiplies() {
-        let be = ClearBackend::with_defaults();
-        let mut counts = Vec::new();
-        for variant in VARIANTS {
-            let x = BitSliced::from_values(&[100], 16);
-            let t = BitSliced::from_values(&[200], 16);
-            let feats: Vec<_> = x.planes().iter().map(|p| be.encrypt_bits(p)).collect();
-            let thresh: Vec<_> = t
-                .planes()
-                .iter()
-                .map(|p| MaybeEncrypted::Encrypted(be.encrypt_bits(p)))
-                .collect();
-            let before = be.meter().snapshot();
-            let _ = secure_less_than(&be, &feats, &thresh, variant, Parallelism::sequential());
-            counts.push(be.meter().snapshot().since(&before).multiply);
+    fn tree_dominates_the_ladder() {
+        use crate::analyze::seccomp;
+        use crate::runtime::ModelForm::{Encrypted, Plain};
+        use SecCompVariant::{LadderPrefix, Tree};
+        // On the abstract backend: ct-ct multiplies and depth, and
+        // every other op, which the two arms share.
+        let cost = |p, form, v| {
+            let s = seccomp(p, form, v);
+            (s.ops.multiply, s.depth_cost)
+        };
+        let rest = |p, form, v| copse_fhe::OpCounts {
+            multiply: 0,
+            ..seccomp(p, form, v).ops
+        };
+        for p in 1..=32u32 {
+            for form in [Plain, Encrypted] {
+                let ((lm, ld), (tm, td)) = (cost(p, form, LadderPrefix), cost(p, form, Tree));
+                assert!(tm <= lm && td <= ld, "p = {p} {form:?}");
+                assert_eq!(rest(p, form, Tree), rest(p, form, LadderPrefix));
+            }
         }
-        assert!(
-            counts[1] < counts[0],
-            "shared {} !< ladder {}",
-            counts[1],
-            counts[0]
-        );
+        for (p, plain, encrypted, ladder) in [
+            (6, (8, 3), (14, 3), (15, 4)),
+            (8, (11, 4), (19, 4), (28, 4)),
+            (16, (26, 5), (42, 5), (120, 5)),
+        ] {
+            assert_eq!(cost(p, Plain, Tree), plain, "p = {p}");
+            assert_eq!(cost(p, Encrypted, Tree), encrypted, "p = {p}");
+            assert_eq!(cost(p, Plain, LadderPrefix), ladder, "p = {p}");
+        }
     }
 
     #[test]

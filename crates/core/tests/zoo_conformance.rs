@@ -309,7 +309,7 @@ fn result_shuffle_prediction_conforms() {
     assert_eq!(observed_depth, report.depth, "shuffled depth");
 }
 
-/// The evaluation choices off the default plan — the shared-prefix
+/// The evaluation choices off the default plan — the paper's ladder
 /// comparator, linear accumulation, and both together — conform per
 /// stage and in result depth too, in both model forms, on models that
 /// spread depth (4, 6) and precision (8, 16). Nothing else meters
@@ -321,9 +321,9 @@ fn comparator_and_accumulation_variants_conform() {
         let model = suite.iter().find(|m| m.name == name).expect("zoo model");
         for form in [ModelForm::Plain, ModelForm::Encrypted] {
             for (comparator, accumulation) in [
-                (SecCompVariant::SharedPrefix, Accumulation::BalancedTree),
+                (SecCompVariant::LadderPrefix, Accumulation::BalancedTree),
+                (SecCompVariant::Tree, Accumulation::Linear),
                 (SecCompVariant::LadderPrefix, Accumulation::Linear),
-                (SecCompVariant::SharedPrefix, Accumulation::Linear),
             ] {
                 let options = CompileOptions {
                     accumulation,

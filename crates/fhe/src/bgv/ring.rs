@@ -32,7 +32,7 @@
 //! which doubles as the test oracle for the NTT path.
 
 use crate::math::modq::{add_mod, gcd, inv_mod, mul_mod, ntt_chain_primes, sub_mod};
-use crate::math::ntt::NttPlan;
+use crate::math::ntt::{mul_shoup, shoup, sub_q, NttPlan};
 use rand::Rng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -66,6 +66,8 @@ pub struct RnsContext {
     /// flavor) or `m/2` (negacyclic flavor); `None` where the prime's
     /// 2-adicity is too small (schoolbook fallback).
     plans: Vec<Option<NttPlan>>,
+    /// [`RnsContext::mod_switch_down`]'s constants, from `switch_table`.
+    switch_inv: Vec<Vec<(u64, u64)>>,
     use_ntt: bool,
     /// Parallel degree for per-prime row loops (1 = sequential). An
     /// atomic so the knob can be turned through a shared handle (the
@@ -82,6 +84,7 @@ impl Clone for RnsContext {
             flavor: self.flavor,
             primes: self.primes.clone(),
             plans: self.plans.clone(),
+            switch_inv: self.switch_inv.clone(),
             use_ntt: self.use_ntt,
             threads: AtomicUsize::new(self.threads.load(Ordering::Relaxed)),
         }
@@ -135,8 +138,8 @@ impl RnsContext {
     /// # Panics
     ///
     /// Panics if `m` is even (use [`RnsContext::new_negacyclic`] for
-    /// power-of-two indices), fewer than one prime is supplied, or any
-    /// prime is even.
+    /// power-of-two indices), fewer than one prime is supplied, any
+    /// prime is even, or two primes are not coprime.
     pub fn new(m: usize, primes: Vec<u64>) -> Self {
         assert!(
             m >= 3 && m % 2 == 1,
@@ -150,6 +153,7 @@ impl RnsContext {
             m,
             phi: m - 1,
             flavor: RingFlavor::PrimeCyclotomic,
+            switch_inv: Self::switch_table(&primes),
             primes,
             plans,
             use_ntt: true,
@@ -169,7 +173,8 @@ impl RnsContext {
     /// # Panics
     ///
     /// Panics if `m` is not a power of two `>= 4`, fewer than one
-    /// prime is supplied, or any prime is even.
+    /// prime is supplied, any prime is even, or two primes are not
+    /// coprime.
     pub fn new_negacyclic(m: usize, primes: Vec<u64>) -> Self {
         assert!(
             m.is_power_of_two() && m >= 4,
@@ -185,6 +190,7 @@ impl RnsContext {
             m,
             phi: n,
             flavor: RingFlavor::NegacyclicPow2,
+            switch_inv: Self::switch_table(&primes),
             primes,
             plans,
             use_ntt: true,
@@ -891,21 +897,45 @@ impl RnsContext {
                 d
             })
             .collect();
-        let residues = (0..level - 1)
-            .map(|j| {
-                let q = self.primes[j];
-                let inv = inv_mod(q_last % q, q).expect("chain primes are coprime");
-                a.residues[j]
-                    .iter()
+        let residues = a.residues[..level - 1]
+            .iter()
+            .zip(&self.primes)
+            .zip(&self.switch_inv[level - 1])
+            .map(|((row, &q), &(inv, inv_shoup))| {
+                row.iter()
                     .zip(&deltas)
                     .map(|(&c, &d)| {
-                        let d_mod = d.rem_euclid(q as i64) as u64;
-                        mul_mod(sub_mod(c, d_mod, q), inv, q)
+                        // |d| <= q_last, which is below q on a
+                        // descending chain: one conditional add.
+                        let d_mod = if d.unsigned_abs() >= q {
+                            d.rem_euclid(q as i64) as u64
+                        } else if d < 0 {
+                            (d + q as i64) as u64
+                        } else {
+                            d as u64
+                        };
+                        mul_shoup(sub_q(c, d_mod, q), inv, inv_shoup, q)
                     })
                     .collect()
             })
             .collect();
         RnsPoly { residues }
+    }
+
+    /// `(q_l⁻¹ mod q_j, its Shoup quotient)` for every `j < l`: row `l`
+    /// is what a switch down from `l + 1` primes multiplies by.
+    fn switch_table(primes: &[u64]) -> Vec<Vec<(u64, u64)>> {
+        (0..primes.len())
+            .map(|l| {
+                primes[..l]
+                    .iter()
+                    .map(|&q| {
+                        let inv = inv_mod(primes[l] % q, q).expect("chain primes are coprime");
+                        (inv, shoup(inv, q))
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     /// Centered coefficients of a **single-prime** element.
@@ -1068,6 +1098,65 @@ mod tests {
             assert_eq!(centered[7].rem_euclid(2), (-value).rem_euclid(2));
             // The magnitude also shrinks to ~|value|/q + 1.
             assert!(centered[0].abs() <= 2, "scaled magnitude {}", centered[0]);
+        }
+    }
+
+    /// [`RnsContext::mod_switch_down`] at plain modulus 2 the way it was
+    /// first written — an inverse per call, `u128` reductions and
+    /// `rem_euclid` per coefficient — as the oracle for the precomputed
+    /// Shoup constants.
+    fn switch_down_oracle(ctx: &RnsContext, a: &RnsPoly) -> RnsPoly {
+        use crate::math::modq::center;
+        let level = a.residues.len();
+        let q_last = ctx.primes()[level - 1];
+        let deltas: Vec<i64> = a.residues[level - 1]
+            .iter()
+            .map(|&c| match center(c, q_last) {
+                d if d.rem_euclid(2) == 0 => d,
+                d if d > 0 => d - q_last as i64,
+                d => d + q_last as i64,
+            })
+            .collect();
+        let residues = (0..level - 1)
+            .map(|j| {
+                let q = ctx.primes()[j];
+                let inv = inv_mod(q_last % q, q).expect("coprime");
+                a.residues[j]
+                    .iter()
+                    .zip(&deltas)
+                    .map(|(&c, &d)| mul_mod(sub_mod(c, d.rem_euclid(q as i64) as u64, q), inv, q))
+                    .collect()
+            })
+            .collect();
+        RnsPoly { residues }
+    }
+
+    #[test]
+    fn mod_switch_matches_the_division_oracle_at_every_level() {
+        // The benchmark's shape (m = 127, 25-bit primes), on the
+        // descending chain keygen draws and on the same chain reversed,
+        // where the dropped prime is the largest.
+        let descending = ntt_chain_primes(25, 8, RnsContext::ntt_size(127).trailing_zeros());
+        let ascending: Vec<u64> = descending.iter().rev().copied().collect();
+        let mut rng = SmallRng::seed_from_u64(9);
+        for chain in [descending, ascending] {
+            let ctx = RnsContext::new(127, chain);
+            for level in 2..=8 {
+                let q_last = ctx.primes()[level - 1];
+                for _ in 0..4 {
+                    let mut a = ctx.sample_uniform(level, &mut rng);
+                    // The dropped residue's edges: zero, the centring
+                    // boundary, the top.
+                    let edges = [0, 1, q_last / 2, q_last / 2 + 1, q_last - 1];
+                    a.residues[level - 1][..edges.len()].copy_from_slice(&edges);
+                    assert_eq!(
+                        ctx.mod_switch_down(&a, 2),
+                        switch_down_oracle(&ctx, &a),
+                        "level {level} of {:?}",
+                        ctx.primes()
+                    );
+                }
+            }
         }
     }
 

@@ -42,7 +42,7 @@ fn add_q(a: u64, b: u64, q: u64) -> u64 {
 
 /// `(a - b) mod q` for canonical operands.
 #[inline]
-fn sub_q(a: u64, b: u64, q: u64) -> u64 {
+pub(crate) fn sub_q(a: u64, b: u64, q: u64) -> u64 {
     if a >= b {
         a - b
     } else {
@@ -52,7 +52,7 @@ fn sub_q(a: u64, b: u64, q: u64) -> u64 {
 
 /// Shoup quotient `⌊w · 2^64 / q⌋` for the fast twiddle multiply.
 #[inline]
-fn shoup(w: u64, q: u64) -> u64 {
+pub(crate) fn shoup(w: u64, q: u64) -> u64 {
     (((w as u128) << 64) / q as u128) as u64
 }
 
@@ -60,7 +60,7 @@ fn shoup(w: u64, q: u64) -> u64 {
 ///
 /// Valid for `x < q < 2^63`; the result is canonical.
 #[inline]
-fn mul_shoup(x: u64, w: u64, w_shoup: u64, q: u64) -> u64 {
+pub(crate) fn mul_shoup(x: u64, w: u64, w_shoup: u64, q: u64) -> u64 {
     let t = ((x as u128 * w_shoup as u128) >> 64) as u64;
     let r = x.wrapping_mul(w).wrapping_sub(t.wrapping_mul(q));
     if r >= q {

@@ -707,7 +707,7 @@ mod tests {
             // A comparator arm, and each way to drop its prefix.
             format!("            {variant}::LadderPrefix => (1..p)\n"),
             format!("    use crate::seccomp::{variant}::*;\n"),
-            format!("use copse_core::seccomp::{variant}::{{LadderPrefix, SharedPrefix}};\n"),
+            format!("use copse_core::seccomp::{variant}::{{LadderPrefix, Tree}};\n"),
             format!("use crate::seccomp::{variant}::LadderPrefix;\n"),
             format!("use crate::seccomp::{variant} as Comparator;\n"),
             format!("impl fmt::Display for {variant} {{\n"),
@@ -741,7 +741,7 @@ mod tests {
         // named without a match arm, and the baseline's own
         // (different) circuit.
         let fine = "pub mod paper {}\n\
-                    let shared = seccomp(p, ModelForm::Encrypted, SecCompVariant::SharedPrefix);\n\
+                    let tree = seccomp(p, ModelForm::Encrypted, SecCompVariant::Tree);\n\
                     use crate::seccomp::{secure_less_than, SecCompVariant};\n\
                     comparator: SecCompVariant::default(),\n\
                     pub fn seccomp_counts(p: u32) -> OpCounts {}\n\

@@ -120,7 +120,7 @@ fn every_option_combination_is_equivalent() {
     for form in [ModelForm::Plain, ModelForm::Encrypted] {
         for fuse in [false, true] {
             for acc in [Accumulation::BalancedTree, Accumulation::Linear] {
-                for comparator in [SecCompVariant::LadderPrefix, SecCompVariant::SharedPrefix] {
+                for comparator in [SecCompVariant::LadderPrefix, SecCompVariant::Tree] {
                     for threads in [1usize, 4] {
                         let skip = form == ModelForm::Plain;
                         let got = run_copse(

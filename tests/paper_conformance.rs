@@ -7,6 +7,7 @@ use copse::core::compiler::CompileOptions;
 use copse::core::complexity;
 use copse::core::leakage::{leakage_profile, LeakedItem, Scenario};
 use copse::core::runtime::{Diane, Maurice, ModelForm, Sally};
+use copse::core::seccomp::SecCompVariant;
 use copse::fhe::{ClearBackend, EncryptionParams, FheBackend, SecurityLevel};
 use copse::forest::microbench::{self, table6_specs};
 use copse::forest::zoo;
@@ -122,11 +123,12 @@ fn table5_sweep_selects_the_paper_parameters() {
         .unwrap();
     let forest = microbench::generate(&table6_specs()[1], 11);
     let maurice = Maurice::compile(&forest, CompileOptions::default()).unwrap();
-    let ops = CircuitReport::analyze(
-        maurice.compiled(),
-        &EvalShape::plan(&maurice, ModelForm::Encrypted),
-    )
-    .total_ops();
+    // The paper's own circuit: Aloufi's ladder comparator.
+    let shape = EvalShape {
+        comparator: SecCompVariant::LadderPrefix,
+        ..EvalShape::plan(&maurice, ModelForm::Encrypted)
+    };
+    let ops = CircuitReport::analyze(maurice.compiled(), &shape).total_ops();
 
     let best = EncryptionParams::sweep_grid()
         .into_iter()

@@ -111,7 +111,7 @@ proptest! {
         let enc = diane.encrypt_features(&query).unwrap();
         let deployed = maurice.deploy(&backend, ModelForm::Encrypted);
         let mut results = Vec::new();
-        for comparator in [SecCompVariant::LadderPrefix, SecCompVariant::SharedPrefix] {
+        for comparator in [SecCompVariant::LadderPrefix, SecCompVariant::Tree] {
             let sally = Sally::with_options(
                 &backend,
                 deployed.clone(),
