@@ -11,7 +11,9 @@ use copse_core::seccomp::{balanced_product, secure_less_than, SecCompVariant};
 use copse_fhe::bgv::ring::RnsContext;
 use copse_fhe::bgv::scheme::{BgvParams, BgvScheme};
 use copse_fhe::{BitSliced, BitVec, ClearBackend, FheBackend, MaybeEncrypted};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{
+    criterion_group, criterion_main, BatchSize, BenchmarkGroup, BenchmarkId, Criterion,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -118,34 +120,37 @@ fn bench_accumulate(c: &mut Criterion) {
 fn bench_ring_mul(c: &mut Criterion) {
     let mut group = c.benchmark_group("ring_mul");
     group.sample_size(10);
-    let mut rng = SmallRng::seed_from_u64(4);
+    let rng = &mut SmallRng::seed_from_u64(4);
+    // Fresh operands every repetition, drawn outside the timed region:
+    // a repeated input lets the branch predictor learn a kernel's
+    // data-dependent branches, which once hid a several-fold cost in
+    // the NTT butterflies.
+    let mut bench = |group: &mut BenchmarkGroup, id: BenchmarkId, ctx: &RnsContext| {
+        group.bench_function(id, |bench| {
+            bench.iter_batched(
+                || (ctx.sample_uniform(3, rng), ctx.sample_uniform(3, rng)),
+                |(a, b)| ctx.mul(&a, &b),
+                BatchSize::SmallInput,
+            )
+        });
+    };
     // Level-3 chains of 45-bit NTT-friendly primes; the same chain
     // feeds both paths, with the fast path toggled off for the oracle.
     for m in [127usize, 509] {
         let (ntt, school) = RnsContext::ntt_schoolbook_pair(m, 45, 3);
-        let a = ntt.sample_uniform(3, &mut rng);
-        let b = ntt.sample_uniform(3, &mut rng);
-        group.bench_with_input(BenchmarkId::new("ntt", m), &m, |bench, _| {
-            bench.iter(|| ntt.mul(&a, &b))
-        });
-        group.bench_with_input(BenchmarkId::new("schoolbook", m), &m, |bench, _| {
-            bench.iter(|| school.mul(&a, &b))
-        });
+        bench(&mut group, BenchmarkId::new("ntt", m), &ntt);
+        bench(&mut group, BenchmarkId::new("schoolbook", m), &school);
     }
     // The negacyclic power-of-two flavor at comparable dimensions:
     // ψ-twisted transforms of size exactly n (half the prime flavor's
     // next_pow2(2m - 1) padded length).
     for n in [128usize, 512] {
         let (nega, nega_school) = RnsContext::negacyclic_schoolbook_pair(n, 45, 3);
-        let a = nega.sample_uniform(3, &mut rng);
-        let b = nega.sample_uniform(3, &mut rng);
-        group.bench_with_input(BenchmarkId::new("negacyclic", n), &n, |bench, _| {
-            bench.iter(|| nega.mul(&a, &b))
-        });
-        group.bench_with_input(
+        bench(&mut group, BenchmarkId::new("negacyclic", n), &nega);
+        bench(
+            &mut group,
             BenchmarkId::new("negacyclic_schoolbook", n),
-            &n,
-            |bench, _| bench.iter(|| nega_school.mul(&a, &b)),
+            &nega_school,
         );
     }
     group.finish();

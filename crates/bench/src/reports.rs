@@ -498,14 +498,64 @@ pub fn table6(seed: u64) -> String {
 
 /// Ring-multiplication kernel: the BGV backend's NTT fast path vs the
 /// schoolbook fallback on identical level-3 RNS chains of 45-bit
-/// NTT-friendly primes. This is the innermost kernel of every
+/// NTT-friendly primes, plus one 256-point forward transform at the
+/// benchmark's 25-bit primes. This is the innermost kernel of every
 /// homomorphic operation (mat-vec, key switching, automorphisms), so
 /// its speedup propagates through every server-side batch.
+///
+/// Every repetition times fresh operands, drawn outside the timed
+/// region: a repeated input lets the branch predictor learn a kernel's
+/// data-dependent branches, which once hid a several-fold cost in the
+/// NTT butterflies. The forward-transform line prints both, so such a gap
+/// shows.
 pub fn ring_mul() -> String {
-    use copse_fhe::bgv::ring::RnsContext;
+    use copse_fhe::bgv::ring::{RnsContext, RnsPoly};
+    use copse_fhe::math::{modq::ntt_chain_primes, ntt::NttPlan};
     use copse_trace::Stopwatch;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    const REPS: usize = 7;
+    let mut rng = SmallRng::seed_from_u64(0x517);
+    let mut pairs = |ctx: &RnsContext| -> Vec<(RnsPoly, RnsPoly)> {
+        (0..REPS)
+            .map(|_| {
+                (
+                    ctx.sample_uniform(3, &mut rng),
+                    ctx.sample_uniform(3, &mut rng),
+                )
+            })
+            .collect()
+    };
+    let time_ms = |ctx: &RnsContext, pairs: &[(RnsPoly, RnsPoly)]| -> f64 {
+        let times: Vec<_> = pairs
+            .iter()
+            .map(|(a, b)| {
+                let start = Stopwatch::start();
+                let _ = std::hint::black_box(ctx.mul(a, b));
+                start.elapsed()
+            })
+            .collect();
+        crate::median(times).as_secs_f64() * 1e3
+    };
+    let header = |out: &mut String, first: &str| {
+        let _ = writeln!(
+            out,
+            "{:<6} {:>9} {:>12} {:>15} {:>9}",
+            first, "ntt_size", "ntt_ms", "schoolbook_ms", "speedup"
+        );
+    };
+    let row = |out: &mut String, size: usize, transform: usize, fast: f64, slow: f64| {
+        let _ = writeln!(
+            out,
+            "{:<6} {:>9} {:>12.3} {:>15.3} {:>8.1}x",
+            size,
+            transform,
+            fast,
+            slow,
+            slow / fast
+        );
+    };
 
     let mut out = String::new();
     let _ = writeln!(
@@ -513,37 +563,12 @@ pub fn ring_mul() -> String {
         "## Ring-mul kernel: NTT vs schoolbook (level-3 chain, 45-bit primes)"
     );
     let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "{:<6} {:>9} {:>12} {:>15} {:>9}",
-        "m", "ntt_size", "ntt_ms", "schoolbook_ms", "speedup"
-    );
-    let mut rng = SmallRng::seed_from_u64(0x517);
+    header(&mut out, "m");
     for m in [127usize, 257, 509] {
         let (ntt, school) = RnsContext::ntt_schoolbook_pair(m, 45, 3);
-        let a = ntt.sample_uniform(3, &mut rng);
-        let b = ntt.sample_uniform(3, &mut rng);
-        let time_ms = |ctx: &RnsContext| -> f64 {
-            let times: Vec<_> = (0..7)
-                .map(|_| {
-                    let start = Stopwatch::start();
-                    let _ = std::hint::black_box(ctx.mul(&a, &b));
-                    start.elapsed()
-                })
-                .collect();
-            crate::median(times).as_secs_f64() * 1e3
-        };
-        let fast = time_ms(&ntt);
-        let slow = time_ms(&school);
-        let _ = writeln!(
-            out,
-            "{:<6} {:>9} {:>12.3} {:>15.3} {:>8.1}x",
-            m,
-            RnsContext::ntt_size(m),
-            fast,
-            slow,
-            slow / fast
-        );
+        let operands = pairs(&ntt);
+        let (fast, slow) = (time_ms(&ntt, &operands), time_ms(&school, &operands));
+        row(&mut out, m, RnsContext::ntt_size(m), fast, slow);
     }
     let _ = writeln!(out);
     let _ = writeln!(
@@ -555,41 +580,45 @@ pub fn ring_mul() -> String {
         out,
         "negacyclic power-of-two flavor (psi-twisted size-n transforms, no padding):"
     );
-    let _ = writeln!(
-        out,
-        "{:<6} {:>9} {:>12} {:>15} {:>9}",
-        "n", "ntt_size", "ntt_ms", "schoolbook_ms", "speedup"
-    );
+    header(&mut out, "n");
     for n in [128usize, 256, 512] {
         let (ntt, school) = RnsContext::negacyclic_schoolbook_pair(n, 45, 3);
-        let a = ntt.sample_uniform(3, &mut rng);
-        let b = ntt.sample_uniform(3, &mut rng);
-        let time_ms = |ctx: &RnsContext| -> f64 {
-            let times: Vec<_> = (0..7)
-                .map(|_| {
-                    let start = Stopwatch::start();
-                    let _ = std::hint::black_box(ctx.mul(&a, &b));
-                    start.elapsed()
-                })
-                .collect();
-            crate::median(times).as_secs_f64() * 1e3
-        };
-        let fast = time_ms(&ntt);
-        let slow = time_ms(&school);
-        let _ = writeln!(
-            out,
-            "{:<6} {:>9} {:>12.3} {:>15.3} {:>8.1}x",
-            n,
-            ntt.transform_size(),
-            fast,
-            slow,
-            slow / fast
-        );
+        let operands = pairs(&ntt);
+        let (fast, slow) = (time_ms(&ntt, &operands), time_ms(&school, &operands));
+        row(&mut out, n, ntt.transform_size(), fast, slow);
     }
     let _ = writeln!(
         out,
         "transform size is exactly n — half the prime flavor's next_pow2(2m - 1) at\n\
          comparable ring dimension (128 vs 256 against m = 127)"
+    );
+
+    let n = RnsContext::ntt_size(127);
+    let q = ntt_chain_primes(25, 1, n.trailing_zeros())[0];
+    let plan = NttPlan::new(q, n).expect("prime generated NTT-friendly");
+    let inputs: Vec<Vec<u64>> = (0..101)
+        .map(|_| (0..n).map(|_| rng.gen_range(0..q)).collect())
+        .collect();
+    let forward_us = |input: &dyn Fn(usize) -> usize| -> f64 {
+        let times: Vec<_> = (0..inputs.len())
+            .map(|i| {
+                let mut a = inputs[input(i)].clone();
+                let start = Stopwatch::start();
+                plan.forward(&mut a);
+                let elapsed = start.elapsed();
+                std::hint::black_box(a);
+                elapsed
+            })
+            .collect();
+        crate::median(times).as_secs_f64() * 1e6
+    };
+    let fresh = forward_us(&|i| i);
+    let repeated = forward_us(&|_| 0);
+    let _ = writeln!(out);
+    let _ = writeln!(
+        out,
+        "{n}-point forward NTT (25-bit prime): {fresh:.2} us fresh operand, \
+         {repeated:.2} us repeated operand"
     );
     out
 }

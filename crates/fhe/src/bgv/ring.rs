@@ -32,7 +32,7 @@
 //! which doubles as the test oracle for the NTT path.
 
 use crate::math::modq::{add_mod, gcd, inv_mod, mul_mod, ntt_chain_primes, sub_mod};
-use crate::math::ntt::{mul_shoup, shoup, sub_q, NttPlan};
+use crate::math::ntt::{add_q, mul_shoup, shoup, sub_q, NttPlan};
 use rand::Rng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -128,6 +128,76 @@ impl EvalPoly {
     /// Number of active primes (rows).
     pub fn level(&self) -> usize {
         self.rows.len()
+    }
+}
+
+/// A pointwise multiply-accumulator over evaluation-domain rows, built
+/// by [`RnsContext::eval_acc`]: `Σ a_i ∘ b_i` summed **unreduced** in
+/// `u128`, with one reduction per point at [`EvalAcc::finish`] instead
+/// of a `u128` division per product and per sum.
+///
+/// Each product of canonical operands is at most `(q_max − 1)²`, so
+/// `⌊(2¹²⁸ − 1)/(q_max − 1)²⌋` of them fit: beyond 2⁷⁸ at 25-bit
+/// primes, only 16 at 62-bit ones. When the next product could
+/// overflow, every point is reduced in place (a *flush*; the residue
+/// then counts as one product) and summation continues. Reduction mod
+/// `q` is exact whenever it happens, so the result equals the
+/// canonical modular sum bit for bit.
+#[derive(Clone, Debug)]
+pub struct EvalAcc {
+    primes: Vec<u64>,
+    rows: Vec<Vec<u128>>,
+    /// Products each point may hold before a flush.
+    capacity: u128,
+    /// Products (or flushed residues) each point holds now.
+    held: u128,
+}
+
+impl EvalAcc {
+    /// `self += a ∘ b`, row by row. The operands may live at a
+    /// *higher* level than the accumulator — only its level's worth of
+    /// rows are read, which is how full-level key parts serve
+    /// reduced-level ciphertexts without being cloned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand has fewer rows than the accumulator.
+    pub fn mul_add(&mut self, a: &EvalPoly, b: &EvalPoly) {
+        let level = self.rows.len();
+        assert!(
+            a.rows.len() >= level && b.rows.len() >= level,
+            "operand below the accumulator level"
+        );
+        if self.held == self.capacity {
+            for (row, &q) in self.rows.iter_mut().zip(&self.primes) {
+                for o in row.iter_mut() {
+                    *o %= u128::from(q);
+                }
+            }
+            self.held = 1;
+        }
+        for ((out, x), y) in self.rows.iter_mut().zip(&a.rows).zip(&b.rows) {
+            for ((o, &x), &y) in out.iter_mut().zip(x).zip(y) {
+                *o += u128::from(x) * u128::from(y);
+            }
+        }
+        self.held += 1;
+    }
+
+    /// The canonical sum: one reduction per point.
+    pub fn finish(self) -> EvalPoly {
+        EvalPoly {
+            rows: self
+                .rows
+                .into_iter()
+                .zip(&self.primes)
+                .map(|(row, &q)| {
+                    row.into_iter()
+                        .map(|o| (o % u128::from(q)) as u64)
+                        .collect()
+                })
+                .collect(),
+        }
     }
 }
 
@@ -402,13 +472,13 @@ impl RnsContext {
     /// `a + b`.
     pub fn add(&self, a: &RnsPoly, b: &RnsPoly) -> RnsPoly {
         self.check_same_level(a, b);
-        self.zip(a, b, add_mod)
+        self.zip(a, b, add_q)
     }
 
     /// `a - b`.
     pub fn sub(&self, a: &RnsPoly, b: &RnsPoly) -> RnsPoly {
         self.check_same_level(a, b);
-        self.zip(a, b, sub_mod)
+        self.zip(a, b, sub_q)
     }
 
     /// `-a`.
@@ -418,7 +488,7 @@ impl RnsContext {
                 .residues
                 .iter()
                 .zip(&self.primes)
-                .map(|(row, &q)| row.iter().map(|&x| sub_mod(0, x, q)).collect())
+                .map(|(row, &q)| row.iter().map(|&x| sub_q(0, x, q)).collect())
                 .collect(),
         }
     }
@@ -495,10 +565,9 @@ impl RnsContext {
     fn wrap_fold(&self, full: &[u64], q: u64) -> Vec<u64> {
         debug_assert_eq!(self.flavor, RingFlavor::PrimeCyclotomic);
         let mut wrapped = vec![0u64; self.m];
-        for (i, &c) in full.iter().enumerate() {
-            if c != 0 {
-                let k = i % self.m;
-                wrapped[k] = add_mod(wrapped[k], c, q);
+        for chunk in full.chunks(self.m) {
+            for (w, &c) in wrapped.iter_mut().zip(chunk) {
+                *w = add_q(*w, c, q);
             }
         }
         self.fold_row(wrapped, q)
@@ -591,11 +660,12 @@ impl RnsContext {
 
     /// Forward-transforms a *small non-negative* polynomial (e.g.
     /// key-switching digits `< B`) to `level` evaluation rows — one
-    /// transform per prime. Coefficients are reduced modulo each prime
-    /// on the way in: wide digit configurations (`B >=` a chain prime,
-    /// as in a one-digit-per-prime decomposition) produce digits that
-    /// exceed the *smaller* active primes, and the transform requires
-    /// canonical inputs.
+    /// transform per prime. Coefficients `>= q` are reduced modulo each
+    /// prime on the way in: wide digit configurations (`B >=` a chain
+    /// prime, as in a one-digit-per-prime decomposition) produce digits
+    /// that exceed the *smaller* active primes, and the transform
+    /// requires canonical inputs. Narrow digits never reach the
+    /// division.
     ///
     /// # Panics
     ///
@@ -609,7 +679,7 @@ impl RnsContext {
                 .expect("chain prime lacks an NTT plan");
             let mut padded = vec![0u64; plan.size()];
             for (p, &c) in padded.iter_mut().zip(coeffs) {
-                *p = c % q;
+                *p = if c >= q { c % q } else { c };
             }
             match self.flavor {
                 RingFlavor::PrimeCyclotomic => plan.forward(&mut padded),
@@ -648,53 +718,24 @@ impl RnsContext {
         RnsPoly { residues }
     }
 
-    /// The evaluation-domain zero at `level` rows (an accumulator).
-    pub fn eval_zero(&self, level: usize) -> EvalPoly {
-        EvalPoly {
-            rows: vec![vec![0u64; self.transform_size()]; level],
-        }
-    }
-
-    /// Pointwise multiply-accumulate: `acc += a ∘ b`, row by row. The
-    /// operands may live at a *higher* level than the accumulator —
-    /// only their first `acc.level()` rows are read, which is how
-    /// full-level key parts serve reduced-level ciphertexts without
-    /// being cloned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an operand has fewer rows than the accumulator.
-    pub fn eval_mul_acc(&self, acc: &mut EvalPoly, a: &EvalPoly, b: &EvalPoly) {
-        let level = acc.rows.len();
-        assert!(
-            a.rows.len() >= level && b.rows.len() >= level,
-            "operand below the accumulator level"
-        );
-        let acc_row = |j: usize, out: &mut Vec<u64>| {
-            let q = self.primes[j];
-            for ((o, &x), &y) in out.iter_mut().zip(&a.rows[j]).zip(&b.rows[j]) {
-                *o = add_mod(*o, mul_mod(x, y, q), q);
-            }
-        };
-        let threads = self.threads();
-        if threads > 1 && level > 1 && !copse_pool::in_worker() {
-            let _: Vec<()> =
-                copse_pool::global().scope_chunks_mut(&mut acc.rows, threads, |range, rows| {
-                    for (offset, out) in rows.iter_mut().enumerate() {
-                        acc_row(range.start + offset, out);
-                    }
-                });
-        } else {
-            for (j, out) in acc.rows.iter_mut().enumerate() {
-                acc_row(j, out);
-            }
+    /// An empty [`EvalAcc`] at `level` rows: the one multiply-accumulate
+    /// path, shared by the key switch's digit loop and the cross term of
+    /// a ciphertext product.
+    pub fn eval_acc(&self, level: usize) -> EvalAcc {
+        let primes = self.primes[..level].to_vec();
+        let q_max = *primes.iter().max().expect("an accumulator spans a prime");
+        EvalAcc {
+            capacity: u128::MAX / u128::from(q_max - 1).pow(2),
+            rows: vec![vec![0; self.transform_size()]; level],
+            held: 0,
+            primes,
         }
     }
 
     /// Pointwise sum `acc += other`, row by row (used to fold the
-    /// per-chunk partial accumulators of a parallel key switch back
-    /// together; modular addition is exactly associative and
-    /// commutative, so any fold order is bitwise identical).
+    /// per-chunk partial sums of a parallel key switch back together;
+    /// modular addition is exactly associative and commutative, so any
+    /// fold order is bitwise identical).
     ///
     /// # Panics
     ///
@@ -705,7 +746,7 @@ impl RnsContext {
         for (j, out) in acc.rows.iter_mut().enumerate() {
             let q = self.primes[j];
             for (o, &x) in out.iter_mut().zip(&other.rows[j]) {
-                *o = add_mod(*o, x, q);
+                *o = add_q(*o, x, q);
             }
         }
     }
@@ -806,35 +847,30 @@ impl RnsContext {
             gcd(a % m, m) == 1,
             "automorphism exponent {a} is not coprime to m = {m}"
         );
+        // Coefficient `i` lands at `i·a mod m`, stepped without a division.
+        let step = a % m;
         let residues = p
             .residues
             .iter()
             .zip(&self.primes)
-            .map(|(row, &q)| match self.flavor {
-                RingFlavor::PrimeCyclotomic => {
-                    let mut wrapped = vec![0u64; self.m];
-                    for (i, &c) in row.iter().enumerate() {
-                        if c != 0 {
-                            let k = ((i as u64 * a) % m) as usize;
-                            wrapped[k] = add_mod(wrapped[k], c, q);
-                        }
-                    }
-                    self.fold_row(wrapped, q)
+            .map(|(row, &q)| {
+                let mut k = 0u64;
+                let mut out = vec![0u64; self.m];
+                for &c in row {
+                    out[k as usize] = add_q(out[k as usize], c, q);
+                    k = add_q(k, step, m);
                 }
-                RingFlavor::NegacyclicPow2 => {
-                    let n = self.phi;
-                    let mut out = vec![0u64; n];
-                    for (i, &c) in row.iter().enumerate() {
-                        if c != 0 {
-                            let k = ((i as u64 * a) % m) as usize;
-                            if k < n {
-                                out[k] = add_mod(out[k], c, q);
-                            } else {
-                                out[k - n] = sub_mod(out[k - n], c, q);
-                            }
+                match self.flavor {
+                    RingFlavor::PrimeCyclotomic => self.fold_row(out, q),
+                    RingFlavor::NegacyclicPow2 => {
+                        // X^k for k >= n is -X^(k - n).
+                        let (low, high) = out.split_at_mut(self.phi);
+                        for (l, &h) in low.iter_mut().zip(&*high) {
+                            *l = sub_q(*l, h, q);
                         }
+                        out.truncate(self.phi);
+                        out
                     }
-                    out
                 }
             })
             .collect();
@@ -846,10 +882,8 @@ impl RnsContext {
     fn fold_row(&self, mut wrapped: Vec<u64>, q: u64) -> Vec<u64> {
         let top = wrapped[self.m - 1];
         wrapped.truncate(self.phi);
-        if top != 0 {
-            for c in wrapped.iter_mut() {
-                *c = sub_mod(*c, top, q);
-            }
+        for c in wrapped.iter_mut() {
+            *c = sub_q(*c, top, q);
         }
         wrapped
     }
@@ -1251,7 +1285,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_mul_acc_is_sum_of_products() {
+    fn eval_acc_is_sum_of_products() {
         // Σ_i a_i * b_i accumulated pointwise in the evaluation domain
         // equals the coefficient-domain sum bitwise — the key-switch
         // digit-loop identity.
@@ -1266,15 +1300,49 @@ mod tests {
                 )
             })
             .collect();
-        let mut acc = ntt.eval_zero(level);
+        let mut acc = ntt.eval_acc(level);
         for (a, b) in &pairs {
-            ntt.eval_mul_acc(&mut acc, &ntt.to_eval(a), &ntt.to_eval(b));
+            acc.mul_add(&ntt.to_eval(a), &ntt.to_eval(b));
         }
         let mut want = ntt.zero(level);
         for (a, b) in &pairs {
             want = ntt.add(&want, &ntt.mul(a, b));
         }
-        assert_eq!(ntt.from_eval(&acc), want);
+        assert_eq!(ntt.from_eval(&acc.finish()), want);
+    }
+
+    #[test]
+    fn eval_acc_flushes_before_the_u128_overflows() {
+        // 62-bit primes hold only 16 products per point; 40 products,
+        // every third the worst case (q − 1)², force two flushes and
+        // would overflow without them.
+        let (ntt, _) = RnsContext::ntt_schoolbook_pair(17, 62, 2);
+        let mut acc = ntt.eval_acc(2);
+        assert_eq!(acc.capacity, 16);
+        let top = EvalPoly {
+            rows: ntt
+                .primes()
+                .iter()
+                .map(|&q| vec![q - 1; ntt.transform_size()])
+                .collect(),
+        };
+        let mut rng = SmallRng::seed_from_u64(24);
+        let mut want = ntt.eval_acc(2).finish();
+        for i in 0..40 {
+            let a = if i % 3 == 0 {
+                top.clone()
+            } else {
+                ntt.to_eval(&ntt.sample_uniform(2, &mut rng))
+            };
+            acc.mul_add(&a, &top);
+            for (j, row) in want.rows.iter_mut().enumerate() {
+                let q = ntt.primes()[j];
+                for (w, &x) in row.iter_mut().zip(&a.rows[j]) {
+                    *w = add_mod(*w, mul_mod(x, q - 1, q), q);
+                }
+            }
+        }
+        assert_eq!(acc.finish(), want);
     }
 
     #[test]
@@ -1429,7 +1497,7 @@ mod tests {
     }
 
     #[test]
-    fn negacyclic_eval_mul_acc_is_sum_of_products() {
+    fn negacyclic_eval_acc_is_sum_of_products() {
         let (ntt, _) = RnsContext::negacyclic_schoolbook_pair(32, 25, 3);
         let mut rng = SmallRng::seed_from_u64(32);
         let level = 3;
@@ -1441,15 +1509,15 @@ mod tests {
                 )
             })
             .collect();
-        let mut acc = ntt.eval_zero(level);
+        let mut acc = ntt.eval_acc(level);
         for (a, b) in &pairs {
-            ntt.eval_mul_acc(&mut acc, &ntt.to_eval(a), &ntt.to_eval(b));
+            acc.mul_add(&ntt.to_eval(a), &ntt.to_eval(b));
         }
         let mut want = ntt.zero(level);
         for (a, b) in &pairs {
             want = ntt.add(&want, &ntt.mul(a, b));
         }
-        assert_eq!(ntt.from_eval(&acc), want);
+        assert_eq!(ntt.from_eval(&acc.finish()), want);
     }
 
     #[test]

@@ -693,11 +693,12 @@ impl BgvScheme {
             let ea1 = self.ring.to_eval(&a.c1);
             let eb0 = self.ring.to_eval(&b.c0);
             let eb1 = self.ring.to_eval(&b.c1);
-            let mut cross = self.ring.eval_mul(&ea0, &eb1, level);
-            self.ring.eval_mul_acc(&mut cross, &ea1, &eb0);
+            let mut cross = self.ring.eval_acc(level);
+            cross.mul_add(&ea0, &eb1);
+            cross.mul_add(&ea1, &eb0);
             (
                 self.ring.from_eval(&self.ring.eval_mul(&ea0, &eb0, level)),
-                self.ring.from_eval(&cross),
+                self.ring.from_eval(&cross.finish()),
                 self.ring.from_eval(&self.ring.eval_mul(&ea1, &eb1, level)),
             )
         } else {
@@ -786,8 +787,12 @@ impl BgvScheme {
     /// multiply-accumulates pointwise against key parts that were
     /// pre-transformed at keygen, and inverse-transforms each of the
     /// two output polynomials once — `level · digits · level` forward
-    /// transforms plus `2 · level` inverses per call. The coefficient
-    /// route is the schoolbook oracle's.
+    /// transforms plus `2 · level` inverses per call. Its
+    /// `level · digits` products per point sum unreduced in an
+    /// [`EvalAcc`](crate::bgv::ring::EvalAcc), so the only division
+    /// left is one reduction per output point (plus a flush whenever
+    /// 62-bit-class primes fill the `u128`). The coefficient route is
+    /// the schoolbook oracle's.
     fn key_switch(&self, poly: &RnsPoly, key: &KsKey) -> (RnsPoly, RnsPoly) {
         let level = self.ring.level_of(poly);
         match key {
@@ -804,25 +809,25 @@ impl BgvScheme {
     ) -> (RnsPoly, RnsPoly) {
         // One job per source prime `j`: decompose its residue row into
         // digits and multiply-accumulate them against the row's
-        // pre-transformed key parts. Jobs touch disjoint inputs and
-        // their partial accumulators combine with exact modular
-        // addition, so any chunking is bitwise identical to the
+        // pre-transformed key parts. Jobs touch disjoint inputs; each
+        // reduces its partial sums, which then combine with exact
+        // modular addition, so any chunking is bitwise identical to the
         // sequential loop below — which is also the `threads == 1`
         // route.
         let accumulate_rows = |range: std::ops::Range<usize>| -> (EvalPoly, EvalPoly) {
-            let mut acc0 = self.ring.eval_zero(level);
-            let mut acc1 = self.ring.eval_zero(level);
+            let mut acc0 = self.ring.eval_acc(level);
+            let mut acc1 = self.ring.eval_acc(level);
             for (j, key_row) in parts.iter().enumerate().take(range.end).skip(range.start) {
                 let digits = self
                     .ring
                     .decompose_digits(poly, j, self.params.ks_digit_bits);
                 for (digit_row, (b, a)) in digits.iter().zip(key_row) {
                     let d = self.ring.small_to_eval(digit_row, level);
-                    self.ring.eval_mul_acc(&mut acc0, &d, b);
-                    self.ring.eval_mul_acc(&mut acc1, &d, a);
+                    acc0.mul_add(&d, b);
+                    acc1.mul_add(&d, a);
                 }
             }
-            (acc0, acc1)
+            (acc0.finish(), acc1.finish())
         };
         let threads = self.ring.threads();
         let (acc0, acc1) = if threads > 1 && level > 1 && !copse_pool::in_worker() {

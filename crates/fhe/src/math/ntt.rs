@@ -10,9 +10,17 @@
 //! alongside every twiddle `w` the plan stores
 //! `w' = ⌊w · 2^64 / q⌋`, so the hot loop replaces the 128-bit
 //! division of a generic `mul_mod` with two word multiplies, a shift
-//! and one conditional subtraction. This requires `q < 2^63`, which
-//! every chain prime satisfies (`modq::ntt_chain_primes` caps at 62
-//! bits).
+//! and one final subtraction of `q`. That subtraction, like the ones in
+//! the butterfly's modular add and subtract, is a **branch-free
+//! select**: subtract `q` unconditionally and add it back under a mask
+//! made from the result's sign bit. Whether a butterfly output needs
+//! the correction is a coin flip on real data, so a compare-and-branch
+//! mispredicts about half the time — a fresh 256-point forward
+//! transform cost several times its arithmetic that way, a cost that
+//! disappeared whenever a benchmark fed the same operand repeatedly
+//! and the predictor learned the pattern. The select requires
+//! `q < 2^63`, which every chain prime satisfies
+//! (`modq::ntt_chain_primes` caps at 62 bits).
 //!
 //! The BGV ring ([`crate::bgv::ring::RnsContext`]) drives plans two
 //! ways. The **prime-cyclotomic** flavor uses plans of size
@@ -29,25 +37,25 @@ use crate::math::modq::{inv_mod, is_prime, mul_mod, pow_mod};
 use crate::meter;
 use std::sync::OnceLock;
 
+/// `r + q` when `r` went negative (its top bit is set), `r` otherwise,
+/// selected by an arithmetic mask rather than a branch. Valid whenever
+/// the true value lies in `(-q, q)` and `q < 2^63`: a wrapped negative
+/// is then `>= 2^64 - q > 2^63`, a non-negative one `< q < 2^63`.
+#[inline]
+fn lift_negative(r: u64, q: u64) -> u64 {
+    r.wrapping_add(q & 0u64.wrapping_sub(r >> 63))
+}
+
 /// `(a + b) mod q` for canonical operands (`a, b < q < 2^63`).
 #[inline]
-fn add_q(a: u64, b: u64, q: u64) -> u64 {
-    let s = a + b;
-    if s >= q {
-        s - q
-    } else {
-        s
-    }
+pub(crate) fn add_q(a: u64, b: u64, q: u64) -> u64 {
+    lift_negative((a + b).wrapping_sub(q), q)
 }
 
 /// `(a - b) mod q` for canonical operands.
 #[inline]
 pub(crate) fn sub_q(a: u64, b: u64, q: u64) -> u64 {
-    if a >= b {
-        a - b
-    } else {
-        a + q - b
-    }
+    lift_negative(a.wrapping_sub(b), q)
 }
 
 /// Shoup quotient `⌊w · 2^64 / q⌋` for the fast twiddle multiply.
@@ -62,12 +70,9 @@ pub(crate) fn shoup(w: u64, q: u64) -> u64 {
 #[inline]
 pub(crate) fn mul_shoup(x: u64, w: u64, w_shoup: u64, q: u64) -> u64 {
     let t = ((x as u128 * w_shoup as u128) >> 64) as u64;
+    // r = x·w − t·q lies in [0, 2q).
     let r = x.wrapping_mul(w).wrapping_sub(t.wrapping_mul(q));
-    if r >= q {
-        r - q
-    } else {
-        r
-    }
+    lift_negative(r.wrapping_sub(q), q)
 }
 
 /// A twiddle table: powers of a root paired with their Shoup quotients.
@@ -492,6 +497,54 @@ mod tests {
         assert_eq!(delta.forward, 2, "one forward per operand: {delta}");
         assert_eq!(delta.inverse, 1, "one inverse for the product: {delta}");
         assert_eq!(scope.transform_sizes().nonzero(), vec![(32, 3)]);
+    }
+
+    #[test]
+    fn branch_free_helpers_match_the_u128_oracles() {
+        for bits in [25u32, 45, 62] {
+            let q = ntt_chain_primes(bits, 1, 10)[0];
+            let mut rng = SmallRng::seed_from_u64(u64::from(bits));
+            let mut operands = vec![0, 1, q - 1];
+            operands.extend((0..40).map(|_| rng.gen_range(0..q)));
+            for &a in &operands {
+                for &b in &operands {
+                    assert_eq!(add_q(a, b, q), add_mod(a, b, q), "{a} + {b} mod {q}");
+                    assert_eq!(sub_q(a, b, q), sub_mod(a, b, q), "{a} - {b} mod {q}");
+                    assert_eq!(
+                        mul_shoup(a, b, shoup(b, q), q),
+                        mul_mod(a, b, q),
+                        "{a} * {b} mod {q}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `Σ_j a_j · w^(i·j)`: the transform's definition, term by term.
+    fn naive_dft(a: &[u64], w: u64, q: u64) -> Vec<u64> {
+        (0..a.len() as u64)
+            .map(|i| {
+                let wi = pow_mod(w, i, q);
+                a.iter()
+                    .rev()
+                    .fold(0, |acc, &x| add_mod(mul_mod(acc, wi, q), x, q))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn forward_matches_a_naive_dft_on_fresh_inputs() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        for n in [16usize, 256, 1024] {
+            let p = plan(45, n);
+            let w = p.fwd.pow[1];
+            for _ in 0..3 {
+                let a: Vec<u64> = (0..n).map(|_| rng.gen_range(0..p.q())).collect();
+                let mut t = a.clone();
+                p.forward(&mut t);
+                assert_eq!(t, naive_dft(&a, w, p.q()), "n = {n}");
+            }
+        }
     }
 
     #[test]

@@ -154,11 +154,15 @@ fn ring_row_kernels_are_bitwise_identical_at_every_degree() {
                 par.eval_mul(&ea, &eb, level),
                 "eval_mul t={t}"
             );
-            let mut acc_seq = seq.eval_zero(level);
-            let mut acc_par = par.eval_zero(level);
-            seq.eval_mul_acc(&mut acc_seq, &ea, &eb);
-            par.eval_mul_acc(&mut acc_par, &ea, &eb);
-            assert_eq!(acc_seq, acc_par, "eval_mul_acc t={t} level={level}");
+            let mut acc_seq = seq.eval_acc(level);
+            let mut acc_par = par.eval_acc(level);
+            acc_seq.mul_add(&ea, &eb);
+            acc_par.mul_add(&ea, &eb);
+            assert_eq!(
+                acc_seq.finish(),
+                acc_par.finish(),
+                "eval_acc t={t} level={level}"
+            );
         }
     }
 }

@@ -322,6 +322,43 @@ mod bgv_eval_parity {
             );
         }
     }
+
+    /// 62-bit primes: a key switch sums `L·D = 10 · 9` products per
+    /// point, more than the wide accumulator holds (`⌊(2¹²⁸ − 1)/(q −
+    /// 1)²⌋ = 16`), so it flushes mid-sum. 25-bit chains never do. (At
+    /// 61 bits the capacity is 64, which 90 uniform products almost
+    /// never overflow, so a missing flush would go unseen there.)
+    #[test]
+    fn parity_holds_where_the_accumulator_flushes() {
+        let params = BgvParams {
+            prime_bits: 62,
+            ..BgvParams::tiny()
+        };
+        let eval = BgvScheme::keygen(params);
+        let school = BgvScheme::keygen_with_ntt(params, false);
+        let q_max = *eval.ring().primes().iter().max().unwrap();
+        let products =
+            params.chain_len as u128 * u128::from(params.prime_bits.div_ceil(params.ks_digit_bits));
+        assert!(u128::MAX / u128::from(q_max - 1).pow(2) < products);
+
+        let bits = [true, false, true, true, false, true];
+        let encode = |s: &BgvScheme| s.encrypt_poly(&s.slots().encode(&BitVec::from_bools(&bits)));
+        let (e, s) = (encode(&eval), encode(&school));
+        assert_eq!(e, s, "fresh ciphertexts");
+        let rotated = eval.rotate_slots(&e, 2);
+        let squared = eval.mul(&e, &e);
+        assert_eq!(rotated, school.rotate_slots(&s, 2), "rotate vs oracle");
+        assert_eq!(squared, school.mul(&s, &s), "mul vs oracle");
+        assert_eq!(
+            eval.slots().decode(&eval.decrypt_poly(&rotated)),
+            BitVec::from_bools(&bits).rotate_left(2),
+            "the flushed key switch still decrypts"
+        );
+
+        eval.set_threads(2);
+        assert_eq!(eval.rotate_slots(&e, 2), rotated, "rotate, threads 1 vs 2");
+        assert_eq!(eval.mul(&e, &e), squared, "mul, threads 1 vs 2");
+    }
 }
 
 // --- NTT ring multiplication vs the schoolbook oracle ---

@@ -2,7 +2,8 @@
 //! harness exposing the API subset the workspace's benches use
 //! ([`Criterion::benchmark_group`], [`BenchmarkGroup::bench_function`],
 //! [`BenchmarkGroup::bench_with_input`], [`Bencher::iter`],
-//! [`BenchmarkId`], and the [`criterion_group!`]/[`criterion_main!`]
+//! [`Bencher::iter_batched`], [`BenchmarkId`], and the
+//! [`criterion_group!`]/[`criterion_main!`]
 //! macros). It reports the median of `sample_size` timed samples with
 //! no statistical analysis, warm-up scheduling, or HTML output.
 
@@ -113,6 +114,34 @@ impl Bencher {
         samples.sort();
         self.median = samples[samples.len() / 2];
     }
+
+    /// Runs `routine` on a fresh `setup()` input `sample_size` times and
+    /// records the median; only `routine` is timed.
+    pub fn iter_batched<I, O>(
+        &mut self,
+        mut setup: impl FnMut() -> I,
+        mut routine: impl FnMut(I) -> O,
+        _size: BatchSize,
+    ) {
+        let mut samples: Vec<Duration> = (0..self.sample_size)
+            .map(|_| {
+                let input = setup();
+                let start = Instant::now();
+                black_box(routine(input));
+                start.elapsed()
+            })
+            .collect();
+        samples.sort();
+        self.median = samples[samples.len() / 2];
+    }
+}
+
+/// How [`Bencher::iter_batched`] groups set-up calls. The shim times
+/// every input individually, so the size is accepted for API parity.
+#[derive(Clone, Copy, Debug)]
+pub enum BatchSize {
+    /// Inputs small enough to build many at once.
+    SmallInput,
 }
 
 /// Declares a benchmark group runner, mirroring criterion's macro.
