@@ -158,8 +158,8 @@ fn bench_ring_mul(c: &mut Criterion) {
 
 /// `rotate_slots` and the relinearisation key switch at demo
 /// parameters on the evaluation-domain route (key parts
-/// pre-transformed at keygen, one forward per digit row, two inverses
-/// per output). `benchmark/`'s `fhe.rotate_ms` / `fhe.multiply_ms` are
+/// pre-transformed at keygen in the auxiliary basis, one forward per
+/// digit, one inverse per output row). `benchmark/`'s `fhe.rotate_ms` / `fhe.multiply_ms` are
 /// the numbers of record.
 fn bench_rotate_key_switch(c: &mut Criterion) {
     let eval = BgvScheme::keygen(BgvParams::demo());

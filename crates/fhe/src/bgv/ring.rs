@@ -31,7 +31,9 @@
 //! convolution (cyclic-wrap-and-fold or negacyclic respectively),
 //! which doubles as the test oracle for the NTT path.
 
-use crate::math::modq::{add_mod, gcd, inv_mod, mul_mod, ntt_chain_primes, sub_mod};
+use crate::math::modq::{
+    add_mod, gcd, inv_mod, mul_mod, ntt_chain_primes, ntt_primes_below, sub_mod,
+};
 use crate::math::ntt::{add_q, mul_shoup, shoup, sub_q, NttPlan};
 use rand::Rng;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -68,6 +70,8 @@ pub struct RnsContext {
     plans: Vec<Option<NttPlan>>,
     /// [`RnsContext::mod_switch_down`]'s constants, from `switch_table`.
     switch_inv: Vec<Vec<(u64, u64)>>,
+    /// Division-free reduction into each chain prime.
+    reducers: Vec<Reducer>,
     use_ntt: bool,
     /// Parallel degree for per-prime row loops (1 = sequential). An
     /// atomic so the knob can be turned through a shared handle (the
@@ -85,6 +89,7 @@ impl Clone for RnsContext {
             primes: self.primes.clone(),
             plans: self.plans.clone(),
             switch_inv: self.switch_inv.clone(),
+            reducers: self.reducers.clone(),
             use_ntt: self.use_ntt,
             threads: AtomicUsize::new(self.threads.load(Ordering::Relaxed)),
         }
@@ -131,10 +136,49 @@ impl EvalPoly {
     }
 }
 
+/// Division-free reduction of any `u128` into one word prime
+/// `q < 2^62`: `x = hi·2⁶⁴ + lo ≡ hi·(2⁶⁴ mod q) + lo`, each half
+/// through a Shoup multiply (exact for any 64-bit multiplicand, see
+/// `mul_shoup`).
+#[derive(Clone, Copy, Debug)]
+struct Reducer {
+    q: u64,
+    /// `⌊2⁶⁴/q⌋`, the Shoup quotient of 1.
+    one_shoup: u64,
+    /// `2⁶⁴ mod q`, and its Shoup quotient.
+    r64: u64,
+    r64_shoup: u64,
+}
+
+impl Reducer {
+    fn new(q: u64) -> Self {
+        let r64 = ((1u128 << 64) % u128::from(q)) as u64;
+        Self {
+            q,
+            one_shoup: shoup(1, q),
+            r64,
+            r64_shoup: shoup(r64, q),
+        }
+    }
+
+    /// `x mod q`.
+    #[inline]
+    fn reduce(&self, x: u128) -> u64 {
+        let (hi, lo) = ((x >> 64) as u64, x as u64);
+        add_q(
+            mul_shoup(hi, self.r64, self.r64_shoup, self.q),
+            mul_shoup(lo, 1, self.one_shoup, self.q),
+            self.q,
+        )
+    }
+}
+
 /// A pointwise multiply-accumulator over evaluation-domain rows, built
-/// by [`RnsContext::eval_acc`]: `Σ a_i ∘ b_i` summed **unreduced** in
-/// `u128`, with one reduction per point at [`EvalAcc::finish`] instead
-/// of a `u128` division per product and per sum.
+/// by [`RnsContext::eval_acc`] over chain primes or by
+/// [`AuxBasis::acc`] over a key switch's auxiliary primes:
+/// `Σ a_i ∘ b_i` summed **unreduced** in `u128`, with one
+/// division-free reduction per point at [`EvalAcc::finish`] instead of
+/// one per product and per sum.
 ///
 /// Each product of canonical operands is at most `(q_max − 1)²`, so
 /// `⌊(2¹²⁸ − 1)/(q_max − 1)²⌋` of them fit: beyond 2⁷⁸ at 25-bit
@@ -145,7 +189,7 @@ impl EvalPoly {
 /// canonical modular sum bit for bit.
 #[derive(Clone, Debug)]
 pub struct EvalAcc {
-    primes: Vec<u64>,
+    reducers: Vec<Reducer>,
     rows: Vec<Vec<u128>>,
     /// Products each point may hold before a flush.
     capacity: u128,
@@ -154,6 +198,21 @@ pub struct EvalAcc {
 }
 
 impl EvalAcc {
+    /// An empty accumulator: one `size`-point row per prime.
+    fn new(reducers: Vec<Reducer>, size: usize) -> Self {
+        let q_max = reducers
+            .iter()
+            .map(|r| r.q)
+            .max()
+            .expect("an accumulator spans a prime");
+        Self {
+            capacity: u128::MAX / u128::from(q_max - 1).pow(2),
+            rows: vec![vec![0; size]; reducers.len()],
+            held: 0,
+            reducers,
+        }
+    }
+
     /// `self += a ∘ b`, row by row. The operands may live at a
     /// *higher* level than the accumulator — only its level's worth of
     /// rows are read, which is how full-level key parts serve
@@ -163,20 +222,26 @@ impl EvalAcc {
     ///
     /// Panics if an operand has fewer rows than the accumulator.
     pub fn mul_add(&mut self, a: &EvalPoly, b: &EvalPoly) {
+        self.mul_add_rows(&a.rows, &b.rows);
+    }
+
+    /// [`EvalAcc::mul_add`] over borrowed rows: how a key switch reads
+    /// one output row's block of an auxiliary-basis key part.
+    pub(crate) fn mul_add_rows(&mut self, a: &[Vec<u64>], b: &[Vec<u64>]) {
         let level = self.rows.len();
         assert!(
-            a.rows.len() >= level && b.rows.len() >= level,
+            a.len() >= level && b.len() >= level,
             "operand below the accumulator level"
         );
         if self.held == self.capacity {
-            for (row, &q) in self.rows.iter_mut().zip(&self.primes) {
+            for (row, r) in self.rows.iter_mut().zip(&self.reducers) {
                 for o in row.iter_mut() {
-                    *o %= u128::from(q);
+                    *o = u128::from(r.reduce(*o));
                 }
             }
             self.held = 1;
         }
-        for ((out, x), y) in self.rows.iter_mut().zip(&a.rows).zip(&b.rows) {
+        for ((out, x), y) in self.rows.iter_mut().zip(a).zip(b) {
             for ((o, &x), &y) in out.iter_mut().zip(x).zip(y) {
                 *o += u128::from(x) * u128::from(y);
             }
@@ -190,13 +255,105 @@ impl EvalAcc {
             rows: self
                 .rows
                 .into_iter()
-                .zip(&self.primes)
-                .map(|(row, &q)| {
-                    row.into_iter()
-                        .map(|o| (o % u128::from(q)) as u64)
-                        .collect()
-                })
+                .zip(&self.reducers)
+                .map(|(row, r)| row.into_iter().map(|o| r.reduce(o)).collect())
                 .collect(),
+        }
+    }
+}
+
+/// The auxiliary NTT basis a key switch sums in, built by
+/// [`RnsContext::key_switch_basis`]: one or two word primes whose
+/// product exceeds every value a key switch's digit-times-key sum can
+/// take, so the sum is computed **exactly** over the integers and
+/// reduced into each chain prime only at the end. A digit is then
+/// transformed once per aux prime instead of once per chain prime.
+#[derive(Clone, Debug)]
+pub struct AuxBasis {
+    /// Ascending.
+    primes: Vec<u64>,
+    plans: Vec<NttPlan>,
+    reducers: Vec<Reducer>,
+    /// `p₀⁻¹ mod p₁` and its Shoup quotient: Garner's constant for a
+    /// two-prime basis (unused with one).
+    garner: (u64, u64),
+    /// `Π p`.
+    modulus: u128,
+    /// Lifted values above this stand for the negative sum
+    /// `value − Π p`: `Π p / 2` in the negacyclic flavor, whose sums
+    /// are signed, and never (`u128::MAX`) in the prime flavor.
+    negative_above: u128,
+}
+
+impl AuxBasis {
+    fn new(mut primes: Vec<u64>, size: usize, flavor: RingFlavor) -> Self {
+        primes.sort_unstable();
+        let plans = primes
+            .iter()
+            .map(|&p| {
+                NttPlan::new(p, size)
+                    .filter(|plan| {
+                        flavor == RingFlavor::PrimeCyclotomic || plan.supports_negacyclic()
+                    })
+                    .expect("aux primes satisfy the flavor's root condition")
+            })
+            .collect();
+        let modulus: u128 = primes.iter().map(|&p| u128::from(p)).product();
+        let garner = match primes[..] {
+            [p0, p1] => {
+                let inv = inv_mod(p0, p1).expect("aux primes are distinct");
+                (inv, shoup(inv, p1))
+            }
+            _ => (0, 0),
+        };
+        Self {
+            reducers: primes.iter().map(|&p| Reducer::new(p)).collect(),
+            negative_above: match flavor {
+                RingFlavor::PrimeCyclotomic => u128::MAX,
+                RingFlavor::NegacyclicPow2 => modulus / 2,
+            },
+            primes,
+            plans,
+            garner,
+            modulus,
+        }
+    }
+
+    /// The basis primes, ascending.
+    pub fn primes(&self) -> &[u64] {
+        &self.primes
+    }
+
+    /// An empty accumulator over the basis: one output row's sum.
+    pub fn acc(&self) -> EvalAcc {
+        EvalAcc::new(self.reducers.clone(), self.plans[0].size())
+    }
+
+    /// The rows of an aux-form key part ([`RnsContext::to_aux`]) that
+    /// belong to chain row `i`.
+    pub(crate) fn rows_of<'a>(&self, part: &'a EvalPoly, i: usize) -> &'a [Vec<u64>] {
+        let r = self.primes.len();
+        &part.rows[i * r..(i + 1) * r]
+    }
+
+    /// The integer an exact sum is at point `x`, from its residue
+    /// `rows`: its magnitude, and whether it is negative.
+    #[inline]
+    fn lift(&self, rows: &[Vec<u64>], x: usize) -> (u128, bool) {
+        let low = rows[0][x];
+        let value = match rows.get(1) {
+            None => u128::from(low),
+            Some(high) => {
+                // Garner: x = low + p₀·((high − low)·p₀⁻¹ mod p₁).
+                let p1 = self.primes[1];
+                let h = mul_shoup(sub_q(high[x], low, p1), self.garner.0, self.garner.1, p1);
+                u128::from(low) + u128::from(self.primes[0]) * u128::from(h)
+            }
+        };
+        if value > self.negative_above {
+            (self.modulus - value, true)
+        } else {
+            (value, false)
         }
     }
 }
@@ -224,6 +381,7 @@ impl RnsContext {
             phi: m - 1,
             flavor: RingFlavor::PrimeCyclotomic,
             switch_inv: Self::switch_table(&primes),
+            reducers: primes.iter().map(|&q| Reducer::new(q)).collect(),
             primes,
             plans,
             use_ntt: true,
@@ -261,6 +419,7 @@ impl RnsContext {
             phi: n,
             flavor: RingFlavor::NegacyclicPow2,
             switch_inv: Self::switch_table(&primes),
+            reducers: primes.iter().map(|&q| Reducer::new(q)).collect(),
             primes,
             plans,
             use_ntt: true,
@@ -299,7 +458,7 @@ impl RnsContext {
     /// not already inside a pool task (inner μs-scale loops gain
     /// nothing from forking under an already-parallel outer stage).
     /// Row order is preserved, so parallel == sequential bitwise.
-    fn par_rows<R: Send>(&self, rows: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    pub(crate) fn par_rows<R: Send>(&self, rows: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
         let threads = self.threads();
         if threads > 1 && rows > 1 && !copse_pool::in_worker() {
             copse_pool::global().scope_indices(rows, threads, f)
@@ -643,51 +802,176 @@ impl RnsContext {
     /// level.
     pub fn to_eval(&self, a: &RnsPoly) -> EvalPoly {
         let rows = self.par_rows(a.residues.len(), |j| {
-            let row = &a.residues[j];
             let plan = self.plans[j]
                 .as_ref()
                 .expect("chain prime lacks an NTT plan");
-            let mut padded = vec![0u64; plan.size()];
-            padded[..row.len()].copy_from_slice(row);
-            match self.flavor {
-                RingFlavor::PrimeCyclotomic => plan.forward(&mut padded),
-                RingFlavor::NegacyclicPow2 => plan.forward_negacyclic(&mut padded),
-            }
-            padded
+            self.forward_padded(plan, a.residues[j].iter().copied())
         });
         EvalPoly { rows }
     }
 
-    /// Forward-transforms a *small non-negative* polynomial (e.g.
-    /// key-switching digits `< B`) to `level` evaluation rows — one
-    /// transform per prime. Coefficients `>= q` are reduced modulo each
-    /// prime on the way in: wide digit configurations (`B >=` a chain
-    /// prime, as in a one-digit-per-prime decomposition) produce digits
-    /// that exceed the *smaller* active primes, and the transform
-    /// requires canonical inputs. Narrow digits never reach the
-    /// division.
+    /// One forward transform of canonical coefficients, zero-padded to
+    /// the plan size, in this context's flavor.
+    fn forward_padded(&self, plan: &NttPlan, coeffs: impl Iterator<Item = u64>) -> Vec<u64> {
+        let mut padded = vec![0u64; plan.size()];
+        for (p, c) in padded.iter_mut().zip(coeffs) {
+            *p = c;
+        }
+        match self.flavor {
+            RingFlavor::PrimeCyclotomic => plan.forward(&mut padded),
+            RingFlavor::NegacyclicPow2 => plan.forward_negacyclic(&mut padded),
+        }
+        padded
+    }
+
+    /// The auxiliary NTT basis for a key switch that sums `digits`
+    /// digit products per chain prime, each digit below
+    /// `2^digit_bits`, over up to the whole chain.
+    ///
+    /// Output row `i` of a key switch is `Σ_{j,t} d_{j,t} ⋆ k_{j,t,i}`:
+    /// at most `L·D` ring products of a digit (coefficients at most
+    /// `2^b − 1`) and a key row (coefficients at most `q_i − 1`), each
+    /// coefficient of which sums at most `φ` terms. Over the integers,
+    /// before any reduction mod `q_i`, every coefficient of the sum is
+    /// therefore bounded by `B = L·D·φ·(2^b − 1)·(q_max − 1)`. The
+    /// prime flavor's products are linear convolutions, so its sums lie
+    /// in `[0, B]` and a basis whose product exceeds `B` holds them
+    /// exactly; the negacyclic wrap `X^n ≡ −1` subtracts, so those sums
+    /// lie in `[−B, B]`, the product must exceed `2B`, and the lift is
+    /// centred.
+    ///
+    /// The basis is the fewest primes that suffice — one at every
+    /// parameter point this repository ships, two (lifted by Garner's
+    /// CRT in `u128`) at 62-bit chains — each satisfying the flavor's
+    /// root condition (`2^s | p − 1` for the padded transform,
+    /// `2n | p − 1` for the negacyclic one), absent from the chain,
+    /// above every digit, and no wider than it must be, so an
+    /// [`EvalAcc`] over it holds a whole sum without flushing wherever
+    /// `B` allows.
+    ///
+    /// # Panics
+    ///
+    /// Panics, stating `B`, if two 62-bit primes cannot hold the sum.
+    pub fn key_switch_basis(&self, digits: usize, digit_bits: u32) -> AuxBasis {
+        let q_max = *self.primes.iter().max().expect("chain is nonempty");
+        let digit_max = (1u128 << digit_bits) - 1;
+        let factors = [
+            self.primes.len() as u128,
+            digits as u128,
+            self.phi as u128,
+            digit_max,
+            u128::from(q_max - 1),
+        ];
+        // How many multiples of B the sums span, and the 2-adic order
+        // the flavor's transform needs.
+        let (span, two_adic) = match self.flavor {
+            RingFlavor::PrimeCyclotomic => (1u128, self.transform_size().trailing_zeros()),
+            RingFlavor::NegacyclicPow2 => (2, (2 * self.phi).trailing_zeros()),
+        };
+        let needed = factors.iter().try_fold(span, |acc, &f| acc.checked_mul(f));
+        let primes = needed
+            .and_then(|needed| {
+                (1..=2).find_map(|count| self.aux_primes(needed, digit_max, count, two_adic))
+            })
+            .unwrap_or_else(|| {
+                let log2: f64 = factors.iter().map(|&f| (f as f64).log2()).sum();
+                panic!(
+                    "a key switch sums up to B = L·D·φ·(2^b − 1)·(q_max − 1) = \
+                     {factors:?} ≈ 2^{log2:.1}; {span}B is beyond what two 62-bit \
+                     NTT primes hold"
+                )
+            });
+        AuxBasis::new(primes, self.transform_size(), self.flavor)
+    }
+
+    /// The narrowest `count` NTT-friendly primes (`2^two_adic | p − 1`,
+    /// each above `floor` and none in the chain) whose product exceeds
+    /// `needed`, if 62-bit primes suffice.
+    fn aux_primes(&self, needed: u128, floor: u128, count: u32, two_adic: u32) -> Option<Vec<u64>> {
+        let needed_bits = 128 - needed.leading_zeros();
+        (needed_bits.div_ceil(count).max(two_adic + 1)..=62).find_map(|bits| {
+            let primes: Vec<u64> = ntt_primes_below(bits, two_adic)
+                .filter(|p| !self.primes.contains(p))
+                .take(count as usize)
+                .collect();
+            let product: u128 = primes.iter().map(|&p| u128::from(p)).product();
+            let holds = primes.len() == count as usize
+                && product > needed
+                && primes.iter().all(|&p| u128::from(p) > floor);
+            holds.then_some(primes)
+        })
+    }
+
+    /// Forward-transforms one key-switch digit (coefficients below
+    /// `2^b`, hence below every aux prime) mod each prime of `aux`: `r`
+    /// transforms, whatever the level.
     ///
     /// # Panics
     ///
     /// Panics on degree overflow.
-    pub fn small_to_eval(&self, coeffs: &[u64], level: usize) -> EvalPoly {
+    pub fn digit_to_aux(&self, aux: &AuxBasis, coeffs: &[u64]) -> EvalPoly {
         assert!(coeffs.len() <= self.phi, "degree too large for the ring");
-        let rows = self.par_rows(level, |j| {
-            let q = self.primes[j];
-            let plan = self.plans[j]
-                .as_ref()
-                .expect("chain prime lacks an NTT plan");
-            let mut padded = vec![0u64; plan.size()];
-            for (p, &c) in padded.iter_mut().zip(coeffs) {
-                *p = if c >= q { c % q } else { c };
-            }
-            match self.flavor {
-                RingFlavor::PrimeCyclotomic => plan.forward(&mut padded),
-                RingFlavor::NegacyclicPow2 => plan.forward_negacyclic(&mut padded),
-            }
-            padded
+        EvalPoly {
+            rows: aux
+                .plans
+                .iter()
+                .map(|plan| self.forward_padded(plan, coeffs.iter().copied()))
+                .collect(),
+        }
+    }
+
+    /// Forward-transforms every row of `a` mod each prime of `aux`:
+    /// chain row `i`, reduced mod each aux prime on the way in, becomes
+    /// rows `i·r .. (i + 1)·r` — the form keygen stores switching-key
+    /// parts in, `level · r` transforms (the count
+    /// [`RnsContext::to_eval`] pays when `r = 1`).
+    pub fn to_aux(&self, aux: &AuxBasis, a: &RnsPoly) -> EvalPoly {
+        let blocks = self.par_rows(a.residues.len(), |i| {
+            aux.plans
+                .iter()
+                .zip(&aux.reducers)
+                .map(|(plan, r)| {
+                    let reduced = a.residues[i].iter().map(|&c| r.reduce(u128::from(c)));
+                    self.forward_padded(plan, reduced)
+                })
+                .collect::<Vec<_>>()
         });
-        EvalPoly { rows }
+        EvalPoly {
+            rows: blocks.into_iter().flatten().collect(),
+        }
+    }
+
+    /// Reduces an exact aux-basis sum into chain prime `i`: `r` inverse
+    /// transforms give each point's residues, which lift (Garner's CRT
+    /// for two primes; centred in the negacyclic flavor) to the integer
+    /// the sum is; one division-free reduction takes it mod `q_i`, and
+    /// the prime flavor then wraps mod `X^m − 1` and folds by `Φ_m` as
+    /// [`RnsContext::from_eval`] does. Because the sum is exact, the row
+    /// is bit for bit what a per-prime modular sum gives.
+    pub fn from_aux(&self, aux: &AuxBasis, sum: EvalPoly, i: usize) -> Vec<u64> {
+        let mut rows = sum.rows;
+        for (row, plan) in rows.iter_mut().zip(&aux.plans) {
+            match self.flavor {
+                RingFlavor::PrimeCyclotomic => plan.inverse(row),
+                RingFlavor::NegacyclicPow2 => plan.inverse_negacyclic(row),
+            }
+        }
+        let (q, reducer) = (self.primes[i], self.reducers[i]);
+        let full: Vec<u64> = (0..rows[0].len())
+            .map(|x| {
+                let (magnitude, negative) = aux.lift(&rows, x);
+                let r = reducer.reduce(magnitude);
+                if negative {
+                    sub_q(0, r, q)
+                } else {
+                    r
+                }
+            })
+            .collect();
+        match self.flavor {
+            RingFlavor::PrimeCyclotomic => self.wrap_fold(&full, q),
+            RingFlavor::NegacyclicPow2 => full,
+        }
     }
 
     /// Inverse-transforms an evaluation-domain element back to
@@ -718,18 +1002,11 @@ impl RnsContext {
         RnsPoly { residues }
     }
 
-    /// An empty [`EvalAcc`] at `level` rows: the one multiply-accumulate
-    /// path, shared by the key switch's digit loop and the cross term of
-    /// a ciphertext product.
+    /// An empty [`EvalAcc`] over the first `level` chain primes (the
+    /// cross term of a ciphertext product; a key switch accumulates over
+    /// its auxiliary basis instead, [`AuxBasis::acc`]).
     pub fn eval_acc(&self, level: usize) -> EvalAcc {
-        let primes = self.primes[..level].to_vec();
-        let q_max = *primes.iter().max().expect("an accumulator spans a prime");
-        EvalAcc {
-            capacity: u128::MAX / u128::from(q_max - 1).pow(2),
-            rows: vec![vec![0; self.transform_size()]; level],
-            held: 0,
-            primes,
-        }
+        EvalAcc::new(self.reducers[..level].to_vec(), self.transform_size())
     }
 
     /// Pointwise sum `acc += other`, row by row (used to fold the
@@ -776,11 +1053,11 @@ impl RnsContext {
 
     /// Lifts a small *non-negative* polynomial to `level` residue rows
     /// without the signed `rem_euclid` lift of
-    /// [`RnsContext::from_signed`] (used by the coefficient-domain
+    /// [`RnsContext::from_signed`] (used by the schoolbook oracle's
     /// key-switch digit loop). Coefficients are reduced modulo each
-    /// prime: wide key-switch digits can exceed the smaller chain
-    /// primes (see [`RnsContext::small_to_eval`]), and the rows must
-    /// stay canonical.
+    /// prime: wide key-switch digits (a digit width at or above the
+    /// prime size) can exceed the smaller chain primes, and the rows
+    /// must stay canonical.
     pub fn from_small_unsigned(&self, coeffs: &[u64], level: usize) -> RnsPoly {
         assert!(coeffs.len() <= self.phi, "degree too large for the ring");
         let residues = self.primes[..level]
@@ -1381,9 +1658,9 @@ mod tests {
     fn wide_digits_exceeding_a_smaller_prime_are_reduced() {
         // One-digit-per-prime key-switch decompositions (B >= q) emit
         // digits as large as the biggest chain prime, which exceed the
-        // smaller active primes; both lifts must reduce per prime.
-        // Regression: the unreduced fast path fed non-canonical values
-        // into the Shoup NTT, silently corrupting key switches.
+        // smaller active primes; the oracle's lift must reduce them per
+        // prime. (The evaluation route transforms a digit once, mod an
+        // auxiliary prime above every digit, and never reduces it.)
         let (ntt, _) = RnsContext::ntt_schoolbook_pair(17, 25, 3);
         let primes = ntt.primes().to_vec();
         let q_min = *primes.iter().min().unwrap();
@@ -1393,7 +1670,109 @@ mod tests {
         let coeffs_i: Vec<i64> = coeffs_u.iter().map(|&c| c as i64).collect();
         let want = ntt.from_signed(&coeffs_i, 3);
         assert_eq!(ntt.from_small_unsigned(&coeffs_u, 3), want);
-        assert_eq!(ntt.from_eval(&ntt.small_to_eval(&coeffs_u, 3)), want);
+    }
+
+    #[test]
+    fn reducer_matches_the_u128_remainder() {
+        let mut rng = SmallRng::seed_from_u64(40);
+        for q in [3, 97, chain_primes(25, 1)[0], ntt_chain_primes(62, 1, 8)[0]] {
+            let r = Reducer::new(q);
+            let q = u128::from(q);
+            let edges = [
+                0,
+                1,
+                q - 1,
+                q,
+                u128::from(u64::MAX),
+                1 << 64,
+                (q - 1).pow(2),
+                u128::MAX,
+            ];
+            let random = (0..64)
+                .map(|_| (u128::from(rng.gen::<u64>()) << 64) | u128::from(rng.gen::<u64>()));
+            for x in edges.into_iter().chain(random) {
+                assert_eq!(u128::from(r.reduce(x)), x % q, "{x} mod {q}");
+            }
+        }
+    }
+
+    /// The largest sum a key switch can form — every digit `2^b − 1`,
+    /// every key coefficient `q_i − 1`, `L·D` terms at the full chain —
+    /// accumulated in the auxiliary basis and reduced into each chain
+    /// prime, against the schoolbook oracle's per-prime modular sum.
+    fn saturated_sum_is_exact(
+        ntt: &RnsContext,
+        school: &RnsContext,
+        digits: usize,
+        digit_bits: u32,
+    ) -> AuxBasis {
+        let level = ntt.primes().len();
+        let aux = ntt.key_switch_basis(digits, digit_bits);
+        let digit = vec![(1u64 << digit_bits) - 1; ntt.phi()];
+        let key = RnsPoly {
+            residues: ntt
+                .primes()
+                .iter()
+                .map(|&q| vec![q - 1; ntt.phi()])
+                .collect(),
+        };
+        let (d, k) = (ntt.digit_to_aux(&aux, &digit), ntt.to_aux(&aux, &key));
+        let terms = level * digits;
+        let product = school.mul(&school.from_small_unsigned(&digit, level), &key);
+        let want = school.mul_scalar(&product, terms as u64);
+        for (i, want_row) in want.residues.iter().enumerate() {
+            let mut acc = aux.acc();
+            for _ in 0..terms {
+                acc.mul_add_rows(&d.rows, aux.rows_of(&k, i));
+            }
+            let got = ntt.from_aux(&aux, acc.finish(), i);
+            assert_eq!(&got, want_row, "row {i}, basis {:?}", aux.primes());
+        }
+        aux
+    }
+
+    #[test]
+    fn saturated_key_switch_sums_are_exact_in_the_aux_basis() {
+        // The benchmark's point: m = 127, twenty 25-bit primes, 7-bit
+        // digits (D = 4), B ≈ 2^45.3: one narrow prime whose
+        // accumulator holds all L·D products without a flush.
+        let (ntt, school) = RnsContext::ntt_schoolbook_pair(127, 25, 20);
+        let aux = saturated_sum_is_exact(&ntt, &school, 4, 7);
+        assert_eq!(aux.primes().len(), 1);
+        assert!(aux.primes()[0] < 1 << 47, "{:?}", aux.primes());
+        assert!(aux.acc().capacity >= 80);
+        // The one-prime edge: 25-bit digits (D = 1), B ≈ 2^61.3, just
+        // under the largest 62-bit NTT prime; its accumulator holds
+        // fewer than the 20 products, so the sum flushes on the way.
+        let aux = saturated_sum_is_exact(&ntt, &school, 1, 25);
+        assert_eq!(aux.primes().len(), 1);
+        assert!(aux.acc().capacity < 20);
+        // 62-bit chain primes (m = 31, ten primes, D = 9): B ≈ 2^80,
+        // two primes lifted by Garner's CRT.
+        let (ntt, school) = RnsContext::ntt_schoolbook_pair(31, 62, 10);
+        assert_eq!(
+            saturated_sum_is_exact(&ntt, &school, 9, 7).primes().len(),
+            2
+        );
+        // Negacyclic: the wrap subtracts, so the sums span [−B, B] and
+        // the basis must exceed 2B.
+        let (ntt, school) = RnsContext::negacyclic_schoolbook_pair(128, 25, 16);
+        assert_eq!(
+            saturated_sum_is_exact(&ntt, &school, 4, 7).primes().len(),
+            1
+        );
+        let (ntt, school) = RnsContext::negacyclic_schoolbook_pair(16, 62, 10);
+        assert_eq!(
+            saturated_sum_is_exact(&ntt, &school, 9, 7).primes().len(),
+            2
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond what two 62-bit NTT primes hold")]
+    fn key_switch_basis_refuses_sums_beyond_two_primes() {
+        let (ntt, _) = RnsContext::ntt_schoolbook_pair(31, 62, 10);
+        let _ = ntt.key_switch_basis(1, 62);
     }
 
     #[test]

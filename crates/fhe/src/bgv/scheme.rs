@@ -4,8 +4,9 @@
 //! This is the cryptographic core of the substrate HElib provides to
 //! the paper: RLWE encryption over `R_Q = Z_Q[X]/Φ_m(X)` with an RNS
 //! modulus chain, relinearisation and Galois key switching via
-//! per-prime digit decomposition, and BGV modulus switching for noise
-//! control.
+//! per-prime digit decomposition (each digit-times-key sum computed
+//! exactly in a small auxiliary NTT basis, then reduced into the
+//! chain), and BGV modulus switching for noise control.
 //!
 //! The ring flavor follows the cyclotomic index `m` of
 //! [`BgvParams::m`]:
@@ -34,7 +35,7 @@
 
 use crate::backend::BackendError;
 use crate::bgv::level::{Level, LevelRule, MUL_INPUT_BITS};
-use crate::bgv::ring::{EvalPoly, RnsContext, RnsPoly};
+use crate::bgv::ring::{AuxBasis, EvalPoly, RnsContext, RnsPoly};
 use crate::math::cyclotomic::SlotStructure;
 use crate::math::gf2poly::Gf2Poly;
 use crate::math::modq::{inv_mod, mul_mod, negacyclic_chain_primes, ntt_chain_primes, pow_mod};
@@ -151,15 +152,17 @@ pub struct Ciphertext {
 
 /// A key-switching key: for each chain prime `j` and digit `t`, an
 /// encryption `(b, a)` of `q*_j · B^t · s'` under `s`, indexed
-/// `[prime j][digit t]` at the full chain level.
+/// `[prime j][digit t]`, each half a polynomial over the full chain.
 ///
 /// A key is stored in **exactly one form**, the one its scheme's key
-/// switch reads: pre-transformed in the evaluation domain, so every
-/// key switch multiply-accumulates against the parts pointwise, or as
+/// switch reads: in the scheme's auxiliary NTT basis (chain row `i`
+/// transformed mod each of its `r` primes, rows `i·r .. (i + 1)·r`; see
+/// [`RnsContext::to_aux`]), so every key switch multiply-accumulates
+/// digits against the parts pointwise and sums exactly, or as
 /// coefficients.
 #[derive(Clone, Debug, PartialEq)]
 pub enum KsKey {
-    /// Evaluation-domain parts (an NTT scheme).
+    /// Auxiliary-basis parts (an NTT scheme).
     Eval(Vec<Vec<(EvalPoly, EvalPoly)>>),
     /// Coefficient parts (the schoolbook oracle).
     Coeff(Vec<Vec<(RnsPoly, RnsPoly)>>),
@@ -214,6 +217,9 @@ pub struct BgvScheme {
     public: (RnsPoly, RnsPoly),
     relin: KsKey,
     rotation: HashMap<u64, KsKey>,
+    /// The auxiliary NTT basis key switches sum in, derived at keygen
+    /// from the parameters ([`RnsContext::key_switch_basis`]).
+    aux: AuxBasis,
     rule: LevelRule,
     rng_seed: std::sync::atomic::AtomicU64,
 }
@@ -285,8 +291,10 @@ impl BgvScheme {
         let b = ring.add(&ring.neg(&ring.mul(&a, &secret)), &ring.mul_scalar(&e, 2));
         let public = (b, a);
 
+        let digits = params.prime_bits.div_ceil(params.ks_digit_bits) as usize;
         let mut scheme = Self {
             rule: LevelRule::new(params, slots.as_ref().map_or(0, SlotStructure::nslots)),
+            aux: ring.key_switch_basis(digits, params.ks_digit_bits),
             params,
             ring,
             slots,
@@ -339,7 +347,7 @@ impl BgvScheme {
     fn ks_keygen(&self, target: &RnsPoly, seed: u64) -> KsKey {
         let rng = &mut SmallRng::seed_from_u64(seed);
         if self.eval_path() {
-            KsKey::Eval(self.ks_parts(target, rng, |p| self.ring.to_eval(&p)))
+            KsKey::Eval(self.ks_parts(target, rng, |p| self.ring.to_aux(&self.aux, &p)))
         } else {
             KsKey::Coeff(self.ks_parts(target, rng, |p| p))
         }
@@ -439,13 +447,13 @@ impl BgvScheme {
     }
 
     /// Sets the parallel degree for the scheme's data-parallel kernel
-    /// loops: per-prime residue rows inside ring operations and the
-    /// per-prime digit rows of a key switch fork onto the shared
+    /// loops: per-prime residue rows inside ring operations, and a key
+    /// switch's digit transforms and output rows, fork onto the shared
     /// [`copse_pool::global`] worker pool when `threads > 1`.
     ///
     /// Every ciphertext produced is **bitwise identical** for every
-    /// value (rows and digit contributions are independent, collected
-    /// in chain order, and combined with exact modular arithmetic);
+    /// value (rows are independent, collected in chain order, and every
+    /// sum is exact);
     /// `1` — the default — is the sequential differential baseline.
     pub fn set_threads(&self, threads: usize) {
         self.ring.set_threads(threads);
@@ -782,17 +790,18 @@ impl BgvScheme {
     /// decomposition.
     ///
     /// Two routes, chosen by the form the key was born in and bitwise
-    /// identical (the NTT is linear and exact over each `Z_q`): the
-    /// evaluation-domain route transforms each digit row once,
-    /// multiply-accumulates pointwise against key parts that were
-    /// pre-transformed at keygen, and inverse-transforms each of the
-    /// two output polynomials once — `level · digits · level` forward
-    /// transforms plus `2 · level` inverses per call. Its
-    /// `level · digits` products per point sum unreduced in an
-    /// [`EvalAcc`](crate::bgv::ring::EvalAcc), so the only division
-    /// left is one reduction per output point (plus a flush whenever
-    /// 62-bit-class primes fill the `u128`). The coefficient route is
-    /// the schoolbook oracle's.
+    /// identical. The evaluation route sums each output row
+    /// `Σ_{j,t} d_{j,t} ⋆ k_{j,t,i}` **exactly** over the integers in
+    /// the scheme's auxiliary NTT basis (see
+    /// [`RnsContext::key_switch_basis`]) and only then reduces it into
+    /// chain prime `i`, so each digit is transformed once per aux prime
+    /// rather than once per chain prime: `level · digits · r` forward
+    /// transforms plus `2 · level · r` inverses per call (`r` aux
+    /// primes, one at every shipped parameter point), linear in the
+    /// level. The products sum unreduced in an
+    /// [`EvalAcc`](crate::bgv::ring::EvalAcc), which a basis sized to
+    /// the sum rarely has to flush. The coefficient route is the
+    /// schoolbook oracle's.
     fn key_switch(&self, poly: &RnsPoly, key: &KsKey) -> (RnsPoly, RnsPoly) {
         let level = self.ring.level_of(poly);
         match key {
@@ -807,42 +816,35 @@ impl BgvScheme {
         parts: &[Vec<(EvalPoly, EvalPoly)>],
         level: usize,
     ) -> (RnsPoly, RnsPoly) {
-        // One job per source prime `j`: decompose its residue row into
-        // digits and multiply-accumulate them against the row's
-        // pre-transformed key parts. Jobs touch disjoint inputs; each
-        // reduces its partial sums, which then combine with exact
-        // modular addition, so any chunking is bitwise identical to the
-        // sequential loop below — which is also the `threads == 1`
-        // route.
-        let accumulate_rows = |range: std::ops::Range<usize>| -> (EvalPoly, EvalPoly) {
-            let mut acc0 = self.ring.eval_acc(level);
-            let mut acc1 = self.ring.eval_acc(level);
-            for (j, key_row) in parts.iter().enumerate().take(range.end).skip(range.start) {
-                let digits = self
-                    .ring
-                    .decompose_digits(poly, j, self.params.ks_digit_bits);
-                for (digit_row, (b, a)) in digits.iter().zip(key_row) {
-                    let d = self.ring.small_to_eval(digit_row, level);
-                    acc0.mul_add(&d, b);
-                    acc1.mul_add(&d, a);
+        let (ring, aux) = (&self.ring, &self.aux);
+        // Two forks, each bitwise identical to its sequential loop at any
+        // chunking because the sums are exact: every digit transforms
+        // once (a job per source prime), then every output row sums its
+        // digit-times-key products and reduces into its chain prime (a
+        // job per output row).
+        let digits: Vec<Vec<EvalPoly>> = ring.par_rows(level, |j| {
+            ring.decompose_digits(poly, j, self.params.ks_digit_bits)
+                .iter()
+                .map(|digit| ring.digit_to_aux(aux, digit))
+                .collect()
+        });
+        let (c0, c1): (Vec<_>, Vec<_>) = ring
+            .par_rows(level, |i| {
+                let (mut acc0, mut acc1) = (aux.acc(), aux.acc());
+                for (row_digits, key_row) in digits.iter().zip(parts) {
+                    for (d, (b, a)) in row_digits.iter().zip(key_row) {
+                        acc0.mul_add_rows(&d.rows, aux.rows_of(b, i));
+                        acc1.mul_add_rows(&d.rows, aux.rows_of(a, i));
+                    }
                 }
-            }
-            (acc0.finish(), acc1.finish())
-        };
-        let threads = self.ring.threads();
-        let (acc0, acc1) = if threads > 1 && level > 1 && !copse_pool::in_worker() {
-            let partials = copse_pool::global().scope_chunks(level, threads, accumulate_rows);
-            let mut partials = partials.into_iter();
-            let (mut acc0, mut acc1) = partials.next().expect("at least one chunk");
-            for (p0, p1) in partials {
-                self.ring.eval_add_assign(&mut acc0, &p0);
-                self.ring.eval_add_assign(&mut acc1, &p1);
-            }
-            (acc0, acc1)
-        } else {
-            accumulate_rows(0..level)
-        };
-        (self.ring.from_eval(&acc0), self.ring.from_eval(&acc1))
+                (
+                    ring.from_aux(aux, acc0.finish(), i),
+                    ring.from_aux(aux, acc1.finish(), i),
+                )
+            })
+            .into_iter()
+            .unzip();
+        (RnsPoly { residues: c0 }, RnsPoly { residues: c1 })
     }
 
     /// Coefficient-domain key switch — the schoolbook oracle's, kept
@@ -1136,6 +1138,29 @@ mod tests {
             assert_eq!(ntt.rotation.len(), oracle.rotation.len());
             assert!(keys(&ntt).all(|k| matches!(k, KsKey::Eval(p) if !p.is_empty())));
             assert!(keys(&oracle).all(|k| matches!(k, KsKey::Coeff(p) if !p.is_empty())));
+        }
+    }
+
+    #[test]
+    fn key_switch_basis_is_derived_from_the_params() {
+        // One auxiliary prime at every shipped point, none of them in
+        // the chain; two at 62-bit chains, whose sums pass 2^80.
+        let wide = BgvParams {
+            prime_bits: 62,
+            ..BgvParams::tiny()
+        };
+        for (params, primes) in [
+            (BgvParams::tiny(), 1),
+            (BgvParams::negacyclic_tiny(), 1),
+            (wide, 2),
+        ] {
+            let s = BgvScheme::keygen(params);
+            assert_eq!(s.aux.primes().len(), primes, "{params:?}");
+            assert!(s
+                .aux
+                .primes()
+                .iter()
+                .all(|p| !s.ring().primes().contains(p)));
         }
     }
 

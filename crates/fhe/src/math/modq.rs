@@ -181,21 +181,26 @@ pub fn ntt_chain_primes(bits: u32, count: usize, two_adic_order: u32) -> Vec<u64
         two_adic_order < bits,
         "2-adic order {two_adic_order} leaves no {bits}-bit candidates"
     );
-    let step = 1u64 << two_adic_order;
-    // Largest k * 2^s + 1 below 2^bits.
-    let mut candidate = (((1u64 << bits) - 2) / step) * step + 1;
-    let mut primes = Vec::with_capacity(count);
-    while primes.len() < count {
-        assert!(
-            candidate > (1u64 << (bits - 1)),
-            "exhausted {bits}-bit primes with 2-adicity {two_adic_order}"
-        );
-        if is_prime(candidate) {
-            primes.push(candidate);
-        }
-        candidate -= step;
-    }
+    let primes: Vec<u64> = ntt_primes_below(bits, two_adic_order).take(count).collect();
+    assert!(
+        primes.len() == count,
+        "exhausted {bits}-bit primes with 2-adicity {two_adic_order}"
+    );
     primes
+}
+
+/// The `bits`-bit primes `q ≡ 1 (mod 2^two_adic_order)` in descending
+/// order from just below `2^bits`: the candidates [`ntt_chain_primes`]
+/// takes its chain from, as a lazy sequence that ends where the range
+/// does (at once when `two_adic_order >= bits`).
+pub fn ntt_primes_below(bits: u32, two_adic_order: u32) -> impl Iterator<Item = u64> {
+    let step = 1u64 << two_adic_order;
+    let floor = 1u64 << (bits - 1);
+    // Largest k * 2^s + 1 below 2^bits.
+    let top = (((1u64 << bits) - 2) / step) * step + 1;
+    std::iter::successors(Some(top), move |&c| c.checked_sub(step))
+        .take_while(move |&c| c > floor)
+        .filter(|&c| is_prime(c))
 }
 
 /// Generates `count` distinct primes with `2n | q - 1` for a

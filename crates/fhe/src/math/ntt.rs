@@ -66,7 +66,9 @@ pub(crate) fn shoup(w: u64, q: u64) -> u64 {
 
 /// `(x * w) mod q` with `w`'s precomputed Shoup quotient `w_shoup`.
 ///
-/// Valid for `x < q < 2^63`; the result is canonical.
+/// Valid for `w < q < 2^63` and **any** 64-bit `x`, canonical or not:
+/// the quotient estimate `t` is at most one short of `⌊x·w/q⌋`
+/// whenever `x < 2^64`. The result is canonical.
 #[inline]
 pub(crate) fn mul_shoup(x: u64, w: u64, w_shoup: u64, q: u64) -> u64 {
     let t = ((x as u128 * w_shoup as u128) >> 64) as u64;

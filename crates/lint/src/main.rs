@@ -48,7 +48,10 @@
 //!    declaring it as a `struct`, or re-growing the `parts_eval`
 //!    mirror field, is a finding. A scheme is born on the evaluation
 //!    route or as the schoolbook oracle and holds each switching key
-//!    in the one form that route reads.
+//!    in the one form that route reads. Nor does it define
+//!    `fn small_to_eval(`, the per-prime digit transform: the
+//!    evaluation route transforms each digit once, in the key switch's
+//!    auxiliary basis, and a second route cannot grow back beside it.
 //! 10. **The circuit has one model.** Non-test `crates/*/src` declares
 //!     no `struct CostInputs`, no `mod ours`, no `fn classify_depth(`,
 //!     none of the per-stage closed forms `fn matmul_counts(`,
@@ -116,7 +119,8 @@ struct Patterns {
     dialect: [String; 4],
     /// Rule 9: a public setter is `toggle.0 .. toggle.1` on one line.
     toggle: (String, String),
-    second_form: [String; 2],
+    /// Rule 9: a second key form, or the per-prime digit transform.
+    second_form: [String; 3],
     circuit_model: [String; 8],
     /// Rule 10: the comparator's type name.
     comparator: String,
@@ -146,7 +150,11 @@ impl Patterns {
                 ["WIRE_VERSION", "_MIN"].concat(),
             ],
             toggle: (["pub fn ", "set_"].concat(), ["_enabled", "("].concat()),
-            second_form: [["struct ", "KsKey"].concat(), ["parts", "_eval"].concat()],
+            second_form: [
+                ["struct ", "KsKey"].concat(),
+                ["parts", "_eval"].concat(),
+                ["fn small", "_to_eval("].concat(),
+            ],
             circuit_model: [
                 ["struct ", "CostInputs"].concat(),
                 ["mod ", "ours"].concat(),
@@ -669,12 +677,13 @@ mod tests {
     fn flags_a_route_toggle_or_a_second_key_form() {
         let patterns = Patterns::new();
         let (setter, enabled) = &patterns.toggle;
-        let [as_struct, mirror] = &patterns.second_form;
+        let [as_struct, mirror, digit_lift] = &patterns.second_form;
         let srcs = [
             format!("    {setter}eval_domain{enabled}&mut self, on: bool) {{}}\n"),
             format!("    {setter}ntt{enabled}&mut self, enabled: bool) {{}}\n"),
             format!("pub {as_struct} {{\n"),
             format!("    {mirror}: Option<Vec<Vec<(EvalPoly, EvalPoly)>>>,\n"),
+            format!("    pub {digit_lift}&self, coeffs: &[u64], level: usize) -> EvalPoly {{\n"),
         ];
         for src in &srcs {
             let hits = scan("crates/fhe/src/bgv/scheme.rs", src);
@@ -687,10 +696,12 @@ mod tests {
             assert!(scan("crates/fhe/src/bgv/scheme.rs", &format!("// {src}")).is_empty());
         }
         // What the crate does hold: a one-form enum, a crate-private
-        // construction-time setter, and the thread knob.
+        // construction-time setter, the thread knob, and the one digit
+        // transform, into the auxiliary basis.
         let fine = "pub enum KsKey {\n    Eval(Vec<Vec<(EvalPoly, EvalPoly)>>),\n}\n\
                     pub(crate) fn set_ntt_enabled(&mut self, enabled: bool) {}\n\
-                    pub fn set_threads(&self, threads: usize) {}\n";
+                    pub fn set_threads(&self, threads: usize) {}\n\
+                    pub fn digit_to_aux(&self, aux: &AuxBasis, coeffs: &[u64]) -> EvalPoly {}\n";
         assert!(scan("crates/fhe/src/bgv/ring.rs", fine).is_empty());
     }
 
