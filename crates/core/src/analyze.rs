@@ -216,6 +216,11 @@ pub struct ChainReport {
     /// Primes each stage consumes from that entry, in pipeline order
     /// (comparison, reshuffle, levels, accumulate).
     pub consumed: [u32; 4],
+    /// Encrypt operations to deploy the model on the rule's slot ring,
+    /// where each matrix is encrypted in ring form: one per ring
+    /// diagonal rather than [`CircuitReport::model_encrypt_ops`]'s one
+    /// per column.
+    pub model_encrypt_ops: OpCounts,
 }
 
 /// The static analysis of one compiled model under one evaluation
@@ -235,8 +240,10 @@ pub struct CircuitReport {
     /// depth costs): what a fresh query ciphertext reaches by the
     /// result.
     pub depth: u32,
-    /// Encrypt operations to deploy the model (zero for plaintext
-    /// deployment).
+    /// Encrypt operations to deploy the model on a backend without a
+    /// slot ring — the paper's Table 1d (zero for plaintext
+    /// deployment). On a slot ring see
+    /// [`ChainReport::model_encrypt_ops`].
     pub model_encrypt_ops: OpCounts,
     /// Encrypt operations per query (`p` bit planes).
     pub query_encrypt_ops: OpCounts,
@@ -379,17 +386,18 @@ pub(crate) fn chain(
     rule: &LevelRule,
 ) -> ChainReport {
     let chain_len = rule.chain_len();
-    let (entry, stages) = (1..=4096)
+    let (entry, deploy, stages) = (1..=4096)
         .find_map(|entry| {
             let rule = rule.with_chain_len(entry.max(chain_len));
-            let (_, stages, decrypts) = run(meta, fused, shape, Some(rule), Some(entry));
-            decrypts.then_some((entry, stages))
+            let (deploy, stages, decrypts) = run(meta, fused, shape, Some(rule), Some(entry));
+            decrypts.then_some((entry, deploy, stages))
         })
         .expect("a long enough chain fits every circuit");
     ChainReport {
         chain_len: chain_len as u32,
         primes_needed: entry as u32,
         consumed: stages.map(|stage| stage.depth_cost),
+        model_encrypt_ops: deploy,
     }
 }
 
@@ -464,7 +472,7 @@ mod tests {
     use crate::compiler::CompileOptions;
     use crate::complexity::log2ceil;
     use crate::seccomp::balanced_product;
-    use copse_fhe::{BitVec, ClearBackend};
+    use copse_fhe::{BgvBackend, BgvParams, BitVec, ClearBackend};
     use copse_forest::microbench::{self, MicrobenchSpec};
 
     fn compiled(fused: bool) -> Maurice {
@@ -655,6 +663,31 @@ mod tests {
             let ladder = mult(p, SecCompVariant::LadderPrefix);
             let tree = mult(p, SecCompVariant::Tree);
             assert!(ladder > tree, "p = {p}: {ladder} !> {tree}");
+        }
+    }
+
+    #[test]
+    fn the_chain_report_counts_what_deploying_on_its_ring_encrypts() {
+        // On a slot ring Maurice encrypts each matrix in ring form, one
+        // Encrypt per ring diagonal; the rule-free report counts the
+        // paper's one per column.
+        let be = BgvBackend::new(BgvParams {
+            chain_len: 2,
+            ..BgvParams::demo()
+        });
+        let NoiseBudget::Chain(rule) = be.noise_budget() else {
+            unreachable!("BGV budgets a modulus chain")
+        };
+        for fused in [false, true] {
+            let maurice = compiled(fused);
+            let r = report(&maurice, ModelForm::Encrypted);
+            let (_, meter) = OpMeter::measure(|| maurice.deploy(&be, ModelForm::Encrypted));
+            let deploy = meter.snapshot();
+            assert_eq!(deploy, r.chain(&rule).model_encrypt_ops, "fused={fused}");
+            assert!(
+                deploy.encrypt > r.model_encrypt_ops.encrypt,
+                "fused={fused}"
+            );
         }
     }
 

@@ -24,10 +24,35 @@
 //! for bit what a product of its own would have been; [`mat_vec`] is
 //! the one-matrix case of the same loop, and the packed-batch layout
 //! ([`EncodedMatrix::pack`]) is the same loop over block rotations.
+//!
+//! **On a slot ring.** A rotation of `n < N` slots of an `N`-slot
+//! ciphertext is two masked automorphisms, and a cyclic extension one
+//! more per window. On a backend that reports
+//! `slot_capacity() == Some(N)` each matrix is therefore laid out in
+//! **ring form** instead (at deploy, [`ring_shifts`]): with
+//! `P_r[j] = M[j][(j + r) mod N]` where that column is below `n` (else
+//! 0),
+//!
+//! ```text
+//! M·v = Σ_{r ∈ S}  P_r ⊙ rot_N(v, r),   S = {r : ∃ j < m, (j + r) mod N < n}
+//! ```
+//!
+//! — one automorphism per shift, no mask, no extension
+//! ([`FheBackend::ring_mat_vec`]). `S` depends on `(m, n, N)` alone, so
+//! the route is as data-oblivious as the width-`n` one; where `n = N`
+//! the two forms coincide and the matrix keeps the width-`n` one. The
+//! packed layout tiles whichever form a matrix has: a tiled `P_r` is
+//! the ring diagonal of the block-diagonal matrix of its copies (row
+//! `a` of block `j` reads slot `j·stride + ((a + r) mod N)`, a column
+//! of its own block), so packed products on a ring run the same kernel.
+//! Both routes meter the width-`n` loop's ops (the paper's counts): the
+//! ring route's automorphisms and extra products are internal
+//! plumbing, like a partial-width rotation's masks.
 
 use crate::artifacts::BoolMatrix;
 use crate::parallel::{map_chunks, Parallelism};
-use copse_fhe::{FheBackend, MaybeEncrypted};
+use crate::runtime::ModelForm;
+use copse_fhe::{BitVec, FheBackend, FheOp, MaybeEncrypted, RingDiagonals};
 use std::cmp::Ordering;
 
 /// Where a matrix's diagonals sit in the slot vector.
@@ -50,15 +75,51 @@ impl Layout {
     }
 }
 
-/// A matrix deployed for packed evaluation: generalised diagonals,
-/// each either plaintext or encrypted.
+/// The shifts `S` of an `rows × cols` product on a ring of `slots`
+/// slots (see the module docs): `r` is in `S` iff some row `j < rows`
+/// reads column `(j + r) mod slots < cols`, i.e. `r < cols` (row 0) or
+/// the window `r..r + rows` wraps past the end of the ring.
+pub fn ring_shifts(rows: usize, cols: usize, slots: usize) -> Vec<usize> {
+    (0..slots)
+        .filter(|&r| r < cols || r + rows > slots)
+        .collect()
+}
+
+/// The ring a `rows × cols` matrix runs on when `backend` has one:
+/// its whole slot ring, when that holds both operands and is wider than
+/// `cols` (at `cols = N` the ring form is the width-`cols` form).
+fn ring_of<B: FheBackend>(backend: &B, rows: usize, cols: usize) -> Option<usize> {
+    backend
+        .slot_capacity()
+        .filter(|&slots| rows <= slots && cols < slots)
+}
+
+/// The slot ring a matrix in ring form is laid out on.
+#[derive(Clone, Debug)]
+struct Ring {
+    slots: usize,
+    /// Plaintext sparsity hints per ring diagonal, like
+    /// [`EncodedMatrix`]'s per generalised diagonal.
+    zero: Vec<bool>,
+}
+
+/// A matrix deployed for packed evaluation: its diagonals, each either
+/// plaintext or encrypted — the generalised diagonals `d_i`, or on a
+/// slot-bounded backend the ring diagonals `P_r` (see the module docs).
 #[derive(Debug)]
 pub struct EncodedMatrix<B: FheBackend> {
+    /// What products multiply by: `P_r` for each shift of
+    /// [`ring_shifts`] when `ring` is set, else `d_i` for `i < cols`.
     diagonals: Vec<MaybeEncrypted<B>>,
-    /// Plaintext sparsity hints: `true` for diagonals known to be
-    /// all-zero. Only populated for plaintext deployments; encrypted
-    /// diagonals are never skipped (their contents are hidden).
+    /// Plaintext sparsity hints: `true` for generalised diagonals known
+    /// to be all-zero, kept in ring form too (the metered width-`n`
+    /// loop skips by them). Only populated for plaintext deployments;
+    /// encrypted diagonals are never skipped (their contents are
+    /// hidden).
     zero_diagonals: Vec<bool>,
+    /// The ring `diagonals` are laid out on; `None` on a backend
+    /// without a slot ring and where the matrix does not fit one.
+    ring: Option<Ring>,
     rows: usize,
     cols: usize,
     layout: Layout,
@@ -69,6 +130,7 @@ impl<B: FheBackend> Clone for EncodedMatrix<B> {
         Self {
             diagonals: self.diagonals.clone(),
             zero_diagonals: self.zero_diagonals.clone(),
+            ring: self.ring.clone(),
             rows: self.rows,
             cols: self.cols,
             layout: self.layout,
@@ -82,23 +144,26 @@ impl<B: FheBackend> EncodedMatrix<B> {
     /// for every diagonal, so deployment — not the first query — pays
     /// any one-time transform cost.
     pub fn encode_plain(backend: &B, matrix: &BoolMatrix) -> Self {
-        let diags = matrix.diagonals();
-        let encode = |d| MaybeEncrypted::Plain(backend.encode(d));
-        let mut encoded = Self::from_diagonals(diags.iter().map(encode).collect(), matrix.rows());
-        encoded.zero_diagonals = diags.iter().map(|d| d.is_zero()).collect();
+        let encoded = Self::build(
+            backend,
+            matrix.rows(),
+            matrix.cols(),
+            Some(matrix),
+            |bits| MaybeEncrypted::Plain(backend.encode(bits)),
+        );
         encoded.precompute(backend);
         encoded
     }
 
-    /// Warms backend-side caches for the plaintext diagonals (the BGV
+    /// Warms backend-side caches for every plaintext diagonal (the BGV
     /// backend forward-NTTs each fixed diagonal exactly once here;
     /// every query and batch thereafter multiplies pointwise against
     /// the cached transform). Encrypted diagonals have no plaintext
     /// cache and are left untouched. Diagonals warm independently, so
     /// when the backend is configured for kernel parallelism the batch
-    /// forks onto the shared worker pool — deployment pays the
-    /// one-time transform cost across cores (the caches are
-    /// write-once, so the warmed state is identical either way).
+    /// forks onto the shared worker pool — deployment pays the one-time
+    /// transform cost across cores (the caches are write-once, so the
+    /// warmed state is identical either way).
     pub fn precompute(&self, backend: &B) {
         let plain: Vec<&B::Plaintext> = self
             .diagonals
@@ -117,22 +182,69 @@ impl<B: FheBackend> EncodedMatrix<B> {
     }
 
     /// Encrypts a boolean matrix diagonal-by-diagonal (offloaded
-    /// model; costs `cols` Encrypt operations, which is how the paper
-    /// counts model encryption in Table 1d).
+    /// model): one Encrypt per diagonal — `cols` on a backend without a
+    /// slot ring, which is how the paper counts model encryption in
+    /// Table 1d, and one per shift of [`ring_shifts`] in ring form
+    /// (Maurice owns the matrix, so he lays it out).
     pub fn encrypt(backend: &B, matrix: &BoolMatrix) -> Self {
-        let diagonals = matrix.diagonals();
-        let encrypt = |d| MaybeEncrypted::Encrypted(backend.encrypt_bits(d));
-        Self::from_diagonals(diagonals.iter().map(encrypt).collect(), matrix.rows())
+        Self::build(
+            backend,
+            matrix.rows(),
+            matrix.cols(),
+            Some(matrix),
+            |bits| MaybeEncrypted::Encrypted(backend.encrypt_bits(bits)),
+        )
     }
 
-    /// A `rows`-row matrix of the given diagonals (one per column),
-    /// none of them known to be zero.
-    pub(crate) fn from_diagonals(diagonals: Vec<MaybeEncrypted<B>>, rows: usize) -> Self {
+    /// A `rows × cols` matrix of `form` whose entries nobody knows —
+    /// the analyzer's stand-in for Maurice's artifacts, built by the
+    /// same shape rule as his, with no diagonal known to be zero.
+    pub(crate) fn of_shape(backend: &B, form: ModelForm, rows: usize, cols: usize) -> Self {
+        Self::build(backend, rows, cols, None, |bits| {
+            form.operand(backend, backend.encode(bits))
+        })
+    }
+
+    /// The one constructor: the diagonals of a `rows × cols` matrix in
+    /// ring form when [`ring_of`] gives a ring, else the generalised
+    /// ones, each `operand` of its bits. The all-zero diagonals of a
+    /// known plaintext `matrix` are recorded as skippable; an unknown
+    /// one has all-zero bits and no such hint.
+    fn build(
+        backend: &B,
+        rows: usize,
+        cols: usize,
+        matrix: Option<&BoolMatrix>,
+        operand: impl Fn(&BitVec) -> MaybeEncrypted<B>,
+    ) -> Self {
+        // Diagonal `r` on a ring of `slots ≥ cols` slots: row `j` holds
+        // `M[j][(j + r) mod slots]`, or 0 past the last column. On a
+        // ring of `cols` slots this is the generalised diagonal `d_r`.
+        let bits = |slots: usize, r: usize| match matrix {
+            Some(m) => BitVec::from_fn(rows, |j| {
+                let col = (j + r) % slots;
+                col < cols && m.get(j, col)
+            }),
+            None => BitVec::zeros(rows),
+        };
+        let ring = ring_of(backend, rows, cols);
+        let shifts = ring.map_or_else(
+            || (0..cols).collect(),
+            |slots| ring_shifts(rows, cols, slots),
+        );
+        let slots = ring.unwrap_or(cols);
+        let diagonals: Vec<_> = shifts.iter().map(|&r| operand(&bits(slots, r))).collect();
+        let known = matrix.is_some() && !diagonals.iter().any(MaybeEncrypted::is_encrypted);
+        let zero = |slots: usize, r: usize| known && bits(slots, r).is_zero();
         Self {
-            zero_diagonals: vec![false; diagonals.len()],
-            cols: diagonals.len(),
+            zero_diagonals: (0..cols).map(|i| zero(cols, i)).collect(),
+            ring: ring.map(|slots| Ring {
+                slots,
+                zero: shifts.iter().map(|&r| zero(slots, r)).collect(),
+            }),
             diagonals,
             rows,
+            cols,
             layout: Layout::Whole,
         }
     }
@@ -140,10 +252,11 @@ impl<B: FheBackend> EncodedMatrix<B> {
     /// Tiles the matrix for the packed-batch layout: every diagonal
     /// repeats at block offsets `0, stride, 2*stride, …`, so one
     /// multiply applies the model to all `count` packed queries at
-    /// once. Built once per deployed model (lazily, on the first
-    /// packed batch); plaintext diagonals re-encode and pre-warm their
-    /// tiled form, encrypted diagonals pay the pack-of-clones
-    /// rotations once here instead of once per chunk.
+    /// once — in ring form too (see the module docs). Built once per
+    /// deployed model (lazily, on the first packed batch); plaintext
+    /// diagonals re-encode and pre-warm their tiled form, encrypted
+    /// diagonals pay the pack-of-clones rotations once here instead of
+    /// once per chunk.
     pub fn pack(&self, backend: &B, stride: usize, count: usize) -> Self {
         Self {
             diagonals: self
@@ -152,6 +265,7 @@ impl<B: FheBackend> EncodedMatrix<B> {
                 .map(|d| tile_operand(backend, d, stride, count))
                 .collect(),
             zero_diagonals: self.zero_diagonals.clone(),
+            ring: self.ring.clone(),
             rows: self.rows,
             cols: self.cols,
             layout: Layout::Blocks { stride, count },
@@ -163,7 +277,7 @@ impl<B: FheBackend> EncodedMatrix<B> {
         self.rows
     }
 
-    /// Number of columns (= number of diagonals).
+    /// Number of columns.
     pub fn cols(&self) -> usize {
         self.cols
     }
@@ -238,6 +352,10 @@ pub fn mat_vec<B: FheBackend>(
 /// total (not per matrix) plus each matrix's own `cols` multiplies and
 /// `cols - 1` additions. `options[l]` belongs to `matrices[l]`.
 ///
+/// Matrices in ring form run on the ring instead, whole or packed
+/// ([`FheBackend::ring_mat_vec`], one automorphism per shift, shared
+/// the same way) and meter exactly what the loop above would.
+///
 /// For a packed matrix ([`EncodedMatrix::pack`]) `v` holds one
 /// width-`cols` operand per block and the result one width-`rows`
 /// product per block, at exactly the op count of the unpacked product
@@ -255,7 +373,8 @@ pub fn mat_vec<B: FheBackend>(
 /// every pool degree and to a [`mat_vec`] of that matrix alone: a rotation
 /// is a deterministic function of `v`, so which call computed it
 /// cannot show. With `skip_zero_diagonals`, rotation `i` is computed
-/// iff some matrix keeps diagonal `i`; a matrix with every diagonal
+/// iff some matrix keeps diagonal `i` (on the ring: shift `r` iff some
+/// matrix keeps `P_r`); a matrix with every diagonal
 /// skipped yields a fresh zero encryption whose randomness comes from
 /// its own pre-split [`MatMulOptions::zero_tag`] rather than the
 /// backend's internal stream, so concurrent calls (e.g. a parallel
@@ -282,10 +401,12 @@ pub fn mat_vec_many<B: FheBackend>(
         return Vec::new();
     };
     let (m, n, layout) = (first.rows, first.cols, first.layout);
+    let ring = first.ring.as_ref().map(|ring| ring.slots);
     assert!(
         matrices
             .iter()
-            .all(|x| (x.rows, x.cols, x.layout) == (m, n, layout)),
+            .all(|x| (x.rows, x.cols, x.layout) == (m, n, layout)
+                && x.ring.as_ref().map(|ring| ring.slots) == ring),
         "matrices sharing rotations must share one shape and layout"
     );
     assert_eq!(
@@ -298,6 +419,45 @@ pub fn mat_vec_many<B: FheBackend>(
 
     let keeps =
         |l: usize, i: usize| !(options[l].skip_zero_diagonals && matrices[l].zero_diagonals[i]);
+    let sums = match ring {
+        Some(slots) => {
+            record_width_n_ops(backend, matrices, n, keeps);
+            let diagonals: Vec<RingDiagonals<'_, B>> = matrices
+                .iter()
+                .zip(options)
+                .map(|(x, o)| {
+                    let zero = &x.ring.as_ref().expect("shape-checked above").zero;
+                    let kept = |(d, &zero)| (!(o.skip_zero_diagonals && zero)).then_some(d);
+                    x.diagonals.iter().zip(zero).map(kept).collect()
+                })
+                .collect();
+            let shifts = ring_shifts(m, n, slots);
+            let rows = layout.span(m);
+            backend.ring_mat_vec(v, &shifts, &diagonals, rows, parallelism.threads)
+        }
+        None => width_n_products(backend, matrices, v, layout, keeps, parallelism),
+    };
+    // An all-zero (or fully skipped) matrix still yields a result,
+    // deterministically (see MatMulOptions::zero_tag).
+    sums.into_iter()
+        .zip(options)
+        .map(|(sum, o)| {
+            sum.unwrap_or_else(|| backend.encrypt_zeros_seeded(layout.span(m), o.zero_tag))
+        })
+        .collect()
+}
+
+/// The width-`n` loop of [`mat_vec_many`]: one partial sum per matrix
+/// (`None` when it keeps no diagonal).
+fn width_n_products<B: FheBackend>(
+    backend: &B,
+    matrices: &[&EncodedMatrix<B>],
+    v: &B::Ciphertext,
+    layout: Layout,
+    keeps: impl Fn(usize, usize) -> bool + Sync,
+    parallelism: Parallelism,
+) -> Vec<Option<B::Ciphertext>> {
+    let (m, n) = (matrices[0].rows, matrices[0].cols);
     let adjusted = |i: usize| -> B::Ciphertext {
         let rotated = match (i, layout) {
             (0, _) => v.clone(),
@@ -348,20 +508,45 @@ pub fn mat_vec_many<B: FheBackend>(
             }
         }
     }
-    // An all-zero (or fully skipped) matrix still yields a result,
-    // deterministically (see MatMulOptions::zero_tag).
-    sums.into_iter()
-        .zip(options)
-        .map(|(sum, o)| {
-            sum.unwrap_or_else(|| backend.encrypt_zeros_seeded(layout.span(m), o.zero_tag))
-        })
-        .collect()
+    sums
+}
+
+/// Records on `backend`'s meter what [`width_n_products`] would: one
+/// `Rotate` per nonzero diagonal index some matrix keeps, and per
+/// matrix one product per kept diagonal and one `Add` per kept
+/// diagonal after its first. The ring route realises the same product
+/// with other automorphisms and products; the paper's counts, the
+/// analyzer and every conformance battery read these.
+fn record_width_n_ops<B: FheBackend>(
+    backend: &B,
+    matrices: &[&EncodedMatrix<B>],
+    n: usize,
+    keeps: impl Fn(usize, usize) -> bool,
+) {
+    let meter = backend.meter();
+    for i in 1..n {
+        if (0..matrices.len()).any(|l| keeps(l, i)) {
+            meter.record(FheOp::Rotate);
+        }
+    }
+    for (l, matrix) in matrices.iter().enumerate() {
+        let product = match matrix.is_encrypted() {
+            true => FheOp::Multiply,
+            false => FheOp::ConstantMultiply,
+        };
+        for k in 0..(0..n).filter(|&i| keeps(l, i)).count() {
+            meter.record(product);
+            if k > 0 {
+                meter.record(FheOp::Add);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copse_fhe::{BgvBackend, BitVec, ClearBackend, ClearConfig, FheBackend, OpMeter};
+    use copse_fhe::{BgvBackend, BgvParams, ClearBackend, ClearConfig, OpCounts, OpMeter};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -854,6 +1039,8 @@ mod tests {
         // rotations (all the key switching) once, so over a single
         // matrix it adds exactly the transforms of the two extra
         // matrices' own plaintext multiplies — additions are free.
+        // 6 x 4 on the 6-slot ring runs in ring form: 6 shifts each,
+        // 5 of them automorphisms.
         let be = BgvBackend::tiny();
         let mut rng = SmallRng::seed_from_u64(16);
         let (rows, cols) = (6, 4);
@@ -864,7 +1051,7 @@ mod tests {
         let v = be.encrypt_bits(&BitVec::from_fn(cols, |_| rng.gen_bool(0.5)));
         let options = [MatMulOptions::default(); 3];
         let seq = Parallelism::sequential();
-        // Warm the rotation masks so both runs see the same caches.
+        // Warm any caches so both runs see the same state.
         let _ = mat_vec_many(&be, &refs[..1], &v, &options[..1], seq);
 
         let (_, one) = OpMeter::measure(|| mat_vec_many(&be, &refs[..1], &v, &options[..1], seq));
@@ -874,13 +1061,16 @@ mod tests {
         assert_eq!(three.snapshot().constant_multiply, (3 * cols) as u64);
         assert_eq!(three.snapshot().add, (3 * (cols - 1)) as u64);
 
-        let operands: Vec<_> = (0..cols)
-            .map(|i| be.cyclic_extend(&be.rotate(&v, i as isize), rows))
-            .collect();
+        // A plaintext product's transforms depend only on the operand's
+        // level, and a rotation keeps the level: any fresh operand of
+        // the result's width stands in for the rotated ones.
+        let operand = be.encrypt_bits(&BitVec::zeros(rows));
         let (_, multiplies) = OpMeter::measure(|| {
             for matrix in &group[1..] {
-                for (diagonal, operand) in matrix.diagonals.iter().zip(&operands) {
-                    let _ = diagonal.mul_into(&be, operand);
+                assert!(matrix.ring.is_some(), "6 x 4 fits the 6-slot ring");
+                assert_eq!(matrix.diagonals.len(), 6);
+                for diagonal in &matrix.diagonals {
+                    let _ = diagonal.mul_into(&be, &operand);
                 }
             }
         });
@@ -889,17 +1079,255 @@ mod tests {
             three.transforms().total() - one.transforms().total(),
             multiplies.transforms().total()
         );
-        // What one matrix pays beyond its own plaintext multiplies (the
-        // shared rotations) still outweighs both extra matrices'
-        // multiplies, although a key switch now costs `L·D + 2L`
-        // transforms rather than `L·D·L + 2L`.
+        // What one matrix pays beyond its own plaintext multiplies is
+        // the shared key switching, paid once: one full-ring
+        // automorphism per nonzero shift, at the vector's level.
         let own = multiplies.transforms().total() / 2;
-        assert!(
-            one.transforms().total() - own > multiplies.transforms().total(),
-            "key switching dominates: {} vs {}",
-            one.transforms(),
-            multiplies.transforms()
+        let full = be.encrypt_bits(&BitVec::zeros(6));
+        let (_, automorphism) = OpMeter::measure(|| be.rotate(&full, 1));
+        assert_eq!(
+            one.transforms().total() - own,
+            5 * automorphism.transforms().total()
         );
+    }
+
+    #[test]
+    fn ring_shifts_are_the_columns_some_row_reads() {
+        for slots in 1..=9 {
+            for rows in 1..=slots {
+                for cols in 1..=slots {
+                    let brute: Vec<usize> = (0..slots)
+                        .filter(|&r| (0..rows).any(|j| (j + r) % slots < cols))
+                        .collect();
+                    assert_eq!(ring_shifts(rows, cols, slots), brute);
+                    // Never more automorphisms than the width-n loop's
+                    // rotations (two each below full width) and windows.
+                    assert!(brute.len() < rows + cols);
+                }
+            }
+        }
+        assert_eq!(ring_shifts(17, 15, 18).len(), 18, "depth4's level matrices");
+    }
+
+    /// Deploys each of `matrices` in `form` on `be`, multiplies the
+    /// group by `v` at `threads`, and returns each product's bits and
+    /// depth with the ops the call metered.
+    fn group_product(
+        be: &ClearBackend,
+        matrices: &[BoolMatrix],
+        v: &BitVec,
+        form: ModelForm,
+        skip: bool,
+        threads: usize,
+    ) -> (Vec<(BitVec, u32)>, OpCounts) {
+        let encoded: Vec<_> = matrices
+            .iter()
+            .map(|m| match form {
+                ModelForm::Plain => EncodedMatrix::encode_plain(be, m),
+                ModelForm::Encrypted => EncodedMatrix::encrypt(be, m),
+            })
+            .collect();
+        let refs: Vec<&EncodedMatrix<_>> = encoded.iter().collect();
+        let options: Vec<_> = (0..matrices.len() as u64)
+            .map(|l| MatMulOptions {
+                skip_zero_diagonals: skip,
+                zero_tag: l,
+            })
+            .collect();
+        let ct = be.encrypt_bits(v);
+        let par = Parallelism { threads };
+        let (out, meter) = OpMeter::measure(|| mat_vec_many(be, &refs, &ct, &options, par));
+        let results = out.iter().map(|c| (be.decrypt(c), be.depth(c))).collect();
+        (results, meter.snapshot())
+    }
+
+    #[test]
+    fn the_ring_route_matches_the_oracle_and_meters_the_width_n_loop() {
+        // Capped clear backends take the ring route whenever cols < N;
+        // the uncapped one runs the width-n loop. Same bits, same depth,
+        // same metered ops, call by call.
+        let mut rng = SmallRng::seed_from_u64(29);
+        let uncapped = ClearBackend::with_defaults();
+        let mut cases = 0;
+        for slots in [6usize, 18] {
+            let capped = ClearBackend::new(ClearConfig {
+                slot_capacity: Some(slots),
+                ..ClearConfig::default()
+            });
+            let mut shapes = vec![
+                (slots, 1),
+                (1, 1),
+                (slots - 1, 2),
+                (2, slots - 1),
+                (slots, slots),
+                (3, slots),
+                (slots, slots - 1),
+            ];
+            shapes.extend((0..6).map(|_| (rng.gen_range(1..=slots), rng.gen_range(1..=slots))));
+            for (rows, cols) in shapes {
+                let size = rng.gen_range(1..=4);
+                // Member 1 (when present) is all zero: with skipping
+                // on, the seeded fallback.
+                let matrices: Vec<_> = (0..size)
+                    .map(|l| random_matrix(rows, cols, if l == 1 { 0.0 } else { 0.4 }, &mut rng))
+                    .collect();
+                let v = BitVec::from_fn(cols, |_| rng.gen_bool(0.5));
+                let want: Vec<BitVec> = matrices.iter().map(|m| m.mat_vec(&v)).collect();
+                for form in [ModelForm::Plain, ModelForm::Encrypted] {
+                    let ring = EncodedMatrix::encode_plain(&capped, &matrices[0]).ring;
+                    assert_eq!(ring.is_some(), cols < slots, "{rows}x{cols} on {slots}");
+                    for skip in [false, true] {
+                        let label = format!("{rows}x{cols} on {slots} {form:?} skip={skip}");
+                        let (loop_out, loop_ops) =
+                            group_product(&uncapped, &matrices, &v, form, skip, 1);
+                        for threads in [1, 2, 7] {
+                            let (out, ops) =
+                                group_product(&capped, &matrices, &v, form, skip, threads);
+                            let bits: Vec<BitVec> = out.iter().map(|(b, _)| b.clone()).collect();
+                            assert_eq!(bits, want, "{label} at {threads}: oracle");
+                            assert_eq!(out, loop_out, "{label} at {threads}: width-n loop");
+                            assert_eq!(ops, loop_ops, "{label} at {threads}: metered ops");
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 2 * 13 * 2 * 2 * 3);
+    }
+
+    #[test]
+    fn the_ring_route_decrypts_on_real_bgv_bitwise_at_every_pool_degree() {
+        // Shapes on the 6-slot tiny ring: a single column, tall, wide,
+        // tall-by-one, and full width (where the two forms coincide).
+        let be = BgvBackend::tiny();
+        let mut rng = SmallRng::seed_from_u64(30);
+        for (rows, cols) in [(6, 1), (5, 3), (2, 5), (6, 5), (4, 6)] {
+            let matrices = [
+                random_matrix(rows, cols, 0.5, &mut rng),
+                random_matrix(rows, cols, 0.5, &mut rng),
+            ];
+            let group = [
+                EncodedMatrix::encode_plain(&be, &matrices[0]),
+                EncodedMatrix::encrypt(&be, &matrices[1]),
+            ];
+            assert_eq!(group[0].ring.is_some(), cols < 6);
+            let refs: Vec<&EncodedMatrix<_>> = group.iter().collect();
+            let v = BitVec::from_fn(cols, |_| rng.gen_bool(0.5));
+            let ct = be.encrypt_bits(&v);
+            let options = [MatMulOptions::default(); 2];
+            let run = |threads| mat_vec_many(&be, &refs, &ct, &options, Parallelism { threads });
+            let baseline = run(1);
+            for (out, matrix) in baseline.iter().zip(&matrices) {
+                assert_eq!(be.decrypt(out), matrix.mat_vec(&v), "{rows}x{cols}");
+            }
+            let bytes = |outs: &[_]| -> Vec<Vec<u8>> {
+                outs.iter().map(|c| be.serialize_ciphertext(c)).collect()
+            };
+            for threads in [2, 7] {
+                assert_eq!(
+                    bytes(&run(threads)),
+                    bytes(&baseline),
+                    "{rows}x{cols} at {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_tall_group_on_the_ring_pays_one_automorphism_per_shift_and_no_mask() {
+        // depth4's level group: four 17 x 15 matrices on m = 127's 18
+        // slots. The width-n loop paid 43 automorphisms and 43 mask
+        // products (14 rotations of two masked automorphisms each, one
+        // masked extension window per diagonal); the ring form pays 17
+        // automorphisms and the 4 x 18 diagonal products, nothing else.
+        let be = BgvBackend::new(BgvParams {
+            chain_len: 2,
+            ..BgvParams::demo()
+        });
+        assert_eq!(be.nslots(), 18);
+        let mut rng = SmallRng::seed_from_u64(31);
+        let group: Vec<_> = (0..4)
+            .map(|_| EncodedMatrix::encode_plain(&be, &random_matrix(17, 15, 0.3, &mut rng)))
+            .collect();
+        let refs: Vec<&EncodedMatrix<_>> = group.iter().collect();
+        let v = be.encrypt_bits(&BitVec::from_fn(15, |_| rng.gen_bool(0.5)));
+        let options = [MatMulOptions::default(); 4];
+        let seq = Parallelism::sequential();
+        let (_, product) = OpMeter::measure(|| mat_vec_many(&be, &refs, &v, &options, seq));
+
+        // One automorphism: a full-width rotation at the same level. One
+        // warm plaintext product: a diagonal against a fresh operand.
+        let full = be.encrypt_bits(&BitVec::zeros(18));
+        let (_, automorphism) = OpMeter::measure(|| be.rotate(&full, 1));
+        assert!(group[0].ring.is_some(), "17 x 15 fits the 18-slot ring");
+        let operand = be.encrypt_bits(&BitVec::zeros(17));
+        let (_, multiply) = OpMeter::measure(|| group[0].diagonals[0].mul_into(&be, &operand));
+        assert_eq!(
+            product.transforms().total(),
+            17 * automorphism.transforms().total() + 4 * 18 * multiply.transforms().total()
+        );
+        // And it meters the paper's product: 14 rotations, 4 x 15
+        // plaintext products, 4 x 14 additions.
+        let ops = product.snapshot();
+        assert_eq!((ops.rotate, ops.constant_multiply, ops.add), (14, 60, 56));
+    }
+
+    #[test]
+    fn packed_products_on_a_ring_match_per_query_products() {
+        // Tiled ring diagonals: every row reads only its own block, so
+        // the packed product runs on the ring, gives each block its own
+        // product and meters the width-n loop's ops.
+        let mut rng = SmallRng::seed_from_u64(32);
+        let uncapped = ClearBackend::with_defaults();
+        let capped = ClearBackend::new(ClearConfig {
+            slot_capacity: Some(18),
+            ..ClearConfig::default()
+        });
+        let metered = |be: &ClearBackend, m: &BoolMatrix, stride: usize, count: usize| {
+            let tiled = EncodedMatrix::encode_plain(be, m).pack(be, stride, count);
+            let v = be.encrypt_bits(&BitVec::zeros(count * stride));
+            let seq = Parallelism::sequential();
+            let (_, meter) =
+                OpMeter::measure(|| mat_vec(be, &tiled, &v, MatMulOptions::default(), seq));
+            (tiled.ring.is_some(), meter.snapshot())
+        };
+        // (rows, cols, stride, count): square, tall, wide, one row, one
+        // column, on 18 slots.
+        for (rows, cols, stride, count) in [
+            (4, 4, 6, 3),
+            (6, 4, 6, 3),
+            (3, 5, 9, 2),
+            (1, 6, 6, 2),
+            (5, 1, 6, 3),
+        ] {
+            let m = random_matrix(rows, cols, 0.5, &mut rng);
+            let vs: Vec<BitVec> = (0..count)
+                .map(|_| BitVec::from_fn(cols, |_| rng.gen_bool(0.5)))
+                .collect();
+            let want: Vec<BitVec> = vs.iter().map(|v| m.mat_vec(v)).collect();
+            for threads in [1, 2, 7] {
+                let got = packed_products(&capped, &m, &vs, stride, threads);
+                assert_eq!(got, want, "{rows}x{cols} at {threads} threads");
+            }
+            let (ring, ops) = metered(&capped, &m, stride, count);
+            assert!(ring, "{rows}x{cols}: packed in ring form");
+            assert_eq!((false, ops), metered(&uncapped, &m, stride, count));
+        }
+        // Real BGV: two blocks of stride 3 on the 6-slot ring.
+        let bgv = BgvBackend::tiny();
+        for (rows, cols) in [(3, 2), (2, 3), (3, 3), (3, 1)] {
+            let m = random_matrix(rows, cols, 0.5, &mut rng);
+            let vs: Vec<BitVec> = (0..2)
+                .map(|_| BitVec::from_fn(cols, |_| rng.gen_bool(0.5)))
+                .collect();
+            let want: Vec<BitVec> = vs.iter().map(|v| m.mat_vec(v)).collect();
+            assert_eq!(
+                packed_products(&bgv, &m, &vs, 3, 2),
+                want,
+                "BGV {rows}x{cols}"
+            );
+        }
     }
 
     #[test]

@@ -1033,10 +1033,7 @@ impl<'b> Sally<'b, AbstractBackend> {
     ) -> Self {
         let (m, form) = (meta, shape.form);
         let vectors = |n, width| (0..n).map(|_| form.operand(backend, width)).collect();
-        let matrix = |form: ModelForm, rows, cols| {
-            let diagonals = (0..cols).map(|_| form.operand(backend, rows)).collect();
-            EncodedMatrix::from_diagonals(diagonals, rows)
-        };
+        let matrix = |form, rows, cols| EncodedMatrix::of_shape(backend, form, rows, cols);
         let level_cols = if fused { m.quantized } else { m.branches };
         let model = DeployedModel {
             form,

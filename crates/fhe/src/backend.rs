@@ -270,6 +270,8 @@ pub trait FheBackend: Send + Sync {
     //   unmetered layout operations.
     // * `tile_ciphertext`: `count - 1` `Rotate` + `count - 1` `Add`
     //   (it is a pack of clones).
+    // * `ring_mat_vec`: unmetered — it realises a width-`n` matrix
+    //   product whose semantic ops its caller records (see the method).
     // ------------------------------------------------------------------
 
     /// Packs independent ciphertexts into disjoint slot blocks of one
@@ -367,6 +369,46 @@ pub trait FheBackend: Send + Sync {
         std::panic::panic_any(BackendError::Unsupported {
             operation: "truncate_blocks",
             reason: "this backend reports no slot capacity and has no packed-batch layout",
+        })
+    }
+
+    /// Matrix products laid out on the whole slot ring of `N =
+    /// slot_capacity()` slots, for a group of matrices that all
+    /// multiply `v` (width `n ≤ N`). For every matrix `l` the result is
+    /// `Σ_s diagonals[l][s] ⊙ rot_N(v, shifts[s])` over the `s` where
+    /// `diagonals[l][s]` is `Some`, `rows` slots wide (`None` when the
+    /// matrix has no term at all); `rot_N` rotates all `N` slots left,
+    /// so it is one automorphism, and each rotation is shared by every
+    /// matrix with a term at its shift. A diagonal must be zero at
+    /// every row `j` where `(j + shifts[s]) mod N ≥ n`: input slots at
+    /// or beyond `n` are then never read (whatever a
+    /// [`truncate`](FheBackend::truncate) left there), and no mask is
+    /// needed. Depth is one more than the deepest operand, like
+    /// [`mul`](FheBackend::mul).
+    ///
+    /// Contiguous chunks of `shifts` may run on up to `threads` workers
+    /// of the shared pool; every chunking yields the same result, bit
+    /// for bit.
+    ///
+    /// Unmetered: the caller (`copse_core::matmul`) records the ops of
+    /// the width-`n` product this realises, so a circuit meters the same
+    /// on every backend. The default aborts like the other packed-layout
+    /// primitives.
+    fn ring_mat_vec(
+        &self,
+        v: &Self::Ciphertext,
+        shifts: &[usize],
+        diagonals: &[RingDiagonals<'_, Self>],
+        rows: usize,
+        threads: usize,
+    ) -> Vec<Option<Self::Ciphertext>>
+    where
+        Self: Sized,
+    {
+        let _ = (v, shifts, diagonals, rows, threads);
+        std::panic::panic_any(BackendError::Unsupported {
+            operation: "ring_mat_vec",
+            reason: "this backend reports no slot capacity and has no slot ring",
         })
     }
 
@@ -500,6 +542,10 @@ pub(crate) mod codec {
         }
     }
 }
+
+/// One matrix's diagonals in a [`FheBackend::ring_mat_vec`] product,
+/// one entry per shift: `None` where the matrix has no term.
+pub type RingDiagonals<'a, B> = Vec<Option<&'a MaybeEncrypted<B>>>;
 
 /// A model-side operand that is either packed plaintext or a ciphertext.
 ///

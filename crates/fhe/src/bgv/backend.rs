@@ -17,13 +17,21 @@
 //! [`ClearBackend`](crate::ClearBackend) with identical circuits.
 //!
 //! The layout kernels (masked rotation, cyclic extension, block
-//! packing and unpacking) are written once, generic over `SlotOps`:
-//! this backend runs them on ciphertexts, and
-//! [`AbstractBackend`](crate::AbstractBackend) runs the same code on
-//! chain positions, which is how the static analyzer knows the level
+//! packing and unpacking, and the ring-form matrix product) are written
+//! once, generic over `SlotOps`: this backend runs them on ciphertexts,
+//! and [`AbstractBackend`](crate::AbstractBackend) runs the same code
+//! on chain positions, which is how the static analyzer knows the level
 //! every semantic operation leaves behind.
+//!
+//! The ring-form product ([`FheBackend::ring_mat_vec`]) is the one
+//! kernel that breaks the zero-padding invariant on purpose: it rotates
+//! all `nslots` slots and relies on its diagonals being zero wherever a
+//! rotation brings in a slot beyond the input's width, so it needs no
+//! mask at all.
 
-use crate::backend::{codec, CiphertextCodecError, FheBackend, NoiseBudget};
+use crate::backend::{
+    codec, CiphertextCodecError, FheBackend, MaybeEncrypted, NoiseBudget, RingDiagonals,
+};
 use crate::bgv::ring::RnsPoly;
 use crate::bgv::scheme::{BgvParams, BgvScheme, Ciphertext, PreparedPlaintext};
 use crate::bitvec::BitVec;
@@ -71,7 +79,7 @@ pub(crate) struct Span {
     count: usize,
 }
 
-/// The three scheme operations the backend's slot-layout kernels are
+/// The four scheme operations the backend's slot-layout kernels are
 /// built from. The backend implements them on ciphertexts and
 /// [`LevelRule`](crate::bgv::LevelRule) on chain positions, so each
 /// kernel below is written once and its level trajectory is read off
@@ -79,10 +87,14 @@ pub(crate) struct Span {
 pub(crate) trait SlotOps {
     /// What the kernels move: a ciphertext, or its [`Level`](crate::bgv::Level).
     type Ct: Clone;
+    /// A model operand the kernels multiply by (plaintext or encrypted).
+    type Operand;
     /// Slot-level left rotation by `k` (full width), no masking.
     fn rotate_full(&self, a: &Self::Ct, k: isize) -> Self::Ct;
     /// Product with the (cached) 0/1 mask of `span`.
     fn mask(&self, a: &Self::Ct, span: Span) -> Self::Ct;
+    /// Product with a model operand.
+    fn product(&self, a: &Self::Ct, b: &Self::Operand) -> Self::Ct;
     /// Ciphertext addition.
     fn sum(&self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct;
 }
@@ -261,6 +273,66 @@ pub(crate) fn unpack<S: SlotOps>(
     ops.mask(&shifted, span)
 }
 
+/// The ring-form matrix products of [`FheBackend::ring_mat_vec`]: for
+/// every matrix `l`, `Σ_s diagonals[l][s] ⊙ rot(a, shifts[s])` over
+/// the terms it holds. Each shift some matrix uses is one full-ring
+/// automorphism (none for shift 0), shared by every matrix; no mask.
+/// Contiguous chunks of shifts run on the shared pool when
+/// `threads > 1` and their partial sums combine in chunk order.
+/// Ciphertext addition is exact and the level rule's noise estimate
+/// sums integers, so every chunking yields the same bits and levels.
+pub(crate) fn ring_products<S>(
+    ops: &S,
+    a: &S::Ct,
+    shifts: &[usize],
+    diagonals: &[Vec<Option<&S::Operand>>],
+    threads: usize,
+) -> Vec<Option<S::Ct>>
+where
+    S: SlotOps + Sync,
+    S::Ct: Send + Sync,
+    S::Operand: Sync,
+{
+    let fold = |acc: &mut Option<S::Ct>, term: S::Ct| {
+        *acc = Some(match acc.take() {
+            None => term,
+            Some(prev) => ops.sum(&prev, &term),
+        });
+    };
+    let chunk = |range: std::ops::Range<usize>| {
+        let mut sums: Vec<Option<S::Ct>> = vec![None; diagonals.len()];
+        for s in range {
+            if diagonals.iter().all(|terms| terms[s].is_none()) {
+                continue;
+            }
+            let rotated = match shifts[s] {
+                0 => a.clone(),
+                k => ops.rotate_full(a, k as isize),
+            };
+            for (sum, terms) in sums.iter_mut().zip(diagonals) {
+                if let Some(diagonal) = terms[s] {
+                    fold(sum, ops.product(&rotated, diagonal));
+                }
+            }
+        }
+        sums
+    };
+    let partials = if threads > 1 {
+        copse_pool::global().scope_chunks(shifts.len(), threads, chunk)
+    } else {
+        vec![chunk(0..shifts.len())]
+    };
+    let mut sums: Vec<Option<S::Ct>> = vec![None; diagonals.len()];
+    for partial in partials {
+        for (sum, term) in sums.iter_mut().zip(partial) {
+            if let Some(term) = term {
+                fold(sum, term);
+            }
+        }
+    }
+    sums
+}
+
 /// Cache of periodic per-block masks.
 type MaskCache = HashMap<Span, Arc<BgvPlaintext>>;
 
@@ -351,6 +423,7 @@ impl BgvBackend {
 
 impl SlotOps for BgvBackend {
     type Ct = Ciphertext;
+    type Operand = MaybeEncrypted<BgvBackend>;
 
     fn rotate_full(&self, a: &Ciphertext, k: isize) -> Ciphertext {
         self.scheme.rotate_slots(a, k)
@@ -359,6 +432,13 @@ impl SlotOps for BgvBackend {
     fn mask(&self, a: &Ciphertext, span: Span) -> Ciphertext {
         self.scheme
             .mul_plain_prepared(a, &self.encode_mask(span).prepared)
+    }
+
+    fn product(&self, a: &Ciphertext, b: &MaybeEncrypted<BgvBackend>) -> Ciphertext {
+        match b {
+            MaybeEncrypted::Plain(pt) => self.scheme.mul_plain_prepared(a, &pt.prepared),
+            MaybeEncrypted::Encrypted(ct) => self.scheme.mul(a, &ct.inner),
+        }
     }
 
     fn sum(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
@@ -627,6 +707,21 @@ impl FheBackend for BgvBackend {
         // kernel always multiplies the result by a tiled diagonal,
         // which masks them away.
         ct.clone()
+    }
+
+    fn ring_mat_vec(
+        &self,
+        v: &BgvCiphertext,
+        shifts: &[usize],
+        diagonals: &[RingDiagonals<'_, Self>],
+        rows: usize,
+        threads: usize,
+    ) -> Vec<Option<BgvCiphertext>> {
+        self.check_width(rows);
+        ring_products(self, &v.inner, shifts, diagonals, threads)
+            .into_iter()
+            .map(|sum| sum.map(|inner| BgvCiphertext { inner, width: rows }))
+            .collect()
     }
 
     fn mod_switch_to(&self, ct: &BgvCiphertext, primes: usize) -> BgvCiphertext {

@@ -27,7 +27,9 @@
 //!   `n` terms `log2 n` bits where a `max(a, b) + 1` fold charged
 //!   `n − 1`.)
 
-use crate::backend::{BackendError, CiphertextCodecError, FheBackend, NoiseBudget};
+use crate::backend::{
+    BackendError, CiphertextCodecError, FheBackend, MaybeEncrypted, NoiseBudget, RingDiagonals,
+};
 use crate::bgv::backend::{self as kernels, SlotOps};
 use crate::bgv::scheme::BgvParams;
 use crate::bitvec::BitVec;
@@ -235,6 +237,7 @@ impl LevelRule {
 
 impl SlotOps for LevelRule {
     type Ct = Level;
+    type Operand = MaybeEncrypted<AbstractBackend>;
 
     fn rotate_full(&self, a: &Level, k: isize) -> Level {
         if self.nslots > 0 && k.rem_euclid(self.nslots as isize) == 0 {
@@ -246,6 +249,13 @@ impl SlotOps for LevelRule {
 
     fn mask(&self, a: &Level, _span: kernels::Span) -> Level {
         self.mul_plain(*a)
+    }
+
+    fn product(&self, a: &Level, b: &MaybeEncrypted<AbstractBackend>) -> Level {
+        match b {
+            MaybeEncrypted::Plain(_) => self.mul_plain(*a),
+            MaybeEncrypted::Encrypted(ct) => self.mul(*a, ct.at()),
+        }
     }
 
     fn sum(&self, a: &Level, b: &Level) -> Level {
@@ -327,8 +337,11 @@ impl FheBackend for AbstractBackend {
     type Plaintext = usize;
     type Ciphertext = AbstractCiphertext;
 
+    /// The rule's slot ring, so that layouts chosen by capability (the
+    /// ring-form matrix product) follow the BGV backend's choice; `None`
+    /// without a rule or on a ring without slots.
     fn slot_capacity(&self) -> Option<usize> {
-        None
+        self.rule.map(|rule| rule.nslots).filter(|&slots| slots > 0)
     }
 
     fn meter(&self) -> &OpMeter {
@@ -485,6 +498,35 @@ impl FheBackend for AbstractBackend {
         *ct
     }
 
+    fn ring_mat_vec(
+        &self,
+        v: &AbstractCiphertext,
+        shifts: &[usize],
+        diagonals: &[RingDiagonals<'_, Self>],
+        rows: usize,
+        threads: usize,
+    ) -> Vec<Option<AbstractCiphertext>> {
+        let levels = self
+            .rule
+            .map(|rule| kernels::ring_products(&rule, &v.at(), shifts, diagonals, threads));
+        diagonals
+            .iter()
+            .enumerate()
+            .map(|(l, terms)| {
+                // Clear depth: one past the deepest operand, as `mul`.
+                let depth = terms.iter().flatten().map(|diagonal| match diagonal {
+                    MaybeEncrypted::Plain(_) => v.depth,
+                    MaybeEncrypted::Encrypted(ct) => v.depth.max(ct.depth),
+                });
+                depth.max().map(|depth| AbstractCiphertext {
+                    width: rows,
+                    depth: depth + 1,
+                    level: levels.as_ref().and_then(|levels| levels[l]),
+                })
+            })
+            .collect()
+    }
+
     fn mod_switch_to(&self, ct: &AbstractCiphertext, primes: usize) -> AbstractCiphertext {
         AbstractCiphertext {
             level: self.moved(|rule| rule.mod_switch_to(ct.at(), primes)),
@@ -514,7 +556,7 @@ impl FheBackend for AbstractBackend {
 mod tests {
     use super::*;
     use crate::meter::OpCounts;
-    use crate::{BgvBackend, ClearBackend};
+    use crate::{BgvBackend, ClearBackend, ClearConfig};
 
     fn rule() -> LevelRule {
         LevelRule::new(BgvParams::tiny(), 6)
@@ -586,7 +628,7 @@ mod tests {
     /// slots; packed steps lay 2 blocks at stride 3.
     fn readings<B: FheBackend>(be: &B) -> Vec<(OpCounts, u32)> {
         type Step<B> = fn(&B, &[<B as FheBackend>::Ciphertext]) -> <B as FheBackend>::Ciphertext;
-        let steps: [Step<B>; 26] = [
+        let steps: [Step<B>; 27] = [
             |be, _| be.encrypt_bits(&BitVec::from_fn(4, |i| i % 2 == 0)),
             |be, c| be.add_plain(&c[0], &be.encode(&BitVec::ones(4))),
             |be, c| be.add(&c[0], &c[1]),
@@ -616,6 +658,30 @@ mod tests {
             |be, c| be.unpack_block(&c[22], 0, 3, 3),
             |be, c| be.tile_ciphertext(&c[13], 3, 2),
             |be, c| be.compact_for_decrypt(&c[24]),
+            |be, c| {
+                // Two 5 x 3 matrices on the 6-slot ring times the
+                // truncated (on BGV: stale-slotted) c[10]: a plaintext
+                // one with a term at every shift, an encrypted one at
+                // every other shift.
+                let shifts = [0, 1, 2, 3, 4, 5];
+                let diagonal = |r: usize| BitVec::from_fn(5, |j| (j + r) % 6 < 3);
+                let plain: Vec<_> = (0..6)
+                    .map(|r| MaybeEncrypted::Plain(be.encode(&diagonal(r))))
+                    .collect();
+                let encrypted: Vec<_> = (0..6)
+                    .map(|r| MaybeEncrypted::Encrypted(be.encrypt_bits(&diagonal(r))))
+                    .collect();
+                let terms: [RingDiagonals<'_, B>; 2] = [
+                    plain.iter().map(Some).collect(),
+                    encrypted
+                        .iter()
+                        .enumerate()
+                        .map(|(s, d)| (s % 2 == 0).then_some(d))
+                        .collect(),
+                ];
+                let out = be.ring_mat_vec(&c[10], &shifts, &terms, 5, 2);
+                be.add(out[0].as_ref().unwrap(), out[1].as_ref().unwrap())
+            },
         ];
         let mut cts = Vec::new();
         steps
@@ -635,8 +701,12 @@ mod tests {
         // The analyzer's results rest on these: the abstract backend
         // meters every op as the clear backend does and reads its
         // depth, and under a BGV rule reads the level real ciphertexts
-        // reach.
-        let clear = readings(&ClearBackend::with_defaults());
+        // reach. (The clear backend gets tiny's 6 slots, which the
+        // ring product runs on.)
+        let clear = readings(&ClearBackend::new(ClearConfig {
+            slot_capacity: Some(6),
+            ..ClearConfig::default()
+        }));
         assert_eq!(readings(&AbstractBackend::new(None)), clear);
         let bgv = BgvBackend::tiny();
         let NoiseBudget::Chain(rule) = bgv.noise_budget() else {
@@ -648,5 +718,21 @@ mod tests {
             real.iter().any(|&(_, depth)| depth > 0),
             "the program spends chain primes"
         );
+        // The ring product meters nothing itself: its caller records
+        // the width-n product it stands for.
+        assert_eq!(real[26].0.rotate + real[26].0.constant_multiply, 0);
+    }
+
+    #[test]
+    fn the_abstract_slot_ring_is_the_rules() {
+        // Layouts chosen by capability must see the ring BGV has.
+        assert_eq!(AbstractBackend::new(Some(rule())).slot_capacity(), Some(6));
+        assert_eq!(
+            AbstractBackend::new(Some(LevelRule::of(&BgvParams::demo()))).slot_capacity(),
+            BgvBackend::demo().slot_capacity()
+        );
+        assert_eq!(AbstractBackend::new(None).slot_capacity(), None);
+        let no_slots = LevelRule::of(&BgvParams::negacyclic_tiny());
+        assert_eq!(AbstractBackend::new(Some(no_slots)).slot_capacity(), None);
     }
 }

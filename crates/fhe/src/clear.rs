@@ -13,7 +13,9 @@
 //! [`CostModel`](crate::CostModel) converts metered counts into modeled
 //! FHE milliseconds).
 
-use crate::backend::{codec, CiphertextCodecError, FheBackend, NoiseBudget};
+use crate::backend::{
+    codec, CiphertextCodecError, FheBackend, MaybeEncrypted, NoiseBudget, RingDiagonals,
+};
 use crate::bitvec::BitVec;
 use crate::meter::{FheOp, OpMeter};
 use crate::params::EncryptionParams;
@@ -404,6 +406,58 @@ impl FheBackend for ClearBackend {
             bits,
             depth: ct.depth,
         }
+    }
+
+    /// The oracle of the ring-form product: every term computed
+    /// directly, sequentially whatever `threads` says. It enforces the
+    /// contract BGV relies on: a diagonal with a one where its row
+    /// would read a slot at or beyond `v`'s width (stale data on BGV,
+    /// zero here) panics, and so does a term list that is not one per
+    /// shift.
+    fn ring_mat_vec(
+        &self,
+        v: &ClearCiphertext,
+        shifts: &[usize],
+        diagonals: &[RingDiagonals<'_, Self>],
+        rows: usize,
+        _threads: usize,
+    ) -> Vec<Option<ClearCiphertext>> {
+        let slots = self
+            .config
+            .slot_capacity
+            .expect("a ring product runs on a slot-bounded backend");
+        let width = v.bits.width();
+        assert!(
+            width <= slots && rows <= slots,
+            "a {rows}-row product of a width-{width} vector exceeds {slots} slots"
+        );
+        diagonals
+            .iter()
+            .map(|terms| {
+                assert_eq!(terms.len(), shifts.len(), "one term per shift");
+                let products = terms.iter().zip(shifts).filter_map(|(diagonal, &shift)| {
+                    let (bits, depth) = match (*diagonal)? {
+                        MaybeEncrypted::Plain(pt) => (&pt.bits, v.depth),
+                        MaybeEncrypted::Encrypted(ct) => (&ct.bits, v.depth.max(ct.depth)),
+                    };
+                    let from = |j: usize| (j + shift) % slots;
+                    assert!(
+                        (0..rows).all(|j| !bits.get(j) || from(j) < width),
+                        "the diagonal at shift {shift} reads past the width-{width} input"
+                    );
+                    self.check_depth(depth + 1);
+                    let rotated = BitVec::from_fn(rows, |j| from(j) < width && v.bits.get(from(j)));
+                    Some(ClearCiphertext {
+                        bits: rotated.and(bits),
+                        depth: depth + 1,
+                    })
+                });
+                products.reduce(|acc, term| ClearCiphertext {
+                    bits: acc.bits.xor(&term.bits),
+                    depth: acc.depth.max(term.depth),
+                })
+            })
+            .collect()
     }
 
     fn serialize_ciphertext(&self, ct: &ClearCiphertext) -> Vec<u8> {

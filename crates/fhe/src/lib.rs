@@ -57,7 +57,9 @@ pub mod math;
 pub mod meter;
 pub mod params;
 
-pub use backend::{BackendError, CiphertextCodecError, FheBackend, MaybeEncrypted, NoiseBudget};
+pub use backend::{
+    BackendError, CiphertextCodecError, FheBackend, MaybeEncrypted, NoiseBudget, RingDiagonals,
+};
 pub use bgv::{
     AbstractBackend, AbstractCiphertext, BgvBackend, BgvCiphertext, BgvParams, BgvPlaintext, Level,
     LevelRule, NegacyclicBackend, NegacyclicCiphertext, NegacyclicPlaintext, RingFlavor,
