@@ -240,10 +240,13 @@ pub struct CircuitReport {
     /// depth costs): what a fresh query ciphertext reaches by the
     /// result.
     pub depth: u32,
-    /// Encrypt operations to deploy the model on a backend without a
-    /// slot ring — the paper's Table 1d (zero for plaintext
-    /// deployment). On a slot ring see
-    /// [`ChainReport::model_encrypt_ops`].
+    /// Encrypt operations to deploy the model (zero for plaintext
+    /// deployment). For a solo shape: on a backend without a slot ring,
+    /// one per matrix column — the paper's Table 1d. For a packed
+    /// shape: on a ring of the chunk's `lanes · stride` slots, where
+    /// each matrix is encrypted in ring form (one per ring diagonal),
+    /// as a clear backend of that capacity deploys it. On the BGV
+    /// ring see [`ChainReport::model_encrypt_ops`].
     pub model_encrypt_ops: OpCounts,
     /// Encrypt operations per query (`p` bit planes).
     pub query_encrypt_ops: OpCounts,
@@ -407,6 +410,11 @@ pub(crate) fn chain(
 /// metered ops (Maurice's encrypts), each stage's ops and the depth it
 /// adds (the difference of the trace's readings around it), and
 /// whether every result decrypts (always, without a rule).
+///
+/// Under a rule the backend has the rule's slot ring. Without one, a
+/// packed chunk runs on a ring of its `lanes · stride` slots — its
+/// matrices need one, and neither op counts nor clear depth depend on
+/// its size — and a solo run on none.
 fn run(
     meta: &ModelMeta,
     fused: bool,
@@ -414,7 +422,11 @@ fn run(
     rule: Option<LevelRule>,
     entry: Option<usize>,
 ) -> (OpCounts, [StagePrediction; 4], bool) {
-    on_abstract(rule, |be| {
+    let backend = match (rule, shape.packing) {
+        (None, Some(plan)) => AbstractBackend::on_ring(plan.lanes * plan.stride),
+        _ => AbstractBackend::new(rule),
+    };
+    on_abstract(backend, |be| {
         let sally = Sally::analysis(be, meta, fused, shape, entry);
         let deploy = be.meter().snapshot();
         let planes = (0..meta.precision)
@@ -440,20 +452,20 @@ fn run(
     })
 }
 
-/// Runs `f` on a fresh abstract backend under `rule`, in one `analyze`
-/// trace span and a meter scope of its own, so none of its ops (the
-/// deploy's encrypts, the tiling of a packed operand set) reach a scope
-/// the caller installed.
-fn on_abstract<T>(rule: Option<LevelRule>, f: impl FnOnce(&AbstractBackend) -> T) -> T {
+/// Runs `f` on a fresh abstract backend, in one `analyze` trace span
+/// and a meter scope of its own, so none of its ops (the deploy's
+/// encrypts, the tiling of a packed operand set) reach a scope the
+/// caller installed.
+fn on_abstract<T>(backend: AbstractBackend, f: impl FnOnce(&AbstractBackend) -> T) -> T {
     let _span = copse_trace::span("analyze");
-    OpMeter::measure(|| f(&AbstractBackend::new(rule))).0
+    OpMeter::measure(|| f(&backend)).0
 }
 
 /// One SecComp at precision `p` against thresholds of `form` — the
 /// comparison stage alone: `seccomp::secure_less_than` run over `p`
 /// abstract planes, its ops and its depth.
 pub fn seccomp(p: u32, form: ModelForm, variant: SecCompVariant) -> StagePrediction {
-    on_abstract(None, |be| {
+    on_abstract(AbstractBackend::new(None), |be| {
         let planes: Vec<_> = (0..p).map(|_| be.encrypt(&1)).collect();
         let thresholds: Vec<_> = (0..p).map(|_| form.operand(be, 1)).collect();
         let before = be.meter().snapshot();
@@ -472,7 +484,7 @@ mod tests {
     use crate::compiler::CompileOptions;
     use crate::complexity::log2ceil;
     use crate::seccomp::balanced_product;
-    use copse_fhe::{BgvBackend, BgvParams, BitVec, ClearBackend};
+    use copse_fhe::{BgvBackend, BgvParams, BitVec, ClearBackend, ClearConfig};
     use copse_forest::microbench::{self, MicrobenchSpec};
 
     fn compiled(fused: bool) -> Maurice {
@@ -686,6 +698,41 @@ mod tests {
             assert_eq!(deploy, r.chain(&rule).model_encrypt_ops, "fused={fused}");
             assert!(
                 deploy.encrypt > r.model_encrypt_ops.encrypt,
+                "fused={fused}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_rule_free_report_deploys_on_the_ring_its_shape_runs_on() {
+        // Solo: no ring, so one Encrypt per column (the paper's Table
+        // 1d), as the uncapped clear backend deploys. Packed: the
+        // chunk's `lanes · stride` ring, where each matrix is encrypted
+        // in ring form, as a clear backend of that capacity deploys.
+        let deploy = |maurice: &Maurice, be: &ClearBackend| {
+            OpMeter::measure(|| maurice.deploy(be, ModelForm::Encrypted))
+                .1
+                .snapshot()
+        };
+        for fused in [false, true] {
+            let maurice = compiled(fused);
+            let solo = report(&maurice, ModelForm::Encrypted);
+            let uncapped = ClearBackend::with_defaults();
+            assert_eq!(solo.model_encrypt_ops, deploy(&maurice, &uncapped));
+            let stride = maurice.compiled().meta.slot_width(fused);
+            let plan = PackPlan { stride, lanes: 2 };
+            let shape = EvalShape {
+                packing: Some(plan),
+                ..EvalShape::plan(&maurice, ModelForm::Encrypted)
+            };
+            let packed = CircuitReport::analyze(maurice.compiled(), &shape);
+            let ring = ClearBackend::new(ClearConfig {
+                slot_capacity: Some(2 * stride),
+                ..ClearConfig::default()
+            });
+            assert_eq!(packed.model_encrypt_ops, deploy(&maurice, &ring));
+            assert!(
+                packed.model_encrypt_ops.encrypt > solo.model_encrypt_ops.encrypt,
                 "fused={fused}"
             );
         }

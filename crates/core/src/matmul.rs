@@ -22,8 +22,7 @@
 //! COPSE's `d` level matrices all multiply the same branch vector.
 //! A rotation is deterministic, so sharing it leaves every output bit
 //! for bit what a product of its own would have been; [`mat_vec`] is
-//! the one-matrix case of the same loop, and the packed-batch layout
-//! ([`EncodedMatrix::pack`]) is the same loop over block rotations.
+//! the one-matrix case of the same loop.
 //!
 //! **On a slot ring.** A rotation of `n < N` slots of an `N`-slot
 //! ciphertext is two masked automorphisms, and a cyclic extension one
@@ -41,10 +40,12 @@
 //! ([`FheBackend::ring_mat_vec`]). `S` depends on `(m, n, N)` alone, so
 //! the route is as data-oblivious as the width-`n` one; where `n = N`
 //! the two forms coincide and the matrix keeps the width-`n` one. The
-//! packed layout tiles whichever form a matrix has: a tiled `P_r` is
-//! the ring diagonal of the block-diagonal matrix of its copies (row
-//! `a` of block `j` reads slot `j·stride + ((a + r) mod N)`, a column
-//! of its own block), so packed products on a ring run the same kernel.
+//! packed-batch layout ([`EncodedMatrix::pack`]) tiles the ring form:
+//! a tiled `P_r` is the ring diagonal of the block-diagonal matrix of
+//! its copies (row `a` of block `j` reads slot
+//! `j·stride + ((a + r) mod N)`, a column of its own block), so packed
+//! products run the same kernel. Packing needs that ring: `lanes ≥ 2`
+//! blocks of `stride ≥ n` slots give `n < N`.
 //! Both routes meter the width-`n` loop's ops (the paper's counts): the
 //! ring route's automorphisms and extra products are internal
 //! plumbing, like a partial-width rotation's masks.
@@ -249,15 +250,26 @@ impl<B: FheBackend> EncodedMatrix<B> {
         }
     }
 
-    /// Tiles the matrix for the packed-batch layout: every diagonal
-    /// repeats at block offsets `0, stride, 2*stride, …`, so one
-    /// multiply applies the model to all `count` packed queries at
-    /// once — in ring form too (see the module docs). Built once per
-    /// deployed model (lazily, on the first packed batch); plaintext
-    /// diagonals re-encode and pre-warm their tiled form, encrypted
-    /// diagonals pay the pack-of-clones rotations once here instead of
-    /// once per chunk.
+    /// Tiles the matrix for the packed-batch layout: every ring
+    /// diagonal repeats at block offsets `0, stride, 2*stride, …`, so
+    /// one multiply applies the model to all `count` packed queries at
+    /// once (see the module docs). Built once per deployed model
+    /// (lazily, on the first packed batch); plaintext diagonals
+    /// re-encode and pre-warm their tiled form, encrypted diagonals
+    /// pay the pack-of-clones rotations once here instead of once per
+    /// chunk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix is not in ring form: the backend reports
+    /// no slot ring that holds it (a packed chunk always has one).
     pub fn pack(&self, backend: &B, stride: usize, count: usize) -> Self {
+        assert!(
+            self.ring.is_some(),
+            "cannot pack a {}x{} matrix: the backend reports no slot ring for it",
+            self.rows,
+            self.cols
+        );
         Self {
             diagonals: self
                 .diagonals
@@ -352,11 +364,10 @@ pub fn mat_vec<B: FheBackend>(
 /// total (not per matrix) plus each matrix's own `cols` multiplies and
 /// `cols - 1` additions. `options[l]` belongs to `matrices[l]`.
 ///
-/// Matrices in ring form run on the ring instead, whole or packed
+/// Matrices in ring form run on the ring instead
 /// ([`FheBackend::ring_mat_vec`], one automorphism per shift, shared
-/// the same way) and meter exactly what the loop above would.
-///
-/// For a packed matrix ([`EncodedMatrix::pack`]) `v` holds one
+/// the same way) and meter exactly what the loop above would; packed
+/// matrices ([`EncodedMatrix::pack`]) always do. There `v` holds one
 /// width-`cols` operand per block and the result one width-`rows`
 /// product per block, at exactly the op count of the unpacked product
 /// regardless of how many queries are packed — the amortisation the
@@ -435,7 +446,7 @@ pub fn mat_vec_many<B: FheBackend>(
             let rows = layout.span(m);
             backend.ring_mat_vec(v, &shifts, &diagonals, rows, parallelism.threads)
         }
-        None => width_n_products(backend, matrices, v, layout, keeps, parallelism),
+        None => width_n_products(backend, matrices, v, keeps, parallelism),
     };
     // An all-zero (or fully skipped) matrix still yields a result,
     // deterministically (see MatMulOptions::zero_tag).
@@ -447,33 +458,26 @@ pub fn mat_vec_many<B: FheBackend>(
         .collect()
 }
 
-/// The width-`n` loop of [`mat_vec_many`]: one partial sum per matrix
-/// (`None` when it keeps no diagonal).
+/// The width-`n` loop of [`mat_vec_many`] for unpacked matrices
+/// without a ring: one partial sum per matrix (`None` when it keeps no
+/// diagonal).
 fn width_n_products<B: FheBackend>(
     backend: &B,
     matrices: &[&EncodedMatrix<B>],
     v: &B::Ciphertext,
-    layout: Layout,
     keeps: impl Fn(usize, usize) -> bool + Sync,
     parallelism: Parallelism,
 ) -> Vec<Option<B::Ciphertext>> {
     let (m, n) = (matrices[0].rows, matrices[0].cols);
     let adjusted = |i: usize| -> B::Ciphertext {
-        let rotated = match (i, layout) {
-            (0, _) => v.clone(),
-            (_, Layout::Whole) => backend.rotate(v, i as isize),
-            (_, Layout::Blocks { stride, .. }) => backend.rotate_blocks(v, i as isize, n, stride),
+        let rotated = match i {
+            0 => v.clone(),
+            _ => backend.rotate(v, i as isize),
         };
-        match (m.cmp(&n), layout) {
-            (Ordering::Equal, _) => rotated,
-            (Ordering::Greater, Layout::Whole) => backend.cyclic_extend(&rotated, m),
-            (Ordering::Less, Layout::Whole) => backend.truncate(&rotated, m),
-            (Ordering::Greater, Layout::Blocks { stride, .. }) => {
-                backend.cyclic_extend_blocks(&rotated, n, m, stride)
-            }
-            (Ordering::Less, Layout::Blocks { stride, .. }) => {
-                backend.truncate_blocks(&rotated, n, m, stride)
-            }
+        match m.cmp(&n) {
+            Ordering::Equal => rotated,
+            Ordering::Greater => backend.cyclic_extend(&rotated, m),
+            Ordering::Less => backend.truncate(&rotated, m),
         }
     };
     let fold = |acc: &mut Option<B::Ciphertext>, term: B::Ciphertext| {
@@ -787,15 +791,24 @@ mod tests {
             .collect()
     }
 
+    /// A clear backend whose slot ring holds exactly `lanes` blocks of
+    /// `stride` slots, as a pack plan sizes it.
+    fn lanes_backend(lanes: usize, stride: usize) -> ClearBackend {
+        ClearBackend::new(ClearConfig {
+            slot_capacity: Some(lanes * stride),
+            ..ClearConfig::default()
+        })
+    }
+
     #[test]
     fn packed_mat_vec_matches_per_query_products() {
-        let be = ClearBackend::with_defaults();
         let mut rng = SmallRng::seed_from_u64(7);
         // Square, extending (rows > cols), and truncating (rows < cols)
-        // shapes all share the block kernels with the sequential path.
+        // shapes, three lanes on a ring of three strides.
         for (rows, cols) in [(4, 4), (7, 4), (3, 5)] {
             let m = random_matrix(rows, cols, 0.5, &mut rng);
             let stride = rows.max(cols);
+            let be = lanes_backend(3, stride);
             for threads in [1, 3] {
                 let vs: Vec<BitVec> = (0..3)
                     .map(|_| BitVec::from_fn(cols, |_| rng.gen_bool(0.5)))
@@ -816,29 +829,30 @@ mod tests {
     fn packed_mat_vec_costs_one_sequential_product() {
         // The amortisation claim, mechanically: the packed product over
         // any number of blocks spends exactly the ops of ONE sequential
-        // product (block rotation = 1 automorphism, tiled diagonals are
-        // plaintext re-encodes).
-        let be = ClearBackend::with_defaults();
+        // product — the paper's width-n loop, on a backend without a
+        // ring (tiled diagonals are plaintext re-encodes).
+        let seq_be = ClearBackend::with_defaults();
         let mut rng = SmallRng::seed_from_u64(8);
         for (rows, cols) in [(5, 5), (6, 4), (3, 5)] {
             let m = random_matrix(rows, cols, 0.5, &mut rng);
             let stride = rows.max(cols);
+            let be = lanes_backend(4, stride);
             let v = BitVec::from_fn(cols, |_| rng.gen_bool(0.5));
-            let plain = EncodedMatrix::encode_plain(&be, &m);
-            let tiled = plain.pack(&be, stride, 4);
+            let tiled = EncodedMatrix::encode_plain(&be, &m).pack(&be, stride, 4);
             let cts: Vec<_> = (0..4).map(|_| be.encrypt_bits(&v)).collect();
             let packed_v = be.pack_blocks(&cts, stride, 4 * stride);
-            let ct = be.encrypt_bits(&v);
+            let plain = EncodedMatrix::encode_plain(&seq_be, &m);
+            let ct = seq_be.encrypt_bits(&v);
 
-            let before = be.meter().snapshot();
+            let before = seq_be.meter().snapshot();
             let _ = mat_vec(
-                &be,
+                &seq_be,
                 &plain,
                 &ct,
                 MatMulOptions::default(),
                 Parallelism::sequential(),
             );
-            let seq = be.meter().snapshot().since(&before);
+            let seq = seq_be.meter().snapshot().since(&before);
 
             let before = be.meter().snapshot();
             let _ = mat_vec(
@@ -854,6 +868,14 @@ mod tests {
                 "{rows}x{cols}: packed ops != one sequential product"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot pack a 4x3 matrix: the backend reports no slot ring")]
+    fn packing_needs_a_slot_ring() {
+        let be = ClearBackend::with_defaults();
+        let plain = EncodedMatrix::encode_plain(&be, &BoolMatrix::zeros(4, 3));
+        let _ = plain.pack(&be, 4, 2);
     }
 
     #[test]
@@ -1277,20 +1299,28 @@ mod tests {
     fn packed_products_on_a_ring_match_per_query_products() {
         // Tiled ring diagonals: every row reads only its own block, so
         // the packed product runs on the ring, gives each block its own
-        // product and meters the width-n loop's ops.
+        // product and meters the width-n loop's ops: those of one
+        // unpacked product on a backend without a ring.
         let mut rng = SmallRng::seed_from_u64(32);
         let uncapped = ClearBackend::with_defaults();
         let capped = ClearBackend::new(ClearConfig {
             slot_capacity: Some(18),
             ..ClearConfig::default()
         });
+        let seq = Parallelism::sequential();
         let metered = |be: &ClearBackend, m: &BoolMatrix, stride: usize, count: usize| {
             let tiled = EncodedMatrix::encode_plain(be, m).pack(be, stride, count);
             let v = be.encrypt_bits(&BitVec::zeros(count * stride));
-            let seq = Parallelism::sequential();
             let (_, meter) =
                 OpMeter::measure(|| mat_vec(be, &tiled, &v, MatMulOptions::default(), seq));
             (tiled.ring.is_some(), meter.snapshot())
+        };
+        let width_n = |m: &BoolMatrix| {
+            let plain = EncodedMatrix::encode_plain(&uncapped, m);
+            let v = uncapped.encrypt_bits(&BitVec::zeros(m.cols()));
+            let (_, meter) =
+                OpMeter::measure(|| mat_vec(&uncapped, &plain, &v, MatMulOptions::default(), seq));
+            meter.snapshot()
         };
         // (rows, cols, stride, count): square, tall, wide, one row, one
         // column, on 18 slots.
@@ -1312,7 +1342,7 @@ mod tests {
             }
             let (ring, ops) = metered(&capped, &m, stride, count);
             assert!(ring, "{rows}x{cols}: packed in ring form");
-            assert_eq!((false, ops), metered(&uncapped, &m, stride, count));
+            assert_eq!(ops, width_n(&m), "{rows}x{cols}: metered ops");
         }
         // Real BGV: two blocks of stride 3 on the 6-slot ring.
         let bgv = BgvBackend::tiny();

@@ -932,8 +932,8 @@ impl<'b, B: FheBackend> Sally<'b, B> {
         trace.entry_depth = entry_depths.into_iter().max().unwrap_or(0);
         trace.comparison.depth = deepest(be, &decisions);
 
-        // Step 2: reshuffle into branch preorder, one (block-rotating,
-        // when packed) MatMul per unit. Compiled away (`None`) when
+        // Step 2: reshuffle into branch preorder, one MatMul per unit
+        // (on the slot ring, when packed). Compiled away (`None`) when
         // the level matrices were fused with R; then step 3 reads the
         // decisions directly.
         let branches = staged(&pass, "stage:reshuffle", &mut trace.reshuffle, || {

@@ -251,10 +251,13 @@ pub trait FheBackend: Send + Sync {
     // into disjoint slot *blocks*: block `j` occupies slots
     // `[j * stride, j * stride + width)`, the padding slots
     // `[j * stride + width, (j + 1) * stride)` are zero, and the
-    // ciphertext's logical width is `count * stride`. Backends without
-    // a slot bound (`slot_capacity()` = `None`) never see these calls —
-    // the evaluation planner falls through to the per-query path — so
-    // the defaults abort with a typed `BackendError`.
+    // ciphertext's logical width is `count * stride`. A packed matrix
+    // product is `ring_mat_vec` over tiled ring diagonals: there is no
+    // per-block rotation. Backends without a slot bound
+    // (`slot_capacity()` = `None`) never see these calls — the
+    // evaluation planner falls through to the per-query path, and
+    // `copse_core::matmul::EncodedMatrix::pack` panics on a matrix with
+    // no slot ring — so the defaults abort with a typed `BackendError`.
     //
     // The metering contract (identical across backends, so static
     // analysis stays exact):
@@ -263,11 +266,7 @@ pub trait FheBackend: Send + Sync {
     //   `Add`; depth is the max of the inputs.
     // * `unpack_block`: one `ConstantMultiply`, plus one `Rotate` when
     //   `index > 0`; depth + 1.
-    // * `rotate_blocks`: one `Rotate` (the per-block masking that a
-    //   real scheme needs is internal plumbing, like the partial-width
-    //   rotate it generalises).
-    // * `cyclic_extend_blocks` / `truncate_blocks` / `encode_tiled`:
-    //   unmetered layout operations.
+    // * `encode_tiled`: an unmetered layout operation.
     // * `tile_ciphertext`: `count - 1` `Rotate` + `count - 1` `Add`
     //   (it is a pack of clones).
     // * `ring_mat_vec`: unmetered — it realises a width-`n` matrix
@@ -308,66 +307,6 @@ pub trait FheBackend: Send + Sync {
         let _ = (ct, index, stride, width);
         std::panic::panic_any(BackendError::Unsupported {
             operation: "unpack_block",
-            reason: "this backend reports no slot capacity and has no packed-batch layout",
-        })
-    }
-
-    /// Rotates the first `width` slots of **every** block left by `k`
-    /// simultaneously (slot `j * stride + i` receives slot
-    /// `j * stride + ((i + k) mod width)`); padding slots stay zero.
-    /// One `Rotate`.
-    fn rotate_blocks(
-        &self,
-        ct: &Self::Ciphertext,
-        k: isize,
-        width: usize,
-        stride: usize,
-    ) -> Self::Ciphertext {
-        let _ = (ct, k, width, stride);
-        std::panic::panic_any(BackendError::Unsupported {
-            operation: "rotate_blocks",
-            reason: "this backend reports no slot capacity and has no packed-batch layout",
-        })
-    }
-
-    /// Cyclically extends every block from `width` to `new_width`
-    /// live slots (`new_width <= stride`): slot `j * stride + i` of
-    /// the result is slot `j * stride + (i mod width)` for
-    /// `i < new_width`. Unmetered layout, like
-    /// [`cyclic_extend`](FheBackend::cyclic_extend). Like its
-    /// single-query counterpart, the input's block padding must be
-    /// zero (a masked rotation or a stage input, not the relabel
-    /// [`truncate_blocks`](FheBackend::truncate_blocks) produces).
-    fn cyclic_extend_blocks(
-        &self,
-        ct: &Self::Ciphertext,
-        width: usize,
-        new_width: usize,
-        stride: usize,
-    ) -> Self::Ciphertext {
-        let _ = (ct, width, new_width, stride);
-        std::panic::panic_any(BackendError::Unsupported {
-            operation: "cyclic_extend_blocks",
-            reason: "this backend reports no slot capacity and has no packed-batch layout",
-        })
-    }
-
-    /// Keeps the first `new_width` live slots of every block
-    /// (`new_width <= width`). Unmetered layout, like
-    /// [`truncate`](FheBackend::truncate); implementations may leave
-    /// stale bits in `[new_width, stride)` — the packed mat-vec kernel
-    /// always multiplies the result by a tiled diagonal, which zeroes
-    /// them.
-    fn truncate_blocks(
-        &self,
-        ct: &Self::Ciphertext,
-        width: usize,
-        new_width: usize,
-        stride: usize,
-    ) -> Self::Ciphertext {
-        let _ = (ct, width, new_width, stride);
-        std::panic::panic_any(BackendError::Unsupported {
-            operation: "truncate_blocks",
             reason: "this backend reports no slot capacity and has no packed-batch layout",
         })
     }

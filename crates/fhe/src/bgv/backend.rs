@@ -27,7 +27,9 @@
 //! kernel that breaks the zero-padding invariant on purpose: it rotates
 //! all `nslots` slots and relies on its diagonals being zero wherever a
 //! rotation brings in a slot beyond the input's width, so it needs no
-//! mask at all.
+//! mask at all. It is also the only packed matrix product: a packed
+//! chunk multiplies tiled ring diagonals, so no kernel rotates or masks
+//! block by block, and every mask is one contiguous slot range.
 
 use crate::backend::{
     codec, CiphertextCodecError, FheBackend, MaybeEncrypted, NoiseBudget, RingDiagonals,
@@ -38,6 +40,7 @@ use crate::bitvec::BitVec;
 use crate::math::gf2poly::Gf2Poly;
 use crate::meter::{FheOp, OpMeter};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// Leading byte of serialised [`BgvCiphertext`]s.
@@ -68,17 +71,6 @@ impl BgvCiphertext {
     }
 }
 
-/// A periodic slot range: slots `j*stride + [from, to)` of every block
-/// `j < count` (a plain slot range is the one-block case
-/// `(from, to, nslots, 1)`). The masks the layout kernels multiply by.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) struct Span {
-    from: usize,
-    to: usize,
-    stride: usize,
-    count: usize,
-}
-
 /// The four scheme operations the backend's slot-layout kernels are
 /// built from. The backend implements them on ciphertexts and
 /// [`LevelRule`](crate::bgv::LevelRule) on chain positions, so each
@@ -91,8 +83,8 @@ pub(crate) trait SlotOps {
     type Operand;
     /// Slot-level left rotation by `k` (full width), no masking.
     fn rotate_full(&self, a: &Self::Ct, k: isize) -> Self::Ct;
-    /// Product with the (cached) 0/1 mask of `span`.
-    fn mask(&self, a: &Self::Ct, span: Span) -> Self::Ct;
+    /// Product with the (cached) 0/1 mask of the slots in `span`.
+    fn mask(&self, a: &Self::Ct, span: Range<usize>) -> Self::Ct;
     /// Product with a model operand.
     fn product(&self, a: &Self::Ct, b: &Self::Operand) -> Self::Ct;
     /// Ciphertext addition.
@@ -100,7 +92,10 @@ pub(crate) trait SlotOps {
 }
 
 /// A semantic rotation of a `width`-slot vector by `k`: free for a
-/// zero shift, one automorphism at full width, a masked pair below it.
+/// zero shift, one automorphism at full width, a masked pair below it:
+/// out[i] = v[i+k] for i < width-k (from the left-rotated copy), and
+/// out[i] = v[i+k-width] for width-k <= i < width (from the
+/// right-rotated copy). The masks keep the zero padding.
 pub(crate) fn rotate<S: SlotOps>(
     ops: &S,
     a: &S::Ct,
@@ -118,81 +113,18 @@ pub(crate) fn rotate<S: SlotOps>(
     if width == nslots {
         return ops.rotate_full(a, k as isize);
     }
-    rotate_in_blocks(ops, a, k, width, nslots, 1)
-}
-
-/// Rotates the first `width` slots of each of `count` blocks by `k`.
-pub(crate) fn rotate_blocks<S: SlotOps>(
-    ops: &S,
-    a: &S::Ct,
-    k: isize,
-    width: usize,
-    stride: usize,
-    count: usize,
-) -> S::Ct {
-    let k = k.rem_euclid(width as isize) as usize;
-    if k == 0 {
-        return a.clone();
-    }
-    rotate_in_blocks(ops, a, k, width, stride, count)
-}
-
-/// Rotates each of `count` `stride`-spaced blocks of live width
-/// `width` left by `k` within its own range (a plain vector is the one
-/// block `(w, nslots, 1)`): out[i] = v[i+k] for i < width-k (from the
-/// left-rotated copy), and out[i] = v[i+k-width] for width-k <= i <
-/// width (from the right-rotated copy). The two full-ring
-/// automorphisms are masked with one span per block, which preserves
-/// zero padding and clears cross-block leakage.
-fn rotate_in_blocks<S: SlotOps>(
-    ops: &S,
-    a: &S::Ct,
-    k: usize,
-    width: usize,
-    stride: usize,
-    count: usize,
-) -> S::Ct {
-    let span = |from, to| Span {
-        from,
-        to,
-        stride,
-        count,
-    };
     let left = ops.rotate_full(a, k as isize);
     let right = ops.rotate_full(a, k as isize - width as isize);
-    let t1 = ops.mask(&left, span(0, width - k));
-    let t2 = ops.mask(&right, span(width - k, width));
+    let t1 = ops.mask(&left, 0..width - k);
+    let t2 = ops.mask(&right, width - k..width);
     ops.sum(&t1, &t2)
 }
 
-/// Cyclically extends each block from `width` to `new_width` live
-/// slots (unchanged when they are equal).
-pub(crate) fn extend_blocks<S: SlotOps>(
-    ops: &S,
-    a: &S::Ct,
-    width: usize,
-    new_width: usize,
-    stride: usize,
-    count: usize,
-) -> S::Ct {
-    if new_width == width {
-        return a.clone();
-    }
-    extend_in_blocks(ops, a, width, new_width, stride, count)
-}
-
-/// Cyclically extends each block from `width` to `new_width` live
-/// slots: window j holds v[i - j*width] for i in
+/// Cyclically extends a `width`-slot vector to `new_width` slots:
+/// window j holds v[i - j*width] for i in
 /// [j*width, min((j+1)*width, new_width)), one masked full-ring
-/// automorphism per window for every block at once.
-pub(crate) fn extend_in_blocks<S: SlotOps>(
-    ops: &S,
-    a: &S::Ct,
-    width: usize,
-    new_width: usize,
-    stride: usize,
-    count: usize,
-) -> S::Ct {
+/// automorphism per window.
+pub(crate) fn extend<S: SlotOps>(ops: &S, a: &S::Ct, width: usize, new_width: usize) -> S::Ct {
     let mut acc: Option<S::Ct> = None;
     let mut start = 0usize;
     let mut j = 0isize;
@@ -208,13 +140,7 @@ pub(crate) fn extend_in_blocks<S: SlotOps>(
         let term = if j == 0 && end >= width {
             shifted
         } else {
-            let span = Span {
-                from: start,
-                to: end,
-                stride,
-                count,
-            };
-            ops.mask(&shifted, span)
+            ops.mask(&shifted, start..end)
         };
         acc = Some(match acc {
             None => term,
@@ -257,20 +183,13 @@ pub(crate) fn unpack<S: SlotOps>(
     index: usize,
     stride: usize,
     width: usize,
-    nslots: usize,
 ) -> S::Ct {
     let shifted = if index == 0 {
         a.clone()
     } else {
         ops.rotate_full(a, (index * stride) as isize)
     };
-    let span = Span {
-        from: 0,
-        to: width,
-        stride: nslots,
-        count: 1,
-    };
-    ops.mask(&shifted, span)
+    ops.mask(&shifted, 0..width)
 }
 
 /// The ring-form matrix products of [`FheBackend::ring_mat_vec`]: for
@@ -333,19 +252,17 @@ where
     sums
 }
 
-/// Cache of periodic per-block masks.
-type MaskCache = HashMap<Span, Arc<BgvPlaintext>>;
+/// Cache of slot-range masks.
+type MaskCache = HashMap<Range<usize>, Arc<BgvPlaintext>>;
 
 /// The real-FHE backend.
 #[derive(Debug)]
 pub struct BgvBackend {
     scheme: BgvScheme,
     meter: Arc<OpMeter>,
-    /// Periodic per-block masks keyed by `(from, to, stride, count)`:
-    /// ones at `j*stride + [from, to)` for every block `j < count`. A
-    /// plain slot range is the one-block case `(from, to, nslots, 1)`.
-    /// Rotations, cyclic extensions and the packed mat-vec kernel use
-    /// the same few masks on every call, so caching them turns each
+    /// Slot-range masks keyed by their range: ones at `[from, to)`.
+    /// Partial-width rotations, cyclic extensions and block unpacking
+    /// use the same few masks on every call, so caching them turns each
     /// into a *warm* fixed operand whose evaluation-domain transform
     /// is paid exactly once per backend.
     masks: Mutex<MaskCache>,
@@ -388,20 +305,11 @@ impl BgvBackend {
         self.scheme.slots().nslots()
     }
 
-    fn encode_mask(&self, span: Span) -> Arc<BgvPlaintext> {
+    fn encode_mask(&self, span: Range<usize>) -> Arc<BgvPlaintext> {
         if let Some(mask) = self.masks.lock().unwrap().get(&span) {
             return mask.clone();
         }
-        let Span {
-            from,
-            to,
-            stride,
-            count,
-        } = span;
-        let bits = BitVec::from_fn(self.nslots(), |i| {
-            let offset = i % stride;
-            i < count * stride && offset >= from && offset < to
-        });
+        let bits = BitVec::from_fn(self.nslots(), |i| span.contains(&i));
         let mask = Arc::new(self.encode(&bits));
         self.scheme.warm_prepared(&mask.prepared);
         self.masks
@@ -429,7 +337,7 @@ impl SlotOps for BgvBackend {
         self.scheme.rotate_slots(a, k)
     }
 
-    fn mask(&self, a: &Ciphertext, span: Span) -> Ciphertext {
+    fn mask(&self, a: &Ciphertext, span: Range<usize>) -> Ciphertext {
         self.scheme
             .mul_plain_prepared(a, &self.encode_mask(span).prepared)
     }
@@ -579,7 +487,7 @@ impl FheBackend for BgvBackend {
         let w = a.width;
         assert!(w > 0, "cannot extend an empty vector");
         BgvCiphertext {
-            inner: extend_in_blocks(self, &a.inner, w, width, self.nslots(), 1),
+            inner: extend(self, &a.inner, w, width),
             width,
         }
     }
@@ -647,66 +555,9 @@ impl FheBackend for BgvBackend {
         }
         self.meter.record(FheOp::ConstantMultiply);
         BgvCiphertext {
-            inner: unpack(self, &ct.inner, index, stride, width, self.nslots()),
+            inner: unpack(self, &ct.inner, index, stride, width),
             width,
         }
-    }
-
-    fn rotate_blocks(
-        &self,
-        ct: &BgvCiphertext,
-        k: isize,
-        width: usize,
-        stride: usize,
-    ) -> BgvCiphertext {
-        assert!(
-            width <= stride,
-            "block width {width} exceeds stride {stride}"
-        );
-        let count = ct.width / stride;
-        assert_eq!(
-            count * stride,
-            ct.width,
-            "packed width {} is not a whole number of stride-{stride} blocks",
-            ct.width
-        );
-        self.meter.record(FheOp::Rotate);
-        BgvCiphertext {
-            inner: rotate_blocks(self, &ct.inner, k, width, stride, count),
-            width: ct.width,
-        }
-    }
-
-    fn cyclic_extend_blocks(
-        &self,
-        ct: &BgvCiphertext,
-        width: usize,
-        new_width: usize,
-        stride: usize,
-    ) -> BgvCiphertext {
-        assert!(width <= new_width && new_width <= stride);
-        assert!(width > 0, "cannot extend empty blocks");
-        let count = ct.width / stride;
-        assert_eq!(count * stride, ct.width);
-        BgvCiphertext {
-            inner: extend_blocks(self, &ct.inner, width, new_width, stride, count),
-            width: ct.width,
-        }
-    }
-
-    fn truncate_blocks(
-        &self,
-        ct: &BgvCiphertext,
-        width: usize,
-        new_width: usize,
-        stride: usize,
-    ) -> BgvCiphertext {
-        assert!(new_width <= width && width <= stride);
-        // Like `truncate`: a free relabel. Block slots in
-        // `[new_width, width)` may stay populated; the packed mat-vec
-        // kernel always multiplies the result by a tiled diagonal,
-        // which masks them away.
-        ct.clone()
     }
 
     fn ring_mat_vec(
@@ -1018,8 +869,8 @@ mod tests {
     #[test]
     fn packed_block_primitives_match_the_clear_reference() {
         // Differential oracle for the packed-batch layout: identical
-        // pack / rotate / extend / unpack pipelines on both backends,
-        // identical decrypted slots at every step.
+        // pack / unpack pipelines on both backends, identical decrypted
+        // slots at every step.
         let bgv = BgvBackend::tiny();
         let clear = ClearBackend::with_defaults();
         let stride = 3; // 2 blocks in tiny's 6 slots
@@ -1042,59 +893,16 @@ mod tests {
         );
         assert_eq!(bgv.decrypt(&b_packed), clear.decrypt(&c_packed));
 
-        for k in 0..3isize {
-            let b = bgv.rotate_blocks(&b_packed, k, 3, stride);
-            let c = clear.rotate_blocks(&c_packed, k, 3, stride);
-            assert_eq!(bgv.decrypt(&b), clear.decrypt(&c), "rotate k = {k}");
+        // Each block back out, whole and narrowed to 2 slots by the
+        // unpack mask.
+        for (index, input) in inputs.iter().enumerate() {
+            for width in [3, 2] {
+                let b = bgv.unpack_block(&b_packed, index, stride, width);
+                let c = clear.unpack_block(&c_packed, index, stride, width);
+                assert_eq!(bgv.decrypt(&b), clear.decrypt(&c), "block {index}");
+                assert_eq!(clear.decrypt(&c), input.truncate(width), "width {width}");
+            }
         }
-
-        // Truncate each block to 2 live slots: the BGV relabel keeps
-        // stale slots, so compare through the mask of a following
-        // unpack (the kernel's consumption pattern).
-        let b_trunc = bgv.truncate_blocks(&b_packed, 3, 2, stride);
-        let c_trunc = clear.truncate_blocks(&c_packed, 3, 2, stride);
-        for index in 0..2 {
-            let b = bgv.unpack_block(&b_trunc, index, stride, 2);
-            let c = clear.unpack_block(&c_trunc, index, stride, 2);
-            assert_eq!(bgv.decrypt(&b), clear.decrypt(&c), "block {index}");
-        }
-
-        // Cyclic block extension takes zero-padded blocks (in the
-        // kernel its input is a masked block rotation or a stage
-        // input, never a relabel-truncated ciphertext).
-        let narrow = [bits(&[true, false]), bits(&[false, true])];
-        let b_ext = bgv.cyclic_extend_blocks(
-            &bgv.pack_blocks(
-                &narrow
-                    .iter()
-                    .map(|v| bgv.encrypt_bits(v))
-                    .collect::<Vec<_>>(),
-                stride,
-                6,
-            ),
-            2,
-            3,
-            stride,
-        );
-        let c_ext = clear.cyclic_extend_blocks(
-            &clear.pack_blocks(
-                &narrow
-                    .iter()
-                    .map(|v| clear.encrypt_bits(v))
-                    .collect::<Vec<_>>(),
-                stride,
-                6,
-            ),
-            2,
-            3,
-            stride,
-        );
-        assert_eq!(bgv.decrypt(&b_ext), clear.decrypt(&c_ext));
-        assert_eq!(
-            clear.decrypt(&c_ext).to_bools(),
-            [true, false, true, false, true, false],
-            "each block's 2 live slots repeat cyclically to 3"
-        );
     }
 
     #[test]
@@ -1105,18 +913,6 @@ mod tests {
         let packed = be.pack_blocks(&cts, 2, 6);
         let delta = be.meter().snapshot().since(&before);
         assert_eq!((delta.rotate, delta.add), (2, 2));
-
-        let before = be.meter().snapshot();
-        let _ = be.rotate_blocks(&packed, 1, 2, 2);
-        assert_eq!(be.meter().snapshot().since(&before).rotate, 1);
-
-        let before = be.meter().snapshot();
-        let _ = be.cyclic_extend_blocks(&be.truncate_blocks(&packed, 2, 1, 2), 1, 2, 2);
-        assert_eq!(
-            be.meter().snapshot().since(&before).total_homomorphic(),
-            0,
-            "block extend/truncate are unmetered layout ops"
-        );
 
         let before = be.meter().snapshot();
         let _ = be.unpack_block(&packed, 0, 2, 2);

@@ -247,7 +247,7 @@ impl SlotOps for LevelRule {
         }
     }
 
-    fn mask(&self, a: &Level, _span: kernels::Span) -> Level {
+    fn mask(&self, a: &Level, _span: std::ops::Range<usize>) -> Level {
         self.mul_plain(*a)
     }
 
@@ -299,15 +299,30 @@ impl AbstractCiphertext {
 #[derive(Debug)]
 pub struct AbstractBackend {
     rule: Option<LevelRule>,
+    /// The slot ring it reports: the rule's, or a rule-free run's own.
+    slots: Option<usize>,
     meter: OpMeter,
 }
 
 impl AbstractBackend {
-    /// A backend whose ciphertexts move by `rule` (or carry no level).
+    /// A backend whose ciphertexts move by `rule` (or carry no level),
+    /// on the rule's slot ring (without a rule or on a ring without
+    /// slots: none).
     pub fn new(rule: Option<LevelRule>) -> Self {
         Self {
             rule,
+            slots: rule.map(|rule| rule.nslots).filter(|&slots| slots > 0),
             meter: OpMeter::new(),
+        }
+    }
+
+    /// A rule-free backend on a ring of `slots` slots: what a packed
+    /// chunk needs to run its ring-form products when no level is
+    /// tracked. Op counts and clear depth do not depend on the ring.
+    pub fn on_ring(slots: usize) -> Self {
+        Self {
+            slots: Some(slots),
+            ..Self::new(None)
         }
     }
 
@@ -338,10 +353,10 @@ impl FheBackend for AbstractBackend {
     type Ciphertext = AbstractCiphertext;
 
     /// The rule's slot ring, so that layouts chosen by capability (the
-    /// ring-form matrix product) follow the BGV backend's choice; `None`
-    /// without a rule or on a ring without slots.
+    /// ring-form matrix product) follow the BGV backend's choice, or the
+    /// ring given to [`AbstractBackend::on_ring`]; `None` otherwise.
     fn slot_capacity(&self) -> Option<usize> {
-        self.rule.map(|rule| rule.nslots).filter(|&slots| slots > 0)
+        self.slots
     }
 
     fn meter(&self) -> &OpMeter {
@@ -414,9 +429,7 @@ impl FheBackend for AbstractBackend {
     fn cyclic_extend(&self, a: &AbstractCiphertext, width: usize) -> AbstractCiphertext {
         AbstractCiphertext {
             width,
-            level: self.moved(|rule| {
-                kernels::extend_in_blocks(rule, &a.at(), a.width, width, rule.nslots, 1)
-            }),
+            level: self.moved(|rule| kernels::extend(rule, &a.at(), a.width, width)),
             ..*a
         }
     }
@@ -456,46 +469,8 @@ impl FheBackend for AbstractBackend {
             self.meter.record(FheOp::Rotate);
         }
         self.op(FheOp::ConstantMultiply, width, ct.depth + 1, |rule| {
-            kernels::unpack(rule, &ct.at(), index, stride, width, rule.nslots)
+            kernels::unpack(rule, &ct.at(), index, stride, width)
         })
-    }
-
-    fn rotate_blocks(
-        &self,
-        ct: &AbstractCiphertext,
-        k: isize,
-        width: usize,
-        stride: usize,
-    ) -> AbstractCiphertext {
-        self.op(FheOp::Rotate, ct.width, ct.depth, |rule| {
-            kernels::rotate_blocks(rule, &ct.at(), k, width, stride, ct.width / stride)
-        })
-    }
-
-    fn cyclic_extend_blocks(
-        &self,
-        ct: &AbstractCiphertext,
-        width: usize,
-        new_width: usize,
-        stride: usize,
-    ) -> AbstractCiphertext {
-        let count = ct.width / stride;
-        AbstractCiphertext {
-            level: self.moved(|rule| {
-                kernels::extend_blocks(rule, &ct.at(), width, new_width, stride, count)
-            }),
-            ..*ct
-        }
-    }
-
-    fn truncate_blocks(
-        &self,
-        ct: &AbstractCiphertext,
-        _: usize,
-        _: usize,
-        _: usize,
-    ) -> AbstractCiphertext {
-        *ct
     }
 
     fn ring_mat_vec(
@@ -628,7 +603,7 @@ mod tests {
     /// slots; packed steps lay 2 blocks at stride 3.
     fn readings<B: FheBackend>(be: &B) -> Vec<(OpCounts, u32)> {
         type Step<B> = fn(&B, &[<B as FheBackend>::Ciphertext]) -> <B as FheBackend>::Ciphertext;
-        let steps: [Step<B>; 27] = [
+        let steps: [Step<B>; 24] = [
             |be, _| be.encrypt_bits(&BitVec::from_fn(4, |i| i % 2 == 0)),
             |be, c| be.add_plain(&c[0], &be.encode(&BitVec::ones(4))),
             |be, c| be.add(&c[0], &c[1]),
@@ -650,14 +625,11 @@ mod tests {
             },
             |be, _| be.encrypt_bits(&BitVec::ones(2)),
             |be, c| be.pack_blocks(&[c[14].clone(), c[16].clone()], 3, 6),
-            |be, c| be.rotate_blocks(&c[17], 1, 3, 3),
-            |be, c| be.truncate_blocks(&c[18], 3, 2, 3),
-            |be, c| be.unpack_block(&c[19], 1, 3, 2),
+            |be, c| be.unpack_block(&c[17], 1, 3, 2),
             |be, c| be.pack_blocks(&[c[16].clone(), c[16].clone()], 3, 6),
-            |be, c| be.cyclic_extend_blocks(&c[21], 2, 3, 3),
-            |be, c| be.unpack_block(&c[22], 0, 3, 3),
+            |be, c| be.unpack_block(&c[19], 0, 3, 3),
             |be, c| be.tile_ciphertext(&c[13], 3, 2),
-            |be, c| be.compact_for_decrypt(&c[24]),
+            |be, c| be.compact_for_decrypt(&c[21]),
             |be, c| {
                 // Two 5 x 3 matrices on the 6-slot ring times the
                 // truncated (on BGV: stale-slotted) c[10]: a plaintext
@@ -720,7 +692,7 @@ mod tests {
         );
         // The ring product meters nothing itself: its caller records
         // the width-n product it stands for.
-        assert_eq!(real[26].0.rotate + real[26].0.constant_multiply, 0);
+        assert_eq!(real[23].0.rotate + real[23].0.constant_multiply, 0);
     }
 
     #[test]
@@ -731,8 +703,19 @@ mod tests {
             AbstractBackend::new(Some(LevelRule::of(&BgvParams::demo()))).slot_capacity(),
             BgvBackend::demo().slot_capacity()
         );
-        assert_eq!(AbstractBackend::new(None).slot_capacity(), None);
         let no_slots = LevelRule::of(&BgvParams::negacyclic_tiny());
         assert_eq!(AbstractBackend::new(Some(no_slots)).slot_capacity(), None);
+        // Without a rule: no ring for a solo run, whose matrices then
+        // take the width-n loop (and deploy the paper's one Encrypt per
+        // column), and the ring it is given for a packed chunk of
+        // `lanes` blocks at `stride` (`lanes · stride` slots).
+        assert_eq!(AbstractBackend::new(None).slot_capacity(), None);
+        let (lanes, stride) = (3, 7);
+        let packed = AbstractBackend::on_ring(lanes * stride);
+        assert_eq!(packed.slot_capacity(), Some(21));
+        assert_eq!(
+            packed.noise_budget(),
+            AbstractBackend::new(None).noise_budget()
+        );
     }
 }

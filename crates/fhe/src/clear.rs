@@ -342,72 +342,6 @@ impl FheBackend for ClearBackend {
         }
     }
 
-    fn rotate_blocks(
-        &self,
-        ct: &ClearCiphertext,
-        k: isize,
-        width: usize,
-        stride: usize,
-    ) -> ClearCiphertext {
-        assert!(
-            width <= stride,
-            "block width {width} exceeds stride {stride}"
-        );
-        assert!(
-            ct.bits.width().is_multiple_of(stride.max(1)),
-            "packed width {} is not a whole number of stride-{stride} blocks",
-            ct.bits.width()
-        );
-        self.meter.record(FheOp::Rotate);
-        self.busy_work();
-        let shift = k.rem_euclid(width as isize) as usize;
-        let bits = BitVec::from_fn(ct.bits.width(), |i| {
-            let offset = i % stride;
-            // Padding slots [width, stride) stay zero: the per-block
-            // masks of a real scheme's composite rotation clear them.
-            offset < width && ct.bits.get(i - offset + (offset + shift) % width)
-        });
-        ClearCiphertext {
-            bits,
-            depth: ct.depth,
-        }
-    }
-
-    fn cyclic_extend_blocks(
-        &self,
-        ct: &ClearCiphertext,
-        width: usize,
-        new_width: usize,
-        stride: usize,
-    ) -> ClearCiphertext {
-        assert!(width <= new_width && new_width <= stride);
-        let bits = BitVec::from_fn(ct.bits.width(), |i| {
-            let offset = i % stride;
-            offset < new_width && ct.bits.get(i - offset + offset % width)
-        });
-        ClearCiphertext {
-            bits,
-            depth: ct.depth,
-        }
-    }
-
-    fn truncate_blocks(
-        &self,
-        ct: &ClearCiphertext,
-        width: usize,
-        new_width: usize,
-        stride: usize,
-    ) -> ClearCiphertext {
-        assert!(new_width <= width && width <= stride);
-        let bits = BitVec::from_fn(ct.bits.width(), |i| {
-            i % stride < new_width && ct.bits.get(i)
-        });
-        ClearCiphertext {
-            bits,
-            depth: ct.depth,
-        }
-    }
-
     /// The oracle of the ring-form product: every term computed
     /// directly, sequentially whatever `threads` says. It enforces the
     /// contract BGV relies on: a diagonal with a one where its row
@@ -706,54 +640,6 @@ mod tests {
         let delta = be.meter().snapshot().since(&before);
         assert_eq!(delta.constant_multiply, 2);
         assert_eq!(delta.rotate, 1, "block 0 unpacks without a rotation");
-    }
-
-    #[test]
-    fn rotate_blocks_rotates_every_block_and_keeps_padding_zero() {
-        let be = ClearBackend::with_defaults();
-        let packed = be.pack_blocks(
-            &[
-                be.encrypt_bits(&bv(&[true, false, false])),
-                be.encrypt_bits(&bv(&[false, true, false])),
-            ],
-            4,
-            8,
-        );
-        let before = be.meter().snapshot();
-        let rotated = be.rotate_blocks(&packed, 1, 3, 4);
-        assert_eq!(be.meter().snapshot().since(&before).rotate, 1);
-        assert_eq!(
-            be.decrypt(&rotated).to_bools(),
-            [false, false, true, false, true, false, false, false],
-            "each block rotates left by 1 within its 3 live slots"
-        );
-    }
-
-    #[test]
-    fn block_extend_and_truncate_are_unmetered_and_blockwise() {
-        let be = ClearBackend::with_defaults();
-        let packed = be.pack_blocks(
-            &[
-                be.encrypt_bits(&bv(&[true, false])),
-                be.encrypt_bits(&bv(&[false, true])),
-            ],
-            5,
-            10,
-        );
-        let before = be.meter().snapshot();
-        let extended = be.cyclic_extend_blocks(&packed, 2, 5, 5);
-        assert_eq!(
-            be.decrypt(&extended).to_bools(),
-            [true, false, true, false, true, false, true, false, true, false],
-            "each block's 2 live slots repeat cyclically to 5"
-        );
-        let truncated = be.truncate_blocks(&extended, 5, 1, 5);
-        assert_eq!(
-            be.decrypt(&truncated).to_bools(),
-            [true, false, false, false, false, false, false, false, false, false]
-        );
-        let delta = be.meter().snapshot().since(&before);
-        assert_eq!(delta.total_homomorphic(), 0);
     }
 
     #[test]

@@ -70,6 +70,12 @@
 //!     circuit, checked against the meter; `complexity::paper` keeps
 //!     the paper's printed SecComp, level and total forms under other
 //!     names.)
+//! 11. **Packed products run on the slot ring.** Non-test
+//!     `crates/*/src` declares no `fn rotate_blocks`,
+//!     `fn cyclic_extend_blocks` or `fn truncate_blocks` (called or
+//!     generic): a packed chunk multiplies tiled ring diagonals with
+//!     `FheBackend::ring_mat_vec`, so a block-rotation layout cannot
+//!     grow back on the backend trait or beside it.
 //!
 //! The scan covers `crates/*/src/**/*.rs` plus the facade's `src/`;
 //! examples, integration tests, and vendored shims are out of scope.
@@ -124,6 +130,8 @@ struct Patterns {
     circuit_model: [String; 8],
     /// Rule 10: the comparator's type name.
     comparator: String,
+    /// Rule 11: the block-layout method names, after `fn `.
+    block_layout: [String; 3],
 }
 
 impl Patterns {
@@ -166,6 +174,8 @@ impl Patterns {
                 ["struct ", "Replay"].concat(),
             ],
             comparator: ["SecComp", "Variant"].concat(),
+            block_layout: ["rotate", "cyclic_extend", "truncate"]
+                .map(|op| ["fn ", op, "_blocks"].concat()),
         }
     }
 }
@@ -182,6 +192,7 @@ struct RuleSet {
     ban_dialect: bool,
     ban_route_toggle: bool,
     ban_second_model: bool,
+    ban_block_layout: bool,
 }
 
 fn rules_for(rel_path: &str) -> RuleSet {
@@ -200,6 +211,7 @@ fn rules_for(rel_path: &str) -> RuleSet {
             || rel_path.starts_with("crates/server/src/"),
         ban_route_toggle: rel_path.starts_with("crates/fhe/src/bgv/"),
         ban_second_model: rel_path.starts_with("crates/"),
+        ban_block_layout: rel_path.starts_with("crates/"),
     }
 }
 
@@ -332,6 +344,14 @@ fn scan_source(rel_path: &str, source: &str, patterns: &Patterns) -> Vec<Finding
             .any(|p| code.contains(p.as_str()));
         if rules.ban_second_model && (formula || comparator_arm) {
             report("one-circuit-model");
+        }
+        // `fn name(` or `fn name<`, not a longer name sharing the prefix.
+        let block_layout = patterns.block_layout.iter().any(|p| {
+            code.match_indices(p.as_str())
+                .any(|(i, _)| code[i + p.len()..].starts_with(['(', '<']))
+        });
+        if rules.ban_block_layout && block_layout {
+            report("block-layout");
         }
     }
     findings
@@ -762,6 +782,41 @@ mod tests {
                     pub fn classify_counts(forest: &Forest, form: ModelForm) -> OpCounts {}\n";
         assert!(scan("crates/core/src/complexity.rs", fine).is_empty());
         assert!(scan("crates/baseline/src/complexity.rs", fine).is_empty());
+    }
+
+    #[test]
+    fn flags_a_block_rotation_layout() {
+        // Block-layout definitions: trait and backend methods, and a
+        // generic BGV kernel.
+        let [rotate, extend, truncate] = &Patterns::new().block_layout;
+        let srcs = [
+            format!("    {rotate}(\n"),
+            format!("    {extend}(\n"),
+            format!("    {truncate}(\n"),
+            format!("pub(crate) {rotate}<S: SlotOps>(\n"),
+        ];
+        for src in &srcs {
+            for rel in ["crates/fhe/src/backend.rs", "crates/core/src/matmul.rs"] {
+                let hits = scan(rel, src);
+                assert_eq!(hits.len(), 1, "{rel}: {src}");
+                assert_eq!(hits[0].rule, "block-layout");
+            }
+            // Out of scope: the facade, tests, comments.
+            assert!(scan("src/lib.rs", src).is_empty());
+            let in_test = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+            assert!(scan("crates/fhe/src/clear.rs", &in_test).is_empty());
+            assert!(scan("crates/fhe/src/clear.rs", &format!("// {src}")).is_empty());
+        }
+        // What the crates do hold: packing, unpacking, the whole-vector
+        // layout ops, the ring product, and longer names.
+        let fine = "    fn pack_blocks(\n\
+                    fn unpack_block(\n\
+                    fn rotate(&self, a: &Self::Ciphertext, k: isize) -> Self::Ciphertext;\n\
+                    fn cyclic_extend(&self, a: &Self::Ciphertext, width: usize);\n\
+                    pub(crate) fn extend<S: SlotOps>(ops: &S, a: &S::Ct) -> S::Ct {}\n\
+                    fn ring_mat_vec(\n\
+                    fn rotate_blocks_rotates_every_block() {}\n";
+        assert!(scan("crates/fhe/src/backend.rs", fine).is_empty());
     }
 
     /// The invariant the linter exists to keep: the workspace itself
