@@ -27,8 +27,6 @@
 
 #![warn(missing_docs)]
 
-pub mod complexity;
-
 use copse_core::parallel::{map_indices, Parallelism};
 use copse_core::runtime::ModelForm;
 use copse_core::seccomp::{balanced_product, secure_less_than, SecCompVariant};
@@ -533,6 +531,31 @@ mod tests {
         assert!(
             ratio > 1.7,
             "multiplies should ~double with branches, got {ratio:.2}"
+        );
+    }
+
+    #[test]
+    fn baseline_comparison_work_dwarfs_copse() {
+        // The analytical content of Figure 6: baseline multiplies grow
+        // with b x SecComp while COPSE pays SecComp once.
+        use copse_core::analyze::{CircuitReport, EvalShape};
+        use copse_core::compiler::CompileOptions;
+        use copse_core::runtime::Maurice;
+        let forest = microbench::generate(&table6_specs()[1], 31);
+        let maurice = Maurice::compile(&forest, CompileOptions::default()).unwrap();
+        let shape = EvalShape::plan(&maurice, ModelForm::Encrypted);
+        let copse = CircuitReport::analyze(maurice.compiled(), &shape).total_ops();
+        let be = ClearBackend::with_defaults();
+        let model = BaselineModel::compile(&forest).deploy(&be, ModelForm::Encrypted);
+        let query = encrypt_query(&be, &model, &microbench::random_queries(&forest, 1, 7)[0]);
+        let before = be.meter().snapshot();
+        let _ = classify(&be, &model, &query, Parallelism::sequential());
+        let base = be.meter().snapshot().since(&before);
+        assert!(
+            base.multiply > 3 * copse.multiply,
+            "baseline {} vs copse {}",
+            base.multiply,
+            copse.multiply
         );
     }
 

@@ -871,7 +871,7 @@ pub fn analysis_json(seed: u64) -> String {
     } = BENCH_BGV_PARAMS;
     format!(
         "{{\n  \"seed\": {seed},\n  \"reference_profile\": {{\"depth_budget\": {depth_budget}, \
-         \"slot_capacity\": null, \"supports_slot_rotation\": true}},\n  \
+         \"slot_capacity\": null}},\n  \
          \"chain_point\": {{\"m\": {m}, \"prime_bits\": {prime_bits}, \"chain_len\": {chain_len}, \
          \"ks_digit_bits\": {ks_digit_bits}}},\n  \
          \"circuits\": [\n{}\n  ]\n}}\n",

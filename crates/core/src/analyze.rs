@@ -20,12 +20,11 @@
 //!   and the primes each stage consumes.
 //! * [`BackendProfile::of`] captures what a concrete [`FheBackend`]
 //!   can evaluate: its [`NoiseBudget`] (a modulus chain, or a depth
-//!   limit), slot capacity, and whether slots rotate at all (the
-//!   negacyclic power-of-two ring has no GF(2) slot structure).
+//!   limit) and slot capacity.
 //! * [`CircuitReport::admit`] compares the two and returns structured
 //!   [`AdmissionIssue`]s. `copse-server` runs it on every deploy, so a
-//!   model that would exhaust the chain or panic on a rotation-free
-//!   ring is rejected with a typed diagnostic before any ciphertext is
+//!   model that would exhaust the chain or overflow the slots is
+//!   rejected with a typed diagnostic before any ciphertext is
 //!   touched; [`Sally`] asks it whether a packed chunk still fits.
 //!
 //! The stages are the runtime's (comparison, reshuffle, levels,
@@ -120,10 +119,6 @@ pub struct BackendProfile {
     pub budget: NoiseBudget,
     /// Slots per ciphertext (`None` = unbounded).
     pub slot_capacity: Option<usize>,
-    /// Whether slot rotation exists at all. `false` only for the BGV
-    /// scheme instantiated over the negacyclic power-of-two ring,
-    /// which has no GF(2) slot structure to rotate.
-    pub supports_slot_rotation: bool,
 }
 
 impl BackendProfile {
@@ -133,7 +128,6 @@ impl BackendProfile {
         Self {
             budget: backend.noise_budget(),
             slot_capacity: backend.slot_capacity(),
-            supports_slot_rotation: backend.supports_slot_rotation(),
         }
     }
 }
@@ -159,12 +153,6 @@ pub enum AdmissionIssue {
         /// Primes in the backend's chain.
         available: u32,
     },
-    /// The circuit rotates slots but the backend has no slot structure
-    /// (negacyclic power-of-two ring).
-    SlotRotationUnsupported {
-        /// Rotations one classification would attempt.
-        rotations: u64,
-    },
     /// Some packed operand is wider than the backend's slot count.
     SlotCapacityExceeded {
         /// Widest operand the circuit packs.
@@ -187,10 +175,6 @@ impl fmt::Display for AdmissionIssue {
             } => write!(
                 f,
                 "circuit needs {required} chain primes but the backend's modulus chain has {available}"
-            ),
-            AdmissionIssue::SlotRotationUnsupported { rotations } => write!(
-                f,
-                "circuit needs {rotations} slot rotations but the backend has no slot structure"
             ),
             AdmissionIssue::SlotCapacityExceeded {
                 required,
@@ -307,11 +291,6 @@ impl CircuitReport {
             .plus(&self.accumulate.ops)
     }
 
-    /// Slot rotations one classification performs.
-    pub fn rotations(&self) -> u64 {
-        self.total_ops().rotate
-    }
-
     /// Modeled single-thread latency of one classification under a
     /// calibrated [`CostModel`], in milliseconds.
     pub fn modeled_ms(&self, cost: &CostModel) -> f64 {
@@ -341,14 +320,10 @@ impl CircuitReport {
 
     /// Checks the circuit against a backend profile. An empty result
     /// admits the model; each issue carries the numbers that prove the
-    /// mismatch. Issues are ordered most-fundamental first: a missing
-    /// capability (rotation, slots) precedes the noise verdict.
+    /// mismatch. Issues are ordered most-fundamental first: missing
+    /// slots precede the noise verdict.
     pub fn admit(&self, profile: &BackendProfile) -> Vec<AdmissionIssue> {
         let mut issues = Vec::new();
-        let rotations = self.rotations();
-        if rotations > 0 && !profile.supports_slot_rotation {
-            issues.push(AdmissionIssue::SlotRotationUnsupported { rotations });
-        }
         if let Some(available) = profile.slot_capacity {
             if self.min_slot_capacity > available {
                 issues.push(AdmissionIssue::SlotCapacityExceeded {
@@ -542,7 +517,6 @@ mod tests {
         let roomy = BackendProfile {
             budget: NoiseBudget::Depth(r.depth),
             slot_capacity: Some(r.min_slot_capacity),
-            supports_slot_rotation: true,
         };
         assert!(r.admit(&roomy).is_empty());
 
@@ -569,17 +543,6 @@ mod tests {
                 available: r.min_slot_capacity - 1,
             }]
         );
-
-        let rotationless = BackendProfile {
-            supports_slot_rotation: false,
-            ..roomy
-        };
-        assert_eq!(
-            r.admit(&rotationless),
-            vec![AdmissionIssue::SlotRotationUnsupported {
-                rotations: r.rotations(),
-            }]
-        );
     }
 
     #[test]
@@ -590,8 +553,6 @@ mod tests {
         }
         .to_string();
         assert!(text.contains("19") && text.contains("14"), "{text}");
-        let text = AdmissionIssue::SlotRotationUnsupported { rotations: 88 }.to_string();
-        assert!(text.contains("88"), "{text}");
         let text = AdmissionIssue::SlotCapacityExceeded {
             required: 80,
             available: 6,

@@ -37,10 +37,6 @@ pub struct CompileOptions {
     /// Extra padding added to the revealed maximum multiplicity, so
     /// only an upper bound on `K` leaks (paper §7.2.1).
     pub multiplicity_padding: usize,
-    /// Sentinel threshold value `S` for padded slots. The value is
-    /// irrelevant to correctness (sentinel comparisons are dropped by
-    /// `R`); the paper and the default use 0.
-    pub sentinel: u64,
 }
 
 impl Default for CompileOptions {
@@ -49,7 +45,6 @@ impl Default for CompileOptions {
             fuse_reshuffle: false,
             accumulation: Accumulation::BalancedTree,
             multiplicity_padding: 0,
-            sentinel: 0,
         }
     }
 }
@@ -60,13 +55,6 @@ pub enum CompileError {
     /// The forest contains no branch nodes at all; there is nothing to
     /// compare and the protocol degenerates.
     NoBranches,
-    /// The sentinel does not fit in the model's precision.
-    SentinelOverflow {
-        /// The offending sentinel.
-        sentinel: u64,
-        /// Model precision in bits.
-        precision: u32,
-    },
 }
 
 impl fmt::Display for CompileError {
@@ -75,10 +63,6 @@ impl fmt::Display for CompileError {
             CompileError::NoBranches => {
                 write!(f, "forest has no branches; nothing to compile")
             }
-            CompileError::SentinelOverflow {
-                sentinel,
-                precision,
-            } => write!(f, "sentinel {sentinel} does not fit in {precision} bits"),
         }
     }
 }
@@ -99,9 +83,7 @@ pub fn replicate_features(features: &[u64], k: usize) -> Vec<u64> {
 ///
 /// # Errors
 ///
-/// Returns [`CompileError::NoBranches`] for branchless forests and
-/// [`CompileError::SentinelOverflow`] when the configured sentinel
-/// exceeds the model precision.
+/// Returns [`CompileError::NoBranches`] for branchless forests.
 pub fn compile(forest: &Forest, options: CompileOptions) -> Result<CompiledModel, CompileError> {
     let analysis = ForestAnalysis::new(forest);
     let b = analysis.branch_count();
@@ -109,13 +91,6 @@ pub fn compile(forest: &Forest, options: CompileOptions) -> Result<CompiledModel
         return Err(CompileError::NoBranches);
     }
     let precision = forest.precision();
-    if precision < 64 && options.sentinel >= (1u64 << precision) {
-        return Err(CompileError::SentinelOverflow {
-            sentinel: options.sentinel,
-            precision,
-        });
-    }
-
     let feature_count = forest.feature_count();
     let k = forest.max_multiplicity() + options.multiplicity_padding;
     let q = k * feature_count;
@@ -123,8 +98,10 @@ pub fn compile(forest: &Forest, options: CompileOptions) -> Result<CompiledModel
     let n_leaves = analysis.leaf_count();
 
     // Padded threshold vector: feature-grouped, preorder within each
-    // group, sentinel-padded to multiplicity K (paper §4.2.1).
-    let mut values = vec![options.sentinel; q];
+    // group, padded to multiplicity K with the sentinel 0 (paper
+    // §4.2.1); sentinel comparisons are dropped by `R`, so its value
+    // does not matter.
+    let mut values = vec![0; q];
     let mut slot_branch: Vec<Option<usize>> = vec![None; q];
     let mut occupancy = vec![0usize; feature_count];
     for (branch_ix, branch) in analysis.branches().iter().enumerate() {
@@ -389,39 +366,6 @@ mod tests {
                 forest.classify_leaf_hits(&q)
             );
         }
-    }
-
-    #[test]
-    fn nonzero_sentinel_is_equivalent() {
-        let forest = figure1();
-        let m = compile(
-            &forest,
-            CompileOptions {
-                sentinel: 255,
-                ..CompileOptions::default()
-            },
-        )
-        .unwrap();
-        for q in [[25u64, 60], [13, 200], [255, 255]] {
-            assert_eq!(
-                evaluate_plain(&m, &q).to_bools(),
-                forest.classify_leaf_hits(&q),
-                "query {q:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn sentinel_overflow_rejected() {
-        let err = compile(
-            &figure1(),
-            CompileOptions {
-                sentinel: 256,
-                ..CompileOptions::default()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, CompileError::SentinelOverflow { .. }));
     }
 
     #[test]

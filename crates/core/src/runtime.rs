@@ -719,10 +719,10 @@ impl<'b, B: FheBackend> Sally<'b, B> {
 
     /// The cross-query packing layout batches will use, or `None` when
     /// packing cannot engage: packing is [`PackingMode::Off`], the
-    /// backend reports no slot capacity (clear-unbounded, negacyclic)
-    /// or no slot rotation, fewer than two query strides fit, or the
-    /// backend's noise budget does not admit the packed circuit
-    /// (splitting results back out costs one more level).
+    /// backend reports no slot capacity (clear-unbounded), fewer than
+    /// two query strides fit, or the backend's noise budget does not
+    /// admit the packed circuit (splitting results back out costs one
+    /// more level).
     /// Every unit of a batch is then a single query — the caller never
     /// has to care. A pure function of backend, model and options,
     /// computed once when Sally hosts the model.
@@ -732,7 +732,7 @@ impl<'b, B: FheBackend> Sally<'b, B> {
 
     fn plan_packing(&self) -> Option<PackPlan> {
         let (backend, model) = (self.backend, &self.model);
-        if self.options.packing == PackingMode::Off || !backend.supports_slot_rotation() {
+        if self.options.packing == PackingMode::Off {
             return None;
         }
         let fused = model.operands.reshuffle.is_none();

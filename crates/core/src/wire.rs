@@ -512,9 +512,6 @@ pub enum RejectionCode {
     /// Predicted multiplicative depth exceeds a depth-budgeted
     /// backend's limit — evaluation would abort.
     DepthExceeded,
-    /// The circuit needs slot rotations and the backend cannot rotate
-    /// (the negacyclic-flavored packed backend has no slot structure).
-    SlotRotationUnsupported,
     /// A pipeline operand is wider than the backend's slot capacity.
     SlotCapacityExceeded,
     /// A fresh query would need more modulus-chain primes than the
@@ -523,11 +520,10 @@ pub enum RejectionCode {
 }
 
 impl RejectionCode {
-    /// Wire byte for this code.
+    /// Wire byte for this code. Byte 2 is unassigned.
     pub fn to_byte(self) -> u8 {
         match self {
             RejectionCode::DepthExceeded => 1,
-            RejectionCode::SlotRotationUnsupported => 2,
             RejectionCode::SlotCapacityExceeded => 3,
             RejectionCode::ChainExceeded => 4,
         }
@@ -542,7 +538,6 @@ impl RejectionCode {
     pub fn from_byte(b: u8) -> Result<Self, WireError> {
         match b {
             1 => Ok(RejectionCode::DepthExceeded),
-            2 => Ok(RejectionCode::SlotRotationUnsupported),
             3 => Ok(RejectionCode::SlotCapacityExceeded),
             4 => Ok(RejectionCode::ChainExceeded),
             other => Err(WireError::BadRejectionCode(other)),
@@ -554,8 +549,7 @@ impl RejectionCode {
 ///
 /// `required`/`available` quantify the failed check in the code's
 /// units: multiplicative depth levels for
-/// [`RejectionCode::DepthExceeded`], rotation count vs zero for
-/// [`RejectionCode::SlotRotationUnsupported`], slot widths for
+/// [`RejectionCode::DepthExceeded`], slot widths for
 /// [`RejectionCode::SlotCapacityExceeded`], chain primes for
 /// [`RejectionCode::ChainExceeded`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -1278,16 +1272,17 @@ mod tests {
     fn rejection_code_bytes_are_stable_and_checked() {
         for code in [
             RejectionCode::DepthExceeded,
-            RejectionCode::SlotRotationUnsupported,
             RejectionCode::SlotCapacityExceeded,
             RejectionCode::ChainExceeded,
         ] {
             assert_eq!(RejectionCode::from_byte(code.to_byte()).unwrap(), code);
         }
-        assert_eq!(
-            RejectionCode::from_byte(0).unwrap_err(),
-            WireError::BadRejectionCode(0)
-        );
+        for byte in [0, 2] {
+            assert_eq!(
+                RejectionCode::from_byte(byte).unwrap_err(),
+                WireError::BadRejectionCode(byte)
+            );
+        }
         // A corrupted detail flag is rejected, not guessed at. The
         // body ends detail flag(1) + timing flag(1).
         let mut bytes = encode_frame(&Frame::Error {

@@ -274,7 +274,6 @@ fn admission_rejects_a_pack_exceeding_capacity() {
     let fits = BackendProfile {
         budget: NoiseBudget::Depth(report.depth),
         slot_capacity: Some(4 * stride),
-        supports_slot_rotation: true,
     };
     assert!(report.admit(&fits).is_empty());
     // ...one slot less and admission rejects the pack with numbers.

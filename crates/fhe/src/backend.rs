@@ -8,7 +8,7 @@
 //! and truncation). Every operation is recorded on the backend's
 //! [`OpMeter`] so circuits can be costed op-for-op.
 //!
-//! Four implementations ship with this crate:
+//! Three implementations ship with this crate:
 //!
 //! * [`ClearBackend`](crate::ClearBackend) — exact semantics over
 //!   plaintext bit vectors with multiplicative-depth tracking; the
@@ -19,10 +19,6 @@
 //! * [`BgvBackend`](crate::BgvBackend) — a real (teaching-grade)
 //!   leveled BGV scheme over a prime cyclotomic ring with GF(2) slot
 //!   packing, for end-to-end encrypted runs.
-//! * [`NegacyclicBackend`](crate::NegacyclicBackend) — the same BGV
-//!   scheme over the negacyclic power-of-two ring `Z_q[X]/(X^n + 1)`
-//!   (size-`n` transforms, no slot structure: one scalar ciphertext
-//!   per bit, free layout operations).
 
 use crate::bgv::LevelRule;
 use crate::bitvec::BitVec;
@@ -60,13 +56,13 @@ impl fmt::Display for CiphertextCodecError {
 
 impl std::error::Error for CiphertextCodecError {}
 
-/// Typed errors from backend operations that a given scheme flavor may
-/// not support.
-///
-/// Historically these surfaced as panics deep inside the scheme (the
-/// negacyclic flavor's missing slot structure, a missing rotation
-/// key); deploy-time admission (`copse_core::analyze`) needs them as values
-/// so an unsupported circuit is a structured diagnostic, not a crash.
+/// Typed errors from operations that a backend or ring flavor does
+/// not support: a packed-layout primitive on a backend without a slot
+/// ring, serialising an abstract ciphertext, or slot rotation on the
+/// negacyclic ring
+/// ([`BgvScheme::try_rotate_slots`](crate::bgv::BgvScheme::try_rotate_slots)).
+/// Panics carry them as their payload (`panic_any`), so a
+/// `catch_unwind` boundary can downcast them back to values.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BackendError {
     /// The operation is not supported by this backend's parameters or
@@ -96,8 +92,7 @@ impl std::error::Error for BackendError {}
 /// ([`FheBackend::noise_budget`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum NoiseBudget {
-    /// A multiplicative-depth limit: the clear backend's guard, and
-    /// the per-bit negacyclic backend's conservative bound.
+    /// A multiplicative-depth limit: the clear backend's guard.
     Depth(u32),
     /// A BGV modulus chain and the rule its ciphertexts' levels
     /// follow: a circuit fits iff that rule, run over the circuit,
@@ -127,18 +122,6 @@ pub trait FheBackend: Send + Sync {
 
     /// Maximum usable slots per ciphertext, if the scheme bounds it.
     fn slot_capacity(&self) -> Option<usize>;
-
-    /// Whether [`rotate`](FheBackend::rotate) is available at all.
-    ///
-    /// `true` for every shipped backend except [`crate::BgvBackend`]
-    /// instantiated over negacyclic (power-of-two `m`) parameters,
-    /// whose ring has no GF(2) slot structure and hence no rotation
-    /// automorphisms. Deploy-time admission checks this capability so
-    /// a circuit that needs rotations is rejected with a typed
-    /// diagnostic instead of panicking mid-evaluation.
-    fn supports_slot_rotation(&self) -> bool {
-        true
-    }
 
     /// The meter recording every homomorphic operation.
     fn meter(&self) -> &OpMeter;

@@ -277,7 +277,17 @@ impl BgvBackend {
     /// [`BgvBackend::new`] with the ring's NTT fast path explicitly
     /// enabled or disabled (`false` forces the schoolbook oracle; keys
     /// and ciphertexts are identical either way).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a power-of-two `m`: `2` ramifies completely in the
+    /// negacyclic ring, so it has no GF(2) slots to pack or rotate.
     pub fn new_with_ntt(params: BgvParams, use_ntt: bool) -> Self {
+        assert!(
+            !params.is_negacyclic(),
+            "BgvBackend needs GF(2) slots: the power-of-two ring m = {} has none",
+            params.m
+        );
         Self {
             scheme: BgvScheme::keygen_with_ntt(params, use_ntt),
             meter: Arc::new(OpMeter::new()),
@@ -359,14 +369,7 @@ impl FheBackend for BgvBackend {
     type Ciphertext = BgvCiphertext;
 
     fn slot_capacity(&self) -> Option<usize> {
-        // Via `try_slots` so capability probing (deploy-time
-        // admission) never panics: the negacyclic flavor has no slot
-        // structure, hence no packed capacity to report.
-        self.scheme.try_slots().map(|s| s.nslots())
-    }
-
-    fn supports_slot_rotation(&self) -> bool {
-        self.scheme.try_slots().is_some()
+        Some(self.nslots())
     }
 
     fn meter(&self) -> &OpMeter {

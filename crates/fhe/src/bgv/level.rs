@@ -75,17 +75,16 @@ pub struct LevelRule {
 impl LevelRule {
     /// The rule of `params` — what a [`BgvBackend`](crate::BgvBackend)
     /// keyed with them follows, without generating a key.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `m` is an odd prime: a backend needs GF(2) slots.
     pub fn of(params: &BgvParams) -> Self {
-        let nslots = if params.is_negacyclic() {
-            0
-        } else {
-            SlotStructure::new(params.m).nslots()
-        };
-        Self::new(*params, nslots)
+        Self::new(*params, SlotStructure::new(params.m).nslots())
     }
 
     /// The rule of `params`, for a ring with `nslots` GF(2) slots (0
-    /// when there is no slot structure to rotate).
+    /// for a scheme on the negacyclic ring, which has none to rotate).
     pub(crate) fn new(params: BgvParams, nslots: usize) -> Self {
         // Key-switch additive noise: #primes * #digits * B * 2η * φ.
         let digits = params.prime_bits.div_ceil(params.ks_digit_bits) as f64;
@@ -240,7 +239,7 @@ impl SlotOps for LevelRule {
     type Operand = MaybeEncrypted<AbstractBackend>;
 
     fn rotate_full(&self, a: &Level, k: isize) -> Level {
-        if self.nslots > 0 && k.rem_euclid(self.nslots as isize) == 0 {
+        if k.rem_euclid(self.nslots as isize) == 0 {
             *a
         } else {
             self.key_switch(*a)
@@ -306,12 +305,11 @@ pub struct AbstractBackend {
 
 impl AbstractBackend {
     /// A backend whose ciphertexts move by `rule` (or carry no level),
-    /// on the rule's slot ring (without a rule or on a ring without
-    /// slots: none).
+    /// on the rule's slot ring (without a rule: none).
     pub fn new(rule: Option<LevelRule>) -> Self {
         Self {
             rule,
-            slots: rule.map(|rule| rule.nslots).filter(|&slots| slots > 0),
+            slots: rule.map(|rule| rule.nslots),
             meter: OpMeter::new(),
         }
     }
@@ -703,8 +701,6 @@ mod tests {
             AbstractBackend::new(Some(LevelRule::of(&BgvParams::demo()))).slot_capacity(),
             BgvBackend::demo().slot_capacity()
         );
-        let no_slots = LevelRule::of(&BgvParams::negacyclic_tiny());
-        assert_eq!(AbstractBackend::new(Some(no_slots)).slot_capacity(), None);
         // Without a rule: no ring for a solo run, whose matrices then
         // take the width-n loop (and deploy the paper's one Encrypt per
         // column), and the ring it is given for a packed chunk of

@@ -16,24 +16,19 @@
 //! * [`backend`] — the [`FheBackend`](crate::FheBackend)
 //!   implementation over the prime flavor with logical-width slot
 //!   packing (masked rotations, cyclic extension), differentially
-//!   tested against [`ClearBackend`](crate::ClearBackend);
-//! * [`negacyclic`] — the [`FheBackend`](crate::FheBackend)
-//!   implementation over the power-of-two flavor: one scalar
-//!   ciphertext per bit (no GF(2) slots exist there), size-`n`
-//!   `ψ`-twisted transforms, free layout operations.
+//!   tested against [`ClearBackend`](crate::ClearBackend). The
+//!   power-of-two flavor has no GF(2) slots, so no backend runs on it.
 //!
 //! Parameters are demonstration-sized (`m = 31` or `m = 127`; `m = 32`
-//! or `m = 256` negacyclic); the algebra is faithful, the security
-//! level is not (see docs/PARAMETERS.md).
+//! negacyclic); the algebra is faithful, the security level is not
+//! (see docs/PARAMETERS.md).
 
 pub mod backend;
 pub mod level;
-pub mod negacyclic;
 pub mod ring;
 pub mod scheme;
 
 pub use backend::{BgvBackend, BgvCiphertext, BgvPlaintext};
 pub use level::{AbstractBackend, AbstractCiphertext, Level, LevelRule};
-pub use negacyclic::{NegacyclicBackend, NegacyclicCiphertext, NegacyclicPlaintext};
 pub use ring::RingFlavor;
 pub use scheme::{BgvParams, BgvScheme};

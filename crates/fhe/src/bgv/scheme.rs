@@ -24,9 +24,9 @@
 //!   structure**: [`BgvScheme::try_slots`] is `None`, no rotation keys
 //!   are generated, and [`BgvScheme::rotate_slots`] panics
 //!   ([`BgvScheme::try_rotate_slots`] reports the missing capability
-//!   as a typed [`BackendError::Unsupported`] instead). The
-//!   [`crate::bgv::NegacyclicBackend`] packs logical vectors as one
-//!   scalar ciphertext per bit instead.
+//!   as a typed [`BackendError::Unsupported`] instead). No
+//!   [`FheBackend`](crate::FheBackend) runs on this flavor:
+//!   [`BgvBackend`](crate::BgvBackend) refuses it.
 //!
 //! **Scope**: the algebra is real (decryption fails exactly when noise
 //! overflows; slots rotate via genuine automorphisms), but parameters
@@ -103,21 +103,6 @@ impl BgvParams {
             ks_digit_bits: 7,
             error_eta: 2,
             keygen_seed: 0x2A16,
-        }
-    }
-
-    /// Demo negacyclic parameters: `m = 256` (ring
-    /// `Z_q[X]/(X^128 + 1)`, size-128 transforms — half the prime
-    /// demo flavor's 256-point padded transforms at comparable
-    /// degree), 16-prime chain.
-    pub fn negacyclic_demo() -> Self {
-        Self {
-            m: 256,
-            prime_bits: 25,
-            chain_len: 16,
-            ks_digit_bits: 7,
-            error_eta: 2,
-            keygen_seed: 0x2A128,
         }
     }
 
@@ -733,12 +718,10 @@ impl BgvScheme {
     ///
     /// Panics if the required rotation key was not generated, or in
     /// the negacyclic flavor (no slot structure, hence no slot
-    /// rotations — the [`crate::bgv::NegacyclicBackend`] rotates its
-    /// per-bit ciphertext vectors instead). The capability panic
-    /// carries the typed [`BackendError`] as its payload
-    /// (`panic_any`), so a `catch_unwind` boundary — the server's
-    /// evaluation workers — can downcast it back to the same error
-    /// the admission layer models instead of scraping a string. Use
+    /// rotations). The capability panic carries the typed
+    /// [`BackendError`] as its payload (`panic_any`), so a
+    /// `catch_unwind` boundary can downcast it back to the error
+    /// instead of scraping a string. Use
     /// [`BgvScheme::try_rotate_slots`] to get the capability failure
     /// as a plain `Result` instead.
     pub fn rotate_slots(&self, a: &Ciphertext, k: isize) -> Ciphertext {
@@ -747,8 +730,7 @@ impl BgvScheme {
     }
 
     /// [`BgvScheme::rotate_slots`] returning the negacyclic flavor's
-    /// missing slot structure as a typed error rather than a panic —
-    /// the form deploy-time admission and capability probing consume.
+    /// missing slot structure as a typed error rather than a panic.
     ///
     /// # Errors
     ///
@@ -878,20 +860,6 @@ impl BgvScheme {
     /// exposed for benchmarking and transform-count ablations.
     pub fn key_switch_relin(&self, ct: &Ciphertext) -> (RnsPoly, RnsPoly) {
         self.key_switch(&ct.c1, &self.relin)
-    }
-
-    /// The transparent encryption of zero at `level` active primes
-    /// (`c0 = c1 = 0`): decrypts to zero under any key and is a valid
-    /// operand for every homomorphic operation. Used where a public
-    /// constant forces a known-zero result — e.g. the
-    /// [`crate::bgv::NegacyclicBackend`] multiplying a slot by the
-    /// plaintext constant 0.
-    pub fn transparent_zero(&self, level: usize) -> Ciphertext {
-        Ciphertext {
-            c0: self.ring.zero(level),
-            c1: self.ring.zero(level),
-            noise: 0.0,
-        }
     }
 
     /// One BGV modulus switch (drops the last active prime).

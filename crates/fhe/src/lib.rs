@@ -14,6 +14,9 @@
 //!   ([`OpMeter`]). Wall-clock on this backend is proportional to slot
 //!   work; [`CostModel`] converts metered counts to modeled BGV
 //!   milliseconds.
+//! * [`AbstractBackend`] — no bits at all: a ciphertext is its width,
+//!   depth and (under a [`LevelRule`]) BGV chain level, so the static
+//!   analyzer can run a circuit to read its cost.
 //! * [`BgvBackend`] — a from-scratch leveled BGV scheme over the prime
 //!   cyclotomic ring `Z_q[X]/Φ_m(X)` with an RNS modulus chain, GF(2)
 //!   slot packing via cyclotomic factorisation and CRT idempotents, and
@@ -21,12 +24,6 @@
 //!   teaching-grade implementation (no constant-time hardening, modest
 //!   parameters) used for end-to-end encrypted runs and differential
 //!   testing against the clear backend.
-//! * [`NegacyclicBackend`] — the same BGV scheme over the negacyclic
-//!   power-of-two ring `Z_q[X]/(X^n + 1)` ([`RingFlavor`]), whose
-//!   `ψ`-twisted NTTs run at size exactly `n` — half the prime
-//!   flavor's zero-padded transforms at comparable dimension. `2`
-//!   ramifies completely there (no GF(2) slots), so it packs one
-//!   scalar ciphertext per bit and gets layout operations for free.
 //!
 //! Supporting types: [`BitVec`] (packed slot vectors), [`BitSliced`]
 //! (the paper's transposed fixed-point representation),
@@ -62,7 +59,7 @@ pub use backend::{
 };
 pub use bgv::{
     AbstractBackend, AbstractCiphertext, BgvBackend, BgvCiphertext, BgvParams, BgvPlaintext, Level,
-    LevelRule, NegacyclicBackend, NegacyclicCiphertext, NegacyclicPlaintext, RingFlavor,
+    LevelRule, RingFlavor,
 };
 pub use bitslice::BitSliced;
 pub use bitvec::BitVec;

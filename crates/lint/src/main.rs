@@ -42,8 +42,8 @@
 //!    `WIRE_VERSION` or is refused, so a second dialect cannot re-grow
 //!    beside the first.
 //! 9. **The arithmetic route is fixed at keygen.** Non-test
-//!    `crates/fhe/src/bgv` (`BgvScheme`, `BgvBackend`,
-//!    `NegacyclicBackend`, `RnsContext`) defines no public
+//!    `crates/fhe/src/bgv` (`BgvScheme`, `BgvBackend`, `RnsContext`)
+//!    defines no public
 //!    `set_*_enabled(` mutator, and `KsKey` stays an enum of forms:
 //!    declaring it as a `struct`, or re-growing the `parts_eval`
 //!    mirror field, is a finding. A scheme is born on the evaluation
@@ -56,7 +56,8 @@
 //!     no `struct CostInputs`, no `mod ours`, no `fn classify_depth(`,
 //!     none of the per-stage closed forms `fn matmul_counts(`,
 //!     `fn levels_counts(`, `fn accumulate_counts(` and
-//!     `fn product_depth(`, and no `struct Replay`; and outside
+//!     `fn product_depth(`, no `fn classify_counts(`, and no
+//!     `struct Replay`; and outside
 //!     `crates/core/src/seccomp.rs` nothing can match on a
 //!     `SecCompVariant`: no `SecCompVariant::… =>` arm, no `use` of its
 //!     variants, no alias of it and no `impl` on it. (A lone
@@ -66,16 +67,20 @@
 //!     runtime on the abstract backend (`copse_core::analyze`), so
 //!     neither a formula set nor a second description of the circuit
 //!     can re-grow beside it, and a comparator is written in one file.
-//!     (The baseline's own `classify_counts` models a different
-//!     circuit, checked against the meter; `complexity::paper` keeps
-//!     the paper's printed SecComp, level and total forms under other
-//!     names.)
+//!     (`complexity::paper` keeps the paper's printed SecComp, level
+//!     and total forms under other names.)
 //! 11. **Packed products run on the slot ring.** Non-test
 //!     `crates/*/src` declares no `fn rotate_blocks`,
 //!     `fn cyclic_extend_blocks` or `fn truncate_blocks` (called or
 //!     generic): a packed chunk multiplies tiled ring diagonals with
 //!     `FheBackend::ring_mat_vec`, so a block-rotation layout cannot
 //!     grow back on the backend trait or beside it.
+//! 12. **Every backend rotates.** Non-test `crates/*/src` defines no
+//!     `fn supports_slot_rotation(` and names neither
+//!     `SlotRotationUnsupported` nor `NegacyclicBackend`: every
+//!     backend has GF(2) slots (`BgvBackend` refuses a power-of-two
+//!     `m`), so neither a rotation-capability probe nor a per-bit
+//!     backend without slots can grow back.
 //!
 //! The scan covers `crates/*/src/**/*.rs` plus the facade's `src/`;
 //! examples, integration tests, and vendored shims are out of scope.
@@ -127,11 +132,14 @@ struct Patterns {
     toggle: (String, String),
     /// Rule 9: a second key form, or the per-prime digit transform.
     second_form: [String; 3],
-    circuit_model: [String; 8],
+    circuit_model: [String; 9],
     /// Rule 10: the comparator's type name.
     comparator: String,
     /// Rule 11: the block-layout method names, after `fn `.
     block_layout: [String; 3],
+    /// Rule 12: the rotation probe, its admission verdict and the
+    /// per-bit backend.
+    rotationless: [String; 3],
 }
 
 impl Patterns {
@@ -171,11 +179,17 @@ impl Patterns {
                 ["fn levels", "_counts("].concat(),
                 ["fn accumulate", "_counts("].concat(),
                 ["fn product", "_depth("].concat(),
+                ["fn classify", "_counts("].concat(),
                 ["struct ", "Replay"].concat(),
             ],
             comparator: ["SecComp", "Variant"].concat(),
             block_layout: ["rotate", "cyclic_extend", "truncate"]
                 .map(|op| ["fn ", op, "_blocks"].concat()),
+            rotationless: [
+                ["fn supports_slot", "_rotation("].concat(),
+                ["SlotRotation", "Unsupported"].concat(),
+                ["Negacyclic", "Backend"].concat(),
+            ],
         }
     }
 }
@@ -193,6 +207,7 @@ struct RuleSet {
     ban_route_toggle: bool,
     ban_second_model: bool,
     ban_block_layout: bool,
+    ban_rotationless: bool,
 }
 
 fn rules_for(rel_path: &str) -> RuleSet {
@@ -212,6 +227,7 @@ fn rules_for(rel_path: &str) -> RuleSet {
         ban_route_toggle: rel_path.starts_with("crates/fhe/src/bgv/"),
         ban_second_model: rel_path.starts_with("crates/"),
         ban_block_layout: rel_path.starts_with("crates/"),
+        ban_rotationless: rel_path.starts_with("crates/"),
     }
 }
 
@@ -352,6 +368,13 @@ fn scan_source(rel_path: &str, source: &str, patterns: &Patterns) -> Vec<Finding
         });
         if rules.ban_block_layout && block_layout {
             report("block-layout");
+        }
+        let rotationless = patterns
+            .rotationless
+            .iter()
+            .any(|p| code.contains(p.as_str()));
+        if rules.ban_rotationless && rotationless {
+            report("every-backend-rotates");
         }
     }
     findings
@@ -768,9 +791,8 @@ mod tests {
             assert_eq!(scan("crates/core/src/seccomp.rs", arm), vec![]);
         }
         // What the workspace does hold: the paper's printed forms, the
-        // analyzer's report and its comparison-stage run, a variant
-        // named without a match arm, and the baseline's own
-        // (different) circuit.
+        // analyzer's report and its comparison-stage run, and a
+        // variant named without a match arm.
         let fine = "pub mod paper {}\n\
                     let tree = seccomp(p, ModelForm::Encrypted, SecCompVariant::Tree);\n\
                     use crate::seccomp::{secure_less_than, SecCompVariant};\n\
@@ -778,10 +800,8 @@ mod tests {
                     pub fn seccomp_counts(p: u32) -> OpCounts {}\n\
                     pub fn level_counts(b: usize) -> OpCounts {}\n\
                     pub fn from_meta(meta: &ModelMeta) -> CircuitReport {}\n\
-                    pub fn seccomp(p: u32, form: ModelForm) -> StagePrediction {}\n\
-                    pub fn classify_counts(forest: &Forest, form: ModelForm) -> OpCounts {}\n";
+                    pub fn seccomp(p: u32, form: ModelForm) -> StagePrediction {}\n";
         assert!(scan("crates/core/src/complexity.rs", fine).is_empty());
-        assert!(scan("crates/baseline/src/complexity.rs", fine).is_empty());
     }
 
     #[test]
@@ -817,6 +837,40 @@ mod tests {
                     fn ring_mat_vec(\n\
                     fn rotate_blocks_rotates_every_block() {}\n";
         assert!(scan("crates/fhe/src/backend.rs", fine).is_empty());
+    }
+
+    #[test]
+    fn flags_a_backend_that_cannot_rotate() {
+        // A rotation probe, its admission verdict and wire code, and
+        // the per-bit backend's definition and re-export.
+        let [probe, verdict, per_bit] = &Patterns::new().rotationless;
+        let srcs = [
+            format!("    {probe}&self) -> bool {{\n"),
+            format!("    {verdict} {{ rotations: u64 }},\n"),
+            format!("            RejectionCode::{verdict} => 2,\n"),
+            format!("pub struct {per_bit} {{\n"),
+            format!("pub use negacyclic::{{{per_bit}, NegacyclicCiphertext}};\n"),
+        ];
+        for src in &srcs {
+            for rel in ["crates/fhe/src/backend.rs", "crates/core/src/wire.rs"] {
+                let hits = scan(rel, src);
+                assert_eq!(hits.len(), 1, "{rel}: {src}");
+                assert_eq!(hits[0].rule, "every-backend-rotates");
+            }
+            // Out of scope: the facade, tests, comments.
+            assert!(scan("src/lib.rs", src).is_empty());
+            let in_test = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+            assert!(scan("crates/fhe/src/backend.rs", &in_test).is_empty());
+            assert!(scan("crates/fhe/src/backend.rs", &format!("// {src}")).is_empty());
+        }
+        // What the crates do hold: the negacyclic ring flavor, the
+        // scheme's typed refusal to rotate on it, and the slot probe.
+        let fine = "pub fn new_negacyclic(m: usize, primes: Vec<u64>) -> Self {}\n\
+                    RingFlavor::NegacyclicPow2 => {}\n\
+                    pub fn try_rotate_slots(&self, a: &Ciphertext, k: isize) {}\n\
+                    fn slot_capacity(&self) -> Option<usize>;\n\
+                    SlotCapacityExceeded { required: usize, available: usize },\n";
+        assert!(scan("crates/fhe/src/bgv/scheme.rs", fine).is_empty());
     }
 
     /// The invariant the linter exists to keep: the workspace itself

@@ -17,9 +17,9 @@
 //!   per-model batching workers, and the thread-per-connection front
 //!   end. Every registered model passes through `copse_core::analyze` at
 //!   [`ServerBuilder::bind`]: a circuit the backend cannot evaluate
-//!   (depth over the modulus chain, rotations on a rotation-free
-//!   ring, operands wider than the slot count) is rejected with a
-//!   structured wire diagnostic instead of failing at first query;
+//!   (depth over the modulus chain, operands wider than the slot
+//!   count) is rejected with a structured wire diagnostic instead of
+//!   failing at first query;
 //! * [`client`] — [`InferenceClient`], Diane's side of the protocol
 //!   (encrypt → serialize → send, receive → deserialize → decrypt),
 //!   with a [`RetryPolicy`] that absorbs sheds and connection drops

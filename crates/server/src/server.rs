@@ -372,9 +372,9 @@ impl<B: FheBackend + 'static> ServerBuilder<B> {
     /// Each model is first run through the static analyzer against this
     /// backend's [`BackendProfile`]; a model the backend cannot
     /// evaluate (circuit deeper than the modulus chain, operands wider
-    /// than the slot count, rotations on a rotation-free ring) is *not*
-    /// deployed — clients that hello it receive a structured
-    /// [`RejectionDetail`] carrying the analyzer's numbers.
+    /// than the slot count) is *not* deployed — clients that hello it
+    /// receive a structured [`RejectionDetail`] carrying the analyzer's
+    /// numbers.
     ///
     /// # Errors
     ///
@@ -563,9 +563,6 @@ fn rejection_detail(model: &str, issue: &AdmissionIssue) -> RejectionDetail {
             u64::from(required),
             u64::from(available),
         ),
-        AdmissionIssue::SlotRotationUnsupported { rotations } => {
-            (RejectionCode::SlotRotationUnsupported, rotations, 0)
-        }
         AdmissionIssue::SlotCapacityExceeded {
             required,
             available,
@@ -584,9 +581,9 @@ fn rejection_detail(model: &str, issue: &AdmissionIssue) -> RejectionDetail {
 }
 
 /// The message a worker answers a panicked evaluation with. A typed
-/// [`BackendError`] payload (e.g. `rotate_slots` on the negacyclic
-/// ring, which admission keeps from ever deploying) survives as a
-/// clean typed message, not a scraped panic string.
+/// [`BackendError`] payload (a packed-layout primitive the backend
+/// lacks) survives as a clean typed message, not a scraped panic
+/// string.
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     if let Some(e) = panic.downcast_ref::<BackendError>() {
         return format!("backend capability error: {e}");

@@ -8,15 +8,15 @@
 //!
 //! * a mismatched-width query packed into a shared window must never
 //!   contaminate its packmates' slots;
-//! * a backend that reports no slot capacity (the negacyclic BGV
-//!   flavor) must fall through to the sequential path untouched;
+//! * a backend that reports no slot capacity (the uncapped clear
+//!   backend) must fall through to the sequential path untouched;
 //! * real lattice ciphertexts (prime-`m` BGV) must pack and agree too.
 
 use copse::core::compiler::CompileOptions;
 use copse::core::runtime::{
     Diane, EncryptedQuery, EvalOptions, Maurice, ModelForm, PackingMode, Sally,
 };
-use copse::fhe::{BgvBackend, BgvParams, ClearBackend, ClearConfig, FheBackend, NegacyclicBackend};
+use copse::fhe::{BgvBackend, BgvParams, ClearBackend, ClearConfig, FheBackend};
 use copse::forest::microbench::random_queries;
 use copse::forest::model::{Forest, Node, Tree};
 use proptest::prelude::*;
@@ -255,21 +255,13 @@ fn packing_off_is_sequential_and_identical() {
     }
 }
 
-/// The negacyclic power-of-two ring has no slot structure: the backend
-/// reports no capacity, the planner declines, and `classify_batch`
-/// falls through to the sequential path with correct answers and an
-/// empty packed dimension.
+/// An uncapped clear backend has no slot ring: it reports no capacity,
+/// the planner declines, and `classify_batch` falls through to the
+/// sequential path with correct answers and an empty packed dimension.
 #[test]
-fn negacyclic_backend_falls_through_to_the_sequential_path() {
+fn uncapped_backend_falls_through_to_the_sequential_path() {
     let forest = one_branch_forest();
-    let backend = NegacyclicBackend::new(BgvParams {
-        m: 32,
-        prime_bits: 25,
-        chain_len: 12,
-        ks_digit_bits: 7,
-        error_eta: 2,
-        keygen_seed: 0xE2E,
-    });
+    let backend = ClearBackend::with_defaults();
     assert!(backend.slot_capacity().is_none());
     let maurice = Maurice::compile(&forest, CompileOptions::default()).expect("compile");
     let sally = Sally::host(&backend, maurice.deploy(&backend, ModelForm::Encrypted));

@@ -1,15 +1,14 @@
 //! Deploy-time admission: the server must refuse — with a structured
 //! wire diagnostic — any model whose circuit the backend cannot
 //! evaluate, *before* the first query arrives, while continuing to
-//! serve the models that do fit. Covers the two concrete failure
-//! classes the analyzer proves statically: multiplicative depth over
-//! the modulus chain, and slot rotations on a rotation-free
-//! (negacyclic) ring.
+//! serve the models that do fit. Covers the failure class the analyzer
+//! proves statically, multiplicative depth over the modulus chain, and
+//! the ring without slots that no backend is ever built on.
 
 use copse::core::compiler::CompileOptions;
 use copse::core::runtime::ModelForm;
 use copse::core::wire::{Frame, RejectionCode};
-use copse::fhe::{BgvBackend, BgvParams, ClearBackend, ClearConfig, FheBackend};
+use copse::fhe::{BgvBackend, BgvParams, ClearBackend, ClearConfig};
 use copse::forest::microbench::{self, MicrobenchSpec};
 use copse::forest::model::Forest;
 use copse::server::transport::{read_frame, write_frame};
@@ -121,40 +120,10 @@ fn depth_exceeding_model_is_rejected_before_deploy() {
     handle.shutdown();
 }
 
+/// The power-of-two ring has no GF(2) slots, so no model could ever
+/// be admitted on it: the backend refuses the parameters outright.
 #[test]
-fn slot_rotation_on_a_negacyclic_ring_is_rejected() {
-    // The negacyclic power-of-two ring has no slot group, so the
-    // matmul stages' rotations are statically unevaluable.
-    let backend = Arc::new(BgvBackend::new(BgvParams::negacyclic_tiny()));
-    assert!(!backend.supports_slot_rotation());
-    let server = ServerBuilder::new(Arc::clone(&backend))
-        .register(
-            "rotating",
-            &forest_of_depth(2),
-            CompileOptions::default(),
-            ModelForm::Plain,
-        )
-        .expect("compiles")
-        .bind("127.0.0.1:0")
-        .expect("bind");
-
-    let rejections = server.rejections();
-    assert_eq!(rejections.len(), 1);
-    assert_eq!(rejections[0].code, RejectionCode::SlotRotationUnsupported);
-    assert!(rejections[0].required > 0, "counts the needed rotations");
-
-    let handle = server.spawn().expect("spawn");
-    match hello(handle.addr(), "rotating") {
-        Frame::Error {
-            message, detail, ..
-        } => {
-            assert!(message.contains("no slot structure"), "{message}");
-            assert_eq!(
-                detail.expect("structured detail").code,
-                RejectionCode::SlotRotationUnsupported
-            );
-        }
-        other => panic!("expected rejection, got {other:?}"),
-    }
-    handle.shutdown();
+#[should_panic(expected = "GF(2) slots")]
+fn bgv_backend_refuses_a_ring_without_slots() {
+    let _ = BgvBackend::new(BgvParams::negacyclic_tiny());
 }
