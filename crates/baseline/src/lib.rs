@@ -539,10 +539,14 @@ mod tests {
         // The analytical content of Figure 6: baseline multiplies grow
         // with b x SecComp while COPSE pays SecComp once.
         use copse_core::analyze::{CircuitReport, EvalShape};
-        use copse_core::compiler::CompileOptions;
+        use copse_core::compiler::{CompileOptions, Fusion};
         use copse_core::runtime::Maurice;
         let forest = microbench::generate(&table6_specs()[1], 31);
-        let maurice = Maurice::compile(&forest, CompileOptions::default()).unwrap();
+        let options = CompileOptions {
+            fuse_reshuffle: Fusion::Never,
+            ..CompileOptions::default()
+        };
+        let maurice = Maurice::compile(&forest, options).unwrap();
         let shape = EvalShape::plan(&maurice, ModelForm::Encrypted);
         let copse = CircuitReport::analyze(maurice.compiled(), &shape).total_ops();
         let be = ClearBackend::with_defaults();

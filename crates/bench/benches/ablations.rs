@@ -2,7 +2,7 @@
 //! fusion, comparator variant, sparse plaintext diagonals,
 //! accumulation strategy.
 
-use copse_core::compiler::{Accumulation, CompileOptions};
+use copse_core::compiler::{Accumulation, CompileOptions, Fusion};
 use copse_core::matmul::MatMulOptions;
 use copse_core::runtime::{Diane, EvalOptions, Maurice, ModelForm, Sally};
 use copse_core::seccomp::SecCompVariant;
@@ -18,7 +18,7 @@ fn bench_ablations(c: &mut Criterion) {
     let be = ClearBackend::with_defaults();
 
     // Reshuffle fusion.
-    for (name, fuse) in [("unfused", false), ("fused", true)] {
+    for (name, fuse) in [("unfused", Fusion::Never), ("fused", Fusion::Always)] {
         let maurice = Maurice::compile(
             &forest,
             CompileOptions {

@@ -21,7 +21,7 @@
 pub mod reports;
 
 use copse_baseline as baseline;
-use copse_core::compiler::CompileOptions;
+use copse_core::compiler::{CompileOptions, Fusion};
 use copse_core::parallel::Parallelism;
 use copse_core::runtime::{Diane, EvalOptions, EvalTrace, Maurice, ModelForm, Sally};
 use copse_core::seccomp::SecCompVariant;
@@ -63,6 +63,16 @@ impl Measurement {
     /// Median wall-clock in milliseconds.
     pub fn wall_ms(&self) -> f64 {
         self.median_wall.as_secs_f64() * 1e3
+    }
+}
+
+/// The paper's pipeline (§4.2): the reshuffle `R` stays its own MatMul.
+/// Every paper exhibit compiles with these options, so what it prints
+/// does not follow the served default.
+pub fn paper_options() -> CompileOptions {
+    CompileOptions {
+        fuse_reshuffle: Fusion::Never,
+        ..CompileOptions::default()
     }
 }
 
@@ -112,8 +122,7 @@ pub fn measure_copse_traced(
     work_per_op: usize,
 ) -> (Measurement, EvalTrace) {
     let backend = bench_backend(work_per_op);
-    let maurice =
-        Maurice::compile(forest, CompileOptions::default()).expect("benchmark model compiles");
+    let maurice = Maurice::compile(forest, paper_options()).expect("benchmark model compiles");
     let sally = Sally::with_options(
         &backend,
         maurice.deploy(&backend, form),

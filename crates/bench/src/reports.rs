@@ -6,10 +6,11 @@
 //! per-exhibit binaries print them individually.
 
 use crate::{
-    geomean, measure_baseline, measure_copse, measure_copse_traced, BarTable, Measurement,
+    geomean, measure_baseline, measure_copse, measure_copse_traced, paper_options, BarTable,
+    Measurement,
 };
 use copse_core::analyze::{self, CircuitReport, EvalShape};
-use copse_core::compiler::{Accumulation, CompileOptions};
+use copse_core::compiler::{Accumulation, CompileOptions, Fusion};
 use copse_core::complexity::paper;
 use copse_core::leakage::{render_table, Scenario};
 use copse_core::runtime::{Maurice, ModelForm};
@@ -296,7 +297,7 @@ pub fn table1_2(seed: u64) -> String {
     // against a metered run.
     let spec = table6_specs()[1];
     let forest = copse_forest::microbench::generate(&spec, seed);
-    let maurice = Maurice::compile(&forest, CompileOptions::default()).expect("compiles");
+    let maurice = Maurice::compile(&forest, paper_options()).expect("compiles");
     let meta = &maurice.compiled().meta;
     let report = CircuitReport::analyze(maurice.compiled(), &paper_plan(&maurice));
     let ours = report.total_ops();
@@ -382,7 +383,7 @@ pub fn table5(seed: u64) -> String {
         .expect("specs nonempty");
     // Workload for scoring: the depth5 microbenchmark op counts.
     let forest = copse_forest::microbench::generate(&table6_specs()[1], seed);
-    let maurice = Maurice::compile(&forest, CompileOptions::default()).expect("compiles");
+    let maurice = Maurice::compile(&forest, paper_options()).expect("compiles");
     let report = CircuitReport::analyze(maurice.compiled(), &paper_plan(&maurice));
     let ops = report.total_ops();
     let max_width = report.min_slot_capacity;
@@ -627,7 +628,7 @@ pub fn ring_mul() -> String {
 /// plaintext diagonals and the comparator variant.
 pub fn ablations(seed: u64, n_queries: usize, work: usize) -> String {
     let forest = copse_forest::microbench::generate(&table6_specs()[1], seed);
-    let maurice = Maurice::compile(&forest, CompileOptions::default()).expect("compiles");
+    let maurice = Maurice::compile(&forest, paper_options()).expect("compiles");
     let meta = &maurice.compiled().meta;
     let mut out = String::new();
     let _ = writeln!(out, "## Ablations (depth5 microbenchmark)");
@@ -676,11 +677,11 @@ pub fn ablations(seed: u64, n_queries: usize, work: usize) -> String {
         }
     };
 
-    let unfused = run(CompileOptions::default(), false, ModelForm::Encrypted);
+    let unfused = run(paper_options(), false, ModelForm::Encrypted);
     let fused = run(
         CompileOptions {
-            fuse_reshuffle: true,
-            ..CompileOptions::default()
+            fuse_reshuffle: Fusion::Always,
+            ..paper_options()
         },
         false,
         ModelForm::Encrypted,
@@ -720,8 +721,8 @@ pub fn ablations(seed: u64, n_queries: usize, work: usize) -> String {
     let _ = writeln!(out);
 
     // 3. Sparse plaintext diagonals.
-    let dense = run(CompileOptions::default(), false, ModelForm::Plain);
-    let sparse = run(CompileOptions::default(), true, ModelForm::Plain);
+    let dense = run(paper_options(), false, ModelForm::Plain);
+    let sparse = run(paper_options(), true, ModelForm::Plain);
     let _ = writeln!(out, "plaintext-model sparse diagonal skipping:");
     let _ = writeln!(
         out,
@@ -772,7 +773,9 @@ pub const BENCH_BGV_PARAMS: BgvParams = BgvParams {
 };
 
 /// Static circuit analysis of the whole zoo, as the
-/// `BENCH_analysis.json` document: per-model exact operation counts,
+/// `BENCH_analysis.json` document: each model compiled as it is served
+/// (`fused` says whether the default folded `R` into the level
+/// matrices), with per-model exact operation counts,
 /// the multiplicative-depth profile, the minimum slot capacity, the
 /// modeled HElib cost, the admission verdict against the default
 /// clear profile, and the chain primes a query needs at
@@ -837,7 +840,7 @@ pub fn analysis_json(seed: u64) -> String {
             };
             entries.push(format!(
                 "    {{\"model\": \"{}\", \"group\": \"{}\", \"form\": \"{}\", \
-                 \"depth\": {}, \"min_slot_capacity\": {}, \
+                 \"fused\": {}, \"depth\": {}, \"min_slot_capacity\": {}, \
                  \"ops\": {{\"rotate\": {}, \"add\": {}, \"constant_add\": {}, \
                  \"multiply\": {}, \"constant_multiply\": {}, \"total\": {}}}, \
                  \"modeled_ms\": {:.3}, \"admitted\": {}, \"primes_needed\": {}, \
@@ -845,6 +848,7 @@ pub fn analysis_json(seed: u64) -> String {
                 model.name,
                 group,
                 form_tag,
+                maurice.compiled().fused,
                 report.depth,
                 report.min_slot_capacity,
                 ops.rotate,

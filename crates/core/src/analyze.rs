@@ -456,7 +456,7 @@ pub fn seccomp(p: u32, form: ModelForm, variant: SecCompVariant) -> StagePredict
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiler::CompileOptions;
+    use crate::compiler::{CompileOptions, Fusion};
     use crate::complexity::log2ceil;
     use crate::seccomp::balanced_product;
     use copse_fhe::{BgvBackend, BgvParams, BitVec, ClearBackend, ClearConfig};
@@ -472,7 +472,7 @@ mod tests {
         };
         let forest = microbench::generate(&spec, 7);
         let options = CompileOptions {
-            fuse_reshuffle: fused,
+            fuse_reshuffle: if fused { Fusion::Always } else { Fusion::Never },
             ..CompileOptions::default()
         };
         Maurice::compile(&forest, options).expect("compile")

@@ -186,8 +186,10 @@ pub struct CompiledModel {
     pub masks: Vec<BitVec>,
     /// Codebook: label index output by each leaf slot (paper §7.2.2).
     pub codebook: Vec<usize>,
-    /// Whether `levels` already incorporate `R` (compile-time fusion
-    /// ablation).
+    /// Whether `levels` already incorporate `R`, as
+    /// [`CompileOptions::fuse_reshuffle`](crate::compiler::CompileOptions)
+    /// decided: the served default fuses wherever that adds no
+    /// generalised diagonal; the paper's pipeline keeps `R` separate.
     pub fused: bool,
 }
 

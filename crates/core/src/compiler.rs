@@ -25,13 +25,44 @@ pub enum Accumulation {
     Linear,
 }
 
-/// Compiler options; the defaults reproduce the paper's configuration.
+/// Whether the reshuffling matrix `R` is folded into every level
+/// matrix at compile time (`L' = L·R`). Fusing deletes the reshuffle
+/// MatMul and one multiplicative level; it widens each of the `d`
+/// level matrices from `b` to `q` columns.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Fusion {
+    /// Fuse iff the fused level matrices add no generalised diagonal
+    /// over the unfused ones plus `R`: `d·q ≤ d·b + q`. The rule reads
+    /// only the model's shape, which both parties hold in
+    /// [`ModelMeta`], so fusing reveals nothing new (the served
+    /// default).
+    #[default]
+    Auto,
+    /// Never fuse: the paper's four-stage pipeline (§4.2).
+    Never,
+    /// Always fuse (ablation and conformance batteries).
+    Always,
+}
+
+impl Fusion {
+    /// Whether a model with `d` levels, `b` branches and `q` padded
+    /// comparison slots compiles fused.
+    fn fuses(self, d: usize, b: usize, q: usize) -> bool {
+        match self {
+            Fusion::Auto => d * q <= d * b + q,
+            Fusion::Never => false,
+            Fusion::Always => true,
+        }
+    }
+}
+
+/// Compiler options. The defaults are the served configuration; the
+/// paper's exhibits pin [`Fusion::Never`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CompileOptions {
-    /// Fold the reshuffling matrix into every level matrix at compile
-    /// time (`L' = L·R`), trading the reshuffle MatMul for wider level
-    /// matrices (ablation; the paper evaluates the unfused pipeline).
-    pub fuse_reshuffle: bool,
+    /// Whether to fold the reshuffling matrix into the level matrices;
+    /// the outcome is recorded in [`CompiledModel::fused`].
+    pub fuse_reshuffle: Fusion,
     /// Accumulation strategy.
     pub accumulation: Accumulation,
     /// Extra padding added to the revealed maximum multiplicity, so
@@ -42,7 +73,7 @@ pub struct CompileOptions {
 impl Default for CompileOptions {
     fn default() -> Self {
         Self {
-            fuse_reshuffle: false,
+            fuse_reshuffle: Fusion::Auto,
             accumulation: Accumulation::BalancedTree,
             multiplicity_padding: 0,
         }
@@ -96,6 +127,7 @@ pub fn compile(forest: &Forest, options: CompileOptions) -> Result<CompiledModel
     let q = k * feature_count;
     let d = analysis.max_level();
     let n_leaves = analysis.leaf_count();
+    let fused = options.fuse_reshuffle.fuses(d as usize, b, q);
 
     // Padded threshold vector: feature-grouped, preorder within each
     // group, padded to multiplicity K with the sentinel 0 (paper
@@ -138,7 +170,7 @@ pub fn compile(forest: &Forest, options: CompileOptions) -> Result<CompiledModel
                 None => mask.set(leaf, true),
             }
         }
-        let matrix = if options.fuse_reshuffle {
+        let matrix = if fused {
             matrix.mat_mul(&reshuffle)
         } else {
             matrix
@@ -165,7 +197,7 @@ pub fn compile(forest: &Forest, options: CompileOptions) -> Result<CompiledModel
         levels,
         masks,
         codebook,
-        fused: options.fuse_reshuffle,
+        fused,
     })
 }
 
@@ -197,8 +229,11 @@ pub fn evaluate_plain(model: &CompiledModel, features: &[u64]) -> BitVec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::{Diane, Maurice, ModelForm, Sally};
+    use copse_fhe::{BgvBackend, BgvParams};
     use copse_forest::microbench::{self, table6_specs};
     use copse_forest::model::{Forest, Node, Tree};
+    use copse_forest::zoo;
 
     fn figure1() -> Forest {
         let d2 = Node::branch(1, 10, Node::leaf(0), Node::leaf(1));
@@ -271,9 +306,17 @@ mod tests {
         }
     }
 
+    fn compile_with(forest: &Forest, fuse_reshuffle: Fusion) -> CompiledModel {
+        let options = CompileOptions {
+            fuse_reshuffle,
+            ..CompileOptions::default()
+        };
+        compile(forest, options).unwrap()
+    }
+
     #[test]
     fn level_matrices_have_one_hot_rows() {
-        let m = compile(&figure1(), CompileOptions::default()).unwrap();
+        let m = compile_with(&figure1(), Fusion::Never);
         for (ix, lvl) in m.levels.iter().enumerate() {
             assert_eq!((lvl.rows(), lvl.cols()), (6, 5));
             for leaf in 0..lvl.rows() {
@@ -328,21 +371,93 @@ mod tests {
     }
 
     #[test]
+    fn auto_fusion_adds_no_diagonal() {
+        // Auto fuses the Fig. 1 tree and exactly the six micro models
+        // whose fused level matrices are no wider than the unfused
+        // ones plus R; width55, width677 and the real-world models
+        // keep R separate.
+        assert!(
+            compile(&figure1(), CompileOptions::default())
+                .unwrap()
+                .fused
+        );
+        let suite = zoo::paper_suite(2021);
+        let fused: Vec<(&str, bool)> = suite
+            .iter()
+            .map(|model| {
+                let m = compile(&model.forest, CompileOptions::default()).unwrap();
+                let (d, b, q) = (m.meta.max_level as usize, m.meta.branches, m.meta.quantized);
+                assert_eq!(m.fused, d * q <= d * b + q, "{}", model.name);
+                (model.name.as_str(), m.fused)
+            })
+            .collect();
+        let expect = [
+            ("depth4", true),
+            ("depth5", true),
+            ("depth6", true),
+            ("width55", false),
+            ("width78", true),
+            ("width677", false),
+            ("prec8", true),
+            ("prec16", true),
+            ("soccer5", false),
+            ("income5", false),
+            ("soccer15", false),
+            ("income15", false),
+        ];
+        assert_eq!(fused, expect);
+    }
+
+    #[test]
     fn fused_pipeline_is_equivalent() {
         let forest = microbench::generate(&table6_specs()[1], 5);
-        let unfused = compile(&forest, CompileOptions::default()).unwrap();
-        let fused = compile(
-            &forest,
-            CompileOptions {
-                fuse_reshuffle: true,
-                ..CompileOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(fused.fused);
+        let unfused = compile_with(&forest, Fusion::Never);
+        let fused = compile_with(&forest, Fusion::Always);
+        assert!(!unfused.fused && fused.fused);
         assert_eq!(fused.levels[0].cols(), fused.meta.quantized);
         for q in microbench::random_queries(&forest, 40, 7) {
             assert_eq!(evaluate_plain(&unfused, &q), evaluate_plain(&fused, &q));
+        }
+
+        // On tiny real BGV (6 slots), every fusion choice decrypts to
+        // the cleartext walk, in both model forms.
+        let forest = Forest::parse(
+            "precision 4\n\
+             labels no maybe yes\n\
+             tree (branch 0 8 (branch 1 4 (leaf 0) (leaf 1)) (branch 0 3 (leaf 1) (leaf 2)))\n",
+        )
+        .unwrap();
+        let be = BgvBackend::new(BgvParams {
+            m: 31,
+            prime_bits: 25,
+            chain_len: 12,
+            ks_digit_bits: 7,
+            error_eta: 2,
+            keygen_seed: 0xF05E,
+        });
+        for fusion in [Fusion::Auto, Fusion::Always, Fusion::Never] {
+            let maurice = Maurice::compile(
+                &forest,
+                CompileOptions {
+                    fuse_reshuffle: fusion,
+                    ..CompileOptions::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(maurice.compiled().fused, fusion != Fusion::Never);
+            let diane = Diane::new(&be, maurice.public_query_info());
+            for form in [ModelForm::Plain, ModelForm::Encrypted] {
+                let sally = Sally::host(&be, maurice.deploy(&be, form));
+                for q in [[0u64, 0], [5, 7], [9, 12], [12, 3]] {
+                    let query = diane.encrypt_features(&q).unwrap();
+                    let outcome = diane.decrypt_result(&sally.classify(&query));
+                    assert_eq!(
+                        outcome.leaf_hits(),
+                        &evaluate_plain(maurice.compiled(), &q),
+                        "{fusion:?} {form:?} query {q:?}"
+                    );
+                }
+            }
         }
     }
 

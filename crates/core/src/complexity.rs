@@ -81,7 +81,7 @@ pub mod paper {
 mod tests {
     use super::*;
     use crate::analyze::{CircuitReport, EvalShape};
-    use crate::compiler::CompileOptions;
+    use crate::compiler::{CompileOptions, Fusion};
     use crate::runtime::{Maurice, ModelForm};
     use copse_forest::microbench::{self, MicrobenchSpec};
 
@@ -125,7 +125,12 @@ mod tests {
                 branches,
             };
             let forest = microbench::generate(&spec, 5);
-            let maurice = Maurice::compile(&forest, CompileOptions::default()).unwrap();
+            // The paper's closed forms count the unfused pipeline.
+            let options = CompileOptions {
+                fuse_reshuffle: Fusion::Never,
+                ..CompileOptions::default()
+            };
+            let maurice = Maurice::compile(&forest, options).unwrap();
             let meta = &maurice.compiled().meta;
             let shape = EvalShape::plan(&maurice, ModelForm::Encrypted);
             let ours = CircuitReport::analyze(maurice.compiled(), &shape).total_ops();

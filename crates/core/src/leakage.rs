@@ -137,7 +137,9 @@ pub fn leakage_profile(scenario: Scenario) -> LeakageProfile {
         // Table 3. Matrices are encrypted as one ciphertext per
         // diagonal, so the server learns each matrix's column count: q
         // from R, b from the level matrices, and d from how many level
-        // matrices and masks arrive.
+        // matrices and masks arrive. A fused model (no R, q-column
+        // level matrices) shows the same q and d, and `ModelMeta`
+        // still carries b.
         Scenario::OffloadedCompute => (
             vec![QuantizedBranching, Branching, MaxDepth],
             vec![],

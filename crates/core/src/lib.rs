@@ -43,7 +43,7 @@ pub mod runtime;
 pub mod seccomp;
 pub mod wire;
 
-pub use compiler::{compile, Accumulation, CompileError, CompileOptions};
+pub use compiler::{compile, Accumulation, CompileError, CompileOptions, Fusion};
 pub use runtime::{
     ClassificationOutcome, Diane, EvalOptions, EvalTrace, Maurice, ModelForm, PackPlan,
     PackingMode, Sally,

@@ -1123,6 +1123,7 @@ fn random_permutation(n: usize, seed: u64) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiler::Fusion;
     use copse_fhe::ClearBackend;
     use copse_forest::microbench::{self, table6_specs};
     use copse_forest::model::{Forest, Node, Tree};
@@ -1140,6 +1141,14 @@ mod tests {
             vec![Tree::new(d0)],
         )
         .unwrap()
+    }
+
+    /// The paper's four-stage pipeline, `R` kept separate.
+    fn paper_pipeline() -> CompileOptions {
+        CompileOptions {
+            fuse_reshuffle: Fusion::Never,
+            ..CompileOptions::default()
+        }
     }
 
     fn end_to_end(
@@ -1215,7 +1224,7 @@ mod tests {
     fn fused_and_linear_options_agree() {
         let forest = microbench::generate(&table6_specs()[2], 8);
         let queries = microbench::random_queries(&forest, 8, 1);
-        for fuse in [false, true] {
+        for fuse in [Fusion::Never, Fusion::Always, Fusion::Auto] {
             for acc in [Accumulation::BalancedTree, Accumulation::Linear] {
                 end_to_end(
                     &forest,
@@ -1271,7 +1280,7 @@ mod tests {
     fn trace_reports_all_stages() {
         let be = ClearBackend::with_defaults();
         let forest = figure1();
-        let maurice = Maurice::compile(&forest, CompileOptions::default()).unwrap();
+        let maurice = Maurice::compile(&forest, paper_pipeline()).unwrap();
         let sally = Sally::host(&be, maurice.deploy(&be, ModelForm::Encrypted));
         let diane = Diane::new(&be, maurice.public_query_info());
         let q = diane.encrypt_features(&[25, 60]).unwrap();
@@ -1306,7 +1315,7 @@ mod tests {
     fn model_encryption_cost_matches_table1d() {
         // Encrypt count for deployment = p + q + d(b+1).
         let be = ClearBackend::with_defaults();
-        let maurice = Maurice::compile(&figure1(), CompileOptions::default()).unwrap();
+        let maurice = Maurice::compile(&figure1(), paper_pipeline()).unwrap();
         let meta = maurice.compiled().meta.clone();
         let before = be.meter().snapshot();
         let _ = maurice.deploy(&be, ModelForm::Encrypted);
@@ -1633,7 +1642,7 @@ mod tests {
         // vector: b - 1 rotations per query (or packed chunk), not
         // d(b - 1), while every level keeps its own b multiplies.
         let forest = microbench::generate(&table6_specs()[0], 23); // depth4
-        let maurice = Maurice::compile(&forest, CompileOptions::default()).unwrap();
+        let maurice = Maurice::compile(&forest, paper_pipeline()).unwrap();
         let meta = maurice.compiled().meta.clone();
         let (b, d) = (meta.branches as u64, u64::from(meta.max_level));
         assert!(d >= 2 && b >= 2);

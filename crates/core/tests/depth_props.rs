@@ -14,7 +14,7 @@
 use std::sync::OnceLock;
 
 use copse_core::analyze::{BackendProfile, CircuitReport, EvalShape};
-use copse_core::compiler::CompileOptions;
+use copse_core::compiler::{CompileOptions, Fusion};
 use copse_core::runtime::{Diane, Maurice, ModelForm, Sally};
 use copse_fhe::{BgvBackend, BgvParams, ClearBackend, FheBackend, NoiseBudget};
 use copse_forest::microbench::{self, MicrobenchSpec};
@@ -56,7 +56,8 @@ proptest! {
             seed,
         );
         let form = if encrypted { ModelForm::Encrypted } else { ModelForm::Plain };
-        let options = CompileOptions { fuse_reshuffle: fused, ..CompileOptions::default() };
+        let fusion = if fused { Fusion::Always } else { Fusion::Never };
+        let options = CompileOptions { fuse_reshuffle: fusion, ..CompileOptions::default() };
         let maurice = Maurice::compile(&forest, options).expect("compile");
         let report = CircuitReport::analyze(
             maurice.compiled(),
@@ -118,7 +119,7 @@ fn admitted_circuits_fit_the_bgv_chain() {
         for fused in [false, true] {
             let forest = microbench::generate(&spec(max_depth, precision, 1, branches), 11);
             let options = CompileOptions {
-                fuse_reshuffle: fused,
+                fuse_reshuffle: if fused { Fusion::Always } else { Fusion::Never },
                 ..CompileOptions::default()
             };
             let maurice = Maurice::compile(&forest, options).expect("compile");

@@ -12,7 +12,7 @@
 //! circuit, not a guess.
 
 use copse_core::analyze::{AdmissionIssue, BackendProfile, ChainReport, CircuitReport, EvalShape};
-use copse_core::compiler::{Accumulation, CompileOptions};
+use copse_core::compiler::{Accumulation, CompileOptions, Fusion};
 use copse_core::parallel::Parallelism;
 use copse_core::runtime::{Diane, EvalOptions, Maurice, ModelForm, PackPlan, Sally};
 use copse_core::seccomp::SecCompVariant;
@@ -116,7 +116,7 @@ fn static_prediction_matches_the_meter_for_every_zoo_model() {
 fn fused_pipelines_conform_too() {
     for model in zoo::paper_suite(SUITE_SEED).into_iter().take(3) {
         let options = CompileOptions {
-            fuse_reshuffle: true,
+            fuse_reshuffle: Fusion::Always,
             ..CompileOptions::default()
         };
         let maurice = Maurice::compile(&model.forest, options).expect("compile");
@@ -494,7 +494,7 @@ fn predicted_primes_match_real_bgv_after_every_stage() {
     for (name, forest) in tiny_forests() {
         for fused in [false, true] {
             let options = CompileOptions {
-                fuse_reshuffle: fused,
+                fuse_reshuffle: if fused { Fusion::Always } else { Fusion::Never },
                 ..CompileOptions::default()
             };
             let maurice = Maurice::compile(&forest, options).expect("compile");
@@ -590,7 +590,8 @@ const BENCH_POINT: BgvParams = BgvParams {
 /// The level battery at the benchmark's parameter point, over every
 /// micro zoo model that fits its 18 slots (all but `width677`): both
 /// forms, fused and unfused, at stage thread counts 1, 2 and 7, plus
-/// the noise canary on `depth4`. Minutes in a debug build, so it runs
+/// the noise canary on `depth4` as it is served (fused by the default
+/// `Fusion::Auto`). Minutes in a debug build, so it runs
 /// in release: `cargo test --release -p copse-core --test
 /// zoo_conformance -- --ignored`.
 #[test]
@@ -601,7 +602,7 @@ fn predicted_primes_match_bgv_at_the_benchmark_point() {
     for model in zoo::micro_suite(SUITE_SEED) {
         for fused in [false, true] {
             let options = CompileOptions {
-                fuse_reshuffle: fused,
+                fuse_reshuffle: if fused { Fusion::Always } else { Fusion::Never },
                 ..CompileOptions::default()
             };
             let maurice = Maurice::compile(&model.forest, options).expect("compile");

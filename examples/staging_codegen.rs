@@ -43,10 +43,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         compiled.thresholds.to_values()
     );
     println!(
-        "reshuffle matrix: {}x{} with {} ones",
+        "reshuffle matrix: {}x{} with {} ones ({})",
         compiled.reshuffle.rows(),
         compiled.reshuffle.cols(),
-        compiled.reshuffle.count_ones()
+        compiled.reshuffle.count_ones(),
+        if compiled.fused {
+            "fused into the level matrices: no reshuffle stage"
+        } else {
+            "evaluated as its own stage"
+        }
     );
     for (i, (level, mask)) in compiled.levels.iter().zip(&compiled.masks).enumerate() {
         println!(

@@ -3,7 +3,7 @@
 //! inference and against the Aloufi et al. baseline.
 
 use copse::baseline;
-use copse::core::compiler::{Accumulation, CompileOptions};
+use copse::core::compiler::{Accumulation, CompileOptions, Fusion};
 use copse::core::matmul::MatMulOptions;
 use copse::core::parallel::Parallelism;
 use copse::core::runtime::{Diane, EvalOptions, Maurice, ModelForm, Sally};
@@ -127,7 +127,7 @@ fn every_option_combination_is_equivalent() {
                             &forest,
                             form,
                             CompileOptions {
-                                fuse_reshuffle: fuse,
+                                fuse_reshuffle: if fuse { Fusion::Always } else { Fusion::Never },
                                 accumulation: acc,
                                 ..CompileOptions::default()
                             },

@@ -12,7 +12,7 @@
 //!   backend) must fall through to the sequential path untouched;
 //! * real lattice ciphertexts (prime-`m` BGV) must pack and agree too.
 
-use copse::core::compiler::CompileOptions;
+use copse::core::compiler::{CompileOptions, Fusion};
 use copse::core::runtime::{
     Diane, EncryptedQuery, EvalOptions, Maurice, ModelForm, PackingMode, Sally,
 };
@@ -65,7 +65,7 @@ fn packed_batches_match_per_query_classification_at_every_size() {
     let forest = battery_forest();
     for fused in [false, true] {
         let options = CompileOptions {
-            fuse_reshuffle: fused,
+            fuse_reshuffle: if fused { Fusion::Always } else { Fusion::Never },
             ..CompileOptions::default()
         };
         let maurice = Maurice::compile(&forest, options).expect("compile");
@@ -125,7 +125,8 @@ proptest! {
     ) {
         prop_assume!(forest.branch_count() > 0);
         let form = if encrypted_model { ModelForm::Encrypted } else { ModelForm::Plain };
-        let options = CompileOptions { fuse_reshuffle: fused, ..CompileOptions::default() };
+        let fusion = if fused { Fusion::Always } else { Fusion::Never };
+        let options = CompileOptions { fuse_reshuffle: fusion, ..CompileOptions::default() };
         let maurice = Maurice::compile(&forest, options).expect("compile");
         let be = packed_clear(&maurice, form, 3);
         let sally = Sally::host(&be, maurice.deploy(&be, form));

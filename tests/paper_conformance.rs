@@ -3,7 +3,7 @@
 //! Table 5 parameter sweep outcome, Table 6 shapes.
 
 use copse::analyze::{CircuitReport, EvalShape};
-use copse::core::compiler::CompileOptions;
+use copse::core::compiler::{CompileOptions, Fusion};
 use copse::core::complexity;
 use copse::core::leakage::{leakage_profile, LeakedItem, Scenario};
 use copse::core::runtime::{Diane, Maurice, ModelForm, Sally};
@@ -11,6 +11,14 @@ use copse::core::seccomp::SecCompVariant;
 use copse::fhe::{ClearBackend, EncryptionParams, FheBackend, SecurityLevel};
 use copse::forest::microbench::{self, table6_specs};
 use copse::forest::zoo;
+
+/// The paper's pipeline (§4.2): the reshuffle `R` stays its own MatMul.
+fn paper_pipeline() -> CompileOptions {
+    CompileOptions {
+        fuse_reshuffle: Fusion::Never,
+        ..CompileOptions::default()
+    }
+}
 
 #[test]
 fn complexity_formulas_hold_across_the_full_suite() {
@@ -22,7 +30,7 @@ fn complexity_formulas_hold_across_the_full_suite() {
     for forest in &forests {
         for form in [ModelForm::Plain, ModelForm::Encrypted] {
             let backend = ClearBackend::with_defaults();
-            let maurice = Maurice::compile(forest, CompileOptions::default()).unwrap();
+            let maurice = Maurice::compile(forest, paper_pipeline()).unwrap();
             let ours = CircuitReport::analyze(maurice.compiled(), &EvalShape::plan(&maurice, form));
             let sally = Sally::host(&backend, maurice.deploy(&backend, form));
             let diane = Diane::new(&backend, maurice.public_query_info());
@@ -47,7 +55,7 @@ fn complexity_formulas_hold_across_the_full_suite() {
 fn our_circuits_fit_the_paper_depth_bound() {
     for spec in table6_specs() {
         let forest = microbench::generate(&spec, 11);
-        let maurice = Maurice::compile(&forest, CompileOptions::default()).unwrap();
+        let maurice = Maurice::compile(&forest, paper_pipeline()).unwrap();
         let meta = &maurice.compiled().meta;
         let ours = CircuitReport::analyze(
             maurice.compiled(),
@@ -122,7 +130,7 @@ fn table5_sweep_selects_the_paper_parameters() {
         .max()
         .unwrap();
     let forest = microbench::generate(&table6_specs()[1], 11);
-    let maurice = Maurice::compile(&forest, CompileOptions::default()).unwrap();
+    let maurice = Maurice::compile(&forest, paper_pipeline()).unwrap();
     // The paper's own circuit: Aloufi's ladder comparator.
     let shape = EvalShape {
         comparator: SecCompVariant::LadderPrefix,
@@ -170,7 +178,7 @@ fn table6_microbench_specs_are_pinned() {
 fn encryption_cost_tracks_table1d_and_1e() {
     let forest = microbench::generate(&table6_specs()[2], 4);
     let backend = ClearBackend::with_defaults();
-    let maurice = Maurice::compile(&forest, CompileOptions::default()).unwrap();
+    let maurice = Maurice::compile(&forest, paper_pipeline()).unwrap();
     let meta = maurice.compiled().meta.clone();
 
     let before = backend.meter().snapshot();

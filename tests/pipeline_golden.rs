@@ -37,7 +37,7 @@
 //! message — and is then held to the decrypt-equality regime of
 //! `tests/packing_props.rs` and `tests/bgv_end_to_end.rs` instead.
 
-use copse::core::compiler::CompileOptions;
+use copse::core::compiler::{CompileOptions, Fusion};
 use copse::core::runtime::{Diane, EvalOptions, Maurice, ModelForm, PackingMode, Sally};
 use copse::fhe::{BgvBackend, BgvParams, FheBackend};
 use copse::forest::model::Forest;
@@ -72,7 +72,11 @@ fn batch_hash(form: ModelForm, packing: PackingMode, shuffle_seed: Option<u64>) 
     // has the headroom the unpack mask needs, so they pin the packed
     // shuffle and the fused (no reshuffle stage) branch together.
     let compile = CompileOptions {
-        fuse_reshuffle: shuffle_seed.is_some(),
+        fuse_reshuffle: if shuffle_seed.is_some() {
+            Fusion::Always
+        } else {
+            Fusion::Never
+        },
         ..CompileOptions::default()
     };
     let maurice = Maurice::compile(&one_branch_forest(), compile).expect("compile");

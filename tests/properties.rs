@@ -6,7 +6,7 @@
 //! plaintext reference inference — under every model form and
 //! comparator.
 
-use copse::core::compiler::{compile, evaluate_plain, CompileOptions};
+use copse::core::compiler::{compile, evaluate_plain, CompileOptions, Fusion};
 use copse::core::runtime::{Diane, EvalOptions, Maurice, ModelForm, Sally};
 use copse::core::seccomp::SecCompVariant;
 use copse::fhe::ClearBackend;
@@ -75,10 +75,14 @@ proptest! {
     #[test]
     fn fused_equals_unfused(forest in forest_strategy(), query in query_strategy()) {
         prop_assume!(forest.branch_count() > 0);
-        let a = compile(&forest, CompileOptions::default()).unwrap();
+        let a = compile(
+            &forest,
+            CompileOptions { fuse_reshuffle: Fusion::Never, ..CompileOptions::default() },
+        )
+        .unwrap();
         let b = compile(
             &forest,
-            CompileOptions { fuse_reshuffle: true, ..CompileOptions::default() },
+            CompileOptions { fuse_reshuffle: Fusion::Always, ..CompileOptions::default() },
         )
         .unwrap();
         prop_assert_eq!(evaluate_plain(&a, &query), evaluate_plain(&b, &query));

@@ -50,7 +50,7 @@ fn hello(addr: SocketAddr, model: &str) -> Frame {
 #[test]
 fn depth_exceeding_model_is_rejected_before_deploy() {
     // A clear backend with a deliberately short depth budget: deep
-    // enough for the depth-2 model, not for the depth-8 one.
+    // enough for the depth-2 model, not for the depth-9 one.
     let backend = Arc::new(ClearBackend::new(ClearConfig {
         max_depth: 6,
         slot_capacity: None,
@@ -66,7 +66,7 @@ fn depth_exceeding_model_is_rejected_before_deploy() {
         .expect("shallow compiles")
         .register(
             "deep",
-            &forest_of_depth(8),
+            &forest_of_depth(9),
             CompileOptions::default(),
             ModelForm::Plain,
         )
