@@ -38,8 +38,10 @@
 //!
 //! — one automorphism per shift, no mask, no extension
 //! ([`FheBackend::ring_mat_vec`]). `S` depends on `(m, n, N)` alone, so
-//! the route is as data-oblivious as the width-`n` one; where `n = N`
-//! the two forms coincide and the matrix keeps the width-`n` one. The
+//! the route is as data-oblivious as the width-`n` one. Where `n = N`
+//! the two forms coincide (`P_r = d_r`, `S = 0..n`), and the matrix
+//! runs on the ring too: there its products accumulate before they
+//! finish, which the width-`n` loop's per-product `mul` cannot. The
 //! packed-batch layout ([`EncodedMatrix::pack`]) tiles the ring form:
 //! a tiled `P_r` is the ring diagonal of the block-diagonal matrix of
 //! its copies (row `a` of block `j` reads slot
@@ -87,12 +89,14 @@ pub fn ring_shifts(rows: usize, cols: usize, slots: usize) -> Vec<usize> {
 }
 
 /// The ring a `rows × cols` matrix runs on when `backend` has one:
-/// its whole slot ring, when that holds both operands and is wider than
-/// `cols` (at `cols = N` the ring form is the width-`cols` form).
+/// its whole slot ring, when that holds both operands. At `cols = N`
+/// the ring diagonals are the generalised ones, and the ring route is
+/// what lets their products accumulate (one relinearisation per
+/// encrypted matrix, [`FheBackend::ring_mat_vec`]).
 fn ring_of<B: FheBackend>(backend: &B, rows: usize, cols: usize) -> Option<usize> {
     backend
         .slot_capacity()
-        .filter(|&slots| rows <= slots && cols < slots)
+        .filter(|&slots| rows <= slots && cols <= slots)
 }
 
 /// The slot ring a matrix in ring form is laid out on.
@@ -1058,9 +1062,10 @@ mod tests {
     #[test]
     fn extra_matrices_cost_their_multiplies_and_no_key_switches() {
         // Real BGV, scoped transform counts: a group of three pays the
-        // rotations (all the key switching) once, so over a single
-        // matrix it adds exactly the transforms of the two extra
-        // matrices' own plaintext multiplies — additions are free.
+        // rotations (all the key switching) and their forward
+        // transforms once, so over a single matrix it adds exactly the
+        // inverse transforms of the two extra matrices' products —
+        // products and additions accumulate pointwise, for free.
         // 6 x 4 on the 6-slot ring runs in ring form: 6 shifts each,
         // 5 of them automorphisms.
         let be = BgvBackend::tiny();
@@ -1083,33 +1088,35 @@ mod tests {
         assert_eq!(three.snapshot().constant_multiply, (3 * cols) as u64);
         assert_eq!(three.snapshot().add, (3 * (cols - 1)) as u64);
 
-        // A plaintext product's transforms depend only on the operand's
-        // level, and a rotation keeps the level: any fresh operand of
-        // the result's width stands in for the rotated ones.
+        // A warm plaintext product's transforms depend only on the
+        // operand's level, and a rotation keeps the level: any fresh
+        // operand of the result's width stands in for the rotated ones.
+        // Its forward transforms are one ciphertext's, its inverse
+        // transforms one result's.
+        for matrix in &group {
+            assert!(matrix.ring.is_some(), "6 x 4 fits the 6-slot ring");
+            assert_eq!(matrix.diagonals.len(), 6);
+        }
         let operand = be.encrypt_bits(&BitVec::zeros(rows));
-        let (_, multiplies) = OpMeter::measure(|| {
-            for matrix in &group[1..] {
-                assert!(matrix.ring.is_some(), "6 x 4 fits the 6-slot ring");
-                assert_eq!(matrix.diagonals.len(), 6);
-                for diagonal in &matrix.diagonals {
-                    let _ = diagonal.mul_into(&be, &operand);
-                }
-            }
-        });
-        assert!(multiplies.transforms().total() > 0);
-        assert_eq!(
-            three.transforms().total() - one.transforms().total(),
-            multiplies.transforms().total()
-        );
-        // What one matrix pays beyond its own plaintext multiplies is
-        // the shared key switching, paid once: one full-ring
-        // automorphism per nonzero shift, at the vector's level.
-        let own = multiplies.transforms().total() / 2;
+        let (_, multiply) = OpMeter::measure(|| group[1].diagonals[0].mul_into(&be, &operand));
+        let multiply = multiply.transforms();
+        assert!(multiply.forward > 0 && multiply.inverse > 0);
+        let extra = three.transforms().since(&one.transforms());
+        assert_eq!((extra.forward, extra.inverse), (0, 2 * multiply.inverse));
+        // What one matrix pays is the shared key switching, paid once
+        // (one full-ring automorphism per nonzero shift, at the vector's
+        // level), one forward transform of each of the 6 rotations, and
+        // one inverse transform of its sum.
         let full = be.encrypt_bits(&BitVec::zeros(6));
         let (_, automorphism) = OpMeter::measure(|| be.rotate(&full, 1));
+        let automorphism = automorphism.transforms();
+        let one = one.transforms();
         assert_eq!(
-            one.transforms().total() - own,
-            5 * automorphism.transforms().total()
+            (one.forward, one.inverse),
+            (
+                5 * automorphism.forward + 6 * multiply.forward,
+                5 * automorphism.inverse + multiply.inverse
+            )
         );
     }
 
@@ -1165,7 +1172,7 @@ mod tests {
 
     #[test]
     fn the_ring_route_matches_the_oracle_and_meters_the_width_n_loop() {
-        // Capped clear backends take the ring route whenever cols < N;
+        // Capped clear backends take the ring route whenever cols <= N;
         // the uncapped one runs the width-n loop. Same bits, same depth,
         // same metered ops, call by call.
         let mut rng = SmallRng::seed_from_u64(29);
@@ -1197,7 +1204,7 @@ mod tests {
                 let want: Vec<BitVec> = matrices.iter().map(|m| m.mat_vec(&v)).collect();
                 for form in [ModelForm::Plain, ModelForm::Encrypted] {
                     let ring = EncodedMatrix::encode_plain(&capped, &matrices[0]).ring;
-                    assert_eq!(ring.is_some(), cols < slots, "{rows}x{cols} on {slots}");
+                    assert!(ring.is_some(), "{rows}x{cols} on {slots}");
                     for skip in [false, true] {
                         let label = format!("{rows}x{cols} on {slots} {form:?} skip={skip}");
                         let (loop_out, loop_ops) =
@@ -1221,7 +1228,8 @@ mod tests {
     #[test]
     fn the_ring_route_decrypts_on_real_bgv_bitwise_at_every_pool_degree() {
         // Shapes on the 6-slot tiny ring: a single column, tall, wide,
-        // tall-by-one, and full width (where the two forms coincide).
+        // tall-by-one, and full width (where the two forms coincide and
+        // the ring route still runs).
         let be = BgvBackend::tiny();
         let mut rng = SmallRng::seed_from_u64(30);
         for (rows, cols) in [(6, 1), (5, 3), (2, 5), (6, 5), (4, 6)] {
@@ -1233,7 +1241,7 @@ mod tests {
                 EncodedMatrix::encode_plain(&be, &matrices[0]),
                 EncodedMatrix::encrypt(&be, &matrices[1]),
             ];
-            assert_eq!(group[0].ring.is_some(), cols < 6);
+            assert!(group.iter().all(|matrix| matrix.ring.is_some()));
             let refs: Vec<&EncodedMatrix<_>> = group.iter().collect();
             let v = BitVec::from_fn(cols, |_| rng.gen_bool(0.5));
             let ct = be.encrypt_bits(&v);
@@ -1262,7 +1270,10 @@ mod tests {
         // slots. The width-n loop paid 43 automorphisms and 43 mask
         // products (14 rotations of two masked automorphisms each, one
         // masked extension window per diagonal); the ring form pays 17
-        // automorphisms and the 4 x 18 diagonal products, nothing else.
+        // automorphisms, one forward transform of each of the 18
+        // rotations (shift 0 included) and one inverse transform of
+        // each of the 4 sums, nothing else: the 4 x 18 diagonal
+        // products accumulate pointwise.
         let be = BgvBackend::new(BgvParams {
             chain_len: 2,
             ..BgvParams::demo()
@@ -1285,13 +1296,18 @@ mod tests {
         assert!(group[0].ring.is_some(), "17 x 15 fits the 18-slot ring");
         let operand = be.encrypt_bits(&BitVec::zeros(17));
         let (_, multiply) = OpMeter::measure(|| group[0].diagonals[0].mul_into(&be, &operand));
+        let (automorphism, multiply) = (automorphism.transforms(), multiply.transforms());
+        let product = (product.transforms(), product.snapshot());
         assert_eq!(
-            product.transforms().total(),
-            17 * automorphism.transforms().total() + 4 * 18 * multiply.transforms().total()
+            (product.0.forward, product.0.inverse),
+            (
+                17 * automorphism.forward + 18 * multiply.forward,
+                17 * automorphism.inverse + 4 * multiply.inverse
+            )
         );
         // And it meters the paper's product: 14 rotations, 4 x 15
         // plaintext products, 4 x 14 additions.
-        let ops = product.snapshot();
+        let ops = product.1;
         assert_eq!((ops.rotate, ops.constant_multiply, ops.add), (14, 60, 56));
     }
 

@@ -34,14 +34,16 @@
 use crate::backend::{
     codec, CiphertextCodecError, FheBackend, MaybeEncrypted, NoiseBudget, RingDiagonals,
 };
+use crate::bgv::level::{Level, LevelRule};
 use crate::bgv::ring::RnsPoly;
-use crate::bgv::scheme::{BgvParams, BgvScheme, Ciphertext, PreparedPlaintext};
+use crate::bgv::scheme::{BgvParams, BgvScheme, Ciphertext, Factor, PreparedPlaintext, ProductSum};
 use crate::bitvec::BitVec;
 use crate::math::gf2poly::Gf2Poly;
 use crate::meter::{FheOp, OpMeter};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Leading byte of serialised [`BgvCiphertext`]s.
 const BGV_CT_MAGIC: u8 = 0xB6;
@@ -60,35 +62,94 @@ pub struct BgvPlaintext {
 /// A packed ciphertext: BGV pair plus logical width.
 #[derive(Clone, Debug)]
 pub struct BgvCiphertext {
-    inner: Ciphertext,
+    pub(crate) inner: Ciphertext,
     width: usize,
+    /// Its product form at the level a matrix product first read it
+    /// at — filled when it serves as an encrypted model diagonal.
+    /// Levels do not depend on data, so every later query reads the
+    /// same one instead of switching the diagonal down and
+    /// transforming it again.
+    factor: OnceLock<Factor>,
 }
 
 impl BgvCiphertext {
+    fn new(inner: Ciphertext, width: usize) -> Self {
+        Self {
+            inner,
+            width,
+            factor: OnceLock::new(),
+        }
+    }
+
     /// Logical slot width.
     pub fn width(&self) -> usize {
         self.width
     }
+
+    /// This ciphertext in product form at `primes` primes: the cached
+    /// one when it is there, else computed (and cached if nothing is).
+    fn factor(&self, scheme: &BgvScheme, primes: usize) -> Cow<'_, Factor> {
+        let cached = self
+            .factor
+            .get_or_init(|| scheme.factor(&self.inner, primes));
+        match cached.primes() == primes {
+            true => Cow::Borrowed(cached),
+            false => Cow::Owned(scheme.factor(&self.inner, primes)),
+        }
+    }
 }
 
-/// The four scheme operations the backend's slot-layout kernels are
-/// built from. The backend implements them on ciphertexts and
-/// [`LevelRule`](crate::bgv::LevelRule) on chain positions, so each
-/// kernel below is written once and its level trajectory is read off
-/// the code that runs it.
+/// The scheme operations the backend's slot-layout kernels are built
+/// from. The backend implements them on ciphertexts and
+/// [`LevelRule`] on chain positions, so each kernel below is written
+/// once and its level trajectory is read off the code that runs it.
+///
+/// A matrix product is not a per-term operation: its terms accumulate
+/// into a [`SlotOps::Sum`] at one level and [`SlotOps::finish`] once,
+/// so an encrypted model relinearises once per matrix.
 pub(crate) trait SlotOps {
-    /// What the kernels move: a ciphertext, or its [`Level`](crate::bgv::Level).
+    /// What the kernels move: a ciphertext, or its [`Level`].
     type Ct: Clone;
     /// A model operand the kernels multiply by (plaintext or encrypted).
     type Operand;
+    /// A `Ct` as products read it, at one level (BGV: its halves,
+    /// forward-transformed once).
+    type Factor;
+    /// One matrix's products, summed but not finished.
+    type Sum: Send;
+    /// The level rule every ciphertext here follows.
+    fn rule(&self) -> &LevelRule;
+    /// Where `a` stands in the chain.
+    fn level(&self, a: &Self::Ct) -> Level;
+    /// Where an encrypted operand stands; `None` for a plaintext.
+    fn operand_level(&self, b: &Self::Operand) -> Option<Level>;
     /// Slot-level left rotation by `k` (full width), no masking.
     fn rotate_full(&self, a: &Self::Ct, k: isize) -> Self::Ct;
     /// Product with the (cached) 0/1 mask of the slots in `span`.
     fn mask(&self, a: &Self::Ct, span: Range<usize>) -> Self::Ct;
-    /// Product with a model operand.
-    fn product(&self, a: &Self::Ct, b: &Self::Operand) -> Self::Ct;
     /// Ciphertext addition.
     fn sum(&self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct;
+    /// `a` switched down to `primes` primes, in product form.
+    fn factor(&self, a: &Self::Ct, primes: usize) -> Self::Factor;
+    /// An empty sum of the form `plan` gives.
+    fn empty(&self, plan: SumPlan) -> Self::Sum;
+    /// `sum += a ⊙ b`, with `a` at the sum's level.
+    fn mul_add(&self, sum: &mut Self::Sum, a: &Self::Factor, b: &Self::Operand);
+    /// `sum += other`: partial sums of one matrix's terms.
+    fn combine(&self, sum: &mut Self::Sum, other: Self::Sum);
+    /// The matrix product: each part inverse-transformed once, and a
+    /// tensor sum relinearised and reduced once.
+    fn finish(&self, sum: Self::Sum) -> Self::Ct;
+}
+
+/// How one matrix's terms accumulate in [`ring_products`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SumPlan {
+    /// The chain primes every term is multiplied at.
+    pub(crate) primes: usize,
+    /// Whether some term multiplies two ciphertexts, making the sum a
+    /// tensor that finishes with one relinearisation.
+    pub(crate) tensor: bool,
 }
 
 /// A semantic rotation of a `width`-slot vector by `k`: free for a
@@ -196,10 +257,24 @@ pub(crate) fn unpack<S: SlotOps>(
 /// every matrix `l`, `Σ_s diagonals[l][s] ⊙ rot(a, shifts[s])` over
 /// the terms it holds. Each shift some matrix uses is one full-ring
 /// automorphism (none for shift 0), shared by every matrix; no mask.
+///
+/// Products accumulate per matrix and finish once. Every term of a
+/// matrix is multiplied at one level, the lowest at which any of its
+/// products' operands meet (a plaintext product at the rotation's, a
+/// ciphertext product where [`LevelRule::mul_inputs`] aligns it), so
+/// the level rule fixes it before anything is computed. Each rotation
+/// is put in product form once per level some matrix needs and
+/// multiply-added into every matrix that keeps a term there; a matrix
+/// then pays its inverse transforms once, and if any term multiplied
+/// two ciphertexts one relinearisation and one reduction.
+///
 /// Contiguous chunks of shifts run on the shared pool when
-/// `threads > 1` and their partial sums combine in chunk order.
-/// Ciphertext addition is exact and the level rule's noise estimate
-/// sums integers, so every chunking yields the same bits and levels.
+/// `threads > 1`; their partial sums combine in chunk order, and the
+/// matrices finish in parallel. Sums of products are exact modular
+/// sums, the inverse transform is linear and exact, and the level
+/// rule's noise estimate sums integers, so every chunking yields the
+/// same bits and levels — and a sum of plaintext products the bits of
+/// the sum of the finished products.
 pub(crate) fn ring_products<S>(
     ops: &S,
     a: &S::Ct,
@@ -212,14 +287,35 @@ where
     S::Ct: Send + Sync,
     S::Operand: Sync,
 {
-    let fold = |acc: &mut Option<S::Ct>, term: S::Ct| {
-        *acc = Some(match acc.take() {
-            None => term,
-            Some(prev) => ops.sum(&prev, &term),
-        });
-    };
-    let chunk = |range: std::ops::Range<usize>| {
-        let mut sums: Vec<Option<S::Ct>> = vec![None; diagonals.len()];
+    let (rule, at) = (ops.rule(), ops.level(a));
+    let plans: Vec<Option<SumPlan>> = diagonals
+        .iter()
+        .map(|terms| {
+            let plan = |(b, &k): (&S::Operand, &usize)| {
+                let x = rule.rotate_full(&at, k as isize);
+                match ops.operand_level(b) {
+                    None => SumPlan {
+                        primes: x.primes,
+                        tensor: false,
+                    },
+                    Some(y) => SumPlan {
+                        primes: rule.mul_inputs(x, y).0.primes,
+                        tensor: true,
+                    },
+                }
+            };
+            let terms = terms
+                .iter()
+                .zip(shifts)
+                .filter_map(|(b, k)| Some((*b.as_ref()?, k)));
+            terms.map(plan).reduce(|p, q| SumPlan {
+                primes: p.primes.min(q.primes),
+                tensor: p.tensor || q.tensor,
+            })
+        })
+        .collect();
+    let chunk = |range: Range<usize>| {
+        let mut sums: Vec<Option<S::Sum>> = diagonals.iter().map(|_| None).collect();
         for s in range {
             if diagonals.iter().all(|terms| terms[s].is_none()) {
                 continue;
@@ -228,10 +324,24 @@ where
                 0 => a.clone(),
                 k => ops.rotate_full(a, k as isize),
             };
-            for (sum, terms) in sums.iter_mut().zip(diagonals) {
-                if let Some(diagonal) = terms[s] {
-                    fold(sum, ops.product(&rotated, diagonal));
-                }
+            // The rotation in product form, once per level it is read at.
+            let mut factors: Vec<(usize, S::Factor)> = Vec::new();
+            for ((sum, terms), plan) in sums.iter_mut().zip(diagonals).zip(&plans) {
+                let (Some(b), Some(plan)) = (terms[s], plan) else {
+                    continue;
+                };
+                let i = factors
+                    .iter()
+                    .position(|(primes, _)| *primes == plan.primes);
+                let i = i.unwrap_or_else(|| {
+                    factors.push((plan.primes, ops.factor(&rotated, plan.primes)));
+                    factors.len() - 1
+                });
+                ops.mul_add(
+                    sum.get_or_insert_with(|| ops.empty(*plan)),
+                    &factors[i].1,
+                    b,
+                );
             }
         }
         sums
@@ -241,15 +351,25 @@ where
     } else {
         vec![chunk(0..shifts.len())]
     };
-    let mut sums: Vec<Option<S::Ct>> = vec![None; diagonals.len()];
+    let mut sums: Vec<Option<S::Sum>> = diagonals.iter().map(|_| None).collect();
     for partial in partials {
-        for (sum, term) in sums.iter_mut().zip(partial) {
-            if let Some(term) = term {
-                fold(sum, term);
+        for (sum, part) in sums.iter_mut().zip(partial) {
+            match (sum.as_mut(), part) {
+                (Some(sum), Some(part)) => ops.combine(sum, part),
+                (None, part) => *sum = part,
+                (Some(_), None) => {}
             }
         }
     }
-    sums
+    copse_pool::global()
+        .scope_chunks_mut(&mut sums, threads.max(1), |_, sums| {
+            sums.iter_mut()
+                .map(|sum| sum.take().map(|sum| ops.finish(sum)))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// Cache of slot-range masks.
@@ -342,6 +462,23 @@ impl BgvBackend {
 impl SlotOps for BgvBackend {
     type Ct = Ciphertext;
     type Operand = MaybeEncrypted<BgvBackend>;
+    type Factor = Factor;
+    type Sum = ProductSum;
+
+    fn rule(&self) -> &LevelRule {
+        self.scheme.level_rule()
+    }
+
+    fn level(&self, a: &Ciphertext) -> Level {
+        self.scheme.position(a)
+    }
+
+    fn operand_level(&self, b: &MaybeEncrypted<BgvBackend>) -> Option<Level> {
+        match b {
+            MaybeEncrypted::Plain(_) => None,
+            MaybeEncrypted::Encrypted(ct) => Some(self.scheme.position(&ct.inner)),
+        }
+    }
 
     fn rotate_full(&self, a: &Ciphertext, k: isize) -> Ciphertext {
         self.scheme.rotate_slots(a, k)
@@ -352,15 +489,34 @@ impl SlotOps for BgvBackend {
             .mul_plain_prepared(a, &self.encode_mask(span).prepared)
     }
 
-    fn product(&self, a: &Ciphertext, b: &MaybeEncrypted<BgvBackend>) -> Ciphertext {
+    fn sum(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
+        self.scheme.add(a, b)
+    }
+
+    fn factor(&self, a: &Ciphertext, primes: usize) -> Factor {
+        self.scheme.factor(a, primes)
+    }
+
+    fn empty(&self, plan: SumPlan) -> ProductSum {
+        self.scheme.product_sum(plan.primes, plan.tensor)
+    }
+
+    fn mul_add(&self, sum: &mut ProductSum, a: &Factor, b: &MaybeEncrypted<BgvBackend>) {
         match b {
-            MaybeEncrypted::Plain(pt) => self.scheme.mul_plain_prepared(a, &pt.prepared),
-            MaybeEncrypted::Encrypted(ct) => self.scheme.mul(a, &ct.inner),
+            MaybeEncrypted::Plain(pt) => self.scheme.mul_add_plain(sum, a, &pt.prepared),
+            MaybeEncrypted::Encrypted(ct) => {
+                let y = ct.factor(&self.scheme, sum.primes());
+                self.scheme.mul_add(sum, a, &y);
+            }
         }
     }
 
-    fn sum(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.scheme.add(a, b)
+    fn combine(&self, sum: &mut ProductSum, other: ProductSum) {
+        self.scheme.combine(sum, other);
+    }
+
+    fn finish(&self, sum: ProductSum) -> Ciphertext {
+        self.scheme.finish(sum)
     }
 }
 
@@ -418,10 +574,7 @@ impl FheBackend for BgvBackend {
 
     fn encrypt(&self, pt: &BgvPlaintext) -> BgvCiphertext {
         self.meter.record(FheOp::Encrypt);
-        BgvCiphertext {
-            inner: self.scheme.encrypt_poly(&pt.poly),
-            width: pt.width,
-        }
+        BgvCiphertext::new(self.scheme.encrypt_poly(&pt.poly), pt.width)
     }
 
     fn decrypt(&self, ct: &BgvCiphertext) -> BitVec {
@@ -443,45 +596,33 @@ impl FheBackend for BgvBackend {
     fn add(&self, a: &BgvCiphertext, b: &BgvCiphertext) -> BgvCiphertext {
         assert_eq!(a.width, b.width, "width mismatch");
         self.meter.record(FheOp::Add);
-        BgvCiphertext {
-            inner: self.scheme.add(&a.inner, &b.inner),
-            width: a.width,
-        }
+        BgvCiphertext::new(self.scheme.add(&a.inner, &b.inner), a.width)
     }
 
     fn add_plain(&self, a: &BgvCiphertext, b: &BgvPlaintext) -> BgvCiphertext {
         assert_eq!(a.width, b.width, "width mismatch");
         self.meter.record(FheOp::ConstantAdd);
-        BgvCiphertext {
-            inner: self.scheme.add_plain(&a.inner, &b.poly),
-            width: a.width,
-        }
+        BgvCiphertext::new(self.scheme.add_plain(&a.inner, &b.poly), a.width)
     }
 
     fn mul(&self, a: &BgvCiphertext, b: &BgvCiphertext) -> BgvCiphertext {
         assert_eq!(a.width, b.width, "width mismatch");
         self.meter.record(FheOp::Multiply);
-        BgvCiphertext {
-            inner: self.scheme.mul(&a.inner, &b.inner),
-            width: a.width,
-        }
+        BgvCiphertext::new(self.scheme.mul(&a.inner, &b.inner), a.width)
     }
 
     fn mul_plain(&self, a: &BgvCiphertext, b: &BgvPlaintext) -> BgvCiphertext {
         assert_eq!(a.width, b.width, "width mismatch");
         self.meter.record(FheOp::ConstantMultiply);
-        BgvCiphertext {
-            inner: self.scheme.mul_plain_prepared(&a.inner, &b.prepared),
-            width: a.width,
-        }
+        BgvCiphertext::new(
+            self.scheme.mul_plain_prepared(&a.inner, &b.prepared),
+            a.width,
+        )
     }
 
     fn rotate(&self, a: &BgvCiphertext, k: isize) -> BgvCiphertext {
         self.meter.record(FheOp::Rotate);
-        BgvCiphertext {
-            inner: rotate(self, &a.inner, k, a.width, self.nslots()),
-            width: a.width,
-        }
+        BgvCiphertext::new(rotate(self, &a.inner, k, a.width, self.nslots()), a.width)
     }
 
     fn cyclic_extend(&self, a: &BgvCiphertext, width: usize) -> BgvCiphertext {
@@ -489,29 +630,23 @@ impl FheBackend for BgvBackend {
         self.check_width(width);
         let w = a.width;
         assert!(w > 0, "cannot extend an empty vector");
-        BgvCiphertext {
-            inner: extend(self, &a.inner, w, width),
-            width,
-        }
+        BgvCiphertext::new(extend(self, &a.inner, w, width), width)
     }
 
     fn truncate(&self, a: &BgvCiphertext, width: usize) -> BgvCiphertext {
         assert!(width <= a.width, "truncate grows");
         // Slots in [width, old width) may stay populated; every
         // consumer masks or multiplies them away (see module docs).
-        BgvCiphertext {
-            inner: a.inner.clone(),
-            width,
-        }
+        BgvCiphertext::new(a.inner.clone(), width)
     }
 
     fn encrypt_zeros_seeded(&self, width: usize, seed: u64) -> BgvCiphertext {
         self.check_width(width);
         self.meter.record(FheOp::Encrypt);
-        BgvCiphertext {
-            inner: self.scheme.encrypt_poly_seeded(&Gf2Poly::zero(), seed),
+        BgvCiphertext::new(
+            self.scheme.encrypt_poly_seeded(&Gf2Poly::zero(), seed),
             width,
-        }
+        )
     }
 
     fn pack_blocks(&self, cts: &[BgvCiphertext], stride: usize, width: usize) -> BgvCiphertext {
@@ -535,10 +670,7 @@ impl FheBackend for BgvBackend {
         }
         // Block j's content lands in `[j*stride, j*stride + w_j)` and
         // everything else is zero.
-        BgvCiphertext {
-            inner: pack(self, cts.iter().map(|ct| &ct.inner), stride),
-            width,
-        }
+        BgvCiphertext::new(pack(self, cts.iter().map(|ct| &ct.inner), stride), width)
     }
 
     fn unpack_block(
@@ -557,10 +689,7 @@ impl FheBackend for BgvBackend {
             self.meter.record(FheOp::Rotate);
         }
         self.meter.record(FheOp::ConstantMultiply);
-        BgvCiphertext {
-            inner: unpack(self, &ct.inner, index, stride, width),
-            width,
-        }
+        BgvCiphertext::new(unpack(self, &ct.inner, index, stride, width), width)
     }
 
     fn ring_mat_vec(
@@ -574,15 +703,12 @@ impl FheBackend for BgvBackend {
         self.check_width(rows);
         ring_products(self, &v.inner, shifts, diagonals, threads)
             .into_iter()
-            .map(|sum| sum.map(|inner| BgvCiphertext { inner, width: rows }))
+            .map(|sum| sum.map(|inner| BgvCiphertext::new(inner, rows)))
             .collect()
     }
 
     fn mod_switch_to(&self, ct: &BgvCiphertext, primes: usize) -> BgvCiphertext {
-        BgvCiphertext {
-            inner: self.scheme.mod_switch_to(&ct.inner, primes),
-            width: ct.width,
-        }
+        BgvCiphertext::new(self.scheme.mod_switch_to(&ct.inner, primes), ct.width)
     }
 
     fn compact_for_decrypt(&self, ct: &BgvCiphertext) -> BgvCiphertext {
@@ -657,10 +783,7 @@ impl FheBackend for BgvBackend {
             ));
         }
         codec::finish(buf)?;
-        Ok(BgvCiphertext {
-            inner: Ciphertext { c0, c1, noise },
-            width,
-        })
+        Ok(BgvCiphertext::new(Ciphertext { c0, c1, noise }, width))
     }
 }
 
@@ -923,6 +1046,56 @@ mod tests {
         let delta = be.meter().snapshot().since(&before);
         assert_eq!(delta.constant_multiply, 2);
         assert_eq!(delta.rotate, 1, "block 0 unpacks rotation-free");
+    }
+
+    #[test]
+    fn plaintext_ring_products_are_the_per_term_products_bitwise() {
+        // A sum of plaintext products accumulates in evaluation form
+        // and is inverse-transformed once. The transform is linear and
+        // exact, so its bits — noise estimate included — are those of
+        // the per-term products of each rotation folded with `add`, at
+        // every chunking.
+        let be = BgvBackend::tiny();
+        let v = be.encrypt_bits(&BitVec::from_fn(4, |i| i != 2));
+        let shifts: Vec<usize> = (0..6).collect();
+        let diagonals: Vec<Vec<MaybeEncrypted<BgvBackend>>> = (0..3)
+            .map(|l| {
+                (0..6)
+                    .map(|r| {
+                        let bits = BitVec::from_fn(5, |j| (j * (l + 1) + r) % 4 == 0);
+                        MaybeEncrypted::Plain(be.encode(&bits))
+                    })
+                    .collect()
+            })
+            .collect();
+        let terms: Vec<RingDiagonals<'_, BgvBackend>> = diagonals
+            .iter()
+            .enumerate()
+            .map(|(l, ds)| {
+                let kept = |(s, d)| (s % (l + 1) == 0).then_some(d);
+                ds.iter().enumerate().map(kept).collect()
+            })
+            .collect();
+        let scheme = be.scheme();
+        for threads in [1, 2, 7] {
+            let sums = be.ring_mat_vec(&v, &shifts, &terms, 5, threads);
+            for (l, (sum, terms)) in sums.iter().zip(&terms).enumerate() {
+                let want = terms
+                    .iter()
+                    .zip(&shifts)
+                    .filter_map(|(d, &k)| match d {
+                        Some(MaybeEncrypted::Plain(pt)) => {
+                            let rotated = scheme.rotate_slots(&v.inner, k as isize);
+                            Some(scheme.mul_plain_prepared(&rotated, &pt.prepared))
+                        }
+                        _ => None,
+                    })
+                    .reduce(|a, b| scheme.add(&a, &b))
+                    .expect("every matrix keeps shift 0");
+                let sum = sum.as_ref().expect("every matrix has terms");
+                assert_eq!(sum.inner, want, "matrix {l} at {threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@
 use crate::backend::{
     BackendError, CiphertextCodecError, FheBackend, MaybeEncrypted, NoiseBudget, RingDiagonals,
 };
-use crate::bgv::backend::{self as kernels, SlotOps};
+use crate::bgv::backend::{self as kernels, SlotOps, SumPlan};
 use crate::bgv::scheme::BgvParams;
 use crate::bitvec::BitVec;
 use crate::math::cyclotomic::SlotStructure;
@@ -212,19 +212,44 @@ impl LevelRule {
         )
     }
 
-    /// The relinearised tensor product of two [`mul_inputs`]
-    /// (Self::mul_inputs), before the output reduction.
+    /// The exact zero at `primes` primes: no noise and no headroom
+    /// spent, so [`add`](Self::add) leaves any term added to it as it
+    /// is — where a sum of products starts.
+    pub(crate) fn zero(&self, primes: usize) -> Level {
+        self.at(primes, 0.0)
+    }
+
+    /// The tensor of two operands at one level, not yet relinearised:
+    /// its three parts decrypt under `(1, s, s²)` with this noise.
     pub(crate) fn tensor(&self, a: Level, b: Level) -> Level {
         let tensor = a.noise * b.noise * (4 * self.params.phi()) as f64;
-        let noise = tensor.max(self.ks_noise) * 2.0;
-        self.level(a.primes, noise, a.headroom_bits.min(b.headroom_bits))
+        self.level(a.primes, tensor, a.headroom_bits.min(b.headroom_bits))
+    }
+
+    /// One relinearisation of a tensor — of a single product, or of a
+    /// sum of them ([`add`](Self::add) sums tensor noise like any other),
+    /// so the key switch's noise is charged once however many tensors
+    /// were summed.
+    pub(crate) fn relinearise(&self, t: Level) -> Level {
+        let noise = t.noise.max(self.ks_noise) * 2.0;
+        self.level(t.primes, noise, t.headroom_bits)
+    }
+
+    /// A finished sum of products: a tensor sum relinearises and
+    /// switches moduli to re-normalise noise; a sum of plaintext
+    /// products is already a ciphertext.
+    pub(crate) fn finish(&self, sum: Level, tensor: bool) -> Level {
+        match tensor {
+            true => self.reduce(self.relinearise(sum), MUL_INPUT_BITS),
+            false => sum,
+        }
     }
 
     /// Ciphertext product: tensor, relinearise, and switch moduli to
     /// re-normalise noise.
     pub fn mul(&self, a: Level, b: Level) -> Level {
         let (a, b) = self.mul_inputs(a, b);
-        self.reduce(self.tensor(a, b), MUL_INPUT_BITS)
+        self.finish(self.tensor(a, b), true)
     }
 
     /// One key switch: a slot automorphism by a nonzero amount.
@@ -234,9 +259,35 @@ impl LevelRule {
     }
 }
 
+/// A sum of products as the level rule sees it: the level it
+/// accumulates at and whether it is a tensor sum, which owes one
+/// relinearisation.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LevelSum {
+    at: Level,
+    tensor: bool,
+}
+
 impl SlotOps for LevelRule {
     type Ct = Level;
     type Operand = MaybeEncrypted<AbstractBackend>;
+    type Factor = Level;
+    type Sum = LevelSum;
+
+    fn rule(&self) -> &LevelRule {
+        self
+    }
+
+    fn level(&self, a: &Level) -> Level {
+        *a
+    }
+
+    fn operand_level(&self, b: &MaybeEncrypted<AbstractBackend>) -> Option<Level> {
+        match b {
+            MaybeEncrypted::Plain(_) => None,
+            MaybeEncrypted::Encrypted(ct) => Some(ct.at()),
+        }
+    }
 
     fn rotate_full(&self, a: &Level, k: isize) -> Level {
         if k.rem_euclid(self.nslots as isize) == 0 {
@@ -250,15 +301,37 @@ impl SlotOps for LevelRule {
         self.mul_plain(*a)
     }
 
-    fn product(&self, a: &Level, b: &MaybeEncrypted<AbstractBackend>) -> Level {
-        match b {
-            MaybeEncrypted::Plain(_) => self.mul_plain(*a),
-            MaybeEncrypted::Encrypted(ct) => self.mul(*a, ct.at()),
+    fn sum(&self, a: &Level, b: &Level) -> Level {
+        self.add(*a, *b)
+    }
+
+    fn factor(&self, a: &Level, primes: usize) -> Level {
+        self.mod_switch_to(*a, primes)
+    }
+
+    fn empty(&self, plan: SumPlan) -> LevelSum {
+        LevelSum {
+            at: self.zero(plan.primes),
+            tensor: plan.tensor,
         }
     }
 
-    fn sum(&self, a: &Level, b: &Level) -> Level {
-        self.add(*a, *b)
+    fn mul_add(&self, sum: &mut LevelSum, a: &Level, b: &MaybeEncrypted<AbstractBackend>) {
+        let term = match b {
+            MaybeEncrypted::Plain(_) => self.mul_plain(*a),
+            MaybeEncrypted::Encrypted(ct) => {
+                self.tensor(*a, self.mod_switch_to(ct.at(), sum.at.primes))
+            }
+        };
+        sum.at = self.add(sum.at, term);
+    }
+
+    fn combine(&self, sum: &mut LevelSum, other: LevelSum) {
+        sum.at = self.add(sum.at, other.at);
+    }
+
+    fn finish(&self, sum: LevelSum) -> Level {
+        LevelRule::finish(self, sum.at, sum.tensor)
     }
 }
 
@@ -579,6 +652,44 @@ mod tests {
         assert_eq!(a.noise.log2(), MS_FLOOR_BITS + 1.0);
         let p = r.mul(top, low);
         assert!(p.primes < 6 && p.noise.log2() <= MUL_INPUT_BITS);
+
+        // A summed tensor: an encrypted 5 x 5 matrix with a term at
+        // every one of the 6 slot shifts, the most tensors one ring
+        // product sums on this ring. The rule's run of the kernel
+        // finishes at the scheme's primes and noise estimate, bit for
+        // bit, and the BGV product decrypts to the clear backend's.
+        let bgv = BgvBackend::tiny();
+        let NoiseBudget::Chain(rule) = bgv.noise_budget() else {
+            unreachable!("BGV budgets a modulus chain")
+        };
+        assert_eq!(rule, r);
+        let clear = ClearBackend::new(ClearConfig {
+            slot_capacity: Some(6),
+            ..ClearConfig::default()
+        });
+        let abstract_be = AbstractBackend::new(Some(rule));
+        let v = BitVec::from_fn(5, |i| i % 3 != 1);
+        let diagonal = |r: usize| BitVec::from_fn(5, |j| (j + r) % 6 < 3);
+        fn product<B: FheBackend>(be: &B, v: &BitVec, diagonals: &[BitVec]) -> B::Ciphertext {
+            let operands: Vec<_> = diagonals
+                .iter()
+                .map(|d| MaybeEncrypted::Encrypted(be.encrypt_bits(d)))
+                .collect();
+            let terms: [RingDiagonals<'_, B>; 1] = [operands.iter().map(Some).collect()];
+            let shifts: Vec<usize> = (0..diagonals.len()).collect();
+            let mut sums = be.ring_mat_vec(&be.encrypt_bits(v), &shifts, &terms, 5, 1);
+            sums[0].take().expect("a term at every shift")
+        }
+        let diagonals: Vec<BitVec> = (0..6).map(diagonal).collect();
+        let real = product(&bgv, &v, &diagonals);
+        let predicted = product(&abstract_be, &v, &diagonals).at();
+        assert_eq!(predicted.primes, bgv.scheme().level(&real.inner));
+        assert_eq!(predicted.noise, real.inner.noise);
+        assert!(predicted.primes < rule.chain_len() && predicted.headroom_bits > 0.0);
+        assert_eq!(
+            bgv.decrypt(&real),
+            clear.decrypt(&product(&clear, &v, &diagonals))
+        );
     }
 
     #[test]

@@ -233,6 +233,38 @@ impl EvalAcc {
             a.len() >= level && b.len() >= level,
             "operand below the accumulator level"
         );
+        self.make_room();
+        for ((out, x), y) in self.rows.iter_mut().zip(a).zip(b) {
+            for ((o, &x), &y) in out.iter_mut().zip(x).zip(y) {
+                *o += u128::from(x) * u128::from(y);
+            }
+        }
+        self.held += 1;
+    }
+
+    /// `self += a`, for a canonical `a` (every point below its prime,
+    /// so within one product's bound): how the partial sums of two
+    /// chunks of products combine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` has fewer rows than the accumulator.
+    pub(crate) fn add(&mut self, a: &EvalPoly) {
+        assert!(
+            a.rows.len() >= self.rows.len(),
+            "operand below the accumulator level"
+        );
+        self.make_room();
+        for (out, x) in self.rows.iter_mut().zip(&a.rows) {
+            for (o, &x) in out.iter_mut().zip(x) {
+                *o += u128::from(x);
+            }
+        }
+        self.held += 1;
+    }
+
+    /// Flushes when one more product could overflow a point.
+    fn make_room(&mut self) {
         if self.held == self.capacity {
             for (row, r) in self.rows.iter_mut().zip(&self.reducers) {
                 for o in row.iter_mut() {
@@ -241,12 +273,6 @@ impl EvalAcc {
             }
             self.held = 1;
         }
-        for ((out, x), y) in self.rows.iter_mut().zip(a).zip(b) {
-            for ((o, &x), &y) in out.iter_mut().zip(x).zip(y) {
-                *o += u128::from(x) * u128::from(y);
-            }
-        }
-        self.held += 1;
     }
 
     /// The canonical sum: one reduction per point.

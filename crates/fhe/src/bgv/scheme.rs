@@ -35,12 +35,13 @@
 
 use crate::backend::BackendError;
 use crate::bgv::level::{Level, LevelRule, MUL_INPUT_BITS};
-use crate::bgv::ring::{AuxBasis, EvalPoly, RnsContext, RnsPoly};
+use crate::bgv::ring::{AuxBasis, EvalAcc, EvalPoly, RnsContext, RnsPoly};
 use crate::math::cyclotomic::SlotStructure;
 use crate::math::gf2poly::Gf2Poly;
 use crate::math::modq::{inv_mod, mul_mod, negacyclic_chain_primes, ntt_chain_primes, pow_mod};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -182,6 +183,98 @@ impl PreparedPlaintext {
     /// Whether the evaluation-domain transform has been computed.
     pub fn is_warm(&self) -> bool {
         self.eval.get().is_some()
+    }
+}
+
+/// A polynomial in the form this scheme multiplies in: evaluation
+/// form on the NTT route, coefficients on the schoolbook oracle.
+/// Borrowed where the operand is resident (a cached plaintext
+/// transform), owned where a product computed it.
+#[derive(Clone, Debug)]
+enum Form<'a> {
+    Eval(Cow<'a, EvalPoly>),
+    Coeff(Cow<'a, RnsPoly>),
+}
+
+/// A ciphertext as products read it: both halves at one level in the
+/// scheme's product form, each transformed once and then multiplied
+/// by every operand that needs it.
+#[derive(Clone, Debug)]
+pub(crate) struct Factor {
+    halves: [Form<'static>; 2],
+    at: Level,
+}
+
+impl Factor {
+    /// Chain primes the factor carries.
+    pub(crate) fn primes(&self) -> usize {
+        self.at.primes
+    }
+}
+
+/// One part of a [`ProductSum`]: products summed in the product form.
+#[derive(Debug)]
+enum PartSum {
+    Eval(EvalAcc),
+    Coeff(RnsPoly),
+}
+
+impl PartSum {
+    /// `self += a ⋆ b`.
+    fn mul_add(&mut self, ring: &RnsContext, a: &Form<'_>, b: &Form<'_>) {
+        match (self, a, b) {
+            (PartSum::Eval(acc), Form::Eval(a), Form::Eval(b)) => acc.mul_add(a, b),
+            (PartSum::Coeff(sum), Form::Coeff(a), Form::Coeff(b)) => {
+                *sum = ring.add(sum, &ring.mul(a, b));
+            }
+            _ => unreachable!("one scheme multiplies in one form"),
+        }
+    }
+
+    /// `self += other`.
+    fn add(&mut self, ring: &RnsContext, other: PartSum) {
+        match (self, other) {
+            (PartSum::Eval(acc), PartSum::Eval(other)) => acc.add(&other.finish()),
+            (PartSum::Coeff(sum), PartSum::Coeff(other)) => *sum = ring.add(sum, &other),
+            _ => unreachable!("one scheme multiplies in one form"),
+        }
+    }
+
+    /// The coefficient form of the sum: one inverse transform per row.
+    fn into_poly(self, ring: &RnsContext) -> RnsPoly {
+        match self {
+            PartSum::Eval(acc) => ring.from_eval(&acc.finish()),
+            PartSum::Coeff(sum) => sum,
+        }
+    }
+}
+
+/// A sum of ring products at one level, before its inverse transforms:
+/// of degree 1 (parts `c0, c1`) while every term multiplies a
+/// plaintext, of degree 2 (`d0, d1, d2`, a summed tensor) once a term
+/// multiplies two ciphertexts. [`BgvScheme::finish`] makes it a
+/// ciphertext with one inverse transform per part and row, and a
+/// tensor sum with one relinearisation and one reduction, however many
+/// products it holds. The products sum exactly, and the inverse
+/// transform is linear and exact, so a sum of plaintext products
+/// finishes to the bits of the sum of the finished products.
+#[derive(Debug)]
+pub struct ProductSum {
+    parts: Vec<PartSum>,
+    /// Its position: the level rule's sum of its terms' noise.
+    at: Level,
+}
+
+impl ProductSum {
+    /// Chain primes every term is multiplied at.
+    pub(crate) fn primes(&self) -> usize {
+        self.at.primes
+    }
+
+    /// Whether it is a tensor sum, which finishes with a
+    /// relinearisation.
+    fn is_tensor(&self) -> bool {
+        self.parts.len() == 3
     }
 }
 
@@ -466,7 +559,7 @@ impl BgvScheme {
     }
 
     /// Where `ct` stands in the chain, as the level rule sees it.
-    fn position(&self, ct: &Ciphertext) -> Level {
+    pub(crate) fn position(&self, ct: &Ciphertext) -> Level {
         self.rule.at(self.level(ct), ct.noise)
     }
 
@@ -632,81 +725,151 @@ impl BgvScheme {
         self.mul_plain_prepared(a, &prepared)
     }
 
-    /// Multiplies by a prepared plaintext. On the evaluation route the
-    /// plaintext's cached full-level transform serves both ciphertext
-    /// halves (and, for fixed operands, every later call) pointwise;
-    /// the oracle takes the schoolbook product.
+    /// Multiplies by a prepared plaintext: a [`ProductSum`] of one
+    /// term. On the evaluation route the plaintext's cached full-level
+    /// transform serves both ciphertext halves (and, for fixed
+    /// operands, every later call) pointwise; the oracle takes the
+    /// schoolbook product.
     pub fn mul_plain_prepared(&self, a: &Ciphertext, pt: &PreparedPlaintext) -> Ciphertext {
         let level = self.level(a);
-        let noise = self.rule.mul_plain_l1(self.position(a), pt.l1).noise;
-        if self.eval_path() {
-            let local;
-            let pe = match pt.eval.get() {
-                Some(pe) => pe,
-                None if level == self.params.chain_len => self.prepared_eval(pt),
-                None => {
-                    // Cold operand on a reduced ciphertext: filling the
-                    // full-chain cache here would cost more transforms
-                    // than this call saves, so transform at the
-                    // ciphertext's level and leave the cache for a
-                    // full-level (or explicitly warmed) use to fill.
-                    local = self.ring.to_eval(&self.ring.from_signed(&pt.coeffs, level));
-                    &local
-                }
-            };
-            let c0 = self
-                .ring
-                .from_eval(&self.ring.eval_mul(&self.ring.to_eval(&a.c0), pe, level));
-            let c1 = self
-                .ring
-                .from_eval(&self.ring.eval_mul(&self.ring.to_eval(&a.c1), pe, level));
-            return Ciphertext { c0, c1, noise };
-        }
-        let p = self.ring.from_signed(&pt.coeffs, level);
-        Ciphertext {
-            c0: self.ring.mul(&a.c0, &p),
-            c1: self.ring.mul(&a.c1, &p),
-            noise,
+        let mut sum = self.product_sum(level, false);
+        self.mul_add_plain(&mut sum, &self.factor(a, level), pt);
+        self.finish(sum)
+    }
+
+    /// Homomorphic multiplication (AND on packed bits): the
+    /// [`tensor`](Self::tensor), [`finish`](Self::finish)ed —
+    /// relinearised, and moduli switched to re-normalise noise.
+    pub fn mul(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
+        self.finish(self.tensor(a, b))
+    }
+
+    /// The tensor of two ciphertexts, not yet relinearised: each
+    /// reduced to the product's input noise, both aligned, and their
+    /// halves multiplied in the product form (four forward transforms;
+    /// the cross term sums before its single inverse).
+    pub fn tensor(&self, a: &Ciphertext, b: &Ciphertext) -> ProductSum {
+        let (la, lb) = self.rule.mul_inputs(self.position(a), self.position(b));
+        let mut sum = self.product_sum(la.primes, true);
+        self.mul_add(
+            &mut sum,
+            &self.factor(a, la.primes),
+            &self.factor(b, lb.primes),
+        );
+        sum
+    }
+
+    /// `ct` switched down to `primes` chain primes and put in product
+    /// form: two forward transforms per prime on the evaluation route.
+    pub(crate) fn factor(&self, ct: &Ciphertext, primes: usize) -> Factor {
+        let ct = self.mod_switch_to(ct, primes);
+        let at = self.position(&ct);
+        let form = |p: RnsPoly| match self.eval_path() {
+            true => Form::Eval(Cow::Owned(self.ring.to_eval(&p))),
+            false => Form::Coeff(Cow::Owned(p)),
+        };
+        Factor {
+            halves: [form(ct.c0), form(ct.c1)],
+            at,
         }
     }
 
-    /// Homomorphic multiplication (AND on packed bits): tensor,
-    /// relinearise, and switch moduli to re-normalise noise.
-    pub fn mul(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        let (la, lb) = self.rule.mul_inputs(self.position(a), self.position(b));
-        let (a, b) = (
-            self.mod_switch_to(a, la.primes),
-            self.mod_switch_to(b, lb.primes),
+    /// An empty [`ProductSum`] at `primes` chain primes: of degree 2
+    /// for a `tensor` sum, else of degree 1.
+    pub(crate) fn product_sum(&self, primes: usize, tensor: bool) -> ProductSum {
+        let part = || match self.eval_path() {
+            true => PartSum::Eval(self.ring.eval_acc(primes)),
+            false => PartSum::Coeff(self.ring.zero(primes)),
+        };
+        ProductSum {
+            parts: (0..if tensor { 3 } else { 2 }).map(|_| part()).collect(),
+            at: self.rule.zero(primes),
+        }
+    }
+
+    /// `sum += x ⊙ pt`, charging the noise estimate the plaintext's
+    /// 1-norm bound. A degree-2 sum takes the product into its first
+    /// two parts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not at the sum's level.
+    pub(crate) fn mul_add_plain(&self, sum: &mut ProductSum, x: &Factor, pt: &PreparedPlaintext) {
+        let level = sum.primes();
+        assert_eq!(x.primes(), level, "factor off the sum's level");
+        let p = match self.eval_path() {
+            true => Form::Eval(match pt.eval.get() {
+                Some(pe) => Cow::Borrowed(pe),
+                None if level == self.params.chain_len => Cow::Borrowed(self.prepared_eval(pt)),
+                // Cold operand below the top of the chain: filling the
+                // full-chain cache here would cost more transforms than
+                // this call saves, so transform at the sum's level and
+                // leave the cache for a full-level (or explicitly
+                // warmed) use to fill.
+                None => Cow::Owned(self.ring.to_eval(&self.ring.from_signed(&pt.coeffs, level))),
+            }),
+            false => Form::Coeff(Cow::Owned(self.ring.from_signed(&pt.coeffs, level))),
+        };
+        for (part, half) in sum.parts.iter_mut().zip(&x.halves) {
+            part.mul_add(&self.ring, half, &p);
+        }
+        sum.at = self.rule.add(sum.at, self.rule.mul_plain_l1(x.at, pt.l1));
+    }
+
+    /// `sum += x ⊗ y`, the tensor of two ciphertexts: `x0·y0` into
+    /// `d0`, `x0·y1 + x1·y0` into `d1`, `x1·y1` into `d2`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `sum` is a tensor sum and both factors are at its
+    /// level.
+    pub(crate) fn mul_add(&self, sum: &mut ProductSum, x: &Factor, y: &Factor) {
+        assert!(sum.is_tensor(), "a ciphertext product needs a tensor sum");
+        assert!(
+            x.primes() == sum.primes() && y.primes() == sum.primes(),
+            "factor off the sum's level"
         );
-        let level = self.level(&a);
-        let (d0, d1, d2) = if self.eval_path() {
-            // Four forward transforms cover all four cross products
-            // (the cross term sums before its single inverse).
-            let ea0 = self.ring.to_eval(&a.c0);
-            let ea1 = self.ring.to_eval(&a.c1);
-            let eb0 = self.ring.to_eval(&b.c0);
-            let eb1 = self.ring.to_eval(&b.c1);
-            let mut cross = self.ring.eval_acc(level);
-            cross.mul_add(&ea0, &eb1);
-            cross.mul_add(&ea1, &eb0);
-            (
-                self.ring.from_eval(&self.ring.eval_mul(&ea0, &eb0, level)),
-                self.ring.from_eval(&cross.finish()),
-                self.ring.from_eval(&self.ring.eval_mul(&ea1, &eb1, level)),
-            )
-        } else {
-            (
-                self.ring.mul(&a.c0, &b.c0),
-                self.ring
-                    .add(&self.ring.mul(&a.c0, &b.c1), &self.ring.mul(&a.c1, &b.c0)),
-                self.ring.mul(&a.c1, &b.c1),
-            )
+        let ([x0, x1], [y0, y1]) = (&x.halves, &y.halves);
+        let ring = &self.ring;
+        sum.parts[0].mul_add(ring, x0, y0);
+        sum.parts[1].mul_add(ring, x0, y1);
+        sum.parts[1].mul_add(ring, x1, y0);
+        sum.parts[2].mul_add(ring, x1, y1);
+        sum.at = self.rule.add(sum.at, self.rule.tensor(x.at, y.at));
+    }
+
+    /// `sum += other`: two partial sums of one product, alike in level
+    /// and degree. The sums are exact, so any split of the terms
+    /// gives the same bits.
+    pub(crate) fn combine(&self, sum: &mut ProductSum, other: ProductSum) {
+        assert!(
+            sum.primes() == other.primes() && sum.is_tensor() == other.is_tensor(),
+            "partial sums of one product"
+        );
+        for (part, other) in sum.parts.iter_mut().zip(other.parts) {
+            part.add(&self.ring, other);
+        }
+        sum.at = self.rule.add(sum.at, other.at);
+    }
+
+    /// A finished sum of products: each part inverse-transformed once;
+    /// a tensor sum then relinearises `d2` with one key switch and
+    /// switches moduli to re-normalise noise.
+    pub fn finish(&self, sum: ProductSum) -> Ciphertext {
+        let mut parts = sum.parts.into_iter().map(|part| part.into_poly(&self.ring));
+        let (c0, c1) = (parts.next().expect("c0"), parts.next().expect("c1"));
+        let Some(d2) = parts.next() else {
+            return Ciphertext {
+                c0,
+                c1,
+                noise: sum.at.noise,
+            };
         };
         let (k0, k1) = self.key_switch(&d2, &self.relin);
         let ct = Ciphertext {
-            c0: self.ring.add(&d0, &k0),
-            c1: self.ring.add(&d1, &k1),
-            noise: self.rule.tensor(la, lb).noise,
+            c0: self.ring.add(&c0, &k0),
+            c1: self.ring.add(&c1, &k1),
+            noise: self.rule.relinearise(sum.at).noise,
         };
         self.reduce(&ct, MUL_INPUT_BITS)
     }
@@ -855,9 +1018,11 @@ impl BgvScheme {
         (acc0, acc1)
     }
 
-    /// Runs one relinearisation key switch on `ct.c1` — the inner
-    /// kernel of [`BgvScheme::mul`] and [`BgvScheme::rotate_slots`] —
-    /// exposed for benchmarking and transform-count ablations.
+    /// Runs one relinearisation key switch on `ct.c1` — the key switch
+    /// [`BgvScheme::finish`] runs on a tensor's `d2`, once per
+    /// ciphertext product or summed tensor (rotations switch with the
+    /// Galois keys instead) — exposed for benchmarking and
+    /// transform-count ablations.
     pub fn key_switch_relin(&self, ct: &Ciphertext) -> (RnsPoly, RnsPoly) {
         self.key_switch(&ct.c1, &self.relin)
     }

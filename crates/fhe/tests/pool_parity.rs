@@ -211,3 +211,56 @@ fn threads_knob_reads_back_and_defaults_sequential() {
     assert_eq!(s.threads(), 1, "floor at 1");
     assert_eq!(s.ring().threads(), 1, "scheme forwards to the ring");
 }
+
+#[test]
+fn ring_mat_vec_is_bitwise_identical_at_every_degree() {
+    use copse_fhe::{BgvBackend, FheBackend, MaybeEncrypted, RingDiagonals};
+
+    // Two 5 x 5 matrices on tiny's 6-slot ring, one with a term at
+    // every shift and one at every other, first with plaintext
+    // diagonals and then with encrypted ones: each chunk of shifts sums
+    // its products (degree-2 tensors for the encrypted model), the
+    // partial sums combine in chunk order, and every chunking must give
+    // the bits one chunk gives.
+    let be = BgvBackend::tiny();
+    let v = be.encrypt_bits(&BitVec::from_fn(5, |i| i % 3 != 1));
+    let shifts: Vec<usize> = (0..6).collect();
+    let diagonal = |l: usize, r: usize| BitVec::from_fn(5, |j| !(j + r + l).is_multiple_of(3));
+    for encrypted in [false, true] {
+        let operands: Vec<Vec<MaybeEncrypted<BgvBackend>>> = (0..2)
+            .map(|l| {
+                (0..6)
+                    .map(|r| match encrypted {
+                        true => MaybeEncrypted::Encrypted(be.encrypt_bits(&diagonal(l, r))),
+                        false => MaybeEncrypted::Plain(be.encode(&diagonal(l, r))),
+                    })
+                    .collect()
+            })
+            .collect();
+        // Each degree gets its own copies of the diagonals, taken before
+        // any product, so none reads a product form another cached.
+        let run = |threads: usize| -> Vec<Vec<u8>> {
+            let operands = operands.clone();
+            let terms: Vec<RingDiagonals<'_, BgvBackend>> = operands
+                .iter()
+                .enumerate()
+                .map(|(l, ds)| {
+                    let kept = |(s, d)| (l == 0 || s % 2 == 1).then_some(d);
+                    ds.iter().enumerate().map(kept).collect()
+                })
+                .collect();
+            be.ring_mat_vec(&v, &shifts, &terms, 5, threads)
+                .iter()
+                .map(|ct| be.serialize_ciphertext(ct.as_ref().expect("every matrix has terms")))
+                .collect()
+        };
+        let want = run(1);
+        for threads in [2, 7] {
+            assert_eq!(
+                run(threads),
+                want,
+                "encrypted={encrypted} threads={threads}"
+            );
+        }
+    }
+}

@@ -81,6 +81,11 @@
 //!     backend has GF(2) slots (`BgvBackend` refuses a power-of-two
 //!     `m`), so neither a rotation-capability probe nor a per-bit
 //!     backend without slots can grow back.
+//! 13. **Products accumulate.** Non-test `crates/fhe/src/bgv` defines
+//!     no `fn product(`: the slot-layout kernels' `SlotOps` has no
+//!     per-term product. A matrix's terms multiply-add into one sum and
+//!     finish once, so an encrypted model relinearises once per matrix,
+//!     and a per-product relinearisation cannot grow back beside it.
 //!
 //! The scan covers `crates/*/src/**/*.rs` plus the facade's `src/`;
 //! examples, integration tests, and vendored shims are out of scope.
@@ -140,6 +145,8 @@ struct Patterns {
     /// Rule 12: the rotation probe, its admission verdict and the
     /// per-bit backend.
     rotationless: [String; 3],
+    /// Rule 13: a per-term product on the slot-layout kernels' ops.
+    per_term_product: String,
 }
 
 impl Patterns {
@@ -190,6 +197,7 @@ impl Patterns {
                 ["SlotRotation", "Unsupported"].concat(),
                 ["Negacyclic", "Backend"].concat(),
             ],
+            per_term_product: ["fn prod", "uct("].concat(),
         }
     }
 }
@@ -208,6 +216,7 @@ struct RuleSet {
     ban_second_model: bool,
     ban_block_layout: bool,
     ban_rotationless: bool,
+    ban_per_term_product: bool,
 }
 
 fn rules_for(rel_path: &str) -> RuleSet {
@@ -228,6 +237,7 @@ fn rules_for(rel_path: &str) -> RuleSet {
         ban_second_model: rel_path.starts_with("crates/"),
         ban_block_layout: rel_path.starts_with("crates/"),
         ban_rotationless: rel_path.starts_with("crates/"),
+        ban_per_term_product: rel_path.starts_with("crates/fhe/src/bgv/"),
     }
 }
 
@@ -375,6 +385,9 @@ fn scan_source(rel_path: &str, source: &str, patterns: &Patterns) -> Vec<Finding
             .any(|p| code.contains(p.as_str()));
         if rules.ban_rotationless && rotationless {
             report("every-backend-rotates");
+        }
+        if rules.ban_per_term_product && code.contains(patterns.per_term_product.as_str()) {
+            report("products-accumulate");
         }
     }
     findings
@@ -871,6 +884,40 @@ mod tests {
                     fn slot_capacity(&self) -> Option<usize>;\n\
                     SlotCapacityExceeded { required: usize, available: usize },\n";
         assert!(scan("crates/fhe/src/bgv/scheme.rs", fine).is_empty());
+    }
+
+    #[test]
+    fn flags_a_per_term_product_in_bgv() {
+        // The per-term product, as the trait declared it and as a
+        // backend defined it.
+        let per_term = &Patterns::new().per_term_product;
+        let srcs = [
+            format!("    {per_term}&self, a: &Self::Ct, b: &Self::Operand) -> Self::Ct;\n"),
+            format!("    {per_term}&self, a: &Level, b: &MaybeEncrypted<AbstractBackend>) -> Level {{\n"),
+        ];
+        for src in &srcs {
+            for rel in [
+                "crates/fhe/src/bgv/backend.rs",
+                "crates/fhe/src/bgv/level.rs",
+            ] {
+                let hits = scan(rel, src);
+                assert_eq!(hits.len(), 1, "{rel}: {src}");
+                assert_eq!(hits[0].rule, "products-accumulate");
+            }
+            // Out of scope: other crates and modules, tests, comments.
+            assert!(scan("crates/fhe/src/clear.rs", src).is_empty());
+            assert!(scan("crates/core/src/matmul.rs", src).is_empty());
+            let in_test = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+            assert!(scan("crates/fhe/src/bgv/backend.rs", &in_test).is_empty());
+            assert!(scan("crates/fhe/src/bgv/backend.rs", &format!("// {src}")).is_empty());
+        }
+        // What the BGV code does hold: the accumulate/finish pair and
+        // longer names.
+        let fine = "    fn mul_add(&self, sum: &mut Self::Sum, a: &Self::Factor, b: &Self::Operand);\n\
+                    fn finish(&self, sum: Self::Sum) -> Self::Ct;\n\
+                    pub(crate) fn product_sum(&self, primes: usize, tensor: bool) -> ProductSum {}\n\
+                    pub(crate) fn ring_products<S>(\n";
+        assert!(scan("crates/fhe/src/bgv/backend.rs", fine).is_empty());
     }
 
     /// The invariant the linter exists to keep: the workspace itself
