@@ -683,6 +683,11 @@ impl<'b, B: FheBackend> Sally<'b, B> {
         sally.plan = sally.plan_packing();
         sally.solo_entry = sally.entry(None);
         sally.packed_entry = sally.plan.and_then(|plan| sally.entry(Some(plan)));
+        // No query enters above this level, so its key switches run at
+        // or below it: build the keys here, not in the first query.
+        if let Some(primes) = sally.solo_entry.max(sally.packed_entry) {
+            backend.prepare_levels(primes);
+        }
         sally
     }
 

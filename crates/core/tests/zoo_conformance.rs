@@ -666,3 +666,64 @@ fn predicted_primes_match_bgv_at_the_benchmark_point() {
         .expect("an exact chain admits");
     }
 }
+
+/// Hosting `depth4` as it is served builds switching keys at Sally's
+/// entry level and no deeper: a backend holds none after keygen,
+/// exactly `keys × E × D × 2 × E × r × N × 8` bytes once Sally has
+/// bound the model (`r = 1` at this point), and still that after a
+/// batch, solo or packed as her plan runs it, has been classified.
+#[test]
+#[ignore = "m = 127 BGV; run in release"]
+fn hosting_depth4_builds_switching_keys_at_the_entry_level() {
+    let model = zoo::micro_suite(SUITE_SEED).remove(0);
+    assert_eq!(model.name, "depth4");
+    let maurice = Maurice::compile(&model.forest, CompileOptions::default()).expect("compile");
+    for form in [ModelForm::Plain, ModelForm::Encrypted] {
+        let be = BgvBackend::new(BENCH_POINT);
+        let scheme = be.scheme();
+        assert_eq!(
+            scheme.key_bytes(),
+            0,
+            "{form:?}: keygen builds no switching key"
+        );
+        let sally = Sally::with_options(&be, maurice.deploy(&be, form), EvalOptions::default());
+        let info = sally.client_query_info();
+        let entry = info.entry_primes.expect("BGV has a chain") as usize;
+        let digits = BENCH_POINT.prime_bits.div_ceil(BENCH_POINT.ks_digit_bits) as usize;
+        let bytes = scheme.slots().nslots()
+            * entry
+            * digits
+            * 2
+            * entry
+            * scheme.ring().transform_size()
+            * 8;
+        assert_eq!(
+            scheme.key_bytes(),
+            bytes,
+            "{form:?}: keys at {entry} primes"
+        );
+
+        let diane = Diane::new(&be, info);
+        let features = random_queries(
+            &model.forest,
+            sally.pack_plan().map_or(1, |plan| plan.lanes),
+            SUITE_SEED ^ 0x4E7,
+        );
+        let queries: Vec<_> = features
+            .iter()
+            .map(|q| diane.encrypt_features(q).expect("valid query"))
+            .collect();
+        for (q, result) in features.iter().zip(sally.classify_batch(&queries)) {
+            assert_eq!(
+                diane.decrypt_result(&result).plurality_label(),
+                Some(model.forest.labels()[model.forest.classify_plurality(q)].as_str()),
+                "{form:?}: query {q:?}"
+            );
+        }
+        assert_eq!(
+            scheme.key_bytes(),
+            bytes,
+            "{form:?}: no key switch above the entry level"
+        );
+    }
+}

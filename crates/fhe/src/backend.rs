@@ -143,6 +143,13 @@ pub trait FheBackend: Send + Sync {
     /// nothing.
     fn prepare_plaintext(&self, _pt: &Self::Plaintext) {}
 
+    /// Warms backend-side key material for ciphertexts at up to
+    /// `primes` chain primes (the BGV backend builds its switching keys
+    /// at that level here, so no query pays for them; a key switch
+    /// above it still builds deeper keys). Semantically a no-op; the
+    /// default does nothing.
+    fn prepare_levels(&self, _primes: usize) {}
+
     /// Sets the backend's *kernel-level* parallel degree: how many
     /// workers of the shared `copse-pool` runtime a single homomorphic
     /// operation may fork onto (the BGV backend parallelises per-prime

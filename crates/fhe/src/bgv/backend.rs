@@ -389,7 +389,10 @@ pub struct BgvBackend {
 }
 
 impl BgvBackend {
-    /// Generates keys and builds the backend.
+    /// Generates the secret and public keys and builds the backend.
+    /// Switching keys are built per level on demand
+    /// ([`BgvScheme::switch_keys`]), or ahead of time by
+    /// [`FheBackend::prepare_levels`].
     pub fn new(params: BgvParams) -> Self {
         Self::new_with_ntt(params, true)
     }
@@ -562,6 +565,10 @@ impl FheBackend for BgvBackend {
 
     fn prepare_plaintext(&self, pt: &BgvPlaintext) {
         self.scheme.warm_prepared(&pt.prepared);
+    }
+
+    fn prepare_levels(&self, primes: usize) {
+        self.scheme.switch_keys(primes);
     }
 
     fn set_kernel_threads(&self, threads: usize) {

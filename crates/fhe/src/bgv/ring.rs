@@ -1054,29 +1054,6 @@ impl RnsContext {
         }
     }
 
-    /// Pointwise product of the first `level` rows of two
-    /// evaluation-domain elements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either operand has fewer than `level` rows.
-    pub fn eval_mul(&self, a: &EvalPoly, b: &EvalPoly, level: usize) -> EvalPoly {
-        assert!(
-            a.rows.len() >= level && b.rows.len() >= level,
-            "operand below the requested level"
-        );
-        EvalPoly {
-            rows: self.par_rows(level, |j| {
-                let q = self.primes[j];
-                a.rows[j]
-                    .iter()
-                    .zip(&b.rows[j])
-                    .map(|(&x, &y)| mul_mod(x, y, q))
-                    .collect()
-            }),
-        }
-    }
-
     /// Lifts a small *non-negative* polynomial to `level` residue rows
     /// without the signed `rem_euclid` lift of
     /// [`RnsContext::from_signed`] (used by the schoolbook oracle's
@@ -1330,6 +1307,14 @@ mod tests {
         RnsContext::new(31, chain_primes(20, 4))
     }
 
+    /// The pointwise product of the first `level` rows of `a` and `b`,
+    /// through the accumulator every product in the scheme runs on.
+    fn eval_product(ctx: &RnsContext, a: &EvalPoly, b: &EvalPoly, level: usize) -> EvalPoly {
+        let mut acc = ctx.eval_acc(level);
+        acc.mul_add(a, b);
+        acc.finish()
+    }
+
     #[test]
     fn add_sub_roundtrip() {
         let ctx = ctx();
@@ -1581,7 +1566,12 @@ mod tests {
         for level in 1..=3 {
             let a = ntt.sample_uniform(level, &mut rng);
             let b = ntt.sample_uniform(level, &mut rng);
-            let via_eval = ntt.from_eval(&ntt.eval_mul(&ntt.to_eval(&a), &ntt.to_eval(&b), level));
+            let via_eval = ntt.from_eval(&eval_product(
+                &ntt,
+                &ntt.to_eval(&a),
+                &ntt.to_eval(&b),
+                level,
+            ));
             assert_eq!(via_eval, ntt.mul(&a, &b), "vs fast path, level {level}");
             assert_eq!(via_eval, school.mul(&a, &b), "vs oracle, level {level}");
         }
@@ -1658,7 +1648,7 @@ mod tests {
         let b = ntt.sample_uniform(4, &mut rng);
         let (ea, eb) = (ntt.to_eval(&a), ntt.to_eval(&b));
         for level in 1..=3 {
-            let got = ntt.from_eval(&ntt.eval_mul(&ea, &eb, level));
+            let got = ntt.from_eval(&eval_product(&ntt, &ea, &eb, level));
             let want = ntt.mul(&ntt.reduce_level(&a, level), &ntt.reduce_level(&b, level));
             assert_eq!(got, want, "level {level}");
             assert_eq!(
@@ -1895,7 +1885,12 @@ mod tests {
                 a,
                 "roundtrip, level {level}"
             );
-            let via_eval = ntt.from_eval(&ntt.eval_mul(&ntt.to_eval(&a), &ntt.to_eval(&b), level));
+            let via_eval = ntt.from_eval(&eval_product(
+                &ntt,
+                &ntt.to_eval(&a),
+                &ntt.to_eval(&b),
+                level,
+            ));
             assert_eq!(via_eval, ntt.mul(&a, &b), "vs fast path, level {level}");
             assert_eq!(via_eval, school.mul(&a, &b), "vs oracle, level {level}");
         }

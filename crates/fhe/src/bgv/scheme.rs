@@ -43,7 +43,7 @@ use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// BGV instantiation parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -138,7 +138,9 @@ pub struct Ciphertext {
 
 /// A key-switching key: for each chain prime `j` and digit `t`, an
 /// encryption `(b, a)` of `q*_j · B^t · s'` under `s`, indexed
-/// `[prime j][digit t]`, each half a polynomial over the full chain.
+/// `[prime j][digit t]`. A key generated at `ℓ` chain primes has the
+/// parts `j < ℓ`, each half a polynomial over the first `ℓ` primes —
+/// all a key switch at level `ℓ` or below reads.
 ///
 /// A key is stored in **exactly one form**, the one its scheme's key
 /// switch reads: in the scheme's auxiliary NTT basis (chain row `i`
@@ -152,6 +154,81 @@ pub enum KsKey {
     Eval(Vec<Vec<(EvalPoly, EvalPoly)>>),
     /// Coefficient parts (the schoolbook oracle).
     Coeff(Vec<Vec<(RnsPoly, RnsPoly)>>),
+}
+
+impl KsKey {
+    /// The key cut to `primes` chain primes: its first `primes` parts,
+    /// each half cut to the rows of the first `primes` chain primes.
+    /// What the scheme generates at `primes`, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key covers fewer than `primes` chain primes.
+    pub fn prefix(&self, primes: usize) -> KsKey {
+        let level = match self {
+            KsKey::Eval(parts) => parts.len(),
+            KsKey::Coeff(parts) => parts.len(),
+        };
+        assert!(
+            primes <= level,
+            "a key covers {level} chain primes, not {primes}"
+        );
+        fn cut<P: Clone>(
+            parts: &[Vec<(P, P)>],
+            primes: usize,
+            rows: impl Fn(&P) -> P,
+        ) -> Vec<Vec<(P, P)>> {
+            parts[..primes]
+                .iter()
+                .map(|digits| digits.iter().map(|(b, a)| (rows(b), rows(a))).collect())
+                .collect()
+        }
+        match self {
+            KsKey::Eval(parts) => {
+                // `r` auxiliary rows per chain row.
+                let r = parts
+                    .first()
+                    .map_or(0, |digits| digits[0].0.rows.len() / level);
+                KsKey::Eval(cut(parts, primes, |p| EvalPoly {
+                    rows: p.rows[..primes * r].to_vec(),
+                }))
+            }
+            KsKey::Coeff(parts) => KsKey::Coeff(cut(parts, primes, |p| RnsPoly {
+                residues: p.residues[..primes].to_vec(),
+            })),
+        }
+    }
+
+    /// Bytes the key's residue words take.
+    fn bytes(&self) -> usize {
+        fn words<P>(parts: &[Vec<(P, P)>], rows: impl Fn(&P) -> &[Vec<u64>]) -> usize {
+            parts
+                .iter()
+                .flatten()
+                .flat_map(|(b, a)| [rows(b), rows(a)])
+                .flatten()
+                .map(Vec::len)
+                .sum()
+        }
+        8 * match self {
+            KsKey::Eval(parts) => words(parts, |p| &p.rows),
+            KsKey::Coeff(parts) => words(parts, |p| &p.residues),
+        }
+    }
+}
+
+/// The switching keys a scheme holds: the relinearisation key and one
+/// rotation key per non-trivial slot shift, all generated at the same
+/// number of chain primes.
+#[derive(Debug)]
+pub struct SwitchKeys {
+    /// Chain primes every key covers; `0` before the first is built.
+    pub primes: usize,
+    /// The relinearisation key (`s² → s`).
+    pub relin: KsKey,
+    /// Rotation keys by Galois exponent (empty in the negacyclic
+    /// flavor).
+    pub rotation: HashMap<u64, KsKey>,
 }
 
 /// A plaintext operand prepared for (repeated) multiplication: the
@@ -278,7 +355,15 @@ impl ProductSum {
     }
 }
 
-/// The full scheme state: ring, slots, and all keys.
+/// The full scheme state: ring, slots, secret and public keys, and the
+/// switching keys up to the deepest level a key switch has asked for.
+///
+/// Switching keys are not built at keygen. Keygen draws one seed per
+/// key; the first key switch at a level the held keys do not cover (or
+/// a [`BgvScheme::switch_keys`] warm-up) regenerates every key from
+/// its seed at that level. Keys are quadratic in the level, so a host
+/// that serves circuits entering at `E` chain primes holds `(E/L)²` of
+/// the full-chain key material.
 ///
 /// For testing convenience a single value holds the secret key, the
 /// public key and the evaluation keys; real deployments would split
@@ -293,8 +378,13 @@ pub struct BgvScheme {
     slots: Option<SlotStructure>,
     secret: RnsPoly,
     public: (RnsPoly, RnsPoly),
-    relin: KsKey,
-    rotation: HashMap<u64, KsKey>,
+    /// Each switching key's rng seed, drawn at keygen: the relinearisation
+    /// key's, then `(exponent, seed)` per rotation key.
+    key_seeds: (u64, Vec<(u64, u64)>),
+    /// Parallel degree of the per-key fork that builds switching keys.
+    key_threads: usize,
+    /// The keys built so far, swapped whole for deeper ones.
+    keys: RwLock<Arc<SwitchKeys>>,
     /// The auxiliary NTT basis key switches sum in, derived at keygen
     /// from the parameters ([`RnsContext::key_switch_basis`]).
     aux: AuxBasis,
@@ -303,18 +393,20 @@ pub struct BgvScheme {
 }
 
 impl BgvScheme {
-    /// Generates keys for the given parameters (deterministic in
-    /// `params.keygen_seed`). The modulus chain is NTT-friendly for
+    /// Generates the secret and public keys and the switching-key seeds
+    /// for the given parameters (deterministic in `params.keygen_seed`).
+    /// The modulus chain is NTT-friendly for
     /// the selected ring flavor (`q ≡ 1 mod 2^s` with
     /// `2^s = next_pow2(2m - 1)` for an odd prime index; `2n | q - 1`
     /// for a power-of-two index `m = 2n`), so every ring
     /// multiplication takes the `O(n log n)` transform path.
     ///
-    /// Rotation keys fork across the shared
-    /// [`copse_pool::global`] worker pool; the key material is
-    /// **bitwise identical** at every parallel degree because each
-    /// key's randomness comes from its own split of the keygen rng
-    /// (see [`BgvScheme::keygen_with_threads`]).
+    /// Switching keys are built later, per level on demand (see
+    /// [`BgvScheme::switch_keys`]); they fork one key per task across
+    /// the shared [`copse_pool::global`] worker pool, and the key
+    /// material is **bitwise identical** at every parallel degree
+    /// because each key's randomness comes from its own split of the
+    /// keygen rng (see [`BgvScheme::keygen_with_threads`]).
     pub fn keygen(params: BgvParams) -> Self {
         Self::keygen_with_ntt(params, true)
     }
@@ -329,13 +421,15 @@ impl BgvScheme {
     }
 
     /// [`BgvScheme::keygen_with_ntt`] with an explicit parallel degree
-    /// for the rotation-key loop (`1` forces the serial route).
+    /// for the per-key fork that builds switching keys (`1` forces the
+    /// serial route).
     ///
     /// Key material is **bitwise identical** for every value of
     /// `threads`: the master rng draws one seed per switching key *in
-    /// key order*, and each key is then generated from its own
-    /// `SmallRng` — so the serial loop and any parallel interleaving
-    /// consume exactly the same randomness per key. Asserted by the
+    /// key order* (relinearisation first, then each rotation exponent),
+    /// and each key is then generated from its own `SmallRng` — so the
+    /// serial loop and any parallel interleaving consume exactly the
+    /// same randomness per key, at every level. Asserted by the
     /// `parallel_keygen_matches_serial_bitwise` parity test.
     pub fn keygen_with_threads(params: BgvParams, use_ntt: bool, threads: usize) -> Self {
         let m = params.m as usize;
@@ -369,8 +463,21 @@ impl BgvScheme {
         let b = ring.add(&ring.neg(&ring.mul(&a, &secret)), &ring.mul_scalar(&e, 2));
         let public = (b, a);
 
+        // Per-key rng split: seeds are drawn serially in key order
+        // (relin first, then each rotation key), making each key's
+        // randomness independent of *when* and at which level it is
+        // generated.
+        let relin_seed = rng.next_u64();
+        let rotation_seeds = slots
+            .as_ref()
+            .map(|slots| {
+                (1..slots.nslots())
+                    .map(|k| (slots.rotation_exponent(k as isize), rng.next_u64()))
+                    .collect()
+            })
+            .unwrap_or_default();
         let digits = params.prime_bits.div_ceil(params.ks_digit_bits) as usize;
-        let mut scheme = Self {
+        Self {
             rule: LevelRule::new(params, slots.as_ref().map_or(0, SlotStructure::nslots)),
             aux: ring.key_switch_basis(digits, params.ks_digit_bits),
             params,
@@ -378,50 +485,83 @@ impl BgvScheme {
             slots,
             secret,
             public,
-            relin: KsKey::Coeff(Vec::new()),
-            rotation: HashMap::new(),
+            key_seeds: (relin_seed, rotation_seeds),
+            key_threads: threads,
+            keys: RwLock::new(Arc::new(SwitchKeys {
+                primes: 0,
+                relin: KsKey::Coeff(Vec::new()),
+                rotation: HashMap::new(),
+            })),
             rng_seed: std::sync::atomic::AtomicU64::new(params.keygen_seed ^ 0x5EED),
-        };
-        // Per-key rng split: seeds are drawn serially in key order
-        // (relin first, then each rotation key), making each key's
-        // randomness independent of *when* it is generated — the
-        // parallel fork below is bitwise identical to the serial loop.
-        let s2 = scheme.ring.mul(&scheme.secret, &scheme.secret);
-        scheme.relin = scheme.ks_keygen(&s2, rng.next_u64());
-        let specs: Vec<(u64, RnsPoly, u64)> = scheme
-            .slots
-            .as_ref()
-            .map(|slots| {
-                (1..slots.nslots())
-                    .map(|k| {
-                        let exponent = slots.rotation_exponent(k as isize);
-                        let target = scheme.ring.automorphism(&scheme.secret, exponent);
-                        (exponent, target, rng.next_u64())
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        let keys: Vec<KsKey> = if threads > 1 && specs.len() > 1 && !copse_pool::in_worker() {
-            let scheme_ref = &scheme;
-            copse_pool::global().scope_indices(specs.len(), threads, |i| {
-                scheme_ref.ks_keygen(&specs[i].1, specs[i].2)
-            })
-        } else {
-            specs
-                .iter()
-                .map(|(_, target, seed)| scheme.ks_keygen(target, *seed))
-                .collect()
-        };
-        for ((exponent, _, _), key) in specs.into_iter().zip(keys) {
-            scheme.rotation.insert(exponent, key);
         }
-        scheme
     }
 
-    /// One key-switching key from its own rng split (see
-    /// [`BgvScheme::keygen_with_threads`]), each part put in the
-    /// scheme's form as it is drawn — a whole coefficient key is never
-    /// resident on the evaluation route.
+    /// The switching keys, first extended to cover `primes` chain
+    /// primes (at most the chain) if the held keys do not. `0` reads
+    /// the held keys as they are.
+    ///
+    /// An extension regenerates every key from its seed at `primes`, so
+    /// keys generated at any level are the row and part
+    /// [`prefix`](KsKey::prefix) of the full-chain keys, and every
+    /// ciphertext bit is the same whichever level the keys were built
+    /// at. The keys are built outside the lock: threads that miss at
+    /// once each build, the deepest set is kept, and a reader is never
+    /// blocked by a build — a build forks onto the pool, whose helping
+    /// threads may run another key switch meanwhile.
+    pub fn switch_keys(&self, primes: usize) -> Arc<SwitchKeys> {
+        let primes = primes.min(self.params.chain_len);
+        let held = Arc::clone(&self.keys.read().expect("no panic under the key lock"));
+        if held.primes >= primes {
+            return held;
+        }
+        let built = Arc::new(self.build_switch_keys(primes));
+        let mut keys = self.keys.write().expect("no panic under the key lock");
+        if keys.primes < built.primes {
+            *keys = built;
+        }
+        Arc::clone(&keys)
+    }
+
+    /// Bytes the held switching keys take: `keys × ℓ × D × 2 × ℓ × r ×
+    /// N × 8` at `ℓ` primes on the evaluation route (`φ` words per row
+    /// instead of `r × N` on the oracle); see docs/PARAMETERS.md "Key
+    /// material".
+    pub fn key_bytes(&self) -> usize {
+        let keys = self.switch_keys(0);
+        keys.relin.bytes() + keys.rotation.values().map(KsKey::bytes).sum::<usize>()
+    }
+
+    /// Every switching key at `primes` chain primes, one fork task per
+    /// key. Key generation is set-up, not evaluation, so its transforms
+    /// land in no pass's meter.
+    fn build_switch_keys(&self, primes: usize) -> SwitchKeys {
+        let _unmetered = crate::meter::unmetered();
+        let secret = self.ring.reduce_level(&self.secret, primes);
+        let (relin_seed, rotation_seeds) = &self.key_seeds;
+        let relin = self.ks_keygen(&self.ring.mul(&secret, &secret), *relin_seed);
+        let threads = self.key_threads;
+        let rotation_key = |&(exponent, seed): &(u64, u64)| {
+            self.ks_keygen(&self.ring.automorphism(&secret, exponent), seed)
+        };
+        let keys: Vec<KsKey> =
+            if threads > 1 && rotation_seeds.len() > 1 && !copse_pool::in_worker() {
+                copse_pool::global().scope_indices(rotation_seeds.len(), threads, |i| {
+                    rotation_key(&rotation_seeds[i])
+                })
+            } else {
+                rotation_seeds.iter().map(rotation_key).collect()
+            };
+        SwitchKeys {
+            primes,
+            relin,
+            rotation: rotation_seeds.iter().map(|&(e, _)| e).zip(keys).collect(),
+        }
+    }
+
+    /// One key-switching key for `target` from its own rng split (see
+    /// [`BgvScheme::keygen_with_threads`]), at `target`'s level, each
+    /// part put in the scheme's form as it is drawn — a whole
+    /// coefficient key is never resident on the evaluation route.
     fn ks_keygen(&self, target: &RnsPoly, seed: u64) -> KsKey {
         let rng = &mut SmallRng::seed_from_u64(seed);
         if self.eval_path() {
@@ -431,38 +571,45 @@ impl BgvScheme {
         }
     }
 
-    /// The `[prime j][digit t]` grid of key parts `(form(b), form(a))`.
+    /// The `[prime j][digit t]` grid of key parts `(form(b), form(a))`
+    /// at `target`'s level `ℓ`: parts `j < ℓ` over the first `ℓ` primes.
+    /// Each part draws its uniform `a` over the whole chain and keeps
+    /// the first `ℓ` rows, and the gadget scalars are those of the
+    /// whole chain's `Q`, so every level consumes the rng alike and
+    /// gives the prefix of the full-chain key.
     fn ks_parts<P>(
         &self,
         target: &RnsPoly,
         rng: &mut SmallRng,
         form: impl Fn(RnsPoly) -> P,
     ) -> Vec<Vec<(P, P)>> {
-        let level = self.params.chain_len;
-        let primes = self.ring.primes().to_vec();
+        let level = self.ring.level_of(target);
+        let primes = self.ring.primes();
+        let secret = self.ring.reduce_level(&self.secret, level);
         let n_digits = self.params.prime_bits.div_ceil(self.params.ks_digit_bits) as usize;
         (0..level)
             .map(|j| {
                 (0..n_digits)
                     .map(|t| {
                         // Gadget scalar q*_j * B^t per prime i.
-                        let scalars: Vec<u64> = primes
+                        let scalars: Vec<u64> = primes[..level]
                             .iter()
                             .map(|&qi| {
-                                let qstar = Self::qstar_mod(&primes, j, qi);
+                                let qstar = Self::qstar_mod(primes, j, qi);
                                 let bt =
                                     pow_mod(2, u64::from(self.params.ks_digit_bits) * t as u64, qi);
                                 mul_mod(qstar, bt, qi)
                             })
                             .collect();
-                        let a = self.ring.sample_uniform(level, rng);
+                        let mut a = self.ring.sample_uniform(self.params.chain_len, rng);
+                        a.residues.truncate(level);
                         let e = self.ring.from_signed(
                             &self.ring.sample_error(self.params.error_eta, rng),
                             level,
                         );
                         let b = self.ring.add(
                             &self.ring.add(
-                                &self.ring.neg(&self.ring.mul(&a, &self.secret)),
+                                &self.ring.neg(&self.ring.mul(&a, &secret)),
                                 &self.ring.mul_scalar(&e, 2),
                             ),
                             &self.ring.mul_scalar_rns(target, &scalars),
@@ -865,7 +1012,7 @@ impl BgvScheme {
                 noise: sum.at.noise,
             };
         };
-        let (k0, k1) = self.key_switch(&d2, &self.relin);
+        let (k0, k1) = self.key_switch(&d2, |keys| &keys.relin);
         let ct = Ciphertext {
             c0: self.ring.add(&c0, &k0),
             c1: self.ring.add(&c1, &k1),
@@ -875,13 +1022,14 @@ impl BgvScheme {
     }
 
     /// Rotates packed slots left by `k` (full slot width) via the
-    /// Galois automorphism and its switching key.
+    /// Galois automorphism and its switching key (built first if the
+    /// held keys stop below the ciphertext's level; see
+    /// [`BgvScheme::switch_keys`]).
     ///
     /// # Panics
     ///
-    /// Panics if the required rotation key was not generated, or in
-    /// the negacyclic flavor (no slot structure, hence no slot
-    /// rotations). The capability panic carries the typed
+    /// Panics in the negacyclic flavor (no slot structure, hence no
+    /// slot rotations). The panic carries the typed
     /// [`BackendError`] as its payload (`panic_any`), so a
     /// `catch_unwind` boundary can downcast it back to the error
     /// instead of scraping a string. Use
@@ -900,12 +1048,6 @@ impl BgvScheme {
     /// [`BackendError::Unsupported`] in the negacyclic flavor, which
     /// has no GF(2) slot structure and hence no rotation
     /// automorphisms.
-    ///
-    /// # Panics
-    ///
-    /// Still panics if the flavor supports rotation but the required
-    /// rotation key was not generated at keygen — that is an internal
-    /// invariant violation, not a capability gap.
     pub fn try_rotate_slots(&self, a: &Ciphertext, k: isize) -> Result<Ciphertext, BackendError> {
         let slots = self.try_slots().ok_or(BackendError::Unsupported {
             operation: "slot rotation",
@@ -916,13 +1058,9 @@ impl BgvScheme {
             return Ok(a.clone());
         }
         let exponent = slots.rotation_exponent(k);
-        let key = self
-            .rotation
-            .get(&exponent)
-            .expect("rotation key generated at keygen");
         let r0 = self.ring.automorphism(&a.c0, exponent);
         let r1 = self.ring.automorphism(&a.c1, exponent);
-        let (k0, k1) = self.key_switch(&r1, key);
+        let (k0, k1) = self.key_switch(&r1, |keys| &keys.rotation[&exponent]);
         Ok(Ciphertext {
             c0: self.ring.add(&r0, &k0),
             c1: k1,
@@ -947,9 +1085,17 @@ impl BgvScheme {
     /// [`EvalAcc`](crate::bgv::ring::EvalAcc), which a basis sized to
     /// the sum rarely has to flush. The coefficient route is the
     /// schoolbook oracle's.
-    fn key_switch(&self, poly: &RnsPoly, key: &KsKey) -> (RnsPoly, RnsPoly) {
+    ///
+    /// `key` picks the key out of the held [`SwitchKeys`], extended to
+    /// `poly`'s level first if they stop below it.
+    fn key_switch(
+        &self,
+        poly: &RnsPoly,
+        key: impl FnOnce(&SwitchKeys) -> &KsKey,
+    ) -> (RnsPoly, RnsPoly) {
         let level = self.ring.level_of(poly);
-        match key {
+        let keys = self.switch_keys(level);
+        match key(&keys) {
             KsKey::Eval(parts) => self.key_switch_eval(poly, parts, level),
             KsKey::Coeff(parts) => self.key_switch_coeff(poly, parts, level),
         }
@@ -961,6 +1107,7 @@ impl BgvScheme {
         parts: &[Vec<(EvalPoly, EvalPoly)>],
         level: usize,
     ) -> (RnsPoly, RnsPoly) {
+        assert!(parts.len() >= level, "switching key below the level");
         let (ring, aux) = (&self.ring, &self.aux);
         // Two forks, each bitwise identical to its sequential loop at any
         // chunking because the sums are exact: every digit transforms
@@ -1003,6 +1150,7 @@ impl BgvScheme {
         parts: &[Vec<(RnsPoly, RnsPoly)>],
         level: usize,
     ) -> (RnsPoly, RnsPoly) {
+        assert!(parts.len() >= level, "switching key below the level");
         let mut acc0 = self.ring.zero(level);
         let mut acc1 = self.ring.zero(level);
         for (j, key_row) in parts.iter().enumerate().take(level) {
@@ -1024,7 +1172,7 @@ impl BgvScheme {
     /// Galois keys instead) — exposed for benchmarking and
     /// transform-count ablations.
     pub fn key_switch_relin(&self, ct: &Ciphertext) -> (RnsPoly, RnsPoly) {
-        self.key_switch(&ct.c1, &self.relin)
+        self.key_switch(&ct.c1, |keys| &keys.relin)
     }
 
     /// One BGV modulus switch (drops the last active prime).
@@ -1262,12 +1410,12 @@ mod tests {
     fn switching_keys_hold_exactly_one_form() {
         // The route is fixed at keygen and every key is stored only in
         // the form that route reads.
-        fn keys(s: &BgvScheme) -> impl Iterator<Item = &KsKey> {
+        fn keys(s: &SwitchKeys) -> impl Iterator<Item = &KsKey> {
             std::iter::once(&s.relin).chain(s.rotation.values())
         }
         for params in [BgvParams::tiny(), BgvParams::negacyclic_tiny()] {
-            let ntt = BgvScheme::keygen(params);
-            let oracle = BgvScheme::keygen_with_ntt(params, false);
+            let ntt = BgvScheme::keygen(params).switch_keys(params.chain_len);
+            let oracle = BgvScheme::keygen_with_ntt(params, false).switch_keys(params.chain_len);
             assert_eq!(ntt.rotation.len(), oracle.rotation.len());
             assert!(keys(&ntt).all(|k| matches!(k, KsKey::Eval(p) if !p.is_empty())));
             assert!(keys(&oracle).all(|k| matches!(k, KsKey::Coeff(p) if !p.is_empty())));
@@ -1313,11 +1461,14 @@ mod tests {
         // function of (params, key index); the parallel rotation-key
         // fork must therefore reproduce the serial key material bit
         // for bit, at any parallel degree.
-        let serial = BgvScheme::keygen_with_threads(BgvParams::tiny(), true, 1);
+        let chain = BgvParams::tiny().chain_len;
+        let serial_scheme = BgvScheme::keygen_with_threads(BgvParams::tiny(), true, 1);
+        let serial = serial_scheme.switch_keys(chain);
         for threads in [2usize, 4, 7] {
-            let par = BgvScheme::keygen_with_threads(BgvParams::tiny(), true, threads);
-            assert_eq!(par.secret, serial.secret, "threads {threads}");
-            assert_eq!(par.public, serial.public, "threads {threads}");
+            let par_scheme = BgvScheme::keygen_with_threads(BgvParams::tiny(), true, threads);
+            let par = par_scheme.switch_keys(chain);
+            assert_eq!(par_scheme.secret, serial_scheme.secret, "threads {threads}");
+            assert_eq!(par_scheme.public, serial_scheme.public, "threads {threads}");
             assert_eq!(par.relin, serial.relin, "threads {threads}");
             assert_eq!(par.rotation.len(), serial.rotation.len());
             for (exponent, key) in &serial.rotation {
@@ -1325,6 +1476,46 @@ mod tests {
                 assert_eq!(p, key, "key {exponent}, threads {threads}");
             }
         }
+    }
+
+    #[test]
+    fn key_bytes_follow_the_deepest_level_asked_for() {
+        // keys × ℓ × D × 2 × ℓ × r × N × 8 B (docs/PARAMETERS.md "Key
+        // material"): nothing at keygen, the entry level's worth once
+        // prepared, unchanged by key switches at or below it, and the
+        // full chain's after a fresh-level rotate.
+        let s = scheme();
+        let p = s.params();
+        let (keys, digits) = (
+            s.slots().nslots(),
+            p.prime_bits.div_ceil(p.ks_digit_bits) as usize,
+        );
+        let (r, n) = (s.aux.primes().len(), s.ring().transform_size());
+        let bytes = |l: usize| keys * l * digits * 2 * l * r * n * 8;
+        assert_eq!(s.key_bytes(), 0, "keygen builds no switching key");
+        let entry = 4;
+        s.switch_keys(entry);
+        assert_eq!(s.key_bytes(), bytes(entry));
+        let ct = s.mod_switch_to(
+            &enc_bits(&s, &[true, false, true, true, false, false]),
+            entry,
+        );
+        let low = s.mul(&s.rotate_slots(&ct, 2), &ct);
+        let _ = s.rotate_slots(&low, 1);
+        assert!(s.level(&low) < entry);
+        assert_eq!(
+            s.key_bytes(),
+            bytes(entry),
+            "key switches at or below the entry level"
+        );
+        let fresh = s.rotate_slots(&enc_bits(&s, &[true; 6]), 1);
+        assert_eq!(dec_bits(&s, &fresh, 6), vec![true; 6]);
+        assert_eq!(
+            s.key_bytes(),
+            bytes(p.chain_len),
+            "a fresh-level rotate extends the keys"
+        );
+        assert_eq!(bytes(p.chain_len), 6 * 10 * 4 * 2 * 10 * 64 * 8);
     }
 
     fn enc_poly_bits(s: &BgvScheme, bits: &[bool]) -> Ciphertext {
@@ -1346,7 +1537,10 @@ mod tests {
     fn negacyclic_scheme_roundtrips_and_has_no_slots() {
         let s = BgvScheme::keygen(BgvParams::negacyclic_tiny());
         assert!(s.try_slots().is_none());
-        assert!(s.rotation.is_empty(), "no rotation keys without slots");
+        assert!(
+            s.switch_keys(s.params().chain_len).rotation.is_empty(),
+            "no rotation keys without slots"
+        );
         assert_eq!(s.ring().phi(), 16);
         assert_eq!(s.ring().transform_size(), 16);
         let bits: Vec<bool> = (0..16).map(|i| i % 3 == 0).collect();

@@ -165,6 +165,15 @@ fn record_transform(direction: Direction, size: usize) {
     });
 }
 
+/// Installs an empty task context until the returned guard drops: ops
+/// and transforms recorded meanwhile (on this thread and on pool tasks
+/// forked from it) land in no scoped meter, only in the process-wide
+/// counters. How set-up work that a pass happens to trigger, such as
+/// building switching keys, stays out of that pass's counts.
+pub(crate) fn unmetered() -> copse_pool::TaskContextGuard {
+    copse_pool::set_task_context(Arc::new(()))
+}
+
 /// The histogram bucket for a transform of length `size` — shared by
 /// the recording and query paths so they cannot diverge.
 #[inline]

@@ -42,7 +42,9 @@ fn negacyclic_route_transforms_at_size_n_only() {
         let (via_eval, meter) = OpMeter::measure(|| {
             let ea = ntt.to_eval(&a);
             let eb = ntt.to_eval(&b);
-            ntt.from_eval(&ntt.eval_mul(&ea, &eb, 3))
+            let mut acc = ntt.eval_acc(3);
+            acc.mul_add(&ea, &eb);
+            ntt.from_eval(&acc.finish())
         });
         assert_eq!(
             meter.transform_sizes().nonzero(),

@@ -10,7 +10,7 @@
 //! tiny chain).
 
 use copse_fhe::bgv::ring::RnsContext;
-use copse_fhe::bgv::scheme::{BgvParams, BgvScheme, Ciphertext};
+use copse_fhe::bgv::scheme::{BgvParams, BgvScheme, Ciphertext, KsKey, SwitchKeys};
 use copse_fhe::BitVec;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -149,11 +149,6 @@ fn ring_row_kernels_are_bitwise_identical_at_every_degree() {
                 par.from_eval(&ea),
                 "from_eval t={t} level={level}"
             );
-            assert_eq!(
-                seq.eval_mul(&ea, &eb, level),
-                par.eval_mul(&ea, &eb, level),
-                "eval_mul t={t}"
-            );
             let mut acc_seq = seq.eval_acc(level);
             let mut acc_par = par.eval_acc(level);
             acc_seq.mul_add(&ea, &eb);
@@ -262,5 +257,95 @@ fn ring_mat_vec_is_bitwise_identical_at_every_degree() {
                 "encrypted={encrypted} threads={threads}"
             );
         }
+    }
+}
+
+/// Every switching key, relinearisation first, then rotation
+/// keys by exponent.
+fn all_keys(keys: &SwitchKeys) -> Vec<(Option<u64>, &KsKey)> {
+    let mut rotation: Vec<_> = keys.rotation.iter().map(|(&e, k)| (Some(e), k)).collect();
+    rotation.sort_by_key(|&(e, _)| e);
+    std::iter::once((None, &keys.relin))
+        .chain(rotation)
+        .collect()
+}
+
+#[test]
+fn keys_built_at_a_level_are_the_prefix_of_full_chain_keys() {
+    // Generated on demand at level l, every key — relinearisation and
+    // each rotation, on both routes, at every fork degree — is bit for
+    // bit the first l parts of the full-chain key, each cut to its
+    // first l chain rows.
+    let params = BgvParams::tiny();
+    let chain = params.chain_len;
+    for use_ntt in [true, false] {
+        let full = BgvScheme::keygen_with_threads(params, use_ntt, 1).switch_keys(chain);
+        assert_eq!(full.primes, chain);
+        for level in [1, 3, chain - 1] {
+            for threads in [1usize, 2, 7] {
+                let scheme = BgvScheme::keygen_with_threads(params, use_ntt, threads);
+                let keys = scheme.switch_keys(level);
+                let case = format!("ntt={use_ntt} level={level} threads={threads}");
+                assert_eq!(keys.primes, level, "{case}");
+                let (got, want) = (all_keys(&keys), all_keys(&full));
+                assert_eq!(got.len(), want.len(), "{case}: key count");
+                for ((id, key), (want_id, want_key)) in got.into_iter().zip(want) {
+                    assert_eq!(id, want_id, "{case}: exponent set");
+                    assert_eq!(*key, want_key.prefix(level), "{case}: key {id:?}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn cold_keys_extend_under_concurrent_key_switches_at_mixed_levels() {
+    use copse_fhe::{BgvBackend, ClearBackend, FheBackend};
+    use std::sync::Barrier;
+
+    // Four threads on one cold backend rotate or multiply at once, each
+    // at its own level, so keys are built by whichever misses and
+    // swapped for deeper ones under the others. Every result decrypts
+    // to the clear backend's answer, and the keys end as the full-chain
+    // keys.
+    let chain = BgvParams::tiny().chain_len;
+    let clear = ClearBackend::with_defaults();
+    let bits = |seed: usize| BitVec::from_fn(6, |i| !(i * 7 + seed).is_multiple_of(3));
+    for round in 0..3 {
+        let be = BgvBackend::tiny();
+        assert_eq!(be.scheme().key_bytes(), 0, "keygen builds no switching key");
+        let jobs: [(usize, Option<isize>); 4] =
+            [(3, Some(1)), (6, None), (chain, Some(4)), (8, None)];
+        let barrier = Barrier::new(jobs.len());
+        std::thread::scope(|scope| {
+            for (t, &(level, rotate)) in jobs.iter().enumerate() {
+                let (be, clear, barrier) = (&be, &clear, &barrier);
+                scope.spawn(move || {
+                    let (x, y) = (bits(round + t), bits(round + t + 1));
+                    let (cx, cy) = (
+                        be.mod_switch_to(&be.encrypt_bits(&x), level),
+                        be.mod_switch_to(&be.encrypt_bits(&y), level),
+                    );
+                    let (kx, ky) = (clear.encrypt_bits(&x), clear.encrypt_bits(&y));
+                    barrier.wait();
+                    let (got, want) = match rotate {
+                        Some(k) => (be.rotate(&cx, k), clear.rotate(&kx, k)),
+                        None => (be.mul(&cx, &cy), clear.mul(&kx, &ky)),
+                    };
+                    assert_eq!(
+                        be.decrypt(&got),
+                        clear.decrypt(&want),
+                        "round {round} thread {t} at {level} primes"
+                    );
+                });
+            }
+        });
+        let reference = BgvScheme::keygen(BgvParams::tiny()).switch_keys(chain);
+        let keys = be.scheme().switch_keys(0);
+        assert_eq!(keys.primes, chain, "round {round}");
+        assert!(
+            all_keys(&keys) == all_keys(&reference),
+            "round {round}: keys equal the full-chain keys"
+        );
     }
 }

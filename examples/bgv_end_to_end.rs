@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                  (branch 1 40 (leaf 4) (leaf 5)))\n",
     )?;
 
-    println!("generating BGV keys (m = 127, 16-prime chain)...");
+    println!("generating BGV secret and public keys (m = 127, 16-prime chain)...");
     let t = Instant::now();
     let backend = BgvBackend::demo();
     let chain_len = backend.scheme().params().chain_len as u32;
@@ -48,12 +48,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let t = Instant::now();
     let sally = Sally::host(&backend, maurice.deploy(&backend, ModelForm::Encrypted));
-    println!("model encrypted in {:.1}s", t.elapsed().as_secs_f64());
+    println!(
+        "model encrypted and hosted in {:.1}s",
+        t.elapsed().as_secs_f64()
+    );
     // Sally's reveal carries the chain level her circuit needs: Diane
-    // switches every plane down to it before it leaves her hands.
+    // switches every plane down to it before it leaves her hands, and
+    // hosting built the switching keys up to that level only.
     let info = sally.client_query_info();
     let entry = info.entry_primes.expect("a BGV chain has an entry level");
-    println!("queries enter the chain at {entry} of {chain_len} primes");
+    println!(
+        "queries enter the chain at {entry} of {chain_len} primes; \
+         switching keys built to match: {:.1} MiB",
+        backend.scheme().key_bytes() as f64 / (1 << 20) as f64
+    );
     let diane = Diane::new(&backend, info);
 
     for features in [[25u64, 60], [0, 5], [0, 45], [35, 60]] {
