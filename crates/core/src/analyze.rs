@@ -389,7 +389,8 @@ pub(crate) fn chain(
 /// Under a rule the backend has the rule's slot ring. Without one, a
 /// packed chunk runs on a ring of its `lanes · stride` slots — its
 /// matrices need one, and neither op counts nor clear depth depend on
-/// its size — and a solo run on none.
+/// its size — and a solo run on none, so each matrix runs on a ring of
+/// its own column count (as one too wide for the rule's ring does).
 fn run(
     meta: &ModelMeta,
     fused: bool,
@@ -666,7 +667,8 @@ mod tests {
 
     #[test]
     fn a_rule_free_report_deploys_on_the_ring_its_shape_runs_on() {
-        // Solo: no ring, so one Encrypt per column (the paper's Table
+        // Solo: no slot ring, so each matrix is laid out on a ring of
+        // its column count, one Encrypt per column (the paper's Table
         // 1d), as the uncapped clear backend deploys. Packed: the
         // chunk's `lanes · stride` ring, where each matrix is encrypted
         // in ring form, as a clear backend of that capacity deploys.
@@ -694,6 +696,62 @@ mod tests {
             assert_eq!(packed.model_encrypt_ops, deploy(&maurice, &ring));
             assert!(
                 packed.model_encrypt_ops.encrypt > solo.model_encrypt_ops.encrypt,
+                "fused={fused}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_shape_wider_than_its_rules_ring_runs_on_a_ring_of_its_own() {
+        // Tiny's 6 slots hold none of the unit model's matrices. Only
+        // the analyzer builds them there: each runs on a ring of its own
+        // column count, as on a backend without a slot bound. Under the
+        // rule the circuit meters the rule-free run's ops, reaches its
+        // clear depth and deploys the paper's one Encrypt per column
+        // (Table 1d), and admission still refuses it on slots.
+        let rule = LevelRule::of(&BgvParams::tiny());
+        let slots = AbstractBackend::new(Some(rule)).slot_capacity();
+        assert_eq!(slots, Some(6));
+        for fused in [false, true] {
+            let maurice = compiled(fused);
+            let meta = &maurice.compiled().meta;
+            let shape = EvalShape::plan(&maurice, ModelForm::Encrypted);
+            let free = CircuitReport::analyze(maurice.compiled(), &shape);
+            let (deploy, stages, _) = run(meta, fused, &shape, Some(rule), None);
+            let free_stages = [
+                free.comparison,
+                free.reshuffle,
+                free.levels,
+                free.accumulate,
+            ];
+            assert_eq!(
+                stages.map(|stage| stage.ops),
+                free_stages.map(|stage| stage.ops),
+                "fused={fused}"
+            );
+            assert_eq!(deploy, free.model_encrypt_ops, "fused={fused}");
+            assert_eq!(
+                free.chain(&rule).model_encrypt_ops,
+                free.model_encrypt_ops,
+                "fused={fused}"
+            );
+            let be = AbstractBackend::new(Some(rule));
+            let sally = Sally::analysis(&be, meta, fused, &shape, None);
+            let planes = (0..meta.precision)
+                .map(|_| be.encrypt(&meta.quantized))
+                .collect();
+            let result = sally.classify(&EncryptedQuery::from_planes(planes));
+            assert_eq!(result.ciphertext().depth, free.depth, "fused={fused}");
+            let profile = BackendProfile {
+                budget: NoiseBudget::Chain(rule),
+                slot_capacity: slots,
+            };
+            assert_eq!(
+                free.admit(&profile).first(),
+                Some(&AdmissionIssue::SlotCapacityExceeded {
+                    required: free.min_slot_capacity,
+                    available: 6,
+                }),
                 "fused={fused}"
             );
         }

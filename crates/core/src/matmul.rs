@@ -14,49 +14,50 @@
 //! **constant multiplicative depth 1** regardless of matrix size — the
 //! property that keeps COPSE's circuit shallow.
 //!
-//! The rotations depend only on `v`, and they are where the time goes
-//! (each is key switches; a plaintext multiply is a handful of
-//! transforms). [`mat_vec_many`] therefore walks the diagonals
-//! **rotation-major**: it builds `adjust(rot(v, i))` once and
-//! multiply-accumulates it into every matrix of a same-shaped group —
-//! COPSE's `d` level matrices all multiply the same branch vector.
-//! A rotation is deterministic, so sharing it leaves every output bit
-//! for bit what a product of its own would have been; [`mat_vec`] is
-//! the one-matrix case of the same loop.
-//!
-//! **On a slot ring.** A rotation of `n < N` slots of an `N`-slot
-//! ciphertext is two masked automorphisms, and a cyclic extension one
-//! more per window. On a backend that reports
-//! `slot_capacity() == Some(N)` each matrix is therefore laid out in
-//! **ring form** instead (at deploy, [`ring_shifts`]): with
-//! `P_r[j] = M[j][(j + r) mod N]` where that column is below `n` (else
-//! 0),
+//! **Ring form.** Every product runs on a ring of `N` slots, `rot_N`
+//! rotating all of them left. With `P_r[j] = M[j][(j + r) mod N]` where
+//! that column is below `n` (else 0),
 //!
 //! ```text
 //! M·v = Σ_{r ∈ S}  P_r ⊙ rot_N(v, r),   S = {r : ∃ j < m, (j + r) mod N < n}
 //! ```
 //!
-//! — one automorphism per shift, no mask, no extension
-//! ([`FheBackend::ring_mat_vec`]). `S` depends on `(m, n, N)` alone, so
-//! the route is as data-oblivious as the width-`n` one. Where `n = N`
-//! the two forms coincide (`P_r = d_r`, `S = 0..n`), and the matrix
-//! runs on the ring too: there its products accumulate before they
-//! finish, which the width-`n` loop's per-product `mul` cannot. The
-//! packed-batch layout ([`EncodedMatrix::pack`]) tiles the ring form:
-//! a tiled `P_r` is the ring diagonal of the block-diagonal matrix of
-//! its copies (row `a` of block `j` reads slot
-//! `j·stride + ((a + r) mod N)`, a column of its own block), so packed
-//! products run the same kernel. Packing needs that ring: `lanes ≥ 2`
-//! blocks of `stride ≥ n` slots give `n < N`.
-//! Both routes meter the width-`n` loop's ops (the paper's counts): the
-//! ring route's automorphisms and extra products are internal
-//! plumbing, like a partial-width rotation's masks.
+//! — one rotation per shift, no mask, no extension
+//! ([`FheBackend::ring_mat_vec`], laid out at deploy by [`ring_shifts`]).
+//! `S` depends on `(m, n, N)` alone, so the product is data-oblivious.
+//! `N` is the backend's slot ring when the matrix fits it, else the
+//! column count: a width-`n` ciphertext of a backend without a slot
+//! bound rotates as a ring of `n` slots. At `N = n` the ring form *is*
+//! the formula above (`P_r = d_r`, `S = 0..n`; row `j ≥ n` reads slot
+//! `(j + r) mod n`, which is the cyclic extension, and rows `< n` drop
+//! the truncated slots). Below full width it saves the masked
+//! automorphism pairs a partial-width rotation costs. The packed-batch
+//! layout ([`EncodedMatrix::pack`]) tiles the ring form: a tiled `P_r`
+//! is the ring diagonal of the block-diagonal matrix of its copies (row
+//! `a` of block `j` reads slot `j·stride + ((a + r) mod N)`, a column of
+//! its own block), so packed products run the same kernel. Packing
+//! needs a slot ring: `lanes ≥ 2` blocks of `stride ≥ n` slots give
+//! `n < N`.
+//!
+//! The rotations depend only on `v`, and they are where the time goes
+//! (each is key switches; a plaintext multiply is a handful of
+//! transforms). [`mat_vec_many`] therefore walks the shifts
+//! **rotation-major**: it builds `rot_N(v, r)` once and
+//! multiply-accumulates it into every matrix of a same-shaped group —
+//! COPSE's `d` level matrices all multiply the same branch vector.
+//! A rotation is deterministic, so sharing it leaves every output bit
+//! for bit what a product of its own would have been; [`mat_vec`] is
+//! the one-matrix case of the same call.
+//!
+//! Every product meters the paper's width-`n` loop (one rotation per
+//! nonzero diagonal index, a product per diagonal, an add per diagonal
+//! after the first): the ring's extra shifts are internal plumbing,
+//! like a partial-width rotation's masks.
 
 use crate::artifacts::BoolMatrix;
-use crate::parallel::{map_chunks, Parallelism};
+use crate::parallel::Parallelism;
 use crate::runtime::ModelForm;
 use copse_fhe::{BitVec, FheBackend, FheOp, MaybeEncrypted, RingDiagonals};
-use std::cmp::Ordering;
 
 /// Where a matrix's diagonals sit in the slot vector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,18 +89,20 @@ pub fn ring_shifts(rows: usize, cols: usize, slots: usize) -> Vec<usize> {
         .collect()
 }
 
-/// The ring a `rows × cols` matrix runs on when `backend` has one:
-/// its whole slot ring, when that holds both operands. At `cols = N`
-/// the ring diagonals are the generalised ones, and the ring route is
-/// what lets their products accumulate (one relinearisation per
-/// encrypted matrix, [`FheBackend::ring_mat_vec`]).
-fn ring_of<B: FheBackend>(backend: &B, rows: usize, cols: usize) -> Option<usize> {
+/// The ring a `rows × cols` matrix runs on: `backend`'s whole slot
+/// ring when that holds both operands, else one of `cols` slots — the
+/// ring a width-`cols` vector of a backend without a slot bound
+/// rotates on (and, for shapes wider than a bounded ring, which only
+/// the analyzer builds, the ring that would hold them). At `cols = N`
+/// the ring diagonals are the generalised ones.
+fn ring_of<B: FheBackend>(backend: &B, rows: usize, cols: usize) -> usize {
     backend
         .slot_capacity()
         .filter(|&slots| rows <= slots && cols <= slots)
+        .unwrap_or(cols)
 }
 
-/// The slot ring a matrix in ring form is laid out on.
+/// The ring a matrix's diagonals are laid out on.
 #[derive(Clone, Debug)]
 struct Ring {
     slots: usize,
@@ -108,23 +111,20 @@ struct Ring {
     zero: Vec<bool>,
 }
 
-/// A matrix deployed for packed evaluation: its diagonals, each either
-/// plaintext or encrypted — the generalised diagonals `d_i`, or on a
-/// slot-bounded backend the ring diagonals `P_r` (see the module docs).
+/// A matrix deployed for packed evaluation: its ring diagonals `P_r`
+/// (see the module docs), each either plaintext or encrypted.
 #[derive(Debug)]
 pub struct EncodedMatrix<B: FheBackend> {
     /// What products multiply by: `P_r` for each shift of
-    /// [`ring_shifts`] when `ring` is set, else `d_i` for `i < cols`.
+    /// [`ring_shifts`] on `ring`.
     diagonals: Vec<MaybeEncrypted<B>>,
     /// Plaintext sparsity hints: `true` for generalised diagonals known
-    /// to be all-zero, kept in ring form too (the metered width-`n`
-    /// loop skips by them). Only populated for plaintext deployments;
-    /// encrypted diagonals are never skipped (their contents are
-    /// hidden).
+    /// to be all-zero (the metered width-`n` loop skips by them). Only
+    /// populated for plaintext deployments; encrypted diagonals are
+    /// never skipped (their contents are hidden).
     zero_diagonals: Vec<bool>,
-    /// The ring `diagonals` are laid out on; `None` on a backend
-    /// without a slot ring and where the matrix does not fit one.
-    ring: Option<Ring>,
+    /// The ring `diagonals` are laid out on.
+    ring: Ring,
     rows: usize,
     cols: usize,
     layout: Layout,
@@ -187,10 +187,10 @@ impl<B: FheBackend> EncodedMatrix<B> {
     }
 
     /// Encrypts a boolean matrix diagonal-by-diagonal (offloaded
-    /// model): one Encrypt per diagonal — `cols` on a backend without a
-    /// slot ring, which is how the paper counts model encryption in
-    /// Table 1d, and one per shift of [`ring_shifts`] in ring form
-    /// (Maurice owns the matrix, so he lays it out).
+    /// model): one Encrypt per shift of [`ring_shifts`] (Maurice owns
+    /// the matrix, so he lays it out) — `cols` on a ring of `cols`
+    /// slots, which is how the paper counts model encryption in Table
+    /// 1d.
     pub fn encrypt(backend: &B, matrix: &BoolMatrix) -> Self {
         Self::build(
             backend,
@@ -210,11 +210,10 @@ impl<B: FheBackend> EncodedMatrix<B> {
         })
     }
 
-    /// The one constructor: the diagonals of a `rows × cols` matrix in
-    /// ring form when [`ring_of`] gives a ring, else the generalised
-    /// ones, each `operand` of its bits. The all-zero diagonals of a
-    /// known plaintext `matrix` are recorded as skippable; an unknown
-    /// one has all-zero bits and no such hint.
+    /// The one constructor: the diagonals of a `rows × cols` matrix on
+    /// the ring [`ring_of`] gives, each `operand` of its bits. The
+    /// all-zero diagonals of a known plaintext `matrix` are recorded as
+    /// skippable; an unknown one has all-zero bits and no such hint.
     fn build(
         backend: &B,
         rows: usize,
@@ -232,21 +231,21 @@ impl<B: FheBackend> EncodedMatrix<B> {
             }),
             None => BitVec::zeros(rows),
         };
-        let ring = ring_of(backend, rows, cols);
-        let shifts = ring.map_or_else(
-            || (0..cols).collect(),
-            |slots| ring_shifts(rows, cols, slots),
-        );
-        let slots = ring.unwrap_or(cols);
-        let diagonals: Vec<_> = shifts.iter().map(|&r| operand(&bits(slots, r))).collect();
+        let slots = ring_of(backend, rows, cols);
+        let shifts = ring_shifts(rows, cols, slots);
+        let ring_bits: Vec<BitVec> = shifts.iter().map(|&r| bits(slots, r)).collect();
+        let diagonals: Vec<_> = ring_bits.iter().map(&operand).collect();
         let known = matrix.is_some() && !diagonals.iter().any(MaybeEncrypted::is_encrypted);
-        let zero = |slots: usize, r: usize| known && bits(slots, r).is_zero();
+        let zero: Vec<bool> = ring_bits.iter().map(|b| known && b.is_zero()).collect();
+        let zero_diagonals = match slots == cols {
+            true => zero.clone(),
+            false => (0..cols)
+                .map(|i| known && bits(cols, i).is_zero())
+                .collect(),
+        };
         Self {
-            zero_diagonals: (0..cols).map(|i| zero(cols, i)).collect(),
-            ring: ring.map(|slots| Ring {
-                slots,
-                zero: shifts.iter().map(|&r| zero(slots, r)).collect(),
-            }),
+            zero_diagonals,
+            ring: Ring { slots, zero },
             diagonals,
             rows,
             cols,
@@ -265,11 +264,12 @@ impl<B: FheBackend> EncodedMatrix<B> {
     ///
     /// # Panics
     ///
-    /// Panics if the matrix is not in ring form: the backend reports
-    /// no slot ring that holds it (a packed chunk always has one).
+    /// Panics if the matrix is not laid out on the backend's slot ring:
+    /// the backend reports none, or none that holds the matrix (a
+    /// packed chunk always has one).
     pub fn pack(&self, backend: &B, stride: usize, count: usize) -> Self {
         assert!(
-            self.ring.is_some(),
+            backend.slot_capacity() == Some(self.ring.slots),
             "cannot pack a {}x{} matrix: the backend reports no slot ring for it",
             self.rows,
             self.cols
@@ -362,34 +362,32 @@ pub fn mat_vec<B: FheBackend>(
 }
 
 /// Multiplies every matrix of a same-shaped group by one packed
-/// ciphertext vector, sharing the rotations: `adjust(rot(v, i))` is
-/// built once per diagonal index and multiply-accumulated into one
-/// running sum per matrix, so the group costs `cols - 1` rotations in
-/// total (not per matrix) plus each matrix's own `cols` multiplies and
-/// `cols - 1` additions. `options[l]` belongs to `matrices[l]`.
+/// ciphertext vector on the matrices' ring
+/// ([`FheBackend::ring_mat_vec`]), sharing the rotations: `rot_N(v, r)`
+/// is built once per shift and multiply-accumulated into one running
+/// sum per matrix. Every call meters the paper's width-`n` loop: the
+/// group costs `cols - 1` rotations in total (not per matrix) plus each
+/// matrix's own `cols` multiplies and `cols - 1` additions.
+/// `options[l]` belongs to `matrices[l]`.
 ///
-/// Matrices in ring form run on the ring instead
-/// ([`FheBackend::ring_mat_vec`], one automorphism per shift, shared
-/// the same way) and meter exactly what the loop above would; packed
-/// matrices ([`EncodedMatrix::pack`]) always do. There `v` holds one
+/// For packed matrices ([`EncodedMatrix::pack`]) `v` holds one
 /// width-`cols` operand per block and the result one width-`rows`
 /// product per block, at exactly the op count of the unpacked product
 /// regardless of how many queries are packed — the amortisation the
 /// layout exists for.
 ///
 /// Rotations stream: a worker holds the one it is multiplying plus its
-/// accumulators, never all `cols` of them.
+/// accumulators, never all of them.
 ///
-/// Determinism: diagonal chunks run on the shared worker pool and
-/// their partial sums combine in chunk order, per matrix. The chunking
+/// Determinism: shift chunks run on the shared worker pool and their
+/// partial sums combine in chunk order, per matrix. The chunking
 /// cannot show in the result — ciphertext addition is exact modular
 /// arithmetic, and the BGV noise estimate sums integer magnitudes — so
 /// every output is a pure function of the inputs, bitwise identical at
 /// every pool degree and to a [`mat_vec`] of that matrix alone: a rotation
 /// is a deterministic function of `v`, so which call computed it
-/// cannot show. With `skip_zero_diagonals`, rotation `i` is computed
-/// iff some matrix keeps diagonal `i` (on the ring: shift `r` iff some
-/// matrix keeps `P_r`); a matrix with every diagonal
+/// cannot show. With `skip_zero_diagonals`, shift `r` is rotated iff
+/// some matrix keeps `P_r`; a matrix with every diagonal
 /// skipped yields a fresh zero encryption whose randomness comes from
 /// its own pre-split [`MatMulOptions::zero_tag`] rather than the
 /// backend's internal stream, so concurrent calls (e.g. a parallel
@@ -415,13 +413,11 @@ pub fn mat_vec_many<B: FheBackend>(
     let Some(first) = matrices.first() else {
         return Vec::new();
     };
-    let (m, n, layout) = (first.rows, first.cols, first.layout);
-    let ring = first.ring.as_ref().map(|ring| ring.slots);
+    let (m, n, layout, slots) = (first.rows, first.cols, first.layout, first.ring.slots);
     assert!(
         matrices
             .iter()
-            .all(|x| (x.rows, x.cols, x.layout) == (m, n, layout)
-                && x.ring.as_ref().map(|ring| ring.slots) == ring),
+            .all(|x| (x.rows, x.cols, x.layout, x.ring.slots) == (m, n, layout, slots)),
         "matrices sharing rotations must share one shape and layout"
     );
     assert_eq!(
@@ -434,24 +430,17 @@ pub fn mat_vec_many<B: FheBackend>(
 
     let keeps =
         |l: usize, i: usize| !(options[l].skip_zero_diagonals && matrices[l].zero_diagonals[i]);
-    let sums = match ring {
-        Some(slots) => {
-            record_width_n_ops(backend, matrices, n, keeps);
-            let diagonals: Vec<RingDiagonals<'_, B>> = matrices
-                .iter()
-                .zip(options)
-                .map(|(x, o)| {
-                    let zero = &x.ring.as_ref().expect("shape-checked above").zero;
-                    let kept = |(d, &zero)| (!(o.skip_zero_diagonals && zero)).then_some(d);
-                    x.diagonals.iter().zip(zero).map(kept).collect()
-                })
-                .collect();
-            let shifts = ring_shifts(m, n, slots);
-            let rows = layout.span(m);
-            backend.ring_mat_vec(v, &shifts, &diagonals, rows, parallelism.threads)
-        }
-        None => width_n_products(backend, matrices, v, keeps, parallelism),
-    };
+    record_width_n_ops(backend, matrices, n, keeps);
+    let diagonals: Vec<RingDiagonals<'_, B>> = matrices
+        .iter()
+        .zip(options)
+        .map(|(x, o)| {
+            let kept = |(d, &zero)| (!(o.skip_zero_diagonals && zero)).then_some(d);
+            x.diagonals.iter().zip(&x.ring.zero).map(kept).collect()
+        })
+        .collect();
+    let shifts = ring_shifts(m, n, slots);
+    let sums = backend.ring_mat_vec(v, &shifts, &diagonals, layout.span(m), parallelism.threads);
     // An all-zero (or fully skipped) matrix still yields a result,
     // deterministically (see MatMulOptions::zero_tag).
     sums.into_iter()
@@ -462,69 +451,12 @@ pub fn mat_vec_many<B: FheBackend>(
         .collect()
 }
 
-/// The width-`n` loop of [`mat_vec_many`] for unpacked matrices
-/// without a ring: one partial sum per matrix (`None` when it keeps no
-/// diagonal).
-fn width_n_products<B: FheBackend>(
-    backend: &B,
-    matrices: &[&EncodedMatrix<B>],
-    v: &B::Ciphertext,
-    keeps: impl Fn(usize, usize) -> bool + Sync,
-    parallelism: Parallelism,
-) -> Vec<Option<B::Ciphertext>> {
-    let (m, n) = (matrices[0].rows, matrices[0].cols);
-    let adjusted = |i: usize| -> B::Ciphertext {
-        let rotated = match i {
-            0 => v.clone(),
-            _ => backend.rotate(v, i as isize),
-        };
-        match m.cmp(&n) {
-            Ordering::Equal => rotated,
-            Ordering::Greater => backend.cyclic_extend(&rotated, m),
-            Ordering::Less => backend.truncate(&rotated, m),
-        }
-    };
-    let fold = |acc: &mut Option<B::Ciphertext>, term: B::Ciphertext| {
-        *acc = Some(match acc.take() {
-            None => term,
-            Some(sum) => backend.add(&sum, &term),
-        });
-    };
-
-    // Each chunk of diagonals produces one partial sum per matrix;
-    // chunks run on worker threads, partial sums combine on the caller.
-    let partials = map_chunks(parallelism, n, |range| {
-        let mut sums: Vec<Option<B::Ciphertext>> = matrices.iter().map(|_| None).collect();
-        for i in range {
-            if !(0..matrices.len()).any(|l| keeps(l, i)) {
-                continue;
-            }
-            let operand = adjusted(i);
-            for (l, sum) in sums.iter_mut().enumerate() {
-                if keeps(l, i) {
-                    fold(sum, matrices[l].diagonals[i].mul_into(backend, &operand));
-                }
-            }
-        }
-        sums
-    });
-    let mut sums: Vec<Option<B::Ciphertext>> = matrices.iter().map(|_| None).collect();
-    for chunk in partials {
-        for (sum, partial) in sums.iter_mut().zip(chunk) {
-            if let Some(partial) = partial {
-                fold(sum, partial);
-            }
-        }
-    }
-    sums
-}
-
-/// Records on `backend`'s meter what [`width_n_products`] would: one
-/// `Rotate` per nonzero diagonal index some matrix keeps, and per
+/// Records on `backend`'s meter what the paper's width-`n` loop would:
+/// one `Rotate` per nonzero diagonal index some matrix keeps, and per
 /// matrix one product per kept diagonal and one `Add` per kept
-/// diagonal after its first. The ring route realises the same product
-/// with other automorphisms and products; the paper's counts, the
-/// analyzer and every conformance battery read these.
+/// diagonal after its first. The ring form realises the same product
+/// with other rotations and products; the paper's counts, the analyzer
+/// and every conformance battery read these.
 fn record_width_n_ops<B: FheBackend>(
     backend: &B,
     matrices: &[&EncodedMatrix<B>],
@@ -622,7 +554,8 @@ mod tests {
     #[test]
     fn tall_matrices_cyclically_extend() {
         // m > n: the rotated vector is cyclically extended (the [x,y,z]
-        // -> [x,y,z,x,...] rule of §4.1.2).
+        // -> [x,y,z,x,...] rule of §4.1.2): on a ring of n slots, row
+        // j >= n reads slot (j + r) mod n.
         let mut rng = SmallRng::seed_from_u64(2);
         for (rows, cols) in [(7, 3), (12, 5), (9, 2), (10, 10)] {
             let m = random_matrix(rows, cols, 0.5, &mut rng);
@@ -833,8 +766,9 @@ mod tests {
     fn packed_mat_vec_costs_one_sequential_product() {
         // The amortisation claim, mechanically: the packed product over
         // any number of blocks spends exactly the ops of ONE sequential
-        // product — the paper's width-n loop, on a backend without a
-        // ring (tiled diagonals are plaintext re-encodes).
+        // product — the paper's width-n loop, as a backend without a
+        // slot bound meters it (tiled diagonals are plaintext
+        // re-encodes).
         let seq_be = ClearBackend::with_defaults();
         let mut rng = SmallRng::seed_from_u64(8);
         for (rows, cols) in [(5, 5), (6, 4), (3, 5)] {
@@ -1094,7 +1028,7 @@ mod tests {
         // Its forward transforms are one ciphertext's, its inverse
         // transforms one result's.
         for matrix in &group {
-            assert!(matrix.ring.is_some(), "6 x 4 fits the 6-slot ring");
+            assert_eq!(matrix.ring.slots, 6, "6 x 4 fits the 6-slot ring");
             assert_eq!(matrix.diagonals.len(), 6);
         }
         let operand = be.encrypt_bits(&BitVec::zeros(rows));
@@ -1172,9 +1106,10 @@ mod tests {
 
     #[test]
     fn the_ring_route_matches_the_oracle_and_meters_the_width_n_loop() {
-        // Capped clear backends take the ring route whenever cols <= N;
-        // the uncapped one runs the width-n loop. Same bits, same depth,
-        // same metered ops, call by call.
+        // Capped clear backends run on their N-slot ring whenever the
+        // shape fits it; the uncapped one on a ring of cols slots, the
+        // width-n loop itself. Same bits, same depth, same metered ops,
+        // call by call.
         let mut rng = SmallRng::seed_from_u64(29);
         let uncapped = ClearBackend::with_defaults();
         let mut cases = 0;
@@ -1204,7 +1139,7 @@ mod tests {
                 let want: Vec<BitVec> = matrices.iter().map(|m| m.mat_vec(&v)).collect();
                 for form in [ModelForm::Plain, ModelForm::Encrypted] {
                     let ring = EncodedMatrix::encode_plain(&capped, &matrices[0]).ring;
-                    assert!(ring.is_some(), "{rows}x{cols} on {slots}");
+                    assert_eq!(ring.slots, slots, "{rows}x{cols} on {slots}");
                     for skip in [false, true] {
                         let label = format!("{rows}x{cols} on {slots} {form:?} skip={skip}");
                         let (loop_out, loop_ops) =
@@ -1241,7 +1176,7 @@ mod tests {
                 EncodedMatrix::encode_plain(&be, &matrices[0]),
                 EncodedMatrix::encrypt(&be, &matrices[1]),
             ];
-            assert!(group.iter().all(|matrix| matrix.ring.is_some()));
+            assert!(group.iter().all(|matrix| matrix.ring.slots == 6));
             let refs: Vec<&EncodedMatrix<_>> = group.iter().collect();
             let v = BitVec::from_fn(cols, |_| rng.gen_bool(0.5));
             let ct = be.encrypt_bits(&v);
@@ -1293,7 +1228,7 @@ mod tests {
         // warm plaintext product: a diagonal against a fresh operand.
         let full = be.encrypt_bits(&BitVec::zeros(18));
         let (_, automorphism) = OpMeter::measure(|| be.rotate(&full, 1));
-        assert!(group[0].ring.is_some(), "17 x 15 fits the 18-slot ring");
+        assert_eq!(group[0].ring.slots, 18, "17 x 15 fits the 18-slot ring");
         let operand = be.encrypt_bits(&BitVec::zeros(17));
         let (_, multiply) = OpMeter::measure(|| group[0].diagonals[0].mul_into(&be, &operand));
         let (automorphism, multiply) = (automorphism.transforms(), multiply.transforms());
@@ -1316,7 +1251,7 @@ mod tests {
         // Tiled ring diagonals: every row reads only its own block, so
         // the packed product runs on the ring, gives each block its own
         // product and meters the width-n loop's ops: those of one
-        // unpacked product on a backend without a ring.
+        // unpacked product on a backend without a slot bound.
         let mut rng = SmallRng::seed_from_u64(32);
         let uncapped = ClearBackend::with_defaults();
         let capped = ClearBackend::new(ClearConfig {
@@ -1329,7 +1264,7 @@ mod tests {
             let v = be.encrypt_bits(&BitVec::zeros(count * stride));
             let (_, meter) =
                 OpMeter::measure(|| mat_vec(be, &tiled, &v, MatMulOptions::default(), seq));
-            (tiled.ring.is_some(), meter.snapshot())
+            (tiled.ring.slots, meter.snapshot())
         };
         let width_n = |m: &BoolMatrix| {
             let plain = EncodedMatrix::encode_plain(&uncapped, m);
@@ -1357,7 +1292,7 @@ mod tests {
                 assert_eq!(got, want, "{rows}x{cols} at {threads} threads");
             }
             let (ring, ops) = metered(&capped, &m, stride, count);
-            assert!(ring, "{rows}x{cols}: packed in ring form");
+            assert_eq!(ring, 18, "{rows}x{cols}: packed on the slot ring");
             assert_eq!(ops, width_n(&m), "{rows}x{cols}: metered ops");
         }
         // Real BGV: two blocks of stride 3 on the 6-slot ring.

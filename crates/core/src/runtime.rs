@@ -66,11 +66,10 @@ impl ModelForm {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PackingMode {
     /// Pack whenever [`Sally::pack_plan`] finds room: the backend has
-    /// a slot capacity of at least two query strides, supports slot
-    /// rotation, and its noise budget admits the packed circuit (the
-    /// unpack mask costs one more level). On backends without a
-    /// capacity (clear-unbounded, negacyclic) every unit is
-    /// transparently a single query.
+    /// a slot capacity of at least two query strides, and its noise
+    /// budget admits the packed circuit (the unpack mask costs one more
+    /// level). On a backend without a capacity (an uncapped clear
+    /// backend) every unit is transparently a single query.
     #[default]
     Auto,
     /// Never pack; every unit of a batch is a single query over its

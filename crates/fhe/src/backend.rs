@@ -3,10 +3,10 @@
 //! COPSE treats the cryptosystem as "an instruction set with semantics
 //! that guarantee noninterference" (paper §1.1). [`FheBackend`] is that
 //! instruction set: slot-wise XOR/AND over packed GF(2) vectors, slot
-//! rotation, and encrypt/decrypt, plus the two width-reconciliation
-//! rules used by Halevi–Shoup matrix multiplication (cyclic extension
-//! and truncation). Every operation is recorded on the backend's
-//! [`OpMeter`] so circuits can be costed op-for-op.
+//! rotation, and encrypt/decrypt, plus the ring-form Halevi–Shoup
+//! matrix product and the packed-batch block layout. Every operation
+//! is recorded on the backend's [`OpMeter`] so circuits can be costed
+//! op-for-op.
 //!
 //! Three implementations ship with this crate:
 //!
@@ -57,9 +57,8 @@ impl fmt::Display for CiphertextCodecError {
 impl std::error::Error for CiphertextCodecError {}
 
 /// Typed errors from operations that a backend or ring flavor does
-/// not support: a packed-layout primitive on a backend without a slot
-/// ring, serialising an abstract ciphertext, or slot rotation on the
-/// negacyclic ring
+/// not support: serialising an abstract ciphertext, or slot rotation
+/// on the negacyclic ring
 /// ([`BgvScheme::try_rotate_slots`](crate::bgv::BgvScheme::try_rotate_slots)).
 /// Panics carry them as their payload (`panic_any`), so a
 /// `catch_unwind` boundary can downcast them back to values.
@@ -193,14 +192,6 @@ pub trait FheBackend: Send + Sync {
     /// Records one `Rotate`.
     fn rotate(&self, a: &Self::Ciphertext, k: isize) -> Self::Ciphertext;
 
-    /// Cyclically extends `a` to `width` slots (`[x,y,z]` to
-    /// `[x,y,z,x,..]`). A layout operation: not metered (see paper
-    /// Table 1b, which counts only the rotations of the level kernel).
-    fn cyclic_extend(&self, a: &Self::Ciphertext, width: usize) -> Self::Ciphertext;
-
-    /// Keeps the first `width` slots. A layout operation: not metered.
-    fn truncate(&self, a: &Self::Ciphertext, width: usize) -> Self::Ciphertext;
-
     /// Encrypts raw bits (encode + encrypt).
     fn encrypt_bits(&self, bits: &BitVec) -> Self::Ciphertext {
         self.encrypt(&self.encode(bits))
@@ -243,11 +234,9 @@ pub trait FheBackend: Send + Sync {
     // `[j * stride + width, (j + 1) * stride)` are zero, and the
     // ciphertext's logical width is `count * stride`. A packed matrix
     // product is `ring_mat_vec` over tiled ring diagonals: there is no
-    // per-block rotation. Backends without a slot bound
-    // (`slot_capacity()` = `None`) never see these calls — the
-    // evaluation planner falls through to the per-query path, and
-    // `copse_core::matmul::EncodedMatrix::pack` panics on a matrix with
-    // no slot ring — so the defaults abort with a typed `BackendError`.
+    // per-block rotation. The evaluation planner packs only on a
+    // backend with a slot bound; without one it takes the per-query
+    // path, and `copse_core::matmul::EncodedMatrix::pack` panics.
     //
     // The metering contract (identical across backends, so static
     // analysis stays exact):
@@ -259,7 +248,7 @@ pub trait FheBackend: Send + Sync {
     // * `encode_tiled`: an unmetered layout operation.
     // * `tile_ciphertext`: `count - 1` `Rotate` + `count - 1` `Add`
     //   (it is a pack of clones).
-    // * `ring_mat_vec`: unmetered — it realises a width-`n` matrix
+    // * `ring_mat_vec`: records no op — it realises a width-`n` matrix
     //   product whose semantic ops its caller records (see the method).
     // ------------------------------------------------------------------
 
@@ -267,21 +256,13 @@ pub trait FheBackend: Send + Sync {
     /// ciphertext: input `j` (width at most `stride`) lands in slots
     /// `[j * stride, j * stride + width_j)` of a `width`-slot result.
     ///
-    /// See the packed-batch metering contract above. The default
-    /// aborts: reachable only on backends that report a
-    /// `slot_capacity()` yet did not implement packing.
+    /// See the packed-batch metering contract above.
     fn pack_blocks(
         &self,
         cts: &[Self::Ciphertext],
         stride: usize,
         width: usize,
-    ) -> Self::Ciphertext {
-        let _ = (cts, stride, width);
-        std::panic::panic_any(BackendError::Unsupported {
-            operation: "pack_blocks",
-            reason: "this backend reports no slot capacity and has no packed-batch layout",
-        })
-    }
+    ) -> Self::Ciphertext;
 
     /// Extracts block `index` of a packed ciphertext: the result's
     /// slots `[0, width)` are the block's slots, everything else is
@@ -293,36 +274,29 @@ pub trait FheBackend: Send + Sync {
         index: usize,
         stride: usize,
         width: usize,
-    ) -> Self::Ciphertext {
-        let _ = (ct, index, stride, width);
-        std::panic::panic_any(BackendError::Unsupported {
-            operation: "unpack_block",
-            reason: "this backend reports no slot capacity and has no packed-batch layout",
-        })
-    }
+    ) -> Self::Ciphertext;
 
-    /// Matrix products laid out on the whole slot ring of `N =
-    /// slot_capacity()` slots, for a group of matrices that all
-    /// multiply `v` (width `n ≤ N`). For every matrix `l` the result is
+    /// Matrix products laid out on a ring of `N` slots — the backend's
+    /// slot ring (`slot_capacity()`), or on a backend without one the
+    /// width `n` of `v` — for a group of matrices that all multiply `v`
+    /// (`n ≤ N`). For every matrix `l` the result is
     /// `Σ_s diagonals[l][s] ⊙ rot_N(v, shifts[s])` over the `s` where
     /// `diagonals[l][s]` is `Some`, `rows` slots wide (`None` when the
     /// matrix has no term at all); `rot_N` rotates all `N` slots left,
     /// so it is one automorphism, and each rotation is shared by every
     /// matrix with a term at its shift. A diagonal must be zero at
     /// every row `j` where `(j + shifts[s]) mod N ≥ n`: input slots at
-    /// or beyond `n` are then never read (whatever a
-    /// [`truncate`](FheBackend::truncate) left there), and no mask is
-    /// needed. Depth is one more than the deepest operand, like
+    /// or beyond `n` are then never read, and no mask is needed. Depth
+    /// is one more than the deepest operand, like
     /// [`mul`](FheBackend::mul).
     ///
     /// Contiguous chunks of `shifts` may run on up to `threads` workers
     /// of the shared pool; every chunking yields the same result, bit
     /// for bit.
     ///
-    /// Unmetered: the caller (`copse_core::matmul`) records the ops of
-    /// the width-`n` product this realises, so a circuit meters the same
-    /// on every backend. The default aborts like the other packed-layout
-    /// primitives.
+    /// Records no op: the caller (`copse_core::matmul`) records the ops
+    /// of the width-`n` product this realises, so a circuit meters the
+    /// same on every backend.
     fn ring_mat_vec(
         &self,
         v: &Self::Ciphertext,
@@ -332,14 +306,7 @@ pub trait FheBackend: Send + Sync {
         threads: usize,
     ) -> Vec<Option<Self::Ciphertext>>
     where
-        Self: Sized,
-    {
-        let _ = (v, shifts, diagonals, rows, threads);
-        std::panic::panic_any(BackendError::Unsupported {
-            operation: "ring_mat_vec",
-            reason: "this backend reports no slot capacity and has no slot ring",
-        })
-    }
+        Self: Sized;
 
     /// Encodes `count` copies of `bits` tiled at block offsets
     /// `0, stride, 2 * stride, …` into one `count * stride`-slot

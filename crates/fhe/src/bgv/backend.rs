@@ -3,11 +3,10 @@
 //! Logical vectors of `width <= nslots` are packed into the slot
 //! structure with a **zero-padding invariant**: slots at or beyond the
 //! logical width hold 0 for every ciphertext produced by this backend
-//! (encode pads; XOR/AND preserve zeros; rotations and cyclic
-//! extensions mask precisely). That invariant is what lets a
-//! `rotate(k)` on a width-`w` vector be realised with two slot-level
-//! automorphisms and two plaintext masks, and a cyclic extension with
-//! one masked automorphism per repetition window.
+//! (encode pads; XOR/AND preserve zeros; rotations and block unpacking
+//! mask precisely). That invariant is what lets a `rotate(k)` on a
+//! width-`w` vector be realised with two slot-level automorphisms and
+//! two plaintext masks.
 //!
 //! Operation metering is at the *semantic* level of the trait (one
 //! `Rotate` per logical rotation, etc.); the extra automorphisms and
@@ -16,20 +15,21 @@
 //! counts. Differential tests drive this backend and
 //! [`ClearBackend`](crate::ClearBackend) with identical circuits.
 //!
-//! The layout kernels (masked rotation, cyclic extension, block
-//! packing and unpacking, and the ring-form matrix product) are written
+//! The layout kernels (masked rotation, block packing and unpacking,
+//! and the ring-form matrix product) are written
 //! once, generic over `SlotOps`: this backend runs them on ciphertexts,
 //! and [`AbstractBackend`](crate::AbstractBackend) runs the same code
 //! on chain positions, which is how the static analyzer knows the level
 //! every semantic operation leaves behind.
 //!
-//! The ring-form product ([`FheBackend::ring_mat_vec`]) is the one
-//! kernel that breaks the zero-padding invariant on purpose: it rotates
-//! all `nslots` slots and relies on its diagonals being zero wherever a
-//! rotation brings in a slot beyond the input's width, so it needs no
-//! mask at all. It is also the only packed matrix product: a packed
-//! chunk multiplies tiled ring diagonals, so no kernel rotates or masks
-//! block by block, and every mask is one contiguous slot range.
+//! The ring-form product ([`FheBackend::ring_mat_vec`]) is every
+//! matrix product, solo and packed. It rotates all `nslots` slots,
+//! which brings slots beyond the input's width into the rotated
+//! copies, and relies on its diagonals being zero wherever they land,
+//! so it needs no mask at all and its results keep the zero padding. A
+//! packed chunk multiplies tiled ring diagonals, so no kernel rotates
+//! or masks block by block, and every mask is one contiguous slot
+//! range.
 
 use crate::backend::{
     codec, CiphertextCodecError, FheBackend, MaybeEncrypted, NoiseBudget, RingDiagonals,
@@ -181,42 +181,9 @@ pub(crate) fn rotate<S: SlotOps>(
     ops.sum(&t1, &t2)
 }
 
-/// Cyclically extends a `width`-slot vector to `new_width` slots:
-/// window j holds v[i - j*width] for i in
-/// [j*width, min((j+1)*width, new_width)), one masked full-ring
-/// automorphism per window.
-pub(crate) fn extend<S: SlotOps>(ops: &S, a: &S::Ct, width: usize, new_width: usize) -> S::Ct {
-    let mut acc: Option<S::Ct> = None;
-    let mut start = 0usize;
-    let mut j = 0isize;
-    while start < new_width {
-        let end = (start + width).min(new_width);
-        let shifted = if j == 0 {
-            a.clone()
-        } else {
-            ops.rotate_full(a, -j * width as isize)
-        };
-        // The j = 0 window needs no mask (already zero-padded and
-        // end >= width). Later windows mask to their span.
-        let term = if j == 0 && end >= width {
-            shifted
-        } else {
-            ops.mask(&shifted, start..end)
-        };
-        acc = Some(match acc {
-            None => term,
-            Some(prev) => ops.sum(&prev, &term),
-        });
-        start = end;
-        j += 1;
-    }
-    acc.expect("new_width > 0")
-}
-
 /// Packs `cts` into blocks `stride` apart: input `j` is rotated right
 /// by `j * stride` and summed in. Inputs ride the zero-padding
-/// invariant (fresh or masked ciphertexts, never relabel-truncated
-/// ones), so the alignment rotations need no masks.
+/// invariant, so the alignment rotations need no masks.
 pub(crate) fn pack<'a, S: SlotOps>(
     ops: &S,
     cts: impl IntoIterator<Item = &'a S::Ct>,
@@ -381,8 +348,8 @@ pub struct BgvBackend {
     scheme: BgvScheme,
     meter: Arc<OpMeter>,
     /// Slot-range masks keyed by their range: ones at `[from, to)`.
-    /// Partial-width rotations, cyclic extensions and block unpacking
-    /// use the same few masks on every call, so caching them turns each
+    /// Partial-width rotations and block unpacking use the same few
+    /// masks on every call, so caching them turns each
     /// into a *warm* fixed operand whose evaluation-domain transform
     /// is paid exactly once per backend.
     masks: Mutex<MaskCache>,
@@ -632,21 +599,6 @@ impl FheBackend for BgvBackend {
         BgvCiphertext::new(rotate(self, &a.inner, k, a.width, self.nslots()), a.width)
     }
 
-    fn cyclic_extend(&self, a: &BgvCiphertext, width: usize) -> BgvCiphertext {
-        assert!(width >= a.width, "cyclic_extend shrinks");
-        self.check_width(width);
-        let w = a.width;
-        assert!(w > 0, "cannot extend an empty vector");
-        BgvCiphertext::new(extend(self, &a.inner, w, width), width)
-    }
-
-    fn truncate(&self, a: &BgvCiphertext, width: usize) -> BgvCiphertext {
-        assert!(width <= a.width, "truncate grows");
-        // Slots in [width, old width) may stay populated; every
-        // consumer masks or multiplies them away (see module docs).
-        BgvCiphertext::new(a.inner.clone(), width)
-    }
-
     fn encrypt_zeros_seeded(&self, width: usize, seed: u64) -> BgvCiphertext {
         self.check_width(width);
         self.meter.record(FheOp::Encrypt);
@@ -844,28 +796,6 @@ mod tests {
         let v = BitVec::from_fn(be.nslots(), |i| i % 2 == 0);
         let ct = be.encrypt_bits(&v);
         assert_eq!(be.decrypt(&be.rotate(&ct, 2)), v.rotate_left(2));
-    }
-
-    #[test]
-    fn cyclic_extension_repeats_pattern() {
-        let be = BgvBackend::tiny();
-        let v = bits(&[true, false]);
-        let ct = be.encrypt_bits(&v);
-        let e = be.cyclic_extend(&ct, 5);
-        assert_eq!(be.decrypt(&e), v.cyclic_extend(5));
-    }
-
-    #[test]
-    fn truncate_then_multiply_is_safe() {
-        // Truncation leaves stale slots; a following multiply against a
-        // zero-padded operand must mask them out (the MatMul pattern).
-        let be = BgvBackend::tiny();
-        let v = bits(&[true, true, true, true, true]);
-        let ct = be.encrypt_bits(&v);
-        let t = be.truncate(&ct, 3);
-        let d = be.encrypt_bits(&bits(&[true, false, true]));
-        let prod = be.mul(&t, &d);
-        assert_eq!(be.decrypt(&prod).to_bools(), [true, false, true]);
     }
 
     #[test]

@@ -497,18 +497,6 @@ impl FheBackend for AbstractBackend {
         })
     }
 
-    fn cyclic_extend(&self, a: &AbstractCiphertext, width: usize) -> AbstractCiphertext {
-        AbstractCiphertext {
-            width,
-            level: self.moved(|rule| kernels::extend(rule, &a.at(), a.width, width)),
-            ..*a
-        }
-    }
-
-    fn truncate(&self, a: &AbstractCiphertext, width: usize) -> AbstractCiphertext {
-        AbstractCiphertext { width, ..*a }
-    }
-
     fn pack_blocks(
         &self,
         cts: &[AbstractCiphertext],
@@ -712,38 +700,37 @@ mod tests {
     /// slots; packed steps lay 2 blocks at stride 3.
     fn readings<B: FheBackend>(be: &B) -> Vec<(OpCounts, u32)> {
         type Step<B> = fn(&B, &[<B as FheBackend>::Ciphertext]) -> <B as FheBackend>::Ciphertext;
-        let steps: [Step<B>; 24] = [
-            |be, _| be.encrypt_bits(&BitVec::from_fn(4, |i| i % 2 == 0)),
-            |be, c| be.add_plain(&c[0], &be.encode(&BitVec::ones(4))),
+        let steps: [Step<B>; 23] = [
+            |be, _| be.encrypt_bits(&BitVec::from_fn(3, |i| i % 2 == 0)),
+            |be, c| be.add_plain(&c[0], &be.encode(&BitVec::ones(3))),
             |be, c| be.add(&c[0], &c[1]),
             |be, c| be.mul(&c[0], &c[2]),
-            |be, c| be.mul_plain(&c[3], &be.encode(&BitVec::ones(4))),
+            |be, c| be.mul_plain(&c[3], &be.encode(&BitVec::ones(3))),
             |be, c| be.not(&c[4]),
             |be, c| be.rotate(&c[5], 1),
-            |be, c| be.rotate(&c[6], -3),
-            |be, c| be.cyclic_extend(&c[7], 6),
-            |be, c| be.rotate(&c[8], 2),
-            |be, c| be.truncate(&c[9], 3),
-            |be, c| be.mul(&c[10], &c[10]),
-            |be, c| be.mod_switch_to(&c[11], 5),
+            |be, c| be.rotate(&c[6], -2),
+            |be, c| be.rotate(&c[7], 2),
+            |be, c| be.mul(&c[8], &c[8]),
+            |be, c| be.mod_switch_to(&c[9], 5),
             |be, _| be.encrypt_zeros_seeded(3, 7),
-            |be, c| be.add(&c[12], &c[13]),
+            |be, c| be.add(&c[10], &c[11]),
             |be, c| {
-                be.decrypt(&c[14]);
-                c[14].clone()
+                be.decrypt(&c[12]);
+                c[12].clone()
             },
             |be, _| be.encrypt_bits(&BitVec::ones(2)),
-            |be, c| be.pack_blocks(&[c[14].clone(), c[16].clone()], 3, 6),
-            |be, c| be.unpack_block(&c[17], 1, 3, 2),
-            |be, c| be.pack_blocks(&[c[16].clone(), c[16].clone()], 3, 6),
-            |be, c| be.unpack_block(&c[19], 0, 3, 3),
-            |be, c| be.tile_ciphertext(&c[13], 3, 2),
-            |be, c| be.compact_for_decrypt(&c[21]),
+            |be, c| be.pack_blocks(&[c[12].clone(), c[14].clone()], 3, 6),
+            |be, c| be.unpack_block(&c[15], 1, 3, 2),
+            |be, c| be.pack_blocks(&[c[14].clone(), c[14].clone()], 3, 6),
+            |be, c| be.unpack_block(&c[17], 0, 3, 3),
+            |be, c| be.tile_ciphertext(&c[11], 3, 2),
+            |be, c| be.compact_for_decrypt(&c[19]),
             |be, c| {
-                // Two 5 x 3 matrices on the 6-slot ring times the
-                // truncated (on BGV: stale-slotted) c[10]: a plaintext
-                // one with a term at every shift, an encrypted one at
-                // every other shift.
+                // Two 5 x 3 matrices on the 6-slot ring times the packed
+                // c[15], whose slots past the 3 columns hold the second
+                // block (stale data the diagonals never read): a
+                // plaintext one with a term at every shift, an encrypted
+                // one at every other shift.
                 let shifts = [0, 1, 2, 3, 4, 5];
                 let diagonal = |r: usize| BitVec::from_fn(5, |j| (j + r) % 6 < 3);
                 let plain: Vec<_> = (0..6)
@@ -760,9 +747,11 @@ mod tests {
                         .map(|(s, d)| (s % 2 == 0).then_some(d))
                         .collect(),
                 ];
-                let out = be.ring_mat_vec(&c[10], &shifts, &terms, 5, 2);
+                let out = be.ring_mat_vec(&c[15], &shifts, &terms, 5, 2);
                 be.add(out[0].as_ref().unwrap(), out[1].as_ref().unwrap())
             },
+            // A semantic rotation at full width: one automorphism.
+            |be, c| be.rotate(&c[15], 2),
         ];
         let mut cts = Vec::new();
         steps
@@ -801,7 +790,7 @@ mod tests {
         );
         // The ring product meters nothing itself: its caller records
         // the width-n product it stands for.
-        assert_eq!(real[23].0.rotate + real[23].0.constant_multiply, 0);
+        assert_eq!(real[21].0.rotate + real[21].0.constant_multiply, 0);
     }
 
     #[test]
@@ -812,10 +801,11 @@ mod tests {
             AbstractBackend::new(Some(LevelRule::of(&BgvParams::demo()))).slot_capacity(),
             BgvBackend::demo().slot_capacity()
         );
-        // Without a rule: no ring for a solo run, whose matrices then
-        // take the width-n loop (and deploy the paper's one Encrypt per
-        // column), and the ring it is given for a packed chunk of
-        // `lanes` blocks at `stride` (`lanes · stride` slots).
+        // Without a rule: no slot ring for a solo run, whose matrices
+        // then run on a ring of their own column count (and deploy the
+        // paper's one Encrypt per column), and the ring it is given for
+        // a packed chunk of `lanes` blocks at `stride` (`lanes · stride`
+        // slots).
         assert_eq!(AbstractBackend::new(None).slot_capacity(), None);
         let (lanes, stride) = (3, 7);
         let packed = AbstractBackend::on_ring(lanes * stride);

@@ -15,7 +15,7 @@
 //!   [`AbstractBackend`] a static analyzer runs circuits on;
 //! * [`backend`] — the [`FheBackend`](crate::FheBackend)
 //!   implementation over the prime flavor with logical-width slot
-//!   packing (masked rotations, cyclic extension), differentially
+//!   packing (masked rotations, ring-form matrix products), differentially
 //!   tested against [`ClearBackend`](crate::ClearBackend). The
 //!   power-of-two flavor has no GF(2) slots, so no backend runs on it.
 //!

@@ -170,33 +170,6 @@ impl BitVec {
         out
     }
 
-    /// Cyclic extension to `new_width >= width`: slot `i` of the result is
-    /// slot `i mod width` of `self` (`[x, y, z]` becomes
-    /// `[x, y, z, x, y, ...]`, the Halevi–Shoup width-reconciliation rule).
-    ///
-    /// Runs blockwise: each repetition window is a word-at-a-time copy
-    /// of the base pattern into its offset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_width < self.width()` or the vector is empty.
-    pub fn cyclic_extend(&self, new_width: usize) -> Self {
-        assert!(
-            new_width >= self.width,
-            "cyclic_extend shrinks: {} -> {new_width}",
-            self.width
-        );
-        assert!(!self.is_empty(), "cannot cyclically extend an empty vector");
-        let mut out = Self::zeros(new_width);
-        let mut start = 0;
-        while start < new_width {
-            let len = (new_width - start).min(self.width);
-            or_bit_range(&mut out.blocks, &self.blocks, 0, len, start);
-            start += len;
-        }
-        out
-    }
-
     /// Keeps the first `new_width` slots.
     ///
     /// # Panics
@@ -412,16 +385,6 @@ mod tests {
     fn rotate_empty_is_noop() {
         let v = BitVec::zeros(0);
         assert_eq!(v.rotate_left(3), v);
-    }
-
-    #[test]
-    fn cyclic_extend_repeats_pattern() {
-        let v = BitVec::from_bools(&[true, false, false]);
-        let e = v.cyclic_extend(8);
-        assert_eq!(
-            e.to_bools(),
-            [true, false, false, true, false, false, true, false]
-        );
     }
 
     #[test]

@@ -19,6 +19,7 @@ use crate::backend::{
 use crate::bitvec::BitVec;
 use crate::meter::{FheOp, OpMeter};
 use crate::params::EncryptionParams;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Leading byte of serialised [`ClearCiphertext`]s.
@@ -266,21 +267,6 @@ impl FheBackend for ClearBackend {
         }
     }
 
-    fn cyclic_extend(&self, a: &ClearCiphertext, width: usize) -> ClearCiphertext {
-        self.check_capacity(width);
-        ClearCiphertext {
-            bits: a.bits.cyclic_extend(width),
-            depth: a.depth,
-        }
-    }
-
-    fn truncate(&self, a: &ClearCiphertext, width: usize) -> ClearCiphertext {
-        ClearCiphertext {
-            bits: a.bits.truncate(width),
-            depth: a.depth,
-        }
-    }
-
     fn pack_blocks(&self, cts: &[ClearCiphertext], stride: usize, width: usize) -> ClearCiphertext {
         assert!(!cts.is_empty(), "pack_blocks of zero ciphertexts");
         assert!(
@@ -342,56 +328,108 @@ impl FheBackend for ClearBackend {
         }
     }
 
-    /// The oracle of the ring-form product: every term computed
-    /// directly, sequentially whatever `threads` says. It enforces the
-    /// contract BGV relies on: a diagonal with a one where its row
-    /// would read a slot at or beyond `v`'s width (stale data on BGV,
-    /// zero here) panics, and so does a term list that is not one per
-    /// shift.
+    /// The one clear matrix product, and the oracle of the ring form:
+    /// every term computed directly on a ring of `N` slots — the slot
+    /// cap, or without one `v`'s own width, where rows may outnumber
+    /// the slots and row `j` reads slot `(j + r) mod N` (the cyclic
+    /// extension). It runs rotation-major: one rotated vector per
+    /// shift, shared by every matrix. Contiguous chunks of shifts fork
+    /// onto the shared pool when `threads > 1`, and their partial sums
+    /// combine in chunk order (XOR is exact, so every chunking gives
+    /// the same bits).
+    ///
+    /// It records no op, but charges `work_per_op` once per op it
+    /// stands for: a rotation per nonzero shift some matrix keeps, a
+    /// product per term, and an add per term after a matrix's first. On
+    /// a ring of `n` slots those are the width-`n` loop's metered ops,
+    /// so busy-looped timings follow the paper's counts.
+    ///
+    /// It enforces the contract BGV relies on: a diagonal with a one
+    /// where its row would read a slot at or beyond `v`'s width
+    /// (padding, or another block's data, on BGV; absent here) panics,
+    /// and so does a term list that is not one per shift.
     fn ring_mat_vec(
         &self,
         v: &ClearCiphertext,
         shifts: &[usize],
         diagonals: &[RingDiagonals<'_, Self>],
         rows: usize,
-        _threads: usize,
+        threads: usize,
     ) -> Vec<Option<ClearCiphertext>> {
-        let slots = self
-            .config
-            .slot_capacity
-            .expect("a ring product runs on a slot-bounded backend");
         let width = v.bits.width();
-        assert!(
-            width <= slots && rows <= slots,
-            "a {rows}-row product of a width-{width} vector exceeds {slots} slots"
-        );
-        diagonals
-            .iter()
-            .map(|terms| {
-                assert_eq!(terms.len(), shifts.len(), "one term per shift");
-                let products = terms.iter().zip(shifts).filter_map(|(diagonal, &shift)| {
-                    let (bits, depth) = match (*diagonal)? {
-                        MaybeEncrypted::Plain(pt) => (&pt.bits, v.depth),
-                        MaybeEncrypted::Encrypted(ct) => (&ct.bits, v.depth.max(ct.depth)),
+        let slots = match self.config.slot_capacity {
+            Some(slots) => {
+                assert!(
+                    width <= slots && rows <= slots,
+                    "a {rows}-row product of a width-{width} vector exceeds {slots} slots"
+                );
+                slots
+            }
+            None => width,
+        };
+        for terms in diagonals {
+            assert_eq!(terms.len(), shifts.len(), "one term per shift");
+        }
+        let add = |sum: &mut Option<ClearCiphertext>, term: ClearCiphertext| {
+            *sum = Some(match sum.take() {
+                None => term,
+                Some(acc) => {
+                    self.busy_work();
+                    ClearCiphertext {
+                        bits: acc.bits.xor(&term.bits),
+                        depth: acc.depth.max(term.depth),
+                    }
+                }
+            });
+        };
+        let chunk = |range: Range<usize>| {
+            let mut sums: Vec<Option<ClearCiphertext>> = vec![None; diagonals.len()];
+            for s in range {
+                if diagonals.iter().all(|terms| terms[s].is_none()) {
+                    continue;
+                }
+                let shift = shifts[s];
+                if shift != 0 {
+                    self.busy_work();
+                }
+                let from = |j: usize| (j + shift) % slots;
+                let rotated = BitVec::from_fn(rows, |j| from(j) < width && v.bits.get(from(j)));
+                for (sum, terms) in sums.iter_mut().zip(diagonals) {
+                    let (bits, depth) = match terms[s] {
+                        None => continue,
+                        Some(MaybeEncrypted::Plain(pt)) => (&pt.bits, v.depth),
+                        Some(MaybeEncrypted::Encrypted(ct)) => (&ct.bits, v.depth.max(ct.depth)),
                     };
-                    let from = |j: usize| (j + shift) % slots;
+                    // Only a ring wider than `v` has slots no row may read.
                     assert!(
-                        (0..rows).all(|j| !bits.get(j) || from(j) < width),
+                        slots == width || (0..rows).all(|j| !bits.get(j) || from(j) < width),
                         "the diagonal at shift {shift} reads past the width-{width} input"
                     );
                     self.check_depth(depth + 1);
-                    let rotated = BitVec::from_fn(rows, |j| from(j) < width && v.bits.get(from(j)));
-                    Some(ClearCiphertext {
+                    self.busy_work();
+                    let term = ClearCiphertext {
                         bits: rotated.and(bits),
                         depth: depth + 1,
-                    })
-                });
-                products.reduce(|acc, term| ClearCiphertext {
-                    bits: acc.bits.xor(&term.bits),
-                    depth: acc.depth.max(term.depth),
-                })
-            })
-            .collect()
+                    };
+                    add(sum, term);
+                }
+            }
+            sums
+        };
+        let partials = if threads > 1 {
+            copse_pool::global().scope_chunks(shifts.len(), threads, chunk)
+        } else {
+            vec![chunk(0..shifts.len())]
+        };
+        let mut sums: Vec<Option<ClearCiphertext>> = vec![None; diagonals.len()];
+        for partial in partials {
+            for (sum, part) in sums.iter_mut().zip(partial) {
+                if let Some(part) = part {
+                    add(sum, part);
+                }
+            }
+        }
+        sums
     }
 
     fn serialize_ciphertext(&self, ct: &ClearCiphertext) -> Vec<u8> {
@@ -546,19 +584,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_and_truncate_are_unmetered_layout_ops() {
-        let be = ClearBackend::with_defaults();
-        let a = be.encrypt_bits(&bv(&[true, false]));
-        let before = be.meter().snapshot();
-        let e = be.cyclic_extend(&a, 5);
-        let t = be.truncate(&e, 3);
-        assert_eq!(be.width(&e), 5);
-        assert_eq!(be.width(&t), 3);
-        let delta = be.meter().snapshot().since(&before);
-        assert_eq!(delta.total_homomorphic(), 0);
-    }
-
-    #[test]
     fn mul_plain_consumes_depth() {
         // The paper counts level processing (a constant-matrix multiply)
         // as one unit of multiplicative depth; the clear backend models
@@ -640,6 +665,72 @@ mod tests {
         let delta = be.meter().snapshot().since(&before);
         assert_eq!(delta.constant_multiply, 2);
         assert_eq!(delta.rotate, 1, "block 0 unpacks without a rotation");
+    }
+
+    #[test]
+    fn an_uncapped_ring_product_is_the_width_n_product() {
+        // Without a slot cap the ring is the vector's own width: a tall
+        // 5 x 3 product wraps rows 3 and 4 back onto slots 0 and 1 (the
+        // cyclic extension), a wide 2 x 4 one reads every slot. Each
+        // equals the direct formula, plaintext or encrypted, bitwise at
+        // every pool degree.
+        let be = ClearBackend::with_defaults();
+        let m = |j: usize, c: usize| (3 * j + 5 * c + j * c) % 4 < 2;
+        for (rows, cols) in [(5, 3), (2, 4)] {
+            let v = BitVec::from_fn(cols, |c| c % 2 == 0);
+            let want = BitVec::from_fn(rows, |j| {
+                (0..cols).filter(|&c| m(j, c) && v.get(c)).count() % 2 == 1
+            });
+            assert!(!want.is_zero() && want.count_ones() < rows);
+            let ct = be.encrypt_bits(&v);
+            let shifts: Vec<usize> = (0..cols).collect();
+            let diagonal = |r: usize| BitVec::from_fn(rows, |j| m(j, (j + r) % cols));
+            let plain: Vec<_> = shifts
+                .iter()
+                .map(|&r| MaybeEncrypted::Plain(be.encode(&diagonal(r))))
+                .collect();
+            let encrypted: Vec<_> = shifts
+                .iter()
+                .map(|&r| MaybeEncrypted::Encrypted(be.encrypt_bits(&diagonal(r))))
+                .collect();
+            let terms: [RingDiagonals<'_, ClearBackend>; 2] = [
+                plain.iter().map(Some).collect(),
+                encrypted.iter().map(Some).collect(),
+            ];
+            let before = be.meter().snapshot();
+            let baseline = be.ring_mat_vec(&ct, &shifts, &terms, rows, 1);
+            assert_eq!(be.meter().snapshot().since(&before).total_homomorphic(), 0);
+            for sum in &baseline {
+                let sum = sum.as_ref().expect("a term at every shift");
+                assert_eq!(sum.bits, want, "{rows}x{cols}");
+                assert_eq!(sum.depth, 1, "{rows}x{cols}");
+            }
+            for threads in [2, 7] {
+                let sums = be.ring_mat_vec(&ct, &shifts, &terms, rows, threads);
+                assert_eq!(sums, baseline, "{rows}x{cols} at {threads} threads");
+            }
+        }
+        // A capped ring still refuses a diagonal that reads past the
+        // input's width: on 6 slots, row 0 at shift 4 reads slot 4 of a
+        // width-3 vector.
+        let capped = ClearBackend::new(ClearConfig {
+            slot_capacity: Some(6),
+            ..ClearConfig::default()
+        });
+        let ct = capped.encrypt_bits(&BitVec::ones(3));
+        let reads_past = MaybeEncrypted::Plain(capped.encode(&BitVec::ones(2)));
+        let terms: [RingDiagonals<'_, ClearBackend>; 1] = [vec![Some(&reads_past)]];
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            capped.ring_mat_vec(&ct, &[4], &terms, 2, 1)
+        }));
+        let message = *refused
+            .expect_err("a read past the width panics")
+            .downcast::<String>()
+            .expect("a formatted message");
+        assert!(
+            message.contains("reads past the width-3 input"),
+            "{message}"
+        );
     }
 
     #[test]

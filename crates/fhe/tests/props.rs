@@ -57,16 +57,6 @@ proptest! {
         prop_assert_eq!(v.rotate_left(k).count_ones(), v.count_ones());
     }
 
-    #[test]
-    fn cyclic_extend_preserves_period(v in bitvec_strategy(32), extra in 0usize..64) {
-        let target = v.width() + extra;
-        let e = v.cyclic_extend(target);
-        for i in 0..target {
-            prop_assert_eq!(e.get(i), v.get(i % v.width()));
-        }
-        prop_assert_eq!(e.truncate(v.width()), v);
-    }
-
     // --- bit slicing ---
 
     #[test]
@@ -190,20 +180,6 @@ proptest! {
         for i in 0..w {
             let src = (i as isize + k).rem_euclid(w as isize) as usize;
             prop_assert_eq!(r.get(i), v.get(src), "i = {}, k = {}", i, k);
-        }
-    }
-
-    #[test]
-    fn cyclic_extend_matches_oracle_across_blocks(
-        v in bitvec_strategy(150),
-        extra in 0usize..200,
-    ) {
-        // Wide enough that windows straddle multiple u64 blocks.
-        let target = v.width() + extra;
-        let e = v.cyclic_extend(target);
-        prop_assert_eq!(e.width(), target);
-        for i in 0..target {
-            prop_assert_eq!(e.get(i), v.get(i % v.width()), "i = {}", i);
         }
     }
 }

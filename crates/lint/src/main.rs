@@ -69,12 +69,14 @@
 //!     can re-grow beside it, and a comparator is written in one file.
 //!     (`complexity::paper` keeps the paper's printed SecComp, level
 //!     and total forms under other names.)
-//! 11. **Packed products run on the slot ring.** Non-test
-//!     `crates/*/src` declares no `fn rotate_blocks`,
-//!     `fn cyclic_extend_blocks` or `fn truncate_blocks` (called or
-//!     generic): a packed chunk multiplies tiled ring diagonals with
-//!     `FheBackend::ring_mat_vec`, so a block-rotation layout cannot
-//!     grow back on the backend trait or beside it.
+//! 11. **Matrix products run on a ring.** Non-test `crates/*/src`
+//!     declares no `fn rotate_blocks`, `fn cyclic_extend_blocks`,
+//!     `fn truncate_blocks` or `fn cyclic_extend` (called or generic):
+//!     every product, solo or packed, multiplies ring diagonals with
+//!     `FheBackend::ring_mat_vec` (a packed chunk tiled ones; a backend
+//!     without a slot bound on a ring of the product's column count),
+//!     so neither a block-rotation layout nor width reconciliation can
+//!     grow back on the backend trait, on `BitVec` or beside them.
 //! 12. **Every backend rotates.** Non-test `crates/*/src` defines no
 //!     `fn supports_slot_rotation(` and names neither
 //!     `SlotRotationUnsupported` nor `NegacyclicBackend`: every
@@ -140,8 +142,9 @@ struct Patterns {
     circuit_model: [String; 9],
     /// Rule 10: the comparator's type name.
     comparator: String,
-    /// Rule 11: the block-layout method names, after `fn `.
-    block_layout: [String; 3],
+    /// Rule 11: the block-layout and width-reconciliation method
+    /// names, after `fn `.
+    block_layout: [String; 4],
     /// Rule 12: the rotation probe, its admission verdict and the
     /// per-bit backend.
     rotationless: [String; 3],
@@ -190,8 +193,12 @@ impl Patterns {
                 ["struct ", "Replay"].concat(),
             ],
             comparator: ["SecComp", "Variant"].concat(),
-            block_layout: ["rotate", "cyclic_extend", "truncate"]
-                .map(|op| ["fn ", op, "_blocks"].concat()),
+            block_layout: [
+                ["fn rotate", "_blocks"].concat(),
+                ["fn cyclic_extend", "_blocks"].concat(),
+                ["fn truncate", "_blocks"].concat(),
+                ["fn cyclic", "_extend"].concat(),
+            ],
             rotationless: [
                 ["fn supports_slot", "_rotation("].concat(),
                 ["SlotRotation", "Unsupported"].concat(),
@@ -821,7 +828,7 @@ mod tests {
     fn flags_a_block_rotation_layout() {
         // Block-layout definitions: trait and backend methods, and a
         // generic BGV kernel.
-        let [rotate, extend, truncate] = &Patterns::new().block_layout;
+        let [rotate, extend, truncate, _] = &Patterns::new().block_layout;
         let srcs = [
             format!("    {rotate}(\n"),
             format!("    {extend}(\n"),
@@ -841,15 +848,52 @@ mod tests {
             assert!(scan("crates/fhe/src/clear.rs", &format!("// {src}")).is_empty());
         }
         // What the crates do hold: packing, unpacking, the whole-vector
-        // layout ops, the ring product, and longer names.
+        // rotation, the ring product, and longer names.
         let fine = "    fn pack_blocks(\n\
                     fn unpack_block(\n\
                     fn rotate(&self, a: &Self::Ciphertext, k: isize) -> Self::Ciphertext;\n\
-                    fn cyclic_extend(&self, a: &Self::Ciphertext, width: usize);\n\
-                    pub(crate) fn extend<S: SlotOps>(ops: &S, a: &S::Ct) -> S::Ct {}\n\
                     fn ring_mat_vec(\n\
                     fn rotate_blocks_rotates_every_block() {}\n";
         assert!(scan("crates/fhe/src/backend.rs", fine).is_empty());
+    }
+
+    #[test]
+    fn flags_width_reconciliation() {
+        // A cyclic extension on the backend trait, on a backend, on
+        // `BitVec`, or as a generic kernel.
+        let extend = &Patterns::new().block_layout[3];
+        let srcs = [
+            format!(
+                "    {extend}(&self, a: &Self::Ciphertext, width: usize) -> Self::Ciphertext;\n"
+            ),
+            format!(
+                "    {extend}(&self, a: &ClearCiphertext, width: usize) -> ClearCiphertext {{\n"
+            ),
+            format!("    pub {extend}(&self, new_width: usize) -> Self {{\n"),
+            format!("pub(crate) {extend}<S: SlotOps>(ops: &S, a: &S::Ct) -> S::Ct {{\n"),
+        ];
+        for src in &srcs {
+            for rel in [
+                "crates/fhe/src/backend.rs",
+                "crates/fhe/src/bitvec.rs",
+                "crates/core/src/matmul.rs",
+            ] {
+                let hits = scan(rel, src);
+                assert_eq!(hits.len(), 1, "{rel}: {src}");
+                assert_eq!(hits[0].rule, "block-layout");
+            }
+            // Out of scope: the facade, tests, comments.
+            assert!(scan("src/lib.rs", src).is_empty());
+            let in_test = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+            assert!(scan("crates/fhe/src/bitvec.rs", &in_test).is_empty());
+            assert!(scan("crates/fhe/src/bitvec.rs", &format!("// {src}")).is_empty());
+        }
+        // What the crates do hold: `BitVec`'s prefix, the ring product
+        // and longer names.
+        let fine = "    pub fn truncate(&self, new_width: usize) -> Self {}\n\
+                    fn ring_mat_vec(\n\
+                    fn cyclic_extended_width() {}\n";
+        assert!(scan("crates/fhe/src/bitvec.rs", fine).is_empty());
     }
 
     #[test]

@@ -203,7 +203,7 @@ fn a_mismatched_width_query_never_contaminates_its_packmates() {
     let narrow: Vec<_> = queries[1]
         .planes()
         .iter()
-        .map(|plane| be.truncate(plane, 1))
+        .map(|plane| be.encrypt_bits(&be.decrypt(plane).truncate(1)))
         .collect();
     queries[1] = EncryptedQuery::from_planes(narrow);
     let (results, trace) = sally.classify_batch_traced(&queries);
