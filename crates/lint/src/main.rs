@@ -88,6 +88,12 @@
 //!     per-term product. A matrix's terms multiply-add into one sum and
 //!     finish once, so an encrypted model relinearises once per matrix,
 //!     and a per-product relinearisation cannot grow back beside it.
+//! 14. **The server counters have one rendering.** Non-test
+//!     `crates/server` defines no text renderer named `render_` +
+//!     `text` (called or generic): the metrics exposition
+//!     (`metrics::FAMILIES`) is the one view of a `StatsSnapshot`, so a
+//!     second, hand-laid-out page cannot grow back beside it and drift
+//!     from it.
 //!
 //! The scan covers `crates/*/src/**/*.rs` plus the facade's `src/`;
 //! examples, integration tests, and vendored shims are out of scope.
@@ -150,6 +156,8 @@ struct Patterns {
     rotationless: [String; 3],
     /// Rule 13: a per-term product on the slot-layout kernels' ops.
     per_term_product: String,
+    /// Rule 14: a second counter renderer, after `fn `.
+    counter_view: String,
 }
 
 impl Patterns {
@@ -205,6 +213,7 @@ impl Patterns {
                 ["Negacyclic", "Backend"].concat(),
             ],
             per_term_product: ["fn prod", "uct("].concat(),
+            counter_view: ["fn render", "_text"].concat(),
         }
     }
 }
@@ -224,6 +233,7 @@ struct RuleSet {
     ban_block_layout: bool,
     ban_rotationless: bool,
     ban_per_term_product: bool,
+    ban_counter_view: bool,
 }
 
 fn rules_for(rel_path: &str) -> RuleSet {
@@ -245,6 +255,7 @@ fn rules_for(rel_path: &str) -> RuleSet {
         ban_block_layout: rel_path.starts_with("crates/"),
         ban_rotationless: rel_path.starts_with("crates/"),
         ban_per_term_product: rel_path.starts_with("crates/fhe/src/bgv/"),
+        ban_counter_view: server,
     }
 }
 
@@ -379,11 +390,11 @@ fn scan_source(rel_path: &str, source: &str, patterns: &Patterns) -> Vec<Finding
             report("one-circuit-model");
         }
         // `fn name(` or `fn name<`, not a longer name sharing the prefix.
-        let block_layout = patterns.block_layout.iter().any(|p| {
+        let defines = |p: &String| {
             code.match_indices(p.as_str())
                 .any(|(i, _)| code[i + p.len()..].starts_with(['(', '<']))
-        });
-        if rules.ban_block_layout && block_layout {
+        };
+        if rules.ban_block_layout && patterns.block_layout.iter().any(defines) {
             report("block-layout");
         }
         let rotationless = patterns
@@ -395,6 +406,9 @@ fn scan_source(rel_path: &str, source: &str, patterns: &Patterns) -> Vec<Finding
         }
         if rules.ban_per_term_product && code.contains(patterns.per_term_product.as_str()) {
             report("products-accumulate");
+        }
+        if rules.ban_counter_view && defines(&patterns.counter_view) {
+            report("one-counter-view");
         }
     }
     findings
@@ -962,6 +976,36 @@ mod tests {
                     pub(crate) fn product_sum(&self, primes: usize, tensor: bool) -> ProductSum {}\n\
                     pub(crate) fn ring_products<S>(\n";
         assert!(scan("crates/fhe/src/bgv/backend.rs", fine).is_empty());
+    }
+
+    #[test]
+    fn flags_a_second_counter_rendering_in_the_server() {
+        // The hand-laid-out page, as a method and as a generic helper.
+        let view = &Patterns::new().counter_view;
+        let srcs = [
+            format!("    pub {view}(&self) -> String {{\n"),
+            format!("pub(crate) {view}<W: Write>(out: &mut W, s: &StatsSnapshot) {{\n"),
+        ];
+        for src in &srcs {
+            for rel in ["crates/server/src/stats.rs", "crates/server/src/metrics.rs"] {
+                let hits = scan(rel, src);
+                assert_eq!(hits.len(), 1, "{rel}: {src}");
+                assert_eq!(hits[0].rule, "one-counter-view");
+            }
+            // Out of scope: other crates, tests, comments.
+            assert!(scan("crates/core/src/leakage.rs", src).is_empty());
+            let in_test = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+            assert!(scan("crates/server/src/stats.rs", &in_test).is_empty());
+            assert!(scan("crates/server/src/stats.rs", &format!("// {src}")).is_empty());
+        }
+        // What the server does hold: the exposition, its parser, and
+        // longer names.
+        let fine = format!(
+            "pub fn render_exposition(snapshot: &StatsSnapshot) -> String {{}}\n\
+             pub fn parse_exposition(text: &str) -> Result<Exposition, String> {{}}\n\
+             {view}_sample() {{}}\n"
+        );
+        assert!(scan("crates/server/src/metrics.rs", &fine).is_empty());
     }
 
     /// The invariant the linter exists to keep: the workspace itself

@@ -34,8 +34,8 @@
 //! * [`stats`] — served-queries/batch-size/per-stage-ops counters plus
 //!   per-model latency histograms, the queue-wait vs evaluation time
 //!   split, and the overload counters (shed / expired / connection
-//!   timeouts, live queue gauges), behind the
-//!   [`StatsSnapshot::render_text`] operator exposition;
+//!   timeouts, live queue gauges) that the [`metrics`] exposition
+//!   renders;
 //! * [`flight`] — the always-on [`FlightRecorder`]: a fixed-capacity,
 //!   lock-light ring buffer remembering the last N per-query records
 //!   (outcome, timing split, batch shape, faults observed), dumped on
@@ -108,5 +108,5 @@ pub use metrics::{parse_exposition, render_exposition, Exposition};
 pub use queue::{BoundedReceiver, BoundedSender, RecvError, TrySendError};
 pub use server::{DeployError, InferenceServer, ServerBuilder, ServerConfig, ServerHandle};
 pub use stats::{
-    CircuitBudget, CircuitSummary, ModelQueueDepth, ModelStats, ServerStats, StatsSnapshot,
+    ChainPrimes, CircuitSummary, ModelQueueDepth, ModelStats, ServerStats, StatsSnapshot,
 };

@@ -35,7 +35,7 @@
 //! malformed exposition before a real scraper would.
 
 use crate::flight::FlightRecorder;
-use crate::stats::{CircuitBudget, CircuitSummary, ModelQueueDepth, ModelStats, StatsSnapshot};
+use crate::stats::{CircuitSummary, ModelQueueDepth, ModelStats, StatsSnapshot};
 use copse_fhe::OpCounts;
 use copse_trace::LatencyHistogram;
 use std::collections::BTreeMap;
@@ -269,20 +269,15 @@ const FAMILIES: &[MetricFamily] = &[
         kind: "gauge",
         help: "Modulus-chain primes (static analysis): needed by one classification, entered at, in the chain.",
         read: |s, _| {
-            let chain = |(model, c): (&String, &CircuitSummary)| match c.budget {
-                CircuitBudget::Chain {
-                    primes_needed,
-                    entry,
-                    chain_len,
-                } => [("needed", primes_needed), ("entry", entry), ("chain", chain_len)]
-                    .map(|(kind, primes)| {
-                        let labels = vec![("model", model.clone()), ("kind", kind.to_string())];
-                        ("", labels, f64::from(primes))
-                    })
-                    .to_vec(),
-                CircuitBudget::Depth { .. } => Vec::new(),
+            let chain = |(model, c): (&String, &CircuitSummary)| {
+                let p = c.primes?;
+                let kinds = [("needed", p.needed), ("entry", p.entry), ("chain", p.chain)];
+                Some(kinds.map(|(kind, primes)| {
+                    let labels = vec![("model", model.clone()), ("kind", kind.to_string())];
+                    ("", labels, f64::from(primes))
+                }))
             };
-            s.circuits.iter().flat_map(chain).collect()
+            s.circuits.iter().filter_map(chain).flatten().collect()
         },
     },
     MetricFamily {
@@ -665,7 +660,7 @@ fn validate_histograms(exposition: &Exposition) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::{ModelQueueDepth, ServerStats};
+    use crate::stats::{ChainPrimes, ServerStats};
     use copse_core::runtime::EvalTrace;
     use std::time::Duration;
 
@@ -691,11 +686,11 @@ mod tests {
             "income5",
             CircuitSummary {
                 depth: 9,
-                budget: CircuitBudget::Chain {
-                    primes_needed: 10,
+                primes: Some(ChainPrimes {
+                    needed: 10,
                     entry: 11,
-                    chain_len: 20,
-                },
+                    chain: 20,
+                }),
                 ops_per_query: 1234,
                 modeled_ms: 87.5,
             },
@@ -705,7 +700,6 @@ mod tests {
             model: "income5".into(),
             depth: 3,
             capacity: 64,
-            shed: 1,
         }];
         snap
     }
@@ -807,6 +801,11 @@ mod tests {
             parsed.value("copse_model_expired_total", &[("model", "income5")]),
             Some(1.0)
         );
+        // A model that served but never shed or expired still says so:
+        // its overload counters read 0 rather than go missing.
+        let calm = [("model", "with \"quotes\" and \\slashes\\")];
+        assert_eq!(parsed.value("copse_model_shed_total", &calm), Some(0.0));
+        assert_eq!(parsed.value("copse_model_expired_total", &calm), Some(0.0));
         assert_eq!(
             parsed.value("copse_queue_depth", &[("model", "income5")]),
             Some(3.0)

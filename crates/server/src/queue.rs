@@ -171,7 +171,7 @@ impl<T> BoundedSender<T> {
         self.inner.ready.notify_all();
     }
 
-    /// Queued-right-now depth (a gauge for the stats page; racy by
+    /// Queued-right-now depth (the `copse_queue_depth` gauge; racy by
     /// nature, exact at the instant of the lock).
     pub fn len(&self) -> usize {
         self.inner.lock().items.len()

@@ -41,7 +41,7 @@
 use crate::faults::{FaultPlan, ServerFaults};
 use crate::flight::{FlightRecord, FlightRecorder};
 use crate::queue::{self, TrySendError};
-use crate::stats::{CircuitBudget, CircuitSummary, ModelQueueDepth, ServerStats, StatsSnapshot};
+use crate::stats::{ChainPrimes, CircuitSummary, ModelQueueDepth, ServerStats, StatsSnapshot};
 use crate::transport::{read_frame, write_frame};
 use bytes::Bytes;
 use copse_core::analyze::{AdmissionIssue, BackendProfile, CircuitReport, EvalShape};
@@ -267,7 +267,7 @@ impl<B: FheBackend> Drop for Shared<B> {
 impl<B: FheBackend> Shared<B> {
     /// The counters plus the live queue gauges the stats module cannot
     /// see: one row per deployed model (sorted), depth and capacity
-    /// from the queue itself, shed count from the per-model counters.
+    /// from the queue itself.
     fn snapshot(&self) -> StatsSnapshot {
         let mut snap = self.stats.snapshot();
         let registry = self.registry.read().unwrap_or_else(PoisonError::into_inner);
@@ -278,7 +278,6 @@ impl<B: FheBackend> Shared<B> {
                 model: entry.name.clone(),
                 depth: entry.jobs.len().min(u32::MAX as usize) as u32,
                 capacity: entry.jobs.capacity().min(u32::MAX as usize) as u32,
-                shed: snap.per_model.get(&entry.name).map_or(0, |m| m.shed),
             })
             .collect();
         snap.queue_depths.sort_by(|a, b| a.model.cmp(&b.model));
@@ -428,7 +427,7 @@ impl<B: FheBackend + 'static> ServerBuilder<B> {
 }
 
 /// Deploys one compiled model into a live registry: admission gate,
-/// circuit summary for the stats page, `maurice.deploy` (which warms
+/// circuit summary for the metrics exposition, `maurice.deploy` (which warms
 /// the `EncodedMatrix` precompute caches so the first query pays no
 /// transform cost), worker spawn, registry insert.
 fn deploy_model<B: FheBackend + 'static>(
@@ -489,22 +488,22 @@ fn deploy_model<B: FheBackend + 'static>(
             "evaluation worker exited before hosting the model",
         )));
     };
-    let budget = match shared.profile.budget {
-        NoiseBudget::Depth(budget) => CircuitBudget::Depth { budget },
+    let primes = match shared.profile.budget {
+        NoiseBudget::Depth(_) => None,
         NoiseBudget::Chain(rule) => {
             let chain = report.chain(&rule);
-            CircuitBudget::Chain {
-                primes_needed: chain.primes_needed,
+            Some(ChainPrimes {
+                needed: chain.primes_needed,
                 entry: info.entry_primes.unwrap_or(chain.chain_len),
-                chain_len: chain.chain_len,
-            }
+                chain: chain.chain_len,
+            })
         }
     };
     shared.stats.set_circuit(
         &name,
         CircuitSummary {
             depth: report.depth,
-            budget,
+            primes,
             ops_per_query: report.total_ops().total_homomorphic(),
             modeled_ms: report.modeled_ms(&shared.cost),
         },
@@ -967,7 +966,7 @@ impl<B: FheBackend + 'static> InferenceServer<B> {
 fn spawn_connection<B: FheBackend + 'static>(shared: &Arc<Shared<B>>, stream: TcpStream) {
     // Socket timeouts bound slow-loris sessions: a peer that stalls
     // mid-frame (or stops reading) is disconnected, and the timeout
-    // is counted on the stats page.
+    // is counted in the metrics exposition.
     if stream.set_read_timeout(shared.config.read_timeout).is_err()
         || stream
             .set_write_timeout(shared.config.write_timeout)
@@ -1417,8 +1416,8 @@ impl<B: FheBackend + 'static> ServerHandle<B> {
     }
 
     /// A snapshot of the service counters with the live per-model
-    /// queue gauges filled in — what the operator page
-    /// ([`StatsSnapshot::render_text`]) and the metrics exposition are
+    /// queue gauges filled in — what the metrics exposition
+    /// ([`render_exposition`](crate::metrics::render_exposition)) is
     /// rendered from.
     pub fn snapshot(&self) -> StatsSnapshot {
         self.shared.snapshot()

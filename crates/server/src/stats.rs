@@ -2,27 +2,27 @@
 //!
 //! Every evaluation pass records its batch size, per-stage operation
 //! counts, and its latency split here; connection threads read
-//! consistent snapshots to answer `MetricsRequest` frames, and
-//! operators read them to see whether the batching scheduler is
-//! actually coalescing load (`max_batch > 1` under concurrency is the
-//! whole point) and what the service's tail latency looks like
-//! ([`StatsSnapshot::render_text`]).
+//! consistent snapshots to answer `MetricsRequest` frames
+//! ([`render_exposition`](crate::metrics::render_exposition)), where
+//! operators see whether the batching scheduler is actually coalescing
+//! load (`max_batch > 1` under concurrency is the whole point) and what
+//! the service's tail latency looks like.
 //!
 //! Per-stage op counts come from the **per-pass** scoped meter each
 //! [`Sally::classify_batch_traced`](copse_core::runtime::Sally::classify_batch_traced)
 //! pass installs, so they are exact per stage and per model even when
 //! several models evaluate concurrently on one shared backend.
 //!
-//! The hot exact counters (`queries_served`, `batches`) are atomics;
-//! the mutex is taken only for the histogram/map updates, so
-//! concurrently completing passes contend as little as possible while
-//! every count stays exact (see the concurrent-recording test).
+//! Each fact is stored once. The service totals (queries served,
+//! batches, the largest batch, packed queries, shed and expired) are
+//! derived at snapshot time, under the one mutex, from the histograms
+//! and per-model counters that already hold them, so a snapshot cannot
+//! disagree with itself (see the concurrent-polling test).
 
 use copse_core::runtime::EvalTrace;
 use copse_fhe::OpCounts;
-use copse_trace::{format_nanos, LatencyHistogram};
+use copse_trace::LatencyHistogram;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
@@ -32,30 +32,17 @@ use std::time::Duration;
 pub struct ServerStats {
     /// Parallel degree; configuration, not a counter.
     pool_threads: usize,
-    /// Inference queries answered (hot path: atomic, no lock).
-    queries_served: AtomicU64,
-    /// Evaluation passes run (hot path: atomic, no lock).
-    batches: AtomicU64,
-    /// Queries shed with a `Busy`/overload answer (full queue, or
-    /// drain shutdown) instead of being evaluated.
-    queries_shed: AtomicU64,
-    /// Queries whose client deadline expired in the queue; answered
-    /// with a typed error, never evaluated.
-    queries_expired: AtomicU64,
     /// Connections closed by the read/write socket timeouts (the
     /// slow-loris bound).
     conn_timeouts: AtomicU64,
-    /// Everything that needs a map or histogram update.
+    /// Every per-query and per-pass counter.
     inner: Mutex<StatsInner>,
 }
 
-/// The mutex-guarded slice of the counters.
+/// The mutex-guarded counters.
 #[derive(Debug, Default)]
 struct StatsInner {
-    max_batch: usize,
     batch_size_counts: BTreeMap<usize, u64>,
-    packed_queries: u64,
-    max_packed: u32,
     packed_size_counts: BTreeMap<u32, u64>,
     comparison_ops: OpCounts,
     reshuffle_ops: OpCounts,
@@ -70,14 +57,16 @@ struct StatsInner {
 /// The static-analysis verdict for one deployed model, registered at
 /// deploy time from the static analyzer's
 /// [`CircuitReport`](copse_core::analyze::CircuitReport) so the
-/// operator page can show where each model sits in its backend's
-/// noise budget next to its measured latency.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+/// exposition can show where each model sits in its backend's modulus
+/// chain next to its measured latency.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CircuitSummary {
     /// Multiplicative depth of one classification.
     pub depth: u32,
-    /// The backend's noise budget and the circuit's use of it.
-    pub budget: CircuitBudget,
+    /// The circuit's place in a BGV modulus chain; `None` on a
+    /// depth-budgeted backend, whose budget is an operator setting
+    /// (`ClearConfig::max_depth`) that admission already enforces.
+    pub primes: Option<ChainPrimes>,
     /// Homomorphic operations per classification.
     pub ops_per_query: u64,
     /// Modeled single-thread latency per classification (calibrated
@@ -85,49 +74,19 @@ pub struct CircuitSummary {
     pub modeled_ms: f64,
 }
 
-/// What bounds one model's circuit on its backend
-/// ([`NoiseBudget`](copse_fhe::NoiseBudget)), with the analyzer's
-/// prediction.
+/// One model's circuit on a BGV modulus chain
+/// ([`NoiseBudget::Chain`](copse_fhe::NoiseBudget::Chain)), as the
+/// analyzer predicts it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CircuitBudget {
-    /// A depth-budgeted backend: the depth it supports.
-    Depth {
-        /// Depth the backend's parameters support.
-        budget: u32,
-    },
-    /// A BGV modulus chain.
-    Chain {
-        /// Primes a fresh query needs for one classification to
-        /// decrypt ([`ChainReport::primes_needed`](copse_core::analyze::ChainReport::primes_needed)).
-        primes_needed: u32,
-        /// Primes queries enter at: the highest entry level of the
-        /// circuits the hosted evaluator runs (packed ones included).
-        entry: u32,
-        /// Primes in the backend's chain.
-        chain_len: u32,
-    },
-}
-
-impl Default for CircuitBudget {
-    fn default() -> Self {
-        CircuitBudget::Depth { budget: 0 }
-    }
-}
-
-impl CircuitSummary {
-    /// What one classification leaves unused of the budget: depth
-    /// levels, or chain primes. A deployed circuit always fits —
-    /// admission rejects the rest.
-    pub fn headroom(&self) -> u32 {
-        match self.budget {
-            CircuitBudget::Depth { budget } => budget.saturating_sub(self.depth),
-            CircuitBudget::Chain {
-                primes_needed,
-                chain_len,
-                ..
-            } => chain_len.saturating_sub(primes_needed),
-        }
-    }
+pub struct ChainPrimes {
+    /// Primes a fresh query needs for one classification to decrypt
+    /// ([`ChainReport::primes_needed`](copse_core::analyze::ChainReport::primes_needed)).
+    pub needed: u32,
+    /// Primes queries enter at: the highest entry level of the
+    /// circuits the hosted evaluator runs (packed ones included).
+    pub entry: u32,
+    /// Primes in the backend's chain.
+    pub chain: u32,
 }
 
 /// Latency aggregates for one registered model.
@@ -190,7 +149,7 @@ pub struct StatsSnapshot {
     pub eval_total: Duration,
     /// Per-model query counts and end-to-end latency histograms.
     pub per_model: BTreeMap<String, ModelStats>,
-    /// Per-model static circuit analysis (depth vs budget, modeled
+    /// Per-model static circuit analysis (depth, chain primes, modeled
     /// cost), registered at deploy time.
     pub circuits: BTreeMap<String, CircuitSummary>,
     /// Queries shed with an overload answer instead of evaluated.
@@ -199,16 +158,16 @@ pub struct StatsSnapshot {
     pub queries_expired: u64,
     /// Connections closed by the socket timeouts.
     pub conn_timeouts: u64,
-    /// Live per-model queue gauges (depth/capacity/shed). The stats
-    /// module cannot see the queues, so this is empty in a raw
-    /// [`ServerStats::snapshot`]; `ServerHandle::snapshot` and the
-    /// `MetricsRequest` arm fill it from the live queues.
+    /// Live per-model queue gauges. The stats module cannot see the
+    /// queues, so this is empty in a raw [`ServerStats::snapshot`];
+    /// `ServerHandle::snapshot` and the `MetricsRequest` arm fill it
+    /// from the live queues.
     pub queue_depths: Vec<ModelQueueDepth>,
 }
 
 /// One model's live queue gauge inside a [`StatsSnapshot`]: how deep
-/// its bounded job queue currently is and how many queries it has shed
-/// so far.
+/// its bounded job queue currently is (its shed count is
+/// [`ModelStats::shed`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ModelQueueDepth {
     /// Registry name of the model.
@@ -217,8 +176,6 @@ pub struct ModelQueueDepth {
     pub depth: u32,
     /// Configured bound of that queue.
     pub capacity: u32,
-    /// Queries this model has refused with `Frame::Busy`.
-    pub shed: u64,
 }
 
 impl StatsSnapshot {
@@ -230,124 +187,6 @@ impl StatsSnapshot {
             self.queries_served as f64 / self.batches as f64
         }
     }
-
-    /// Renders the snapshot as a human-readable operator exposition:
-    /// service totals, the queue-wait vs evaluation time split, stage
-    /// op totals, and one line per model with latency percentiles.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "copse server stats");
-        let _ = writeln!(out, "  pool threads      {}", self.pool_threads);
-        let _ = writeln!(out, "  queries served    {}", self.queries_served);
-        let _ = writeln!(
-            out,
-            "  evaluation passes {} (mean batch {:.2}, max batch {})",
-            self.batches,
-            self.mean_batch(),
-            self.max_batch
-        );
-        let _ = writeln!(
-            out,
-            "  packed lanes      {} queries shared a ciphertext (max {} lanes)",
-            self.packed_queries, self.max_packed,
-        );
-        let _ = writeln!(
-            out,
-            "  overload          shed {} / expired {} / conn timeouts {}",
-            self.queries_shed, self.queries_expired, self.conn_timeouts,
-        );
-        let wait = duration_nanos(self.queue_wait_total);
-        let eval = duration_nanos(self.eval_total);
-        let wait_pct = if wait + eval > 0 {
-            100.0 * wait as f64 / (wait + eval) as f64
-        } else {
-            0.0
-        };
-        let _ = writeln!(
-            out,
-            "  time split        queue-wait {} / eval {} ({wait_pct:.1}% waiting)",
-            format_nanos(wait),
-            format_nanos(eval),
-        );
-        let _ = writeln!(
-            out,
-            "  stage ops         comparison={} reshuffle={} levels={} accumulate={}",
-            self.comparison_ops.total_homomorphic(),
-            self.reshuffle_ops.total_homomorphic(),
-            self.level_ops.total_homomorphic(),
-            self.accumulate_ops.total_homomorphic(),
-        );
-        // Every section below renders on every poll, empty or not —
-        // operators diff consecutive expositions, and a field that
-        // appears only once traffic arrives reads as a schema change
-        // mid-watch. The overload tail rides on each latency line for
-        // the same reason: shed/expired are per-model facts, and a
-        // model that never shed still says so explicitly.
-        let _ = writeln!(out, "  per-model end-to-end latency:");
-        if self.per_model.is_empty() {
-            let _ = writeln!(out, "    (none)");
-        } else {
-            let width = self.per_model.keys().map(|n| n.len()).max().unwrap_or(0);
-            for (name, m) in &self.per_model {
-                let _ = writeln!(
-                    out,
-                    "    {name:width$}  {}  shed {} / expired {}",
-                    m.latency, m.shed, m.expired,
-                );
-            }
-        }
-        let _ = writeln!(out, "  per-model queue depth (live):");
-        if self.queue_depths.is_empty() {
-            let _ = writeln!(out, "    (none)");
-        } else {
-            let width = self
-                .queue_depths
-                .iter()
-                .map(|q| q.model.len())
-                .max()
-                .unwrap_or(0);
-            for q in &self.queue_depths {
-                let _ = writeln!(
-                    out,
-                    "    {:width$}  depth {}/{}  shed {}",
-                    q.model, q.depth, q.capacity, q.shed,
-                );
-            }
-        }
-        let _ = writeln!(out, "  per-model circuit analysis (static):");
-        if self.circuits.is_empty() {
-            let _ = writeln!(out, "    (none)");
-        } else {
-            let width = self.circuits.keys().map(|n| n.len()).max().unwrap_or(0);
-            for (name, c) in &self.circuits {
-                let headroom = c.headroom();
-                let budget = match c.budget {
-                    CircuitBudget::Depth { budget } => {
-                        format!("depth {}/{budget} (headroom {headroom})", c.depth)
-                    }
-                    CircuitBudget::Chain {
-                        primes_needed,
-                        entry,
-                        chain_len,
-                    } => format!(
-                        "depth {}  primes {primes_needed}/{chain_len} (headroom {headroom})  entry {entry}",
-                        c.depth
-                    ),
-                };
-                let _ = writeln!(
-                    out,
-                    "    {name:width$}  {budget}  ops/query {}  modeled {:.1} ms",
-                    c.ops_per_query, c.modeled_ms,
-                );
-            }
-        }
-        out
-    }
-}
-
-/// Saturating `Duration` → nanoseconds for the time-split line.
-fn duration_nanos(d: Duration) -> u64 {
-    d.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
 impl ServerStats {
@@ -362,10 +201,6 @@ impl ServerStats {
     pub fn with_threads(pool_threads: usize) -> Self {
         Self {
             pool_threads: pool_threads.max(1),
-            queries_served: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            queries_shed: AtomicU64::new(0),
-            queries_expired: AtomicU64::new(0),
             conn_timeouts: AtomicU64::new(0),
             inner: Mutex::new(StatsInner::default()),
         }
@@ -374,7 +209,6 @@ impl ServerStats {
     /// Records one query shed with an overload answer (full queue or
     /// drain shutdown) for `model`.
     pub fn record_shed(&self, model: &str) {
-        self.queries_shed.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.per_model.entry(model.to_string()).or_default().shed += 1;
     }
@@ -382,7 +216,6 @@ impl ServerStats {
     /// Records one query whose client deadline expired in `model`'s
     /// queue (answered with a typed error, never evaluated).
     pub fn record_expired(&self, model: &str) {
-        self.queries_expired.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner
             .per_model
@@ -410,16 +243,12 @@ impl ServerStats {
         eval: Duration,
     ) {
         let batch_size = queue_waits.len();
-        self.queries_served
-            .fetch_add(batch_size as u64, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
         let queue_wait_sum: Duration = queue_waits.iter().sum();
         // A panic under the lock (nothing here should, but the server
         // must not compound one) poisons only the mutex, not the data:
         // every update below is a saturating counter bump, so the
         // recovered value is always coherent. Same for `snapshot`.
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.max_batch = inner.max_batch.max(batch_size);
         *inner.batch_size_counts.entry(batch_size).or_insert(0) += 1;
         // The packed dimension: each query's lane occupancy comes from
         // the trace (empty when the pass ran stage-major — every query
@@ -427,10 +256,6 @@ impl ServerStats {
         for i in 0..batch_size {
             let occupancy = trace.packed_sizes.get(i).copied().unwrap_or(1);
             *inner.packed_size_counts.entry(occupancy).or_insert(0) += 1;
-            if occupancy >= 2 {
-                inner.packed_queries += 1;
-            }
-            inner.max_packed = inner.max_packed.max(occupancy);
         }
         inner.comparison_ops = inner.comparison_ops.plus(&trace.comparison.ops);
         inner.reshuffle_ops = inner.reshuffle_ops.plus(&trace.reshuffle.ops);
@@ -452,22 +277,23 @@ impl ServerStats {
         inner.circuits.insert(model.to_string(), summary);
     }
 
-    /// A consistent copy of the counters.
-    ///
-    /// "Consistent" per counter: the atomics are read after taking the
-    /// mutex, so a snapshot never reports fewer queries than the
-    /// batches it has seen recorded.
+    /// A consistent copy of the counters: the totals are derived under
+    /// the one lock from the maps that hold them, so they always agree
+    /// with the histograms and per-model rows of the same snapshot.
     pub fn snapshot(&self) -> StatsSnapshot {
         let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let batches = &inner.batch_size_counts;
+        let packed = &inner.packed_size_counts;
+        let per_model = |count: fn(&ModelStats) -> u64| inner.per_model.values().map(count).sum();
         StatsSnapshot {
             pool_threads: self.pool_threads,
-            queries_served: self.queries_served.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            max_batch: inner.max_batch,
-            batch_size_counts: inner.batch_size_counts.clone(),
-            packed_queries: inner.packed_queries,
-            max_packed: inner.max_packed,
-            packed_size_counts: inner.packed_size_counts.clone(),
+            queries_served: batches.iter().map(|(&size, &n)| size as u64 * n).sum(),
+            batches: batches.values().sum(),
+            max_batch: batches.keys().next_back().copied().unwrap_or(0),
+            batch_size_counts: batches.clone(),
+            packed_queries: packed.range(2..).map(|(_, &n)| n).sum(),
+            max_packed: packed.keys().next_back().copied().unwrap_or(0),
+            packed_size_counts: packed.clone(),
             comparison_ops: inner.comparison_ops,
             reshuffle_ops: inner.reshuffle_ops,
             level_ops: inner.level_ops,
@@ -476,8 +302,8 @@ impl ServerStats {
             eval_total: inner.eval_total,
             per_model: inner.per_model.clone(),
             circuits: inner.circuits.clone(),
-            queries_shed: self.queries_shed.load(Ordering::Relaxed),
-            queries_expired: self.queries_expired.load(Ordering::Relaxed),
+            queries_shed: per_model(|m| m.shed),
+            queries_expired: per_model(|m| m.expired),
             conn_timeouts: self.conn_timeouts.load(Ordering::Relaxed),
             queue_depths: Vec::new(),
         }
@@ -543,8 +369,8 @@ mod tests {
     #[test]
     fn concurrent_recording_is_exact() {
         // Mirrors the OpMeter exactness test: many threads hammering
-        // `record_batch` must lose nothing, neither in the atomic fast
-        // path nor in the mutexed histogram updates.
+        // `record_batch` must lose nothing, neither in the derived
+        // totals nor in the histograms they are derived from.
         let stats = std::sync::Arc::new(ServerStats::with_threads(2));
         let threads = 8;
         let per_thread = 250;
@@ -601,21 +427,21 @@ mod tests {
             Some(&4),
             "1 remainder + 3 stage-major"
         );
-        let text = snap.render_text();
-        assert!(
-            text.contains("4 queries shared a ciphertext (max 2 lanes)"),
-            "{text}"
-        );
     }
 
     #[test]
     fn circuit_summary_shows_depth_headroom() {
         let stats = ServerStats::new();
+        let chain = ChainPrimes {
+            needed: 10,
+            entry: 11,
+            chain: 20,
+        };
         stats.set_circuit(
             "chess15",
             CircuitSummary {
                 depth: 9,
-                budget: CircuitBudget::Depth { budget: 14 },
+                primes: None,
                 ops_per_query: 1234,
                 modeled_ms: 87.5,
             },
@@ -624,26 +450,17 @@ mod tests {
             "depth4",
             CircuitSummary {
                 depth: 8,
-                budget: CircuitBudget::Chain {
-                    primes_needed: 10,
-                    entry: 11,
-                    chain_len: 20,
-                },
+                primes: Some(chain),
                 ops_per_query: 174,
                 modeled_ms: 39.0,
             },
         );
         let snap = stats.snapshot();
-        assert_eq!(snap.circuits["chess15"].headroom(), 5);
-        assert_eq!(snap.circuits["depth4"].headroom(), 10);
-        let text = snap.render_text();
-        assert!(text.contains("circuit analysis"), "{text}");
-        assert!(text.contains("depth 9/14 (headroom 5)"), "{text}");
-        assert!(text.contains("modeled 87.5 ms"), "{text}");
-        assert!(
-            text.contains("depth 8  primes 10/20 (headroom 10)  entry 11"),
-            "{text}"
-        );
+        assert_eq!(snap.circuits["chess15"].depth, 9);
+        assert_eq!(snap.circuits["chess15"].primes, None);
+        let primes = snap.circuits["depth4"].primes.expect("a chain circuit");
+        assert_eq!(primes, chain);
+        assert_eq!(primes.chain - primes.needed, 10, "headroom in primes");
     }
 
     #[test]
@@ -661,90 +478,63 @@ mod tests {
         assert_eq!(snap.per_model["m"].shed, 2);
         assert_eq!(snap.per_model["m"].expired, 1);
         assert_eq!(snap.per_model["other"].shed, 1);
-        let text = snap.render_text();
-        assert!(
-            text.contains("shed 3 / expired 1 / conn timeouts 1"),
-            "{text}"
-        );
     }
 
+    /// Every poll of a server under load agrees with itself: the
+    /// service totals are the sums of the per-model rows and the
+    /// batch-size histogram of the same snapshot.
     #[test]
-    fn queue_gauges_render_when_filled() {
-        let stats = ServerStats::new();
-        let mut snap = stats.snapshot();
-        snap.queue_depths = vec![ModelQueueDepth {
-            model: "income5".into(),
-            depth: 3,
-            capacity: 64,
-            shed: 7,
-        }];
-        let text = snap.render_text();
-        assert!(text.contains("queue depth (live)"), "{text}");
-        assert!(text.contains("depth 3/64  shed 7"), "{text}");
-    }
+    fn snapshots_agree_with_themselves_under_concurrent_recording() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::Barrier;
 
-    #[test]
-    fn render_text_is_operator_readable() {
-        let stats = ServerStats::with_threads(4);
-        stats.record_batch("soccer5", &trace(7), &waits(2, 1), Duration::from_millis(5));
-        stats.record_batch("income5", &trace(3), &waits(1, 2), Duration::from_millis(9));
-        let text = stats.snapshot().render_text();
-        assert!(text.contains("queries served    3"), "{text}");
-        assert!(text.contains("mean batch 1.50"), "{text}");
-        assert!(text.contains("queue-wait"), "{text}");
-        assert!(text.contains("levels=10"), "{text}");
-        assert!(text.contains("income5"), "{text}");
-        assert!(text.contains("soccer5"), "{text}");
-        assert!(text.contains("p99="), "{text}");
-        // The overload tail is on every model line even at zero (the
-        // newline keeps the service-wide overload line out of the
-        // count — that one continues with "/ conn timeouts").
-        assert_eq!(text.matches("shed 0 / expired 0\n").count(), 2, "{text}");
-    }
-
-    /// One section-header line per poll, traffic or not: an operator
-    /// diffing consecutive expositions must never see a field appear
-    /// or disappear — only its value change.
-    #[test]
-    fn render_text_schema_is_stable_across_polls() {
-        let sections = [
-            "pool threads",
-            "queries served",
-            "evaluation passes",
-            "packed lanes",
-            "overload",
-            "time split",
-            "stage ops",
-            "per-model end-to-end latency:",
-            "per-model queue depth (live):",
-            "per-model circuit analysis (static):",
-        ];
-        let stats = ServerStats::new();
-        let empty = stats.snapshot().render_text();
-        for section in sections {
-            assert_eq!(empty.matches(section).count(), 1, "{section}: {empty}");
+        fn check(snap: &StatsSnapshot) {
+            let sum =
+                |count: fn(&ModelStats) -> u64| -> u64 { snap.per_model.values().map(count).sum() };
+            assert_eq!(snap.queries_served, sum(|m| m.queries));
+            assert_eq!(snap.queries_served, sum(|m| m.latency.count()));
+            assert_eq!(snap.batches, snap.batch_size_counts.values().sum::<u64>());
+            assert_eq!(snap.queries_shed, sum(|m| m.shed));
+            assert_eq!(snap.queries_expired, sum(|m| m.expired));
         }
-        assert_eq!(empty.matches("(none)").count(), 3, "{empty}");
 
-        stats.record_batch("m", &trace(2), &waits(1, 1), Duration::from_millis(3));
-        stats.record_shed("m");
-        stats.record_expired("m");
-        stats.set_circuit("m", CircuitSummary::default());
-        let mut snap = stats.snapshot();
-        snap.queue_depths = vec![ModelQueueDepth {
-            model: "m".into(),
-            depth: 0,
-            capacity: 64,
-            shed: 1,
-        }];
-        let busy = snap.render_text();
-        for section in sections {
-            assert_eq!(busy.matches(section).count(), 1, "{section}: {busy}");
-        }
-        assert!(!busy.contains("(none)"), "{busy}");
-        assert!(busy.contains("shed 1 / expired 1"), "{busy}");
-        // Same line structure either way: every non-header line of the
-        // empty render has a populated counterpart.
-        assert_eq!(empty.lines().count(), busy.lines().count(), "{empty}{busy}");
+        let stats = ServerStats::new();
+        let (writers, per_writer) = (8, 20_000);
+        let finished = AtomicUsize::new(0);
+        // The poller is running before any writer records.
+        let start = Barrier::new(writers + 1);
+        std::thread::scope(|s| {
+            for t in 0..writers {
+                let (stats, finished, start) = (&stats, &finished, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let model = ["a", "b", "c"][t % 3];
+                    for i in 0..per_writer {
+                        match i % 4 {
+                            0 => stats.record_shed(model),
+                            1 => stats.record_expired(model),
+                            _ => stats.record_batch(
+                                model,
+                                &trace(1),
+                                &waits(1 + i % 3, 1),
+                                Duration::ZERO,
+                            ),
+                        }
+                    }
+                    finished.fetch_add(1, Ordering::Release);
+                });
+            }
+            s.spawn(|| {
+                start.wait();
+                while finished.load(Ordering::Acquire) < writers {
+                    check(&stats.snapshot());
+                }
+            });
+        });
+        let snap = stats.snapshot();
+        check(&snap);
+        let quarter = (writers * per_writer / 4) as u64;
+        assert_eq!(snap.queries_shed, quarter);
+        assert_eq!(snap.batches, 2 * quarter);
     }
 }

@@ -129,10 +129,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          (every classification matched plaintext reference inference)"
     );
 
-    // The operator exposition: per-model latency percentiles and the
-    // queue-wait vs evaluation split, as a monitoring page would show.
+    // The operator's view: the metrics exposition a scraper pulls —
+    // per-model latency histograms, the queue-wait vs evaluation
+    // split, overload counters and the static circuit analysis.
     println!();
-    print!("{}", snapshot.render_text());
+    let mut observer = InferenceClient::connect(addr, Arc::clone(&backend), "soccer5")?;
+    print!("{}", observer.metrics()?);
+    observer.close()?;
 
     // Both model workers evaluated on the process-wide shared pool;
     // its counters show how the forked work was spread.

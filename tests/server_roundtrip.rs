@@ -155,12 +155,6 @@ fn concurrent_clients_match_direct_classification_and_batch() {
         assert!(m.latency.p99_nanos() >= m.latency.p50_nanos());
     }
     assert!(snapshot.eval_total > Duration::ZERO);
-    let text = snapshot.render_text();
-    assert!(
-        text.contains("depth5") && text.contains("width55"),
-        "{text}"
-    );
-    assert!(text.contains("queue-wait"), "{text}");
 
     // The handle's snapshot adds what the raw counters cannot see:
     // one live queue gauge per deployed model.
@@ -188,9 +182,15 @@ fn concurrent_clients_match_direct_classification_and_batch() {
         2,
         "one latency histogram per model"
     );
+    for name in ["depth5", "width55"] {
+        assert_eq!(
+            remote.value("copse_model_queries_total", &[("model", name)]),
+            Some((CLIENTS_PER_MODEL * QUERIES_PER_CLIENT) as f64)
+        );
+    }
     assert_eq!(
-        remote.value("copse_model_queries_total", &[("model", "depth5")]),
-        Some((CLIENTS_PER_MODEL * QUERIES_PER_CLIENT) as f64)
+        remote.value("copse_queue_wait_nanos_total", &[]),
+        Some(snapshot.queue_wait_total.as_nanos() as f64)
     );
     observer.close().expect("close observer");
     handle.shutdown();
@@ -784,8 +784,18 @@ fn burst_of_clients_forms_packed_batches_with_correct_answers() {
         "lane occupancy outside the 4-lane capacity: {}",
         snapshot.max_packed
     );
-    let text = snapshot.render_text();
-    assert!(text.contains("packed lanes"), "{text}");
+    let mut observer =
+        InferenceClient::connect(addr, Arc::clone(&backend), "depth4").expect("observer");
+    let remote = pull_metrics(&mut observer);
+    assert_eq!(
+        remote.value("copse_packed_queries_total", &[]),
+        Some(snapshot.packed_queries as f64)
+    );
+    assert_eq!(
+        remote.value("copse_max_packed", &[]),
+        Some(f64::from(snapshot.max_packed))
+    );
+    observer.close().expect("close observer");
 
     // ...and so did the flight recorder, per query: packing engaged in
     // at least one coalesced batch, and no record claims more lanes
