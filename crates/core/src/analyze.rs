@@ -428,12 +428,10 @@ fn run(
     })
 }
 
-/// Runs `f` on a fresh abstract backend, in one `analyze` trace span
-/// and a meter scope of its own, so none of its ops (the deploy's
-/// encrypts, the tiling of a packed operand set) reach a scope the
-/// caller installed.
+/// Runs `f` on a fresh abstract backend in a meter scope of its own,
+/// so none of its ops (the deploy's encrypts, the tiling of a packed
+/// operand set) reach a scope the caller installed.
 fn on_abstract<T>(backend: AbstractBackend, f: impl FnOnce(&AbstractBackend) -> T) -> T {
-    let _span = copse_trace::span("analyze");
     OpMeter::measure(|| f(&backend)).0
 }
 

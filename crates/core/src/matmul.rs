@@ -426,7 +426,6 @@ pub fn mat_vec_many<B: FheBackend>(
         "vector width {} != matrix cols {n} ({layout:?})",
         backend.width(v),
     );
-    let _span = copse_trace::span("mat_vec");
 
     let keeps =
         |l: usize, i: usize| !(options[l].skip_zero_diagonals && matrices[l].zero_diagonals[i]);

@@ -910,14 +910,13 @@ impl<'b, B: FheBackend> Sally<'b, B> {
         // process totals.
         let pass = Arc::new(OpMeter::new());
         let _pass_scope = pass.install_scope();
-        let _span = copse_trace::span("classify_batch");
 
         // Step 1: comparison. Every decision node of every query
         // thresholds within one stage pass; units fork across the
         // shared pool. SecComp is purely slot-wise, so a packed unit's
         // circuit is literally the solo one over wider ciphertexts.
         let (entry_depths, decisions): (Vec<u32>, Vec<B::Ciphertext>) =
-            staged(&pass, "stage:comparison", &mut trace.comparison, || {
+            staged(&pass, &mut trace.comparison, || {
                 map_indices(par, units.len(), |u| {
                     let unit = &units[u];
                     let planes = unit.planes(be);
@@ -940,7 +939,7 @@ impl<'b, B: FheBackend> Sally<'b, B> {
         // (on the slot ring, when packed). Compiled away (`None`) when
         // the level matrices were fused with R; then step 3 reads the
         // decisions directly.
-        let branches = staged(&pass, "stage:reshuffle", &mut trace.reshuffle, || {
+        let branches = staged(&pass, &mut trace.reshuffle, || {
             map_indices(par, units.len(), |u| {
                 let r = units[u].operands.reshuffle.as_ref()?;
                 let options = self.matmul_at(1, 0, u as u64);
@@ -953,7 +952,7 @@ impl<'b, B: FheBackend> Sally<'b, B> {
         // multiplies the same branch vector, so each unit rotates it
         // once for all of them in one rotation-sharing product, then
         // XORs each level's mask.
-        let level_results = staged(&pass, "stage:levels", &mut trace.levels, || {
+        let level_results = staged(&pass, &mut trace.levels, || {
             map_indices(par, units.len(), |u| -> Vec<B::Ciphertext> {
                 let Operands { levels, masks, .. } = units[u].operands;
                 let input = branches[u].as_ref().unwrap_or(&decisions[u]);
@@ -974,7 +973,7 @@ impl<'b, B: FheBackend> Sally<'b, B> {
         // vector (slot-wise, so packed-transparent), optionally
         // scramble it with Sally's secret permutation (paper §7.2.2;
         // one extra plaintext MatMul), and split it per query.
-        let results = staged(&pass, "stage:accumulate", &mut trace.accumulate, || {
+        let results = staged(&pass, &mut trace.accumulate, || {
             map_indices(par, units.len(), |u| {
                 let mut labels = self.accumulate(&level_results[u]);
                 if let Some(shuffle) = &units[u].operands.shuffle {
@@ -1076,15 +1075,8 @@ impl<'b> Sally<'b, AbstractBackend> {
 /// Times one pipeline stage into `report` and attributes its ops by
 /// diffing the caller's **per-pass** meter (not the shared backend
 /// meter), so stage counts are exact even under concurrent
-/// evaluations. Each stage also opens a named timing span for the
-/// Chrome trace view.
-fn staged<T>(
-    pass: &OpMeter,
-    name: &'static str,
-    report: &mut StageReport,
-    f: impl FnOnce() -> T,
-) -> T {
-    let _span = copse_trace::span(name);
+/// evaluations.
+fn staged<T>(pass: &OpMeter, report: &mut StageReport, f: impl FnOnce() -> T) -> T {
     let before = pass.snapshot();
     let start = copse_trace::Stopwatch::start();
     let value = f();
@@ -1551,6 +1543,62 @@ mod tests {
             trace.accumulate.ops.multiply,
             3 * single.accumulate.ops.multiply
         );
+    }
+
+    #[test]
+    fn concurrent_passes_count_only_their_own_ops() {
+        // Two models share one backend (hence one backend meter) and
+        // the process-wide pool. Each pass's trace must still count
+        // exactly what that pass ran: the stage counts a sequential
+        // pass of the same model reports alone.
+        let be = ClearBackend::with_defaults();
+        let hosted: Vec<_> = [0usize, 1]
+            .into_iter()
+            .map(|spec| {
+                let forest = microbench::generate(&table6_specs()[spec], 40 + spec as u64);
+                let maurice = Maurice::compile(&forest, CompileOptions::default()).unwrap();
+                let diane = Diane::new(&be, maurice.public_query_info());
+                let queries: Vec<EncryptedQuery<_>> =
+                    microbench::random_queries(&forest, 3, 60 + spec as u64)
+                        .iter()
+                        .map(|q| diane.encrypt_features(q).unwrap())
+                        .collect();
+                let solo = Sally::host(&be, maurice.deploy(&be, ModelForm::Encrypted))
+                    .classify_batch_traced(&queries)
+                    .1;
+                let sally = Sally::with_options(
+                    &be,
+                    maurice.deploy(&be, ModelForm::Encrypted),
+                    EvalOptions {
+                        parallelism: Parallelism { threads: 2 },
+                        ..EvalOptions::default()
+                    },
+                );
+                (sally, queries, solo)
+            })
+            .collect();
+        assert_ne!(
+            hosted[0].2.total_ops(),
+            hosted[1].2.total_ops(),
+            "the models must differ for a mix-up to show"
+        );
+        let start = std::sync::Barrier::new(hosted.len());
+        std::thread::scope(|s| {
+            for (sally, queries, solo) in &hosted {
+                let start = &start;
+                s.spawn(move || {
+                    for round in 0..8 {
+                        start.wait();
+                        let (_, trace) = sally.classify_batch_traced(queries);
+                        let stages = |t: &EvalTrace| {
+                            [&t.comparison, &t.reshuffle, &t.levels, &t.accumulate].map(|r| r.ops)
+                        };
+                        assert_eq!(trace.total_ops(), solo.total_ops(), "round {round}");
+                        assert_eq!(stages(&trace), stages(solo), "round {round}");
+                    }
+                });
+            }
+        });
     }
 
     #[test]

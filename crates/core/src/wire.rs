@@ -8,9 +8,10 @@
 //! concrete byte format (length-prefixed, big-endian, versioned) so
 //! parties can live in separate processes.
 //!
-//! Beyond the standalone [`QueryInfo`] message, the module defines the
-//! [`Frame`] vocabulary of the `copse-server` inference service:
-//! session handshake ([`Frame::ClientHello`] / [`Frame::ServerHello`]),
+//! The handshake travels inside the [`Frame`] vocabulary of the
+//! `copse-server` inference service: the session handshake
+//! ([`Frame::ClientHello`] / [`Frame::ServerHello`], whose `info`
+//! section is the [`QueryInfo`]),
 //! model-registry discovery ([`Frame::ListModels`] /
 //! [`Frame::ModelList`]), encrypted queries and results
 //! ([`Frame::Query`] / [`Frame::Result`]), the metrics pull
@@ -39,7 +40,6 @@ use std::fmt;
 ///
 /// | message (tag) | body: field, width |
 /// |---|---|
-/// | [`QueryInfo`] (0x51) | `info` (below) |
 /// | `ClientHello` (0x01) | `model: str` |
 /// | `ServerHello` (0x02) | `session: u64`, `encrypted_model: u8`, `info` |
 /// | `ListModels` (0x03) | empty |
@@ -58,11 +58,11 @@ use std::fmt;
 /// | `rejection` | `model: str`, `code: u8`, `required: u64`, `available: u64` |
 /// | `timing` | `worker: u32`, `cause: u8`, `enqueue`, `dequeue`, `assembled`, 4 × `stage`, `encode` nanos: `u64` each; `batch_size: u32`; `peers: u32`, `peers` × `trace: u64` |
 ///
-/// Tags 0x07 and 0x08 belonged to a retired binary statistics pair and
-/// stay reserved: they decode as [`WireError::BadTag`].
+/// Tags 0x07 and 0x08 belonged to a retired binary statistics pair,
+/// and 0x51 to a standalone query-info message that `ServerHello`
+/// subsumed; all three stay reserved and decode as
+/// [`WireError::BadTag`].
 pub const WIRE_VERSION: u8 = 7;
-/// Message tag for [`QueryInfo`].
-const TAG_QUERY_INFO: u8 = 0x51;
 /// Session-opening request naming a model.
 const TAG_CLIENT_HELLO: u8 = 0x01;
 /// Session grant: id, model form, and the model's public query info.
@@ -101,7 +101,7 @@ pub const MAX_DEADLINE_MS: u32 = 3_600_000;
 /// framing corruption aimed at the decoder's allocator.
 pub const MAX_BATCH_PEERS: usize = 4096;
 
-/// Errors from [`decode_query_info`].
+/// Errors from [`decode_frame`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireError {
     /// The buffer ended before the message did.
@@ -271,34 +271,6 @@ fn get_query_info_body(buf: &mut Bytes) -> Result<QueryInfo, WireError> {
     })
 }
 
-/// Serialises the public query information Maurice reveals to Diane.
-pub fn encode_query_info(info: &QueryInfo) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + 16 * info.label_names.len());
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u8(TAG_QUERY_INFO);
-    put_query_info_body(&mut buf, info);
-    buf.freeze()
-}
-
-/// Parses a [`QueryInfo`] message.
-///
-/// # Errors
-///
-/// Returns a [`WireError`] on truncation, version/tag mismatch,
-/// invalid UTF-8, or codebook entries outside the label alphabet.
-pub fn decode_query_info(mut buf: Bytes) -> Result<QueryInfo, WireError> {
-    need(&buf, 2)?;
-    let version = buf.get_u8();
-    if version != WIRE_VERSION {
-        return Err(WireError::BadVersion(version));
-    }
-    let tag = buf.get_u8();
-    if tag != TAG_QUERY_INFO {
-        return Err(WireError::BadTag(tag));
-    }
-    get_query_info_body(&mut buf)
-}
-
 /// One message of the `copse-server` inference protocol.
 ///
 /// A session is: `ClientHello` → `ServerHello`, then any number of
@@ -341,10 +313,11 @@ pub enum Frame {
         /// rejected at decode.
         deadline_ms: u32,
         /// Client-assigned trace id: `Some` means "trace me" — the
-        /// server tags its per-stage spans with this id and returns a
-        /// [`ServerTiming`] record on the answer frame. A retried
-        /// query re-sends the same id, so duplicate ids in the
-        /// server's flight recorder *are* the client's retries.
+        /// server returns a [`ServerTiming`] record on the answer frame,
+        /// whose batch peers are the trace ids of the other traced
+        /// queries in its pass. A retried query re-sends the same id,
+        /// so duplicate ids in the server's flight recorder *are* the
+        /// client's retries.
         trace: Option<u64>,
         /// Serialized ciphertexts, MSB plane first.
         planes: Vec<Bytes>,
@@ -917,58 +890,79 @@ mod tests {
             .public_query_info()
     }
 
+    /// A `ServerHello` carrying `info`: the one frame the handshake
+    /// travels in.
+    fn hello(info: QueryInfo) -> Frame {
+        Frame::ServerHello {
+            session: 1,
+            encrypted_model: false,
+            info,
+        }
+    }
+
     #[test]
     fn roundtrip() {
+        // `sample_frames()` pins a chained backend's entry level; this
+        // is the chainless encoding (`entry_primes` 0 on the wire).
         let info = sample_info();
-        let decoded = decode_query_info(encode_query_info(&info)).unwrap();
-        assert_eq!(decoded, info);
+        assert_eq!(info.entry_primes, None);
+        assert_eq!(
+            decode_frame(encode_frame(&hello(info.clone()))).unwrap(),
+            hello(info)
+        );
     }
 
     #[test]
     fn roundtrip_with_unicode_labels() {
         let mut info = sample_info();
         info.label_names = vec!["否".into(), "peut-être".into(), "да".into()];
-        let decoded = decode_query_info(encode_query_info(&info)).unwrap();
-        assert_eq!(decoded.label_names, info.label_names);
+        let frame = hello(info);
+        assert_eq!(decode_frame(encode_frame(&frame)).unwrap(), frame);
     }
 
     #[test]
     fn truncation_detected_at_every_length() {
-        let encoded = encode_query_info(&sample_info());
+        // Multi-byte labels: a cut inside a UTF-8 sequence is still
+        // truncation, never a string error.
+        let mut info = sample_info();
+        info.label_names = vec!["否".into(), "peut-être".into(), "да".into()];
+        let encoded = encode_frame(&hello(info));
         for cut in 0..encoded.len() {
-            let err = decode_query_info(encoded.slice(0..cut)).unwrap_err();
+            let err = decode_frame(encoded.slice(0..cut)).unwrap_err();
             assert_eq!(err, WireError::Truncated, "cut at {cut}");
         }
     }
 
     #[test]
     fn version_and_tag_checked() {
-        let encoded = encode_query_info(&sample_info());
-        let mut bad = encoded.to_vec();
-        for version in [WIRE_VERSION - 1, 9] {
+        let mut bad = encode_frame(&hello(sample_info())).to_vec();
+        for version in [WIRE_VERSION - 1, WIRE_VERSION + 1] {
             bad[0] = version;
             assert_eq!(
-                decode_query_info(Bytes::from(bad.clone())).unwrap_err(),
+                decode_frame(Bytes::from(bad.clone())).unwrap_err(),
                 WireError::BadVersion(version)
             );
         }
+        // 0x51 tagged the standalone query-info message; the same
+        // bytes under that tag are no longer a message.
         bad[0] = WIRE_VERSION;
-        bad[1] = 0x00;
+        bad[1] = 0x51;
         assert_eq!(
-            decode_query_info(Bytes::from(bad)).unwrap_err(),
-            WireError::BadTag(0)
+            decode_frame(Bytes::from(bad)).unwrap_err(),
+            WireError::BadTag(0x51)
         );
     }
 
     #[test]
     fn codebook_validation() {
+        // The first label past the alphabet is already out of range.
         let mut info = sample_info();
-        info.codebook[0] = 99; // out of range for 3 labels
-        let err = decode_query_info(encode_query_info(&info)).unwrap_err();
+        info.codebook[0] = info.label_names.len();
+        let err = decode_frame(encode_frame(&hello(info))).unwrap_err();
         assert_eq!(
             err,
             WireError::BadCodebook {
-                index: 99,
+                index: 3,
                 labels: 3
             }
         );
@@ -1082,7 +1076,6 @@ mod tests {
     fn frame_tags_are_distinct() {
         let frames = sample_frames();
         let mut tags: Vec<u8> = frames.iter().map(Frame::tag).collect();
-        tags.push(TAG_QUERY_INFO);
         tags.sort_unstable();
         let n = tags.len();
         tags.dedup();
@@ -1217,11 +1210,6 @@ mod tests {
             .map(|f| fnv1a(&encode_frame(f)))
             .collect();
         assert_eq!(got, want, "frame bytes changed; got {got:#018X?}");
-        assert_eq!(
-            fnv1a(&encode_query_info(&sample_info())),
-            0x4C0B_70A5_D8DB_BE16,
-            "QueryInfo bytes changed"
-        );
 
         // Length pins for the frames with optional sections, derived
         // from the layout table on WIRE_VERSION.
@@ -1445,12 +1433,7 @@ mod tests {
     fn server_hello_validates_codebook_like_query_info() {
         let mut info = sample_info();
         info.codebook[0] = 77;
-        let err = decode_frame(encode_frame(&Frame::ServerHello {
-            session: 1,
-            encrypted_model: false,
-            info,
-        }))
-        .unwrap_err();
+        let err = decode_frame(encode_frame(&hello(info))).unwrap_err();
         assert_eq!(
             err,
             WireError::BadCodebook {
@@ -1474,18 +1457,20 @@ mod tests {
 
     #[test]
     fn handshake_reveals_only_public_data() {
-        // The message must carry exactly the fields of the paper's
-        // step-0 handshake: K, feature count, precision, result width
-        // and codebook - nothing about thresholds or structure - plus
-        // the entry level, a function of that shape and the backend's
+        // Beyond the session id and model form, the hello must carry
+        // exactly the fields of the paper's step-0 handshake: K,
+        // feature count, precision, result width and codebook -
+        // nothing about thresholds or structure - plus the entry
+        // level, a function of that shape and the backend's
         // parameters alone.
         let info = sample_info();
-        let encoded = encode_query_info(&info);
-        // 2 (header) + 5*4 + labels + 4 + codebook + entry_primes
+        let encoded = encode_frame(&hello(info.clone()));
+        // 2 (header) + session(8) + form(1) + 5*4 + labels + 4 +
+        // codebook + entry_primes
         let label_bytes: usize = info.label_names.iter().map(|n| 2 + n.len()).sum();
         assert_eq!(
             encoded.len(),
-            2 + 20 + label_bytes + 4 + 4 * info.codebook.len() + 4
+            2 + 8 + 1 + 20 + label_bytes + 4 + 4 * info.codebook.len() + 4
         );
     }
 }

@@ -29,11 +29,11 @@
 //!    — never interleaved on a stdio stream the embedding process
 //!    owns.
 //! 7. **Algorithm 1 is written once.** Across non-test
-//!    `crates/core/src`, each of the four pipeline-stage span literals
-//!    (`stage:comparison`, `stage:reshuffle`, `stage:levels`,
-//!    `stage:accumulate`, as quoted strings) occurs exactly once: a
-//!    second copy of the evaluation pipeline cannot re-grow beside
-//!    the first without failing the build.
+//!    `crates/core/src`, each of the four stage reports a pass times
+//!    into (`&mut trace.comparison`, `&mut trace.reshuffle`,
+//!    `&mut trace.levels`, `&mut trace.accumulate`) is borrowed
+//!    exactly once: a second copy of the evaluation pipeline cannot
+//!    re-grow beside the first without failing the build.
 //! 8. **The wire speaks one dialect.** In non-test
 //!    `crates/core/src/wire.rs` and `crates/server/src`, no code
 //!    branches on a wire version (`version >=`, `version <`), calls a
@@ -94,6 +94,12 @@
 //!     (`metrics::FAMILIES`) is the one view of a `StatsSnapshot`, so a
 //!     second, hand-laid-out page cannot grow back beside it and drift
 //!     from it.
+//! 15. **Observability is scoped.** Non-test `crates/*/src` defines no
+//!     `fn take_events(` or `fn set_enabled(`, and non-test
+//!     `crates/pool/src` no `struct WorkerCounters`: stage timings and
+//!     op counts live in the pass's `EvalTrace` and the query's
+//!     `ServerTiming`, so a process-wide collector or tally that
+//!     concurrent work pollutes cannot grow back beside them.
 //!
 //! The scan covers `crates/*/src/**/*.rs` plus the facade's `src/`;
 //! examples, integration tests, and vendored shims are out of scope.
@@ -158,6 +164,10 @@ struct Patterns {
     per_term_product: String,
     /// Rule 14: a second counter renderer, after `fn `.
     counter_view: String,
+    /// Rule 15: a process-wide span collector's drain and switch.
+    global_collector: [String; 2],
+    /// Rule 15: the pool's process-wide worker tallies.
+    pool_counters: String,
 }
 
 impl Patterns {
@@ -176,7 +186,7 @@ impl Patterns {
             print: ["print", "!("].concat(),
             println: ["println", "!("].concat(),
             stages: ["comparison", "reshuffle", "levels", "accumulate"]
-                .map(|stage| ["\"stage", ":", stage, "\""].concat()),
+                .map(|stage| ["&mut ", "trace.", stage].concat()),
             dialect: [
                 ["version", " >="].concat(),
                 ["version", " <"].concat(),
@@ -214,6 +224,11 @@ impl Patterns {
             ],
             per_term_product: ["fn prod", "uct("].concat(),
             counter_view: ["fn render", "_text"].concat(),
+            global_collector: [
+                ["fn take", "_events("].concat(),
+                ["fn set", "_enabled("].concat(),
+            ],
+            pool_counters: ["struct Worker", "Counters"].concat(),
         }
     }
 }
@@ -234,6 +249,8 @@ struct RuleSet {
     ban_rotationless: bool,
     ban_per_term_product: bool,
     ban_counter_view: bool,
+    ban_global_collector: bool,
+    ban_pool_counters: bool,
 }
 
 fn rules_for(rel_path: &str) -> RuleSet {
@@ -256,6 +273,8 @@ fn rules_for(rel_path: &str) -> RuleSet {
         ban_rotationless: rel_path.starts_with("crates/"),
         ban_per_term_product: rel_path.starts_with("crates/fhe/src/bgv/"),
         ban_counter_view: server,
+        ban_global_collector: rel_path.starts_with("crates/"),
+        ban_pool_counters: rel_path.starts_with("crates/pool/"),
     }
 }
 
@@ -410,14 +429,23 @@ fn scan_source(rel_path: &str, source: &str, patterns: &Patterns) -> Vec<Finding
         if rules.ban_counter_view && defines(&patterns.counter_view) {
             report("one-counter-view");
         }
+        let collector = patterns
+            .global_collector
+            .iter()
+            .any(|p| code.contains(p.as_str()));
+        if (rules.ban_global_collector && collector)
+            || (rules.ban_pool_counters && code.contains(patterns.pool_counters.as_str()))
+        {
+            report("scoped-observability");
+        }
     }
     findings
 }
 
 /// Rule 7 over the given `(workspace-relative path, source)` files:
-/// each stage-span literal must occur exactly once across the non-test
-/// code of `crates/core/src`. Every site of a repeated literal is a
-/// finding; so is a literal that occurs nowhere.
+/// each stage-report borrow must occur exactly once across the
+/// non-test code of `crates/core/src`. Every site of a repeated borrow
+/// is a finding; so is a borrow that occurs nowhere.
 fn second_pipeline_findings(files: &[(String, String)], patterns: &Patterns) -> Vec<Finding> {
     let mut findings = Vec::new();
     for literal in &patterns.stages {
@@ -439,7 +467,7 @@ fn second_pipeline_findings(files: &[(String, String)], patterns: &Patterns) -> 
                 path: "crates/core/src".to_string(),
                 line: 1,
                 rule: "second-pipeline",
-                excerpt: format!("no pipeline stage opens the {literal} span"),
+                excerpt: format!("no pipeline stage times into {literal}"),
             }),
             _ => findings.extend(sites),
         }
@@ -715,7 +743,7 @@ mod tests {
             assert!(second_pipeline_findings(&files, &patterns).is_empty());
         }
 
-        // A stage that lost its span is a finding too.
+        // A stage that lost its report is a finding too.
         let three: String = (0..3).map(stage).collect();
         let hits =
             second_pipeline_findings(&[file("crates/core/src/runtime.rs", three)], &patterns);
@@ -1006,6 +1034,47 @@ mod tests {
              {view}_sample() {{}}\n"
         );
         assert!(scan("crates/server/src/metrics.rs", &fine).is_empty());
+    }
+
+    #[test]
+    fn flags_a_process_wide_tally() {
+        // The collector's drain and switch anywhere in a crate, and
+        // the worker tallies in the pool.
+        let patterns = Patterns::new();
+        let [drain, switch] = &patterns.global_collector;
+        let counters = &patterns.pool_counters;
+        let srcs = [
+            format!("pub {drain}) -> Vec<TraceEvent> {{\n"),
+            format!("pub {switch}enabled: bool) {{\n"),
+        ];
+        for src in &srcs {
+            for rel in [
+                "crates/trace/src/lib.rs",
+                "crates/pool/src/lib.rs",
+                "crates/server/src/server.rs",
+            ] {
+                let hits = scan(rel, src);
+                assert_eq!(hits.len(), 1, "{rel}: {src}");
+                assert_eq!(hits[0].rule, "scoped-observability");
+            }
+            // Out of scope: the facade, tests, comments.
+            assert!(scan("src/lib.rs", src).is_empty());
+            let in_test = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+            assert!(scan("crates/trace/src/lib.rs", &in_test).is_empty());
+            assert!(scan("crates/trace/src/lib.rs", &format!("// {src}")).is_empty());
+        }
+        let tally = format!("{counters} {{\n");
+        let hits = scan("crates/pool/src/lib.rs", &tally);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].rule, "scoped-observability");
+        assert!(scan("crates/server/src/stats.rs", &tally).is_empty());
+        // What the workspace does hold: the scoped surfaces and
+        // longer names.
+        let fine = "pub fn stage_nanos(&self) -> [u64; 4] {}\n\
+                    pub fn chrome_events(&self) -> Vec<TraceEvent> {}\n\
+                    pub(crate) fn set_ntt_enabled(&mut self, enabled: bool) {}\n\
+                    fn take_events_from(log: &mut Log) {}\n";
+        assert!(scan("crates/trace/src/lib.rs", fine).is_empty());
     }
 
     /// The invariant the linter exists to keep: the workspace itself

@@ -17,13 +17,13 @@
 //!   mutable buffer (in-place kernels such as pointwise
 //!   multiply-accumulate).
 //!
-//! Two observability hooks ride on the same machinery:
-//! [`WorkerPool::stats`] snapshots per-worker execution counters
-//! (tasks executed, busy time, queue wait), and [`set_task_context`] /
-//! [`with_task_context`] propagate an opaque per-task context from a
-//! scoping thread to every task its scope forks — transitively
-//! through nested scopes — which the meter layer uses to attribute
-//! FHE ops back to the evaluation pass that forked them.
+//! One observability hook rides on the same machinery:
+//! [`set_task_context`] / [`with_task_context`] propagate an opaque
+//! per-task context from a scoping thread to every task its scope
+//! forks — transitively through nested scopes — which the meter layer
+//! uses to attribute FHE ops back to the evaluation pass that forked
+//! them. The pool keeps no tallies of its own: concurrent passes share
+//! its workers, so a process-wide count would mix their work.
 //!
 //! ## Determinism contract
 //!
@@ -72,114 +72,22 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-use copse_trace::Stopwatch;
 
 /// A lifetime-erased unit of queued work.
 type Job = Box<dyn FnOnce() + Send>;
-
-/// A queued job stamped with its enqueue instant, so the executing
-/// thread can attribute queue-wait time in [`WorkerPool::stats`].
-struct QueuedJob {
-    run: Job,
-    enqueued: Stopwatch,
-}
 
 /// State shared between the pool handle and its worker threads.
 struct Shared {
     /// FIFO of pending jobs; guarded by one mutex so completion
     /// accounting (see [`ScopeState`]) can piggyback on it without a
     /// second lock ordering.
-    queue: Mutex<VecDeque<QueuedJob>>,
+    queue: Mutex<VecDeque<Job>>,
     /// Notified on every push, every task completion, and shutdown.
     signal: Condvar,
     shutdown: AtomicBool,
-    /// One counter slot per spawned worker thread (`threads - 1`).
-    worker_counters: Vec<WorkerCounters>,
-    /// Aggregate slot for scoping/helping threads: the inline first
-    /// task of every scope and any queued task a blocked scoper steals
-    /// while helping.
-    helper_counters: WorkerCounters,
-}
-
-/// Lock-free per-worker execution counters (relaxed ordering — stats
-/// are a monitoring snapshot, not a synchronization point).
-#[derive(Default)]
-struct WorkerCounters {
-    tasks: AtomicU64,
-    busy_nanos: AtomicU64,
-    wait_nanos: AtomicU64,
-}
-
-impl WorkerCounters {
-    /// Runs one task, attributing its queue wait and busy time here.
-    fn run(&self, wait: Duration, job: Job) {
-        let started = Stopwatch::start();
-        run_as_pool_job(job);
-        self.tasks.fetch_add(1, Ordering::Relaxed);
-        self.busy_nanos.fetch_add(
-            started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-            Ordering::Relaxed,
-        );
-        self.wait_nanos.fetch_add(
-            wait.as_nanos().min(u128::from(u64::MAX)) as u64,
-            Ordering::Relaxed,
-        );
-    }
-
-    fn snapshot(&self) -> WorkerStats {
-        WorkerStats {
-            tasks_executed: self.tasks.load(Ordering::Relaxed),
-            busy: Duration::from_nanos(self.busy_nanos.load(Ordering::Relaxed)),
-            queue_wait: Duration::from_nanos(self.wait_nanos.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// Execution counters for one worker (or the aggregated helper slot),
-/// as reported by [`WorkerPool::stats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Pool tasks this worker has run to completion.
-    pub tasks_executed: u64,
-    /// Total wall-clock time spent executing tasks.
-    pub busy: Duration,
-    /// Total time those tasks sat in the queue before this worker
-    /// picked them up (zero for tasks run inline by a scoping caller).
-    pub queue_wait: Duration,
-}
-
-/// A point-in-time snapshot of the pool's execution counters.
-#[derive(Clone, Debug, Default)]
-pub struct PoolStats {
-    /// Total workers, counting the scoping caller.
-    pub threads: usize,
-    /// One entry per spawned worker thread (`threads - 1` entries).
-    pub workers: Vec<WorkerStats>,
-    /// Aggregate over every scoping/helping thread: inline first
-    /// tasks and queue steals made while waiting on a scope.
-    pub helpers: WorkerStats,
-}
-
-impl PoolStats {
-    /// Tasks executed across all workers and helpers.
-    pub fn total_tasks(&self) -> u64 {
-        self.workers.iter().map(|w| w.tasks_executed).sum::<u64>() + self.helpers.tasks_executed
-    }
-
-    /// Total busy time across all workers and helpers.
-    pub fn total_busy(&self) -> Duration {
-        self.workers.iter().map(|w| w.busy).sum::<Duration>() + self.helpers.busy
-    }
-
-    /// Total queue-wait time across all executed tasks.
-    pub fn total_queue_wait(&self) -> Duration {
-        self.workers.iter().map(|w| w.queue_wait).sum::<Duration>() + self.helpers.queue_wait
-    }
 }
 
 /// Per-scope completion accounting.
@@ -319,15 +227,13 @@ impl WorkerPool {
             queue: Mutex::new(VecDeque::new()),
             signal: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            worker_counters: (1..threads).map(|_| WorkerCounters::default()).collect(),
-            helper_counters: WorkerCounters::default(),
         });
         let workers = (1..threads)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("copse-pool-{i}"))
-                    .spawn(move || worker_loop(&shared, i - 1))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -490,15 +396,13 @@ impl WorkerPool {
             }
             let first = jobs.remove(0);
             {
-                let enqueued = Stopwatch::start();
                 let mut queue = shared.queue.lock().expect("pool queue");
-                queue.extend(jobs.into_iter().map(|run| QueuedJob { run, enqueued }));
+                queue.extend(jobs);
                 shared.signal.notify_all();
             }
-            // The caller is a worker too: run the first task inline
-            // (no queue wait by construction), then help until the
-            // scope drains.
-            shared.helper_counters.run(Duration::ZERO, first);
+            // The caller is a worker too: run the first task inline,
+            // then help until the scope drains.
+            run_as_pool_job(first);
             self.help_until(state);
         }
         if let Some(payload) = state.panic.lock().expect("panic slot").take() {
@@ -521,29 +425,11 @@ impl WorkerPool {
             }
             if let Some(job) = queue.pop_front() {
                 drop(queue);
-                let wait = job.enqueued.elapsed();
-                shared.helper_counters.run(wait, job.run);
+                run_as_pool_job(job);
                 queue = shared.queue.lock().expect("pool queue");
             } else {
                 queue = shared.signal.wait(queue).expect("pool queue");
             }
-        }
-    }
-
-    /// Snapshots the pool's execution counters: per spawned worker,
-    /// tasks executed, busy time, and queue-wait time, plus one
-    /// aggregate slot for scoping/helping threads. Counters only ever
-    /// grow; diff two snapshots to meter an interval.
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            threads: self.threads,
-            workers: self
-                .shared
-                .worker_counters
-                .iter()
-                .map(WorkerCounters::snapshot)
-                .collect(),
-            helpers: self.shared.helper_counters.snapshot(),
         }
     }
 }
@@ -584,14 +470,12 @@ impl<T> SendPtr<T> {
 unsafe impl<T> Sync for SendPtr<T> {}
 unsafe impl<T> Send for SendPtr<T> {}
 
-fn worker_loop(shared: &Shared, index: usize) {
-    let counters = &shared.worker_counters[index];
+fn worker_loop(shared: &Shared) {
     let mut queue = shared.queue.lock().expect("pool queue");
     loop {
         if let Some(job) = queue.pop_front() {
             drop(queue);
-            let wait = job.enqueued.elapsed();
-            counters.run(wait, job.run);
+            run_as_pool_job(job);
             queue = shared.queue.lock().expect("pool queue");
         } else if shared.shutdown.load(Ordering::Acquire) {
             return;
@@ -871,36 +755,6 @@ mod tests {
         // thread-local context (next scope starts clean).
         let leaks = p.scope_indices(4, 2, |_| with_task_context(|c| c.is_some()));
         assert!(leaks.into_iter().all(|leaked| !leaked));
-    }
-
-    #[test]
-    fn stats_account_for_every_task() {
-        let p = pool(4);
-        let before = p.stats();
-        assert_eq!(before.threads, 4);
-        assert_eq!(before.workers.len(), 3, "one slot per spawned worker");
-        let rounds = 10usize;
-        for _ in 0..rounds {
-            let _ = p.scope_chunks(64, 4, |range| {
-                // Enough work that busy time is measurably nonzero.
-                range
-                    .map(|i| i as u64)
-                    .map(std::hint::black_box)
-                    .sum::<u64>()
-            });
-        }
-        let after = p.stats();
-        assert_eq!(
-            after.total_tasks() - before.total_tasks(),
-            (rounds * 4) as u64,
-            "every chunk counted exactly once"
-        );
-        assert!(
-            after.helpers.tasks_executed - before.helpers.tasks_executed >= rounds as u64,
-            "the scoper ran at least each scope's inline first task"
-        );
-        assert!(after.total_busy() > before.total_busy());
-        assert!(after.total_queue_wait() >= before.total_queue_wait());
     }
 
     #[test]

@@ -153,9 +153,9 @@ struct Job<B: FheBackend> {
     /// receipt (`received`); 0 = no deadline. Relative on purpose:
     /// client and server clocks are never compared.
     deadline_ms: u32,
-    /// Client-assigned trace id when the query asked to be traced;
-    /// threads through the queue into the worker's spans and the
-    /// returned timing record.
+    /// Client-assigned trace id when the query asked to be traced; the
+    /// worker lists it as a batch peer of the other traced queries in
+    /// its pass.
     trace: Option<u64>,
     reply: queue::BoundedSender<JobOutcome<B>>,
     /// Started at frame receipt: the clock origin of every relative
@@ -749,7 +749,6 @@ fn spawn_worker<B: FheBackend + 'static>(
                 let traced_peers: Vec<u64> = live.iter().filter_map(|dq| dq.job.trace).collect();
                 let mut queries = Vec::with_capacity(live.len());
                 let mut replies = Vec::with_capacity(live.len());
-                let traces: Vec<Option<u64>> = live.iter().map(|dq| dq.job.trace).collect();
                 for dq in live {
                     let mut timing = dequeue_timing(&dq, TimingCause::Served, worker_id);
                     timing.assembled_nanos = saturating_nanos(started.since(&dq.job.received));
@@ -761,33 +760,18 @@ fn spawn_worker<B: FheBackend + 'static>(
                     queries.push(EncryptedQuery::from_planes(dq.job.planes));
                     replies.push((dq.job.reply, timing));
                 }
-                let outcome = {
-                    let _span = copse_trace::span(format!("batch:{name}"));
-                    // Per-query spans: a traced query's span brackets
-                    // the whole pass, so the per-stage spans Sally
-                    // opens nest inside it and stay attributable even
-                    // in a coalesced batch. Closed in reverse so the
-                    // B/E stream stays well nested (LIFO).
-                    let mut query_spans: Vec<copse_trace::SpanGuard> = traces
-                        .iter()
-                        .flatten()
-                        .map(|t| copse_trace::span(format!("query:{t:016x}")))
-                        .collect();
-                    // Injected slow-model stall: holds this worker (and
-                    // therefore its queue) busy for a known window.
-                    let eval_delay = faults.plan().eval_delay;
-                    if !eval_delay.is_zero() {
-                        std::thread::sleep(eval_delay);
+                // Injected slow-model stall: holds this worker (and
+                // therefore its queue) busy for a known window.
+                let eval_delay = faults.plan().eval_delay;
+                if !eval_delay.is_zero() {
+                    std::thread::sleep(eval_delay);
+                }
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    if faults.take_worker_panic() {
+                        panic!("injected fault: worker panic");
                     }
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        if faults.take_worker_panic() {
-                            panic!("injected fault: worker panic");
-                        }
-                        sally.classify_batch_traced(&queries)
-                    }));
-                    while query_spans.pop().is_some() {}
-                    result
-                };
+                    sally.classify_batch_traced(&queries)
+                }));
                 match outcome {
                     Ok((results, trace)) => {
                         stats.record_batch(&name, &trace, &waits, started.elapsed());

@@ -1,13 +1,12 @@
 //! Chrome trace-event JSON export.
 //!
-//! Renders collected [`TraceEvent`]s in the Chrome trace-event format
-//! (the "JSON Array Format" wrapped in a `traceEvents` object), which
-//! loads directly in `chrome://tracing` and `ui.perfetto.dev`. Each
-//! span becomes a duration `B`/`E` event pair; per-thread streams are
-//! well-nested because span guards close in LIFO order. The vendored
-//! serde shim has no JSON serializer, so the document is
-//! hand-formatted with explicit string escaping — and
-//! [`validate_chrome_trace`] is the structural check tests (and
+//! Renders [`TraceEvent`]s in the Chrome trace-event format (the
+//! "JSON Array Format" wrapped in a `traceEvents` object), which loads
+//! directly in `chrome://tracing` and `ui.perfetto.dev`. Each span
+//! becomes a duration `B`/`E` event pair; the caller owes well-nested
+//! per-thread streams. The vendored serde shim has no JSON serializer,
+//! so the document is hand-formatted with explicit string escaping —
+//! and [`validate_chrome_trace`] is the structural check tests (and
 //! suspicious operators) can run against an export.
 
 use crate::{Phase, TraceEvent};
@@ -35,10 +34,10 @@ fn escape_json(s: &str) -> String {
 
 /// Renders events as a `chrome://tracing`-loadable JSON document.
 ///
-/// Timestamps are microseconds since the trace epoch (the `ts` unit
-/// the format mandates), kept as fractional values so nanosecond
-/// spans survive. All events share `pid` 1; `tid` is the collector's
-/// per-thread numeric id.
+/// Timestamps are microseconds since the trace's origin (the `ts`
+/// unit the format mandates), kept as fractional values so nanosecond
+/// spans survive. All events share `pid` 1; `tid` is the event's
+/// thread lane.
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     let mut out = String::with_capacity(64 + events.len() * 96);
     out.push_str("{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n");

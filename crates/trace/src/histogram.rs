@@ -8,7 +8,6 @@
 //! transform-size counters in `copse-fhe::meter` use. Recording and
 //! merging are O(1)/O(64); nothing is sampled or dropped.
 
-use std::fmt;
 use std::time::Duration;
 
 /// Number of log2 buckets: `floor(log2(u64::MAX)) + 1`.
@@ -188,33 +187,6 @@ impl LatencyHistogram {
     }
 }
 
-/// Formats nanoseconds with a human-scale unit (`ns`/`µs`/`ms`/`s`).
-pub fn format_nanos(nanos: u64) -> String {
-    if nanos < 1_000 {
-        format!("{nanos}ns")
-    } else if nanos < 1_000_000 {
-        format!("{:.1}µs", nanos as f64 / 1e3)
-    } else if nanos < 1_000_000_000 {
-        format!("{:.1}ms", nanos as f64 / 1e6)
-    } else {
-        format!("{:.2}s", nanos as f64 / 1e9)
-    }
-}
-
-impl fmt::Display for LatencyHistogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} p50={} p90={} p99={} max={}",
-            self.count,
-            format_nanos(self.p50_nanos()),
-            format_nanos(self.p90_nanos()),
-            format_nanos(self.p99_nanos()),
-            format_nanos(self.max_nanos),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,18 +234,6 @@ mod tests {
         }
         assert_eq!(LatencyHistogram::bucket_lo(0), 0);
         assert_eq!(LatencyHistogram::bucket_hi(BUCKETS - 1), u64::MAX);
-    }
-
-    #[test]
-    fn display_uses_human_units() {
-        let mut h = LatencyHistogram::new();
-        h.record(Duration::from_millis(3));
-        let s = h.to_string();
-        assert!(s.contains("n=1"), "{s}");
-        assert!(s.contains("ms"), "{s}");
-        assert_eq!(format_nanos(12), "12ns");
-        assert_eq!(format_nanos(1_500), "1.5µs");
-        assert_eq!(format_nanos(2_500_000_000), "2.50s");
     }
 
     fn from_samples(samples: &[u64]) -> LatencyHistogram {

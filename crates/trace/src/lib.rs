@@ -1,48 +1,39 @@
-//! copse-trace — the workspace's observability layer.
+//! copse-trace — the workspace's timing toolkit.
 //!
 //! The paper's evaluation stands on two kinds of evidence: per-stage
 //! **operation counts** (Tables 1/2, metered by
 //! `copse-fhe::OpMeter`) and per-stage **wall-clock breakdowns**
-//! (Figure 10). This crate supplies the timing half, std-only under
-//! the offline shim policy (no `tracing`, no `hdrhistogram`):
+//! (Figure 10). This crate supplies the timing primitives, std-only
+//! under the offline shim policy (no `tracing`, no `hdrhistogram`):
 //!
-//! * [`span`] — lightweight nestable timing spans with thread-safe
-//!   collection. Tracing is **off by default**; a disabled span costs
-//!   one relaxed atomic load, so instrumentation can stay in the hot
-//!   kernels permanently (the stage-timing bench measures the cost
-//!   against the `mat_vec` kernel and `docs/OBSERVABILITY.md` records
-//!   it).
+//! * [`Stopwatch`] — the workspace's sanctioned elapsed-time reader;
+//!   `copse-lint` keeps raw `Instant::now()` confined to this crate,
+//!   so stage timers, deadlines, queue waits, and benchmark laps all
+//!   time themselves through it.
 //! * [`LatencyHistogram`] — a log2-bucketed latency histogram with
 //!   `record`/`merge`/`percentile` (p50/p90/p99/max), the same
 //!   power-of-two bucket trick `copse-fhe`'s transform-size counters
 //!   use.
-//! * [`Stopwatch`] — the workspace's sanctioned elapsed-time reader;
-//!   `copse-lint` keeps raw `Instant::now()` confined to this crate,
-//!   so deadlines, queue waits, and benchmark laps all time themselves
-//!   through it.
-//! * [`chrome_trace_json`] — renders collected span events as a
-//!   Chrome trace-event JSON document loadable in `chrome://tracing`
-//!   (or `ui.perfetto.dev`) for whole-request flame views.
+//! * [`chrome_trace_json`] — renders [`TraceEvent`]s as a Chrome
+//!   trace-event JSON document loadable in `chrome://tracing` (or
+//!   `ui.perfetto.dev`) for whole-request flame views.
 //!
-//! ## Span collection model
-//!
-//! Span events go to one process-wide collector guarded by a mutex;
-//! each recording thread is assigned a small numeric id on first use.
-//! Spans on one thread are naturally well-nested (guards close in
-//! LIFO drop order), which is exactly the structure the Chrome
-//! `B`/`E` event pair encodes. Enabling, draining, and rendering:
+//! The crate keeps no process-wide state. Timings are owned by the
+//! scope that measured them — a pass's `EvalTrace`, a served query's
+//! `ServerTiming` — so concurrent work cannot pollute them, and a
+//! caller that wants a flame view builds its events from those:
 //!
 //! ```
-//! copse_trace::set_enabled(true);
-//! {
-//!     let _outer = copse_trace::span("stage:comparison");
-//!     let _inner = copse_trace::span("mat_vec");
-//! } // guards drop innermost-first
-//! copse_trace::set_enabled(false);
-//! let events = copse_trace::take_events();
-//! assert_eq!(events.len(), 4); // B B E E
-//! let json = copse_trace::chrome_trace_json(&events);
-//! copse_trace::validate_chrome_trace(&json).unwrap();
+//! use copse_trace::{chrome_trace_json, validate_chrome_trace, Phase, TraceEvent};
+//!
+//! let event = |phase, ts_nanos| TraceEvent {
+//!     name: "stage:comparison".into(),
+//!     phase,
+//!     ts_nanos,
+//!     tid: 1,
+//! };
+//! let json = chrome_trace_json(&[event(Phase::Begin, 0), event(Phase::End, 1_500)]);
+//! validate_chrome_trace(&json).unwrap();
 //! ```
 
 #![warn(missing_docs)]
@@ -51,47 +42,10 @@ mod chrome;
 mod histogram;
 
 pub use chrome::{chrome_trace_json, validate_chrome_trace};
-pub use histogram::{format_nanos, LatencyHistogram};
+pub use histogram::LatencyHistogram;
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
-
-/// Process-wide tracing switch. Off by default: every [`span`] call
-/// then reduces to this one relaxed load.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Collected span events (guarded; appended only while enabled).
-static EVENTS: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
-
-/// Source of small per-thread numeric ids (`std::thread::ThreadId`
-/// has no stable integer accessor).
-static NEXT_TID: AtomicU64 = AtomicU64::new(1);
-
-/// The instant all event timestamps are relative to, fixed on first
-/// use so timestamps from different threads share one clock origin.
-static EPOCH: OnceLock<Instant> = OnceLock::new();
-
-thread_local! {
-    static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Turns span collection on or off process-wide. Spans opened while
-/// enabled still record their closing event after a disable, so
-/// collected `B`/`E` streams stay balanced.
-pub fn set_enabled(enabled: bool) {
-    if enabled {
-        // Fix the clock origin before the first event can be stamped.
-        let _ = EPOCH.get_or_init(Instant::now);
-    }
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether span collection is currently on.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 /// A started monotonic timer: the workspace's one sanctioned way to
 /// measure elapsed wall-clock outside this crate.
@@ -148,93 +102,22 @@ pub enum Phase {
     End,
 }
 
-/// One collected span event.
+/// One span event of a Chrome trace.
 #[derive(Clone, Debug)]
 pub struct TraceEvent {
-    /// Span name (static for kernels, owned for per-model spans).
+    /// Span name (static for fixed stages, owned for per-query spans).
     pub name: Cow<'static, str>,
     /// Begin or end.
     pub phase: Phase,
-    /// Nanoseconds since the trace epoch.
+    /// Nanoseconds since the trace's origin.
     pub ts_nanos: u64,
-    /// Small numeric id of the recording thread.
+    /// The thread lane the event renders on.
     pub tid: u64,
-}
-
-fn record_event(name: Cow<'static, str>, phase: Phase) {
-    let ts_nanos = EPOCH
-        .get_or_init(Instant::now)
-        .elapsed()
-        .as_nanos()
-        .min(u128::from(u64::MAX)) as u64;
-    let tid = TID.with(|t| *t);
-    EVENTS.lock().expect("trace collector").push(TraceEvent {
-        name,
-        phase,
-        ts_nanos,
-        tid,
-    });
-}
-
-/// Opens a timing span; the returned guard records the matching end
-/// event when dropped. When tracing is disabled ([`set_enabled`]) the
-/// call costs one relaxed atomic load and records nothing — cheap
-/// enough to leave in permanently instrumented kernels.
-///
-/// Guards dropped in LIFO order (the only order Rust drop scoping
-/// produces on one thread) yield well-nested per-thread `B`/`E`
-/// streams, which is what the Chrome exporter requires.
-#[inline]
-pub fn span(name: impl Into<Cow<'static, str>>) -> SpanGuard {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return SpanGuard { name: None };
-    }
-    let name = name.into();
-    record_event(name.clone(), Phase::Begin);
-    SpanGuard { name: Some(name) }
-}
-
-/// An open span; records the end event on drop. Obtained from
-/// [`span`].
-#[must_use = "dropping the guard immediately closes the span"]
-#[derive(Debug)]
-pub struct SpanGuard {
-    /// `None` when tracing was disabled at open time (records
-    /// nothing, keeping streams balanced even if tracing is enabled
-    /// mid-span).
-    name: Option<Cow<'static, str>>,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if let Some(name) = self.name.take() {
-            record_event(name, Phase::End);
-        }
-    }
-}
-
-/// Drains and returns every collected event, oldest first.
-pub fn take_events() -> Vec<TraceEvent> {
-    std::mem::take(&mut *EVENTS.lock().expect("trace collector"))
-}
-
-/// Discards all collected events.
-pub fn clear_events() {
-    EVENTS.lock().expect("trace collector").clear();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The collector and enable flag are process-wide; tests that
-    /// touch them serialize here so parallel test threads cannot
-    /// interleave events.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn stopwatch_is_monotone_and_window_aware() {
@@ -248,112 +131,5 @@ mod tests {
         // A generous window still has time left; an expired one is ZERO.
         assert!(sw.remaining(Duration::from_secs(3600)) > Duration::ZERO);
         assert_eq!(sw.remaining(Duration::ZERO), Duration::ZERO);
-    }
-
-    #[test]
-    fn disabled_mode_records_nothing() {
-        let _l = locked();
-        clear_events();
-        set_enabled(false);
-        {
-            let _a = span("quiet");
-            let _b = span("also-quiet");
-        }
-        assert!(take_events().is_empty());
-    }
-
-    #[test]
-    fn nested_spans_close_in_lifo_order() {
-        let _l = locked();
-        clear_events();
-        set_enabled(true);
-        {
-            let _outer = span("outer");
-            {
-                let _inner = span("inner");
-            }
-            let _sibling = span("sibling");
-        }
-        set_enabled(false);
-        let events = take_events();
-        let log: Vec<(String, Phase)> = events
-            .iter()
-            .map(|e| (e.name.to_string(), e.phase))
-            .collect();
-        assert_eq!(
-            log,
-            vec![
-                ("outer".into(), Phase::Begin),
-                ("inner".into(), Phase::Begin),
-                ("inner".into(), Phase::End),
-                ("sibling".into(), Phase::Begin),
-                ("sibling".into(), Phase::End),
-                ("outer".into(), Phase::End),
-            ]
-        );
-        // Well-nested: a stack replay never closes the wrong span.
-        let mut stack = Vec::new();
-        for (name, phase) in &log {
-            match phase {
-                Phase::Begin => stack.push(name.clone()),
-                Phase::End => assert_eq!(stack.pop().as_ref(), Some(name)),
-            }
-        }
-        assert!(stack.is_empty());
-        // Timestamps are monotone within the single-threaded stream.
-        assert!(events.windows(2).all(|w| w[0].ts_nanos <= w[1].ts_nanos));
-    }
-
-    #[test]
-    fn span_opened_before_disable_still_closes() {
-        let _l = locked();
-        clear_events();
-        set_enabled(true);
-        let guard = span("straddler");
-        set_enabled(false);
-        drop(guard);
-        let events = take_events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].phase, Phase::Begin);
-        assert_eq!(events[1].phase, Phase::End);
-    }
-
-    #[test]
-    fn span_opened_while_disabled_stays_silent_after_enable() {
-        let _l = locked();
-        clear_events();
-        set_enabled(false);
-        let guard = span("ghost");
-        set_enabled(true);
-        drop(guard);
-        set_enabled(false);
-        assert!(take_events().is_empty(), "half-open span would unbalance");
-    }
-
-    #[test]
-    fn threads_get_distinct_tids_and_balanced_streams() {
-        let _l = locked();
-        clear_events();
-        set_enabled(true);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    let _a = span("worker");
-                    let _b = span("task");
-                });
-            }
-        });
-        set_enabled(false);
-        let events = take_events();
-        assert_eq!(events.len(), 16);
-        let mut by_tid = std::collections::BTreeMap::<u64, i64>::new();
-        for e in &events {
-            *by_tid.entry(e.tid).or_insert(0) += match e.phase {
-                Phase::Begin => 1,
-                Phase::End => -1,
-            };
-        }
-        assert_eq!(by_tid.len(), 4, "one tid per spawned thread");
-        assert!(by_tid.values().all(|&depth| depth == 0), "balanced B/E");
     }
 }

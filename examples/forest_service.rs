@@ -137,19 +137,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", observer.metrics()?);
     observer.close()?;
 
-    // Both model workers evaluated on the process-wide shared pool;
-    // its counters show how the forked work was spread.
-    let pool = copse::pool::global().stats();
-    println!(
-        "shared pool: {} workers ran {} forked tasks ({} busy, {} queued)",
-        pool.threads,
-        pool.total_tasks(),
-        copse::trace::format_nanos(pool.total_busy().as_nanos().min(u128::from(u64::MAX)) as u64),
-        copse::trace::format_nanos(
-            pool.total_queue_wait().as_nanos().min(u128::from(u64::MAX)) as u64
-        ),
-    );
-
     handle.shutdown();
     Ok(())
 }

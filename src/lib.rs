@@ -18,9 +18,9 @@
 //!   server batches).
 //! * [`server`] — the batched multi-model TCP inference service
 //!   (client/server pair over the wire protocol).
-//! * [`trace`] — the observability layer: timing spans, latency
-//!   histograms, and the Chrome trace-event exporter behind the
-//!   stage-timing exhibits and the server's latency stats.
+//! * [`trace`] — the timing toolkit: the workspace's stopwatch,
+//!   latency histograms, and the Chrome trace-event exporter behind
+//!   the serving-trace exhibit and the server's latency stats.
 //!
 //! ## Quickstart
 //!
