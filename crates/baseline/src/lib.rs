@@ -101,11 +101,6 @@ impl BaselineModel {
         self.label_bits
     }
 
-    /// Total branch comparisons the baseline performs per query.
-    pub fn total_branches(&self) -> usize {
-        self.trees.iter().map(|t| t.branches.len()).sum()
-    }
-
     /// Encodes/encrypts the model artifacts for an evaluator. Encrypted
     /// deployment costs `b * p` Encrypts for thresholds plus one
     /// Encrypt per leaf label pattern — the packing deficit against

@@ -1,10 +1,7 @@
 //! Ablation studies: reshuffle fusion, accumulation strategy, sparse
 //! plaintext diagonals.
-use copse_bench::{queries_from_args, reports, SUITE_SEED, WORK_PER_OP};
+use copse_bench::{queries_from_args, reports, SUITE_SEED};
 
 fn main() {
-    println!(
-        "{}",
-        reports::ablations(SUITE_SEED, queries_from_args(), WORK_PER_OP)
-    );
+    println!("{}", reports::ablations(SUITE_SEED, queries_from_args()));
 }

@@ -7,7 +7,6 @@
 
 use crate::{
     geomean, measure_baseline, measure_copse, measure_copse_traced, paper_options, BarTable,
-    Measurement,
 };
 use copse_core::analyze::{self, CircuitReport, EvalShape};
 use copse_core::compiler::{Accumulation, CompileOptions, Fusion};
@@ -15,7 +14,9 @@ use copse_core::complexity::paper;
 use copse_core::leakage::{render_table, Scenario};
 use copse_core::runtime::{Maurice, ModelForm};
 use copse_core::seccomp::SecCompVariant;
-use copse_fhe::{BgvParams, CostModel, EncryptionParams, LevelRule, NoiseBudget, SecurityLevel};
+use copse_fhe::{
+    BgvParams, CostModel, EncryptionParams, LevelRule, NoiseBudget, OpCounts, SecurityLevel,
+};
 use copse_forest::microbench::table6_specs;
 use copse_forest::zoo::{self, BenchModel, ModelGroup};
 use std::fmt::Write as _;
@@ -167,12 +168,12 @@ pub fn figure8(seed: u64, n_queries: usize, threads: usize, work: usize) -> Stri
 
 /// Figure 9: plaintext models (Maurice = Sally) vs encrypted models
 /// (Diane = Maurice).
-pub fn figure9(seed: u64, n_queries: usize, work: usize) -> String {
+pub fn figure9(seed: u64, n_queries: usize) -> String {
     let rows: Vec<(String, ModelGroup, f64, String)> = suite(seed)
         .iter()
         .map(|m| {
-            let enc = measure_copse(&m.name, &m.forest, ModelForm::Encrypted, 1, n_queries, work);
-            let plain = measure_copse(&m.name, &m.forest, ModelForm::Plain, 1, n_queries, work);
+            let enc = measure_copse(&m.name, &m.forest, ModelForm::Encrypted, 1, n_queries, 0);
+            let plain = measure_copse(&m.name, &m.forest, ModelForm::Plain, 1, n_queries, 0);
             let speedup = enc.modeled_ms / plain.modeled_ms;
             (
                 m.name.clone(),
@@ -191,7 +192,7 @@ pub fn figure9(seed: u64, n_queries: usize, work: usize) -> String {
 
 /// Figure 10: per-stage runtime breakdowns across depth, branching and
 /// precision sweeps.
-pub fn figure10(seed: u64, n_queries: usize, work: usize) -> String {
+pub fn figure10(seed: u64, n_queries: usize) -> String {
     let groups: [(&str, &[&str], &str); 3] = [
         (
             "Figure 10a: run time vs max depth",
@@ -231,7 +232,7 @@ pub fn figure10(seed: u64, n_queries: usize, work: usize) -> String {
                 ModelForm::Encrypted,
                 1,
                 n_queries.min(5),
-                work,
+                0,
             );
             let stage = |ops| model.modeled_ms(ops);
             let _ = writeln!(
@@ -626,7 +627,7 @@ pub fn ring_mul() -> String {
 
 /// Ablations: reshuffle fusion, accumulation strategy, sparse
 /// plaintext diagonals and the comparator variant.
-pub fn ablations(seed: u64, n_queries: usize, work: usize) -> String {
+pub fn ablations(seed: u64, n_queries: usize) -> String {
     let forest = copse_forest::microbench::generate(&table6_specs()[1], seed);
     let maurice = Maurice::compile(&forest, paper_options()).expect("compiles");
     let meta = &maurice.compiled().meta;
@@ -635,12 +636,12 @@ pub fn ablations(seed: u64, n_queries: usize, work: usize) -> String {
     let _ = writeln!(out);
 
     // 1. Reshuffle fusion.
-    let run = |options: CompileOptions, matmul_skip: bool, form: ModelForm| -> Measurement {
+    let run = |options: CompileOptions, matmul_skip: bool, form: ModelForm| -> OpCounts {
         use copse_core::matmul::MatMulOptions;
         use copse_core::parallel::Parallelism;
         use copse_core::runtime::{Diane, EvalOptions, Sally};
-        use copse_fhe::{CostModel, FheBackend};
-        let backend = crate::bench_backend(work);
+        use copse_fhe::FheBackend;
+        let backend = crate::bench_backend(0);
         let maurice = Maurice::compile(&forest, options).expect("compiles");
         let sally = Sally::with_options(
             &backend,
@@ -657,25 +658,18 @@ pub fn ablations(seed: u64, n_queries: usize, work: usize) -> String {
         );
         let diane = Diane::new(&backend, maurice.public_query_info());
         let queries = copse_forest::microbench::random_queries(&forest, n_queries, 42);
-        let mut times = Vec::new();
-        let mut ops = copse_fhe::OpCounts::default();
+        let mut ops = OpCounts::default();
         for (i, q) in queries.iter().enumerate() {
             let query = diane.encrypt_features(q).expect("valid");
             let before = backend.meter().snapshot();
-            let start = copse_trace::Stopwatch::start();
             let _ = sally.classify(&query);
-            times.push(start.elapsed());
             if i == 0 {
                 ops = backend.meter().snapshot().since(&before);
             }
         }
-        Measurement {
-            name: String::new(),
-            median_wall: crate::median(times),
-            ops_per_query: ops,
-            modeled_ms: CostModel::default().modeled_ms(&ops),
-        }
+        ops
     };
+    let modeled = |ops: &OpCounts| CostModel::default().modeled_ms(ops);
 
     let unfused = run(paper_options(), false, ModelForm::Encrypted);
     let fused = run(
@@ -690,12 +684,12 @@ pub fn ablations(seed: u64, n_queries: usize, work: usize) -> String {
     let _ = writeln!(
         out,
         "  unfused: {:.1} ms modeled ({} mult, {} rot); fused: {:.1} ms modeled ({} mult, {} rot)",
-        unfused.modeled_ms,
-        unfused.ops_per_query.multiplies_combined(),
-        unfused.ops_per_query.rotate,
-        fused.modeled_ms,
-        fused.ops_per_query.multiplies_combined(),
-        fused.ops_per_query.rotate,
+        modeled(&unfused),
+        unfused.multiplies_combined(),
+        unfused.rotate,
+        modeled(&fused),
+        fused.multiplies_combined(),
+        fused.rotate,
     );
     let _ = writeln!(
         out,
@@ -727,10 +721,10 @@ pub fn ablations(seed: u64, n_queries: usize, work: usize) -> String {
     let _ = writeln!(
         out,
         "  dense: {} const-mults, {:.1} ms modeled; skip-zero: {} const-mults, {:.1} ms modeled",
-        dense.ops_per_query.constant_multiply,
-        dense.modeled_ms,
-        sparse.ops_per_query.constant_multiply,
-        sparse.modeled_ms,
+        dense.constant_multiply,
+        modeled(&dense),
+        sparse.constant_multiply,
+        modeled(&sparse),
     );
     let _ = writeln!(
         out,

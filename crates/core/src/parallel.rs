@@ -104,31 +104,6 @@ mod tests {
     use std::sync::Barrier;
 
     #[test]
-    fn chunks_cover_range_without_overlap() {
-        for n in [0usize, 1, 5, 64, 100] {
-            for t in [1usize, 2, 7, 32] {
-                let ranges = chunk_ranges(n, t);
-                let mut covered = vec![false; n];
-                for r in &ranges {
-                    for i in r.clone() {
-                        assert!(!covered[i], "overlap at {i}");
-                        covered[i] = true;
-                    }
-                }
-                assert!(covered.iter().all(|&c| c), "n={n} t={t}");
-                assert!(ranges.len() <= t.max(1));
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_sizes_are_balanced() {
-        let ranges = chunk_ranges(10, 3);
-        let sizes: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-        assert_eq!(sizes, vec![4, 3, 3]);
-    }
-
-    #[test]
     fn map_indices_preserves_order() {
         let out = map_indices(Parallelism { threads: 4 }, 100, |i| i * i);
         assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());

@@ -191,16 +191,11 @@ impl LevelRule {
         self.level(a.primes, a.noise + 1.0, a.headroom_bits)
     }
 
-    /// Plaintext product with a polynomial of 1-norm at most `l1`.
-    pub(crate) fn mul_plain_l1(&self, a: Level, l1: usize) -> Level {
-        let noise = a.noise * (2 * l1.max(2)) as f64;
-        self.level(a.primes, noise, a.headroom_bits)
-    }
-
     /// Plaintext product, charged the 1-norm bound `φ` of any GF(2)
     /// polynomial — the same for every operand.
     pub fn mul_plain(&self, a: Level) -> Level {
-        self.mul_plain_l1(a, self.params.phi())
+        let noise = a.noise * (2 * self.params.phi()) as f64;
+        self.level(a.primes, noise, a.headroom_bits)
     }
 
     /// Where a ciphertext product's operands meet: each reduced to
@@ -624,8 +619,7 @@ mod tests {
         let r = rule();
         let x = r.encrypt();
         let phi = BgvParams::tiny().phi();
-        assert_eq!(r.mul_plain(x), r.mul_plain_l1(x, phi));
-        assert!(r.mul_plain(x).noise > r.mul_plain_l1(x, 3).noise);
+        assert_eq!(r.mul_plain(x).noise, x.noise * (2 * phi) as f64);
     }
 
     #[test]

@@ -232,9 +232,8 @@ pub struct SwitchKeys {
 }
 
 /// A plaintext operand prepared for (repeated) multiplication: the
-/// signed coefficient lift, the 1-norm bound its products are charged,
-/// and a lazily built evaluation-domain transform at the full chain
-/// level.
+/// signed coefficient lift and a lazily built evaluation-domain
+/// transform at the full chain level.
 ///
 /// The cache is what amortises model transforms in COPSE's `mat_vec`:
 /// a fixed diagonal is forward-transformed once (lazily on first use,
@@ -244,19 +243,10 @@ pub struct SwitchKeys {
 #[derive(Clone, Debug)]
 pub struct PreparedPlaintext {
     coeffs: Vec<i64>,
-    l1: usize,
     eval: OnceLock<EvalPoly>,
 }
 
 impl PreparedPlaintext {
-    /// The 1-norm bound the multiplication noise estimate charges: the
-    /// ring degree `φ`, which bounds every GF(2) polynomial, so no
-    /// level depends on the operand's contents (see
-    /// [`crate::bgv::level`]).
-    pub fn l1(&self) -> usize {
-        self.l1
-    }
-
     /// Whether the evaluation-domain transform has been computed.
     pub fn is_warm(&self) -> bool {
         self.eval.get().is_some()
@@ -838,7 +828,6 @@ impl BgvScheme {
             .collect();
         PreparedPlaintext {
             coeffs,
-            l1: self.params.phi(),
             eval: OnceLock::new(),
         }
     }
@@ -862,14 +851,11 @@ impl BgvScheme {
         }
     }
 
-    /// Multiplies by a plaintext polynomial, charging the noise
-    /// estimate the 1-norm bound `l1` (one-shot form; repeated
+    /// Multiplies by a plaintext polynomial (one-shot form; repeated
     /// multiplications should prepare once and use
     /// [`BgvScheme::mul_plain_prepared`]).
-    pub fn mul_plain(&self, a: &Ciphertext, pt: &Gf2Poly, l1: usize) -> Ciphertext {
-        let mut prepared = self.prepare_plain(pt);
-        prepared.l1 = l1;
-        self.mul_plain_prepared(a, &prepared)
+    pub fn mul_plain(&self, a: &Ciphertext, pt: &Gf2Poly) -> Ciphertext {
+        self.mul_plain_prepared(a, &self.prepare_plain(pt))
     }
 
     /// Multiplies by a prepared plaintext: a [`ProductSum`] of one
@@ -934,8 +920,8 @@ impl BgvScheme {
         }
     }
 
-    /// `sum += x ⊙ pt`, charging the noise estimate the plaintext's
-    /// 1-norm bound. A degree-2 sum takes the product into its first
+    /// `sum += x ⊙ pt`, charging the noise estimate the 1-norm bound
+    /// `φ` of any GF(2) polynomial. A degree-2 sum takes the product into its first
     /// two parts.
     ///
     /// # Panics
@@ -960,7 +946,7 @@ impl BgvScheme {
         for (part, half) in sum.parts.iter_mut().zip(&x.halves) {
             part.mul_add(&self.ring, half, &p);
         }
-        sum.at = self.rule.add(sum.at, self.rule.mul_plain_l1(x.at, pt.l1));
+        sum.at = self.rule.add(sum.at, self.rule.mul_plain(x.at));
     }
 
     /// `sum += x ⊗ y`, the tensor of two ciphertexts: `x0·y0` into
@@ -1252,10 +1238,18 @@ mod tests {
         let xor = s.add_plain(&ct, &pt);
         let want_xor: Vec<bool> = a.iter().zip(&mask).map(|(&x, &y)| x ^ y).collect();
         assert_eq!(dec_bits(&s, &xor, 6), want_xor);
-        let l1 = pt.degree().map_or(1, |d| d + 1);
-        let and = s.mul_plain(&ct, &pt, l1);
+        let and = s.mul_plain(&ct, &pt);
         let want_and: Vec<bool> = a.iter().zip(&mask).map(|(&x, &y)| x && y).collect();
         assert_eq!(dec_bits(&s, &and, 6), want_and);
+    }
+
+    #[test]
+    fn plaintext_products_charge_the_same_noise_for_every_operand() {
+        let s = scheme();
+        let ct = enc_bits(&s, &[true, false, true, false, false, true]);
+        let sparse = s.mul_plain(&ct, &Gf2Poly::one());
+        let dense = s.mul_plain(&ct, &Gf2Poly::all_ones(s.params().phi()));
+        assert_eq!(s.noise_bits(&sparse), s.noise_bits(&dense));
     }
 
     #[test]
@@ -1349,8 +1343,8 @@ mod tests {
         let mask = on.slots().encode(&BitVec::from_bools(&[
             true, true, false, true, false, false,
         ]));
-        let p_on = on.mul_plain(&a_on, &mask, 4);
-        let p_off = off.mul_plain(&a_off, &mask, 4);
+        let p_on = on.mul_plain(&a_on, &mask);
+        let p_off = off.mul_plain(&a_off, &mask);
         assert_eq!(p_on.c0, p_off.c0, "mul_plain c0");
         assert_eq!(p_on.c1, p_off.c1, "mul_plain c1");
 
@@ -1364,10 +1358,7 @@ mod tests {
         let (r_on, r_off) = (on.rotate_slots(&low_on, 2), off.rotate_slots(&low_off, 2));
         assert_eq!(r_on.c0, r_off.c0, "reduced-level rotate c0");
         assert_eq!(r_on.c1, r_off.c1, "reduced-level rotate c1");
-        let (q_on, q_off) = (
-            on.mul_plain(&low_on, &mask, 4),
-            off.mul_plain(&low_off, &mask, 4),
-        );
+        let (q_on, q_off) = (on.mul_plain(&low_on, &mask), off.mul_plain(&low_off, &mask));
         assert_eq!(q_on.c0, q_off.c0, "reduced-level mul_plain c0");
     }
 
@@ -1605,7 +1596,7 @@ mod tests {
             p.flip(3);
             p
         };
-        let (p_n, p_s) = (ntt.mul_plain(&a_n, &pt, 2), school.mul_plain(&a_s, &pt, 2));
+        let (p_n, p_s) = (ntt.mul_plain(&a_n, &pt), school.mul_plain(&a_s, &pt));
         assert_eq!(p_n.c0, p_s.c0, "mul_plain c0");
         assert_eq!(p_n.c1, p_s.c1, "mul_plain c1");
     }

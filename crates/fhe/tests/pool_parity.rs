@@ -114,9 +114,9 @@ proptest! {
         let seq = baseline();
         let ct = enc(&bits);
         let pt = seq.slots().encode(&BitVec::from_bools(&mask));
-        let want = seq.mul_plain(&ct, &pt, 4);
+        let want = seq.mul_plain(&ct, &pt);
         for t in DEGREES {
-            let got = parallel(t).mul_plain(&ct, &pt, 4);
+            let got = parallel(t).mul_plain(&ct, &pt);
             assert_ct_eq(&want, &got, &format!("mul_plain t={t}"));
         }
     }

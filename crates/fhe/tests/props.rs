@@ -257,8 +257,8 @@ mod bgv_eval_parity {
 
             let pt = eval.slots().encode(&BitVec::from_bools(&mask));
             prop_assert_eq!(
-                eval.mul_plain(&e, &pt, 4),
-                school.mul_plain(&s, &pt, 4),
+                eval.mul_plain(&e, &pt),
+                school.mul_plain(&s, &pt),
                 "mul_plain"
             );
 

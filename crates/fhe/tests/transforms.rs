@@ -60,7 +60,7 @@ fn eval_domain_key_switching_cuts_transforms() {
         assert_eq!(warm.forward, 2 * level);
         assert_eq!(warm.inverse, 2 * level);
 
-        let (_, school_mul) = counted(|| school.mul_plain(&ct_school, &mask, 4));
+        let (_, school_mul) = counted(|| school.mul_plain(&ct_school, &mask));
         assert_eq!(school_mul.total(), 0, "the oracle never transforms");
     }
 }

@@ -104,11 +104,6 @@ impl Node {
         }
     }
 
-    /// `true` if this node is a leaf.
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Node::Leaf { .. })
-    }
-
     /// Number of branch nodes in the subtree.
     pub fn branch_count(&self) -> usize {
         match self {

@@ -400,11 +400,6 @@ impl Exposition {
                 .map(|s| s.value)
         })
     }
-
-    /// Total samples across all families.
-    pub fn sample_count(&self) -> usize {
-        self.families.values().map(|f| f.samples.len()).sum()
-    }
 }
 
 /// Base family name of a sample: strips the histogram/summary

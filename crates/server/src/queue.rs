@@ -186,11 +186,6 @@ impl<T> BoundedSender<T> {
     pub fn capacity(&self) -> usize {
         self.inner.capacity
     }
-
-    /// `true` once [`BoundedSender::close`] ran.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().closed
-    }
 }
 
 impl<T> BoundedReceiver<T> {

@@ -53,7 +53,7 @@ use copse_core::wire::{
     Frame, RejectionCode, RejectionDetail, ServerTiming, ShedDetail, TimingCause, WireError,
     MAX_DEADLINE_MS, WIRE_VERSION,
 };
-use copse_fhe::{BackendError, CostModel, FheBackend, NoiseBudget};
+use copse_fhe::{CostModel, FheBackend, NoiseBudget};
 use copse_forest::model::Forest;
 use copse_trace::Stopwatch;
 use std::collections::HashMap;
@@ -240,7 +240,6 @@ struct Shared<B: FheBackend> {
     config: ServerConfig,
     eval: EvalOptions,
     profile: BackendProfile,
-    cost: CostModel,
     /// Set by [`ServerHandle::shutdown`]: workers answer shed for
     /// queued jobs instead of evaluating them.
     draining: Arc<AtomicBool>,
@@ -407,7 +406,6 @@ impl<B: FheBackend + 'static> ServerBuilder<B> {
             config: self.config,
             eval,
             profile,
-            cost: CostModel::default(),
             draining: Arc::new(AtomicBool::new(false)),
             faults: Arc::new(ServerFaults::new(self.faults)),
             flight: Arc::new(FlightRecorder::new(self.config.flight_capacity)),
@@ -505,7 +503,7 @@ fn deploy_model<B: FheBackend + 'static>(
             depth: report.depth,
             primes,
             ops_per_query: report.total_ops().total_homomorphic(),
-            modeled_ms: report.modeled_ms(&shared.cost),
+            modeled_ms: report.modeled_ms(&CostModel::default()),
         },
     );
     let entry = Arc::new(ModelEntry {
@@ -579,14 +577,8 @@ fn rejection_detail(model: &str, issue: &AdmissionIssue) -> RejectionDetail {
     }
 }
 
-/// The message a worker answers a panicked evaluation with. A typed
-/// [`BackendError`] payload (a packed-layout primitive the backend
-/// lacks) survives as a clean typed message, not a scraped panic
-/// string.
+/// The message a worker answers a panicked evaluation with.
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(e) = panic.downcast_ref::<BackendError>() {
-        return format!("backend capability error: {e}");
-    }
     panic
         .downcast_ref::<String>()
         .cloned()

@@ -155,11 +155,6 @@ impl LatencyHistogram {
         self.percentile_nanos(50.0).unwrap_or(0)
     }
 
-    /// 90th-percentile latency in nanoseconds (0 if empty).
-    pub fn p90_nanos(&self) -> u64 {
-        self.percentile_nanos(90.0).unwrap_or(0)
-    }
-
     /// 99th-percentile latency in nanoseconds (0 if empty).
     pub fn p99_nanos(&self) -> u64 {
         self.percentile_nanos(99.0).unwrap_or(0)
