@@ -16,8 +16,8 @@ fn main() {
     println!("{}", reports::figure6(SUITE_SEED, n, WORK_PER_OP));
     println!("{}", reports::figure7(SUITE_SEED, n, threads, WORK_PER_OP));
     println!("{}", reports::figure8(SUITE_SEED, n, threads, WORK_PER_OP));
-    println!("{}", reports::figure9(SUITE_SEED, n));
+    println!("{}", reports::figure9(SUITE_SEED));
     println!("{}", reports::figure10(SUITE_SEED, n));
-    println!("{}", reports::ablations(SUITE_SEED, n));
+    println!("{}", reports::ablations(SUITE_SEED));
     println!("{}", reports::ring_mul());
 }

@@ -167,13 +167,13 @@ pub fn figure8(seed: u64, n_queries: usize, threads: usize, work: usize) -> Stri
 }
 
 /// Figure 9: plaintext models (Maurice = Sally) vs encrypted models
-/// (Diane = Maurice).
-pub fn figure9(seed: u64, n_queries: usize) -> String {
+/// (Diane = Maurice), modeled from one query's op counts per form.
+pub fn figure9(seed: u64) -> String {
     let rows: Vec<(String, ModelGroup, f64, String)> = suite(seed)
         .iter()
         .map(|m| {
-            let enc = measure_copse(&m.name, &m.forest, ModelForm::Encrypted, 1, n_queries, 0);
-            let plain = measure_copse(&m.name, &m.forest, ModelForm::Plain, 1, n_queries, 0);
+            let enc = measure_copse(&m.name, &m.forest, ModelForm::Encrypted, 1, 1, 0);
+            let plain = measure_copse(&m.name, &m.forest, ModelForm::Plain, 1, 1, 0);
             let speedup = enc.modeled_ms / plain.modeled_ms;
             (
                 m.name.clone(),
@@ -626,8 +626,9 @@ pub fn ring_mul() -> String {
 }
 
 /// Ablations: reshuffle fusion, accumulation strategy, sparse
-/// plaintext diagonals and the comparator variant.
-pub fn ablations(seed: u64, n_queries: usize) -> String {
+/// plaintext diagonals and the comparator variant, each from one
+/// query's op counts.
+pub fn ablations(seed: u64) -> String {
     let forest = copse_forest::microbench::generate(&table6_specs()[1], seed);
     let maurice = Maurice::compile(&forest, paper_options()).expect("compiles");
     let meta = &maurice.compiled().meta;
@@ -657,17 +658,11 @@ pub fn ablations(seed: u64, n_queries: usize) -> String {
             },
         );
         let diane = Diane::new(&backend, maurice.public_query_info());
-        let queries = copse_forest::microbench::random_queries(&forest, n_queries, 42);
-        let mut ops = OpCounts::default();
-        for (i, q) in queries.iter().enumerate() {
-            let query = diane.encrypt_features(q).expect("valid");
-            let before = backend.meter().snapshot();
-            let _ = sally.classify(&query);
-            if i == 0 {
-                ops = backend.meter().snapshot().since(&before);
-            }
-        }
-        ops
+        let features = &copse_forest::microbench::random_queries(&forest, 1, 42)[0];
+        let query = diane.encrypt_features(features).expect("valid");
+        let before = backend.meter().snapshot();
+        let _ = sally.classify(&query);
+        backend.meter().snapshot().since(&before)
     };
     let modeled = |ops: &OpCounts| CostModel::default().modeled_ms(ops);
 

@@ -57,7 +57,7 @@ use crate::parallel::Parallelism;
 use crate::runtime::{EncryptedQuery, Maurice, ModelForm, PackPlan, Sally};
 use crate::seccomp::{secure_less_than, SecCompVariant};
 use copse_fhe::{
-    AbstractBackend, CostModel, FheBackend, LevelRule, NoiseBudget, OpCounts, OpMeter,
+    AbstractBackend, BitVec, CostModel, FheBackend, LevelRule, NoiseBudget, OpCounts, OpMeter,
 };
 use std::fmt;
 
@@ -302,8 +302,9 @@ impl CircuitReport {
     /// decrypt, and what each stage consumes from there.
     ///
     /// It runs [`CircuitReport::analyze`]'s classification under
-    /// `rule`, the query planes switched down to a candidate entry and
-    /// the model's encrypted operands (if any) at the top of the chain,
+    /// `rule`, the query planes encrypted fresh at a candidate entry
+    /// (as `Diane` makes them) and the model's encrypted operands (if
+    /// any) at the top of the chain,
     /// and takes the smallest entry at which every result — the worst
     /// packed lane's too — keeps positive headroom through its final
     /// switch to one prime. Depth then reads `chain_len − primes`, so a
@@ -381,7 +382,8 @@ pub(crate) fn chain(
 
 /// Runs one classification of `shape` — one full chunk of `lanes`
 /// queries when it packs — on the abstract backend under `rule`, its
-/// query planes entering at `entry` primes. Yields the deploy's
+/// query planes encrypted at `entry` primes as Diane encrypts them
+/// ([`FheBackend::encrypt_query_bits`]). Yields the deploy's
 /// metered ops (Maurice's encrypts), each stage's ops and the depth it
 /// adds (the difference of the trace's readings around it), and
 /// whether every result decrypts (always, without a rule).
@@ -405,8 +407,9 @@ fn run(
     on_abstract(backend, |be| {
         let sally = Sally::analysis(be, meta, fused, shape, entry);
         let deploy = be.meter().snapshot();
+        let plane = BitVec::zeros(meta.quantized);
         let planes = (0..meta.precision)
-            .map(|_| be.encrypt(&meta.quantized))
+            .map(|_| be.encrypt_query_bits(&plane, entry))
             .collect();
         let lanes = shape.packing.map_or(1, |plan| plan.lanes);
         let queries = vec![EncryptedQuery::from_planes(planes); lanes];

@@ -310,10 +310,11 @@ pub struct QueryInfo {
     pub codebook: Vec<usize>,
     /// The modulus-chain primes query planes should carry: the level
     /// the evaluator enters every circuit it runs for this model at
-    /// ([`Sally::client_query_info`]). [`Diane`] switches her fresh
-    /// planes down to it, so they travel at that size. `None` when the
-    /// backend has no modulus chain, or before a [`Sally`] hosts the
-    /// model ([`Maurice::public_query_info`]); planes then stay at the
+    /// ([`Sally::client_query_info`]). [`Diane`] encrypts her planes
+    /// directly at it, so they travel at that size with a fresh
+    /// encryption's noise. `None` when the backend has no modulus
+    /// chain, or before a [`Sally`] hosts the model
+    /// ([`Maurice::public_query_info`]); planes are then made at the
     /// top of the chain and the evaluator switches them on receipt.
     pub entry_primes: Option<u32>,
 }
@@ -411,9 +412,10 @@ impl<'b, B: FheBackend> Diane<'b, B> {
     }
 
     /// Replicates, bit-slices and encrypts a feature vector (paper
-    /// step 0), each plane switched down to the query information's
-    /// [`entry_primes`](QueryInfo::entry_primes). Costs `p` Encrypt
-    /// operations (one per bit plane).
+    /// step 0), each plane encrypted directly at the query
+    /// information's [`entry_primes`](QueryInfo::entry_primes) with
+    /// Diane's secret key ([`FheBackend::encrypt_query_bits`]). Costs
+    /// `p` Encrypt operations (one per bit plane).
     ///
     /// # Errors
     ///
@@ -437,15 +439,12 @@ impl<'b, B: FheBackend> Diane<'b, B> {
         }
         let replicated = compiler::replicate_features(features, self.info.max_multiplicity);
         let sliced = BitSliced::from_values(&replicated, p);
-        let encrypt = |plane: &BitVec| {
-            let fresh = self.backend.encrypt_bits(plane);
-            match self.info.entry_primes {
-                Some(primes) => self.backend.mod_switch_to(&fresh, primes as usize),
-                None => fresh,
-            }
-        };
+        let primes = self.info.entry_primes.map(|primes| primes as usize);
+        let planes = sliced.planes().iter();
         Ok(EncryptedQuery {
-            planes: sliced.planes().iter().map(encrypt).collect(),
+            planes: planes
+                .map(|plane| self.backend.encrypt_query_bits(plane, primes))
+                .collect(),
         })
     }
 

@@ -14,7 +14,7 @@
 use copse_core::analyze::{AdmissionIssue, BackendProfile, ChainReport, CircuitReport, EvalShape};
 use copse_core::compiler::{Accumulation, CompileOptions, Fusion};
 use copse_core::parallel::Parallelism;
-use copse_core::runtime::{Diane, EvalOptions, Maurice, ModelForm, PackPlan, Sally};
+use copse_core::runtime::{Diane, EvalOptions, Maurice, ModelForm, PackPlan, QueryInfo, Sally};
 use copse_core::seccomp::SecCompVariant;
 use copse_fhe::{
     BgvBackend, BgvParams, ClearBackend, ClearConfig, FheBackend, NoiseBudget, OpCounts,
@@ -166,16 +166,11 @@ fn measure_packed(
     lanes: usize,
     forest: &copse_forest::model::Forest,
 ) -> ([OpCounts; 4], u32, PackPlan) {
-    // Probe with unbounded capacity to learn the model's stride, then
-    // bound the real backend to exactly `lanes` strides.
-    let probe_be = ClearBackend::new(ClearConfig {
-        slot_capacity: Some(1 << 20),
-        ..ClearConfig::default()
-    });
-    let stride = Sally::host(&probe_be, maurice.deploy(&probe_be, form))
-        .pack_plan()
-        .expect("probe capacity fits")
-        .stride;
+    // The analyzer's solo slot width is the stride; bound the real
+    // backend to exactly `lanes` of them (the runtime's own stride is
+    // checked by the plan it settles on).
+    let stride = CircuitReport::analyze(maurice.compiled(), &EvalShape::plan(maurice, form))
+        .min_slot_capacity;
     let be = ClearBackend::new(ClearConfig {
         slot_capacity: Some(lanes * stride),
         ..ClearConfig::default()
@@ -413,7 +408,14 @@ fn assert_chain_conforms(
         ..solo
     })?;
     let chain = report.chain(&rule);
-    let info = sally.client_query_info();
+    // Planes made at the circuit's own entry: a host that packs tells
+    // clients its packed entry, and a solo unit switches such planes
+    // down, where they carry the switch floor and not the fresh noise
+    // the solo entry is sized for.
+    let info = QueryInfo {
+        entry_primes: Some(chain.primes_needed),
+        ..sally.client_query_info()
+    };
     let diane = Diane::new(be, info);
     let features = random_queries(forest, plan.map_or(1, |p| p.lanes), SUITE_SEED ^ 0x1E7);
     let queries: Vec<_> = features

@@ -197,6 +197,18 @@ pub trait FheBackend: Send + Sync {
         self.encrypt(&self.encode(bits))
     }
 
+    /// Encrypts raw bits as the data owner, who holds the secret key,
+    /// at `primes` modulus-chain primes (the top of the chain for
+    /// `None`): how a query plane is made. A leveled scheme encrypts
+    /// symmetrically and directly at that level, so the plane carries
+    /// a fresh encryption's noise and no modulus switch. Records one
+    /// `Encrypt`. Backends without a chain ignore `primes` (the
+    /// default encrypts as [`encrypt_bits`](FheBackend::encrypt_bits)).
+    fn encrypt_query_bits(&self, bits: &BitVec, primes: Option<usize>) -> Self::Ciphertext {
+        let _ = primes;
+        self.encrypt_bits(bits)
+    }
+
     /// Slot-wise NOT, implemented as XOR with the all-ones plaintext.
     /// Records one `ConstantAdd`.
     fn not(&self, a: &Self::Ciphertext) -> Self::Ciphertext {

@@ -46,7 +46,13 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Leading byte of serialised [`BgvCiphertext`]s.
-const BGV_CT_MAGIC: u8 = 0xB6;
+///
+/// The layout after it: `width: u64`, `noise: f64`, `level: u32`, a
+/// `seeded: u8` flag (0 or 1), then `c0`'s `level` residue rows, then
+/// `c1` — its `seed: u64` when seeded, else its rows like `c0`'s. A
+/// row is `φ` residues of `⌈prime_bits/8⌉` bytes each. Everything is
+/// little-endian.
+const BGV_CT_MAGIC: u8 = 0xB7;
 
 /// A packed plaintext: encoded polynomial, its multiplication-ready
 /// prepared form (which caches the evaluation-domain transform across
@@ -64,6 +70,11 @@ pub struct BgvPlaintext {
 pub struct BgvCiphertext {
     pub(crate) inner: Ciphertext,
     width: usize,
+    /// The seed `inner.c1` expands from
+    /// ([`RnsContext::expand_uniform`](crate::bgv::ring::RnsContext::expand_uniform))
+    /// when it is a fresh symmetric encryption's, which the wire then
+    /// carries in place of `c1`; `None` for every operation's result.
+    seed: Option<u64>,
     /// Its product form at the level a matrix product first read it
     /// at — filled when it serves as an encrypted model diagonal.
     /// Levels do not depend on data, so every later query reads the
@@ -77,6 +88,7 @@ impl BgvCiphertext {
         Self {
             inner,
             width,
+            seed: None,
             factor: OnceLock::new(),
         }
     }
@@ -420,6 +432,12 @@ impl BgvBackend {
             .clone()
     }
 
+    /// Bytes a residue takes on the wire: every chain prime is below
+    /// `2^prime_bits`.
+    fn residue_bytes(&self) -> usize {
+        self.scheme.params().prime_bits.div_ceil(8) as usize
+    }
+
     fn check_width(&self, width: usize) {
         assert!(
             width <= self.nslots(),
@@ -551,6 +569,20 @@ impl FheBackend for BgvBackend {
         BgvCiphertext::new(self.scheme.encrypt_poly(&pt.poly), pt.width)
     }
 
+    /// A symmetric encryption at `primes` (the top of the chain for
+    /// `None`; [`BgvScheme::encrypt_symmetric`]) that remembers its
+    /// `c1` seed, so it serialises at half the size.
+    fn encrypt_query_bits(&self, bits: &BitVec, primes: Option<usize>) -> BgvCiphertext {
+        let pt = self.encode(bits);
+        self.meter.record(FheOp::Encrypt);
+        let primes = primes.unwrap_or(self.scheme.params().chain_len);
+        let (inner, seed) = self.scheme.encrypt_symmetric(&pt.poly, primes);
+        BgvCiphertext {
+            seed: Some(seed),
+            ..BgvCiphertext::new(inner, pt.width)
+        }
+    }
+
     fn decrypt(&self, ct: &BgvCiphertext) -> BitVec {
         self.meter.record(FheOp::Decrypt);
         self.scheme
@@ -675,42 +707,42 @@ impl FheBackend for BgvBackend {
     }
 
     fn serialize_ciphertext(&self, ct: &BgvCiphertext) -> Vec<u8> {
-        let put_poly = |out: &mut Vec<u8>, poly: &RnsPoly| {
-            out.extend_from_slice(&(poly.residues.len() as u32).to_le_bytes());
-            for row in &poly.residues {
-                for &coeff in row {
-                    out.extend_from_slice(&coeff.to_le_bytes());
-                }
+        let bytes = self.residue_bytes();
+        let put_rows = |out: &mut Vec<u8>, poly: &RnsPoly| {
+            for &coeff in poly.residues.iter().flatten() {
+                // A whole word, cut back to its low bytes: a fixed-size
+                // copy, and the cut bytes are zero.
+                let at = out.len();
+                out.extend_from_slice(&coeff.to_le_bytes());
+                out.truncate(at + bytes);
             }
         };
-        let phi = self.scheme.params().m as usize - 1;
-        let level = ct.inner.c0.residues.len();
-        let mut out = Vec::with_capacity(1 + 8 + 8 + 2 * (4 + level * phi * 8));
+        let (c0, c1) = (&ct.inner.c0, &ct.inner.c1);
+        let rows = c0.residues.len() * self.scheme.ring().phi() * bytes;
+        let mut out = Vec::with_capacity(1 + 8 + 8 + 4 + 1 + 2 * rows);
         out.push(BGV_CT_MAGIC);
         out.extend_from_slice(&(ct.width as u64).to_le_bytes());
         out.extend_from_slice(&ct.inner.noise.to_le_bytes());
-        put_poly(&mut out, &ct.inner.c0);
-        put_poly(&mut out, &ct.inner.c1);
+        out.extend_from_slice(&(c0.residues.len() as u32).to_le_bytes());
+        out.push(u8::from(ct.seed.is_some()));
+        put_rows(&mut out, c0);
+        match ct.seed {
+            Some(seed) => out.extend_from_slice(&seed.to_le_bytes()),
+            None => put_rows(&mut out, c1),
+        }
         out
     }
 
     fn deserialize_ciphertext(&self, bytes: &[u8]) -> Result<BgvCiphertext, CiphertextCodecError> {
-        let params = *self.scheme.params();
-        let phi = params.m as usize - 1;
-        let primes = self.scheme.ring().primes();
-        let get_poly = |buf: &mut &[u8]| -> Result<RnsPoly, CiphertextCodecError> {
-            let level = codec::get_u32(buf)? as usize;
-            if level == 0 || level > params.chain_len {
-                return Err(CiphertextCodecError::Malformed(
-                    "level outside the modulus chain",
-                ));
-            }
+        let ring = self.scheme.ring();
+        let residue_bytes = self.residue_bytes();
+        let get_rows = |buf: &mut &[u8], level: usize| -> Result<RnsPoly, CiphertextCodecError> {
             let mut residues = Vec::with_capacity(level);
-            for &prime in &primes[..level] {
-                let raw = codec::take(buf, phi * 8)?;
+            for &prime in &ring.primes()[..level] {
+                let raw = codec::take(buf, ring.phi() * residue_bytes)?;
                 let row: Vec<u64> = raw
-                    .chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+                    .chunks_exact(residue_bytes)
+                    .map(|c| c.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b)))
                     .collect();
                 // RnsPoly arithmetic assumes reduced coefficients;
                 // accepting unreduced words would silently evaluate
@@ -734,15 +766,29 @@ impl FheBackend for BgvBackend {
         if !noise.is_finite() || noise < 0.0 {
             return Err(CiphertextCodecError::Malformed("non-finite noise estimate"));
         }
-        let c0 = get_poly(&mut buf)?;
-        let c1 = get_poly(&mut buf)?;
-        if c0.residues.len() != c1.residues.len() {
+        let level = codec::get_u32(&mut buf)? as usize;
+        if level == 0 || level > self.scheme.params().chain_len {
             return Err(CiphertextCodecError::Malformed(
-                "ciphertext halves at different levels",
+                "level outside the modulus chain",
             ));
         }
+        let seeded = match codec::take(&mut buf, 1)?[0] {
+            0 => false,
+            1 => true,
+            _ => return Err(CiphertextCodecError::Malformed("c1 flag neither 0 nor 1")),
+        };
+        let c0 = get_rows(&mut buf, level)?;
+        let (c1, seed) = if seeded {
+            let seed = codec::get_u64(&mut buf)?;
+            (ring.expand_uniform(level, seed), Some(seed))
+        } else {
+            (get_rows(&mut buf, level)?, None)
+        };
         codec::finish(buf)?;
-        Ok(BgvCiphertext::new(Ciphertext { c0, c1, noise }, width))
+        Ok(BgvCiphertext {
+            seed,
+            ..BgvCiphertext::new(Ciphertext { c0, c1, noise }, width)
+        })
     }
 }
 
@@ -914,19 +960,113 @@ mod tests {
         assert_eq!(be.decrypt(&back), be.decrypt(&ct));
     }
 
+    /// Where `c0`'s first residue starts: after magic (1), width (8),
+    /// noise (8), level (4) and the seeded flag (1).
+    const C0_AT: usize = 1 + 8 + 8 + 4 + 1;
+
     #[test]
     fn ciphertext_codec_rejects_unreduced_residues() {
         use crate::backend::CiphertextCodecError;
         let be = BgvBackend::tiny();
         let mut raw = be.serialize_ciphertext(&be.encrypt_bits(&bits(&[true, false])));
-        // First coefficient word of c0 sits right after magic (1) +
-        // width (8) + noise (8) + level (4).
-        let coeff_at = 1 + 8 + 8 + 4;
-        raw[coeff_at..coeff_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        // A 4-byte residue of all ones: above every 25-bit prime.
+        raw[C0_AT..C0_AT + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(
             be.deserialize_ciphertext(&raw).unwrap_err(),
             CiphertextCodecError::Malformed("residue coefficient not reduced mod its chain prime")
         );
+    }
+
+    /// One tiny backend for the codec properties: keygen is the slow
+    /// part of a case.
+    fn shared() -> &'static BgvBackend {
+        static BACKEND: OnceLock<BgvBackend> = OnceLock::new();
+        BACKEND.get_or_init(BgvBackend::tiny)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn seeded_planes_come_back_bit_for_bit(
+            pattern in proptest::collection::vec(proptest::prelude::any::<bool>(), 1..7),
+            primes in 1..11usize,
+        ) {
+            let be = shared();
+            let plane = be.encrypt_query_bits(&bits(&pattern), Some(primes));
+            let raw = be.serialize_ciphertext(&plane);
+            let back = be.deserialize_ciphertext(&raw).unwrap();
+            proptest::prop_assert_eq!(&back.inner, &plane.inner);
+            proptest::prop_assert_eq!(back.seed, plane.seed);
+            proptest::prop_assert_eq!(be.serialize_ciphertext(&back), raw);
+            proptest::prop_assert_eq!(be.decrypt(&back), bits(&pattern));
+        }
+    }
+
+    #[test]
+    fn seeded_planes_ship_a_seed_for_c1_and_four_byte_residues() {
+        let be = BgvBackend::tiny();
+        let v = bits(&[true, false, true]);
+        let plane = be.encrypt_query_bits(&v, Some(4));
+        assert_eq!(be.scheme().level(&plane.inner), 4);
+        let row = be.scheme().ring().phi() * 4;
+        assert_eq!(be.serialize_ciphertext(&plane).len(), C0_AT + 4 * row + 8);
+        // An operation's result carries both halves.
+        let sum = be.add(&plane, &plane);
+        assert_eq!(sum.seed, None);
+        assert_eq!(be.serialize_ciphertext(&sum).len(), C0_AT + 2 * 4 * row);
+        // Without a level: the top of the chain.
+        let top = be.encrypt_query_bits(&v, None);
+        assert_eq!(
+            be.scheme().level(&top.inner),
+            be.scheme().params().chain_len
+        );
+        assert_eq!(be.decrypt(&top), v);
+    }
+
+    #[test]
+    fn ciphertext_codec_errors_are_typed() {
+        use crate::backend::CiphertextCodecError;
+        let be = BgvBackend::tiny();
+        let plane = be.serialize_ciphertext(&be.encrypt_query_bits(&bits(&[true]), Some(3)));
+        // A seed cut short.
+        assert_eq!(
+            be.deserialize_ciphertext(&plane[..plane.len() - 3])
+                .unwrap_err(),
+            CiphertextCodecError::Truncated
+        );
+        // A residue row cut short.
+        let row = be.scheme().ring().phi() * 4;
+        assert_eq!(
+            be.deserialize_ciphertext(&plane[..C0_AT + row + 5])
+                .unwrap_err(),
+            CiphertextCodecError::Truncated
+        );
+        // A residue at or above its prime, here the prime itself.
+        let mut unreduced = plane.clone();
+        let prime = be.scheme().ring().primes()[1] as u32;
+        unreduced[C0_AT + row..C0_AT + row + 4].copy_from_slice(&prime.to_le_bytes());
+        assert_eq!(
+            be.deserialize_ciphertext(&unreduced).unwrap_err(),
+            CiphertextCodecError::Malformed("residue coefficient not reduced mod its chain prime")
+        );
+        // The 8-byte codec's magic.
+        let mut old = plane.clone();
+        old[0] = 0xB6;
+        assert_eq!(
+            be.deserialize_ciphertext(&old).unwrap_err(),
+            CiphertextCodecError::BadMagic {
+                expected: BGV_CT_MAGIC,
+                got: 0xB6
+            }
+        );
+        // A flag that is neither seeded nor not.
+        let mut flag = plane;
+        flag[C0_AT - 1] = 2;
+        assert!(matches!(
+            be.deserialize_ciphertext(&flag).unwrap_err(),
+            CiphertextCodecError::Malformed(_)
+        ));
     }
 
     #[test]

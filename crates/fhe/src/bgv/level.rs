@@ -146,6 +146,15 @@ impl LevelRule {
         self.at(self.chain_len(), FRESH_BITS.exp2())
     }
 
+    /// A fresh symmetric encryption at `primes` primes (clamped to the
+    /// chain): `c0 + c1·s = 2e + m` with each coefficient of `e` within
+    /// `±error_eta`, so its noise is `2·error_eta + 1` — below the floor
+    /// of a ciphertext switched down from the top.
+    pub fn encrypt_symmetric(&self, primes: usize) -> Level {
+        let noise = 2 * self.params.error_eta + 1;
+        self.at(primes.clamp(1, self.chain_len()), f64::from(noise))
+    }
+
     /// One modulus switch (drops the last active prime).
     pub fn mod_switch(&self, a: Level) -> Level {
         assert!(a.primes > 1, "cannot switch below one prime");
@@ -446,6 +455,14 @@ impl FheBackend for AbstractBackend {
         self.op(FheOp::Encrypt, *width, 0, LevelRule::encrypt)
     }
 
+    /// The rule's fresh symmetric level at `primes` (the top of the
+    /// chain without them), as [`BgvBackend`](crate::BgvBackend)'s.
+    fn encrypt_query_bits(&self, bits: &BitVec, primes: Option<usize>) -> AbstractCiphertext {
+        self.op(FheOp::Encrypt, bits.width(), 0, |rule| {
+            rule.encrypt_symmetric(primes.unwrap_or(rule.chain_len()))
+        })
+    }
+
     fn decrypt(&self, ct: &AbstractCiphertext) -> BitVec {
         self.meter.record(FheOp::Decrypt);
         BitVec::zeros(ct.width)
@@ -694,7 +711,7 @@ mod tests {
     /// slots; packed steps lay 2 blocks at stride 3.
     fn readings<B: FheBackend>(be: &B) -> Vec<(OpCounts, u32)> {
         type Step<B> = fn(&B, &[<B as FheBackend>::Ciphertext]) -> <B as FheBackend>::Ciphertext;
-        let steps: [Step<B>; 23] = [
+        let steps: [Step<B>; 25] = [
             |be, _| be.encrypt_bits(&BitVec::from_fn(3, |i| i % 2 == 0)),
             |be, c| be.add_plain(&c[0], &be.encode(&BitVec::ones(3))),
             |be, c| be.add(&c[0], &c[1]),
@@ -746,6 +763,10 @@ mod tests {
             },
             // A semantic rotation at full width: one automorphism.
             |be, c| be.rotate(&c[15], 2),
+            // A query plane made at 4 primes, and a product with a
+            // ciphertext from the top of the chain.
+            |be, _| be.encrypt_query_bits(&BitVec::from_fn(3, |i| i != 1), Some(4)),
+            |be, c| be.mul(&c[23], &c[0]),
         ];
         let mut cts = Vec::new();
         steps

@@ -35,7 +35,8 @@ use crate::math::modq::{
     add_mod, gcd, inv_mod, mul_mod, ntt_chain_primes, ntt_primes_below, sub_mod,
 };
 use crate::math::ntt::{add_q, mul_shoup, shoup, sub_q, NttPlan};
-use rand::Rng;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The cyclotomic family a ring context reduces in.
@@ -615,6 +616,14 @@ impl RnsContext {
                 .map(|&q| (0..self.phi).map(|_| rng.gen_range(0..q)).collect())
                 .collect(),
         }
+    }
+
+    /// The uniform element at `level` primes that `seed` expands to:
+    /// [`RnsContext::sample_uniform`] over a generator seeded with it.
+    /// Needs no key, so a ciphertext half drawn this way travels as its
+    /// seed.
+    pub fn expand_uniform(&self, level: usize, seed: u64) -> RnsPoly {
+        self.sample_uniform(level, &mut SmallRng::seed_from_u64(seed))
     }
 
     /// Random ternary polynomial (coefficients in {-1, 0, 1} with

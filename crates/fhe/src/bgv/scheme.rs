@@ -367,6 +367,10 @@ pub struct BgvScheme {
     /// no GF(2) CRT slot structure to pack into).
     slots: Option<SlotStructure>,
     secret: RnsPoly,
+    /// The secret's evaluation form over the whole chain, built by the
+    /// first symmetric encryption on the evaluation route; a product at
+    /// `ℓ` primes reads its first `ℓ` rows.
+    secret_eval: OnceLock<EvalPoly>,
     public: (RnsPoly, RnsPoly),
     /// Each switching key's rng seed, drawn at keygen: the relinearisation
     /// key's, then `(exponent, seed)` per rotation key.
@@ -474,6 +478,7 @@ impl BgvScheme {
             ring,
             slots,
             secret,
+            secret_eval: OnceLock::new(),
             public,
             key_seeds: (relin_seed, rotation_seeds),
             key_threads: threads,
@@ -753,6 +758,59 @@ impl BgvScheme {
             c1,
             noise: self.rule.encrypt().noise,
         }
+    }
+
+    /// Encrypts `pt` under the secret key, directly at `primes` chain
+    /// primes (clamped to the chain): `c1 = a`, uniform and expanded
+    /// from the returned seed by [`RnsContext::expand_uniform`], and
+    /// `c0 = −a·s + 2e + pt`. The seed and then `e` are drawn from the
+    /// scheme's stream, so the seed — public, it stands for `c1` on the
+    /// wire — does not regenerate `e`. The noise is
+    /// [`LevelRule::encrypt_symmetric`]'s, and no modulus switch is
+    /// paid to reach `primes`. Only the holder of `s` can encrypt this
+    /// way: the data owner's route for her query planes.
+    pub fn encrypt_symmetric(&self, pt: &Gf2Poly, primes: usize) -> (Ciphertext, u64) {
+        let level = primes.clamp(1, self.params.chain_len);
+        let mut rng = self.fresh_rng();
+        let seed = rng.next_u64();
+        let a = self.ring.expand_uniform(level, seed);
+        let error = self.ring.sample_error(self.params.error_eta, &mut rng);
+        let noisy: Vec<i64> = error
+            .iter()
+            .enumerate()
+            .map(|(i, e)| 2 * e + i64::from(pt.coeff(i)))
+            .collect();
+        let c0 = self.ring.sub(
+            &self.ring.from_signed(&noisy, level),
+            &self.times_secret(&a),
+        );
+        let ct = Ciphertext {
+            c0,
+            c1: a,
+            noise: self.rule.encrypt_symmetric(level).noise,
+        };
+        (ct, seed)
+    }
+
+    /// `a·s` at `a`'s level: on the evaluation route one forward
+    /// transform of `a`, a pointwise product with the cached transform
+    /// of `s`, and one inverse, per prime; the ring product on the
+    /// oracle. The same bits either way.
+    fn times_secret(&self, a: &RnsPoly) -> RnsPoly {
+        let level = self.ring.level_of(a);
+        if !self.eval_path() {
+            return self
+                .ring
+                .mul(a, &self.ring.reduce_level(&self.secret, level));
+        }
+        let secret = self.secret_eval.get_or_init(|| {
+            // Key material, like the switching keys: in no pass's meter.
+            let _unmetered = crate::meter::unmetered();
+            self.ring.to_eval(&self.secret)
+        });
+        let mut product = self.ring.eval_acc(level);
+        product.mul_add(&self.ring.to_eval(a), secret);
+        self.ring.from_eval(&product.finish())
     }
 
     /// Switches `ct` down to `primes` chain primes (at least one); a
@@ -1360,6 +1418,75 @@ mod tests {
         assert_eq!(r_on.c1, r_off.c1, "reduced-level rotate c1");
         let (q_on, q_off) = (on.mul_plain(&low_on, &mask), off.mul_plain(&low_off, &mask));
         assert_eq!(q_on.c0, q_off.c0, "reduced-level mul_plain c0");
+    }
+
+    #[test]
+    fn symmetric_encryptions_decrypt_at_every_level() {
+        // Directly at each level, on both routes alike: the schoolbook
+        // oracle draws the same seeds and errors and gets the same bits.
+        let (on, off) = (
+            scheme(),
+            BgvScheme::keygen_with_ntt(BgvParams::tiny(), false),
+        );
+        let bits = [true, false, true, true, false, true];
+        let pt = on.slots().encode(&BitVec::from_bools(&bits));
+        for primes in 1..=on.params().chain_len {
+            let (ct, seed) = on.encrypt_symmetric(&pt, primes);
+            assert_eq!(on.level(&ct), primes);
+            assert_eq!(dec_bits(&on, &ct, 6), bits, "{primes} primes");
+            assert_eq!(
+                off.encrypt_symmetric(&pt, primes),
+                (ct, seed),
+                "{primes} primes"
+            );
+        }
+    }
+
+    #[test]
+    fn symmetric_noise_is_one_small_vector_in_every_row() {
+        // `c0 + c1·s` centred mod each prime is `2e + m` itself, the
+        // same vector in every row and within the rule's estimate, so
+        // reading it needs no CRT lift.
+        let s = scheme();
+        let bits = [false, true, true, false, true, false];
+        let pt = s.slots().encode(&BitVec::from_bools(&bits));
+        for primes in [1, 4, s.params().chain_len] {
+            let (ct, _) = s.encrypt_symmetric(&pt, primes);
+            let secret = s.ring.reduce_level(&s.secret, primes);
+            let v = s.ring.add(&ct.c0, &s.ring.mul(&ct.c1, &secret));
+            let rows: Vec<Vec<i64>> = v
+                .residues
+                .iter()
+                .zip(s.ring.primes())
+                .map(|(row, &q)| {
+                    row.iter()
+                        .map(|&c| crate::math::modq::center(c, q))
+                        .collect()
+                })
+                .collect();
+            assert!(rows.iter().all(|row| *row == rows[0]), "{primes} primes");
+            let bound = s.level_rule().encrypt_symmetric(primes).noise;
+            assert_eq!(bound, f64::from(2 * s.params().error_eta + 1));
+            assert_eq!(ct.noise, bound);
+            assert!(rows[0].iter().all(|&c| c.unsigned_abs() as f64 <= bound));
+            let parity: Vec<bool> = rows[0].iter().map(|&c| c.rem_euclid(2) == 1).collect();
+            assert_eq!(
+                parity,
+                (0..parity.len()).map(|i| pt.coeff(i)).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
+    fn symmetric_encryptions_share_neither_seed_nor_c0() {
+        let s = scheme();
+        let pt = s.slots().encode(&BitVec::from_bools(&[true; 6]));
+        let (a, seed_a) = s.encrypt_symmetric(&pt, 3);
+        let (b, seed_b) = s.encrypt_symmetric(&pt, 3);
+        assert_ne!(seed_a, seed_b);
+        assert_ne!(a.c0, b.c0);
+        // `c1` is what the seed expands to, with no key.
+        assert_eq!(a.c1, s.ring().expand_uniform(3, seed_a));
     }
 
     #[test]

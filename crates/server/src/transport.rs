@@ -33,8 +33,14 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
             ),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(&payload)?;
+    // One write for prefix and payload: written apart, a payload wider
+    // than the writer's buffer leaves the prefix as a segment of its
+    // own, and a sub-MSS payload then waits under Nagle's rule for the
+    // receiver's delayed ACK of it (40 ms on Linux).
+    let mut framed = Vec::with_capacity(4 + payload.len());
+    framed.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    framed.extend_from_slice(&payload);
+    w.write_all(&framed)?;
     w.flush()
 }
 
@@ -92,6 +98,31 @@ mod tests {
             read_frame(&mut cursor).unwrap_err().kind(),
             std::io::ErrorKind::UnexpectedEof
         );
+    }
+
+    #[test]
+    fn a_frame_wider_than_the_write_buffer_leaves_in_one_write() {
+        // The writes a `BufWriter` passes on, as a socket sees them: a
+        // prefix on its own would be a segment of its own.
+        struct Writes(Vec<usize>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let frame = Frame::Query {
+            id: 1,
+            deadline_ms: 0,
+            trace: None,
+            planes: vec![Bytes::from(vec![7u8; 28 << 10])],
+        };
+        let mut writer = io::BufWriter::new(Writes(Vec::new()));
+        write_frame(&mut writer, &frame).unwrap();
+        assert_eq!(writer.get_ref().0, vec![4 + encode_frame(&frame).len()]);
     }
 
     #[test]

@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         t.elapsed().as_secs_f64()
     );
     // Sally's reveal carries the chain level her circuit needs: Diane
-    // switches every plane down to it before it leaves her hands, and
+    // encrypts every plane directly at it with her secret key, and
     // hosting built the switching keys up to that level only.
     let info = sally.client_query_info();
     let entry = info.entry_primes.expect("a BGV chain has an entry level");
