@@ -302,9 +302,11 @@ impl CircuitReport {
     /// decrypt, and what each stage consumes from there.
     ///
     /// It runs [`CircuitReport::analyze`]'s classification under
-    /// `rule`, the query planes encrypted fresh at a candidate entry
-    /// (as `Diane` makes them) and the model's encrypted operands (if
-    /// any) at the top of the chain,
+    /// `rule`, the query planes made at a candidate entry (as `Diane`
+    /// makes them) and entered there as [`Sally`] enters every plane —
+    /// in the state of one switched down to it, so the entry holds for
+    /// planes made above it too — and the model's encrypted operands
+    /// (if any) at the top of the chain,
     /// and takes the smallest entry at which every result — the worst
     /// packed lane's too — keeps positive headroom through its final
     /// switch to one prime. Depth then reads `chain_len − primes`, so a
@@ -383,7 +385,8 @@ pub(crate) fn chain(
 /// Runs one classification of `shape` — one full chunk of `lanes`
 /// queries when it packs — on the abstract backend under `rule`, its
 /// query planes encrypted at `entry` primes as Diane encrypts them
-/// ([`FheBackend::encrypt_query_bits`]). Yields the deploy's
+/// ([`FheBackend::encrypt_query_bits`]) and entered by the runtime's
+/// own units. Yields the deploy's
 /// metered ops (Maurice's encrypts), each stage's ops and the depth it
 /// adds (the difference of the trace's readings around it), and
 /// whether every result decrypts (always, without a rule).

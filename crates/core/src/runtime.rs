@@ -311,11 +311,12 @@ pub struct QueryInfo {
     /// The modulus-chain primes query planes should carry: the level
     /// the evaluator enters every circuit it runs for this model at
     /// ([`Sally::client_query_info`]). [`Diane`] encrypts her planes
-    /// directly at it, so they travel at that size with a fresh
-    /// encryption's noise. `None` when the backend has no modulus
-    /// chain, or before a [`Sally`] hosts the model
-    /// ([`Maurice::public_query_info`]); planes are then made at the
-    /// top of the chain and the evaluator switches them on receipt.
+    /// directly at it, so they travel at that size. `None` when the
+    /// backend has no modulus chain, or before a [`Sally`] hosts the
+    /// model ([`Maurice::public_query_info`]); planes are then made at
+    /// the top of the chain and the evaluator switches them on receipt.
+    /// Either way a circuit enters its planes in one state
+    /// ([`FheBackend::enter_circuit`]), the one its entry is sized for.
     pub entry_primes: Option<u32>,
 }
 
@@ -588,14 +589,15 @@ struct Unit<'a, B: FheBackend> {
 }
 
 impl<'a, B: FheBackend> Unit<'a, B> {
-    /// The way in: the unit's `p` bit planes, switched down to the
-    /// unit's entry level (before packing, so the alignment rotations
-    /// run low too). A solo unit takes its query's; a packed unit packs
+    /// The way in: the unit's `p` bit planes, entered at the unit's
+    /// entry level ([`FheBackend::enter_circuit`]: switched down to it
+    /// if made above, before packing, so the alignment rotations run
+    /// low too). A solo unit takes its query's; a packed unit packs
     /// each plane lane-wise. A partial unit still packs at the full
     /// tiled width — unused lanes hold zeros and are never unpacked.
     fn planes(&self, be: &B) -> Cow<'a, [B::Ciphertext]> {
         let enter = |ct: &B::Ciphertext| match self.entry {
-            Some(primes) => be.mod_switch_to(ct, primes),
+            Some(primes) => be.enter_circuit(ct, primes),
             None => ct.clone(),
         };
         let Some(plan) = self.operands.packing else {

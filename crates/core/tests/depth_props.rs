@@ -15,7 +15,7 @@ use std::sync::OnceLock;
 
 use copse_core::analyze::{BackendProfile, CircuitReport, EvalShape};
 use copse_core::compiler::{CompileOptions, Fusion};
-use copse_core::runtime::{Diane, Maurice, ModelForm, QueryInfo, Sally};
+use copse_core::runtime::{Diane, Maurice, ModelForm, Sally};
 use copse_fhe::{BgvBackend, BgvParams, ClearBackend, FheBackend, NoiseBudget};
 use copse_forest::microbench::{self, MicrobenchSpec};
 use proptest::prelude::*;
@@ -139,22 +139,14 @@ fn admitted_circuits_fit_the_bgv_chain() {
             let expected = c_diane
                 .decrypt_result(&c_sally.classify(&c_diane.encrypt_features(&features).unwrap()));
 
-            // Planes made at the solo circuit's entry level: the
-            // analyzer sizes it for fresh planes there, not for planes
-            // switched down from above (the top of the chain, or a
-            // packing host's higher entry).
-            let chain = report.chain(&rule);
             let sally = Sally::host(be, maurice.deploy(be, ModelForm::Plain));
-            let info = QueryInfo {
-                entry_primes: Some(chain.primes_needed),
-                ..sally.client_query_info()
-            };
-            let diane = Diane::new(be, info);
+            let diane = Diane::new(be, maurice.public_query_info());
             let (result, trace) =
                 sally.classify_traced(&diane.encrypt_features(&features).unwrap());
 
             // Exact: the query entered at the predicted level and the
             // result sits exactly where the analyzer says.
+            let chain = report.chain(&rule);
             let case = format!("d={max_depth} p={precision} fused={fused}");
             assert_eq!(
                 chain.chain_len - trace.entry_depth,

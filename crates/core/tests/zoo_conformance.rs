@@ -14,7 +14,7 @@
 use copse_core::analyze::{AdmissionIssue, BackendProfile, ChainReport, CircuitReport, EvalShape};
 use copse_core::compiler::{Accumulation, CompileOptions, Fusion};
 use copse_core::parallel::Parallelism;
-use copse_core::runtime::{Diane, EvalOptions, Maurice, ModelForm, PackPlan, QueryInfo, Sally};
+use copse_core::runtime::{Diane, EvalOptions, Maurice, ModelForm, PackPlan, Sally};
 use copse_core::seccomp::SecCompVariant;
 use copse_fhe::{
     BgvBackend, BgvParams, ClearBackend, ClearConfig, FheBackend, NoiseBudget, OpCounts,
@@ -408,14 +408,7 @@ fn assert_chain_conforms(
         ..solo
     })?;
     let chain = report.chain(&rule);
-    // Planes made at the circuit's own entry: a host that packs tells
-    // clients its packed entry, and a solo unit switches such planes
-    // down, where they carry the switch floor and not the fresh noise
-    // the solo entry is sized for.
-    let info = QueryInfo {
-        entry_primes: Some(chain.primes_needed),
-        ..sally.client_query_info()
-    };
+    let info = sally.client_query_info();
     let diane = Diane::new(be, info);
     let features = random_queries(forest, plan.map_or(1, |p| p.lanes), SUITE_SEED ^ 0x1E7);
     let queries: Vec<_> = features

@@ -361,6 +361,17 @@ pub trait FheBackend: Send + Sync {
         ct.clone()
     }
 
+    /// How a query plane enters a circuit at `primes` modulus-chain
+    /// primes: switched down to them, as
+    /// [`mod_switch_to`](FheBackend::mod_switch_to), and on a leveled
+    /// scheme with its noise estimate raised to at least what a switch
+    /// leaves. A plane made at `primes` and one made above them enter
+    /// in one state, so the circuit's levels do not depend on where the
+    /// data owner made its planes. Unmetered; the default switches.
+    fn enter_circuit(&self, ct: &Self::Ciphertext, primes: usize) -> Self::Ciphertext {
+        self.mod_switch_to(ct, primes)
+    }
+
     /// A ciphertext that decrypts exactly like `ct` but is as small as
     /// the scheme can make it without the secret key, for results that
     /// are about to be shipped and only ever decrypted (leveled schemes

@@ -702,6 +702,10 @@ impl FheBackend for BgvBackend {
         BgvCiphertext::new(self.scheme.mod_switch_to(&ct.inner, primes), ct.width)
     }
 
+    fn enter_circuit(&self, ct: &BgvCiphertext, primes: usize) -> BgvCiphertext {
+        BgvCiphertext::new(self.scheme.enter(&ct.inner, primes), ct.width)
+    }
+
     fn compact_for_decrypt(&self, ct: &BgvCiphertext) -> BgvCiphertext {
         self.mod_switch_to(ct, 1)
     }

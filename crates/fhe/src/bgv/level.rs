@@ -172,6 +172,20 @@ impl LevelRule {
         a
     }
 
+    /// How a query plane enters a circuit at `primes` primes: switched
+    /// down to them, its noise raised to at least the floor a switch
+    /// leaves. A plane made at `primes` ([`encrypt_symmetric`]) and one
+    /// made above them and switched down enter in this one state, so a
+    /// circuit's levels do not depend on where its planes were made,
+    /// and an entry sized for the state holds for both.
+    ///
+    /// [`encrypt_symmetric`]: Self::encrypt_symmetric
+    pub fn enter(&self, a: Level, primes: usize) -> Level {
+        let a = self.mod_switch_to(a, primes);
+        let noise = a.noise.max(MS_FLOOR_BITS.exp2() * 2.0);
+        self.level(a.primes, noise, a.headroom_bits)
+    }
+
     /// Switches until the noise estimate drops to `target_bits` (or one
     /// prime remains).
     pub(crate) fn reduce(&self, mut a: Level, target_bits: f64) -> Level {
@@ -580,6 +594,13 @@ impl FheBackend for AbstractBackend {
         }
     }
 
+    fn enter_circuit(&self, ct: &AbstractCiphertext, primes: usize) -> AbstractCiphertext {
+        AbstractCiphertext {
+            level: self.moved(|rule| rule.enter(ct.at(), primes)),
+            ..*ct
+        }
+    }
+
     fn compact_for_decrypt(&self, ct: &AbstractCiphertext) -> AbstractCiphertext {
         self.mod_switch_to(ct, 1)
     }
@@ -692,6 +713,22 @@ mod tests {
     }
 
     #[test]
+    fn planes_enter_at_the_floor_of_a_switch() {
+        // A plane made at the entry and one switched down to it enter
+        // in one state — what the public-key route switched down
+        // reaches — so one entry and one prediction hold for both.
+        let r = rule();
+        let state = r.mod_switch_to(r.encrypt(), 4);
+        assert_eq!(state.noise.log2(), MS_FLOOR_BITS + 1.0);
+        for plane in [r.encrypt_symmetric(4), r.encrypt_symmetric(10), r.encrypt()] {
+            assert_eq!(r.enter(plane, 4), state);
+        }
+        // A noisier plane keeps its noise.
+        let noisy = r.at(4, 1e6);
+        assert_eq!(r.enter(noisy, 4), noisy);
+    }
+
+    #[test]
     fn headroom_remembers_the_tightest_ancestor() {
         let r = rule();
         // A key switch at one prime overflows the estimate; switching
@@ -711,7 +748,7 @@ mod tests {
     /// slots; packed steps lay 2 blocks at stride 3.
     fn readings<B: FheBackend>(be: &B) -> Vec<(OpCounts, u32)> {
         type Step<B> = fn(&B, &[<B as FheBackend>::Ciphertext]) -> <B as FheBackend>::Ciphertext;
-        let steps: [Step<B>; 25] = [
+        let steps: [Step<B>; 28] = [
             |be, _| be.encrypt_bits(&BitVec::from_fn(3, |i| i % 2 == 0)),
             |be, c| be.add_plain(&c[0], &be.encode(&BitVec::ones(3))),
             |be, c| be.add(&c[0], &c[1]),
@@ -767,6 +804,11 @@ mod tests {
             // ciphertext from the top of the chain.
             |be, _| be.encrypt_query_bits(&BitVec::from_fn(3, |i| i != 1), Some(4)),
             |be, c| be.mul(&c[23], &c[0]),
+            // Entering a circuit at 4 primes: the plane made there, a
+            // ciphertext from the top of the chain, and their product.
+            |be, c| be.enter_circuit(&c[23], 4),
+            |be, c| be.enter_circuit(&c[0], 4),
+            |be, c| be.mul(&c[25], &c[26]),
         ];
         let mut cts = Vec::new();
         steps

@@ -815,14 +815,25 @@ impl BgvScheme {
 
     /// Switches `ct` down to `primes` chain primes (at least one); a
     /// ciphertext already at or below them is returned unchanged.
-    /// Keyless, and the result decrypts identically: how a query
-    /// enters the chain at the level its circuit needs.
+    /// Keyless, and the result decrypts identically.
     pub fn mod_switch_to(&self, ct: &Ciphertext, primes: usize) -> Ciphertext {
         let mut work = ct.clone();
         while self.level(&work) > primes.max(1) {
             work = self.mod_switch(&work);
         }
         work
+    }
+
+    /// How a query plane enters a circuit at `primes` chain primes:
+    /// switched down to them, its noise estimate raised as
+    /// [`LevelRule::enter`] does, whether it was made at `primes` or
+    /// above them.
+    pub fn enter(&self, ct: &Ciphertext, primes: usize) -> Ciphertext {
+        let work = self.mod_switch_to(ct, primes);
+        Ciphertext {
+            noise: self.rule.enter(self.position(&work), primes).noise,
+            ..work
+        }
     }
 
     /// Switches `ct` down to the last chain prime — the first thing
@@ -1487,6 +1498,29 @@ mod tests {
         assert_ne!(a.c0, b.c0);
         // `c1` is what the seed expands to, with no key.
         assert_eq!(a.c1, s.ring().expand_uniform(3, seed_a));
+    }
+
+    #[test]
+    fn planes_enter_a_circuit_in_one_state_wherever_they_were_made() {
+        // Made at the entry, made at the top and switched down, or
+        // under the public key: each enters at 4 primes with the
+        // rule's entry noise, the switch floor, and decrypts.
+        let s = scheme();
+        let bits = [true, true, false, true, false, false];
+        let pt = s.slots().encode(&BitVec::from_bools(&bits));
+        let top = s.params().chain_len;
+        let planes = [
+            s.encrypt_symmetric(&pt, 4).0,
+            s.encrypt_symmetric(&pt, top).0,
+            enc_bits(&s, &bits),
+        ];
+        let state = s.level_rule().enter(s.level_rule().encrypt(), 4);
+        for (i, plane) in planes.iter().enumerate() {
+            let entered = s.enter(plane, 4);
+            assert_eq!(s.position(&entered), state, "plane {i}");
+            assert_eq!(dec_bits(&s, &entered, 6), bits, "plane {i}");
+        }
+        assert!(s.position(&planes[0]).noise < state.noise);
     }
 
     #[test]

@@ -738,6 +738,9 @@ fn handshake(
 )> {
     let t_connect = rec.now();
     let stream = TcpStream::connect(addrs)?;
+    // Every frame is written whole and flushed (`write_frame`), so
+    // Nagle's rule could only hold a short tail back for a delayed ACK.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     rec.span("connect", t_connect);

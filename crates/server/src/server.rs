@@ -906,8 +906,12 @@ impl<B: FheBackend + 'static> InferenceServer<B> {
                             // The listener is non-blocking for the
                             // stop-flag poll; connection threads want
                             // plain blocking reads (bounded by the
-                            // configured socket timeouts).
-                            if stream.set_nonblocking(false).is_err() {
+                            // configured socket timeouts). No Nagle
+                            // delay: frames are flushed whole (see the
+                            // client's connect).
+                            if stream.set_nonblocking(false).is_err()
+                                || stream.set_nodelay(true).is_err()
+                            {
                                 continue;
                             }
                             spawn_connection(&accept_shared, stream);

@@ -8,7 +8,7 @@
 
 use bytes::Bytes;
 use copse_core::wire::{decode_frame, encode_frame, Frame};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Upper bound on one frame's payload; generous enough for the widest
 /// BGV query (hundreds of KiB) with two orders of magnitude to spare.
@@ -33,14 +33,21 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
             ),
         ));
     }
-    // One write for prefix and payload: written apart, a payload wider
-    // than the writer's buffer leaves the prefix as a segment of its
-    // own, and a sub-MSS payload then waits under Nagle's rule for the
-    // receiver's delayed ACK of it (40 ms on Linux).
-    let mut framed = Vec::with_capacity(4 + payload.len());
-    framed.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    framed.extend_from_slice(&payload);
-    w.write_all(&framed)?;
+    // Prefix and payload go out in one vectored write. Written apart, a
+    // payload wider than a `BufWriter`'s buffer leaves the prefix as a
+    // segment of its own, and a socket that keeps Nagle's rule then
+    // holds the payload's short tail until the peer's delayed ACK.
+    let prefix = (payload.len() as u32).to_be_bytes();
+    let mut parts = [IoSlice::new(&prefix), IoSlice::new(&payload)];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -101,14 +108,24 @@ mod tests {
     }
 
     #[test]
-    fn a_frame_wider_than_the_write_buffer_leaves_in_one_write() {
-        // The writes a `BufWriter` passes on, as a socket sees them: a
-        // prefix on its own would be a segment of its own.
-        struct Writes(Vec<usize>);
-        impl Write for Writes {
+    fn a_frame_reaches_the_writer_in_one_vectored_write() {
+        // A writer that takes at most `cap` bytes per call and records
+        // what each call carried, as a socket's `writev` would.
+        struct Writev {
+            cap: usize,
+            calls: Vec<usize>,
+            bytes: Vec<u8>,
+        }
+        impl Write for Writev {
             fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.0.push(buf.len());
-                Ok(buf.len())
+                self.write_vectored(&[IoSlice::new(buf)])
+            }
+            fn write_vectored(&mut self, parts: &[IoSlice<'_>]) -> io::Result<usize> {
+                let taken: Vec<u8> = parts.iter().flat_map(|p| p.iter()).copied().collect();
+                let n = taken.len().min(self.cap);
+                self.calls.push(n);
+                self.bytes.extend_from_slice(&taken[..n]);
+                Ok(n)
             }
             fn flush(&mut self) -> io::Result<()> {
                 Ok(())
@@ -120,9 +137,20 @@ mod tests {
             trace: None,
             planes: vec![Bytes::from(vec![7u8; 28 << 10])],
         };
-        let mut writer = io::BufWriter::new(Writes(Vec::new()));
-        write_frame(&mut writer, &frame).unwrap();
-        assert_eq!(writer.get_ref().0, vec![4 + encode_frame(&frame).len()]);
+        let len = 4 + encode_frame(&frame).len();
+        for cap in [usize::MAX, 1000] {
+            let mut w = Writev {
+                cap,
+                calls: Vec::new(),
+                bytes: Vec::new(),
+            };
+            write_frame(&mut w, &frame).unwrap();
+            // The prefix never leaves alone; a short write resumes
+            // where it stopped.
+            assert_eq!(w.calls[0], len.min(cap));
+            assert_eq!(w.calls.iter().sum::<usize>(), len);
+            assert_eq!(read_frame(&mut w.bytes.as_slice()).unwrap(), frame);
+        }
     }
 
     #[test]
