@@ -17,17 +17,15 @@
 //! any realistic capacity means the recorder never serialises the
 //! serving path. Memory is bounded by construction: `capacity` slots,
 //! each holding at most one record, no growth under overload (overload
-//! simply laps the ring faster). The serving-trace bench measures the
-//! end-to-end throughput cost against a disabled recorder and records
-//! it in `BENCH_serving_trace.json`; the acceptance bar is < 1 %.
+//! simply laps the ring faster). A server built with capacity 0 keeps
+//! no slots and records nothing.
 //!
 //! ## Draining
 //!
 //! [`FlightRecorder::dump`] copies the live records out oldest-first
-//! without stopping recording — operators pull it on demand (the
-//! `trace_serving_json` bench does), and [`ServerHandle::shutdown`]
-//! returns the final dump so the last moments of a service are never
-//! lost with it.
+//! without stopping recording — operators pull it on demand, and
+//! [`ServerHandle::shutdown`] returns the final dump so the last
+//! moments of a service are never lost with it.
 //!
 //! [`ServerHandle::shutdown`]: crate::ServerHandle::shutdown
 

@@ -215,9 +215,21 @@ fn coalesced_batches_attribute_traced_peers() {
 
 #[test]
 fn metrics_exposition_round_trips_over_the_wire() {
+    // A recorder of capacity 0 is off: it records nothing, and the
+    // page says so.
+    for flight_capacity in [1024, 0] {
+        exposition_round_trip(flight_capacity);
+    }
+}
+
+fn exposition_round_trip(flight_capacity: usize) {
     let backend = Arc::new(ClearBackend::with_defaults());
     let forest = tiny_forest();
     let handle = ServerBuilder::new(Arc::clone(&backend))
+        .config(ServerConfig {
+            flight_capacity,
+            ..ServerConfig::default()
+        })
         .register(
             "demo",
             &forest,
@@ -238,7 +250,12 @@ fn metrics_exposition_round_trips_over_the_wire() {
     }
     let text = client.metrics().expect("metrics pull");
     client.close().expect("close");
-    handle.shutdown();
+    let recorded = if flight_capacity > 0 { 3 } else { 0 };
+    assert_eq!(
+        handle.shutdown().len(),
+        recorded,
+        "capacity {flight_capacity}"
+    );
 
     let parsed = parse_exposition(&text).expect("exposition parses");
     assert_eq!(parsed.value("copse_queries_served_total", &[]), Some(3.0));
@@ -250,7 +267,13 @@ fn metrics_exposition_round_trips_over_the_wire() {
         parsed.value("copse_model_latency_nanos_count", &[("model", "demo")]),
         Some(3.0)
     );
-    assert_eq!(parsed.value("copse_flight_recorded_total", &[]), Some(3.0));
-    assert_eq!(parsed.value("copse_flight_capacity", &[]), Some(1024.0));
+    assert_eq!(
+        parsed.value("copse_flight_recorded_total", &[]),
+        Some(recorded as f64)
+    );
+    assert_eq!(
+        parsed.value("copse_flight_capacity", &[]),
+        Some(flight_capacity as f64)
+    );
     assert_eq!(parsed.value("copse_queries_shed_total", &[]), Some(0.0));
 }
