@@ -196,7 +196,7 @@ impl Maurice {
             codebook: m.codebook.clone(),
             operands: Operands {
                 thresholds: m.thresholds.planes().iter().map(&wrap_vec).collect(),
-                reshuffle: (!m.fused).then(|| wrap_matrix(&m.reshuffle)),
+                reshuffle: (!m.fused).then(|| Arc::new(wrap_matrix(&m.reshuffle))),
                 levels: m.levels.iter().map(wrap_matrix).collect(),
                 masks: m.masks.iter().map(&wrap_vec).collect(),
                 shuffle: None,
@@ -211,17 +211,19 @@ impl Maurice {
 /// artifacts plus Sally's result-shuffle matrix. One type serves both
 /// layouts — as deployed (one query per ciphertext), and
 /// [tiled](Operands::tile) so that every operand repeats in each slot
-/// block of a packed unit.
+/// block of a packed unit — and each layout both as deployed and as
+/// Sally [hosts](Operands::host) it. The matrices are shared, not
+/// copied, between a model and the sets hosted from it.
 #[derive(Debug)]
 struct Operands<B: FheBackend> {
     thresholds: Vec<MaybeEncrypted<B>>,
-    reshuffle: Option<EncodedMatrix<B>>,
-    levels: Vec<EncodedMatrix<B>>,
+    reshuffle: Option<Arc<EncodedMatrix<B>>>,
+    levels: Arc<[EncodedMatrix<B>]>,
     masks: Vec<MaybeEncrypted<B>>,
     /// Sally's secret result permutation (paper §7.2.2), set when she
     /// hosts the model with a `shuffle_seed`. Always plaintext: it is
     /// her secret, not Maurice's.
-    shuffle: Option<EncodedMatrix<B>>,
+    shuffle: Option<Arc<EncodedMatrix<B>>>,
     /// The block layout of a tiled set; `None` as deployed.
     packing: Option<PackPlan>,
 }
@@ -250,11 +252,34 @@ impl<B: FheBackend> Operands<B> {
         };
         Self {
             thresholds: tile_vecs(&self.thresholds),
-            reshuffle: self.reshuffle.as_ref().map(|r| r.pack(be, s, c)),
+            reshuffle: self.reshuffle.as_ref().map(|r| Arc::new(r.pack(be, s, c))),
             levels: self.levels.iter().map(|l| l.pack(be, s, c)).collect(),
             masks: tile_vecs(&self.masks),
-            shuffle: self.shuffle.as_ref().map(|sh| sh.pack(be, s, c)),
+            shuffle: self.shuffle.as_ref().map(|sh| Arc::new(sh.pack(be, s, c))),
             packing: Some(plan),
+        }
+    }
+
+    /// The vector operands every query reads, hosted for a unit whose
+    /// circuit enters at `entry` chain primes. An encrypted threshold
+    /// plane or mask is switched down to the entry level here, once,
+    /// instead of in every query's first operation on it, and then
+    /// caches its product form the first time a product reads it
+    /// (levels do not depend on data, so every later query reads that
+    /// one). A plaintext threshold plane is transformed here, not in
+    /// every query's product; masks are only ever added. Every
+    /// ciphertext bit is what the operands as deployed would give: a
+    /// modulus switch is the same whenever it runs.
+    fn host(&mut self, be: &B, entry: Option<usize>) {
+        for operand in self.thresholds.iter_mut().chain(&mut self.masks) {
+            match operand {
+                MaybeEncrypted::Plain(pt) => be.prepare_plaintext(pt),
+                MaybeEncrypted::Encrypted(ct) => {
+                    if let Some(primes) = entry {
+                        *ct = be.mod_switch_to(ct, primes);
+                    }
+                }
+            }
         }
     }
 }
@@ -647,9 +672,13 @@ pub struct Sally<'b, B: FheBackend> {
     solo_entry: Option<usize>,
     /// The same for a packed unit of `plan`.
     packed_entry: Option<usize>,
-    /// `model.operands` tiled for `plan`: built lazily (first packed
-    /// batch) or eagerly ([`Sally::warm_packed`]), then kept for the
-    /// lifetime of the `Sally`.
+    /// `model.operands` as solo units read them: hosted at
+    /// `solo_entry` ([`Operands::host`]) when Sally binds the model.
+    solo: Operands<B>,
+    /// `model.operands` tiled for `plan`, then hosted at
+    /// `packed_entry`: built lazily (first packed batch) or eagerly
+    /// ([`Sally::warm_packed`]), then kept for the lifetime of the
+    /// `Sally`.
     tiled: OnceLock<Operands<B>>,
 }
 
@@ -668,10 +697,11 @@ impl<'b, B: FheBackend> Sally<'b, B> {
             for (old, &new) in permutation.iter().enumerate() {
                 matrix.set(new, old, true);
             }
-            EncodedMatrix::encode_plain(backend, &matrix)
+            Arc::new(EncodedMatrix::encode_plain(backend, &matrix))
         });
         let mut sally = Self {
             backend,
+            solo: model.operands.clone(),
             model,
             options,
             permutation,
@@ -683,6 +713,7 @@ impl<'b, B: FheBackend> Sally<'b, B> {
         sally.plan = sally.plan_packing();
         sally.solo_entry = sally.entry(None);
         sally.packed_entry = sally.plan.and_then(|plan| sally.entry(Some(plan)));
+        sally.solo.host(backend, sally.solo_entry);
         // No query enters above this level, so its key switches run at
         // or below it: build the keys here, not in the first query.
         if let Some(primes) = sally.solo_entry.max(sally.packed_entry) {
@@ -712,7 +743,8 @@ impl<'b, B: FheBackend> Sally<'b, B> {
         }
     }
 
-    /// The hosted model.
+    /// The hosted model, as deployed (another `Sally` can host it under
+    /// other options; she hosts her operands from it, not from hers).
     pub fn model(&self) -> &DeployedModel<B> {
         &self.model
     }
@@ -791,7 +823,11 @@ impl<'b, B: FheBackend> Sally<'b, B> {
 
     fn tiled(&self) -> Option<&Operands<B>> {
         let plan = self.plan?;
-        let tile = || self.model.operands.tile(self.backend, plan);
+        let tile = || {
+            let mut tiled = self.model.operands.tile(self.backend, plan);
+            tiled.host(self.backend, self.packed_entry);
+            tiled
+        };
         Some(self.tiled.get_or_init(tile))
     }
 
@@ -815,7 +851,7 @@ impl<'b, B: FheBackend> Sally<'b, B> {
             .map(|chunk| {
                 let (operands, entry) = match tiled.filter(|_| chunk.len() >= 2) {
                     Some(tiled) => (tiled, self.packed_entry),
-                    None => (&self.model.operands, self.solo_entry),
+                    None => (&self.solo, self.solo_entry),
                 };
                 Unit {
                     queries: chunk,
@@ -1045,20 +1081,23 @@ impl<'b> Sally<'b, AbstractBackend> {
             codebook: Vec::new(),
             operands: Operands {
                 thresholds: vectors(m.precision, m.quantized),
-                reshuffle: (!fused).then(|| matrix(form, m.branches, m.quantized)),
+                reshuffle: (!fused).then(|| Arc::new(matrix(form, m.branches, m.quantized))),
                 levels: (0..m.max_level)
                     .map(|_| matrix(form, m.n_leaves, level_cols))
                     .collect(),
                 masks: vectors(m.max_level, m.n_leaves),
                 shuffle: shape
                     .result_shuffle
-                    .then(|| matrix(ModelForm::Plain, m.n_leaves, m.n_leaves)),
+                    .then(|| Arc::new(matrix(ModelForm::Plain, m.n_leaves, m.n_leaves))),
                 packing: None,
             },
             accumulation: shape.accumulation,
         };
+        let mut solo = model.operands.clone();
+        solo.host(backend, entry);
         Sally {
             backend,
+            solo,
             model,
             options: EvalOptions {
                 comparator: shape.comparator,

@@ -611,10 +611,20 @@ impl FheBackend for BgvBackend {
         BgvCiphertext::new(self.scheme.add_plain(&a.inner, &b.poly), a.width)
     }
 
+    /// [`BgvScheme::mul`], reading `b` in its cached product form when
+    /// it holds one at the level the product meets at: a model operand
+    /// hosted at its unit's entry level transforms once, not per query.
     fn mul(&self, a: &BgvCiphertext, b: &BgvCiphertext) -> BgvCiphertext {
         assert_eq!(a.width, b.width, "width mismatch");
         self.meter.record(FheOp::Multiply);
-        BgvCiphertext::new(self.scheme.mul(&a.inner, &b.inner), a.width)
+        let scheme = &self.scheme;
+        let (la, lb) = scheme
+            .level_rule()
+            .mul_inputs(scheme.position(&a.inner), scheme.position(&b.inner));
+        let mut sum = scheme.product_sum(la.primes, true);
+        let x = scheme.factor(&a.inner, la.primes);
+        scheme.mul_add(&mut sum, &x, &b.factor(scheme, lb.primes));
+        BgvCiphertext::new(scheme.finish(sum), a.width)
     }
 
     fn mul_plain(&self, a: &BgvCiphertext, b: &BgvPlaintext) -> BgvCiphertext {
@@ -699,7 +709,10 @@ impl FheBackend for BgvBackend {
     }
 
     fn mod_switch_to(&self, ct: &BgvCiphertext, primes: usize) -> BgvCiphertext {
-        BgvCiphertext::new(self.scheme.mod_switch_to(&ct.inner, primes), ct.width)
+        BgvCiphertext::new(
+            self.scheme.mod_switch_to(&ct.inner, primes).into_owned(),
+            ct.width,
+        )
     }
 
     fn enter_circuit(&self, ct: &BgvCiphertext, primes: usize) -> BgvCiphertext {

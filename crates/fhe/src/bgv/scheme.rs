@@ -814,14 +814,23 @@ impl BgvScheme {
     }
 
     /// Switches `ct` down to `primes` chain primes (at least one); a
-    /// ciphertext already at or below them is returned unchanged.
-    /// Keyless, and the result decrypts identically.
-    pub fn mod_switch_to(&self, ct: &Ciphertext, primes: usize) -> Ciphertext {
-        let mut work = ct.clone();
-        while self.level(&work) > primes.max(1) {
-            work = self.mod_switch(&work);
+    /// ciphertext already at or below them is returned as it is,
+    /// borrowed, not copied. Keyless, and the result decrypts
+    /// identically.
+    pub fn mod_switch_to<'a>(&self, ct: &'a Ciphertext, primes: usize) -> Cow<'a, Ciphertext> {
+        match self.level(ct) > primes.max(1) {
+            true => Cow::Owned(self.switch_down(self.mod_switch(ct), primes)),
+            false => Cow::Borrowed(ct),
         }
-        work
+    }
+
+    /// [`mod_switch_to`](Self::mod_switch_to) on a ciphertext the
+    /// caller owns.
+    fn switch_down(&self, mut ct: Ciphertext, primes: usize) -> Ciphertext {
+        while self.level(&ct) > primes.max(1) {
+            ct = self.mod_switch(&ct);
+        }
+        ct
     }
 
     /// How a query plane enters a circuit at `primes` chain primes:
@@ -829,7 +838,7 @@ impl BgvScheme {
     /// [`LevelRule::enter`] does, whether it was made at `primes` or
     /// above them.
     pub fn enter(&self, ct: &Ciphertext, primes: usize) -> Ciphertext {
-        let work = self.mod_switch_to(ct, primes);
+        let work = self.mod_switch_to(ct, primes).into_owned();
         Ciphertext {
             noise: self.rule.enter(self.position(&work), primes).noise,
             ..work
@@ -841,13 +850,13 @@ impl BgvScheme {
     /// evaluator can do it before shipping a result: the ciphertext
     /// shrinks to one residue row per half and decrypts identically.
     pub fn compact_for_decrypt(&self, ct: &Ciphertext) -> Ciphertext {
-        self.mod_switch_to(ct, 1)
+        self.mod_switch_to(ct, 1).into_owned()
     }
 
     /// Decrypts to a plaintext polynomial. Switches down to the last
     /// chain prime first, then reduces `c0 + c1·s` centered mod 2.
     pub fn decrypt_poly(&self, ct: &Ciphertext) -> Gf2Poly {
-        let work = self.compact_for_decrypt(ct);
+        let work = self.mod_switch_to(ct, 1);
         let s1 = self.ring.reduce_level(&self.secret, 1);
         let v = self.ring.add(&work.c0, &self.ring.mul(&work.c1, &s1));
         let centered = self.ring.to_centered(&v);
@@ -965,14 +974,13 @@ impl BgvScheme {
     /// form: two forward transforms per prime on the evaluation route.
     pub(crate) fn factor(&self, ct: &Ciphertext, primes: usize) -> Factor {
         let ct = self.mod_switch_to(ct, primes);
-        let at = self.position(&ct);
-        let form = |p: RnsPoly| match self.eval_path() {
-            true => Form::Eval(Cow::Owned(self.ring.to_eval(&p))),
-            false => Form::Coeff(Cow::Owned(p)),
+        let form = |p: &RnsPoly| match self.eval_path() {
+            true => Form::Eval(Cow::Owned(self.ring.to_eval(p))),
+            false => Form::Coeff(Cow::Owned(p.clone())),
         };
         Factor {
-            halves: [form(ct.c0), form(ct.c1)],
-            at,
+            halves: [form(&ct.c0), form(&ct.c1)],
+            at: self.position(&ct),
         }
     }
 
@@ -1073,7 +1081,7 @@ impl BgvScheme {
             c1: self.ring.add(&c1, &k1),
             noise: self.rule.relinearise(sum.at).noise,
         };
-        self.reduce(&ct, MUL_INPUT_BITS)
+        self.reduce(ct, MUL_INPUT_BITS)
     }
 
     /// Rotates packed slots left by `k` (full slot width) via the
@@ -1241,9 +1249,9 @@ impl BgvScheme {
 
     /// Switches moduli until the noise estimate drops to `target_bits`
     /// (or one prime remains).
-    pub fn reduce(&self, a: &Ciphertext, target_bits: f64) -> Ciphertext {
-        let to = self.rule.reduce(self.position(a), target_bits);
-        self.mod_switch_to(a, to.primes)
+    pub fn reduce(&self, a: Ciphertext, target_bits: f64) -> Ciphertext {
+        let to = self.rule.reduce(self.position(&a), target_bits);
+        self.switch_down(a, to.primes)
     }
 }
 
@@ -1648,10 +1656,12 @@ mod tests {
         let entry = 4;
         s.switch_keys(entry);
         assert_eq!(s.key_bytes(), bytes(entry));
-        let ct = s.mod_switch_to(
-            &enc_bits(&s, &[true, false, true, true, false, false]),
-            entry,
-        );
+        let ct = s
+            .mod_switch_to(
+                &enc_bits(&s, &[true, false, true, true, false, false]),
+                entry,
+            )
+            .into_owned();
         let low = s.mul(&s.rotate_slots(&ct, 2), &ct);
         let _ = s.rotate_slots(&low, 1);
         assert!(s.level(&low) < entry);
