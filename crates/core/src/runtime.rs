@@ -23,7 +23,8 @@ use crate::matmul::{mat_vec, mat_vec_many, tile_operand, EncodedMatrix, MatMulOp
 use crate::parallel::{map_indices, Parallelism};
 use crate::seccomp::{secure_less_than, SecCompVariant};
 use copse_fhe::{
-    AbstractBackend, BitSliced, BitVec, FheBackend, MaybeEncrypted, NoiseBudget, OpCounts, OpMeter,
+    AbstractBackend, BitSliced, BitVec, FheBackend, KeySwitchCounts, MaybeEncrypted, NoiseBudget,
+    OpCounts, OpMeter, TransformCounts,
 };
 use copse_forest::model::Forest;
 use std::borrow::Cow;
@@ -562,6 +563,14 @@ pub struct EvalTrace {
     /// unit). Empty when no [`PackPlan`] engaged and every unit was a
     /// single query over its own ciphertexts.
     pub packed_sizes: Vec<u32>,
+    /// NTT transforms the whole pass ran, read off its scoped meter:
+    /// the four stages and the planes' way in and out. (The pass
+    /// installs that meter itself, and the innermost scope wins, so a
+    /// caller's own scope sees none of them.)
+    pub transforms: TransformCounts,
+    /// Key switches by kind the whole pass ran, scoped like
+    /// `transforms`.
+    pub key_switches: KeySwitchCounts,
 }
 
 impl EvalTrace {
@@ -1021,6 +1030,8 @@ impl<'b, B: FheBackend> Sally<'b, B> {
         });
         let results: Vec<EncryptedResult<B>> = results.into_iter().flatten().collect();
         trace.accumulate.depth = deepest(be, results.iter().map(|r| &r.ct));
+        trace.transforms = pass.transforms();
+        trace.key_switches = pass.key_switches();
 
         (results, trace)
     }

@@ -17,7 +17,8 @@ use copse_core::parallel::Parallelism;
 use copse_core::runtime::{Diane, EvalOptions, Maurice, ModelForm, PackPlan, Sally};
 use copse_core::seccomp::SecCompVariant;
 use copse_fhe::{
-    BgvBackend, BgvParams, ClearBackend, ClearConfig, FheBackend, NoiseBudget, OpCounts,
+    BgvBackend, BgvParams, ClearBackend, ClearConfig, FheBackend, KeySwitchCounts, NoiseBudget,
+    OpCounts,
 };
 use copse_forest::microbench::random_queries;
 use copse_forest::model::Forest;
@@ -719,6 +720,52 @@ fn hosting_depth4_builds_switching_keys_at_the_entry_level() {
             scheme.key_bytes(),
             bytes,
             "{form:?}: no key switch above the entry level"
+        );
+    }
+}
+
+/// A warm `depth4` query, as it is served, pays for its circuit and
+/// nothing else: its exact NTT transforms and key switches, read off
+/// the pass's own scoped meter (`EvalTrace`) for the second query
+/// after Sally binds the model (the first fills the product forms of
+/// the encrypted operands).
+/// Sally hosts Maurice's thresholds and masks at the entry level and
+/// in product form, so a model operand that went cold again — switched
+/// down or transformed in every query — moves the transform count.
+/// The `Tree` comparator relinearises only the sums that are multiplied
+/// again: 8 of the plain form's 11 relinearisations are the
+/// comparison's, and 12 of the encrypted form's 19.
+#[test]
+#[ignore = "m = 127 BGV; run in release"]
+fn a_warm_depth4_query_pays_only_for_its_circuit() {
+    use ModelForm::{Encrypted, Plain};
+    let model = zoo::micro_suite(SUITE_SEED).remove(0);
+    assert_eq!(model.name, "depth4");
+    let maurice = Maurice::compile(&model.forest, CompileOptions::default()).expect("compile");
+    let be = BgvBackend::new(BENCH_POINT);
+    let features = random_queries(&model.forest, 2, SUITE_SEED ^ 0x7A4);
+    for (form, transforms, relinearisation) in [(Plain, 1658, 11), (Encrypted, 2264, 19)] {
+        let sally = Sally::host(&be, maurice.deploy(&be, form));
+        let diane = Diane::new(&be, sally.client_query_info());
+        let queries: Vec<_> = features
+            .iter()
+            .map(|q| diane.encrypt_features(q).expect("valid query"))
+            .collect();
+        let _ = sally.classify(&queries[0]);
+        let (result, trace) = sally.classify_traced(&queries[1]);
+        assert_eq!(
+            diane.decrypt_result(&result).plurality_label(),
+            Some(model.forest.labels()[model.forest.classify_plurality(&features[1])].as_str()),
+            "{form:?}"
+        );
+        let key_switches = KeySwitchCounts {
+            rotation: 17,
+            relinearisation,
+        };
+        assert_eq!(
+            (trace.transforms.total(), trace.key_switches),
+            (transforms, key_switches),
+            "{form:?}: a warm query's transforms and key switches"
         );
     }
 }

@@ -188,6 +188,29 @@ pub trait FheBackend: Send + Sync {
     /// Slot-wise AND with a plaintext. Records one `ConstantMultiply`.
     fn mul_plain(&self, a: &Self::Ciphertext, b: &Self::Plaintext) -> Self::Ciphertext;
 
+    /// The sum (XOR) of the products (ANDs) `a_i ⊙ b_i` over `terms`,
+    /// at least one, each multiplying a ciphertext by a model operand or
+    /// by another ciphertext.
+    ///
+    /// Records what the fold of [`MaybeEncrypted::mul_into`] and
+    /// [`add`](FheBackend::add) records — a `Multiply` or
+    /// `ConstantMultiply` per term and an `Add` per term after the
+    /// first — and has its depth: one past the deepest product's
+    /// operands. The default is that fold. A leveled scheme sums the
+    /// products before it finishes them instead: every term multiplied
+    /// at the lowest level any of them meets at, so a sum that holds
+    /// ciphertext products relinearises once, not once per product.
+    fn product_sum(&self, terms: &[(&Self::Ciphertext, &MaybeEncrypted<Self>)]) -> Self::Ciphertext
+    where
+        Self: Sized,
+    {
+        terms
+            .iter()
+            .map(|(a, b)| b.mul_into(self, a))
+            .reduce(|sum, product| self.add(&sum, &product))
+            .expect("a sum of at least one product")
+    }
+
     /// Rotates slots left by `k` (slot `i` receives slot `(i+k) mod w`).
     /// Records one `Rotate`.
     fn rotate(&self, a: &Self::Ciphertext, k: isize) -> Self::Ciphertext;

@@ -154,7 +154,8 @@ pub(crate) trait SlotOps {
     fn finish(&self, sum: Self::Sum) -> Self::Ct;
 }
 
-/// How one matrix's terms accumulate in [`ring_products`].
+/// How one sum of products accumulates: a matrix's terms in
+/// [`ring_products`], or the terms of a [`product_sum`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct SumPlan {
     /// The chain primes every term is multiplied at.
@@ -162,6 +163,33 @@ pub(crate) struct SumPlan {
     /// Whether some term multiplies two ciphertexts, making the sum a
     /// tensor that finishes with one relinearisation.
     pub(crate) tensor: bool,
+}
+
+impl SumPlan {
+    /// Where the term `a ⊙ b` would be multiplied alone, with `a` at
+    /// `at`: a plaintext product at `a`'s level, a ciphertext product
+    /// where [`LevelRule::mul_inputs`] aligns it.
+    fn term<S: SlotOps>(ops: &S, at: Level, b: &S::Operand) -> Self {
+        match ops.operand_level(b) {
+            None => Self {
+                primes: at.primes,
+                tensor: false,
+            },
+            Some(y) => Self {
+                primes: ops.rule().mul_inputs(at, y).0.primes,
+                tensor: true,
+            },
+        }
+    }
+
+    /// A sum holding the terms of both: multiplied at the lower level,
+    /// a tensor if either is.
+    fn join(self, other: Self) -> Self {
+        Self {
+            primes: self.primes.min(other.primes),
+            tensor: self.tensor || other.tensor,
+        }
+    }
 }
 
 /// A semantic rotation of a `width`-slot vector by `k`: free for a
@@ -271,26 +299,13 @@ where
         .iter()
         .map(|terms| {
             let plan = |(b, &k): (&S::Operand, &usize)| {
-                let x = rule.rotate_full(&at, k as isize);
-                match ops.operand_level(b) {
-                    None => SumPlan {
-                        primes: x.primes,
-                        tensor: false,
-                    },
-                    Some(y) => SumPlan {
-                        primes: rule.mul_inputs(x, y).0.primes,
-                        tensor: true,
-                    },
-                }
+                SumPlan::term(ops, rule.rotate_full(&at, k as isize), b)
             };
             let terms = terms
                 .iter()
                 .zip(shifts)
                 .filter_map(|(b, k)| Some((*b.as_ref()?, k)));
-            terms.map(plan).reduce(|p, q| SumPlan {
-                primes: p.primes.min(q.primes),
-                tensor: p.tensor || q.tensor,
-            })
+            terms.map(plan).reduce(SumPlan::join)
         })
         .collect();
     let chunk = |range: Range<usize>| {
@@ -349,6 +364,49 @@ where
         .into_iter()
         .flatten()
         .collect()
+}
+
+/// The sum of products of [`FheBackend::product_sum`]: `Σ a_i ⊙ b_i`
+/// over `terms`, finished once. Every term is multiplied at the lowest
+/// level any of them meets at alone, which the level rule fixes before
+/// anything is computed; a term whose `a` stands higher is switched
+/// down to it first. The products accumulate in one sum, so the sum
+/// pays its inverse transforms once and, if any term multiplies two
+/// ciphertexts, one relinearisation and one reduction, however many
+/// products it holds.
+///
+/// # Panics
+///
+/// Panics on an empty `terms`.
+pub(crate) fn product_sum<S: SlotOps>(ops: &S, terms: &[(&S::Ct, &S::Operand)]) -> S::Ct {
+    let plan = terms
+        .iter()
+        .map(|(a, b)| SumPlan::term(ops, ops.level(a), b))
+        .reduce(SumPlan::join)
+        .expect("a sum of at least one product");
+    let mut sum = ops.empty(plan);
+    for (a, b) in terms {
+        ops.mul_add(&mut sum, &ops.factor(a, plan.primes), b);
+    }
+    ops.finish(sum)
+}
+
+/// Meters a [`FheBackend::product_sum`] as the fold it stands for: a
+/// `Multiply` per ciphertext product, a `ConstantMultiply` per
+/// plaintext one, and an `Add` per term after the first.
+pub(crate) fn record_product_sum<B: FheBackend>(
+    meter: &OpMeter,
+    terms: &[(&B::Ciphertext, &MaybeEncrypted<B>)],
+) {
+    for (i, (_, b)) in terms.iter().enumerate() {
+        meter.record(match b {
+            MaybeEncrypted::Plain(_) => FheOp::ConstantMultiply,
+            MaybeEncrypted::Encrypted(_) => FheOp::Multiply,
+        });
+        if i > 0 {
+            meter.record(FheOp::Add);
+        }
+    }
 }
 
 /// Cache of slot-range masks.
@@ -636,6 +694,24 @@ impl FheBackend for BgvBackend {
         )
     }
 
+    fn product_sum(&self, terms: &[(&BgvCiphertext, &MaybeEncrypted<Self>)]) -> BgvCiphertext {
+        let width = terms
+            .first()
+            .expect("a sum of at least one product")
+            .0
+            .width;
+        for (a, b) in terms {
+            let b_width = match b {
+                MaybeEncrypted::Plain(pt) => pt.width,
+                MaybeEncrypted::Encrypted(ct) => ct.width,
+            };
+            assert!(a.width == width && b_width == width, "width mismatch");
+        }
+        record_product_sum(&self.meter, terms);
+        let inner: Vec<_> = terms.iter().map(|(a, b)| (&a.inner, *b)).collect();
+        BgvCiphertext::new(product_sum(self, &inner), width)
+    }
+
     fn rotate(&self, a: &BgvCiphertext, k: isize) -> BgvCiphertext {
         self.meter.record(FheOp::Rotate);
         BgvCiphertext::new(rotate(self, &a.inner, k, a.width, self.nslots()), a.width)
@@ -918,6 +994,52 @@ mod tests {
         assert_eq!(s.rotate, 1);
         assert_eq!(s.constant_multiply, 0);
         assert_eq!(s.encrypt, 1);
+    }
+
+    #[test]
+    fn a_product_sum_is_its_fold_relinearised_once() {
+        use crate::meter::{KeySwitchCounts, OpCounts};
+        // Terms at three levels: a plaintext product from the top of
+        // the chain, and ciphertext products of a switched-down operand
+        // and of a product's result.
+        let (bgv, clear) = (BgvBackend::tiny(), ClearBackend::with_defaults());
+        let v = |i: usize| {
+            bits(&[
+                i.is_multiple_of(2),
+                i.is_multiple_of(3),
+                true,
+                !i.is_multiple_of(5),
+            ])
+        };
+        fn sum<B: FheBackend>(be: &B, v: impl Fn(usize) -> BitVec) -> B::Ciphertext {
+            let x: Vec<_> = (0..4).map(|i| be.encrypt_bits(&v(i))).collect();
+            let low = be.mod_switch_to(&x[1], 7);
+            let product = be.mul(&x[2], &x[3]);
+            let plain = MaybeEncrypted::Plain(be.encode(&v(4)));
+            let (y, z) = (
+                MaybeEncrypted::Encrypted(be.encrypt_bits(&v(5))),
+                MaybeEncrypted::Encrypted(product),
+            );
+            be.product_sum(&[(&x[0], &plain), (&low, &y), (&x[0], &z)])
+        }
+        let (out, meter) = OpMeter::measure(|| sum(&bgv, v));
+        assert_eq!(bgv.decrypt(&out), clear.decrypt(&sum(&clear, v)));
+        let counts = OpCounts {
+            encrypt: 5,
+            decrypt: 0,
+            rotate: 0,
+            add: 2,
+            constant_add: 0,
+            multiply: 3,
+            constant_multiply: 1,
+        };
+        assert_eq!(meter.snapshot(), counts);
+        // The product of x[2] and x[3], and the sum.
+        let relinearised = KeySwitchCounts {
+            rotation: 0,
+            relinearisation: 2,
+        };
+        assert_eq!(meter.key_switches(), relinearised);
     }
 
     #[test]

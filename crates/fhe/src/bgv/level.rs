@@ -517,6 +517,35 @@ impl FheBackend for AbstractBackend {
         })
     }
 
+    fn product_sum(
+        &self,
+        terms: &[(&AbstractCiphertext, &MaybeEncrypted<Self>)],
+    ) -> AbstractCiphertext {
+        kernels::record_product_sum(&self.meter, terms);
+        // Clear depth: one past the deepest product's operands.
+        let depth = terms.iter().map(|(a, b)| match b {
+            MaybeEncrypted::Plain(_) => a.depth,
+            MaybeEncrypted::Encrypted(ct) => a.depth.max(ct.depth),
+        });
+        AbstractCiphertext {
+            width: terms
+                .first()
+                .expect("a sum of at least one product")
+                .0
+                .width,
+            depth: depth.max().unwrap_or(0) + 1,
+            level: self.moved(|rule| {
+                let levels: Vec<Level> = terms.iter().map(|(a, _)| a.at()).collect();
+                let terms: Vec<_> = levels
+                    .iter()
+                    .zip(terms)
+                    .map(|(a, (_, b))| (a, *b))
+                    .collect();
+                kernels::product_sum(rule, &terms)
+            }),
+        }
+    }
+
     fn rotate(&self, a: &AbstractCiphertext, k: isize) -> AbstractCiphertext {
         self.op(FheOp::Rotate, a.width, a.depth, |rule| {
             kernels::rotate(rule, &a.at(), k, a.width, rule.nslots)
@@ -748,7 +777,7 @@ mod tests {
     /// slots; packed steps lay 2 blocks at stride 3.
     fn readings<B: FheBackend>(be: &B) -> Vec<(OpCounts, u32)> {
         type Step<B> = fn(&B, &[<B as FheBackend>::Ciphertext]) -> <B as FheBackend>::Ciphertext;
-        let steps: [Step<B>; 28] = [
+        let steps: [Step<B>; 29] = [
             |be, _| be.encrypt_bits(&BitVec::from_fn(3, |i| i % 2 == 0)),
             |be, c| be.add_plain(&c[0], &be.encode(&BitVec::ones(3))),
             |be, c| be.add(&c[0], &c[1]),
@@ -809,6 +838,13 @@ mod tests {
             |be, c| be.enter_circuit(&c[23], 4),
             |be, c| be.enter_circuit(&c[0], 4),
             |be, c| be.mul(&c[25], &c[26]),
+            // A sum of a plaintext product from the top of the chain
+            // and a ciphertext product at the entry, finished once.
+            |be, c| {
+                let plain = MaybeEncrypted::Plain(be.encode(&BitVec::ones(3)));
+                let encrypted = MaybeEncrypted::Encrypted(c[26].clone());
+                be.product_sum(&[(&c[0], &plain), (&c[25], &encrypted)])
+            },
         ];
         let mut cts = Vec::new();
         steps

@@ -39,6 +39,7 @@ use crate::bgv::ring::{AuxBasis, EvalAcc, EvalPoly, RnsContext, RnsPoly};
 use crate::math::cyclotomic::SlotStructure;
 use crate::math::gf2poly::Gf2Poly;
 use crate::math::modq::{inv_mod, mul_mod, negacyclic_chain_primes, ntt_chain_primes, pow_mod};
+use crate::meter::KeySwitch;
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use std::borrow::Cow;
@@ -1075,7 +1076,7 @@ impl BgvScheme {
                 noise: sum.at.noise,
             };
         };
-        let (k0, k1) = self.key_switch(&d2, |keys| &keys.relin);
+        let (k0, k1) = self.key_switch(&d2, KeySwitch::Relinearisation, |keys| &keys.relin);
         let ct = Ciphertext {
             c0: self.ring.add(&c0, &k0),
             c1: self.ring.add(&c1, &k1),
@@ -1123,7 +1124,7 @@ impl BgvScheme {
         let exponent = slots.rotation_exponent(k);
         let r0 = self.ring.automorphism(&a.c0, exponent);
         let r1 = self.ring.automorphism(&a.c1, exponent);
-        let (k0, k1) = self.key_switch(&r1, |keys| &keys.rotation[&exponent]);
+        let (k0, k1) = self.key_switch(&r1, KeySwitch::Rotation, |keys| &keys.rotation[&exponent]);
         Ok(Ciphertext {
             c0: self.ring.add(&r0, &k0),
             c1: k1,
@@ -1150,12 +1151,16 @@ impl BgvScheme {
     /// schoolbook oracle's.
     ///
     /// `key` picks the key out of the held [`SwitchKeys`], extended to
-    /// `poly`'s level first if they stop below it.
+    /// `poly`'s level first if they stop below it. The switch is
+    /// counted by `kind` in the installed scope's meter
+    /// ([`OpMeter::key_switches`](crate::OpMeter::key_switches)).
     fn key_switch(
         &self,
         poly: &RnsPoly,
+        kind: KeySwitch,
         key: impl FnOnce(&SwitchKeys) -> &KsKey,
     ) -> (RnsPoly, RnsPoly) {
+        crate::meter::record_key_switch(kind);
         let level = self.ring.level_of(poly);
         let keys = self.switch_keys(level);
         match key(&keys) {
@@ -1235,7 +1240,7 @@ impl BgvScheme {
     /// Galois keys instead) — exposed for benchmarking and
     /// transform-count ablations.
     pub fn key_switch_relin(&self, ct: &Ciphertext) -> (RnsPoly, RnsPoly) {
-        self.key_switch(&ct.c1, |keys| &keys.relin)
+        self.key_switch(&ct.c1, KeySwitch::Relinearisation, |keys| &keys.relin)
     }
 
     /// One BGV modulus switch (drops the last active prime).

@@ -66,6 +66,7 @@ pub use bitvec::BitVec;
 pub use clear::{ClearBackend, ClearCiphertext, ClearConfig, ClearPlaintext};
 pub use cost::CostModel;
 pub use meter::{
-    transform_snapshot, FheOp, OpCounts, OpMeter, TransformCounts, TransformSizeCounts,
+    transform_snapshot, FheOp, KeySwitch, KeySwitchCounts, OpCounts, OpMeter, TransformCounts,
+    TransformSizeCounts,
 };
 pub use params::{EncryptionParams, SecurityLevel};

@@ -232,6 +232,46 @@ impl TransformSizeCounts {
     }
 }
 
+/// The two kinds of key switch a leveled scheme runs: the one after a
+/// slot automorphism, and the one that relinearises a ciphertext
+/// product (or a sum of them) back to two parts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum KeySwitch {
+    /// After a slot rotation's automorphism.
+    Rotation,
+    /// After a ciphertext product, or a sum of them.
+    Relinearisation,
+}
+
+/// Key switches by kind, read off a scoped meter with
+/// [`OpMeter::key_switches`]. A key switch is most of what a rotation
+/// or a ciphertext product costs on BGV, and a semantic op count does
+/// not show it: a sum of ciphertext products is several `Multiply`s
+/// and one relinearisation.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct KeySwitchCounts {
+    /// Key switches after a slot automorphism.
+    pub rotation: u64,
+    /// Relinearisations.
+    pub relinearisation: u64,
+}
+
+/// Records one key switch of `kind` into the scoped meter of the
+/// current task context, if one is installed. There is no process-wide
+/// tally: a key switch is counted for the work that ran it or not at
+/// all.
+pub(crate) fn record_key_switch(kind: KeySwitch) {
+    copse_pool::with_task_context(|ctx| {
+        if let Some(scoped) = ctx.and_then(|c| c.downcast_ref::<OpMeter>()) {
+            match kind {
+                KeySwitch::Rotation => &scoped.key_switches[0],
+                KeySwitch::Relinearisation => &scoped.key_switches[1],
+            }
+            .fetch_add(1, Ordering::Relaxed);
+        }
+    });
+}
+
 /// The primitive homomorphic operations of the paper's cost vocabulary.
 ///
 /// `ConstantMultiply` (ciphertext x plaintext) is tracked separately from
@@ -398,6 +438,9 @@ pub struct OpMeter {
     constant_multiply: AtomicU64,
     /// NTT transforms executed under this meter's installed scope.
     transforms: TransformCells,
+    /// Key switches run under this meter's installed scope: rotation,
+    /// relinearisation.
+    key_switches: [AtomicU64; 2],
 }
 
 impl OpMeter {
@@ -474,12 +517,26 @@ impl OpMeter {
         self.transforms.sizes()
     }
 
+    /// Key switches run while this meter was the installed scope,
+    /// scoped like [`OpMeter::transforms`]. A meter that was never
+    /// installed reads zero.
+    pub fn key_switches(&self) -> KeySwitchCounts {
+        let [rotation, relinearisation] = &self.key_switches;
+        KeySwitchCounts {
+            rotation: rotation.load(Ordering::Relaxed),
+            relinearisation: relinearisation.load(Ordering::Relaxed),
+        }
+    }
+
     /// Resets all counters to zero.
     pub fn reset(&self) {
         for op in FheOp::ALL {
             self.cell(op).store(0, Ordering::Relaxed);
         }
         self.transforms.reset();
+        for cell in &self.key_switches {
+            cell.store(0, Ordering::Relaxed);
+        }
     }
 
     fn cell(&self, op: FheOp) -> &AtomicU64 {
@@ -663,6 +720,22 @@ mod tests {
         assert!(process.forward >= 5 && process.inverse >= 2, "{process}");
         scope.reset();
         assert_eq!(scope.transforms(), TransformCounts::default());
+    }
+
+    #[test]
+    fn key_switches_count_only_in_an_installed_scope() {
+        record_key_switch(KeySwitch::Rotation); // no scope: nowhere
+        let ((), scope) = OpMeter::measure(|| {
+            record_key_switch(KeySwitch::Relinearisation);
+            copse_pool::global().scope_indices(3, 3, |_| record_key_switch(KeySwitch::Rotation));
+        });
+        let counts = KeySwitchCounts {
+            rotation: 3,
+            relinearisation: 1,
+        };
+        assert_eq!(scope.key_switches(), counts);
+        scope.reset();
+        assert_eq!(scope.key_switches(), KeySwitchCounts::default());
     }
 
     #[test]
