@@ -271,16 +271,26 @@ impl<B: FheBackend> Operands<B> {
     /// every query's product; masks are only ever added. Every
     /// ciphertext bit is what the operands as deployed would give: a
     /// modulus switch is the same whenever it runs.
-    fn host(&mut self, be: &B, entry: Option<usize>) {
-        for operand in self.thresholds.iter_mut().chain(&mut self.masks) {
-            match operand {
-                MaybeEncrypted::Plain(pt) => be.prepare_plaintext(pt),
-                MaybeEncrypted::Encrypted(ct) => {
-                    if let Some(primes) = entry {
-                        *ct = be.mod_switch_to(ct, primes);
-                    }
-                }
+    fn host(&self, be: &B, entry: Option<usize>) -> Self {
+        let host = |operand: &MaybeEncrypted<B>| match (operand, entry) {
+            (MaybeEncrypted::Encrypted(ct), Some(primes)) => {
+                MaybeEncrypted::Encrypted(be.mod_switch_to(ct, primes))
             }
+            _ => operand.clone(),
+        };
+        let thresholds: Vec<_> = self.thresholds.iter().map(host).collect();
+        for threshold in &thresholds {
+            if let MaybeEncrypted::Plain(pt) = threshold {
+                be.prepare_plaintext(pt);
+            }
+        }
+        Self {
+            thresholds,
+            reshuffle: self.reshuffle.clone(),
+            levels: Arc::clone(&self.levels),
+            masks: self.masks.iter().map(host).collect(),
+            shuffle: self.shuffle.clone(),
+            packing: self.packing,
         }
     }
 }
@@ -613,7 +623,7 @@ pub struct StageReport {
 
 /// One unit of evaluation: `1..=lanes` queries that travel through the
 /// four stages as one set of ciphertexts, the operand set they run
-/// against — as deployed for a solo unit, tiled for a packed one — and
+/// against — Sally's hosted solo set, or her tiled one — and
 /// the chain level their circuit enters at. Those choices are made
 /// once, when the unit is built: the stages never ask.
 struct Unit<'a, B: FheBackend> {
@@ -681,9 +691,9 @@ pub struct Sally<'b, B: FheBackend> {
     solo_entry: Option<usize>,
     /// The same for a packed unit of `plan`.
     packed_entry: Option<usize>,
-    /// `model.operands` as solo units read them: hosted at
+    /// `model.operands` as solo units read them, hosted at
     /// `solo_entry` ([`Operands::host`]) when Sally binds the model.
-    solo: Operands<B>,
+    solo: OnceLock<Operands<B>>,
     /// `model.operands` tiled for `plan`, then hosted at
     /// `packed_entry`: built lazily (first packed batch) or eagerly
     /// ([`Sally::warm_packed`]), then kept for the lifetime of the
@@ -710,7 +720,7 @@ impl<'b, B: FheBackend> Sally<'b, B> {
         });
         let mut sally = Self {
             backend,
-            solo: model.operands.clone(),
+            solo: OnceLock::new(),
             model,
             options,
             permutation,
@@ -722,7 +732,8 @@ impl<'b, B: FheBackend> Sally<'b, B> {
         sally.plan = sally.plan_packing();
         sally.solo_entry = sally.entry(None);
         sally.packed_entry = sally.plan.and_then(|plan| sally.entry(Some(plan)));
-        sally.solo.host(backend, sally.solo_entry);
+        // Hosted at bind, like the keys below, not in the first query.
+        sally.solo();
         // No query enters above this level, so its key switches run at
         // or below it: build the keys here, not in the first query.
         if let Some(primes) = sally.solo_entry.max(sally.packed_entry) {
@@ -830,12 +841,16 @@ impl<'b, B: FheBackend> Sally<'b, B> {
         self.tiled().and(self.plan)
     }
 
+    fn solo(&self) -> &Operands<B> {
+        let host = || self.model.operands.host(self.backend, self.solo_entry);
+        self.solo.get_or_init(host)
+    }
+
     fn tiled(&self) -> Option<&Operands<B>> {
         let plan = self.plan?;
         let tile = || {
-            let mut tiled = self.model.operands.tile(self.backend, plan);
-            tiled.host(self.backend, self.packed_entry);
-            tiled
+            let tiled = self.model.operands.tile(self.backend, plan);
+            tiled.host(self.backend, self.packed_entry)
         };
         Some(self.tiled.get_or_init(tile))
     }
@@ -860,7 +875,7 @@ impl<'b, B: FheBackend> Sally<'b, B> {
             .map(|chunk| {
                 let (operands, entry) = match tiled.filter(|_| chunk.len() >= 2) {
                     Some(tiled) => (tiled, self.packed_entry),
-                    None => (&self.solo, self.solo_entry),
+                    None => (self.solo(), self.solo_entry),
                 };
                 Unit {
                     queries: chunk,
@@ -1104,11 +1119,9 @@ impl<'b> Sally<'b, AbstractBackend> {
             },
             accumulation: shape.accumulation,
         };
-        let mut solo = model.operands.clone();
-        solo.host(backend, entry);
         Sally {
             backend,
-            solo,
+            solo: OnceLock::new(),
             model,
             options: EvalOptions {
                 comparator: shape.comparator,

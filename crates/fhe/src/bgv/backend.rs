@@ -75,10 +75,11 @@ pub struct BgvCiphertext {
     /// when it is a fresh symmetric encryption's, which the wire then
     /// carries in place of `c1`; `None` for every operation's result.
     seed: Option<u64>,
-    /// Its product form at the level a matrix product first read it
-    /// at — filled when it serves as an encrypted model diagonal.
-    /// Levels do not depend on data, so every later query reads the
-    /// same one instead of switching the diagonal down and
+    /// Its product form at the level a product first read it at as the
+    /// operand: an encrypted model diagonal in a matrix product, a
+    /// hosted threshold plane in a comparison, the second factor of
+    /// any `mul`. Levels do not depend on data, so every later query
+    /// reads the same one instead of switching a model operand down and
     /// transforming it again.
     factor: OnceLock<Factor>,
 }
@@ -676,13 +677,8 @@ impl FheBackend for BgvBackend {
         assert_eq!(a.width, b.width, "width mismatch");
         self.meter.record(FheOp::Multiply);
         let scheme = &self.scheme;
-        let (la, lb) = scheme
-            .level_rule()
-            .mul_inputs(scheme.position(&a.inner), scheme.position(&b.inner));
-        let mut sum = scheme.product_sum(la.primes, true);
-        let x = scheme.factor(&a.inner, la.primes);
-        scheme.mul_add(&mut sum, &x, &b.factor(scheme, lb.primes));
-        BgvCiphertext::new(scheme.finish(sum), a.width)
+        let tensor = scheme.tensor_with(&a.inner, &b.inner, |primes| b.factor(scheme, primes));
+        BgvCiphertext::new(scheme.finish(tensor), a.width)
     }
 
     fn mul_plain(&self, a: &BgvCiphertext, b: &BgvPlaintext) -> BgvCiphertext {

@@ -961,13 +961,20 @@ impl BgvScheme {
     /// halves multiplied in the product form (four forward transforms;
     /// the cross term sums before its single inverse).
     pub fn tensor(&self, a: &Ciphertext, b: &Ciphertext) -> ProductSum {
+        self.tensor_with(a, b, |primes| Cow::Owned(self.factor(b, primes)))
+    }
+
+    /// [`tensor`](Self::tensor), with `b` in product form at the
+    /// product's level as `b_factor` gives it (a cached one, say).
+    pub(crate) fn tensor_with<'f>(
+        &self,
+        a: &Ciphertext,
+        b: &Ciphertext,
+        b_factor: impl FnOnce(usize) -> Cow<'f, Factor>,
+    ) -> ProductSum {
         let (la, lb) = self.rule.mul_inputs(self.position(a), self.position(b));
         let mut sum = self.product_sum(la.primes, true);
-        self.mul_add(
-            &mut sum,
-            &self.factor(a, la.primes),
-            &self.factor(b, lb.primes),
-        );
+        self.mul_add(&mut sum, &self.factor(a, la.primes), &b_factor(lb.primes));
         sum
     }
 
