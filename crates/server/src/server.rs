@@ -1514,18 +1514,24 @@ impl<B: FheBackend + 'static> ServerHandle<B> {
                 .unwrap_or_else(PoisonError::into_inner);
             registry.models.values().map(Arc::clone).collect()
         };
+        // Intake stops first. The accept loop polls the flag
+        // (non-blocking listener), so this join is bounded; the
+        // throwaway connect just shortcuts the poll interval when the
+        // address is self-connectable.
+        let _ = TcpStream::connect(self.addr);
+        if let Some(accept) = self.accept.take() {
+            let _ = accept.join();
+        }
+        // Then the workers drain and exit, last. A per-thread allocator
+        // (glibc's arenas) hands the most recently released arena to
+        // the next new thread, so the next server this process starts
+        // gets its worker the arena that held a hosted model and its
+        // keys, and reuses that memory instead of growing beside it.
         for entry in &entries {
             entry.jobs.close();
         }
         for entry in &entries {
             join_worker(entry);
-        }
-        // The accept loop polls the flag (non-blocking listener), so
-        // this join is bounded; the throwaway connect just shortcuts
-        // the poll interval when the address is self-connectable.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
         }
         self.shared.flight.dump()
     }
