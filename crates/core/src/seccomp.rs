@@ -43,14 +43,14 @@
 //! relinearises on its own. Deferred are the `lt` of every high-side
 //! node and, in the encrypted form, the high-side leaves' products
 //! `t_i ∧ ¬x_i` (in the plain form those are plaintext products, which
-//! never relinearise). Op counts and depth are the same as summing
-//! every `lt` at once. Relinearisations per comparison:
+//! never relinearise). Where a sum is finished moves no op count and
+//! no depth. Relinearisations per comparison:
 //!
 //! | `p` | tree, plain model | tree, encrypted model | ladder, plain / encrypted |
 //! |---:|---:|---:|---:|
-//! | 4 | 3 (was 4) | 5 (was 8) | 6 / 10 |
-//! | 8 | 8 (was 11) | 12 (was 19) | 28 / 36 |
-//! | 16 | 19 (was 26) | 27 (was 42) | 120 / 136 |
+//! | 4 | 3 | 5 | 6 / 10 |
+//! | 8 | 8 | 12 | 28 / 36 |
+//! | 16 | 19 | 27 | 120 / 136 |
 
 use crate::parallel::{map_indices, Parallelism};
 use copse_fhe::{FheBackend, MaybeEncrypted};

@@ -368,10 +368,10 @@ where
 }
 
 /// The sum of products of [`FheBackend::product_sum`]: `Σ a_i ⊙ b_i`
-/// over `terms`, finished once. Every term is multiplied at the lowest
-/// level any of them meets at alone, which the level rule fixes before
-/// anything is computed; a term whose `a` stands higher is switched
-/// down to it first. The products accumulate in one sum, so the sum
+/// over `terms`, finished once. Every term is multiplied at one level:
+/// the lowest at which any term alone would be, which the level rule
+/// fixes before anything is computed; an operand that stands higher is
+/// switched down to it first. The products accumulate in one sum, so the sum
 /// pays its inverse transforms once and, if any term multiplies two
 /// ciphertexts, one relinearisation and one reduction, however many
 /// products it holds.
