@@ -500,16 +500,16 @@ pub fn table6(seed: u64) -> String {
 
 /// Ring-multiplication kernel: the BGV backend's NTT fast path vs the
 /// schoolbook fallback on identical level-3 RNS chains of 45-bit
-/// NTT-friendly primes, plus one 256-point forward transform at the
-/// benchmark's 25-bit primes. This is the innermost kernel of every
+/// NTT-friendly primes, plus one 256-point forward and inverse
+/// transform at the benchmark's 25-bit primes. This is the innermost kernel of every
 /// homomorphic operation (mat-vec, key switching, automorphisms), so
 /// its speedup propagates through every server-side batch.
 ///
 /// Every repetition times fresh operands, drawn outside the timed
 /// region: a repeated input lets the branch predictor learn a kernel's
 /// data-dependent branches, which once hid a several-fold cost in the
-/// NTT butterflies. The forward-transform line prints both, so such a gap
-/// shows.
+/// NTT butterflies. The transform line prints both for the forward, so
+/// such a gap shows, and the inverse beside it, on fresh operands too.
 pub fn ring_mul() -> String {
     use copse_fhe::bgv::ring::{RnsContext, RnsPoly};
     use copse_fhe::math::{modq::ntt_chain_primes, ntt::NttPlan};
@@ -601,12 +601,12 @@ pub fn ring_mul() -> String {
     let inputs: Vec<Vec<u64>> = (0..101)
         .map(|_| (0..n).map(|_| rng.gen_range(0..q)).collect())
         .collect();
-    let forward_us = |input: &dyn Fn(usize) -> usize| -> f64 {
+    let transform_us = |transform: &dyn Fn(&mut [u64]), input: &dyn Fn(usize) -> usize| -> f64 {
         let times: Vec<_> = (0..inputs.len())
             .map(|i| {
                 let mut a = inputs[input(i)].clone();
                 let start = Stopwatch::start();
-                plan.forward(&mut a);
+                transform(&mut a);
                 let elapsed = start.elapsed();
                 std::hint::black_box(a);
                 elapsed
@@ -614,13 +614,16 @@ pub fn ring_mul() -> String {
             .collect();
         crate::median(times).as_secs_f64() * 1e6
     };
-    let fresh = forward_us(&|i| i);
-    let repeated = forward_us(&|_| 0);
+    let forward = |a: &mut [u64]| plan.forward(a);
+    let inverse = |a: &mut [u64]| plan.inverse(a);
+    let fresh = transform_us(&forward, &|i| i);
+    let repeated = transform_us(&forward, &|_| 0);
+    let inverse_fresh = transform_us(&inverse, &|i| i);
     let _ = writeln!(out);
     let _ = writeln!(
         out,
-        "{n}-point forward NTT (25-bit prime): {fresh:.2} us fresh operand, \
-         {repeated:.2} us repeated operand"
+        "{n}-point NTT (25-bit prime): forward {fresh:.2} us fresh operand, \
+         {repeated:.2} us repeated operand; inverse {inverse_fresh:.2} us fresh operand"
     );
     out
 }

@@ -199,7 +199,7 @@ impl Maurice {
                 thresholds: m.thresholds.planes().iter().map(&wrap_vec).collect(),
                 reshuffle: (!m.fused).then(|| Arc::new(wrap_matrix(&m.reshuffle))),
                 levels: m.levels.iter().map(wrap_matrix).collect(),
-                masks: m.masks.iter().map(&wrap_vec).collect(),
+                masks: m.masks.iter().map(&wrap_vec).map(Mask::new).collect(),
                 shuffle: None,
                 packing: None,
             },
@@ -220,7 +220,7 @@ struct Operands<B: FheBackend> {
     thresholds: Vec<MaybeEncrypted<B>>,
     reshuffle: Option<Arc<EncodedMatrix<B>>>,
     levels: Arc<[EncodedMatrix<B>]>,
-    masks: Vec<MaybeEncrypted<B>>,
+    masks: Vec<Mask<B>>,
     /// Sally's secret result permutation (paper §7.2.2), set when she
     /// hosts the model with a `shuffle_seed`. Always plaintext: it is
     /// her secret, not Maurice's.
@@ -255,7 +255,11 @@ impl<B: FheBackend> Operands<B> {
             thresholds: tile_vecs(&self.thresholds),
             reshuffle: self.reshuffle.as_ref().map(|r| Arc::new(r.pack(be, s, c))),
             levels: self.levels.iter().map(|l| l.pack(be, s, c)).collect(),
-            masks: tile_vecs(&self.masks),
+            masks: self
+                .masks
+                .iter()
+                .map(|mask| Mask::new(tile_operand(be, &mask.operand, s, c)))
+                .collect(),
             shuffle: self.shuffle.as_ref().map(|sh| Arc::new(sh.pack(be, s, c))),
             packing: Some(plan),
         }
@@ -263,14 +267,16 @@ impl<B: FheBackend> Operands<B> {
 
     /// The vector operands every query reads, hosted for a unit whose
     /// circuit enters at `entry` chain primes. An encrypted threshold
-    /// plane or mask is switched down to the entry level here, once,
-    /// instead of in every query's first operation on it, and then
-    /// caches its product form the first time a product reads it
-    /// (levels do not depend on data, so every later query reads that
-    /// one). A plaintext threshold plane is transformed here, not in
-    /// every query's product; masks are only ever added. Every
-    /// ciphertext bit is what the operands as deployed would give: a
-    /// modulus switch is the same whenever it runs.
+    /// plane is switched down to the entry level here, once, instead of
+    /// in every query's first operation on it, and then caches its
+    /// product form the first time a product reads it (levels do not
+    /// depend on data, so every later query reads that one). A
+    /// plaintext threshold plane is transformed here, not in every
+    /// query's product. A mask is only ever added, to a product that
+    /// sits below the entry; it is hosted at that product's level
+    /// ([`Mask`]). Every ciphertext bit is what the operands as
+    /// deployed would give: a modulus switch is the same whenever it
+    /// runs.
     fn host(&self, be: &B, entry: Option<usize>) -> Self {
         let host = |operand: &MaybeEncrypted<B>| match (operand, entry) {
             (MaybeEncrypted::Encrypted(ct), Some(primes)) => {
@@ -288,9 +294,54 @@ impl<B: FheBackend> Operands<B> {
             thresholds,
             reshuffle: self.reshuffle.clone(),
             levels: Arc::clone(&self.levels),
-            masks: self.masks.iter().map(host).collect(),
+            masks: self.masks.clone(),
             shuffle: self.shuffle.clone(),
             packing: self.packing,
+        }
+    }
+}
+
+/// A level mask as the levels stage reads it: added to its level
+/// matrix's product, which sits primes below the unit's entry. An
+/// encrypted mask is switched to that product's level the first time a
+/// query adds it, and kept: levels do not depend on data, so every
+/// later query reads the same copy, and none switches a model operand.
+#[derive(Debug)]
+struct Mask<B: FheBackend> {
+    operand: MaybeEncrypted<B>,
+    /// The encrypted operand at the level of the product it is added
+    /// to, once a query has computed one.
+    at_product: OnceLock<B::Ciphertext>,
+}
+
+impl<B: FheBackend> Clone for Mask<B> {
+    fn clone(&self) -> Self {
+        Self {
+            operand: self.operand.clone(),
+            at_product: self.at_product.clone(),
+        }
+    }
+}
+
+impl<B: FheBackend> Mask<B> {
+    fn new(operand: MaybeEncrypted<B>) -> Self {
+        Self {
+            operand,
+            at_product: OnceLock::new(),
+        }
+    }
+
+    /// `product` plus this mask, read at the product's level.
+    fn add_into(&self, be: &B, product: &B::Ciphertext) -> B::Ciphertext {
+        match (&self.operand, be.chain_primes(product)) {
+            (MaybeEncrypted::Encrypted(mask), Some(primes)) => {
+                let hosted = self
+                    .at_product
+                    .get_or_init(|| be.mod_switch_to(mask, primes));
+                debug_assert_eq!(be.chain_primes(hosted), Some(primes), "product level moved");
+                be.add(product, hosted)
+            }
+            (operand, _) => operand.add_into(be, product),
         }
     }
 }
@@ -1111,7 +1162,10 @@ impl<'b> Sally<'b, AbstractBackend> {
                 levels: (0..m.max_level)
                     .map(|_| matrix(form, m.n_leaves, level_cols))
                     .collect(),
-                masks: vectors(m.max_level, m.n_leaves),
+                masks: vectors(m.max_level, m.n_leaves)
+                    .into_iter()
+                    .map(Mask::new)
+                    .collect(),
                 shuffle: shape
                     .result_shuffle
                     .then(|| Arc::new(matrix(ModelForm::Plain, m.n_leaves, m.n_leaves))),
@@ -1235,6 +1289,61 @@ mod tests {
                 forest.labels()[forest.classify_plurality(q)],
                 "query {q:?}"
             );
+        }
+    }
+
+    /// On real BGV an encrypted mask is read where the levels stage
+    /// adds it: after one query, each hosted mask sits at the level of
+    /// its level matrix's product (recomputed here from the query), so
+    /// no later query switches it. A plaintext mask has no level.
+    #[test]
+    fn masks_are_hosted_at_the_level_of_their_products() {
+        use copse_fhe::{BgvBackend, BgvParams};
+        let forest = Forest::parse(
+            "precision 4\nlabels no yes\n\
+             tree (branch 0 8 (branch 1 4 (leaf 0) (leaf 1)) (leaf 1))\n",
+        )
+        .unwrap();
+        let maurice = Maurice::compile(&forest, CompileOptions::default()).unwrap();
+        let be = BgvBackend::new(BgvParams::tiny());
+        for form in [ModelForm::Plain, ModelForm::Encrypted] {
+            let sally = Sally::host(&be, maurice.deploy(&be, form));
+            let diane = Diane::new(&be, sally.client_query_info());
+            let query = diane.encrypt_features(&[5, 9]).unwrap();
+            let _ = sally.classify(&query);
+
+            let units = sally.units(std::slice::from_ref(&query), None);
+            let (unit, par) = (&units[0], sally.options.parallelism);
+            let operands = unit.operands;
+            let comparator = sally.options.comparator;
+            let decisions = secure_less_than(
+                &be,
+                &unit.planes(&be),
+                &operands.thresholds,
+                comparator,
+                par,
+            );
+            let input = match &operands.reshuffle {
+                Some(r) => mat_vec(&be, r, &decisions, sally.matmul_at(1, 0, 0), par),
+                None => decisions,
+            };
+            let matrices: Vec<_> = operands.levels.iter().collect();
+            let options: Vec<_> = (0..matrices.len())
+                .map(|li| sally.matmul_at(2, li as u64, 0))
+                .collect();
+            let products = mat_vec_many(&be, &matrices, &input, &options, par);
+            assert_eq!(products.len(), 2);
+            for (i, (product, mask)) in products.iter().zip(&operands.masks).enumerate() {
+                let product_primes = be.chain_primes(product);
+                assert!(product_primes < sally.solo_entry, "{form:?}: mask {i}");
+                let hosted = mask.at_product.get().map(|ct| be.chain_primes(ct));
+                match form {
+                    ModelForm::Plain => assert_eq!(hosted, None, "mask {i}"),
+                    ModelForm::Encrypted => {
+                        assert_eq!(hosted, Some(product_primes), "mask {i}")
+                    }
+                }
+            }
         }
     }
 

@@ -384,6 +384,14 @@ pub trait FheBackend: Send + Sync {
         ct.clone()
     }
 
+    /// The modulus-chain primes `ct` carries: its level, the count
+    /// [`mod_switch_to`](FheBackend::mod_switch_to) takes. `None` on a
+    /// backend without a chain (the default).
+    fn chain_primes(&self, ct: &Self::Ciphertext) -> Option<usize> {
+        let _ = ct;
+        None
+    }
+
     /// How a query plane enters a circuit at `primes` modulus-chain
     /// primes: switched down to them, as
     /// [`mod_switch_to`](FheBackend::mod_switch_to), and on a leveled

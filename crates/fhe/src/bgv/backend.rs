@@ -787,6 +787,10 @@ impl FheBackend for BgvBackend {
         )
     }
 
+    fn chain_primes(&self, ct: &BgvCiphertext) -> Option<usize> {
+        Some(self.scheme.level(&ct.inner))
+    }
+
     fn enter_circuit(&self, ct: &BgvCiphertext, primes: usize) -> BgvCiphertext {
         BgvCiphertext::new(self.scheme.enter(&ct.inner, primes), ct.width)
     }

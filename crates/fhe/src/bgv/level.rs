@@ -623,6 +623,10 @@ impl FheBackend for AbstractBackend {
         }
     }
 
+    fn chain_primes(&self, ct: &AbstractCiphertext) -> Option<usize> {
+        ct.level.map(|level| level.primes)
+    }
+
     fn enter_circuit(&self, ct: &AbstractCiphertext, primes: usize) -> AbstractCiphertext {
         AbstractCiphertext {
             level: self.moved(|rule| rule.enter(ct.at(), primes)),

@@ -1,26 +1,46 @@
 //! Number-theoretic transforms over 64-bit prime fields.
 //!
 //! An [`NttPlan`] fixes one `(prime, size)` pair and precomputes
-//! everything a radix-2 transform of that size needs: the bit-reversal
-//! permutation, the forward and inverse twiddle tables (powers of a
-//! primitive `n`-th root of unity), and — when the prime allows it —
-//! the `ψ` tables for **negacyclic** convolution mod `X^n + 1`.
+//! everything a radix-2 transform of that size needs: the forward and
+//! inverse twiddles (powers of a primitive `n`-th root of unity), laid
+//! out as one contiguous run per stage, and — when the prime allows it
+//! — the `ψ` tables for **negacyclic** convolution mod `X^n + 1`.
 //!
-//! The butterflies use Shoup's precomputed-quotient multiplication:
-//! alongside every twiddle `w` the plan stores
-//! `w' = ⌊w · 2^64 / q⌋`, so the hot loop replaces the 128-bit
-//! division of a generic `mul_mod` with two word multiplies, a shift
-//! and one final subtraction of `q`. That subtraction, like the ones in
-//! the butterfly's modular add and subtract, is a **branch-free
-//! select**: subtract `q` unconditionally and add it back under a mask
-//! made from the result's sign bit. Whether a butterfly output needs
-//! the correction is a coin flip on real data, so a compare-and-branch
-//! mispredicts about half the time — a fresh 256-point forward
-//! transform cost several times its arithmetic that way, a cost that
-//! disappeared whenever a benchmark fed the same operand repeatedly
-//! and the predictor learned the pattern. The select requires
-//! `q < 2^63`, which every chain prime satisfies
-//! (`modq::ntt_chain_primes` caps at 62 bits).
+//! **No permutation pass.** [`NttPlan::forward`] is Gentleman–Sande
+//! decimation in frequency: natural-order coefficients in, the spectrum
+//! out in **bit-reversed** order (the value at point `w^k` lands at the
+//! index whose `log₂ n` bits are `k`'s, reversed). [`NttPlan::inverse`]
+//! is Cooley–Tukey decimation in time: it reads that bit-reversed order
+//! and writes natural-order coefficients. Every caller pairs a forward
+//! with an inverse through pointwise products and sums, which do not
+//! care about point order, so a spectrum is only meaningful through the
+//! paired inverse — nothing stores or ships one. Both run their stages
+//! two at a time, one pass over the data per pair (a lone stage is left
+//! over when `log₂ n` is odd).
+//!
+//! **Shoup multiplication.** Alongside every twiddle `w` the plan
+//! stores `w' = ⌊w · 2^64 / q⌋`, so the hot loop replaces the 128-bit
+//! division of a generic `mul_mod` with two word multiplies and a
+//! shift; the product comes out in `[0, 2q)`.
+//!
+//! **Lazy reduction** (Harvey, "Faster arithmetic for number-theoretic
+//! transforms", J. Symb. Comput. 2014). Between stages the forward
+//! keeps values in `[0, 2q)` and the inverse in `[0, 4q)`; each
+//! butterfly subtracts `2q` at most once, and the transform corrects to
+//! `[0, q)` once at the end (the forward in its last stage, the inverse
+//! in its `n⁻¹` scale). Sums up to `4q` must fit a word, so a plan
+//! needs `q < 2^62` ([`NttPlan::new`] refuses larger primes;
+//! `modq::ntt_chain_primes` caps at 62 bits). The lazy sums are plain
+//! `+`, so a debug build's overflow checks catch a violated bound.
+//!
+//! **Branch-free corrections.** Every conditional subtraction — here
+//! and in the canonical helpers the BGV ring uses (`add_q`, `sub_q`,
+//! `mul_shoup`) — is a select, not a compare-and-branch.
+//! Whether a butterfly output needs the correction is a coin flip on
+//! real data, so a branch mispredicts about half the time — a fresh
+//! 256-point forward transform cost several times its arithmetic that
+//! way, a cost that disappeared whenever a benchmark fed the same
+//! operand repeatedly and the predictor learned the pattern.
 //!
 //! The BGV ring ([`crate::bgv::ring::RnsContext`]) drives plans two
 //! ways. The **prime-cyclotomic** flavor uses plans of size
@@ -37,25 +57,24 @@ use crate::math::modq::{inv_mod, is_prime, mul_mod, pow_mod};
 use crate::meter;
 use std::sync::OnceLock;
 
-/// `r + q` when `r` went negative (its top bit is set), `r` otherwise,
-/// selected by an arithmetic mask rather than a branch. Valid whenever
-/// the true value lies in `(-q, q)` and `q < 2^63`: a wrapped negative
-/// is then `>= 2^64 - q > 2^63`, a non-negative one `< q < 2^63`.
+/// `x - m` when `x >= m`, else `x`: one correction, from `[0, 2m)` to
+/// `[0, m)`. Branch-free — a wrapped `x - m` is the larger of the two
+/// exactly when `x < m`, and the minimum is a select.
 #[inline]
-fn lift_negative(r: u64, q: u64) -> u64 {
-    r.wrapping_add(q & 0u64.wrapping_sub(r >> 63))
+fn reduce_once(x: u64, m: u64) -> u64 {
+    x.min(x.wrapping_sub(m))
 }
 
 /// `(a + b) mod q` for canonical operands (`a, b < q < 2^63`).
 #[inline]
 pub(crate) fn add_q(a: u64, b: u64, q: u64) -> u64 {
-    lift_negative((a + b).wrapping_sub(q), q)
+    reduce_once(a + b, q)
 }
 
 /// `(a - b) mod q` for canonical operands.
 #[inline]
 pub(crate) fn sub_q(a: u64, b: u64, q: u64) -> u64 {
-    lift_negative(a.wrapping_sub(b), q)
+    reduce_once(a + q - b, q)
 }
 
 /// Shoup quotient `⌊w · 2^64 / q⌋` for the fast twiddle multiply.
@@ -64,17 +83,63 @@ pub(crate) fn shoup(w: u64, q: u64) -> u64 {
     (((w as u128) << 64) / q as u128) as u64
 }
 
-/// `(x * w) mod q` with `w`'s precomputed Shoup quotient `w_shoup`.
+/// `x · w` mod `q`, up to one `q`: a value in `[0, 2q)` congruent to
+/// it, from `w`'s precomputed Shoup quotient `w_shoup`.
 ///
 /// Valid for `w < q < 2^63` and **any** 64-bit `x`, canonical or not:
 /// the quotient estimate `t` is at most one short of `⌊x·w/q⌋`
-/// whenever `x < 2^64`. The result is canonical.
+/// whenever `x < 2^64`, so `x·w − t·q` lies in `[0, 2q)` and the
+/// wrapping word arithmetic computes it exactly.
+#[inline]
+fn mul_shoup_lazy(x: u64, w: u64, w_shoup: u64, q: u64) -> u64 {
+    let t = ((x as u128 * w_shoup as u128) >> 64) as u64;
+    x.wrapping_mul(w).wrapping_sub(t.wrapping_mul(q))
+}
+
+/// `(x * w) mod q` with `w`'s precomputed Shoup quotient `w_shoup`:
+/// [`mul_shoup_lazy`] and one correction, so valid for any 64-bit `x`
+/// and canonical.
 #[inline]
 pub(crate) fn mul_shoup(x: u64, w: u64, w_shoup: u64, q: u64) -> u64 {
-    let t = ((x as u128 * w_shoup as u128) >> 64) as u64;
-    // r = x·w − t·q lies in [0, 2q).
-    let r = x.wrapping_mul(w).wrapping_sub(t.wrapping_mul(q));
-    lift_negative(r.wrapping_sub(q), q)
+    reduce_once(mul_shoup_lazy(x, w, w_shoup, q), q)
+}
+
+/// Gentleman–Sande butterfly on values in `[0, 2q)`:
+/// `(u + v, (u − v)·w)`, both back in `[0, 2q)`.
+#[inline]
+fn gs(u: u64, v: u64, w: u64, w_shoup: u64, q: u64) -> (u64, u64) {
+    let two_q = 2 * q;
+    (
+        reduce_once(u + v, two_q),
+        mul_shoup_lazy(u + two_q - v, w, w_shoup, q),
+    )
+}
+
+/// The forward's last butterfly (`w = 1`) on values in `[0, 2q)`:
+/// `(u + v, u − v)`, corrected to `[0, q)`.
+#[inline]
+fn gs_last(u: u64, v: u64, q: u64) -> (u64, u64) {
+    let two_q = 2 * q;
+    let correct = |x| reduce_once(reduce_once(x, two_q), q);
+    (correct(u + v), correct(u + two_q - v))
+}
+
+/// Cooley–Tukey butterfly on values in `[0, 4q)`: `(u + v·w, u − v·w)`,
+/// both back in `[0, 4q)` (`u` is corrected to `[0, 2q)` first, `v·w`
+/// comes out of the lazy multiply in `[0, 2q)`).
+#[inline]
+fn ct(u: u64, v: u64, w: u64, w_shoup: u64, q: u64) -> (u64, u64) {
+    let two_q = 2 * q;
+    let u = reduce_once(u, two_q);
+    let t = mul_shoup_lazy(v, w, w_shoup, q);
+    (u + t, u + two_q - t)
+}
+
+/// The inverse's first butterfly (`w = 1`) on values in `[0, 2q)`:
+/// `(u + v, u − v)`, in `[0, 4q)`.
+#[inline]
+fn ct_first(u: u64, v: u64, q: u64) -> (u64, u64) {
+    (u + v, u + 2 * q - v)
 }
 
 /// A twiddle table: powers of a root paired with their Shoup quotients.
@@ -97,6 +162,32 @@ impl Twiddles {
         }
         Self { pow, pow_shoup }
     }
+
+    /// The twiddles of every stage of an `n`-point transform with the
+    /// primitive `n`-th root `w`, one contiguous run per stage: the
+    /// stage whose butterflies pair points `h` apart reads entries
+    /// `h..2h`, the powers `w^(j · n/2h)` for `j < h`. Entry 0 is unused.
+    fn stages(w: u64, n: usize, q: u64) -> Self {
+        let powers = Self::powers(w, n / 2, q);
+        let mut pow = vec![0; n];
+        let mut pow_shoup = vec![0; n];
+        let mut h = 1;
+        while h < n {
+            let stride = n / (2 * h);
+            for j in 0..h {
+                pow[h + j] = powers.pow[j * stride];
+                pow_shoup[h + j] = powers.pow_shoup[j * stride];
+            }
+            h *= 2;
+        }
+        Self { pow, pow_shoup }
+    }
+
+    /// The run of the stage whose butterflies pair points `h` apart.
+    #[inline]
+    fn stage(&self, h: usize) -> (&[u64], &[u64]) {
+        (&self.pow[h..2 * h], &self.pow_shoup[h..2 * h])
+    }
 }
 
 /// A precomputed radix-2 NTT for one `(prime, size)` pair.
@@ -109,8 +200,9 @@ impl Twiddles {
 pub struct NttPlan {
     q: u64,
     n: usize,
-    bitrev: Vec<u32>,
+    /// Per-stage powers of `w` ([`Twiddles::stages`]), for the forward.
     fwd: Twiddles,
+    /// Per-stage powers of `w⁻¹`, for the inverse.
     inv: Twiddles,
     n_inv: u64,
     n_inv_shoup: u64,
@@ -148,8 +240,8 @@ fn root_of_unity(q: u64, n: u64) -> Option<u64> {
 impl NttPlan {
     /// Builds a plan for transforms of power-of-two length `n` over
     /// `Z_q`, or `None` when `q` is not an NTT-friendly prime for that
-    /// size (not prime, too large for Shoup arithmetic, or
-    /// `n ∤ q - 1`).
+    /// size (not prime, `q >= 2^62` — too large for the lazy ranges —
+    /// or `n ∤ q - 1`).
     ///
     /// # Panics
     ///
@@ -162,16 +254,11 @@ impl NttPlan {
         let w = root_of_unity(q, n as u64)?;
         let w_inv = inv_mod(w, q).expect("root is a unit");
         let n_inv = inv_mod(n as u64 % q, q).expect("n < q for chain primes");
-        let log_n = n.trailing_zeros();
-        let bitrev = (0..n as u32)
-            .map(|i| i.reverse_bits() >> (32 - log_n))
-            .collect();
         Some(Self {
             q,
             n,
-            bitrev,
-            fwd: Twiddles::powers(w, n / 2, q),
-            inv: Twiddles::powers(w_inv, n / 2, q),
+            fwd: Twiddles::stages(w, n, q),
+            inv: Twiddles::stages(w_inv, n, q),
             n_inv,
             n_inv_shoup: shoup(n_inv, q),
             psi: OnceLock::new(),
@@ -212,41 +299,16 @@ impl NttPlan {
         self.psi_tables().is_some()
     }
 
-    fn permute(&self, a: &mut [u64]) {
-        for i in 0..self.n {
-            let j = self.bitrev[i] as usize;
-            if i < j {
-                a.swap(i, j);
-            }
-        }
-    }
-
-    /// Iterative Cooley–Tukey DIT butterflies over bit-reversed input;
-    /// stage `len` uses twiddles `w^(j · n/len)` read with stride from
-    /// the `n/2`-entry power table.
-    fn butterflies(&self, a: &mut [u64], tw: &Twiddles) {
-        let (n, q) = (self.n, self.q);
-        let mut len = 2;
-        while len <= n {
-            let half = len / 2;
-            let stride = n / len;
-            let mut start = 0;
-            while start < n {
-                for j in 0..half {
-                    let w = tw.pow[j * stride];
-                    let ws = tw.pow_shoup[j * stride];
-                    let u = a[start + j];
-                    let t = mul_shoup(a[start + j + half], w, ws, q);
-                    a[start + j] = add_q(u, t, q);
-                    a[start + j + half] = sub_q(u, t, q);
-                }
-                start += len;
-            }
-            len <<= 1;
-        }
-    }
-
-    /// In-place forward transform of `n` canonical coefficients.
+    /// In-place forward transform of `n` canonical coefficients, in
+    /// natural order, to the spectrum `A_k = Σ_j a_j · w^(j·k)` in
+    /// **bit-reversed** order: `A_k` lands at the index whose `log₂ n`
+    /// bits are `k`'s, reversed. The spectrum is canonical, and only
+    /// meaningful through [`NttPlan::inverse`] (pointwise products and
+    /// sums of spectra are blind to point order).
+    ///
+    /// Gentleman–Sande stages from points `n/2` apart down to adjacent
+    /// points, two per pass over the data, values kept in `[0, 2q)`
+    /// between stages; the last stage (`w = 1`) corrects to `[0, q)`.
     ///
     /// # Panics
     ///
@@ -255,12 +317,44 @@ impl NttPlan {
         assert_eq!(a.len(), self.n, "operand length must equal the plan size");
         debug_assert!(a.iter().all(|&x| x < self.q), "operands must be canonical");
         meter::record_ntt_forward(self.n);
-        self.permute(a);
-        self.butterflies(a, &self.fwd);
+        let q = self.q;
+        // Stages `h` and `h/2` on the four quarters of each block.
+        let mut h = self.n / 2;
+        while h >= 2 {
+            let g = h / 2;
+            let (w, ws) = self.fwd.stage(h);
+            let (v, vs) = self.fwd.stage(g);
+            for block in a.chunks_exact_mut(2 * h) {
+                let (lo, hi) = block.split_at_mut(h);
+                let ((a0, a1), (a2, a3)) = (lo.split_at_mut(g), hi.split_at_mut(g));
+                for j in 0..g {
+                    let (b0, b2) = gs(a0[j], a2[j], w[j], ws[j], q);
+                    let (b1, b3) = gs(a1[j], a3[j], w[g + j], ws[g + j], q);
+                    ((a0[j], a1[j]), (a2[j], a3[j])) = if g > 1 {
+                        (gs(b0, b1, v[j], vs[j], q), gs(b2, b3, v[j], vs[j], q))
+                    } else {
+                        (gs_last(b0, b1, q), gs_last(b2, b3, q))
+                    };
+                }
+            }
+            h /= 4;
+        }
+        // An odd number of stages leaves the last one to itself.
+        if h == 1 {
+            for pair in a.chunks_exact_mut(2) {
+                (pair[0], pair[1]) = gs_last(pair[0], pair[1], q);
+            }
+        }
     }
 
-    /// In-place inverse transform (forward with `w^{-1}`, then scale by
-    /// `n^{-1}`).
+    /// In-place inverse of [`NttPlan::forward`]: a bit-reversed
+    /// spectrum of `n` canonical values in, natural-order canonical
+    /// coefficients out.
+    ///
+    /// Cooley–Tukey stages with `w⁻¹` from adjacent points up to points
+    /// `n/2` apart, two per pass over the data, values kept in
+    /// `[0, 4q)` between stages; then the `n⁻¹` scale, which corrects
+    /// to `[0, q)`.
     ///
     /// # Panics
     ///
@@ -268,10 +362,41 @@ impl NttPlan {
     pub fn inverse(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "operand length must equal the plan size");
         meter::record_ntt_inverse(self.n);
-        self.permute(a);
-        self.butterflies(a, &self.inv);
+        let q = self.q;
+        let mut h = 1;
+        // An odd number of stages leaves the first one to itself.
+        if self.n.trailing_zeros() % 2 == 1 {
+            for pair in a.chunks_exact_mut(2) {
+                (pair[0], pair[1]) = ct_first(pair[0], pair[1], q);
+            }
+            h = 2;
+        }
+        // Stages `h` and `2h` on the four quarters of each block.
+        while h < self.n {
+            let (w, ws) = self.inv.stage(h);
+            let (v, vs) = self.inv.stage(2 * h);
+            for block in a.chunks_exact_mut(4 * h) {
+                let (lo, hi) = block.split_at_mut(2 * h);
+                let ((a0, a1), (a2, a3)) = (lo.split_at_mut(h), hi.split_at_mut(h));
+                for j in 0..h {
+                    let ((b0, b1), (b2, b3)) = if h > 1 {
+                        (
+                            ct(a0[j], a1[j], w[j], ws[j], q),
+                            ct(a2[j], a3[j], w[j], ws[j], q),
+                        )
+                    } else {
+                        (ct_first(a0[j], a1[j], q), ct_first(a2[j], a3[j], q))
+                    };
+                    ((a0[j], a2[j]), (a1[j], a3[j])) = (
+                        ct(b0, b2, v[j], vs[j], q),
+                        ct(b1, b3, v[h + j], vs[h + j], q),
+                    );
+                }
+            }
+            h *= 4;
+        }
         for x in a.iter_mut() {
-            *x = mul_shoup(*x, self.n_inv, self.n_inv_shoup, self.q);
+            *x = mul_shoup(*x, self.n_inv, self.n_inv_shoup, q);
         }
     }
 
@@ -372,7 +497,7 @@ impl NttPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::math::modq::{add_mod, ntt_chain_primes, sub_mod};
+    use crate::math::modq::{add_mod, ntt_chain_primes, ntt_primes_below, sub_mod};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -534,18 +659,58 @@ mod tests {
             .collect()
     }
 
+    /// The spectrum index of point `k`: `k`'s `log₂ n` bits, reversed.
+    fn reversed(k: usize, n: usize) -> usize {
+        k.reverse_bits() >> (usize::BITS - n.trailing_zeros())
+    }
+
     #[test]
     fn forward_matches_a_naive_dft_on_fresh_inputs() {
         let mut rng = SmallRng::seed_from_u64(5);
         for n in [16usize, 256, 1024] {
             let p = plan(45, n);
-            let w = p.fwd.pow[1];
+            // The first-stage run holds w^j for j < n/2.
+            let w = p.fwd.pow[n / 2 + 1];
             for _ in 0..3 {
                 let a: Vec<u64> = (0..n).map(|_| rng.gen_range(0..p.q())).collect();
                 let mut t = a.clone();
                 p.forward(&mut t);
-                assert_eq!(t, naive_dft(&a, w, p.q()), "n = {n}");
+                let spectrum: Vec<u64> = (0..n).map(|k| t[reversed(k, n)]).collect();
+                assert_eq!(spectrum, naive_dft(&a, w, p.q()), "n = {n}");
             }
+        }
+    }
+
+    /// Every lazy range at its edge: the largest admissible prime (its
+    /// `4q` only just fits a word) and every input `q − 1`, at every
+    /// size from 2 to 1024 — and, since a constant vector's butterfly
+    /// differences all vanish, fresh random inputs at that prime too.
+    /// Each transform runs first on them, and `cyclic_mul` squares
+    /// them. A violated bound overflows a debug build's plain `+`, or
+    /// leaves a result uncorrected.
+    #[test]
+    fn lazy_bounds_hold_at_the_largest_prime_and_largest_inputs() {
+        let mut rng = SmallRng::seed_from_u64(6);
+        let mut n = 2usize;
+        while n <= 1024 {
+            let q = ntt_primes_below(62, n.trailing_zeros())
+                .next()
+                .expect("62-bit NTT primes exist at every size here");
+            let p = NttPlan::new(q, n).expect("prime is NTT-friendly");
+            let random: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
+            for a in [vec![q - 1; n], random] {
+                let mut t = a.clone();
+                p.forward(&mut t);
+                assert!(t.iter().all(|&x| x < q), "n = {n}: spectrum not canonical");
+                p.inverse(&mut t);
+                assert_eq!(t, a, "n = {n}: forward, then inverse");
+                p.inverse(&mut t);
+                assert!(t.iter().all(|&x| x < q), "n = {n}: inverse not canonical");
+                p.forward(&mut t);
+                assert_eq!(t, a, "n = {n}: inverse, then forward");
+                assert_eq!(p.cyclic_mul(&a, &a), naive_cyclic(&a, &a, n, q), "n = {n}");
+            }
+            n *= 2;
         }
     }
 

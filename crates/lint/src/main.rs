@@ -52,6 +52,10 @@
 //!    `fn small_to_eval(`, the per-prime digit transform: the
 //!    evaluation route transforms each digit once, in the key switch's
 //!    auxiliary basis, and a second route cannot grow back beside it.
+//!    Non-test `crates/fhe/src/math/ntt.rs` likewise names no
+//!    bit-reversal pass (`fn permute(`, `bitrev`): the forward
+//!    transform leaves its spectrum bit-reversed and the inverse reads
+//!    it so, and a natural-order route cannot come back beside them.
 //! 10. **The circuit has one model.** Non-test `crates/*/src` declares
 //!     no `struct CostInputs`, no `mod ours`, no `fn classify_depth(`,
 //!     none of the per-stage closed forms `fn matmul_counts(`,
@@ -151,6 +155,8 @@ struct Patterns {
     toggle: (String, String),
     /// Rule 9: a second key form, or the per-prime digit transform.
     second_form: [String; 3],
+    /// Rule 9: the transform's bit-reversal pass and its table.
+    bit_reversal: [String; 2],
     circuit_model: [String; 9],
     /// Rule 10: the comparator's type name.
     comparator: String,
@@ -199,6 +205,7 @@ impl Patterns {
                 ["parts", "_eval"].concat(),
                 ["fn small", "_to_eval("].concat(),
             ],
+            bit_reversal: [["fn per", "mute("].concat(), ["bit", "rev"].concat()],
             circuit_model: [
                 ["struct ", "CostInputs"].concat(),
                 ["mod ", "ours"].concat(),
@@ -244,6 +251,7 @@ struct RuleSet {
     ban_print: bool,
     ban_dialect: bool,
     ban_route_toggle: bool,
+    ban_bit_reversal: bool,
     ban_second_model: bool,
     ban_block_layout: bool,
     ban_rotationless: bool,
@@ -268,6 +276,7 @@ fn rules_for(rel_path: &str) -> RuleSet {
         ban_dialect: rel_path == "crates/core/src/wire.rs"
             || rel_path.starts_with("crates/server/src/"),
         ban_route_toggle: rel_path.starts_with("crates/fhe/src/bgv/"),
+        ban_bit_reversal: rel_path == "crates/fhe/src/math/ntt.rs",
         ban_second_model: rel_path.starts_with("crates/"),
         ban_block_layout: rel_path.starts_with("crates/"),
         ban_rotationless: rel_path.starts_with("crates/"),
@@ -388,7 +397,13 @@ fn scan_source(rel_path: &str, source: &str, patterns: &Patterns) -> Vec<Finding
             .second_form
             .iter()
             .any(|p| code.contains(p.as_str()));
-        if rules.ban_route_toggle && (toggle || second_form) {
+        let bit_reversal = patterns
+            .bit_reversal
+            .iter()
+            .any(|p| code.contains(p.as_str()));
+        if (rules.ban_route_toggle && (toggle || second_form))
+            || (rules.ban_bit_reversal && bit_reversal)
+        {
             report("route-toggle");
         }
         // An arm `SecCompVariant::… =>`, or what lets one drop the
@@ -808,6 +823,31 @@ mod tests {
                     pub fn set_threads(&self, threads: usize) {}\n\
                     pub fn digit_to_aux(&self, aux: &AuxBasis, coeffs: &[u64]) -> EvalPoly {}\n";
         assert!(scan("crates/fhe/src/bgv/ring.rs", fine).is_empty());
+    }
+
+    #[test]
+    fn flags_a_bit_reversal_pass_in_the_transform() {
+        let patterns = Patterns::new();
+        let [pass, table] = &patterns.bit_reversal;
+        let srcs = [
+            format!("    {pass}&self, a: &mut [u64]) {{\n"),
+            format!("    {table}: Vec<u32>,\n"),
+            format!("            let j = self.{table}[i] as usize;\n"),
+        ];
+        for src in &srcs {
+            let hits = scan("crates/fhe/src/math/ntt.rs", src);
+            assert_eq!(hits.len(), 1, "{src}");
+            assert_eq!(hits[0].rule, "route-toggle");
+            // Out of scope: other files, tests, comments.
+            assert!(scan("crates/fhe/src/bgv/ring.rs", src).is_empty());
+            let in_test = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+            assert!(scan("crates/fhe/src/math/ntt.rs", &in_test).is_empty());
+            assert!(scan("crates/fhe/src/math/ntt.rs", &format!("// {src}")).is_empty());
+        }
+        // What the file does hold: per-stage twiddle runs, read in place.
+        let fine = "    fn stage(&self, h: usize) -> (&[u64], &[u64]) {\n\
+                    let (w, ws) = self.fwd.stage(h);\n";
+        assert!(scan("crates/fhe/src/math/ntt.rs", fine).is_empty());
     }
 
     #[test]
