@@ -4,11 +4,12 @@
 //! paper's Algorithm 1): its operation counts, multiplicative depth and
 //! chain levels depend only on the model shape and the evaluation plan,
 //! never on the (encrypted) query data. So the exact way to analyse it
-//! is to run it: this module hosts the runtime's own [`Sally`] on an
-//! [`AbstractBackend`] — whose ciphertexts are widths, depths and,
-//! given a BGV [`LevelRule`], chain positions — and reads the
-//! [`EvalTrace`](crate::EvalTrace) of one classification. Nothing here
-//! knows a comparator, a mat-vec or an accumulation.
+//! is to run it: this module hosts the runtime's own [`Sally`] on a
+//! [`ClearBackend`] over zero bits — with depth unbounded, and given a
+//! BGV [`LevelRule`] ([`ClearBackend::leveled`]) its ciphertexts carry
+//! chain positions — and reads the [`EvalTrace`](crate::EvalTrace) of
+//! one classification. Nothing here knows a comparator, a mat-vec or an
+//! accumulation.
 //!
 //! * [`CircuitReport::analyze`] runs one classification without a rule:
 //!   per-stage operation counts and depth, which the conformance suite
@@ -57,7 +58,8 @@ use crate::parallel::Parallelism;
 use crate::runtime::{EncryptedQuery, Maurice, ModelForm, PackPlan, Sally};
 use crate::seccomp::{secure_less_than, SecCompVariant};
 use copse_fhe::{
-    AbstractBackend, BitVec, CostModel, FheBackend, LevelRule, NoiseBudget, OpCounts, OpMeter,
+    BitVec, ClearBackend, ClearConfig, CostModel, FheBackend, LevelRule, NoiseBudget, OpCounts,
+    OpMeter,
 };
 use std::fmt;
 
@@ -383,19 +385,20 @@ pub(crate) fn chain(
 }
 
 /// Runs one classification of `shape` — one full chunk of `lanes`
-/// queries when it packs — on the abstract backend under `rule`, its
-/// query planes encrypted at `entry` primes as Diane encrypts them
-/// ([`FheBackend::encrypt_query_bits`]) and entered by the runtime's
-/// own units. Yields the deploy's
-/// metered ops (Maurice's encrypts), each stage's ops and the depth it
-/// adds (the difference of the trace's readings around it), and
-/// whether every result decrypts (always, without a rule).
+/// queries when it packs — on the clear backend over zero bits, under
+/// `rule` if there is one, its query planes encrypted at `entry` primes
+/// as Diane encrypts them ([`FheBackend::encrypt_query_bits`]) and
+/// entered by the runtime's own units. Yields the deploy's metered ops
+/// (Maurice's encrypts), each stage's ops and the depth it adds (the
+/// difference of the trace's readings around it), and whether every
+/// result decrypts (always, without a rule).
 ///
 /// Under a rule the backend has the rule's slot ring. Without one, a
 /// packed chunk runs on a ring of its `lanes · stride` slots — its
 /// matrices need one, and neither op counts nor clear depth depend on
-/// its size — and a solo run on none, so each matrix runs on a ring of
-/// its own column count (as one too wide for the rule's ring does).
+/// its size — and a solo run on none. Each matrix runs on the ring
+/// [`crate::matmul`] lays it out on: the backend's where that holds
+/// it, else one of its own column count.
 fn run(
     meta: &ModelMeta,
     fused: bool,
@@ -403,11 +406,11 @@ fn run(
     rule: Option<LevelRule>,
     entry: Option<usize>,
 ) -> (OpCounts, [StagePrediction; 4], bool) {
-    let backend = match (rule, shape.packing) {
-        (None, Some(plan)) => AbstractBackend::on_ring(plan.lanes * plan.stride),
-        _ => AbstractBackend::new(rule),
+    let backend = match rule {
+        Some(rule) => ClearBackend::leveled(rule),
+        None => unbounded(shape.packing.map(|plan| plan.lanes * plan.stride)),
     };
-    on_abstract(backend, |be| {
+    on_clear(backend, |be| {
         let sally = Sally::analysis(be, meta, fused, shape, entry);
         let deploy = be.meter().snapshot();
         let plane = BitVec::zeros(meta.quantized);
@@ -419,7 +422,9 @@ fn run(
         let (results, t) = sally.classify_batch_traced(&queries);
         let decrypts = results.iter().all(|result| {
             let compact = be.compact_for_decrypt(result.ciphertext());
-            compact.level.is_none_or(|level| level.headroom_bits > 0.0)
+            compact
+                .level()
+                .is_none_or(|level| level.headroom_bits > 0.0)
         });
         let mut input = t.entry_depth;
         let stages = [&t.comparison, &t.reshuffle, &t.levels, &t.accumulate].map(|stage| {
@@ -434,20 +439,31 @@ fn run(
     })
 }
 
-/// Runs `f` on a fresh abstract backend in a meter scope of its own,
-/// so none of its ops (the deploy's encrypts, the tiling of a packed
-/// operand set) reach a scope the caller installed.
-fn on_abstract<T>(backend: AbstractBackend, f: impl FnOnce(&AbstractBackend) -> T) -> T {
+/// A rule-free clear backend that refuses no depth, so admission, not
+/// a panic, reports a circuit too deep for its host.
+fn unbounded(slot_capacity: Option<usize>) -> ClearBackend {
+    ClearBackend::new(ClearConfig {
+        max_depth: u32::MAX,
+        slot_capacity,
+        work_per_op: 0,
+    })
+}
+
+/// Runs `f` on a fresh backend in a meter scope of its own, so none of
+/// its ops (the deploy's encrypts, the tiling of a packed operand set)
+/// reach a scope the caller installed.
+fn on_clear<T>(backend: ClearBackend, f: impl FnOnce(&ClearBackend) -> T) -> T {
     OpMeter::measure(|| f(&backend)).0
 }
 
 /// One SecComp at precision `p` against thresholds of `form` — the
 /// comparison stage alone: `seccomp::secure_less_than` run over `p`
-/// abstract planes, its ops and its depth.
+/// one-slot zero planes, its ops and its depth.
 pub fn seccomp(p: u32, form: ModelForm, variant: SecCompVariant) -> StagePrediction {
-    on_abstract(AbstractBackend::new(None), |be| {
-        let planes: Vec<_> = (0..p).map(|_| be.encrypt(&1)).collect();
-        let thresholds: Vec<_> = (0..p).map(|_| form.operand(be, 1)).collect();
+    on_clear(unbounded(None), |be| {
+        let zero = BitVec::zeros(1);
+        let planes: Vec<_> = (0..p).map(|_| be.encrypt_bits(&zero)).collect();
+        let thresholds: Vec<_> = (0..p).map(|_| form.operand(be, be.encode(&zero))).collect();
         let before = be.meter().snapshot();
         let decision =
             secure_less_than(be, &planes, &thresholds, variant, Parallelism::sequential());
@@ -463,23 +479,29 @@ mod tests {
     use super::*;
     use crate::compiler::{CompileOptions, Fusion};
     use crate::complexity::log2ceil;
+    use crate::matmul::{ring_of, ring_shifts};
     use crate::seccomp::balanced_product;
-    use copse_fhe::{BgvBackend, BgvParams, BitVec, ClearBackend, ClearConfig};
+    use copse_fhe::{BgvBackend, BgvParams};
     use copse_forest::microbench::{self, MicrobenchSpec};
 
+    const UNIT: MicrobenchSpec = MicrobenchSpec {
+        name: "unit",
+        max_depth: 3,
+        precision: 5,
+        n_trees: 2,
+        branches: 11,
+    };
+
     fn compiled(fused: bool) -> Maurice {
-        let spec = MicrobenchSpec {
-            name: "unit",
-            max_depth: 3,
-            precision: 5,
-            n_trees: 2,
-            branches: 11,
-        };
-        let forest = microbench::generate(&spec, 7);
         let options = CompileOptions {
             fuse_reshuffle: if fused { Fusion::Always } else { Fusion::Never },
             ..CompileOptions::default()
         };
+        compile(&UNIT, options)
+    }
+
+    fn compile(spec: &MicrobenchSpec, options: CompileOptions) -> Maurice {
+        let forest = microbench::generate(spec, 7);
         Maurice::compile(&forest, options).expect("compile")
     }
 
@@ -707,18 +729,40 @@ mod tests {
 
     #[test]
     fn a_shape_wider_than_its_rules_ring_runs_on_a_ring_of_its_own() {
-        // Tiny's 6 slots hold none of the unit model's matrices. Only
-        // the analyzer builds them there: each runs on a ring of its own
-        // column count, as on a backend without a slot bound. Under the
-        // rule the circuit meters the rule-free run's ops, reaches its
-        // clear depth and deploys the paper's one Encrypt per column
-        // (Table 1d), and admission still refuses it on slots.
+        // Tiny's 6 slots hold none of the unit model's matrices, and of
+        // the narrow model's only the 6 x 5 level matrices (its
+        // multiplicity padding makes the reshuffle at least 8 columns
+        // wide). Only the analyzer builds them there: each matrix runs
+        // on the rule's ring where it fits and on a ring of its own
+        // column count where it does not, as on a backend without a
+        // slot bound. Under the rule the circuit meters the rule-free
+        // run's ops and reaches its clear depth; each matrix deploys
+        // one Encrypt per shift of its ring, which for the unit model is
+        // the paper's one per column (Table 1d); and admission still
+        // refuses it on slots.
         let rule = LevelRule::of(&BgvParams::tiny());
-        let slots = AbstractBackend::new(Some(rule)).slot_capacity();
+        let be = ClearBackend::leveled(rule);
+        let slots = be.slot_capacity();
         assert_eq!(slots, Some(6));
-        for fused in [false, true] {
-            let maurice = compiled(fused);
-            let meta = &maurice.compiled().meta;
+        let narrow = MicrobenchSpec {
+            name: "narrow",
+            max_depth: 3,
+            precision: 3,
+            n_trees: 1,
+            branches: 5,
+        };
+        let padded = CompileOptions {
+            fuse_reshuffle: Fusion::Never,
+            multiplicity_padding: 1,
+            ..CompileOptions::default()
+        };
+        let cases = [
+            ("unit", compiled(false), false),
+            ("unit", compiled(true), false),
+            ("narrow", compile(&narrow, padded), true),
+        ];
+        for (name, maurice, partly) in cases {
+            let (meta, fused) = (&maurice.compiled().meta, maurice.compiled().fused);
             let shape = EvalShape::plan(&maurice, ModelForm::Encrypted);
             let free = CircuitReport::analyze(maurice.compiled(), &shape);
             let (deploy, stages, _) = run(meta, fused, &shape, Some(rule), None);
@@ -728,24 +772,33 @@ mod tests {
                 free.levels,
                 free.accumulate,
             ];
+            let case = format!("{name} fused={fused}");
             assert_eq!(
                 stages.map(|stage| stage.ops),
                 free_stages.map(|stage| stage.ops),
-                "fused={fused}"
+                "{case}"
             );
-            assert_eq!(deploy, free.model_encrypt_ops, "fused={fused}");
-            assert_eq!(
-                free.chain(&rule).model_encrypt_ops,
-                free.model_encrypt_ops,
-                "fused={fused}"
-            );
-            let be = AbstractBackend::new(Some(rule));
+            // One Encrypt per threshold plane, mask and ring diagonal,
+            // each matrix on the ring `ring_of` picks for it.
+            let ring = |rows, cols| ring_of(&be, rows, cols);
+            let encrypts = |rows, cols| ring_shifts(rows, cols, ring(rows, cols)).len() as u64;
+            let level_cols = if fused { meta.quantized } else { meta.branches };
+            let reshuffle = (!fused).then(|| encrypts(meta.branches, meta.quantized));
+            let levels = meta.max_level as u64 * (encrypts(meta.n_leaves, level_cols) + 1);
+            let want = u64::from(meta.precision) + levels + reshuffle.unwrap_or(0);
+            assert_eq!(deploy.encrypt, want, "{case}");
+            assert_eq!(free.chain(&rule).model_encrypt_ops, deploy, "{case}");
+            // Only the narrow model's level matrices fit the ring.
+            let fits = [(meta.branches, meta.quantized), (meta.n_leaves, level_cols)]
+                .map(|(rows, cols)| ring(rows, cols) == 6);
+            assert_eq!(fits, [false, partly], "{case}");
+            assert_eq!(deploy == free.model_encrypt_ops, !partly, "{case}");
             let sally = Sally::analysis(&be, meta, fused, &shape, None);
             let planes = (0..meta.precision)
-                .map(|_| be.encrypt(&meta.quantized))
+                .map(|_| be.encrypt_bits(&BitVec::zeros(meta.quantized)))
                 .collect();
             let result = sally.classify(&EncryptedQuery::from_planes(planes));
-            assert_eq!(result.ciphertext().depth, free.depth, "fused={fused}");
+            assert_eq!(result.ciphertext().depth(), free.depth, "{case}");
             let profile = BackendProfile {
                 budget: NoiseBudget::Chain(rule),
                 slot_capacity: slots,
@@ -756,7 +809,7 @@ mod tests {
                     required: free.min_slot_capacity,
                     available: 6,
                 }),
-                "fused={fused}"
+                "{case}"
             );
         }
     }

@@ -95,7 +95,7 @@ pub fn ring_shifts(rows: usize, cols: usize, slots: usize) -> Vec<usize> {
 /// rotates on (and, for shapes wider than a bounded ring, which only
 /// the analyzer builds, the ring that would hold them). At `cols = N`
 /// the ring diagonals are the generalised ones.
-fn ring_of<B: FheBackend>(backend: &B, rows: usize, cols: usize) -> usize {
+pub(crate) fn ring_of<B: FheBackend>(backend: &B, rows: usize, cols: usize) -> usize {
     backend
         .slot_capacity()
         .filter(|&slots| rows <= slots && cols <= slots)
@@ -485,7 +485,9 @@ fn record_width_n_ops<B: FheBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copse_fhe::{BgvBackend, BgvParams, ClearBackend, ClearConfig, OpCounts, OpMeter};
+    use copse_fhe::{
+        BgvBackend, BgvParams, ClearBackend, ClearConfig, LevelRule, OpCounts, OpMeter,
+    };
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -501,18 +503,26 @@ mod tests {
         m
     }
 
+    /// Checks every form of `m · v` on the uncapped clear backend and on
+    /// one leveled by tiny's rule, whose 6-slot ring holds the matrix or
+    /// not (then it runs on a ring of its own column count).
     fn check_all_forms(m: &BoolMatrix, v: &BitVec, threads: usize) {
-        let be = ClearBackend::with_defaults();
+        let leveled = ClearBackend::leveled(LevelRule::of(&BgvParams::tiny()));
+        check_forms(&ClearBackend::with_defaults(), m, v, threads);
+        check_forms(&leveled, m, v, threads);
+    }
+
+    fn check_forms<B: FheBackend>(be: &B, m: &BoolMatrix, v: &BitVec, threads: usize) {
         let want = m.mat_vec(v);
         let ct = be.encrypt_bits(v);
         let par = Parallelism { threads };
 
-        let plain = EncodedMatrix::encode_plain(&be, m);
-        let got = mat_vec(&be, &plain, &ct, MatMulOptions::default(), par);
+        let plain = EncodedMatrix::encode_plain(be, m);
+        let got = mat_vec(be, &plain, &ct, MatMulOptions::default(), par);
         assert_eq!(be.decrypt(&got), want, "plain {}x{}", m.rows(), m.cols());
 
         let skip = mat_vec(
-            &be,
+            be,
             &plain,
             &ct,
             MatMulOptions {
@@ -529,8 +539,8 @@ mod tests {
             m.cols()
         );
 
-        let enc = EncodedMatrix::encrypt(&be, m);
-        let got = mat_vec(&be, &enc, &ct, MatMulOptions::default(), par);
+        let enc = EncodedMatrix::encrypt(be, m);
+        let got = mat_vec(be, &enc, &ct, MatMulOptions::default(), par);
         assert_eq!(
             be.decrypt(&got),
             want,
@@ -556,7 +566,7 @@ mod tests {
         // -> [x,y,z,x,...] rule of §4.1.2): on a ring of n slots, row
         // j >= n reads slot (j + r) mod n.
         let mut rng = SmallRng::seed_from_u64(2);
-        for (rows, cols) in [(7, 3), (12, 5), (9, 2), (10, 10)] {
+        for (rows, cols) in [(7, 3), (12, 5), (9, 2), (10, 10), (6, 4)] {
             let m = random_matrix(rows, cols, 0.5, &mut rng);
             let v = BitVec::from_fn(cols, |_| rng.gen_bool(0.5));
             check_all_forms(&m, &v, 1);
@@ -566,7 +576,7 @@ mod tests {
     #[test]
     fn wide_matrices_truncate() {
         let mut rng = SmallRng::seed_from_u64(3);
-        for (rows, cols) in [(3, 7), (5, 12), (1, 9)] {
+        for (rows, cols) in [(3, 7), (5, 12), (1, 9), (4, 5)] {
             let m = random_matrix(rows, cols, 0.5, &mut rng);
             let v = BitVec::from_fn(cols, |_| rng.gen_bool(0.5));
             check_all_forms(&m, &v, 1);

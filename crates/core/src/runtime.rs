@@ -23,8 +23,8 @@ use crate::matmul::{mat_vec, mat_vec_many, tile_operand, EncodedMatrix, MatMulOp
 use crate::parallel::{map_indices, Parallelism};
 use crate::seccomp::{secure_less_than, SecCompVariant};
 use copse_fhe::{
-    AbstractBackend, BitSliced, BitVec, FheBackend, KeySwitchCounts, MaybeEncrypted, NoiseBudget,
-    OpCounts, OpMeter, TransformCounts,
+    BitSliced, BitVec, FheBackend, KeySwitchCounts, MaybeEncrypted, NoiseBudget, OpCounts, OpMeter,
+    TransformCounts,
 };
 use copse_forest::model::Forest;
 use std::borrow::Cow;
@@ -1134,22 +1134,28 @@ impl<'b, B: FheBackend> Sally<'b, B> {
     }
 }
 
-impl<'b> Sally<'b, AbstractBackend> {
-    /// Hosts `shape`'s circuit on the abstract backend, for the
-    /// analyzer ([`CircuitReport`]): its operand set is built from the
-    /// model's shape alone — Maurice's operands, metered like his
-    /// deploy, and Sally's result shuffle — the plan and the entry
-    /// level are taken as given rather than derived (deriving them is
-    /// what the analyzer is asked), and every stage runs sequentially.
+impl<'b, B: FheBackend> Sally<'b, B> {
+    /// Hosts `shape`'s circuit for the analyzer ([`CircuitReport`]),
+    /// which runs it on a clear backend over zero bits: its operand set
+    /// is built from the model's shape alone — Maurice's operands, all
+    /// zeros and metered like his deploy, and Sally's result shuffle —
+    /// the plan and the entry level are taken as given rather than
+    /// derived (deriving them is what the analyzer is asked), and every
+    /// stage runs sequentially.
     pub(crate) fn analysis(
-        backend: &'b AbstractBackend,
+        backend: &'b B,
         meta: &ModelMeta,
         fused: bool,
         shape: &EvalShape,
         entry: Option<usize>,
     ) -> Self {
         let (m, form) = (meta, shape.form);
-        let vectors = |n, width| (0..n).map(|_| form.operand(backend, width)).collect();
+        let zeros = |width| backend.encode(&BitVec::zeros(width));
+        let vectors = |n, width| {
+            (0..n)
+                .map(|_| form.operand(backend, zeros(width)))
+                .collect()
+        };
         let matrix = |form, rows, cols| EncodedMatrix::of_shape(backend, form, rows, cols);
         let level_cols = if fused { m.quantized } else { m.branches };
         let model = DeployedModel {

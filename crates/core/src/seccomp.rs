@@ -281,7 +281,7 @@ mod tests {
         use crate::analyze::seccomp;
         use crate::runtime::ModelForm::{Encrypted, Plain};
         use SecCompVariant::{LadderPrefix, Tree};
-        // On the abstract backend: ct-ct multiplies and depth, and
+        // On the analyzer's backend: ct-ct multiplies and depth, and
         // every other op, which the two arms share.
         let cost = |p, form, v| {
             let s = seccomp(p, form, v);

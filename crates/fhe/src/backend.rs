@@ -8,14 +8,14 @@
 //! is recorded on the backend's [`OpMeter`] so circuits can be costed
 //! op-for-op.
 //!
-//! Three implementations ship with this crate:
+//! Two implementations ship with this crate:
 //!
 //! * [`ClearBackend`](crate::ClearBackend) — exact semantics over
 //!   plaintext bit vectors with multiplicative-depth tracking; the
-//!   workhorse for tests and benchmarks.
-//! * [`AbstractBackend`](crate::AbstractBackend) — no bits at all:
-//!   widths, depth and BGV chain levels, so the static analyzer can
-//!   run a circuit to read its cost.
+//!   workhorse for tests and benchmarks. Given a BGV
+//!   [`LevelRule`] ([`ClearBackend::leveled`](crate::ClearBackend::leveled))
+//!   its ciphertexts also carry their chain level, so the static
+//!   analyzer can run a circuit to read its cost.
 //! * [`BgvBackend`](crate::BgvBackend) — a real (teaching-grade)
 //!   leveled BGV scheme over a prime cyclotomic ring with GF(2) slot
 //!   packing, for end-to-end encrypted runs.
@@ -57,8 +57,7 @@ impl fmt::Display for CiphertextCodecError {
 impl std::error::Error for CiphertextCodecError {}
 
 /// Typed errors from operations that a backend or ring flavor does
-/// not support: serialising an abstract ciphertext, or slot rotation
-/// on the negacyclic ring
+/// not support: slot rotation on the negacyclic ring
 /// ([`BgvScheme::try_rotate_slots`](crate::bgv::BgvScheme::try_rotate_slots)).
 /// Panics carry them as their payload (`panic_any`), so a
 /// `catch_unwind` boundary can downcast them back to values.
@@ -196,20 +195,14 @@ pub trait FheBackend: Send + Sync {
     /// [`add`](FheBackend::add) records — a `Multiply` or
     /// `ConstantMultiply` per term and an `Add` per term after the
     /// first — and has its depth: one past the deepest product's
-    /// operands. The default is that fold. A leveled scheme sums the
-    /// products before it finishes them instead: every term multiplied
-    /// at the lowest level any of them meets at, so a sum that holds
-    /// ciphertext products relinearises once, not once per product.
+    /// operands; the clear backend's bits are that fold's. A leveled
+    /// scheme sums the products before it finishes them: every term
+    /// multiplied at the lowest level any of them meets at, so a sum
+    /// that holds ciphertext products relinearises once, not once per
+    /// product.
     fn product_sum(&self, terms: &[(&Self::Ciphertext, &MaybeEncrypted<Self>)]) -> Self::Ciphertext
     where
-        Self: Sized,
-    {
-        terms
-            .iter()
-            .map(|(a, b)| b.mul_into(self, a))
-            .reduce(|sum, product| self.add(&sum, &product))
-            .expect("a sum of at least one product")
-    }
+        Self: Sized;
 
     /// Rotates slots left by `k` (slot `i` receives slot `(i+k) mod w`).
     /// Records one `Rotate`.
@@ -225,12 +218,9 @@ pub trait FheBackend: Send + Sync {
     /// `None`): how a query plane is made. A leveled scheme encrypts
     /// symmetrically and directly at that level, so the plane carries
     /// a fresh encryption's noise and no modulus switch. Records one
-    /// `Encrypt`. Backends without a chain ignore `primes` (the
-    /// default encrypts as [`encrypt_bits`](FheBackend::encrypt_bits)).
-    fn encrypt_query_bits(&self, bits: &BitVec, primes: Option<usize>) -> Self::Ciphertext {
-        let _ = primes;
-        self.encrypt_bits(bits)
-    }
+    /// `Encrypt`. Backends without a chain ignore `primes` and encrypt
+    /// as [`encrypt_bits`](FheBackend::encrypt_bits).
+    fn encrypt_query_bits(&self, bits: &BitVec, primes: Option<usize>) -> Self::Ciphertext;
 
     /// Slot-wise NOT, implemented as XOR with the all-ones plaintext.
     /// Records one `ConstantAdd`.
@@ -377,20 +367,14 @@ pub trait FheBackend: Send + Sync {
     /// which `ct` decrypts identically and stays a valid operand at the
     /// lower level. A ciphertext already at or below `primes` is
     /// returned unchanged, and so is every ciphertext of a backend
-    /// without a chain (the default). Unmetered, like the switches a
-    /// multiplication performs internally.
-    fn mod_switch_to(&self, ct: &Self::Ciphertext, primes: usize) -> Self::Ciphertext {
-        let _ = primes;
-        ct.clone()
-    }
+    /// without a chain. Unmetered, like the switches a multiplication
+    /// performs internally.
+    fn mod_switch_to(&self, ct: &Self::Ciphertext, primes: usize) -> Self::Ciphertext;
 
     /// The modulus-chain primes `ct` carries: its level, the count
     /// [`mod_switch_to`](FheBackend::mod_switch_to) takes. `None` on a
-    /// backend without a chain (the default).
-    fn chain_primes(&self, ct: &Self::Ciphertext) -> Option<usize> {
-        let _ = ct;
-        None
-    }
+    /// backend without a chain.
+    fn chain_primes(&self, ct: &Self::Ciphertext) -> Option<usize>;
 
     /// How a query plane enters a circuit at `primes` modulus-chain
     /// primes: switched down to them, as
@@ -398,20 +382,16 @@ pub trait FheBackend: Send + Sync {
     /// scheme with its noise estimate raised to at least what a switch
     /// leaves. A plane made at `primes` and one made above them enter
     /// in one state, so the circuit's levels do not depend on where the
-    /// data owner made its planes. Unmetered; the default switches.
-    fn enter_circuit(&self, ct: &Self::Ciphertext, primes: usize) -> Self::Ciphertext {
-        self.mod_switch_to(ct, primes)
-    }
+    /// data owner made its planes. Unmetered.
+    fn enter_circuit(&self, ct: &Self::Ciphertext, primes: usize) -> Self::Ciphertext;
 
     /// A ciphertext that decrypts exactly like `ct` but is as small as
     /// the scheme can make it without the secret key, for results that
     /// are about to be shipped and only ever decrypted (leveled schemes
     /// drop the unused part of the modulus chain). It is no longer a
-    /// useful operand for further homomorphic operations. The default
-    /// is a plain clone.
-    fn compact_for_decrypt(&self, ct: &Self::Ciphertext) -> Self::Ciphertext {
-        ct.clone()
-    }
+    /// useful operand for further homomorphic operations. Without a
+    /// chain it is a plain clone.
+    fn compact_for_decrypt(&self, ct: &Self::Ciphertext) -> Self::Ciphertext;
 
     /// Serialises a ciphertext into a self-contained byte string for
     /// transport (see `copse-core::wire` and `copse-server`).

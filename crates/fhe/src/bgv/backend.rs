@@ -18,9 +18,10 @@
 //! The layout kernels (masked rotation, block packing and unpacking,
 //! and the ring-form matrix product) are written
 //! once, generic over `SlotOps`: this backend runs them on ciphertexts,
-//! and [`AbstractBackend`](crate::AbstractBackend) runs the same code
-//! on chain positions, which is how the static analyzer knows the level
-//! every semantic operation leaves behind.
+//! and a [leveled](crate::ClearBackend::leveled)
+//! [`ClearBackend`](crate::ClearBackend) runs the same code on chain
+//! positions beside its bits, which is how the static analyzer knows
+//! the level every semantic operation leaves behind.
 //!
 //! The ring-form product ([`FheBackend::ring_mat_vec`]) is every
 //! matrix product, solo and packed. It rotates all `nslots` slots,

@@ -5,10 +5,12 @@
 //! scheme calls them on every ciphertext it produces — the noise
 //! estimate it stores and each modulus switch it performs are the
 //! rule's — and [`BgvBackend`](crate::BgvBackend)'s slot-layout
-//! kernels run, unchanged, over bare [`Level`]s in the
-//! [`AbstractBackend`], whose ciphertexts are shapes. The static
-//! analyzer (`copse_core::analyze`) runs the runtime on that backend —
-//! no key, no ciphertext — and gets the levels evaluation will reach.
+//! kernels run, unchanged, over bare [`Level`]s on a
+//! [leveled](ClearBackend::leveled) [`ClearBackend`], whose
+//! ciphertexts carry their bits beside their level. The static
+//! analyzer (`copse_core::analyze`) runs the runtime on that backend
+//! over zero bits — no key, no lattice ciphertext — and gets the
+//! levels evaluation will reach.
 //!
 //! Two properties keep that run exact whatever the data and however
 //! the evaluator schedules its work:
@@ -27,14 +29,11 @@
 //!   `n` terms `log2 n` bits where a `max(a, b) + 1` fold charged
 //!   `n − 1`.)
 
-use crate::backend::{
-    BackendError, CiphertextCodecError, FheBackend, MaybeEncrypted, NoiseBudget, RingDiagonals,
-};
-use crate::bgv::backend::{self as kernels, SlotOps, SumPlan};
+use crate::backend::MaybeEncrypted;
+use crate::bgv::backend::{SlotOps, SumPlan};
 use crate::bgv::scheme::BgvParams;
-use crate::bitvec::BitVec;
+use crate::clear::ClearBackend;
 use crate::math::cyclotomic::SlotStructure;
-use crate::meter::{FheOp, OpMeter};
 
 /// Noise estimate of a fresh encryption, in bits.
 const FRESH_BITS: f64 = 12.0;
@@ -67,7 +66,8 @@ pub struct Level {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LevelRule {
     params: BgvParams,
-    nslots: usize,
+    /// GF(2) slots of the rule's ring.
+    pub(crate) nslots: usize,
     /// Key-switch additive noise magnitude.
     ks_noise: f64,
 }
@@ -288,7 +288,7 @@ pub(crate) struct LevelSum {
 
 impl SlotOps for LevelRule {
     type Ct = Level;
-    type Operand = MaybeEncrypted<AbstractBackend>;
+    type Operand = MaybeEncrypted<ClearBackend>;
     type Factor = Level;
     type Sum = LevelSum;
 
@@ -300,7 +300,7 @@ impl SlotOps for LevelRule {
         *a
     }
 
-    fn operand_level(&self, b: &MaybeEncrypted<AbstractBackend>) -> Option<Level> {
+    fn operand_level(&self, b: &MaybeEncrypted<ClearBackend>) -> Option<Level> {
         match b {
             MaybeEncrypted::Plain(_) => None,
             MaybeEncrypted::Encrypted(ct) => Some(ct.at()),
@@ -334,7 +334,7 @@ impl SlotOps for LevelRule {
         }
     }
 
-    fn mul_add(&self, sum: &mut LevelSum, a: &Level, b: &MaybeEncrypted<AbstractBackend>) {
+    fn mul_add(&self, sum: &mut LevelSum, a: &Level, b: &MaybeEncrypted<ClearBackend>) {
         let term = match b {
             MaybeEncrypted::Plain(_) => self.mul_plain(*a),
             MaybeEncrypted::Encrypted(ct) => {
@@ -353,310 +353,13 @@ impl SlotOps for LevelRule {
     }
 }
 
-/// A ciphertext of the [`AbstractBackend`]: what a circuit's shape
-/// alone decides about the value it stands for.
-#[derive(Clone, Copy, Debug)]
-pub struct AbstractCiphertext {
-    /// Logical slot width.
-    pub width: usize,
-    /// Multiplicative depth, by the clear backend's rules.
-    pub depth: u32,
-    /// Chain position under the backend's level rule, if it has one.
-    pub level: Option<Level>,
-}
-
-impl AbstractCiphertext {
-    fn at(&self) -> Level {
-        self.level.expect("levels move only under a level rule")
-    }
-}
-
-/// An [`FheBackend`] over shapes rather than bits: a ciphertext is its
-/// width, depth and (under a [`LevelRule`]) chain position, a plaintext
-/// its width. Every op meters the [`FheOp`] the trait's contract
-/// assigns it, tracks depth as the clear backend does, and moves the
-/// level as [`BgvBackend`](crate::BgvBackend) does — its layout ops run
-/// the BGV backend's own kernels, over [`Level`]s. [`depth`] reads the
-/// clear depth without a rule and `chain_len − primes` under one, like
-/// the BGV backend's. Nothing here carries data: decryption yields
-/// zeros and ciphertexts do not serialise.
-///
-/// COPSE's circuit is data-oblivious, so running the runtime on this
-/// backend is how `copse_core::analyze` reads a circuit's op counts,
-/// depth and chain primes.
-///
-/// [`depth`]: FheBackend::depth
-#[derive(Debug)]
-pub struct AbstractBackend {
-    rule: Option<LevelRule>,
-    /// The slot ring it reports: the rule's, or a rule-free run's own.
-    slots: Option<usize>,
-    meter: OpMeter,
-}
-
-impl AbstractBackend {
-    /// A backend whose ciphertexts move by `rule` (or carry no level),
-    /// on the rule's slot ring (without a rule: none).
-    pub fn new(rule: Option<LevelRule>) -> Self {
-        Self {
-            rule,
-            slots: rule.map(|rule| rule.nslots),
-            meter: OpMeter::new(),
-        }
-    }
-
-    /// A rule-free backend on a ring of `slots` slots: what a packed
-    /// chunk needs to run its ring-form products when no level is
-    /// tracked. Op counts and clear depth do not depend on the ring.
-    pub fn on_ring(slots: usize) -> Self {
-        Self {
-            slots: Some(slots),
-            ..Self::new(None)
-        }
-    }
-
-    /// The level rule moves `f` reads, if there is one.
-    fn moved(&self, f: impl FnOnce(&LevelRule) -> Level) -> Option<Level> {
-        self.rule.as_ref().map(f)
-    }
-
-    /// Meters `op` and yields its `width`-slot result.
-    fn op(
-        &self,
-        op: FheOp,
-        width: usize,
-        depth: u32,
-        level: impl FnOnce(&LevelRule) -> Level,
-    ) -> AbstractCiphertext {
-        self.meter.record(op);
-        AbstractCiphertext {
-            width,
-            depth,
-            level: self.moved(level),
-        }
-    }
-}
-
-impl FheBackend for AbstractBackend {
-    type Plaintext = usize;
-    type Ciphertext = AbstractCiphertext;
-
-    /// The rule's slot ring, so that layouts chosen by capability (the
-    /// ring-form matrix product) follow the BGV backend's choice, or the
-    /// ring given to [`AbstractBackend::on_ring`]; `None` otherwise.
-    fn slot_capacity(&self) -> Option<usize> {
-        self.slots
-    }
-
-    fn meter(&self) -> &OpMeter {
-        &self.meter
-    }
-
-    fn noise_budget(&self) -> NoiseBudget {
-        self.rule
-            .map_or(NoiseBudget::Depth(u32::MAX), NoiseBudget::Chain)
-    }
-
-    fn encode(&self, bits: &BitVec) -> usize {
-        bits.width()
-    }
-
-    fn decode(&self, width: &usize) -> BitVec {
-        BitVec::zeros(*width)
-    }
-
-    fn encrypt(&self, width: &usize) -> AbstractCiphertext {
-        self.op(FheOp::Encrypt, *width, 0, LevelRule::encrypt)
-    }
-
-    /// The rule's fresh symmetric level at `primes` (the top of the
-    /// chain without them), as [`BgvBackend`](crate::BgvBackend)'s.
-    fn encrypt_query_bits(&self, bits: &BitVec, primes: Option<usize>) -> AbstractCiphertext {
-        self.op(FheOp::Encrypt, bits.width(), 0, |rule| {
-            rule.encrypt_symmetric(primes.unwrap_or(rule.chain_len()))
-        })
-    }
-
-    fn decrypt(&self, ct: &AbstractCiphertext) -> BitVec {
-        self.meter.record(FheOp::Decrypt);
-        BitVec::zeros(ct.width)
-    }
-
-    fn width(&self, ct: &AbstractCiphertext) -> usize {
-        ct.width
-    }
-
-    fn depth(&self, ct: &AbstractCiphertext) -> u32 {
-        match self.rule {
-            Some(rule) => (rule.chain_len() - ct.at().primes) as u32,
-            None => ct.depth,
-        }
-    }
-
-    fn add(&self, a: &AbstractCiphertext, b: &AbstractCiphertext) -> AbstractCiphertext {
-        self.op(FheOp::Add, a.width, a.depth.max(b.depth), |rule| {
-            rule.add(a.at(), b.at())
-        })
-    }
-
-    fn add_plain(&self, a: &AbstractCiphertext, _: &usize) -> AbstractCiphertext {
-        self.op(FheOp::ConstantAdd, a.width, a.depth, |rule| {
-            rule.add_plain(a.at())
-        })
-    }
-
-    fn mul(&self, a: &AbstractCiphertext, b: &AbstractCiphertext) -> AbstractCiphertext {
-        self.op(FheOp::Multiply, a.width, a.depth.max(b.depth) + 1, |rule| {
-            rule.mul(a.at(), b.at())
-        })
-    }
-
-    fn mul_plain(&self, a: &AbstractCiphertext, _: &usize) -> AbstractCiphertext {
-        self.op(FheOp::ConstantMultiply, a.width, a.depth + 1, |rule| {
-            rule.mul_plain(a.at())
-        })
-    }
-
-    fn product_sum(
-        &self,
-        terms: &[(&AbstractCiphertext, &MaybeEncrypted<Self>)],
-    ) -> AbstractCiphertext {
-        kernels::record_product_sum(&self.meter, terms);
-        // Clear depth: one past the deepest product's operands.
-        let depth = terms.iter().map(|(a, b)| match b {
-            MaybeEncrypted::Plain(_) => a.depth,
-            MaybeEncrypted::Encrypted(ct) => a.depth.max(ct.depth),
-        });
-        AbstractCiphertext {
-            width: terms
-                .first()
-                .expect("a sum of at least one product")
-                .0
-                .width,
-            depth: depth.max().unwrap_or(0) + 1,
-            level: self.moved(|rule| {
-                let levels: Vec<Level> = terms.iter().map(|(a, _)| a.at()).collect();
-                let terms: Vec<_> = levels
-                    .iter()
-                    .zip(terms)
-                    .map(|(a, (_, b))| (a, *b))
-                    .collect();
-                kernels::product_sum(rule, &terms)
-            }),
-        }
-    }
-
-    fn rotate(&self, a: &AbstractCiphertext, k: isize) -> AbstractCiphertext {
-        self.op(FheOp::Rotate, a.width, a.depth, |rule| {
-            kernels::rotate(rule, &a.at(), k, a.width, rule.nslots)
-        })
-    }
-
-    fn pack_blocks(
-        &self,
-        cts: &[AbstractCiphertext],
-        stride: usize,
-        width: usize,
-    ) -> AbstractCiphertext {
-        for _ in 1..cts.len() {
-            self.meter.record(FheOp::Rotate);
-            self.meter.record(FheOp::Add);
-        }
-        AbstractCiphertext {
-            width,
-            depth: cts.iter().map(|ct| ct.depth).max().unwrap_or(0),
-            level: self.moved(|rule| {
-                let levels: Vec<Level> = cts.iter().map(AbstractCiphertext::at).collect();
-                kernels::pack(rule, &levels, stride)
-            }),
-        }
-    }
-
-    fn unpack_block(
-        &self,
-        ct: &AbstractCiphertext,
-        index: usize,
-        stride: usize,
-        width: usize,
-    ) -> AbstractCiphertext {
-        if index > 0 {
-            self.meter.record(FheOp::Rotate);
-        }
-        self.op(FheOp::ConstantMultiply, width, ct.depth + 1, |rule| {
-            kernels::unpack(rule, &ct.at(), index, stride, width)
-        })
-    }
-
-    fn ring_mat_vec(
-        &self,
-        v: &AbstractCiphertext,
-        shifts: &[usize],
-        diagonals: &[RingDiagonals<'_, Self>],
-        rows: usize,
-        threads: usize,
-    ) -> Vec<Option<AbstractCiphertext>> {
-        let levels = self
-            .rule
-            .map(|rule| kernels::ring_products(&rule, &v.at(), shifts, diagonals, threads));
-        diagonals
-            .iter()
-            .enumerate()
-            .map(|(l, terms)| {
-                // Clear depth: one past the deepest operand, as `mul`.
-                let depth = terms.iter().flatten().map(|diagonal| match diagonal {
-                    MaybeEncrypted::Plain(_) => v.depth,
-                    MaybeEncrypted::Encrypted(ct) => v.depth.max(ct.depth),
-                });
-                depth.max().map(|depth| AbstractCiphertext {
-                    width: rows,
-                    depth: depth + 1,
-                    level: levels.as_ref().and_then(|levels| levels[l]),
-                })
-            })
-            .collect()
-    }
-
-    fn mod_switch_to(&self, ct: &AbstractCiphertext, primes: usize) -> AbstractCiphertext {
-        AbstractCiphertext {
-            level: self.moved(|rule| rule.mod_switch_to(ct.at(), primes)),
-            ..*ct
-        }
-    }
-
-    fn chain_primes(&self, ct: &AbstractCiphertext) -> Option<usize> {
-        ct.level.map(|level| level.primes)
-    }
-
-    fn enter_circuit(&self, ct: &AbstractCiphertext, primes: usize) -> AbstractCiphertext {
-        AbstractCiphertext {
-            level: self.moved(|rule| rule.enter(ct.at(), primes)),
-            ..*ct
-        }
-    }
-
-    fn compact_for_decrypt(&self, ct: &AbstractCiphertext) -> AbstractCiphertext {
-        self.mod_switch_to(ct, 1)
-    }
-
-    fn serialize_ciphertext(&self, _: &AbstractCiphertext) -> Vec<u8> {
-        std::panic::panic_any(BackendError::Unsupported {
-            operation: "serialize_ciphertext",
-            reason: "an abstract ciphertext carries no data",
-        })
-    }
-
-    fn deserialize_ciphertext(&self, _: &[u8]) -> Result<AbstractCiphertext, CiphertextCodecError> {
-        Err(CiphertextCodecError::Malformed(
-            "an abstract ciphertext carries no data",
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{FheBackend, NoiseBudget, RingDiagonals};
+    use crate::bitvec::BitVec;
     use crate::meter::OpCounts;
-    use crate::{BgvBackend, ClearBackend, ClearConfig};
+    use crate::{BgvBackend, ClearConfig};
 
     fn rule() -> LevelRule {
         LevelRule::new(BgvParams::tiny(), 6)
@@ -710,7 +413,8 @@ mod tests {
         // every one of the 6 slot shifts, the most tensors one ring
         // product sums on this ring. The rule's run of the kernel
         // finishes at the scheme's primes and noise estimate, bit for
-        // bit, and the BGV product decrypts to the clear backend's.
+        // bit, and the BGV product decrypts to the clear backend's and
+        // the leveled one's bits.
         let bgv = BgvBackend::tiny();
         let NoiseBudget::Chain(rule) = bgv.noise_budget() else {
             unreachable!("BGV budgets a modulus chain")
@@ -720,7 +424,7 @@ mod tests {
             slot_capacity: Some(6),
             ..ClearConfig::default()
         });
-        let abstract_be = AbstractBackend::new(Some(rule));
+        let leveled = ClearBackend::leveled(rule);
         let v = BitVec::from_fn(5, |i| i % 3 != 1);
         let diagonal = |r: usize| BitVec::from_fn(5, |j| (j + r) % 6 < 3);
         fn product<B: FheBackend>(be: &B, v: &BitVec, diagonals: &[BitVec]) -> B::Ciphertext {
@@ -735,7 +439,9 @@ mod tests {
         }
         let diagonals: Vec<BitVec> = (0..6).map(diagonal).collect();
         let real = product(&bgv, &v, &diagonals);
-        let predicted = product(&abstract_be, &v, &diagonals).at();
+        let predicted = product(&leveled, &v, &diagonals);
+        assert_eq!(bgv.decrypt(&real), leveled.decrypt(&predicted));
+        let predicted = predicted.at();
         assert_eq!(predicted.primes, bgv.scheme().level(&real.inner));
         assert_eq!(predicted.noise, real.inner.noise);
         assert!(predicted.primes < rule.chain_len() && predicted.headroom_bits > 0.0);
@@ -776,10 +482,11 @@ mod tests {
 
     /// Runs a table of steps, one per [`FheBackend`] op (the
     /// packed-batch primitives included), each over the results of the
-    /// steps before it, and returns the ops every step meters and the
-    /// depth reading of its result. Widths fit `BgvParams::tiny()`'s 6
-    /// slots; packed steps lay 2 blocks at stride 3.
-    fn readings<B: FheBackend>(be: &B) -> Vec<(OpCounts, u32)> {
+    /// steps before it, and returns the ops every step meters, the
+    /// depth reading of its result and the bits it decrypts to. Widths
+    /// fit `BgvParams::tiny()`'s 6 slots; packed steps lay 2 blocks at
+    /// stride 3.
+    fn readings<B: FheBackend>(be: &B) -> Vec<(OpCounts, u32, BitVec)> {
         type Step<B> = fn(&B, &[<B as FheBackend>::Ciphertext]) -> <B as FheBackend>::Ciphertext;
         let steps: [Step<B>; 29] = [
             |be, _| be.encrypt_bits(&BitVec::from_fn(3, |i| i % 2 == 0)),
@@ -856,7 +563,7 @@ mod tests {
             .map(|step| {
                 be.meter().reset();
                 let ct = step(be, &cts);
-                let reading = (be.meter().snapshot(), be.depth(&ct));
+                let reading = (be.meter().snapshot(), be.depth(&ct), be.decrypt(&ct));
                 cts.push(ct);
                 reading
             })
@@ -864,25 +571,30 @@ mod tests {
     }
 
     #[test]
-    fn abstract_backend_keeps_the_clear_and_bgv_contracts() {
-        // The analyzer's results rest on these: the abstract backend
-        // meters every op as the clear backend does and reads its
-        // depth, and under a BGV rule reads the level real ciphertexts
-        // reach. (The clear backend gets tiny's 6 slots, which the
-        // ring product runs on.)
+    fn the_leveled_clear_backend_keeps_the_clear_and_bgv_contracts() {
+        // The analyzer's results rest on these: a leveled clear backend
+        // meters every op as the clear backend does and reads the depth
+        // real ciphertexts reach under a BGV rule, and at every step all
+        // three decrypt to the same bits. (The clear backend gets tiny's
+        // 6 slots, which the ring product runs on.)
         let clear = readings(&ClearBackend::new(ClearConfig {
             slot_capacity: Some(6),
             ..ClearConfig::default()
         }));
-        assert_eq!(readings(&AbstractBackend::new(None)), clear);
         let bgv = BgvBackend::tiny();
         let NoiseBudget::Chain(rule) = bgv.noise_budget() else {
             unreachable!("BGV budgets a modulus chain")
         };
         let real = readings(&bgv);
-        assert_eq!(readings(&AbstractBackend::new(Some(rule))), real);
+        let leveled = readings(&ClearBackend::leveled(rule));
+        assert_eq!(leveled, real);
+        for (step, ((ops, _, bits), (clear_ops, _, clear_bits))) in
+            leveled.iter().zip(&clear).enumerate()
+        {
+            assert_eq!((ops, bits), (clear_ops, clear_bits), "step {step}");
+        }
         assert!(
-            real.iter().any(|&(_, depth)| depth > 0),
+            real.iter().any(|&(_, depth, _)| depth > 0),
             "the program spends chain primes"
         );
         // The ring product meters nothing itself: its caller records
@@ -891,25 +603,33 @@ mod tests {
     }
 
     #[test]
-    fn the_abstract_slot_ring_is_the_rules() {
+    fn the_leveled_slot_ring_is_the_rules() {
         // Layouts chosen by capability must see the ring BGV has.
-        assert_eq!(AbstractBackend::new(Some(rule())).slot_capacity(), Some(6));
+        assert_eq!(ClearBackend::leveled(rule()).slot_capacity(), Some(6));
         assert_eq!(
-            AbstractBackend::new(Some(LevelRule::of(&BgvParams::demo()))).slot_capacity(),
+            ClearBackend::leveled(LevelRule::of(&BgvParams::demo())).slot_capacity(),
             BgvBackend::demo().slot_capacity()
         );
-        // Without a rule: no slot ring for a solo run, whose matrices
-        // then run on a ring of their own column count (and deploy the
-        // paper's one Encrypt per column), and the ring it is given for
-        // a packed chunk of `lanes` blocks at `stride` (`lanes · stride`
-        // slots).
-        assert_eq!(AbstractBackend::new(None).slot_capacity(), None);
+        // Without a rule, the analyzer's backends: no slot ring for a
+        // solo run, whose matrices then run on a ring of their own
+        // column count (and deploy the paper's one Encrypt per column),
+        // and a ring of `lanes · stride` slots for a packed chunk of
+        // `lanes` blocks at `stride`.
+        let unbounded = ClearConfig {
+            max_depth: u32::MAX,
+            slot_capacity: None,
+            work_per_op: 0,
+        };
+        assert_eq!(ClearBackend::new(unbounded).slot_capacity(), None);
         let (lanes, stride) = (3, 7);
-        let packed = AbstractBackend::on_ring(lanes * stride);
+        let packed = ClearBackend::new(ClearConfig {
+            slot_capacity: Some(lanes * stride),
+            ..unbounded
+        });
         assert_eq!(packed.slot_capacity(), Some(21));
         assert_eq!(
             packed.noise_budget(),
-            AbstractBackend::new(None).noise_budget()
+            ClearBackend::new(unbounded).noise_budget()
         );
     }
 }

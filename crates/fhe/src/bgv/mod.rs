@@ -11,8 +11,8 @@
 //!   relinearisation, Galois-automorphism slot rotation (prime flavor
 //!   only), and an automatic modulus-switching noise policy;
 //! * [`level`] — that policy as pure functions of a ciphertext's chain
-//!   position ([`LevelRule`]), which the scheme calls, and the
-//!   [`AbstractBackend`] a static analyzer runs circuits on;
+//!   position ([`LevelRule`]), which the scheme calls and a
+//!   [leveled](crate::ClearBackend::leveled) clear backend follows;
 //! * [`backend`] — the [`FheBackend`](crate::FheBackend)
 //!   implementation over the prime flavor with logical-width slot
 //!   packing (masked rotations, ring-form matrix products), differentially
@@ -29,6 +29,6 @@ pub mod ring;
 pub mod scheme;
 
 pub use backend::{BgvBackend, BgvCiphertext, BgvPlaintext};
-pub use level::{AbstractBackend, AbstractCiphertext, Level, LevelRule};
+pub use level::{Level, LevelRule};
 pub use ring::RingFlavor;
 pub use scheme::{BgvParams, BgvScheme};

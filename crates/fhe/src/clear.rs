@@ -7,15 +7,28 @@
 //! scheme's noise would make decryption fail. All primitives are metered
 //! with the paper's operation vocabulary.
 //!
+//! Given a BGV [`LevelRule`] ([`ClearBackend::leveled`]), every
+//! ciphertext also carries the chain position a
+//! [`BgvBackend`](crate::BgvBackend) ciphertext would reach, moved by
+//! the BGV backend's own slot-layout kernels run over [`Level`]s: the
+//! bits come from this module, the levels from the rule. COPSE's
+//! circuit does not depend on its data, so the static analyzer
+//! (`copse_core::analyze`) runs the runtime on this backend over zero
+//! bits to read op counts, depth and the chain primes a query needs.
+//!
 //! This backend is the reference oracle for the differential tests of
-//! the real [`BgvBackend`](crate::BgvBackend) and the engine behind the
-//! benchmark harness (wall-clock on it is proportional to slot work;
+//! the real [`BgvBackend`](crate::BgvBackend): its `pack_blocks`,
+//! `unpack_block` and `ring_mat_vec` compute the bits directly, not
+//! through the BGV kernels. Wall-clock on it is proportional to slot
+//! work, or to the op count with [`ClearConfig::work_per_op`];
 //! [`CostModel`](crate::CostModel) converts metered counts into modeled
-//! FHE milliseconds).
+//! FHE milliseconds.
 
 use crate::backend::{
     codec, CiphertextCodecError, FheBackend, MaybeEncrypted, NoiseBudget, RingDiagonals,
 };
+use crate::bgv::backend as kernels;
+use crate::bgv::level::{Level, LevelRule};
 use crate::bitvec::BitVec;
 use crate::meter::{FheOp, OpMeter};
 use crate::params::EncryptionParams;
@@ -38,9 +51,12 @@ pub struct ClearConfig {
     /// slots are logically in use (the ring dimension is fixed), while
     /// the clear evaluator's natural cost scales with logical width.
     /// Setting this nonzero makes wall-clock proportional to the
-    /// *operation count* — the faithful proxy for FHE time — which the
-    /// benchmark harness uses when comparing systems that pack
-    /// differently (COPSE vs the per-node baseline).
+    /// *operation count* — the faithful proxy for FHE time. copse-bench's
+    /// `figure6`, `figure7`, `figure8` and `reproduce_all` set it
+    /// (`copse_bench::WORK_PER_OP`) to compare systems that pack
+    /// differently (COPSE vs the per-node baseline), and
+    /// `examples/soccer_server.rs` sets it to give its server
+    /// FHE-like latencies. The repo benchmark (`benchmark/`) runs at 0.
     pub work_per_op: usize,
 }
 
@@ -64,12 +80,16 @@ impl Default for ClearConfig {
     }
 }
 
-/// A "ciphertext" of the clear backend: the packed slots plus the
-/// multiplicative depth consumed so far.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A "ciphertext" of the clear backend: the packed slots, the
+/// multiplicative depth consumed so far and, on a
+/// [leveled](ClearBackend::leveled) backend, its chain position.
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClearCiphertext {
     bits: BitVec,
     depth: u32,
+    /// Boxed, so a rule-free ciphertext (every operand a server
+    /// deploys) is one pointer larger, not one `Level`.
+    level: Option<Box<Level>>,
 }
 
 impl ClearCiphertext {
@@ -81,6 +101,16 @@ impl ClearCiphertext {
     /// Multiplicative depth consumed by this ciphertext.
     pub fn depth(&self) -> u32 {
         self.depth
+    }
+
+    /// Its chain position under the backend's level rule; `None` on a
+    /// backend without one.
+    pub fn level(&self) -> Option<Level> {
+        self.level.as_deref().copied()
+    }
+
+    pub(crate) fn at(&self) -> Level {
+        self.level().expect("levels move only under a level rule")
     }
 }
 
@@ -113,6 +143,8 @@ impl ClearPlaintext {
 #[derive(Debug)]
 pub struct ClearBackend {
     config: ClearConfig,
+    /// The rule ciphertexts' levels follow ([`ClearBackend::leveled`]).
+    rule: Option<LevelRule>,
     meter: Arc<OpMeter>,
 }
 
@@ -121,6 +153,7 @@ impl ClearBackend {
     pub fn new(config: ClearConfig) -> Self {
         Self {
             config,
+            rule: None,
             meter: Arc::new(OpMeter::new()),
         }
     }
@@ -128,6 +161,26 @@ impl ClearBackend {
     /// Creates a backend with the paper-optimal parameter budget.
     pub fn with_defaults() -> Self {
         Self::new(ClearConfig::default())
+    }
+
+    /// A backend whose ciphertexts also move through `rule`'s modulus
+    /// chain as a [`BgvBackend`](crate::BgvBackend)'s keyed with its
+    /// parameters do, op for op. Its [`depth`](FheBackend::depth)
+    /// reads `chain_len − primes`, its budget is the chain, and it
+    /// reports the rule's slot ring, so layouts chosen by capability
+    /// follow the BGV backend's. No width or depth is refused: a
+    /// matrix the ring cannot hold runs on a ring of its own column
+    /// count, and admission, not a panic, reports what does not fit.
+    /// Its ciphertexts do not deserialise (the codec carries no level).
+    pub fn leveled(rule: LevelRule) -> Self {
+        Self {
+            rule: Some(rule),
+            ..Self::new(ClearConfig {
+                max_depth: u32::MAX,
+                slot_capacity: None,
+                work_per_op: 0,
+            })
+        }
     }
 
     /// The backend configuration.
@@ -162,6 +215,34 @@ impl ClearBackend {
         }
         std::hint::black_box(acc);
     }
+
+    /// `bits` at clear `depth`, at the level `level` reads under the
+    /// rule (none without one).
+    fn ct(
+        &self,
+        bits: BitVec,
+        depth: u32,
+        level: impl FnOnce(&LevelRule) -> Level,
+    ) -> ClearCiphertext {
+        ClearCiphertext {
+            bits,
+            depth,
+            level: self.rule.as_ref().map(|rule| Box::new(level(rule))),
+        }
+    }
+
+    /// Meters `op`, charges its work and yields [`ct`](Self::ct).
+    fn op(
+        &self,
+        op: FheOp,
+        bits: BitVec,
+        depth: u32,
+        level: impl FnOnce(&LevelRule) -> Level,
+    ) -> ClearCiphertext {
+        self.meter.record(op);
+        self.busy_work();
+        self.ct(bits, depth, level)
+    }
 }
 
 impl Default for ClearBackend {
@@ -174,8 +255,13 @@ impl FheBackend for ClearBackend {
     type Plaintext = ClearPlaintext;
     type Ciphertext = ClearCiphertext;
 
+    /// The cap, or on a [leveled](ClearBackend::leveled) backend the
+    /// rule's slot ring.
     fn slot_capacity(&self) -> Option<usize> {
-        self.config.slot_capacity
+        match self.rule {
+            Some(rule) => Some(rule.nslots),
+            None => self.config.slot_capacity,
+        }
     }
 
     fn meter(&self) -> &OpMeter {
@@ -183,7 +269,10 @@ impl FheBackend for ClearBackend {
     }
 
     fn noise_budget(&self) -> NoiseBudget {
-        NoiseBudget::Depth(self.config.max_depth)
+        self.rule.map_or(
+            NoiseBudget::Depth(self.config.max_depth),
+            NoiseBudget::Chain,
+        )
     }
 
     fn encode(&self, bits: &BitVec) -> ClearPlaintext {
@@ -196,12 +285,17 @@ impl FheBackend for ClearBackend {
 
     fn encrypt(&self, pt: &ClearPlaintext) -> ClearCiphertext {
         self.check_capacity(pt.bits.width());
-        self.meter.record(FheOp::Encrypt);
-        self.busy_work();
-        ClearCiphertext {
-            bits: pt.bits.clone(),
-            depth: 0,
-        }
+        self.op(FheOp::Encrypt, pt.bits.clone(), 0, LevelRule::encrypt)
+    }
+
+    /// Under a rule, the rule's fresh symmetric level at `primes` (the
+    /// top of the chain without them), as
+    /// [`BgvBackend`](crate::BgvBackend)'s.
+    fn encrypt_query_bits(&self, bits: &BitVec, primes: Option<usize>) -> ClearCiphertext {
+        let ct = self.encrypt_bits(bits);
+        self.ct(ct.bits, 0, |rule| {
+            rule.encrypt_symmetric(primes.unwrap_or(rule.chain_len()))
+        })
     }
 
     fn decrypt(&self, ct: &ClearCiphertext) -> BitVec {
@@ -214,57 +308,70 @@ impl FheBackend for ClearBackend {
         ct.bits.width()
     }
 
+    /// The clear depth, or under a rule `chain_len − primes`, like the
+    /// BGV backend's.
     fn depth(&self, ct: &ClearCiphertext) -> u32 {
-        ct.depth
+        match self.rule {
+            Some(rule) => (rule.chain_len() - ct.at().primes) as u32,
+            None => ct.depth,
+        }
     }
 
     fn add(&self, a: &ClearCiphertext, b: &ClearCiphertext) -> ClearCiphertext {
-        self.meter.record(FheOp::Add);
-        self.busy_work();
-        ClearCiphertext {
-            bits: a.bits.xor(&b.bits),
-            depth: a.depth.max(b.depth),
-        }
+        let bits = a.bits.xor(&b.bits);
+        self.op(FheOp::Add, bits, a.depth.max(b.depth), |rule| {
+            rule.add(a.at(), b.at())
+        })
     }
 
     fn add_plain(&self, a: &ClearCiphertext, b: &ClearPlaintext) -> ClearCiphertext {
-        self.meter.record(FheOp::ConstantAdd);
-        self.busy_work();
-        ClearCiphertext {
-            bits: a.bits.xor(&b.bits),
-            depth: a.depth,
-        }
+        self.op(FheOp::ConstantAdd, a.bits.xor(&b.bits), a.depth, |rule| {
+            rule.add_plain(a.at())
+        })
     }
 
     fn mul(&self, a: &ClearCiphertext, b: &ClearCiphertext) -> ClearCiphertext {
-        self.meter.record(FheOp::Multiply);
-        self.busy_work();
         let depth = a.depth.max(b.depth) + 1;
         self.check_depth(depth);
-        ClearCiphertext {
-            bits: a.bits.and(&b.bits),
-            depth,
-        }
+        self.op(FheOp::Multiply, a.bits.and(&b.bits), depth, |rule| {
+            rule.mul(a.at(), b.at())
+        })
     }
 
     fn mul_plain(&self, a: &ClearCiphertext, b: &ClearPlaintext) -> ClearCiphertext {
-        self.meter.record(FheOp::ConstantMultiply);
-        self.busy_work();
         let depth = a.depth + 1;
         self.check_depth(depth);
-        ClearCiphertext {
-            bits: a.bits.and(&b.bits),
+        self.op(
+            FheOp::ConstantMultiply,
+            a.bits.and(&b.bits),
             depth,
-        }
+            |rule| rule.mul_plain(a.at()),
+        )
+    }
+
+    /// The fold of products and adds the trait describes; under a rule,
+    /// at the level of BGV's one sum of products, finished once.
+    fn product_sum(&self, terms: &[(&ClearCiphertext, &MaybeEncrypted<Self>)]) -> ClearCiphertext {
+        let fold = terms
+            .iter()
+            .map(|(a, b)| b.mul_into(self, a))
+            .reduce(|sum, product| self.add(&sum, &product))
+            .expect("a sum of at least one product");
+        self.ct(fold.bits, fold.depth, |rule| {
+            let levels: Vec<Level> = terms.iter().map(|(a, _)| a.at()).collect();
+            let terms: Vec<_> = levels
+                .iter()
+                .zip(terms)
+                .map(|(a, (_, b))| (a, *b))
+                .collect();
+            kernels::product_sum(rule, &terms)
+        })
     }
 
     fn rotate(&self, a: &ClearCiphertext, k: isize) -> ClearCiphertext {
-        self.meter.record(FheOp::Rotate);
-        self.busy_work();
-        ClearCiphertext {
-            bits: a.bits.rotate_left(k),
-            depth: a.depth,
-        }
+        self.op(FheOp::Rotate, a.bits.rotate_left(k), a.depth, |rule| {
+            kernels::rotate(rule, &a.at(), k, a.bits.width(), rule.nslots)
+        })
     }
 
     fn pack_blocks(&self, cts: &[ClearCiphertext], stride: usize, width: usize) -> ClearCiphertext {
@@ -298,7 +405,10 @@ impl FheBackend for ClearBackend {
             self.meter.record(FheOp::Add);
             self.busy_work();
         }
-        ClearCiphertext { bits, depth }
+        self.ct(bits, depth, |rule| {
+            let levels: Vec<Level> = cts.iter().map(ClearCiphertext::at).collect();
+            kernels::pack(rule, &levels, stride)
+        })
     }
 
     fn unpack_block(
@@ -318,25 +428,26 @@ impl FheBackend for ClearBackend {
             self.busy_work();
         }
         // The slot-range mask multiply that isolates the block.
-        self.meter.record(FheOp::ConstantMultiply);
-        self.busy_work();
         let depth = ct.depth + 1;
         self.check_depth(depth);
-        ClearCiphertext {
-            bits: BitVec::from_fn(width, |i| ct.bits.get(index * stride + i)),
-            depth,
-        }
+        let bits = BitVec::from_fn(width, |i| ct.bits.get(index * stride + i));
+        self.op(FheOp::ConstantMultiply, bits, depth, |rule| {
+            kernels::unpack(rule, &ct.at(), index, stride, width)
+        })
     }
 
     /// The one clear matrix product, and the oracle of the ring form:
     /// every term computed directly on a ring of `N` slots — the slot
     /// cap, or without one `v`'s own width, where rows may outnumber
     /// the slots and row `j` reads slot `(j + r) mod N` (the cyclic
-    /// extension). It runs rotation-major: one rotated vector per
+    /// extension); under a rule, the rule's ring where it holds the
+    /// product, else `v`'s width, as `copse_core::matmul` lays out the
+    /// matrix. It runs rotation-major: one rotated vector per
     /// shift, shared by every matrix. Contiguous chunks of shifts fork
     /// onto the shared pool when `threads > 1`, and their partial sums
     /// combine in chunk order (XOR is exact, so every chunking gives
-    /// the same bits).
+    /// the same bits). Under a rule each product's level is the BGV
+    /// kernel `ring_products`'s.
     ///
     /// It records no op, but charges `work_per_op` once per op it
     /// stands for: a rotation per nonzero shift some matrix keeps, a
@@ -357,15 +468,16 @@ impl FheBackend for ClearBackend {
         threads: usize,
     ) -> Vec<Option<ClearCiphertext>> {
         let width = v.bits.width();
-        let slots = match self.config.slot_capacity {
-            Some(slots) => {
+        let slots = match (self.rule, self.config.slot_capacity) {
+            (Some(rule), _) if width <= rule.nslots && rows <= rule.nslots => rule.nslots,
+            (Some(_), _) | (None, None) => width,
+            (None, Some(slots)) => {
                 assert!(
                     width <= slots && rows <= slots,
                     "a {rows}-row product of a width-{width} vector exceeds {slots} slots"
                 );
                 slots
             }
-            None => width,
         };
         for terms in diagonals {
             assert_eq!(terms.len(), shifts.len(), "one term per shift");
@@ -378,6 +490,7 @@ impl FheBackend for ClearBackend {
                     ClearCiphertext {
                         bits: acc.bits.xor(&term.bits),
                         depth: acc.depth.max(term.depth),
+                        level: None,
                     }
                 }
             });
@@ -410,6 +523,7 @@ impl FheBackend for ClearBackend {
                     let term = ClearCiphertext {
                         bits: rotated.and(bits),
                         depth: depth + 1,
+                        level: None,
                     };
                     add(sum, term);
                 }
@@ -429,7 +543,35 @@ impl FheBackend for ClearBackend {
                 }
             }
         }
+        if let Some(rule) = self.rule {
+            let levels = kernels::ring_products(&rule, &v.at(), shifts, diagonals, threads);
+            for (sum, level) in sums.iter_mut().zip(levels) {
+                if let Some(sum) = sum {
+                    sum.level = level.map(Box::new);
+                }
+            }
+        }
         sums
+    }
+
+    fn mod_switch_to(&self, ct: &ClearCiphertext, primes: usize) -> ClearCiphertext {
+        self.ct(ct.bits.clone(), ct.depth, |rule| {
+            rule.mod_switch_to(ct.at(), primes)
+        })
+    }
+
+    fn chain_primes(&self, ct: &ClearCiphertext) -> Option<usize> {
+        ct.level().map(|level| level.primes)
+    }
+
+    fn enter_circuit(&self, ct: &ClearCiphertext, primes: usize) -> ClearCiphertext {
+        self.ct(ct.bits.clone(), ct.depth, |rule| {
+            rule.enter(ct.at(), primes)
+        })
+    }
+
+    fn compact_for_decrypt(&self, ct: &ClearCiphertext) -> ClearCiphertext {
+        self.mod_switch_to(ct, 1)
     }
 
     fn serialize_ciphertext(&self, ct: &ClearCiphertext) -> Vec<u8> {
@@ -458,6 +600,11 @@ impl FheBackend for ClearBackend {
         &self,
         bytes: &[u8],
     ) -> Result<ClearCiphertext, CiphertextCodecError> {
+        if self.rule.is_some() {
+            return Err(CiphertextCodecError::Malformed(
+                "a leveled clear ciphertext's level does not serialise",
+            ));
+        }
         let mut buf = bytes;
         codec::check_magic(&mut buf, CLEAR_CT_MAGIC)?;
         let depth = codec::get_u32(&mut buf)?;
@@ -477,7 +624,11 @@ impl FheBackend for ClearBackend {
         let packed = codec::take(&mut buf, width.div_ceil(8))?;
         codec::finish(buf)?;
         let bits = BitVec::from_fn(width, |i| packed[i / 8] >> (i % 8) & 1 == 1);
-        Ok(ClearCiphertext { bits, depth })
+        Ok(ClearCiphertext {
+            bits,
+            depth,
+            level: None,
+        })
     }
 }
 
@@ -625,6 +776,13 @@ mod tests {
         assert!(matches!(
             be.deserialize_ciphertext(&wrong_magic).unwrap_err(),
             CiphertextCodecError::BadMagic { got: 0x77, .. }
+        ));
+        // A leveled backend's codec carries no level: it refuses even
+        // well-formed bytes.
+        let leveled = ClearBackend::leveled(LevelRule::of(&crate::BgvParams::tiny()));
+        assert!(matches!(
+            leveled.deserialize_ciphertext(&good).unwrap_err(),
+            CiphertextCodecError::Malformed(_)
         ));
         let mut trailing = good;
         trailing.push(0);

@@ -6,17 +6,17 @@
 //! slot-wise XOR and `Multiply` is slot-wise AND (the plaintext space of
 //! BGV with `p = 2`, as used by HElib in the paper).
 //!
-//! Three interchangeable backends implement the [`FheBackend`] trait:
+//! Two interchangeable backends implement the [`FheBackend`] trait:
 //!
 //! * [`ClearBackend`] — exact packed semantics over plaintext bits with
 //!   per-ciphertext multiplicative-depth tracking, a hard depth budget
 //!   derived from [`EncryptionParams`], and full operation metering
 //!   ([`OpMeter`]). Wall-clock on this backend is proportional to slot
 //!   work; [`CostModel`] converts metered counts to modeled BGV
-//!   milliseconds.
-//! * [`AbstractBackend`] — no bits at all: a ciphertext is its width,
-//!   depth and (under a [`LevelRule`]) BGV chain level, so the static
-//!   analyzer can run a circuit to read its cost.
+//!   milliseconds. Given a [`LevelRule`]
+//!   ([`ClearBackend::leveled`]), its ciphertexts also carry the BGV
+//!   chain level, so the static analyzer can run a circuit to read its
+//!   cost.
 //! * [`BgvBackend`] — a from-scratch leveled BGV scheme over the prime
 //!   cyclotomic ring `Z_q[X]/Φ_m(X)` with an RNS modulus chain, GF(2)
 //!   slot packing via cyclotomic factorisation and CRT idempotents, and
@@ -57,10 +57,7 @@ pub mod params;
 pub use backend::{
     BackendError, CiphertextCodecError, FheBackend, MaybeEncrypted, NoiseBudget, RingDiagonals,
 };
-pub use bgv::{
-    AbstractBackend, AbstractCiphertext, BgvBackend, BgvCiphertext, BgvParams, BgvPlaintext, Level,
-    LevelRule, RingFlavor,
-};
+pub use bgv::{BgvBackend, BgvCiphertext, BgvParams, BgvPlaintext, Level, LevelRule, RingFlavor};
 pub use bitslice::BitSliced;
 pub use bitvec::BitVec;
 pub use clear::{ClearBackend, ClearCiphertext, ClearConfig, ClearPlaintext};

@@ -68,7 +68,7 @@
 //!     `SecCompVariant::Variant` inside a wrapped `use` group is not
 //!     seen.)
 //!     COPSE's op counts, depth and chain primes come from running the
-//!     runtime on the abstract backend (`copse_core::analyze`), so
+//!     runtime on the clear backend (`copse_core::analyze`), so
 //!     neither a formula set nor a second description of the circuit
 //!     can re-grow beside it, and a comparator is written in one file.
 //!     (`complexity::paper` keeps the paper's printed SecComp, level
@@ -104,6 +104,12 @@
 //!     op counts live in the pass's `EvalTrace` and the query's
 //!     `ServerTiming`, so a process-wide collector or tally that
 //!     concurrent work pollutes cannot grow back beside them.
+//! 16. **Two backends.** Non-test `crates/*/src` implements
+//!     `FheBackend` (an `impl … FheBackend for` line) only in
+//!     `crates/fhe/src/clear.rs` and `crates/fhe/src/bgv/backend.rs`:
+//!     the clear backend carries the bits and, under a BGV `LevelRule`,
+//!     the level the analyzer reads, so a third backend that repeats
+//!     each op's metering and depth rules cannot grow back beside them.
 //!
 //! The scan covers `crates/*/src/**/*.rs` plus the facade's `src/`;
 //! examples, integration tests, and vendored shims are out of scope.
@@ -174,6 +180,8 @@ struct Patterns {
     global_collector: [String; 2],
     /// Rule 15: the pool's process-wide worker tallies.
     pool_counters: String,
+    /// Rule 16: a backend implementation, on an `impl` line.
+    backend_impl: String,
 }
 
 impl Patterns {
@@ -236,6 +244,7 @@ impl Patterns {
                 ["fn set", "_enabled("].concat(),
             ],
             pool_counters: ["struct Worker", "Counters"].concat(),
+            backend_impl: ["FheBackend", " for "].concat(),
         }
     }
 }
@@ -259,6 +268,7 @@ struct RuleSet {
     ban_counter_view: bool,
     ban_global_collector: bool,
     ban_pool_counters: bool,
+    ban_third_backend: bool,
 }
 
 fn rules_for(rel_path: &str) -> RuleSet {
@@ -284,6 +294,9 @@ fn rules_for(rel_path: &str) -> RuleSet {
         ban_counter_view: server,
         ban_global_collector: rel_path.starts_with("crates/"),
         ban_pool_counters: rel_path.starts_with("crates/pool/"),
+        ban_third_backend: rel_path.starts_with("crates/")
+            && rel_path != "crates/fhe/src/clear.rs"
+            && rel_path != "crates/fhe/src/bgv/backend.rs",
     }
 }
 
@@ -452,6 +465,12 @@ fn scan_source(rel_path: &str, source: &str, patterns: &Patterns) -> Vec<Finding
             || (rules.ban_pool_counters && code.contains(patterns.pool_counters.as_str()))
         {
             report("scoped-observability");
+        }
+        if rules.ban_third_backend
+            && code.trim_start().starts_with("impl")
+            && code.contains(patterns.backend_impl.as_str())
+        {
+            report("two-backends");
         }
     }
     findings
@@ -1019,7 +1038,9 @@ mod tests {
         let per_term = &Patterns::new().per_term_product;
         let srcs = [
             format!("    {per_term}&self, a: &Self::Ct, b: &Self::Operand) -> Self::Ct;\n"),
-            format!("    {per_term}&self, a: &Level, b: &MaybeEncrypted<AbstractBackend>) -> Level {{\n"),
+            format!(
+                "    {per_term}&self, a: &Level, b: &MaybeEncrypted<ClearBackend>) -> Level {{\n"
+            ),
         ];
         for src in &srcs {
             for rel in [
@@ -1115,6 +1136,37 @@ mod tests {
                     pub(crate) fn set_ntt_enabled(&mut self, enabled: bool) {}\n\
                     fn take_events_from(log: &mut Log) {}\n";
         assert!(scan("crates/trace/src/lib.rs", fine).is_empty());
+    }
+
+    #[test]
+    fn flags_a_third_backend() {
+        // A backend implementation, plain and generic.
+        let backend = &Patterns::new().backend_impl;
+        let srcs = [
+            format!("impl {backend}ShapeBackend {{\n"),
+            format!("impl<B: FheBackend> {backend}Traced<B> {{\n"),
+        ];
+        for src in &srcs {
+            for rel in ["crates/fhe/src/bgv/level.rs", "crates/core/src/analyze.rs"] {
+                let hits = scan(rel, src);
+                assert_eq!(hits.len(), 1, "{rel}: {src}");
+                assert_eq!(hits[0].rule, "two-backends");
+            }
+            // Out of scope: the two backends' files, the facade, tests,
+            // comments.
+            assert!(scan("crates/fhe/src/clear.rs", src).is_empty());
+            assert!(scan("crates/fhe/src/bgv/backend.rs", src).is_empty());
+            assert!(scan("src/lib.rs", src).is_empty());
+            let in_test = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+            assert!(scan("crates/core/src/analyze.rs", &in_test).is_empty());
+            assert!(scan("crates/core/src/analyze.rs", &format!("// {src}")).is_empty());
+        }
+        // What the crates do hold: generic code over a backend and
+        // impls of other traits for types generic in one.
+        let fine = "impl<'b, B: FheBackend> Sally<'b, B> {\n\
+                    impl<B: FheBackend> Clone for MaybeEncrypted<B> {\n\
+                    fn run<B: FheBackend>(be: &B) {}\n";
+        assert!(scan("crates/core/src/runtime.rs", fine).is_empty());
     }
 
     /// The invariant the linter exists to keep: the workspace itself
